@@ -20,10 +20,8 @@ from .algebra import BilinearForm, HomLieAlgebra
 from .doubleext import ExtFrame, split_frame
 from .errors import BadLevel, DimMismatch, NonInvertiblePi0, OddCharRequired, ZeroGamma
 from .report import Report
-from .restricted import PStructure, compute_s, eval_p_all, eval_p_batch
+from .restricted import EXHAUSTIVE_LIMIT, PStructure, compute_s, eval_p_all, eval_p_batch
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64
-
-EXHAUSTIVE_LIMIT = 65536
 
 
 @dataclass

@@ -35,6 +35,8 @@ class PStructure:
         self.images = np.asarray(images, dtype=np.int64) % parent.p
         if self.images.shape != (parent.n, parent.n):
             raise DimMismatch("p-structure needs one image per basis vector")
+        # read-only, so the eval_p_all table can never go stale
+        self.images.setflags(write=False)
         self._all_images: np.ndarray | None = None
 
 
@@ -46,15 +48,6 @@ class PPropertyWitness:
     def __init__(self, xi: int, a0, p: int):
         self.xi = int(xi) % p
         self.a0 = gfp.asvec(a0, p)
-
-
-def ad_tower(A: HomLieAlgebra, x, lo: int, hi: int) -> np.ndarray:
-    """Matrix of ad(alpha^hi(x)) o ... o ad(alpha^lo(x))."""
-    x = gfp.asvec(x, A.p)
-    out = gfp.eye(A.n)
-    for t in range(lo, hi + 1):
-        out = (A.ad(A.apply_alpha(x, t)) @ out) % A.p
-    return out
 
 
 def compute_s(A: HomLieAlgebra, x, y) -> list[np.ndarray]:
@@ -142,7 +135,7 @@ def eval_p_batch(P: PStructure, xs) -> np.ndarray:
             continue
         parts = np.zeros((m, n), dtype=np.int64)
         parts[:, j] = lam
-        part_img = ((np.power(lam, p) % p)[:, None] * P.images[j][None, :]) % p
+        part_img = (lam[:, None] * P.images[j][None, :]) % p  # lam^p = lam in GF(p)
         s = compute_s_batch(A, acc_vec, parts).sum(axis=1) % p
         acc_img = (acc_img + part_img + s) % p
         acc_vec[:, j] = lam
@@ -150,14 +143,42 @@ def eval_p_batch(P: PStructure, xs) -> np.ndarray:
 
 
 def eval_p_all(P: PStructure) -> np.ndarray:
-    """eval_p over every vector of GF(p)^n, indexed by gfp.vec_index; cached."""
+    """eval_p over every vector of GF(p)^n, indexed by gfp.vec_index; cached.
+
+    The table is filled one highest-coordinate block at a time.  A vector
+    whose highest nonzero coordinate is j, with value lam, sits at index
+    prefix + lam*p^j with prefix < p^j, and the ascending fold of eval_p
+    adds coordinate j last, so
+
+        table[lam*p^j + prefix] = table[prefix] + lam^p e_j^[p] + sum_i s_i(prefix, lam e_j)
+
+    (lam^p = lam in GF(p)).  That costs one compute_s row per vector, and
+    the table matches eval_p_batch bit for bit.  It is read-only.  When
+    p^n fits the exhaustive limit, verify_pstructure (R1, R2 and R3),
+    is_restricted_derivation and the direct route of the restricted-iso
+    check read it instead of re-folding.
+    """
     if P._all_images is None:
-        P._all_images = eval_p_batch(P, gfp.all_vectors(P.parent.n, P.parent.p))
+        A = P.parent
+        p, n = A.p, A.n
+        vecs = gfp.all_vectors(n, p)
+        table = np.zeros_like(vecs)
+        for j in range(n):
+            block = p**j
+            lams = np.repeat(np.arange(1, p, dtype=np.int64), block)
+            parts = np.zeros((lams.shape[0], n), dtype=np.int64)
+            parts[:, j] = lams
+            prefix = np.tile(np.arange(block), p - 1)
+            s = compute_s_batch(A, vecs[prefix], parts).sum(axis=1)
+            part_img = lams[:, None] * P.images[j][None, :]  # lam^p = lam in GF(p)
+            table[block:block * p] = (table[prefix] + part_img + s) % p
+        table.setflags(write=False)
+        P._all_images = table
     return P._all_images
 
 
 def _tower_batch(A: HomLieAlgebra, xs, lo: int, hi: int) -> np.ndarray:
-    """Batched ad_tower in [batch, in, out] layout."""
+    """Matrices of ad(alpha^hi(x)) o ... o ad(alpha^lo(x)) in [batch, in, out] layout."""
     p = A.p
     xs = np.asarray(xs, dtype=np.int64) % p
     out = None
@@ -186,28 +207,38 @@ def verify_pstructure(
     R1 is always checked on the basis (the unique-extension criterion).
     Beyond that, R1 runs over all p^n vectors when that count fits the
     exhaustive limit, R3 over all pairs when p^(2n) fits, and sampled
-    seeded vectors otherwise; R2 follows the R1 regime with all k.
+    seeded vectors otherwise; R2 follows the R1 regime with all k.  When R1
+    is exhaustive, every p-image R2 and R3 need is read from the eval_p_all
+    table, which equals the eval_p_batch fold bit for bit.
+    meta["regimes"] records the regime each of R1/R2/R3 actually ran, and
+    meta["mode"] is "exhaustive" only when all three were.
     """
     A = P.parent
     p, n = A.p, A.n
     count = p**n
     if exhaustive is None:
         exhaustive = count <= EXHAUSTIVE_LIMIT
+    table = exhaustive and count <= EXHAUSTIVE_LIMIT
+    pairs = exhaustive and count * count <= EXHAUSTIVE_LIMIT
+    vec_regime = "exhaustive" if table else "sampled"
+    pair_regime = "exhaustive" if pairs else "sampled"
     rep = Report(p=p, dim=n, seed=seed, samples=samples,
-                 mode="exhaustive" if exhaustive else "sampled")
+                 regimes={"r1": vec_regime, "r2": vec_regime, "r3": pair_regime},
+                 mode="exhaustive" if table and pairs else "sampled")
 
     basis = gfp.eye(n)
     defect = r1_defect_batch(A, P, basis, P.images)
     for j in range(n):
         rep.record("r1_basis", not defect[j].any(), (j,), lhs=defect[j], rhs=0)
 
+    full = eval_p_all(P) if table else None
+
+    def p_map(vs):
+        return eval_p_batch(P, vs) if full is None else full[gfp.vec_index(vs, p)]
+
     rng = SplitMix64(seed)
-    if exhaustive and count <= EXHAUSTIVE_LIMIT:
-        xs = gfp.all_vectors(n, p)
-        imgs = eval_p_all(P)
-    else:
-        xs = np.stack([rng.vec(n, p) for _ in range(samples)])
-        imgs = eval_p_batch(P, xs)
+    xs = gfp.all_vectors(n, p) if table else np.stack([rng.vec(n, p) for _ in range(samples)])
+    imgs = p_map(xs)
     defect = r1_defect_batch(A, P, xs, imgs)
     bad = np.nonzero(defect.any(axis=(1, 2)))[0]
     rep.check("r1").passed = xs.shape[0] - len(bad)
@@ -216,7 +247,7 @@ def verify_pstructure(
 
     # R2: (k x)^[p] = k^p x^[p] over every scalar k.
     for k in range(p):
-        scaled = eval_p_batch(P, (k * xs) % p)
+        scaled = p_map((k * xs) % p)
         want = (pow(k, p, p) * imgs) % p
         bad = np.nonzero(((scaled - want) % p).any(axis=1))[0]
         rep.check("r2").passed += xs.shape[0] - len(bad)
@@ -224,18 +255,15 @@ def verify_pstructure(
             rep.record("r2", False, (k, tuple(int(v) for v in xs[m])),
                        lhs=scaled[m], rhs=want[m])
 
-    if exhaustive and count * count <= EXHAUSTIVE_LIMIT:
+    if pairs:
         left = np.repeat(np.arange(count), count)
         right = np.tile(np.arange(count), count)
         xpairs, ypairs = xs[left], xs[right]
-        sums = imgs[gfp.vec_index((xpairs + ypairs) % p, p)]
-        ximgs, yimgs = imgs[left], imgs[right]
     else:
         xpairs = np.stack([rng.vec(n, p) for _ in range(samples)])
         ypairs = np.stack([rng.vec(n, p) for _ in range(samples)])
-        sums = eval_p_batch(P, (xpairs + ypairs) % p)
-        ximgs = eval_p_batch(P, xpairs)
-        yimgs = eval_p_batch(P, ypairs)
+    sums = p_map((xpairs + ypairs) % p)
+    ximgs, yimgs = p_map(xpairs), p_map(ypairs)
     cross = compute_s_batch(A, xpairs, ypairs).sum(axis=1) % p
     defect = (sums - ximgs - yimgs - cross) % p
     bad = np.nonzero(defect.any(axis=1))[0]
@@ -249,12 +277,16 @@ def verify_pstructure(
     return rep
 
 
-def restricted_defect_batch(A: HomLieAlgebra, P: PStructure, D: Derivation, xs) -> np.ndarray:
-    """D(x^[p]) minus ad(alpha^{p-1}(x)) o ... o ad(alpha(x)) (D(x)), batched."""
+def restricted_defect_batch(
+    A: HomLieAlgebra, P: PStructure, D: Derivation, xs, images
+) -> np.ndarray:
+    """D(x^[p]) minus ad(alpha^{p-1}(x)) o ... o ad(alpha(x)) (D(x)), batched.
+
+    images[m] is xs[m]^[p] under P, as in r1_defect_batch.
+    """
     p = A.p
     xs = np.asarray(xs, dtype=np.int64) % p
-    imgs = eval_p_batch(P, xs)
-    lhs = (imgs @ D.mat.T) % p
+    lhs = (images @ D.mat.T) % p
     tower = _tower_batch(A, xs, 1, p - 1)
     rhs = np.einsum("mbk,mb->mk", tower, (xs @ D.mat.T) % p) % p
     return (lhs - rhs) % p
@@ -267,19 +299,23 @@ def is_restricted_derivation(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> bool:
-    """Compatibility of D with the p-structure, on basis plus sampled vectors.
+    """Compatibility of D with the p-structure over every vector, or on basis
+    plus sampled vectors when p^n exceeds the exhaustive limit.
 
     The defining condition is not multilinear, so the basis does not
-    suffice; sampled arbitrary vectors keep the check honest.
+    suffice; sampled arbitrary vectors keep the check honest.  The
+    exhaustive regime reads the cached eval_p_all table.
     """
     p, n = A.p, A.n
     count = p**n
     if count <= EXHAUSTIVE_LIMIT:
         xs = gfp.all_vectors(n, p)
+        imgs = eval_p_all(P)
     else:
         rng = SplitMix64(seed)
         xs = np.concatenate([gfp.eye(n), np.stack([rng.vec(n, p) for _ in range(samples)])])
-    return not restricted_defect_batch(A, P, D, xs).any()
+        imgs = eval_p_batch(P, xs)
+    return not restricted_defect_batch(A, P, D, xs, imgs).any()
 
 
 def check_p_property(A: HomLieAlgebra, D: Derivation, w: PPropertyWitness) -> bool:

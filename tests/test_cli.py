@@ -21,6 +21,7 @@ def test_fixture_and_verify_heisenberg(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["summary"]["ok"] is True
     assert doc["meta"]["seed"] == 0xD0B1E
+    assert doc["meta"]["mode"] == "exhaustive"
 
 
 def test_verify_exit_one_on_corruption(tmp_path, capsys):
@@ -107,6 +108,20 @@ def test_twisted_p_extend_verifies(tmp_path, capsys):
     assert b.dim == 9 and b.pmap is not None
     code, out, _ = run(capsys, "verify", str(L), "--samples", "120")
     assert code == 0
+
+
+def test_verify_exhaustive_reports_sampled_r3(tmp_path, capsys):
+    # 3^7 vectors fit the exhaustive limit but 3^14 pairs do not, so R3 is
+    # sampled even under --exhaustive and the report must say so
+    src = tmp_path / "psl3.json"
+    run(capsys, "fixture", "psl3", "--out", str(src))
+    code, out, _ = run(capsys, "verify", str(src), "--exhaustive", "--samples", "30")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["regimes"] == {"r1": "exhaustive", "r2": "exhaustive", "r3": "sampled"}
+    assert doc["meta"]["mode"] == "sampled"
+    r3 = next(c for c in doc["checks"] if c["name"] == "r3")
+    assert r3["passed"] == 30
 
 
 def test_solve_p_property_cli(tmp_path, capsys):

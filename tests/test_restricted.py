@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from homext import gfp
-from homext.algebra import Derivation
+from homext.algebra import Derivation, HomLieAlgebra
 from homext.errors import OddCharRequired
 from homext.restricted import (
     PStructure,
@@ -16,6 +16,7 @@ from homext.restricted import (
     eval_p_all,
     eval_p_batch,
     is_restricted_derivation,
+    restricted_defect_batch,
     solve_p_property,
     verify_pstructure,
 )
@@ -267,3 +268,93 @@ def test_eval_p_all_cache(heis):
     b = eval_p_all(heis.P)
     assert a is b
     assert np.array_equal(a[gfp.vec_index(np.array([1, 1, 0, 0, 0, 0]), 2)], gfp.unit(6, 2))
+
+
+def _corrupted_psl3(psl3):
+    images = psl3.P.images.copy()
+    images[0] = (images[0] + gfp.unit(7, 3)) % 3
+    return PStructure(psl3.g, images)
+
+
+def _fixture_pstructures(request):
+    heis, psl3, sl2 = (request.getfixturevalue(f) for f in ("heis", "psl3", "sl2"))
+    out = {
+        "heis V": heis.P,
+        "heis L": request.getfixturevalue("heis_ext")[2],
+        "psl3": psl3.P,
+        "psl3_a": request.getfixturevalue("psl3_twisted")[2],
+        "sl2 V": sl2.P,
+        "sl2 L": request.getfixturevalue("sl2_ext")[2],
+        "psl3 corrupted": _corrupted_psl3(psl3),
+    }
+    for name, pipe in request.getfixturevalue("psl3_pipelines").items():
+        out[f"psl3 {name} L"] = pipe["P_L"]
+    return out
+
+
+def test_eval_p_all_prefix_table_matches_fold(request):
+    for name, P in _fixture_pstructures(request).items():
+        fresh = PStructure(P.parent, P.images)  # build the table, not a cached one
+        want = eval_p_batch(fresh, gfp.all_vectors(fresh.parent.n, fresh.parent.p))
+        assert np.array_equal(eval_p_all(fresh), want), name
+
+
+def test_table_regime_detects_corrupted_image(psl3):
+    rep = verify_pstructure(_corrupted_psl3(psl3))
+    assert rep.meta["regimes"]["r1"] == rep.meta["regimes"]["r2"] == "exhaustive"
+    assert not rep.check("r1").ok or not rep.check("r2").ok
+    assert rep.check("r1").passed + rep.check("r1").failed == 3**7
+    assert rep.check("r2").passed + rep.check("r2").failed == 3 * 3**7
+
+
+def test_verify_pstructure_reports_regimes(heis, psl3):
+    rep = verify_pstructure(heis.P)
+    assert rep.meta["regimes"] == {"r1": "exhaustive", "r2": "exhaustive", "r3": "exhaustive"}
+    assert rep.meta["mode"] == "exhaustive"
+    # psl(3): 3^7 vectors fit the exhaustive limit, 3^14 pairs do not
+    rep = verify_pstructure(psl3.P, exhaustive=True, samples=20)
+    assert rep.meta["regimes"] == {"r1": "exhaustive", "r2": "exhaustive", "r3": "sampled"}
+    assert rep.meta["mode"] == "sampled"
+    assert rep.check("r3").passed == 20
+    rep = verify_pstructure(heis.P, exhaustive=False, samples=20)
+    assert set(rep.meta["regimes"].values()) == {"sampled"} and rep.meta["mode"] == "sampled"
+    # 2^17 vectors exceed the limit: an explicit request cannot make R1 exhaustive
+    n = 17
+    abelian = HomLieAlgebra(2, np.zeros((n, n, n), dtype=np.int64), gfp.eye(n))
+    rep = verify_pstructure(PStructure(abelian, np.zeros((n, n))), exhaustive=True, samples=20)
+    assert set(rep.meta["regimes"].values()) == {"sampled"} and rep.meta["mode"] == "sampled"
+    assert rep.ok and rep.check("r1").passed == 20
+
+
+def test_is_restricted_derivation_table_matches_fold(psl3, psl3_twisted):
+    ga, _, pa, derivs = psl3_twisted
+    inner = Derivation(psl3.g.ad(gfp.unit(7, 1)), 3)
+    bad = Derivation((inner.mat + np.diag([1, 0, 0, 0, 0, 0, 0])) % 3, 3)
+    cases = [(psl3.g, psl3.P, name, D) for name, D in psl3.derivations.items()]
+    cases += [(ga, pa, name, D) for name, D in derivs.items()]
+    cases.append((psl3.g, psl3.P, "bad", bad))
+    xs = gfp.all_vectors(7, 3)
+    for A, P, name, D in cases:
+        folded = not restricted_defect_batch(A, P, D, xs, eval_p_batch(P, xs)).any()
+        assert is_restricted_derivation(A, P, D) == folded == (name != "bad"), name
+
+
+def test_pstructure_images_and_table_are_read_only(heis):
+    P = PStructure(heis.V, heis.P.images)
+    with pytest.raises(ValueError):
+        P.images[0, 0] = 1
+    with pytest.raises(ValueError):
+        eval_p_all(P)[0, 0] = 1
+
+
+def test_eval_p_frobenius_does_not_wrap():
+    # (p-1)^p overflows int64 for p >= 17; x^[p] of an abelian algebra with
+    # alpha = id is sum_j x_j^p e_j^[p] = sum_j x_j e_j^[p]
+    p, n = 17, 2
+    A = HomLieAlgebra(p, np.zeros((n, n, n), dtype=np.int64), gfp.eye(n))
+    P = PStructure(A, [[1, 2], [3, 5]])
+    xs = gfp.all_vectors(n, p)
+    want = (xs @ P.images) % p
+    assert np.array_equal(eval_p_batch(P, xs), want)
+    assert np.array_equal(eval_p_all(P), want)
+    assert np.array_equal(eval_p(P, [16, 16]), want[16 + 16 * p])
