@@ -49,6 +49,16 @@ def _seed(args) -> int:
     return DEFAULT_SEED
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _read_bundle(path: str) -> bundle_mod.AlgebraBundle:
     try:
         with open(path) as fh:
@@ -128,15 +138,9 @@ def cmd_verify(args) -> int:
     if t is not None and form is not None:
         from .twist import check_twist_data
 
-        trep = check_twist_data(A, form, t)
-        for chk in trep.checks.values():
-            chk.name = f"twist.{chk.name}"
-            report.checks[chk.name] = chk
+        report.merge(check_twist_data(A, form, t), prefix="twist.")
     for name, D in b.derivations.items():
-        drep = verify_derivation(A, D)
-        for chk in drep.checks.values():
-            chk.name = f"{name}.{chk.name}"
-            report.checks[chk.name] = chk
+        report.merge(verify_derivation(A, D), prefix=f"{name}.")
         if form is not None:
             report.record(f"{name}.d_invariant", d_invariant(form, D, b.p), ())
         if P is not None:
@@ -148,12 +152,9 @@ def cmd_verify(args) -> int:
     ext = b.extension_data()
     if ext is not None and form is not None:
         name, d, pe = ext
-        erep = check_extension_data(A, form, d)
+        report.merge(check_extension_data(A, form, d), prefix="extension.")
         if P is not None:
-            erep.merge(check_p_extension_data(A, form, P, d, pe, seed=seed))
-        for chk in erep.checks.values():
-            chk.name = f"extension.{chk.name}"
-            report.checks[chk.name] = chk
+            report.merge(check_p_extension_data(A, form, P, d, pe, seed=seed), prefix="extension.")
     return _finish(report)
 
 
@@ -286,7 +287,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+        sp.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES,
+                        help=f"sampled vectors per check, at least 1 (default {DEFAULT_SAMPLES})")
         sp.add_argument("--seed", type=lambda s: int(s, 0), default=None)
 
     sp = sub.add_parser("fixture", help="emit a built-in example bundle")

@@ -22,6 +22,8 @@ from .algebra import (
     Subspace,
     center,
     centralizer_of_image,
+    d_invariant,
+    invariance_sides,
     is_ideal,
     orth,
     verify_derivation,
@@ -34,7 +36,7 @@ from .errors import (
     NotPIdeal,
     PreconditionFailed,
 )
-from .report import Report
+from .report import Report, rows
 from .restricted import (
     PStructure,
     PPropertyWitness,
@@ -85,8 +87,6 @@ def check_extension_data(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtension
     2 and odd characteristic; both variants also need V involutive, D a
     twist-compatible derivation and the form D-invariant.
     """
-    from .algebra import d_invariant
-
     p = V.p
     rep = Report(p=p, dim=V.n)
     rep.record("involutive_V", V.is_involutive(), (), lhs=V.alpha_pow(2), rhs="id")
@@ -96,12 +96,9 @@ def check_extension_data(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtension
     dx0 = d.D(x0)
     eq1 = (d.lam * dm + V.ad(x0) - dm) % p
     rep.record("lambda_D_plus_ad_x0", not eq1.any(), (), lhs=(d.lam * dm + V.ad(x0)) % p, rhs=dm)
-    if p == 2:
-        eq2 = (V.apply_alpha(dx0) - dx0) % p
-        eq3 = (V.alpha @ dm @ dm + dm @ dm @ V.alpha - V.ad(dx0)) % p
-    else:
-        eq2 = (V.apply_alpha(dx0) + dx0) % p
-        eq3 = (V.alpha @ dm @ dm - dm @ dm @ V.alpha - V.ad(dx0)) % p
+    # the odd-characteristic signs; -1 = 1 makes them the char-2 identities
+    eq2 = (V.apply_alpha(dx0) + dx0) % p
+    eq3 = (V.alpha @ dm @ dm - dm @ dm @ V.alpha - V.ad(dx0)) % p
     rep.record("alpha_D_x0", not eq2.any(), (), lhs=V.apply_alpha(dx0), rhs=dx0)
     rep.record("alpha_D_squared", not eq3.any(), (), lhs=eq3, rhs=0)
     return rep
@@ -194,7 +191,7 @@ def eval_P_batch(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe: PExtens
             continue
         parts = np.zeros((mcount, n), dtype=np.int64)
         parts[:, j] = lam
-        part_val = (np.power(lam, p) % p) * pe.P_basis[j] % p
+        part_val = lam * pe.P_basis[j] % p  # lam^p = lam in GF(p)
         etas = compute_eta_batch(V, B_V, D, acc_vec, parts).sum(axis=1) % p
         acc_val = (acc_val + part_val + etas) % p
         acc_vec[:, j] = lam
@@ -213,8 +210,8 @@ def check_P_conditions(
     p, n = V.p, V.n
     rep = Report(p=p, dim=n, seed=seed, samples=samples)
     rng = SplitMix64(seed)
-    us = np.stack([rng.vec(n, p) for _ in range(samples)])
-    ws = np.stack([rng.vec(n, p) for _ in range(samples)])
+    us = rng.mat(samples, n, p)
+    ws = rng.mat(samples, n, p)
     pu = eval_P_batch(V, B_V, D, pe, us)
     pw = eval_P_batch(V, B_V, D, pe, ws)
     psum = eval_P_batch(V, B_V, D, pe, (us + ws) % p)
@@ -222,19 +219,13 @@ def check_P_conditions(
         cross = B_V.eval_batch((us @ D.mat.T) % p, ws)
     else:
         cross = compute_eta_batch(V, B_V, D, us, ws).sum(axis=1) % p
-    bad = np.nonzero((psum - pu - pw - cross) % p)[0]
-    rep.check("P_additivity").passed = samples - len(bad)
-    for i in bad:
-        rep.record("P_additivity", False, (tuple(int(x) for x in us[i]), tuple(int(x) for x in ws[i])),
-                   lhs=int(psum[i]), rhs=int((pu[i] + pw[i] + cross[i]) % p))
+    want = (pu + pw + cross) % p
+    rep.tally("P_additivity", (psum - want) % p != 0, psum, want, witness=rows(us, ws))
     for k in range(p):
         scaled = eval_P_batch(V, B_V, D, pe, (k * us) % p)
         want = (pow(k, p, p) * pu) % p
-        bad = np.nonzero((scaled - want) % p)[0]
-        rep.check("P_homogeneity").passed += samples - len(bad)
-        for i in bad:
-            rep.record("P_homogeneity", False, (k, tuple(int(x) for x in us[i])),
-                       lhs=int(scaled[i]), rhs=int(want[i]))
+        rep.tally("P_homogeneity", (scaled - want) % p != 0, scaled, want,
+                  witness=lambda i: (k,) + rows(us)(i))
     return rep
 
 
@@ -324,20 +315,6 @@ class ExtFrame:
     @property
     def n(self) -> int:
         return self.V.n
-
-    def emb(self, v) -> np.ndarray:
-        out = gfp.zeros(self.n + 2)
-        out[1:1 + self.n] = gfp.asvec(v, self.V.p)
-        return out
-
-    def proj_V(self, w) -> np.ndarray:
-        return gfp.asvec(w, self.V.p)[1:1 + self.n].copy()
-
-    def e_star(self) -> np.ndarray:
-        return gfp.unit(self.n + 2, 0)
-
-    def e(self) -> np.ndarray:
-        return gfp.unit(self.n + 2, self.n + 1)
 
 
 def split_frame(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure | None = None) -> ExtFrame:
@@ -537,15 +514,6 @@ def psi_eval(B_V: BilinearForm, x: AlgebraExtensionData, u, v) -> np.ndarray:
     return np.array([int(((m @ u) @ B_V.gram @ v) % p) for m in x.phi], dtype=np.int64)
 
 
-def _alternating_wrt(B: BilinearForm, m, p: int) -> bool:
-    # B(m(x), x) = 0 for all x; for p > 2 this is skewness, in char 2 the
-    # polarized form must be symmetric with zero diagonal.
-    mt = (gfp.asmat(m, p).T @ B.gram) % p
-    if p == 2:
-        return not np.diagonal(mt).any() and np.array_equal(mt, mt.T % p)
-    return not ((mt + B.gram @ gfp.asmat(m, p)) % p).any()
-
-
 def check_algebra_extension_data(V: HomLieAlgebra, B_V: BilinearForm, x: AlgebraExtensionData) -> Report:
     """Representation, compatibility and form hypotheses for extend_by_algebra."""
     p = V.p
@@ -556,7 +524,7 @@ def check_algebra_extension_data(V: HomLieAlgebra, B_V: BilinearForm, x: Algebra
     arep = verify_hom_lie(A)
     rep.record("A_hom_lie", arep.ok, (), lhs=len(arep.failing()))
     for b in range(A.n):
-        rep.record("phi_alternating", _alternating_wrt(B_V, x.phi[b], p), (b,))
+        rep.record("phi_alternating", d_invariant(B_V, Derivation(x.phi[b], p), p), (b,))
         lhs = (x.phi_of(A.alpha[:, b]) @ V.alpha) % p
         rhs = (V.alpha @ x.phi[b]) % p
         rep.record("rep_axiom_1", np.array_equal(lhs, rhs), (b,), lhs=lhs, rhs=rhs)
@@ -584,8 +552,7 @@ def check_algebra_extension_data(V: HomLieAlgebra, B_V: BilinearForm, x: Algebra
     srep.record("sigma_symmetric", x.sigma.is_symmetric(), ())
     srep.record("sigma_nondegenerate", x.sigma.is_nondegenerate(), ())
     g = x.sigma.gram
-    inv_lhs = np.einsum("ijm,mk->ijk", A.c, g) % p
-    inv_rhs = np.einsum("im,jkm->ijk", g, A.c) % p
+    inv_lhs, inv_rhs = invariance_sides(A.c, g, p)
     srep.record("sigma_invariant", not ((inv_lhs - inv_rhs) % p).any(), ())
     srep.record(
         "sigma_twist_self_adjoint",

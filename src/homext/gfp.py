@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegreeOverflow, DimMismatch, ZeroInverse
+from .errors import DimMismatch, ZeroInverse
 
 
 def asvec(v, p: int) -> np.ndarray:
@@ -178,78 +178,3 @@ def vec_index(x, p: int) -> np.ndarray | int:
     a = np.asarray(x, dtype=np.int64) % p
     pows = p ** np.arange(a.shape[-1], dtype=np.int64)
     return a @ pows
-
-
-class PolyVec:
-    """Vector-valued polynomial in one formal variable over GF(p).
-
-    Coefficients are stored densely as the rows of a [deg+1, n] array with
-    trailing zero coefficient vectors trimmed away.
-    """
-
-    def __init__(self, coeffs, p: int):
-        a = np.asarray(coeffs, dtype=np.int64) % p
-        if a.ndim != 2:
-            raise DimMismatch("PolyVec wants a [deg+1, n] coefficient array")
-        if a.shape[0] == 0:
-            a = np.zeros((1, a.shape[1]), dtype=np.int64)
-        last = 0
-        for d in range(a.shape[0]):
-            if a[d].any():
-                last = d
-        self.coeffs = a[: last + 1].copy()
-        self.p = p
-
-    @classmethod
-    def constant(cls, v, p: int) -> "PolyVec":
-        return cls(asvec(v, p)[None, :], p)
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def coeff(self, d: int) -> np.ndarray:
-        if d > self.degree:
-            return zeros(self.n)
-        return self.coeffs[d].copy()
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def eval_at(self, k: int) -> np.ndarray:
-        out = zeros(self.n)
-        kk = 1
-        for d in range(self.degree + 1):
-            out = (out + kk * self.coeffs[d]) % self.p
-            kk = (kk * k) % self.p
-        return out
-
-
-def polyvec_apply(ops, v: PolyVec, max_degree: int) -> PolyVec:
-    """Apply a composition of degree-<=1 matrix operators to a PolyVec.
-
-    Each operator is a pair (m0, m1) standing for the matrix m0 + k*m1.
-    The list is composed left-to-right as written, so ops[-1] acts first.
-    Raises DegreeOverflow if a nonzero coefficient beyond max_degree shows
-    up, which signals misuse: all supported expansions stay below p.
-    """
-    p = v.p
-    cur = v.coeffs
-    for m0, m1 in reversed(list(ops)):
-        a0 = asmat(m0, p)
-        a1 = asmat(m1, p)
-        deg = cur.shape[0] - 1
-        out = np.zeros((deg + 2, cur.shape[1]), dtype=np.int64)
-        for d in range(deg + 1):
-            out[d] = (out[d] + a0 @ cur[d]) % p
-            out[d + 1] = (out[d + 1] + a1 @ cur[d]) % p
-        cur = PolyVec(out, p).coeffs
-        if cur.shape[0] - 1 > max_degree:
-            raise DegreeOverflow(
-                f"degree {cur.shape[0] - 1} exceeds cap {max_degree}"
-            )
-    return PolyVec(cur, p)

@@ -59,6 +59,11 @@ class CheckResult:
         }
 
 
+def rows(*arrays):
+    """Witness callback for tally: the rows of `arrays` at the failing index."""
+    return lambda idx: tuple(tuple(int(v) for v in a[idx]) for a in arrays)
+
+
 class Report:
     def __init__(self, **meta):
         self.checks: dict[str, CheckResult] = {}
@@ -79,14 +84,38 @@ class Report:
                 c.failures.append(Failure(tuple(witness), lhs, rhs))
         return bool(ok)
 
-    def merge(self, other: "Report") -> "Report":
+    def tally(self, name: str, failed, lhs=None, rhs=None, witness=tuple) -> CheckResult:
+        """Count every entry of the boolean array `failed` under one check.
+
+        Each failing index (a tuple of ints, in C order) is recorded with
+        witness(index); an ndarray lhs/rhs is indexed there, anything else
+        is kept as given.  Pass np.broadcast_to for a constant array value.
+        """
+        failed = np.asarray(failed, dtype=bool)
+        bad = np.argwhere(failed)
+        c = self.check(name)
+        c.passed += failed.size - len(bad)
+        c.failed += len(bad)
+        for row in bad[:max(MAX_FAILURES_KEPT - len(c.failures), 0)]:
+            idx = tuple(int(i) for i in row)
+            c.failures.append(Failure(
+                tuple(witness(idx)),
+                lhs[idx] if isinstance(lhs, np.ndarray) else lhs,
+                rhs[idx] if isinstance(rhs, np.ndarray) else rhs,
+            ))
+        return c
+
+    def merge(self, other: "Report", prefix: str = "") -> "Report":
+        """Add other's counts and failures; a prefixed merge renames its
+        checks to prefix + name and leaves this report's meta alone."""
         for name, c in other.checks.items():
-            mine = self.check(name)
+            mine = self.check(prefix + name)
             mine.passed += c.passed
             mine.failed += c.failed
             room = MAX_FAILURES_KEPT - len(mine.failures)
             mine.failures.extend(c.failures[:room])
-        self.meta.update(other.meta)
+        if not prefix:
+            self.meta.update(other.meta)
         return self
 
     @property

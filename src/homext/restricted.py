@@ -17,27 +17,35 @@ import numpy as np
 from . import gfp
 from .algebra import BilinearForm, Derivation, HomLieAlgebra
 from .errors import DimMismatch, OddCharRequired
-from .report import Report
+from .report import Report, rows
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64
 
 EXHAUSTIVE_LIMIT = 65536
 
 
-@dataclass
 class PStructure:
-    """Basis-image table of a p-structure: images[j] = e_j^[p]."""
+    """Basis-image table of a p-structure: images[j] = e_j^[p].
 
-    parent: HomLieAlgebra
-    images: np.ndarray  # [n, n], row j is e_j^[p]
+    parent and images are read-only properties and images is a read-only
+    array, so the cached eval_p_all table can never go stale.
+    """
 
     def __init__(self, parent: HomLieAlgebra, images):
-        self.parent = parent
-        self.images = np.asarray(images, dtype=np.int64) % parent.p
-        if self.images.shape != (parent.n, parent.n):
+        images = np.asarray(images, dtype=np.int64) % parent.p
+        if images.shape != (parent.n, parent.n):
             raise DimMismatch("p-structure needs one image per basis vector")
-        # read-only, so the eval_p_all table can never go stale
-        self.images.setflags(write=False)
+        images.setflags(write=False)
+        self._parent = parent
+        self._images = images
         self._all_images: np.ndarray | None = None
+
+    @property
+    def parent(self) -> HomLieAlgebra:
+        return self._parent
+
+    @property
+    def images(self) -> np.ndarray:  # [n, n], row j is e_j^[p]
+        return self._images
 
 
 @dataclass
@@ -50,96 +58,84 @@ class PPropertyWitness:
         self.a0 = gfp.asvec(a0, p)
 
 
-def compute_s(A: HomLieAlgebra, x, y) -> list[np.ndarray]:
-    """The R3 coefficients s_1..s_{p-1} of the pair (x, y).
+def _formal_tower(A: HomLieAlgebra, xs, ys, depth: int) -> np.ndarray:
+    """ad(alpha^{depth-1}(kx+y)) o ... o ad(kx+y) applied to x, per pair.
 
-    The tower ad(alpha^{p-2}(kx+y)) o ... o ad(kx+y) applied to x is a
-    polynomial vector in the formal parameter k; s_i is 1/i times its
-    coefficient of k^{i-1}.
+    The result is a polynomial vector in the formal parameter k; returns
+    [batch, depth+1, n] with row d its coefficient of k^d.  This is the one
+    tower behind both the s_i and the eta_i.
     """
     p = A.p
-    x = gfp.asvec(x, p)
-    y = gfp.asvec(y, p)
-    ops = []
-    for t in range(p - 2, -1, -1):
-        ops.append((A.ad(A.apply_alpha(y, t)), A.ad(A.apply_alpha(x, t))))
-    res = gfp.polyvec_apply(ops, gfp.PolyVec.constant(x, p), max_degree=p - 1)
-    return [(gfp.inv(i, p) * res.coeff(i - 1)) % p for i in range(1, p)]
+    coeffs = np.zeros((xs.shape[0], depth + 1, A.n), dtype=np.int64)
+    coeffs[:, 0, :] = xs
+    # Innermost factor first.  ad(alpha^t(y)) is the constant part of each
+    # factor and ad(alpha^t(x)) its k-coefficient; only one [batch, n, n]
+    # ad array is alive at a time, which bounds peak memory.
+    for t in range(depth):
+        low = coeffs[:, :t + 1, :]
+        new = np.zeros_like(coeffs)
+        new[:, :t + 1, :] = low @ A.ad_batch((ys @ A.alpha_pow(t).T) % p)
+        new[:, 1:t + 2, :] += low @ A.ad_batch((xs @ A.alpha_pow(t).T) % p)
+        coeffs = new % p
+    return coeffs
+
+
+def _inverses(p: int) -> np.ndarray:
+    """1/1, ..., 1/(p-1) in GF(p)."""
+    return np.array([gfp.inv(i, p) for i in range(1, p)], dtype=np.int64)
 
 
 def compute_s_batch(A: HomLieAlgebra, xs, ys) -> np.ndarray:
-    """Batched compute_s: returns [batch, p-1, n] with row i-1 equal to s_i."""
-    p, n = A.p, A.n
+    """The R3 coefficients s_1..s_{p-1} of each pair (x, y): [batch, p-1, n].
+
+    s_i is 1/i times the coefficient of k^{i-1} in the formal tower
+    ad(alpha^{p-2}(kx+y)) o ... o ad(kx+y) applied to x.
+    """
+    p = A.p
     xs = np.asarray(xs, dtype=np.int64) % p
     ys = np.asarray(ys, dtype=np.int64) % p
-    m = xs.shape[0]
-    coeffs = np.zeros((m, p, n), dtype=np.int64)
-    coeffs[:, 0, :] = xs
-    deg = 0
-    for t in range(0, p - 1):  # innermost factor first
-        ady = A.ad_batch((xs @ A.alpha_pow(t).T) % p)  # k-coefficient: ad(alpha^t(x))
-        adc = A.ad_batch((ys @ A.alpha_pow(t).T) % p)  # constant part: ad(alpha^t(y))
-        new = np.zeros_like(coeffs)
-        for d in range(deg + 1):
-            new[:, d, :] += np.einsum("mbk,mb->mk", adc, coeffs[:, d, :])
-            new[:, d + 1, :] += np.einsum("mbk,mb->mk", ady, coeffs[:, d, :])
-        coeffs = new % p
-        deg += 1
-    out = np.zeros((m, p - 1, n), dtype=np.int64)
-    for i in range(1, p):
-        out[:, i - 1, :] = (gfp.inv(i, p) * coeffs[:, i - 1, :]) % p
-    return out
+    tower = _formal_tower(A, xs, ys, p - 1)[:, :p - 1, :]
+    return (_inverses(p)[None, :, None] * tower) % p
 
 
-def eval_p(P: PStructure, x) -> np.ndarray:
-    """Extend the basis images to an arbitrary vector via the R2/R3 fold.
-
-    x is written in the basis and folded in ascending index order with
-    (a+b)^[p] = a^[p] + b^[p] + sum_i s_i(a,b).  The axioms R1-R3 pin the
-    map without picking an algorithm, so the fold order is fixed here and
-    order-independence is asserted by property tests, not assumed.
-    """
-    A = P.parent
-    p, n = A.p, A.n
-    x = gfp.asvec(x, p)
-    acc_vec = gfp.zeros(n)
-    acc_img = gfp.zeros(n)
-    started = False
-    for j in range(n):
-        lam = int(x[j])
-        if lam == 0:
-            continue
-        part = (lam * gfp.unit(n, j)) % p
-        part_img = (pow(lam, p, p) * P.images[j]) % p
-        if started:
-            s = compute_s(A, acc_vec, part)
-            acc_img = (acc_img + part_img + sum(s)) % p
-        else:
-            acc_img = (acc_img + part_img) % p
-            started = True
-        acc_vec = (acc_vec + part) % p
-    return acc_img
+def compute_s(A: HomLieAlgebra, x, y) -> list[np.ndarray]:
+    """compute_s_batch on one pair, as the list [s_1, ..., s_{p-1}]."""
+    return list(compute_s_batch(A, gfp.asvec(x, A.p)[None, :], gfp.asvec(y, A.p)[None, :])[0])
 
 
 def eval_p_batch(P: PStructure, xs) -> np.ndarray:
-    """eval_p on a batch of row vectors; exact same fold as eval_p."""
+    """Extend the basis images to a batch of row vectors via the R2/R3 fold.
+
+    Each x is written in the basis and folded in ascending index order with
+    (a+b)^[p] = a^[p] + b^[p] + sum_i s_i(a,b).  The axioms R1-R3 pin the
+    map without picking an algorithm, so the fold order is fixed here and
+    order-independence is asserted by property tests, not assumed.  Since
+    s_i(0, y) = s_i(x, 0) = 0, the s_i at coordinate j are computed only on
+    rows whose coordinate j and folded prefix are both nonzero.
+    """
     A = P.parent
     p, n = A.p, A.n
     xs = np.asarray(xs, dtype=np.int64) % p
-    m = xs.shape[0]
-    acc_vec = np.zeros((m, n), dtype=np.int64)
-    acc_img = np.zeros((m, n), dtype=np.int64)
-    for j in range(n):
+    acc_vec = np.zeros_like(xs)
+    acc_img = np.zeros_like(xs)
+    started = np.zeros(xs.shape[0], dtype=bool)
+    for j in np.nonzero(xs.any(axis=0))[0]:
         lam = xs[:, j]
-        if not lam.any():
-            continue
-        parts = np.zeros((m, n), dtype=np.int64)
-        parts[:, j] = lam
-        part_img = (lam[:, None] * P.images[j][None, :]) % p  # lam^p = lam in GF(p)
-        s = compute_s_batch(A, acc_vec, parts).sum(axis=1) % p
-        acc_img = (acc_img + part_img + s) % p
+        acc_img = (acc_img + lam[:, None] * P.images[j][None, :]) % p  # lam^p = lam in GF(p)
+        live = np.nonzero(started & (lam != 0))[0]
+        if live.size:
+            parts = np.zeros((live.size, n), dtype=np.int64)
+            parts[:, j] = lam[live]
+            s = compute_s_batch(A, acc_vec[live], parts).sum(axis=1)
+            acc_img[live] = (acc_img[live] + s) % p
         acc_vec[:, j] = lam
+        started |= lam != 0
     return acc_img
+
+
+def eval_p(P: PStructure, x) -> np.ndarray:
+    """eval_p_batch on one vector."""
+    return eval_p_batch(P, gfp.asvec(x, P.parent.p)[None, :])[0]
 
 
 def eval_p_all(P: PStructure) -> np.ndarray:
@@ -226,10 +222,8 @@ def verify_pstructure(
                  regimes={"r1": vec_regime, "r2": vec_regime, "r3": pair_regime},
                  mode="exhaustive" if table and pairs else "sampled")
 
-    basis = gfp.eye(n)
-    defect = r1_defect_batch(A, P, basis, P.images)
-    for j in range(n):
-        rep.record("r1_basis", not defect[j].any(), (j,), lhs=defect[j], rhs=0)
+    defect = r1_defect_batch(A, P, gfp.eye(n), P.images)
+    rep.tally("r1_basis", defect.any(axis=(1, 2)), defect, 0)
 
     full = eval_p_all(P) if table else None
 
@@ -237,43 +231,28 @@ def verify_pstructure(
         return eval_p_batch(P, vs) if full is None else full[gfp.vec_index(vs, p)]
 
     rng = SplitMix64(seed)
-    xs = gfp.all_vectors(n, p) if table else np.stack([rng.vec(n, p) for _ in range(samples)])
+    xs = gfp.all_vectors(n, p) if table else rng.mat(samples, n, p)
     imgs = p_map(xs)
     defect = r1_defect_batch(A, P, xs, imgs)
-    bad = np.nonzero(defect.any(axis=(1, 2)))[0]
-    rep.check("r1").passed = xs.shape[0] - len(bad)
-    for m in bad:
-        rep.record("r1", False, (tuple(int(v) for v in xs[m]),), lhs=defect[m], rhs=0)
+    rep.tally("r1", defect.any(axis=(1, 2)), defect, 0, witness=rows(xs))
 
     # R2: (k x)^[p] = k^p x^[p] over every scalar k.
     for k in range(p):
         scaled = p_map((k * xs) % p)
         want = (pow(k, p, p) * imgs) % p
-        bad = np.nonzero(((scaled - want) % p).any(axis=1))[0]
-        rep.check("r2").passed += xs.shape[0] - len(bad)
-        for m in bad:
-            rep.record("r2", False, (k, tuple(int(v) for v in xs[m])),
-                       lhs=scaled[m], rhs=want[m])
+        rep.tally("r2", ((scaled - want) % p).any(axis=1), scaled, want,
+                  witness=lambda i: (k,) + rows(xs)(i))
 
     if pairs:
         left = np.repeat(np.arange(count), count)
         right = np.tile(np.arange(count), count)
         xpairs, ypairs = xs[left], xs[right]
     else:
-        xpairs = np.stack([rng.vec(n, p) for _ in range(samples)])
-        ypairs = np.stack([rng.vec(n, p) for _ in range(samples)])
+        xpairs = rng.mat(samples, n, p)
+        ypairs = rng.mat(samples, n, p)
     sums = p_map((xpairs + ypairs) % p)
-    ximgs, yimgs = p_map(xpairs), p_map(ypairs)
-    cross = compute_s_batch(A, xpairs, ypairs).sum(axis=1) % p
-    defect = (sums - ximgs - yimgs - cross) % p
-    bad = np.nonzero(defect.any(axis=1))[0]
-    rep.check("r3").passed = xpairs.shape[0] - len(bad)
-    for m in bad:
-        rep.record(
-            "r3", False,
-            (tuple(int(v) for v in xpairs[m]), tuple(int(v) for v in ypairs[m])),
-            lhs=sums[m], rhs=(ximgs[m] + yimgs[m] + cross[m]) % p,
-        )
+    want = (p_map(xpairs) + p_map(ypairs) + compute_s_batch(A, xpairs, ypairs).sum(axis=1)) % p
+    rep.tally("r3", ((sums - want) % p).any(axis=1), sums, want, witness=rows(xpairs, ypairs))
     return rep
 
 
@@ -313,7 +292,7 @@ def is_restricted_derivation(
         imgs = eval_p_all(P)
     else:
         rng = SplitMix64(seed)
-        xs = np.concatenate([gfp.eye(n), np.stack([rng.vec(n, p) for _ in range(samples)])])
+        xs = np.concatenate([gfp.eye(n), rng.mat(samples, n, p)])
         imgs = eval_p_batch(P, xs)
     return not restricted_defect_batch(A, P, D, xs, imgs).any()
 
@@ -354,51 +333,27 @@ def solve_p_property(A: HomLieAlgebra, D: Derivation) -> PPropertyWitness | None
     return None
 
 
-def compute_eta(A: HomLieAlgebra, B: BilinearForm, D: Derivation, u, v) -> list[int]:
+def compute_eta_batch(A: HomLieAlgebra, B: BilinearForm, D: Derivation, us, vs) -> np.ndarray:
     """The eta_1..eta_{p-1} coefficients used by odd-characteristic P maps.
 
-    Pairs D(alpha^{p-2}(lam*u + v)) against the length-(p-2) ad-tower of
-    (lam*u + v) applied to u, expands in the formal parameter lam, and
-    divides the coefficient of lam^(i-1) by i.
+    Pairs D(alpha^{p-2}(lam*u + v)) against the length-(p-2) formal tower
+    of (lam*u + v) applied to u, expands in the formal parameter lam, and
+    divides the coefficient of lam^(i-1) by i.  Returns [batch, p-1].
     """
     if A.p == 2:
         raise OddCharRequired("eta coefficients need p > 2")
-    etas = compute_eta_batch(A, B, D, gfp.asvec(u, A.p)[None, :], gfp.asvec(v, A.p)[None, :])
-    return [int(x) for x in etas[0]]
-
-
-def compute_eta_batch(A: HomLieAlgebra, B: BilinearForm, D: Derivation, us, vs) -> np.ndarray:
-    """Batched compute_eta: [batch, p-1] of scalars."""
-    if A.p == 2:
-        raise OddCharRequired("eta coefficients need p > 2")
-    p, n = A.p, A.n
+    p = A.p
     us = np.asarray(us, dtype=np.int64) % p
     vs = np.asarray(vs, dtype=np.int64) % p
-    m = us.shape[0]
-    da = (D.mat @ A.alpha_pow(p - 2)) % p
-    left = np.zeros((m, 2, n), dtype=np.int64)
-    left[:, 0, :] = (vs @ da.T) % p
-    left[:, 1, :] = (us @ da.T) % p
-    right = np.zeros((m, p, n), dtype=np.int64)
-    right[:, 0, :] = us
-    deg = 0
-    for t in range(0, p - 2):
-        adu = A.ad_batch((us @ A.alpha_pow(t).T) % p)
-        adv = A.ad_batch((vs @ A.alpha_pow(t).T) % p)
-        new = np.zeros_like(right)
-        for d in range(deg + 1):
-            new[:, d, :] += np.einsum("mbk,mb->mk", adv, right[:, d, :])
-            new[:, d + 1, :] += np.einsum("mbk,mb->mk", adu, right[:, d, :])
-        right = new % p
-        deg += 1
-    q = np.zeros((m, p), dtype=np.int64)
-    for d1 in range(2):
-        for d2 in range(deg + 1):
-            if d1 + d2 >= p:
-                continue
-            q[:, d1 + d2] += B.eval_batch(left[:, d1, :], right[:, d2, :])
-    q %= p
-    out = np.zeros((m, p - 1), dtype=np.int64)
-    for i in range(1, p):
-        out[:, i - 1] = (gfp.inv(i, p) * q[:, i - 1]) % p
-    return out
+    # B(D(alpha^{p-2}(w)), .) as a row vector: lam^0 part from v, lam^1 part from u
+    pair = (D.mat @ A.alpha_pow(p - 2)).T @ B.gram % p
+    right = _formal_tower(A, us, vs, p - 2)  # [batch, p-1, n]
+    q = np.einsum("mk,mdk->md", (vs @ pair) % p, right)
+    q[:, 1:] += np.einsum("mk,mdk->md", (us @ pair) % p, right[:, :-1, :])
+    return (_inverses(p)[None, :] * (q % p)) % p
+
+
+def compute_eta(A: HomLieAlgebra, B: BilinearForm, D: Derivation, u, v) -> list[int]:
+    """compute_eta_batch on one pair, as a list of ints."""
+    etas = compute_eta_batch(A, B, D, gfp.asvec(u, A.p)[None, :], gfp.asvec(v, A.p)[None, :])
+    return [int(x) for x in etas[0]]

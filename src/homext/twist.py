@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gfp
-from .algebra import BilinearForm, Derivation, HomLieAlgebra, verify_hom_lie, verify_quadratic
+from .algebra import BilinearForm, Derivation, HomLieAlgebra, bracket_sides, verify_hom_lie, verify_quadratic
 from .doubleext import DoubleExtensionData, PExtensionData
 from .errors import PreconditionFailed
 from .report import Report
@@ -42,8 +42,7 @@ def check_twist_data(g: HomLieAlgebra, B: BilinearForm, t: TwistData) -> Report:
     rep = Report(p=p, dim=g.n)
     rep.record("alpha_self_adjoint", np.array_equal((t.alpha.T @ B.gram) % p, (B.gram @ t.alpha) % p), ())
     rep.record("alpha_involutive", np.array_equal((t.alpha @ t.alpha) % p, gfp.eye(g.n)), ())
-    lhs = np.einsum("mk,ijk->ijm", t.alpha, g.c) % p
-    rhs = np.einsum("ai,bj,abm->ijm", t.alpha, t.alpha, g.c) % p
+    lhs, rhs = bracket_sides(t.alpha, g.c, g.c, p)
     rep.record("alpha_bracket_endomorphism", not ((lhs - rhs) % p).any(), ())
     rep.record("trivial_twist_input", np.array_equal(g.alpha, gfp.eye(g.n)), ())
     return rep

@@ -1,0 +1,130 @@
+"""Independent routes that exist only to cross-check the homext kernels.
+
+PolyVec towers, the R3 coefficients and the p-map fold built on them, and
+the coefficient recursion share no code with the batched kernels they are
+compared against; s_tilde_direct deliberately runs the library's compute_s.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from homext import gfp
+from homext.algebra import HomLieAlgebra
+from homext.errors import BadLevel, DegreeOverflow, DimMismatch
+from homext.restricted import PStructure, compute_s
+
+
+class PolyVec:
+    """Vector-valued polynomial over GF(p): the rows of a [deg+1, n] array,
+    trailing zero coefficients trimmed."""
+
+    def __init__(self, coeffs, p: int):
+        a = np.asarray(coeffs, dtype=np.int64) % p
+        if a.ndim != 2:
+            raise DimMismatch("PolyVec wants a [deg+1, n] coefficient array")
+        if a.shape[0] == 0:
+            a = np.zeros((1, a.shape[1]), dtype=np.int64)
+        nonzero = np.nonzero(a.any(axis=1))[0]
+        self.coeffs = a[: (nonzero[-1] if nonzero.size else 0) + 1].copy()
+        self.p = p
+
+    @classmethod
+    def constant(cls, v, p: int) -> "PolyVec":
+        return cls(gfp.asvec(v, p)[None, :], p)
+
+    @property
+    def degree(self) -> int:
+        return self.coeffs.shape[0] - 1
+
+    def coeff(self, d: int) -> np.ndarray:
+        if d > self.degree:
+            return gfp.zeros(self.coeffs.shape[1])
+        return self.coeffs[d].copy()
+
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
+
+    def eval_at(self, k: int) -> np.ndarray:
+        powers = np.array([pow(k, d, self.p) for d in range(self.degree + 1)], dtype=np.int64)
+        return (powers @ self.coeffs) % self.p
+
+
+def polyvec_apply(ops, v: PolyVec, max_degree: int) -> PolyVec:
+    """Apply the composition of operators (m0, m1) = m0 + k*m1, ops[-1] first.
+
+    A nonzero coefficient beyond max_degree raises DegreeOverflow.
+    """
+    p = v.p
+    cur = v.coeffs
+    for m0, m1 in reversed(list(ops)):
+        out = np.zeros((cur.shape[0] + 1, cur.shape[1]), dtype=np.int64)
+        for d in range(cur.shape[0]):
+            out[d] += gfp.asmat(m0, p) @ cur[d]
+            out[d + 1] += gfp.asmat(m1, p) @ cur[d]
+        cur = PolyVec(out, p).coeffs
+        if cur.shape[0] - 1 > max_degree:
+            raise DegreeOverflow(f"degree {cur.shape[0] - 1} exceeds cap {max_degree}")
+    return PolyVec(cur, p)
+
+
+def compute_s_polyvec(A: HomLieAlgebra, x, y) -> list[np.ndarray]:
+    """s_1..s_{p-1} of one pair through a PolyVec tower: 1/i times the
+    coefficient of k^{i-1} in ad(alpha^{p-2}(kx+y)) o ... o ad(kx+y) (x)."""
+    p = A.p
+    x, y = gfp.asvec(x, p), gfp.asvec(y, p)
+    ops = [(A.ad(A.apply_alpha(y, t)), A.ad(A.apply_alpha(x, t))) for t in range(p - 2, -1, -1)]
+    res = polyvec_apply(ops, PolyVec.constant(x, p), max_degree=p - 1)
+    return [(gfp.inv(i, p) * res.coeff(i - 1)) % p for i in range(1, p)]
+
+
+def eval_p_fold(P: PStructure, x) -> np.ndarray:
+    """x^[p] by the ascending R2/R3 fold, one coordinate at a time, with
+    the R3 coefficients from compute_s_polyvec."""
+    A = P.parent
+    p, n = A.p, A.n
+    x = gfp.asvec(x, p)
+    acc_vec = gfp.zeros(n)
+    acc_img = gfp.zeros(n)
+    for j in range(n):
+        lam = int(x[j])
+        if lam == 0:
+            continue
+        part = (lam * gfp.unit(n, j)) % p
+        acc_img = (acc_img + pow(lam, p, p) * P.images[j]) % p
+        if acc_vec.any():
+            acc_img = (acc_img + sum(compute_s_polyvec(A, acc_vec, part))) % p
+        acc_vec = (acc_vec + part) % p
+    return acc_img
+
+
+def phi_recursion(L_tilde: HomLieAlgebra, x, y, level: int) -> dict:
+    """Coefficients of the formal ad-tower by recursion, levels 3..level,
+    keyed (level, i) with 1 <= i <= level-1.  Level 3 is the closed pair
+    ([alpha(y),[y,x]], [alpha(x),[y,x]]); each higher level mixes the
+    previous one through ad of the alpha-powers of x and y."""
+    p = L_tilde.p
+    if not 3 <= level <= p:
+        raise BadLevel(f"level must lie in 3..{p}, got {level}")
+    x, y = gfp.asvec(x, p), gfp.asvec(y, p)
+    base = L_tilde.bracket(y, x)
+    table = {
+        (3, 1): L_tilde.bracket(L_tilde.apply_alpha(y), base),
+        (3, 2): L_tilde.bracket(L_tilde.apply_alpha(x), base),
+    }
+    for lvl in range(4, level + 1):
+        adx = L_tilde.ad(L_tilde.apply_alpha(x, lvl - 2))
+        ady = L_tilde.ad(L_tilde.apply_alpha(y, lvl - 2))
+        table[(lvl, 1)] = (ady @ table[(lvl - 1, 1)]) % p
+        for i in range(2, lvl - 1):
+            table[(lvl, i)] = (ady @ table[(lvl - 1, i)] + adx @ table[(lvl - 1, i - 1)]) % p
+        table[(lvl, lvl - 1)] = (adx @ table[(lvl - 1, lvl - 2)]) % p
+    return table
+
+
+def s_tilde_direct(L_tilde: HomLieAlgebra, pi0, t_pi) -> np.ndarray:
+    """Sum of compute_s(e~*, -pi0(t_pi)) inside L_tilde."""
+    p, N = L_tilde.p, L_tilde.n
+    y = gfp.zeros(N)
+    y[1:N - 1] = (-(gfp.asmat(pi0, p) @ gfp.asvec(t_pi, p))) % p
+    return sum(compute_s(L_tilde, gfp.unit(N, 0), y)) % p

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from homext import bundle
 from homext.cli import main
@@ -175,3 +176,15 @@ def test_fixture_sl2_verifies(tmp_path, capsys):
     run(capsys, "fixture", "sl2-gf5", "--out", str(path))
     code, out, err = run(capsys, "verify", str(path))
     assert code == 0
+
+
+def test_samples_below_one_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    run(capsys, "fixture", "heisenberg-dual", "--out", str(path))
+    for value in ("0", "-5"):
+        for argv in (("verify", str(path)), ("p-extend", str(path))):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--samples", value])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--samples" in err and "at least 1" in err

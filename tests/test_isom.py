@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import oracles
+from oracles import phi_recursion, s_tilde_direct
 
 from homext import gfp
-from homext.algebra import Derivation
+from homext.algebra import Derivation, HomLieAlgebra
 from homext.doubleext import DoubleExtensionData, double_extend, split_frame
 from homext.errors import BadLevel, NonInvertiblePi0, ZeroGamma
 from homext.isom import (
@@ -10,14 +12,12 @@ from homext.isom import (
     build_adapted_iso,
     check_adapted_iso_data,
     extract_iso_data,
-    phi_recursion,
     phi_split,
     s_tilde,
-    s_tilde_direct,
     verify_adapted_iso,
     verify_restricted_iso,
 )
-from homext.restricted import PStructure, compute_s, eval_p, verify_pstructure
+from homext.restricted import PStructure, compute_s, eval_p, eval_p_batch, verify_pstructure
 from homext.rng import SplitMix64
 
 
@@ -294,7 +294,7 @@ def test_phi_recursion_matches_polyvec_tower_p5(sl2_ext):
                 (L.ad(L.apply_alpha(y, t)), L.ad(L.apply_alpha(x, t)))
                 for t in range(level - 2, -1, -1)
             ]
-            pv = gfp.polyvec_apply(ops, gfp.PolyVec.constant(x, p), max_degree=p - 1)
+            pv = oracles.polyvec_apply(ops, oracles.PolyVec.constant(x, p), max_degree=p - 1)
             for i in range(1, level):
                 assert np.array_equal(tab[(level, i)], pv.coeff(i - 1))
 
@@ -377,3 +377,35 @@ def test_s_tilde_zero_derivation_lands_in_v(psl3_twisted):
         st = s_tilde(Lt, B_Lt, gfp.eye(7), t)
         assert st[0] == 0 and st[8] == 0
         assert np.array_equal(st, s_tilde_direct(Lt, gfp.eye(7), t))
+
+
+def test_restricted_iso_equal_pstructures_share_one_table(heis_ext, psl3_pipelines):
+    # L_tilde == L as separate objects (isom-check L L2): only P_L's table is
+    # built, and the direct counts equal an independent fold of both sides
+    L, B_L, P_L = heis_ext
+    L2 = HomLieAlgebra(L.p, L.c.copy(), L.alpha.copy(), L.basis_names)
+    xs = gfp.all_vectors(8, 2)
+    for t, nu in ((gfp.zeros(6), 0), (gfp.unit(6, 2), 0), (gfp.unit(6, 2), 1)):
+        pi = build_adapted_iso(L, B_L, L, B_L, AdaptedIso(gfp.eye(6), 1, t, 2, nu))
+        P_L2 = PStructure(L2, P_L.images.copy())
+        rep = verify_restricted_iso(L, B_L, L2, B_L, P_L, P_L2, pi)
+        assert P_L2._all_images is None
+        lhs = (eval_p_batch(P_L, xs) @ pi.T) % 2
+        rhs = eval_p_batch(P_L2, (xs @ pi.T) % 2)
+        bad = int(((lhs - rhs) % 2).any(axis=1).sum())
+        assert (rep.check("direct").passed, rep.check("direct").failed) == (256 - bad, bad)
+        assert rep.check("verdicts_agree").ok
+    # a different p-map on the same algebra still gets its own table
+    imgs = P_L.images.copy()
+    imgs[3, 7] = (imgs[3, 7] + 1) % 2
+    P_other = PStructure(L2, imgs)
+    rep = verify_restricted_iso(L, B_L, L2, B_L, P_L, P_other, gfp.eye(8))
+    assert P_other._all_images is not None
+    assert rep.meta["direct_verdict"] == rep.meta["theorem_verdict"] == "fail"
+    data = psl3_pipelines["D3"]
+    L3 = data["L"]
+    L3b = HomLieAlgebra(3, L3.c.copy(), L3.alpha.copy())
+    P3b = PStructure(L3b, data["P_L"].images)
+    rep = verify_restricted_iso(L3, data["B_L"], L3b, data["B_L"], data["P_L"], P3b, gfp.eye(9))
+    assert P3b._all_images is None
+    assert rep.ok and rep.check("direct").passed == 3**9

@@ -55,3 +55,51 @@ def test_summary_lines():
     r.record("bad", False)
     lines = r.summary().splitlines()
     assert lines[0].startswith("[ok ] good") and lines[1].startswith("[FAIL] bad")
+
+
+def test_tally_counts_every_entry_and_records_failing_indices():
+    r = Report()
+    failed = np.array([[False, True], [False, False], [True, False]])
+    lhs = np.arange(6).reshape(3, 2)
+    c = r.tally("t", failed, lhs, 0)
+    assert (c.passed, c.failed) == (4, 2)
+    assert [f.witness for f in c.failures] == [(0, 1), (2, 0)]
+    assert [int(f.lhs) for f in c.failures] == [1, 4]
+    assert [f.rhs for f in c.failures] == [0, 0]
+    r.tally("t", np.zeros(3, dtype=bool))  # a second tally adds to the same check
+    assert (c.passed, c.failed) == (7, 2)
+
+
+def test_tally_witness_callback_and_cap():
+    xs = np.arange(2 * (MAX_FAILURES_KEPT + 4)).reshape(-1, 2)
+    r = Report()
+    r.record("w", False, ("first",))
+    c = r.tally("w", np.ones(xs.shape[0], dtype=bool), xs, witness=lambda i: ("row", int(xs[i][0])))
+    assert c.failed == xs.shape[0] + 1 and c.passed == 0
+    assert len(c.failures) == MAX_FAILURES_KEPT
+    assert c.failures[0].witness == ("first",)
+    assert c.failures[1].witness == ("row", 0)
+    assert c.failures[-1].witness == ("row", 2 * (MAX_FAILURES_KEPT - 2))
+    assert list(c.failures[1].lhs) == [0, 1]
+    full = Report()
+    for i in range(MAX_FAILURES_KEPT):
+        full.record("w", False, (i,))
+    full.tally("w", np.ones(3, dtype=bool))
+    assert full.check("w").failed == MAX_FAILURES_KEPT + 3
+    assert len(full.check("w").failures) == MAX_FAILURES_KEPT
+
+
+def test_merge_with_prefix_renames_checks_and_keeps_meta():
+    base = Report(file="a.json", seed=1)
+    base.record("x", True)
+    other = Report(seed=99, extra="ignored")
+    other.record("x", False, (3,))
+    other.record("y", True)
+    base.merge(other, prefix="D.")
+    assert list(base.checks) == ["x", "D.x", "D.y"]
+    assert base.check("D.x").failed == 1 and base.check("D.x").name == "D.x"
+    assert base.check("D.x").failures[0].witness == (3,)
+    assert base.check("x").passed == 1 and base.check("x").failed == 0
+    assert base.meta == {"file": "a.json", "seed": 1}
+    base.merge(other)  # an unprefixed merge still adopts meta
+    assert base.meta["seed"] == 99 and base.meta["extra"] == "ignored"

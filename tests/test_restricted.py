@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from homext import gfp
@@ -51,15 +52,17 @@ def test_compute_s_of_equal_arguments_vanishes(heis, psl3, sl2):
                 assert not s.any()
 
 
-def test_compute_s_batch_matches_scalar(psl3_twisted, sl2):
+def test_compute_s_batch_matches_scalar(heis, psl3_twisted, sl2):
+    # the formal-tower kernel against the independent PolyVec route
     ga, _, _, _ = psl3_twisted
     rng = SplitMix64(4)
-    for A in (ga, sl2.g):
+    for A in (ga, sl2.g, heis.V):
         xs = np.stack([rng.vec(A.n, A.p) for _ in range(40)])
         ys = np.stack([rng.vec(A.n, A.p) for _ in range(40)])
         batch = compute_s_batch(A, xs, ys)
+        assert batch.shape == (40, A.p - 1, A.n)
         for m in range(40):
-            for i, s in enumerate(compute_s(A, xs[m], ys[m])):
+            for i, s in enumerate(oracles.compute_s_polyvec(A, xs[m], ys[m])):
                 assert np.array_equal(batch[m, i], s)
 
 
@@ -125,11 +128,15 @@ def test_eval_p_fold_order_independence(heis, psl3_twisted, sl2):
 
 
 def test_eval_p_batch_matches_scalar(psl3_twisted):
+    # the row-skipping batch fold against the one-vector PolyVec fold, on a
+    # batch that mixes unit vectors, the zero vector and random rows
     _, _, pa, _ = psl3_twisted
     rng = SplitMix64(7)
-    xs = np.stack([rng.vec(7, 3) for _ in range(50)])
+    xs = np.vstack([gfp.eye(7), gfp.zeros(7)[None, :], (2 * gfp.eye(7)) % 3,
+                    np.stack([rng.vec(7, 3) for _ in range(50)])])
     batch = eval_p_batch(pa, xs)
-    for m in range(50):
+    for m in range(xs.shape[0]):
+        assert np.array_equal(batch[m], oracles.eval_p_fold(pa, xs[m]))
         assert np.array_equal(batch[m], eval_p(pa, xs[m]))
 
 
@@ -358,3 +365,20 @@ def test_eval_p_frobenius_does_not_wrap():
     assert np.array_equal(eval_p_batch(P, xs), want)
     assert np.array_equal(eval_p_all(P), want)
     assert np.array_equal(eval_p(P, [16, 16]), want[16 + 16 * p])
+
+
+def test_pstructure_images_cannot_be_rebound(heis):
+    # rebinding images after the table is built would leave the table stale:
+    # on heisenberg with y^[2] = y, R1 would then pass from the old table
+    P = PStructure(heis.V, heis.P.images)
+    eval_p_all(P)
+    other = heis.P.images.copy()
+    other[1] = gfp.unit(6, 1)
+    with pytest.raises(AttributeError):
+        P.images = other
+    with pytest.raises(AttributeError):
+        P.parent = heis.V
+    assert np.array_equal(P.images, heis.P.images)
+    assert verify_pstructure(P).ok
+    rep = verify_pstructure(PStructure(heis.V, other))
+    assert rep.check("r1").failed == 32 and rep.check("r1").passed == 32
