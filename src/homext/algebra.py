@@ -17,6 +17,9 @@ from . import gfp
 from .errors import DimMismatch
 from .report import Report
 
+# Element budget of one bracket_batch chunk: bounds its temporaries.
+_CHUNK_ELEMENTS = 1 << 18
+
 
 class HomLieAlgebra:
     """Structure-constant model of (g, [.,.], alpha).
@@ -35,9 +38,19 @@ class HomLieAlgebra:
         n = self.c.shape[0]
         if self.c.shape != (n, n, n) or self.alpha.shape != (n, n):
             raise DimMismatch("structure tensor and twist shapes disagree")
+        self.c.setflags(write=False)  # read-only, so the caches below cannot go stale
+        self.alpha.setflags(write=False)
         self.n = n
         self.basis_names = list(basis_names) if basis_names else [f"e{i+1}" for i in range(n)]
         self._alpha_pows: list[np.ndarray] = [gfp.eye(n)]
+        self._alpha_pows[0].setflags(write=False)
+        # Nonzero structure constants (a, b, k) grouped by k, for bracket_batch;
+        # a k without one gets the zero (0, 0, k), so no group is empty.
+        mask = self.c != 0
+        mask[0, 0] |= ~mask.any(axis=(0, 1))
+        k, a, b = np.nonzero(mask.transpose(2, 0, 1))
+        self._triples, self._starts = (a, b, self.c[a, b, k]), np.searchsorted(k, np.arange(n))
+        self._ad_rows = np.nonzero(self.c.any(axis=(1, 2)))[0]  # nonzero rows of c, for ad_batch
 
     @classmethod
     def from_upper(cls, p: int, n: int, brackets: dict, alpha=None, basis_names=None):
@@ -56,14 +69,38 @@ class HomLieAlgebra:
     def alpha_pow(self, k: int) -> np.ndarray:
         while len(self._alpha_pows) <= k:
             self._alpha_pows.append((self._alpha_pows[-1] @ self.alpha) % self.p)
+            self._alpha_pows[-1].setflags(write=False)
         return self._alpha_pows[k]
 
     def bracket(self, x, y) -> np.ndarray:
-        x = gfp.asvec(x, self.p)
-        y = gfp.asvec(y, self.p)
-        if x.shape[0] != self.n or y.shape[0] != self.n:
+        """bracket_batch on one pair."""
+        return self.bracket_batch(gfp.asvec(x, self.p), gfp.asvec(y, self.p))
+
+    def bracket_batch(self, xs, ys) -> np.ndarray:
+        """[x, y] per row of xs and ys (which broadcast, e.g. [m, 1, n] with
+        [m, d, n]), summed over the nonzero structure constants only.
+
+        c[a, b, k]*x_a is reduced mod p before it is multiplied by y_b, so a
+        k group sums at most n^2 terms below p^2.  Leading rows run in
+        chunks of at most _CHUNK_ELEMENTS products, which bounds memory.
+        """
+        p = self.p
+        xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+        if xs.shape[-1:] != (self.n,) or ys.shape[-1:] != (self.n,):
             raise DimMismatch("bracket arguments must have the algebra dimension")
-        return np.einsum("a,b,abk->k", x, y, self.c) % self.p
+        shape = np.broadcast_shapes(xs.shape, ys.shape)
+        ndim = max(len(shape), 2)  # at least one leading axis to chunk over
+        xs, ys = (v.reshape((1,) * (ndim - v.ndim) + v.shape) for v in (xs, ys))
+        out = np.empty((1,) * (ndim - len(shape)) + shape, dtype=np.int64)
+        a, b, coef = self._triples
+        step = max(1, _CHUNK_ELEMENTS // max(1, out[:1].size // self.n * coef.size))
+        for lo in range(0, out.shape[0], step):
+            xc = xs[lo:lo + step] if xs.shape[0] > 1 else xs
+            yc = ys[lo:lo + step] if ys.shape[0] > 1 else ys
+            xc = gfp.mod(np.take(gfp.mod(xc, p), a, axis=-1) * coef, p)
+            prod = np.multiply(xc, np.take(gfp.mod(yc, p), b, axis=-1), order="C")
+            out[lo:lo + step] = gfp.mod(np.add.reduceat(prod, self._starts, axis=-1), p)
+        return out.reshape(shape)
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x) = [x, .], acting on column vectors."""
@@ -74,10 +111,13 @@ class HomLieAlgebra:
         """Batched adjoint maps in [batch, in, out] layout.
 
         Composition of maps in this layout is plain matmul with the inner
-        factor on the left, which is what the batched tower code uses.
+        factor on the left, which is what the R1 matrix tower uses.  One
+        2-D matmul over the nonzero rows of c, reduced in place.
         """
         xs = np.asarray(xs, dtype=np.int64) % self.p
-        return np.einsum("ma,abk->mbk", xs, self.c) % self.p
+        out = xs[:, self._ad_rows] @ self.c[self._ad_rows].reshape(-1, self.n * self.n)
+        np.remainder(out, self.p, out=out)
+        return out.reshape(xs.shape[0], self.n, self.n)
 
     def apply_alpha(self, x, k: int = 1) -> np.ndarray:
         return (self.alpha_pow(k) @ gfp.asvec(x, self.p)) % self.p
@@ -154,6 +194,10 @@ class Subspace:
     def contains(self, v) -> bool:
         return not self.reduce(v).any()
 
+    def spans(self, vectors) -> bool:
+        """Every row of vectors lies in the subspace: one rank test."""
+        return gfp.rank(np.vstack([self.basis, vectors[vectors.any(axis=1)]]), self.p) == self.dim
+
     def reduce(self, v) -> np.ndarray:
         """Residue of v after eliminating the subspace's pivot coordinates."""
         v = gfp.asvec(v, self.p).copy()
@@ -162,9 +206,6 @@ class Subspace:
             if c is not None and v[c] != 0:
                 v = (v - v[c] * row) % self.p
         return v
-
-    def vectors(self):
-        return [self.basis[i].copy() for i in range(self.dim)]
 
 
 def verify_hom_lie(A: HomLieAlgebra) -> Report:
@@ -199,7 +240,8 @@ def bracket_sides(pi, c, c_dst, p: int) -> tuple[np.ndarray, np.ndarray]:
     structure tensor and c_dst the target's (the same for an endomorphism).
     """
     lhs = np.einsum("mk,ijk->ijm", pi, c) % p
-    rhs = np.einsum("ai,bj,abm->ijm", pi, pi, c_dst) % p
+    half = np.einsum("ai,abm->ibm", pi, c_dst) % p  # [pi(e_i), e_b]_dst
+    rhs = np.einsum("bj,ibm->ijm", pi, half) % p
     return lhs, rhs
 
 
@@ -247,9 +289,8 @@ def is_derivation(A: HomLieAlgebra, D: Derivation) -> bool:
 
 
 def center(A: HomLieAlgebra) -> Subspace:
-    """{x : [x, y] = 0 for all y}, via the kernel of the stacked adjoints."""
-    stacked = A.c.transpose(1, 2, 0).reshape(A.n * A.n, A.n)
-    return Subspace.from_vectors(gfp.kernel(stacked, A.p), A.n, A.p)
+    """{x : [x, y] = 0 for all y}: the centralizer of the identity's image."""
+    return centralizer_of_image(A, gfp.eye(A.n))
 
 
 def centralizer_of_image(A: HomLieAlgebra, M) -> Subspace:
@@ -269,14 +310,9 @@ def orth(B: BilinearForm, S: Subspace) -> Subspace:
 
 
 def is_ideal(A: HomLieAlgebra, S: Subspace) -> bool:
-    """alpha(S) <= S and [S, g] <= S."""
-    for s in S.vectors():
-        if not S.contains(A.apply_alpha(s)):
-            return False
-        for j in range(A.n):
-            if not S.contains(A.bracket(s, gfp.unit(A.n, j))):
-                return False
-    return True
+    """alpha(S) <= S and [S, g] <= S, as one rank test."""
+    images = A.bracket_batch(S.basis[:, None, :], gfp.eye(A.n)[None, :, :]).reshape(-1, A.n)
+    return S.spans(np.vstack([(S.basis @ A.alpha.T) % A.p, images]))
 
 
 def is_nondegenerate_ideal(A: HomLieAlgebra, B: BilinearForm, S: Subspace) -> bool:

@@ -43,9 +43,10 @@ from .restricted import (
     check_p_property,
     compute_eta_batch,
     eval_p,
+    eval_p_batch,
     is_restricted_derivation,
 )
-from .rng import DEFAULT_SEED, SplitMix64
+from .rng import DEFAULT_SEED, SplitMix64, check_samples
 
 
 @dataclass
@@ -127,13 +128,10 @@ def double_extend(
     c = np.zeros((N, N, N), dtype=np.int64)
     dm = d.D.mat
     gv = B_V.gram
-    for i in range(n):
-        for j in range(n):
-            c[1 + i, 1 + j, 1:1 + n] = V.c[i, j]
-            c[1 + i, 1 + j, N - 1] = (dm[:, i] @ gv @ gfp.unit(n, j)) % p
-    for j in range(n):
-        c[0, 1 + j, 1:1 + n] = dm[:, j]
-        c[1 + j, 0] = (-c[0, 1 + j]) % p
+    c[1:1 + n, 1:1 + n, 1:1 + n] = V.c
+    c[1:1 + n, 1:1 + n, N - 1] = (dm.T @ gv) % p  # B(D e_i, e_j)
+    c[0, 1:1 + n, 1:1 + n] = dm.T
+    c[1:1 + n, 0] = (-c[0, 1:1 + n]) % p
     alpha = np.zeros((N, N), dtype=np.int64)
     alpha[0, 0] = d.lam
     alpha[1:1 + n, 0] = d.x0
@@ -207,6 +205,7 @@ def check_P_conditions(
     seed: int = DEFAULT_SEED,
 ) -> Report:
     """Sampled check of the defining equations of P for either characteristic."""
+    check_samples(samples)
     p, n = V.p, V.n
     rep = Report(p=p, dim=n, seed=seed, samples=samples)
     rng = SplitMix64(seed)
@@ -239,6 +238,7 @@ def check_p_extension_data(
     seed: int = DEFAULT_SEED,
 ) -> Report:
     """Hypotheses of the p-structure extension theorem (both characteristics)."""
+    check_samples(samples)
     p = V.p
     rep = Report(p=p, dim=V.n, seed=seed)
     rep.record("lambda_is_one", d.lam % p == 1, (), lhs=d.lam, rhs=1)
@@ -401,16 +401,14 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
     line = Subspace.from_vectors([e], N, p)
     if not line.contains(alpha_e):
         raise NotCentral("the twist does not preserve the chosen central line")
-    lam = 0
     pivot = int(np.argmax(e != 0))
     lam = int(alpha_e[pivot]) * gfp.inv(int(e[pivot]), p) % p
 
     e_perp = orth(B_L, line)
     if not is_ideal(L, e_perp):
         raise NotPIdeal("the orthogonal complement of e is not an ideal")
-    for w in e_perp.vectors():
-        if not e_perp.contains(eval_p(P_L, w)):
-            raise NotPIdeal("the orthogonal complement of e is not closed under [p]")
+    if not e_perp.spans(eval_p_batch(P_L, e_perp.basis)):
+        raise NotPIdeal("the orthogonal complement of e is not closed under [p]")
 
     row = (B_L.gram @ e) % p
     e_star = gfp.solve(row[None, :], np.array([1]), p)
@@ -454,9 +452,10 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
         d_mat[:, j] = v
 
     upper = {}
+    brackets = L.bracket_batch(v_rows[:, None, :], v_rows[None, :, :])
     for i in range(n):
         for j in range(i + 1, n):
-            a, v, b = coords(L.bracket(v_rows[i], v_rows[j]))
+            a, v, b = coords(brackets[i, j])
             if a != 0:
                 raise FrameMismatch("[V, V] leaves the coisotropic flag")
             if v.any():
@@ -600,9 +599,7 @@ def extend_by_algebra(
         for cdx in range(mdim):
             c[vofs + i, aofs + cdx, vofs:vofs + n] = (sign * x.phi[cdx][:, i]) % p
             c[aofs + cdx, vofs + i] = (-c[vofs + i, aofs + cdx]) % p
-    for b in range(mdim):
-        for cdx in range(mdim):
-            c[aofs + b, aofs + cdx, aofs:aofs + mdim] = x.A.c[b, cdx]
+    c[aofs:, aofs:, aofs:] = x.A.c
     alpha = np.zeros((N, N), dtype=np.int64)
     alpha[fofs:fofs + mdim, fofs:fofs + mdim] = x.A.alpha.T
     alpha[vofs:vofs + n, vofs:vofs + n] = V.alpha

@@ -26,6 +26,13 @@ def asmat(m, p: int) -> np.ndarray:
     return a
 
 
+def mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a % p by floor division, which numpy vectorises and np.remainder does not."""
+    q = a // p
+    q *= p
+    return np.subtract(a, q, out=q)
+
+
 def inv(a: int, p: int) -> int:
     """Multiplicative inverse in GF(p)."""
     a = int(a) % p

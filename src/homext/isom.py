@@ -21,7 +21,7 @@ from .doubleext import ExtFrame, split_frame
 from .errors import BadLevel, DimMismatch, NonInvertiblePi0, OddCharRequired, ZeroGamma
 from .report import Report, rows
 from .restricted import EXHAUSTIVE_LIMIT, PStructure, eval_p_all, eval_p_batch
-from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64
+from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
 
 
 @dataclass
@@ -236,6 +236,7 @@ def verify_restricted_iso(
     The report's meta carries one verdict per route; a mismatch between
     them means a bug or a spec-level inconsistency, never silent repair.
     """
+    check_samples(samples)
     p, N = L.p, L.n
     n = N - 2
     pi = gfp.asmat(pi, p)

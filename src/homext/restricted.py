@@ -18,7 +18,7 @@ from . import gfp
 from .algebra import BilinearForm, Derivation, HomLieAlgebra
 from .errors import DimMismatch, OddCharRequired
 from .report import Report, rows
-from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64
+from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
 
 EXHAUSTIVE_LIMIT = 65536
 
@@ -65,19 +65,17 @@ def _formal_tower(A: HomLieAlgebra, xs, ys, depth: int) -> np.ndarray:
     [batch, depth+1, n] with row d its coefficient of k^d.  This is the one
     tower behind both the s_i and the eta_i.
     """
-    p = A.p
     coeffs = np.zeros((xs.shape[0], depth + 1, A.n), dtype=np.int64)
     coeffs[:, 0, :] = xs
-    # Innermost factor first.  ad(alpha^t(y)) is the constant part of each
-    # factor and ad(alpha^t(x)) its k-coefficient; only one [batch, n, n]
-    # ad array is alive at a time, which bounds peak memory.
+    # Innermost factor first.  alpha^t(y), the constant part of factor t, and
+    # alpha^t(x), its k-coefficient, bracket the coefficient rows in one call.
+    zs = np.stack([ys, xs], axis=1)[:, :, None, :]  # [batch, 2, 1, n]
     for t in range(depth):
-        low = coeffs[:, :t + 1, :]
-        new = np.zeros_like(coeffs)
-        new[:, :t + 1, :] = low @ A.ad_batch((ys @ A.alpha_pow(t).T) % p)
-        new[:, 1:t + 2, :] += low @ A.ad_batch((xs @ A.alpha_pow(t).T) % p)
-        coeffs = new % p
-    return coeffs
+        part = A.bracket_batch(zs, coeffs[:, None, :t + 1, :])
+        coeffs[:, :t + 1, :] = part[:, 0]
+        coeffs[:, 1:t + 2, :] += part[:, 1]  # below 2p; bracket_batch reduces its input
+        zs = gfp.mod(zs @ A.alpha.T, A.p)
+    return gfp.mod(coeffs, A.p)
 
 
 def _inverses(p: int) -> np.ndarray:
@@ -173,21 +171,20 @@ def eval_p_all(P: PStructure) -> np.ndarray:
     return P._all_images
 
 
-def _tower_batch(A: HomLieAlgebra, xs, lo: int, hi: int) -> np.ndarray:
-    """Matrices of ad(alpha^hi(x)) o ... o ad(alpha^lo(x)) in [batch, in, out] layout."""
+def _tower_batch(A: HomLieAlgebra, xs) -> np.ndarray:
+    """Matrices of ad(alpha^{p-1}(x)) o ... o ad(x) in [batch, in, out] layout."""
     p = A.p
     xs = np.asarray(xs, dtype=np.int64) % p
-    out = None
-    for t in range(lo, hi + 1):
-        step = A.ad_batch((xs @ A.alpha_pow(t).T) % p)
-        out = step if out is None else (out @ step) % p
+    out = A.ad_batch(xs)
+    for t in range(1, p):
+        out = (out @ A.ad_batch((xs @ A.alpha_pow(t).T) % p)) % p
     return out
 
 
 def r1_defect_batch(A: HomLieAlgebra, P: PStructure, xs, images) -> np.ndarray:
     """Per-vector R1 defect: ad(x^[p]) o alpha^{p-1} minus the ad-tower."""
     p = A.p
-    tower = _tower_batch(A, xs, 0, p - 1)
+    tower = _tower_batch(A, xs)
     lhs = (A.alpha_pow(p - 1).T[None, :, :] @ A.ad_batch(images)) % p
     return (lhs - tower) % p
 
@@ -209,6 +206,7 @@ def verify_pstructure(
     meta["regimes"] records the regime each of R1/R2/R3 actually ran, and
     meta["mode"] is "exhaustive" only when all three were.
     """
+    check_samples(samples)
     A = P.parent
     p, n = A.p, A.n
     count = p**n
@@ -266,8 +264,9 @@ def restricted_defect_batch(
     p = A.p
     xs = np.asarray(xs, dtype=np.int64) % p
     lhs = (images @ D.mat.T) % p
-    tower = _tower_batch(A, xs, 1, p - 1)
-    rhs = np.einsum("mbk,mb->mk", tower, (xs @ D.mat.T) % p) % p
+    rhs = (xs @ D.mat.T) % p
+    for t in range(1, p):
+        rhs = A.bracket_batch((xs @ A.alpha_pow(t).T) % p, rhs)
     return (lhs - rhs) % p
 
 
@@ -285,6 +284,7 @@ def is_restricted_derivation(
     suffice; sampled arbitrary vectors keep the check honest.  The
     exhaustive regime reads the cached eval_p_all table.
     """
+    check_samples(samples)
     p, n = A.p, A.n
     count = p**n
     if count <= EXHAUSTIVE_LIMIT:

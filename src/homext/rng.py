@@ -46,10 +46,13 @@ class SplitMix64:
                 return v
 
     def mat(self, rows: int, cols: int, p: int) -> np.ndarray:
-        return np.array(
-            [[self.below(p) for _ in range(cols)] for _ in range(rows)],
-            dtype=np.int64,
-        )
+        values = [self.below(p) for _ in range(rows * cols)]  # row by row
+        return np.array(values, dtype=np.int64).reshape(rows, cols)
+
+
+def check_samples(samples: int) -> None:
+    if samples < 1:  # a sampled check on no samples would pass vacuously
+        raise ValueError(f"samples must be at least 1, got {samples}")
 
 
 def derive_seed(seed: int, tag: int) -> int:

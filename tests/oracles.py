@@ -128,3 +128,27 @@ def s_tilde_direct(L_tilde: HomLieAlgebra, pi0, t_pi) -> np.ndarray:
     y = gfp.zeros(N)
     y[1:N - 1] = (-(gfp.asmat(pi0, p) @ gfp.asvec(t_pi, p))) % p
     return sum(compute_s(L_tilde, gfp.unit(N, 0), y)) % p
+
+
+def bracket_dense(A: HomLieAlgebra, xs, ys) -> np.ndarray:
+    """[x, y] per row (xs and ys broadcast) by one dense einsum over the whole
+    structure tensor, with no sparsity, chunking or early reduction.  Exact
+    while n^2 (p-1)^3 < 2^63."""
+    xs = np.asarray(xs, dtype=np.int64) % A.p
+    ys = np.asarray(ys, dtype=np.int64) % A.p
+    return np.einsum("...a,...b,abk->...k", xs, ys, A.c) % A.p
+
+
+def ad_dense(A: HomLieAlgebra, xs) -> np.ndarray:
+    """ad(x) per row in [batch, in, out] layout, by einsum."""
+    return np.einsum("ma,abk->mbk", np.asarray(xs, dtype=np.int64) % A.p, A.c) % A.p
+
+
+def is_ideal_loop(A: HomLieAlgebra, S) -> bool:
+    """alpha(s) and [s, e_j] tested for membership one vector at a time."""
+    for s in S.basis:
+        if not S.contains(A.apply_alpha(s)):
+            return False
+        if not all(S.contains(bracket_dense(A, s, gfp.unit(A.n, j))) for j in range(A.n)):
+            return False
+    return True

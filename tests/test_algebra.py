@@ -1,12 +1,14 @@
 import numpy as np
+import oracles
 import pytest
 
-from homext import gfp
+from homext import algebra, gfp
 from homext.algebra import (
     BilinearForm,
     Derivation,
     HomLieAlgebra,
     Subspace,
+    bracket_sides,
     center,
     d_invariant,
     is_derivation,
@@ -208,3 +210,145 @@ def test_is_derivation(heis, psl3):
     for D in psl3.derivations.values():
         assert is_derivation(psl3.g, D)
     assert not is_derivation(psl3.g, Derivation(psl3.B.gram, 3))
+
+
+@pytest.fixture(scope="module")
+def algebras(heis, heis_ext, psl3, psl3_twisted, psl3_pipelines, sl2, sl2_ext):
+    """Every fixture algebra and its p-extension."""
+    out = {"heis.V": heis.V, "heis.L": heis_ext[0], "psl3": psl3.g, "psl3_a": psl3_twisted[0],
+           "sl2": sl2.g, "sl2.L": sl2_ext[0]}
+    out.update({f"psl3.{name}.L": data["L"] for name, data in psl3_pipelines.items()})
+    return out
+
+
+def random_alternating(p, n, seed):
+    rng = np.random.default_rng(seed)
+    return HomLieAlgebra.from_upper(p, n, {(i, j): rng.integers(0, p, n)
+                                           for i in range(n) for j in range(i + 1, n)})
+
+
+def test_bracket_batch_matches_dense_oracle_on_fixtures(algebras):
+    rng = np.random.default_rng(5)
+    for name, A in algebras.items():
+        xs, ys = rng.integers(0, A.p, (60, A.n)), rng.integers(0, A.p, (60, A.n))
+        got = A.bracket_batch(xs, ys)
+        assert got.shape == (60, A.n), name
+        assert np.array_equal(got, oracles.bracket_dense(A, xs, ys)), name
+        assert np.array_equal(A.bracket(xs[0], ys[0]), got[0]), name
+        # unreduced and negative input is reduced first
+        assert np.array_equal(A.bracket_batch(xs - 3 * A.p, ys + A.p), got), name
+
+
+def test_bracket_batch_broadcast_shapes(algebras):
+    rng = np.random.default_rng(6)
+    for name, A in algebras.items():
+        n, p = A.n, A.p
+        xs, ys = rng.integers(0, p, (9, 1, n)), rng.integers(0, p, (9, 4, n))
+        got = A.bracket_batch(xs, ys)
+        assert got.shape == (9, 4, n), name
+        assert np.array_equal(got, oracles.bracket_dense(A, xs, ys)), name
+        # [n,1,1,n] x [1,n,n,n]: every [e_i, [e_j, e_k]]-shaped product at once
+        eye = gfp.eye(n)
+        inner = oracles.bracket_dense(A, eye[:, None, :], eye[None, :, :])
+        got = A.bracket_batch(eye[:, None, None, :], inner[None, :, :, :])
+        assert got.shape == (n, n, n, n), name
+        assert np.array_equal(got, oracles.bracket_dense(A, eye[:, None, None, :], inner[None])), name
+        # a single vector against a batch, in either order
+        assert np.array_equal(A.bracket_batch(xs[0, 0], ys), oracles.bracket_dense(A, xs[0, 0], ys)), name
+        assert np.array_equal(A.bracket_batch(ys, xs[0, 0]), oracles.bracket_dense(A, ys, xs[0, 0])), name
+
+
+def test_bracket_batch_abelian_has_no_structure_constants():
+    for p, n in ((2, 1), (3, 4), (5, 6)):
+        A = abelian(n, p)
+        xs = np.arange(3 * n).reshape(3, 1, n) % p
+        ys = np.ones((3, 2, n), dtype=np.int64)
+        assert np.array_equal(A.bracket_batch(xs, ys), np.zeros((3, 2, n), dtype=np.int64))
+        assert np.array_equal(A.bracket(xs[0, 0], ys[0, 0]), gfp.zeros(n))
+        assert A.bracket_batch(np.zeros((0, n)), np.zeros((0, n))).shape == (0, n)
+    # one bracket only: components with no structure constant stay zero
+    A = HomLieAlgebra.from_upper(3, 4, {(0, 1): [0, 0, 2, 0]})
+    assert np.array_equal(A.bracket(gfp.unit(4, 0), gfp.unit(4, 1)), [0, 0, 2, 0])
+    assert np.array_equal(A.bracket(gfp.unit(4, 1), gfp.unit(4, 0)), [0, 0, 1, 0])
+
+
+def test_bracket_batch_chunks(psl3, monkeypatch):
+    A = psl3.g
+    terms = A._triples[0].size  # products per output row
+    rng = np.random.default_rng(7)
+    # larger than one real chunk and not a multiple of it
+    rows = 2 * (algebra._CHUNK_ELEMENTS // terms) + 7
+    xs, ys = rng.integers(0, 3, (rows, A.n)), rng.integers(0, 3, (rows, A.n))
+    assert np.array_equal(A.bracket_batch(xs, ys), oracles.bracket_dense(A, xs, ys))
+    # a tiny chunk: 3 rows of [1, 4, n] products per chunk, 10 rows
+    monkeypatch.setattr(algebra, "_CHUNK_ELEMENTS", 3 * 4 * terms)
+    xs, ys = rng.integers(0, 3, (10, 1, A.n)), rng.integers(0, 3, (10, 4, A.n))
+    assert np.array_equal(A.bracket_batch(xs, ys), oracles.bracket_dense(A, xs, ys))
+    assert np.array_equal(A.bracket_batch(ys, xs), oracles.bracket_dense(A, ys, xs))
+    # a chunk smaller than one row still makes progress
+    monkeypatch.setattr(algebra, "_CHUNK_ELEMENTS", 1)
+    assert np.array_equal(A.bracket_batch(xs, ys), oracles.bracket_dense(A, xs, ys))
+
+
+def test_bracket_batch_large_prime():
+    p = 65521
+    A = random_alternating(p, 6, 8)
+    rng = np.random.default_rng(9)
+    xs, ys = rng.integers(0, p, (200, 6)), rng.integers(0, p, (200, 6))
+    got = A.bracket_batch(xs, ys)
+    assert np.array_equal(got, oracles.bracket_dense(A, xs, ys))
+    # exact check of one row with Python integers
+    want = [sum(int(xs[0, a]) * int(ys[0, b]) * int(A.c[a, b, k]) for a in range(6) for b in range(6)) % p
+            for k in range(6)]
+    assert got[0].tolist() == want
+
+
+def test_ad_batch_matches_dense_oracle(algebras):
+    rng = np.random.default_rng(10)
+    for name, A in algebras.items():
+        xs = rng.integers(0, A.p, (25, A.n))
+        assert np.array_equal(A.ad_batch(xs), oracles.ad_dense(A, xs)), name
+        assert np.array_equal(A.ad(xs[0]), oracles.ad_dense(A, xs[:1])[0].T), name
+
+
+def test_bracket_sides_matches_one_einsum(psl3, heis_ext):
+    rng = np.random.default_rng(11)
+    for A in (psl3.g, heis_ext[0], random_alternating(65521, 5, 12)):
+        p, n = A.p, A.n
+        pi = rng.integers(0, p, (n, n))
+        lhs, rhs = bracket_sides(pi, A.c, A.c, p)
+        assert np.array_equal(lhs, np.einsum("mk,ijk->ijm", pi, A.c) % p)
+        assert np.array_equal(rhs, np.einsum("ai,bj,abm->ijm", pi, pi, A.c) % p)
+
+
+def test_is_ideal_rank_test_matches_vector_loop(algebras):
+    rng = SplitMix64(13)
+    for name, A in algebras.items():
+        spaces = [center(A), Subspace.from_vectors([], A.n, A.p),
+                  Subspace.from_vectors(list(gfp.eye(A.n)), A.n, A.p)]
+        spaces += [Subspace.from_vectors([rng.vec(A.n, A.p) for _ in range(1 + rng.below(A.n))], A.n, A.p)
+                   for _ in range(6)]
+        spaces += [Subspace.from_vectors([gfp.unit(A.n, j) for j in range(k, A.n)], A.n, A.p)
+                   for k in range(A.n)]
+        verdicts = [is_ideal(A, S) for S in spaces]
+        assert verdicts == [oracles.is_ideal_loop(A, S) for S in spaces], name
+        assert True in verdicts and False in verdicts, name
+
+
+def test_structure_tensor_and_twist_are_read_only(psl3):
+    A = HomLieAlgebra(psl3.g.p, psl3.g.c, psl3.g.alpha)
+    before = A.bracket_batch(gfp.eye(A.n)[:, None, :], gfp.eye(A.n)[None, :, :])
+    with pytest.raises(ValueError):
+        A.c[0, 1, 0] = 1
+    with pytest.raises(ValueError):
+        A.alpha[0, 0] = 2
+    with pytest.raises(ValueError):
+        A.alpha_pow(2)[0, 0] = 2
+    with pytest.raises(ValueError):
+        A.alpha_pow(0)[0, 1] = 1
+    assert np.array_equal(A.bracket_batch(gfp.eye(A.n)[:, None, :], gfp.eye(A.n)[None, :, :]), before)
+    # the constructor copies: the caller's arrays stay writable and unlinked
+    c = psl3.g.c.copy()
+    B = HomLieAlgebra(3, c, gfp.eye(A.n))
+    c[0, 1, 0] = 1
+    assert B.c[0, 1, 0] == psl3.g.c[0, 1, 0]

@@ -16,6 +16,8 @@ from homext.doubleext import (
     PExtensionData,
     check_algebra_extension_data,
     check_extension_data,
+    check_p_extension_data,
+    check_P_conditions,
     double_extend,
     extend_by_algebra,
     extend_pstructure,
@@ -27,11 +29,13 @@ from homext.doubleext import (
     split_frame,
 )
 from homext.errors import DegenerateFrame, NotCentral, NotPIdeal, PreconditionFailed
+from homext.isom import verify_restricted_iso
 from homext.restricted import (
     PStructure,
     compute_eta_batch,
     compute_s_batch,
     eval_p,
+    is_restricted_derivation,
     verify_pstructure,
 )
 from homext.rng import SplitMix64
@@ -311,6 +315,23 @@ def test_reduce_rejects_non_p_ideal():
     imgs[1] = gfp.unit(3, 0)  # v^[2] = e*, escaping e-perp
     with pytest.raises(NotPIdeal):
         reduce(L, B_L, PStructure(L, imgs), gfp.unit(3, 2))
+
+
+def test_sampled_entry_points_reject_samples_below_one(heis, heis_ext, sl2):
+    L, B_L, P_L = heis_ext
+    calls = {
+        "verify_pstructure": lambda k: verify_pstructure(heis.P, exhaustive=False, samples=k),
+        "is_restricted_derivation": lambda k: is_restricted_derivation(heis.V, heis.P, heis.D, samples=k),
+        "verify_restricted_iso": lambda k: verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, gfp.eye(8), samples=k),
+        "check_p_extension_data": lambda k: check_p_extension_data(
+            heis.V, heis.B, heis.P, heis.ext, heis.pext, samples=k),
+        "check_P_conditions": lambda k: check_P_conditions(sl2.g, sl2.B, sl2.D, sl2.pext, samples=k),
+    }
+    for name, call in calls.items():
+        for k in (0, -4):
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                call(k)
+        assert call(1) is not None, name
 
 
 def test_split_frame_matches_reduce(heis, heis_ext):

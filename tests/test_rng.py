@@ -58,3 +58,10 @@ def test_derive_seed_disjoint_streams():
     a = SplitMix64(s0).vec(10, 5)
     b = SplitMix64(s1).vec(10, 5)
     assert not np.array_equal(a, b)
+
+
+def test_mat_is_the_vec_stream_row_by_row_and_keeps_its_shape():
+    g, h = SplitMix64(17), SplitMix64(17)
+    assert np.array_equal(g.mat(4, 3, 5), np.stack([h.vec(3, 5) for _ in range(4)]))
+    assert SplitMix64(1).mat(0, 5, 3).shape == (0, 5)
+    assert SplitMix64(1).mat(3, 0, 3).shape == (3, 0)
