@@ -28,7 +28,7 @@ from .doubleext import (
 from .errors import HomextError, ParseError, PreconditionFailed
 from .isom import verify_adapted_iso, verify_restricted_iso
 from .report import Report
-from .restricted import is_restricted_derivation, solve_p_property, verify_pstructure
+from .restricted import EXHAUSTIVE_LIMIT, is_restricted_derivation, solve_p_property, verify_pstructure
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED
 from .twist import (
     build_heisenberg_dual,
@@ -118,6 +118,8 @@ def cmd_fixture(args) -> int:
 def cmd_verify(args) -> int:
     b = _read_bundle(args.file)
     seed = _seed(args)
+    if args.exhaustive and b.p**b.dim > EXHAUSTIVE_LIMIT:
+        raise ParseError(f"{b.p}^{b.dim} vectors exceed the exhaustive limit {EXHAUSTIVE_LIMIT}")
     A = b.algebra()
     report = Report(file=args.file, seed=seed, samples=args.samples)
     report.merge(verify_hom_lie(A))
@@ -126,14 +128,7 @@ def cmd_verify(args) -> int:
         report.merge(verify_quadratic(A, form))
     P = b.pstructure(A)
     if P is not None:
-        report.merge(
-            verify_pstructure(
-                P,
-                exhaustive=True if args.exhaustive else None,
-                samples=args.samples,
-                seed=seed,
-            )
-        )
+        report.merge(verify_pstructure(P, samples=args.samples, seed=seed))
     t = b.twist_data()
     if t is not None and form is not None:
         from .twist import check_twist_data
@@ -298,7 +293,7 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("verify", help="run every checker applicable to the bundle")
     sp.add_argument("file")
-    sp.add_argument("--exhaustive", action="store_true")
+    sp.add_argument("--exhaustive", action="store_true", help="exit 2 unless p^dim fits the exhaustive limit")
     add_common(sp)
     sp.set_defaults(func=cmd_verify)
 

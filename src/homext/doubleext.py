@@ -44,6 +44,7 @@ from .restricted import (
     compute_eta_batch,
     eval_p,
     eval_p_batch,
+    fold,
     is_restricted_derivation,
 )
 from .rng import DEFAULT_SEED, SplitMix64, check_samples
@@ -171,29 +172,17 @@ def eval_P_batch(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe: PExtens
     """The quadratic/p-semilinear map P induced by the basis values.
 
     char 2: P(sum l_j e_j) = sum l_j^2 P_basis[j] + sum_{i<j} l_i l_j B(D e_i, e_j).
-    char > 2: ascending-index fold of P(u+v) = P(u) + P(v) + sum_i eta_i(u, v).
+    char > 2: the ascending-index `fold` of P(u+v) = P(u) + P(v) + sum_i eta_i(u, v),
+    whose eta_i vanish when u or v is zero.
     """
-    p, n = V.p, V.n
+    p = V.p
     vs = np.asarray(vs, dtype=np.int64) % p
     if p == 2:
         m = (D.mat.T @ B_V.gram) % p
         cross = np.triu(m, 1)
         sq = (vs * vs) % p
         return (sq @ pe.P_basis + np.einsum("mi,ij,mj->m", vs, cross, vs)) % p
-    mcount = vs.shape[0]
-    acc_vec = np.zeros((mcount, n), dtype=np.int64)
-    acc_val = np.zeros(mcount, dtype=np.int64)
-    for j in range(n):
-        lam = vs[:, j]
-        if not lam.any():
-            continue
-        parts = np.zeros((mcount, n), dtype=np.int64)
-        parts[:, j] = lam
-        part_val = lam * pe.P_basis[j] % p  # lam^p = lam in GF(p)
-        etas = compute_eta_batch(V, B_V, D, acc_vec, parts).sum(axis=1) % p
-        acc_val = (acc_val + part_val + etas) % p
-        acc_vec[:, j] = lam
-    return acc_val
+    return fold(p, vs, pe.P_basis, lambda us, ws: compute_eta_batch(V, B_V, D, us, ws).sum(axis=1))
 
 
 def check_P_conditions(
@@ -538,15 +527,15 @@ def check_algebra_extension_data(V: HomLieAlgebra, B_V: BilinearForm, x: Algebra
                 + x.phi_of(A.alpha[:, cdx]) @ x.phi[b]
             ) % p
             rep.record("rep_axiom_2", np.array_equal(lhs, rhs), (b, cdx), lhs=lhs, rhs=rhs)
-    # bracket compatibility on V basis pairs
-    for b in range(A.n):
-        ph = x.phi[b]
-        pha = (ph @ V.alpha) % p
-        for i in range(V.n):
-            for j in range(V.n):
-                lhs = (V.alpha @ ph @ V.c[i, j]) % p
-                rhs = (V.bracket(pha[:, i], gfp.unit(V.n, j)) + V.bracket(gfp.unit(V.n, i), pha[:, j])) % p
-                rep.record("phi_bracket_compat", np.array_equal(lhs, rhs), (b, i, j), lhs=lhs, rhs=rhs)
+    # bracket compatibility on V basis pairs, [b, i, j] -> vector:
+    # alpha phi_b [e_i, e_j] = [phi_b alpha e_i, e_j] + [e_i, phi_b alpha e_j]
+    phis = np.stack(x.phi)
+    lhs = np.einsum("bkl,ijl->bijk", (V.alpha @ phis) % p, V.c) % p
+    cols = ((phis @ V.alpha) % p).transpose(0, 2, 1)  # [b, i] is phi_b alpha e_i
+    units = gfp.eye(V.n)
+    rhs = (V.bracket_batch(cols[:, :, None, :], units[None, None, :, :])
+           + V.bracket_batch(units[None, :, None, :], cols[:, None, :, :])) % p
+    rep.tally("phi_bracket_compat", ((lhs - rhs) % p).any(axis=3), lhs, rhs)
     srep = Report()
     srep.record("sigma_symmetric", x.sigma.is_symmetric(), ())
     srep.record("sigma_nondegenerate", x.sigma.is_nondegenerate(), ())

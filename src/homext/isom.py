@@ -20,7 +20,7 @@ from .algebra import BilinearForm, HomLieAlgebra, bracket_sides
 from .doubleext import ExtFrame, split_frame
 from .errors import BadLevel, DimMismatch, NonInvertiblePi0, OddCharRequired, ZeroGamma
 from .report import Report, rows
-from .restricted import EXHAUSTIVE_LIMIT, PStructure, eval_p_all, eval_p_batch
+from .restricted import PStructure, domain, eval_p_batch, p_map
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
 
 
@@ -204,7 +204,8 @@ def _p_parts(L: HomLieAlgebra, P_L: PStructure, vs) -> tuple[np.ndarray, np.ndar
 
 
 def _same_pmap(P: PStructure, Q: PStructure) -> bool:
-    """Whether P and Q are one p-map: equal algebras and basis images."""
+    """Whether P and Q are one p-map: equal algebras and basis images, so the
+    direct route reads one eval_p_all table, not two."""
     A, B = P.parent, Q.parent
     return P is Q or (
         A.p == B.p
@@ -224,15 +225,16 @@ def verify_restricted_iso(
     pi,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    exhaustive: bool | None = None,
+    exhaustive: bool = True,
 ) -> Report:
     """Two independent restrictedness verdicts that must agree.
 
-    direct: pi(x^[p]) = pi(x)^[p] over all vectors (exhaustive when the
-    space is small enough, sampled otherwise).  theorem: the equation
-    list tying both p-structure extensions through (pi0, gamma, t, nu).
-    When the two p-structures are one p-map (as for an automorphism), the
-    exhaustive direct route builds a single eval_p_all table.
+    direct: pi(x^[p]) = pi(x)^[p] over the `domain` of P_L (every vector
+    when the space is small enough, sampled otherwise); meta["regimes"]
+    names the regime it ran.  theorem: the equation list tying both
+    p-structure extensions through (pi0, gamma, t, nu).  When the two
+    p-structures are one p-map (as for an automorphism), the exhaustive
+    direct route builds a single eval_p_all table.
     The report's meta carries one verdict per route; a mismatch between
     them means a bug or a spec-level inconsistency, never silent repair.
     """
@@ -240,22 +242,12 @@ def verify_restricted_iso(
     p, N = L.p, L.n
     n = N - 2
     pi = gfp.asmat(pi, p)
-    rep = Report(p=p, dim=N, seed=seed, samples=samples)
-
-    count = p**N
-    if exhaustive is None:
-        exhaustive = count <= EXHAUSTIVE_LIMIT
     rng = SplitMix64(seed)
-    if exhaustive and count <= EXHAUSTIVE_LIMIT:
-        xs = gfp.all_vectors(N, p)
-        imgs = eval_p_all(P_L)
-        t_imgs = imgs if _same_pmap(P_L, P_Lt) else eval_p_all(P_Lt)
-        lhs = (imgs @ pi.T) % p
-        rhs = t_imgs[gfp.vec_index((xs @ pi.T) % p, p)]
-    else:
-        xs = rng.mat(samples, N, p)
-        lhs = (eval_p_batch(P_L, xs) @ pi.T) % p
-        rhs = eval_p_batch(P_Lt, (xs @ pi.T) % p)
+    xs, pmap, regime = domain(P_L, exhaustive, samples, rng)
+    t_pmap = pmap if _same_pmap(P_L, P_Lt) else p_map(P_Lt, regime == "exhaustive")
+    rep = Report(p=p, dim=N, seed=seed, samples=samples, regimes={"direct": regime})
+    lhs = (pmap(xs) @ pi.T) % p
+    rhs = t_pmap((xs @ pi.T) % p)
     direct_ok = rep.tally("direct", ((lhs - rhs) % p).any(axis=1), lhs, rhs, witness=rows(xs)).ok
 
     f = split_frame(L, B_L, P_L)

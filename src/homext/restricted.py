@@ -101,34 +101,43 @@ def compute_s(A: HomLieAlgebra, x, y) -> list[np.ndarray]:
     return list(compute_s_batch(A, gfp.asvec(x, A.p)[None, :], gfp.asvec(y, A.p)[None, :])[0])
 
 
-def eval_p_batch(P: PStructure, xs) -> np.ndarray:
-    """Extend the basis images to a batch of row vectors via the R2/R3 fold.
+def fold(p: int, xs, images, cross) -> np.ndarray:
+    """The ascending-index fold of a p-semilinear map f from its basis values.
 
-    Each x is written in the basis and folded in ascending index order with
-    (a+b)^[p] = a^[p] + b^[p] + sum_i s_i(a,b).  The axioms R1-R3 pin the
-    map without picking an algorithm, so the fold order is fixed here and
-    order-independence is asserted by property tests, not assumed.  Since
-    s_i(0, y) = s_i(x, 0) = 0, the s_i at coordinate j are computed only on
-    rows whose coordinate j and folded prefix are both nonzero.
+    images[j] is f(e_j).  Each row x is written in the basis and folded in
+    ascending index order with f(a + b) = f(a) + f(b) + cross(a, b) and
+    f(lam e_j) = lam^p images[j] = lam images[j].  cross(prefixes, parts)
+    gets the folded prefixes and the lam e_j rows as batches; it must vanish
+    when either argument is zero, so it is called only on rows where both are
+    nonzero.  Returns [batch] + images.shape[1:].
     """
-    A = P.parent
-    p, n = A.p, A.n
     xs = np.asarray(xs, dtype=np.int64) % p
     acc_vec = np.zeros_like(xs)
-    acc_img = np.zeros_like(xs)
+    acc = np.zeros(xs.shape[:1] + images.shape[1:], dtype=np.int64)
     started = np.zeros(xs.shape[0], dtype=bool)
     for j in np.nonzero(xs.any(axis=0))[0]:
         lam = xs[:, j]
-        acc_img = (acc_img + lam[:, None] * P.images[j][None, :]) % p  # lam^p = lam in GF(p)
+        acc = (acc + np.multiply.outer(lam, images[j])) % p  # lam^p = lam in GF(p)
         live = np.nonzero(started & (lam != 0))[0]
         if live.size:
-            parts = np.zeros((live.size, n), dtype=np.int64)
+            parts = np.zeros((live.size, xs.shape[1]), dtype=np.int64)
             parts[:, j] = lam[live]
-            s = compute_s_batch(A, acc_vec[live], parts).sum(axis=1)
-            acc_img[live] = (acc_img[live] + s) % p
+            acc[live] = (acc[live] + cross(acc_vec[live], parts)) % p
         acc_vec[:, j] = lam
         started |= lam != 0
-    return acc_img
+    return acc
+
+
+def eval_p_batch(P: PStructure, xs) -> np.ndarray:
+    """Extend the basis images to a batch of row vectors via the R2/R3 fold.
+
+    The fold is `fold` with cross term the R3 sum of the s_i, which vanish
+    when either argument is zero.  The axioms R1-R3 pin the map without
+    picking an algorithm, so the fold order is fixed there and
+    order-independence is asserted by property tests, not assumed.
+    """
+    A = P.parent
+    return fold(A.p, xs, P.images, lambda us, vs: compute_s_batch(A, us, vs).sum(axis=1))
 
 
 def eval_p(P: PStructure, x) -> np.ndarray:
@@ -147,10 +156,9 @@ def eval_p_all(P: PStructure) -> np.ndarray:
         table[lam*p^j + prefix] = table[prefix] + lam^p e_j^[p] + sum_i s_i(prefix, lam e_j)
 
     (lam^p = lam in GF(p)).  That costs one compute_s row per vector, and
-    the table matches eval_p_batch bit for bit.  It is read-only.  When
-    p^n fits the exhaustive limit, verify_pstructure (R1, R2 and R3),
-    is_restricted_derivation and the direct route of the restricted-iso
-    check read it instead of re-folding.
+    the table matches eval_p_batch bit for bit.  It is read-only.  Every
+    check in the exhaustive regime of `domain` reads it instead of
+    re-folding.
     """
     if P._all_images is None:
         A = P.parent
@@ -169,6 +177,29 @@ def eval_p_all(P: PStructure) -> np.ndarray:
         table.setflags(write=False)
         P._all_images = table
     return P._all_images
+
+
+def p_map(P: PStructure, table: bool):
+    """x -> x^[p] on batches: read from the eval_p_all table, or folded."""
+    if table:
+        full = eval_p_all(P)
+        return lambda vs: full[gfp.vec_index(vs, P.parent.p)]
+    return lambda vs: eval_p_batch(P, vs)
+
+
+def domain(P: PStructure, exhaustive: bool, samples: int, rng: SplitMix64):
+    """The vectors a check of P runs over, x -> x^[p] on batches, and the regime.
+
+    When exhaustive is true and p^n fits EXHAUSTIVE_LIMIT, that is every
+    vector of GF(p)^n in gfp.all_vectors order, mapped through the
+    eval_p_all table, and "exhaustive".  Otherwise it is `samples` rows
+    drawn from rng, folded by eval_p_batch, and "sampled"; only this regime
+    advances rng.
+    """
+    A = P.parent
+    if exhaustive and A.p**A.n <= EXHAUSTIVE_LIMIT:
+        return gfp.all_vectors(A.n, A.p), p_map(P, True), "exhaustive"
+    return rng.mat(samples, A.n, A.p), p_map(P, False), "sampled"
 
 
 def _tower_batch(A: HomLieAlgebra, xs) -> np.ndarray:
@@ -191,52 +222,43 @@ def r1_defect_batch(A: HomLieAlgebra, P: PStructure, xs, images) -> np.ndarray:
 
 def verify_pstructure(
     P: PStructure,
-    exhaustive: bool | None = None,
+    exhaustive: bool = True,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> Report:
     """Check R1/R2/R3 for the extension of the stored basis images.
 
     R1 is always checked on the basis (the unique-extension criterion).
-    Beyond that, R1 runs over all p^n vectors when that count fits the
-    exhaustive limit, R3 over all pairs when p^(2n) fits, and sampled
-    seeded vectors otherwise; R2 follows the R1 regime with all k.  When R1
-    is exhaustive, every p-image R2 and R3 need is read from the eval_p_all
-    table, which equals the eval_p_batch fold bit for bit.
+    Beyond that, R1 runs over the `domain` of P, R2 over the same vectors
+    with all k, and R3 over all pairs when p^(2n) fits the exhaustive limit
+    and over sampled seeded pairs otherwise; exhaustive=False samples all
+    three.  When R1 is exhaustive, every p-image R2 and R3 need is read
+    from the eval_p_all table, which equals the eval_p_batch fold bit for bit.
     meta["regimes"] records the regime each of R1/R2/R3 actually ran, and
     meta["mode"] is "exhaustive" only when all three were.
     """
     check_samples(samples)
     A = P.parent
     p, n = A.p, A.n
+    rng = SplitMix64(seed)
+    xs, pmap, vec_regime = domain(P, exhaustive, samples, rng)
     count = p**n
-    if exhaustive is None:
-        exhaustive = count <= EXHAUSTIVE_LIMIT
-    table = exhaustive and count <= EXHAUSTIVE_LIMIT
-    pairs = exhaustive and count * count <= EXHAUSTIVE_LIMIT
-    vec_regime = "exhaustive" if table else "sampled"
+    pairs = exhaustive and count * count <= EXHAUSTIVE_LIMIT  # then the vectors are exhaustive too
     pair_regime = "exhaustive" if pairs else "sampled"
     rep = Report(p=p, dim=n, seed=seed, samples=samples,
                  regimes={"r1": vec_regime, "r2": vec_regime, "r3": pair_regime},
-                 mode="exhaustive" if table and pairs else "sampled")
+                 mode=pair_regime)
 
     defect = r1_defect_batch(A, P, gfp.eye(n), P.images)
     rep.tally("r1_basis", defect.any(axis=(1, 2)), defect, 0)
 
-    full = eval_p_all(P) if table else None
-
-    def p_map(vs):
-        return eval_p_batch(P, vs) if full is None else full[gfp.vec_index(vs, p)]
-
-    rng = SplitMix64(seed)
-    xs = gfp.all_vectors(n, p) if table else rng.mat(samples, n, p)
-    imgs = p_map(xs)
+    imgs = pmap(xs)
     defect = r1_defect_batch(A, P, xs, imgs)
     rep.tally("r1", defect.any(axis=(1, 2)), defect, 0, witness=rows(xs))
 
     # R2: (k x)^[p] = k^p x^[p] over every scalar k.
     for k in range(p):
-        scaled = p_map((k * xs) % p)
+        scaled = pmap((k * xs) % p)
         want = (pow(k, p, p) * imgs) % p
         rep.tally("r2", ((scaled - want) % p).any(axis=1), scaled, want,
                   witness=lambda i: (k,) + rows(xs)(i))
@@ -248,8 +270,8 @@ def verify_pstructure(
     else:
         xpairs = rng.mat(samples, n, p)
         ypairs = rng.mat(samples, n, p)
-    sums = p_map((xpairs + ypairs) % p)
-    want = (p_map(xpairs) + p_map(ypairs) + compute_s_batch(A, xpairs, ypairs).sum(axis=1)) % p
+    sums = pmap((xpairs + ypairs) % p)
+    want = (pmap(xpairs) + pmap(ypairs) + compute_s_batch(A, xpairs, ypairs).sum(axis=1)) % p
     rep.tally("r3", ((sums - want) % p).any(axis=1), sums, want, witness=rows(xpairs, ypairs))
     return rep
 
@@ -277,24 +299,16 @@ def is_restricted_derivation(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> bool:
-    """Compatibility of D with the p-structure over every vector, or on basis
-    plus sampled vectors when p^n exceeds the exhaustive limit.
+    """Compatibility of D with the p-structure on the basis plus the `domain`
+    of P: every vector, or seeded samples past the exhaustive limit.
 
     The defining condition is not multilinear, so the basis does not
-    suffice; sampled arbitrary vectors keep the check honest.  The
-    exhaustive regime reads the cached eval_p_all table.
+    suffice; sampled arbitrary vectors keep the check honest.
     """
     check_samples(samples)
-    p, n = A.p, A.n
-    count = p**n
-    if count <= EXHAUSTIVE_LIMIT:
-        xs = gfp.all_vectors(n, p)
-        imgs = eval_p_all(P)
-    else:
-        rng = SplitMix64(seed)
-        xs = np.concatenate([gfp.eye(n), rng.mat(samples, n, p)])
-        imgs = eval_p_batch(P, xs)
-    return not restricted_defect_batch(A, P, D, xs, imgs).any()
+    xs, pmap, _ = domain(P, True, samples, SplitMix64(seed))
+    xs = np.concatenate([gfp.eye(A.n), xs])
+    return not restricted_defect_batch(A, P, D, xs, pmap(xs)).any()
 
 
 def check_p_property(A: HomLieAlgebra, D: Derivation, w: PPropertyWitness) -> bool:

@@ -17,44 +17,33 @@ DEFAULT_SAMPLES = 1000
 
 
 class SplitMix64:
+    """The splitmix64 stream: output i (from 1) is mix(seed + i*GOLDEN mod 2^64)."""
+
     def __init__(self, seed: int):
         self.state = seed & MASK64
 
+    def _next(self, count: int) -> np.ndarray:
+        """The next count outputs as one uint64 array; uint64 wraps mod 2^64."""
+        z = np.uint64(self.state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+        self.state = (self.state + count * GOLDEN) & MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
     def next_u64(self) -> int:
-        self.state = (self.state + GOLDEN) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return (z ^ (z >> 31)) & MASK64
+        return int(self._next(1)[0])
 
     def below(self, n: int) -> int:
         return self.next_u64() % n
 
-    def scalar(self, p: int) -> int:
-        return self.below(p)
-
-    def nonzero_scalar(self, p: int) -> int:
-        return 1 + self.below(p - 1)
-
     def vec(self, n: int, p: int) -> np.ndarray:
-        return np.array([self.below(p) for _ in range(n)], dtype=np.int64)
-
-    def nonzero_vec(self, n: int, p: int) -> np.ndarray:
-        while True:
-            v = self.vec(n, p)
-            if v.any():
-                return v
+        return self.mat(1, n, p)[0]
 
     def mat(self, rows: int, cols: int, p: int) -> np.ndarray:
-        values = [self.below(p) for _ in range(rows * cols)]  # row by row
-        return np.array(values, dtype=np.int64).reshape(rows, cols)
+        """rows x cols values below p, drawn row by row."""
+        return (self._next(rows * cols) % np.uint64(p)).astype(np.int64).reshape(rows, cols)
 
 
 def check_samples(samples: int) -> None:
     if samples < 1:  # a sampled check on no samples would pass vacuously
         raise ValueError(f"samples must be at least 1, got {samples}")
-
-
-def derive_seed(seed: int, tag: int) -> int:
-    """Disjoint child stream seed for parallel or per-check sharding."""
-    return SplitMix64((seed ^ (tag * GOLDEN)) & MASK64).next_u64()

@@ -2,7 +2,8 @@
 
 PolyVec towers, the R3 coefficients and the p-map fold built on them, and
 the coefficient recursion share no code with the batched kernels they are
-compared against; s_tilde_direct deliberately runs the library's compute_s.
+compared against; s_tilde_direct deliberately runs the library's compute_s,
+eval_P_fold its compute_eta_batch, and phi_bracket_compat_loop its bracket.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from homext import gfp
-from homext.algebra import HomLieAlgebra
+from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
 from homext.errors import BadLevel, DegreeOverflow, DimMismatch
-from homext.restricted import PStructure, compute_s
+from homext.report import Report
+from homext.restricted import PStructure, compute_eta_batch, compute_s
 
 
 class PolyVec:
@@ -96,6 +98,45 @@ def eval_p_fold(P: PStructure, x) -> np.ndarray:
             acc_img = (acc_img + sum(compute_s_polyvec(A, acc_vec, part))) % p
         acc_vec = (acc_vec + part) % p
     return acc_img
+
+
+def eval_P_fold(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe, vs) -> np.ndarray:
+    """The odd-characteristic P map by the ascending fold of
+    P(u+v) = P(u) + P(v) + sum_i eta_i(u, v), one coordinate at a time over
+    the whole batch, with the eta_i computed on every row (no row skip)."""
+    p, n = V.p, V.n
+    vs = np.asarray(vs, dtype=np.int64) % p
+    mcount = vs.shape[0]
+    acc_vec = np.zeros((mcount, n), dtype=np.int64)
+    acc_val = np.zeros(mcount, dtype=np.int64)
+    for j in range(n):
+        lam = vs[:, j]
+        if not lam.any():
+            continue
+        parts = np.zeros((mcount, n), dtype=np.int64)
+        parts[:, j] = lam
+        part_val = lam * pe.P_basis[j] % p  # lam^p = lam in GF(p)
+        etas = compute_eta_batch(V, B_V, D, acc_vec, parts).sum(axis=1) % p
+        acc_val = (acc_val + part_val + etas) % p
+        acc_vec[:, j] = lam
+    return acc_val
+
+
+def phi_bracket_compat_loop(V: HomLieAlgebra, x) -> Report:
+    """The phi_bracket_compat check of check_algebra_extension_data, one
+    V.bracket pair at a time: alpha phi_b [e_i, e_j] against
+    [phi_b alpha e_i, e_j] + [e_i, phi_b alpha e_j], witness (b, i, j)."""
+    p = V.p
+    rep = Report()
+    for b in range(x.A.n):
+        ph = x.phi[b]
+        pha = (ph @ V.alpha) % p
+        for i in range(V.n):
+            for j in range(V.n):
+                lhs = (V.alpha @ ph @ V.c[i, j]) % p
+                rhs = (V.bracket(pha[:, i], gfp.unit(V.n, j)) + V.bracket(gfp.unit(V.n, i), pha[:, j])) % p
+                rep.record("phi_bracket_compat", np.array_equal(lhs, rhs), (b, i, j), lhs=lhs, rhs=rhs)
+    return rep
 
 
 def phi_recursion(L_tilde: HomLieAlgebra, x, y, level: int) -> dict:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from homext import bundle
+from homext import bundle, gfp
+from homext.algebra import BilinearForm, HomLieAlgebra
 from homext.cli import main
+from homext.restricted import PStructure
 
 
 def run(capsys, *argv):
@@ -123,6 +125,21 @@ def test_verify_exhaustive_reports_sampled_r3(tmp_path, capsys):
     assert doc["meta"]["mode"] == "sampled"
     r3 = next(c for c in doc["checks"] if c["name"] == "r3")
     assert r3["passed"] == 30
+
+
+def test_verify_exhaustive_exits_2_past_the_limit(tmp_path, capsys):
+    # 2^17 vectors exceed the exhaustive limit: --exhaustive is refused, not
+    # silently sampled, while the default run samples and passes
+    n = 17
+    A = HomLieAlgebra(2, np.zeros((n, n, n), dtype=np.int64), gfp.eye(n))
+    path = tmp_path / "abelian.json"
+    path.write_text(bundle.emit(bundle.from_parts(A, BilinearForm(gfp.eye(n), 2), PStructure(A, np.zeros((n, n))))))
+    code, out, err = run(capsys, "verify", str(path), "--exhaustive", "--samples", "20")
+    assert code == 2 and out == ""
+    assert "2^17 vectors exceed the exhaustive limit 65536" in err
+    code, out, _ = run(capsys, "verify", str(path), "--samples", "20")
+    assert code == 0
+    assert json.loads(out)["meta"]["mode"] == "sampled"
 
 
 def test_solve_p_property_cli(tmp_path, capsys):

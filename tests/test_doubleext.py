@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from homext import gfp
@@ -206,6 +207,20 @@ def test_eval_P_matches_table_cubics(psl3, psl3_pipelines):
         assert np.array_equal(got, want), name
 
 
+def test_eval_P_fold_matches_oracle(sl2, psl3_pipelines):
+    cases = [(sl2.g, sl2.B, sl2.D, sl2.pext)]
+    cases += [(d["V"], d["B"], d["D"], d["pe"]) for name, d in psl3_pipelines.items() if name != "D1"]
+    rng = SplitMix64(43)
+    for V, B, D, pe in cases:
+        p, n = V.p, V.n
+        lead_zero = rng.mat(10, n, p)
+        lead_zero[:, 0] = 0
+        vs = np.vstack([gfp.zeros(n)[None, :], gfp.eye(n), lead_zero, rng.mat(50, n, p)])
+        other = PExtensionData(pe.xi, pe.a0, pe.m, pe.l, pe.u0, np.arange(1, n + 1) % p, p)
+        for data in (pe, other):
+            assert np.array_equal(eval_P_batch(V, B, D, data, vs), oracles.eval_P_fold(V, B, D, data, vs))
+
+
 def test_table_P_satisfies_eta_additivity(psl3, psl3_pipelines):
     rng = SplitMix64(29)
     for name, data in psl3_pipelines.items():
@@ -382,6 +397,21 @@ def test_extend_by_algebra_rejects_nonskew(heis):
     bad = np.diag([1, 0, 0, 0, 0, 0]).astype(np.int64)  # B(phi(x), x) != 0
     with pytest.raises(PreconditionFailed):
         extend_by_algebra(heis.V, heis.B, AlgebraExtensionData(A, [bad], sigma))
+
+
+def test_phi_bracket_compat_matches_oracle(heis, sl2):
+    # phi_1 fails the compatibility on some basis triples (b, i, j)
+    for V, B, phis in (
+        (heis.V, heis.B, [heis.D.mat, gfp.eye(6), np.diag([1, 0, 0, 0, 0, 1])]),
+        (sl2.g, sl2.B, [(sl2.D.mat + gfp.eye(3)) % 5, np.arange(9).reshape(3, 3) % 5]),
+    ):
+        k, p = len(phis), V.p
+        A = HomLieAlgebra(p, np.zeros((k, k, k), dtype=np.int64), gfp.eye(k))
+        data = AlgebraExtensionData(A, [np.asarray(m, dtype=np.int64) for m in phis], BilinearForm(gfp.eye(k), p))
+        got = check_algebra_extension_data(V, B, data).check("phi_bracket_compat")
+        want = oracles.phi_bracket_compat_loop(V, data).check("phi_bracket_compat")
+        assert got.failed > 0 and got.passed > 0
+        assert got.to_dict() == want.to_dict()
 
 
 def test_psi_evaluation(heis):

@@ -182,6 +182,17 @@ def test_restricted_iso_transported_instances_p2(heis, heis_ext):
         assert rep.ok, [c.name for c in rep.failing()]
 
 
+def test_restricted_iso_reports_direct_regime(heis_ext):
+    L, B_L, P_L = heis_ext
+    pi = gfp.eye(L.n)
+    rep = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, pi)
+    assert rep.meta["regimes"] == {"direct": "exhaustive"}
+    assert rep.check("direct").passed == 2**L.n and rep.ok
+    rep = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, pi, samples=30, exhaustive=False)
+    assert rep.meta["regimes"] == {"direct": "sampled"}
+    assert rep.check("direct").passed == 30 and rep.ok
+
+
 def test_restricted_iso_transported_instances_p3(psl3_pipelines):
     data = psl3_pipelines["D3"]
     L, B_L, P_L = data["L"], data["B_L"], data["P_L"]

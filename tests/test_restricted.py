@@ -13,6 +13,7 @@ from homext.restricted import (
     compute_eta_batch,
     compute_s,
     compute_s_batch,
+    domain,
     eval_p,
     eval_p_all,
     eval_p_batch,
@@ -331,6 +332,25 @@ def test_verify_pstructure_reports_regimes(heis, psl3):
     rep = verify_pstructure(PStructure(abelian, np.zeros((n, n))), exhaustive=True, samples=20)
     assert set(rep.meta["regimes"].values()) == {"sampled"} and rep.meta["mode"] == "sampled"
     assert rep.ok and rep.check("r1").passed == 20
+
+
+def test_domain_regimes(heis):
+    P = heis.P
+    rng = SplitMix64(41)
+    xs, pmap, regime = domain(P, True, 25, rng)
+    assert regime == "exhaustive" and rng.state == SplitMix64(41).state
+    assert np.array_equal(xs, gfp.all_vectors(6, 2))
+    assert np.array_equal(pmap(xs), eval_p_batch(P, xs))
+    xs, pmap, regime = domain(P, False, 25, rng)
+    assert regime == "sampled"
+    ref = SplitMix64(41)
+    assert np.array_equal(xs, ref.mat(25, 6, 2)) and rng.state == ref.state
+    assert np.array_equal(pmap(xs), eval_p_batch(P, xs))
+    # 2^17 vectors exceed the limit, so even an exhaustive request samples
+    n = 17
+    abelian = HomLieAlgebra(2, np.zeros((n, n, n), dtype=np.int64), gfp.eye(n))
+    xs, _, regime = domain(PStructure(abelian, np.zeros((n, n))), True, 25, SplitMix64(41))
+    assert regime == "sampled" and np.array_equal(xs, SplitMix64(41).mat(25, n, 2))
 
 
 def test_is_restricted_derivation_table_matches_fold(psl3, psl3_twisted):
