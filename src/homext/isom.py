@@ -20,7 +20,7 @@ from .algebra import BilinearForm, HomLieAlgebra, bracket_sides
 from .doubleext import ExtFrame, split_frame
 from .errors import BadLevel, DimMismatch, NonInvertiblePi0, OddCharRequired, ZeroGamma
 from .report import Report, rows
-from .restricted import PStructure, domain, eval_p_batch, p_map
+from .restricted import PStructure, domain, p_map
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
 
 
@@ -99,7 +99,7 @@ def check_adapted_iso_data(
     rep.record("pi0_invertible", pi0_inv is not None, ())
     if pi0_inv is None:
         return rep
-    lhs, rhs = bracket_sides(pi0, V.c, V.c, p)
+    lhs, rhs = bracket_sides(pi0, V, V)
     rep.record("pi0_bracket", not ((lhs - rhs) % p).any(), ())
     rep.record("pi0_isometry", np.array_equal((pi0.T @ B_V.gram @ pi0) % p, B_V.gram), ())
     rep.record("pi0_twist_commute", not ((pi0 @ V.alpha - V.alpha @ pi0) % p).any(), ())
@@ -135,7 +135,7 @@ def verify_adapted_iso(
     pi = gfp.asmat(pi, p)
     rep = Report(p=p, dim=N)
     rep.record("invertible", gfp.mat_inv(pi, p) is not None, ())
-    lhs, rhs = bracket_sides(pi, L.c, L_tilde.c, p)
+    lhs, rhs = bracket_sides(pi, L, L_tilde)
     rep.tally("bracket_preserved", ((lhs - rhs) % p).any(axis=2), lhs, rhs)
     fl = (pi.T @ B_Lt.gram @ pi) % p
     rep.tally("form_preserved", (fl - B_L.gram) % p != 0, fl, B_L.gram)
@@ -193,13 +193,13 @@ def extract_iso_data(
     return a, rep
 
 
-def _p_parts(L: HomLieAlgebra, P_L: PStructure, vs) -> tuple[np.ndarray, np.ndarray]:
-    """V-part and e-part of the p-images of embedded V vectors."""
+def _p_parts(L: HomLieAlgebra, pmap, vs) -> tuple[np.ndarray, np.ndarray]:
+    """V- and e-parts of pmap (a batch p-map of L) on embedded V vectors."""
     n = L.n - 2
     m = np.asarray(vs, dtype=np.int64).shape[0]
     emb = np.zeros((m, L.n), dtype=np.int64)
     emb[:, 1:1 + n] = np.asarray(vs, dtype=np.int64) % L.p
-    imgs = eval_p_batch(P_L, emb)
+    imgs = pmap(emb)
     return imgs[:, 1:1 + n], imgs[:, L.n - 1]
 
 
@@ -234,7 +234,7 @@ def verify_restricted_iso(
     names the regime it ran.  theorem: the equation list tying both
     p-structure extensions through (pi0, gamma, t, nu).  When the two
     p-structures are one p-map (as for an automorphism), the exhaustive
-    direct route builds a single eval_p_all table.
+    regime builds a single eval_p_all table, and both routes read it.
     The report's meta carries one verdict per route; a mismatch between
     them means a bug or a spec-level inconsistency, never silent repair.
     """
@@ -260,9 +260,9 @@ def verify_restricted_iso(
     ginv = gfp.inv(gamma, p)
 
     us = np.vstack([gfp.eye(n), rng.mat(samples, n, p)])
-    sV, pV = _p_parts(L, P_L, us)
+    sV, pV = _p_parts(L, pmap, us)
     pius = (us @ pi0.T) % p
-    sVt, pVt = _p_parts(L_tilde, P_Lt, pius)
+    sVt, pVt = _p_parts(L_tilde, t_pmap, pius)
     btu = B_V.eval_batch(np.broadcast_to(t, us.shape), us)  # B(t, u)^p = B(t, u) in GF(p)
     lhs = (sV @ pi0.T) % p
     rhs = (sVt + btu[:, None] * pet.u0[None, :]) % p
@@ -273,7 +273,7 @@ def verify_restricted_iso(
     rep.tally("thm_P_pi0", (pVt - want) % p != 0, pVt, want, witness=rows(us))
 
     pt = (pi0 @ t) % p
-    spt_t, ppt_t = _p_parts(L_tilde, P_Lt, pt[None, :])
+    spt_t, ppt_t = _p_parts(L_tilde, t_pmap, pt[None, :])
     spt_t, ppt_t = spt_t[0], int(ppt_t[0])
     btt = B_V.eval(t, t)
     bta0 = B_V.eval(t, pe.a0)

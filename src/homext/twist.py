@@ -42,7 +42,7 @@ def check_twist_data(g: HomLieAlgebra, B: BilinearForm, t: TwistData) -> Report:
     rep = Report(p=p, dim=g.n)
     rep.record("alpha_self_adjoint", np.array_equal((t.alpha.T @ B.gram) % p, (B.gram @ t.alpha) % p), ())
     rep.record("alpha_involutive", np.array_equal((t.alpha @ t.alpha) % p, gfp.eye(g.n)), ())
-    lhs, rhs = bracket_sides(t.alpha, g.c, g.c, p)
+    lhs, rhs = bracket_sides(t.alpha, g, g)
     rep.record("alpha_bracket_endomorphism", not ((lhs - rhs) % p).any(), ())
     rep.record("trivial_twist_input", np.array_equal(g.alpha, gfp.eye(g.n)), ())
     return rep

@@ -193,3 +193,44 @@ def is_ideal_loop(A: HomLieAlgebra, S) -> bool:
         if not all(S.contains(bracket_dense(A, s, gfp.unit(A.n, j))) for j in range(A.n)):
             return False
     return True
+
+
+def hom_jacobi_dense(A: HomLieAlgebra) -> Report:
+    """verify_hom_lie with dense [n, n, n, n] arrays: T(i; j, k) =
+    [alpha(e_i), [e_j, e_k]] and the cyclic Hom-Jacobi sum on every basis
+    triple, and multiplicativity by einsum.  O(n^4) memory."""
+    p, n, c = A.p, A.n, A.c
+    rep = Report(p=p, dim=n)
+    for i in range(n):
+        rep.record("alternating", not c[i, i].any(), (i, i), lhs=c[i, i], rhs=0)
+    anti = (c + c.transpose(1, 0, 2)) % p
+    for i, j in zip(*np.nonzero(anti.any(axis=2))):
+        if i < j:
+            rep.record("antisymmetry", False, (int(i), int(j)), lhs=c[i, j], rhs=(-c[j, i]) % p)
+    rep.check("antisymmetry").passed += n * (n - 1) // 2 - rep.check("antisymmetry").failed
+
+    ada = np.einsum("ai,abk->ibk", A.alpha, c) % p  # ad(alpha(e_i)) in [i, in, out] layout
+    t1 = np.einsum("ibm,jkb->ijkm", ada, c) % p  # [alpha(e_i), [e_j, e_k]]
+    jac = (t1 + t1.transpose(1, 2, 0, 3) + t1.transpose(2, 0, 1, 3)) % p
+    rep.tally("hom_jacobi", jac.any(axis=3), jac, np.broadcast_to(gfp.zeros(n), jac.shape))
+
+    lhs = np.einsum("mk,ijk->ijm", A.alpha, c) % p  # alpha([e_i, e_j])
+    rhs = np.einsum("ai,bj,abm->ijm", A.alpha, A.alpha, c) % p  # [alpha(e_i), alpha(e_j)]
+    rep.tally("multiplicativity", ((lhs - rhs) % p).any(axis=2), lhs, rhs)
+    return rep
+
+
+def leibniz_dense(A: HomLieAlgebra, D: Derivation) -> Report:
+    """verify_derivation by einsum over the whole structure tensor, with
+    t1 = -[alpha^k(e_j), D(e_i)] and t2 = [alpha^k(e_i), D(e_j)]."""
+    p, n = A.p, A.n
+    rep = Report(p=p, dim=n, degree=D.k)
+    comm = (D.mat @ A.alpha - A.alpha @ D.mat) % p
+    rep.record("twist_commute", not comm.any(), (), lhs=(D.mat @ A.alpha) % p, rhs=(A.alpha @ D.mat) % p)
+    ak = A.alpha_pow(D.k)
+    lhs = np.einsum("kb,ijb->ijk", D.mat, A.c) % p  # D([e_i, e_j])
+    adk = np.einsum("ai,abk->ibk", ak, A.c) % p  # ad(alpha^k(e_i))
+    t1 = (-np.einsum("jbk,bi->ijk", adk, D.mat)) % p
+    t2 = np.einsum("ibk,bj->ijk", adk, D.mat) % p
+    rep.tally("leibniz", ((lhs - t1 - t2) % p).any(axis=2), lhs, (t1 + t2) % p)
+    return rep

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homext import algebra, gfp
 from homext.algebra import (
@@ -15,6 +19,7 @@ from homext.algebra import (
     is_ideal,
     is_nondegenerate_ideal,
     orth,
+    verify_derivation,
     verify_hom_lie,
     verify_quadratic,
 )
@@ -316,7 +321,7 @@ def test_bracket_sides_matches_one_einsum(psl3, heis_ext):
     for A in (psl3.g, heis_ext[0], random_alternating(65521, 5, 12)):
         p, n = A.p, A.n
         pi = rng.integers(0, p, (n, n))
-        lhs, rhs = bracket_sides(pi, A.c, A.c, p)
+        lhs, rhs = bracket_sides(pi, A, A)
         assert np.array_equal(lhs, np.einsum("mk,ijk->ijm", pi, A.c) % p)
         assert np.array_equal(rhs, np.einsum("ai,bj,abm->ijm", pi, pi, A.c) % p)
 
@@ -352,3 +357,54 @@ def test_structure_tensor_and_twist_are_read_only(psl3):
     B = HomLieAlgebra(3, c, gfp.eye(A.n))
     c[0, 1, 0] = 1
     assert B.c[0, 1, 0] == psl3.g.c[0, 1, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 65521]),
+    n=st.integers(1, 7),
+    k=st.sampled_from([1, 2]),
+    entries=st.lists(st.tuples(*[st.integers(0, 6)] * 3, st.integers(1, 65520)), max_size=14),
+    alpha_id=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=3, n=4, k=1, entries=[], alpha_id=False, seed=1)  # abelian: no nonzero pair
+def test_hom_jacobi_and_leibniz_match_dense_oracles(p, n, k, entries, alpha_id, seed):
+    """Sparse tensors that need not be alternating or antisymmetric, with
+    random alpha and D: the reports equal the dense einsum oracles'."""
+    c = np.zeros((n, n, n), dtype=np.int64)
+    for i, j, m, v in entries:
+        c[i % n, j % n, m % n] = v % p or 1
+    rng = np.random.default_rng(seed)
+    A = HomLieAlgebra(p, c, gfp.eye(n) if alpha_id else rng.integers(0, p, (n, n)))
+    D = Derivation(rng.integers(0, p, (n, n)), p, k=k)
+    assert verify_hom_lie(A).to_dict() == oracles.hom_jacobi_dense(A).to_dict()
+    assert verify_derivation(A, D).to_dict() == oracles.leibniz_dense(A, D).to_dict()
+
+
+def test_hom_jacobi_and_leibniz_match_dense_oracles_on_fixtures(algebras, heis, psl3, psl3_twisted, sl2):
+    rng = np.random.default_rng(14)
+    derivs = {"heis.V": [heis.D], "psl3": list(psl3.derivations.values()),
+              "psl3_a": list(psl3_twisted[3].values()), "sl2": [sl2.D]}
+    for name, A in algebras.items():
+        assert verify_hom_lie(A).to_dict() == oracles.hom_jacobi_dense(A).to_dict(), name
+        for D in derivs.get(name, []) + [Derivation(rng.integers(0, A.p, (A.n, A.n)), A.p, k=2)]:
+            assert verify_derivation(A, D).to_dict() == oracles.leibniz_dense(A, D).to_dict(), name
+
+
+def test_hom_jacobi_scales_to_dim_128():
+    """GF(2)^128 with one Heisenberg bracket: the dense [n,n,n,n] route would
+    need 2.1 GB for T alone."""
+    n = 128
+    c = np.zeros((n, n, n), dtype=np.int64)
+    c[0, 1, 2] = c[1, 0, 2] = 1
+    A = HomLieAlgebra(2, c, gfp.eye(n))
+    tracemalloc.start()
+    try:
+        rep = verify_hom_lie(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert rep.check("hom_jacobi").passed == n**3
+    assert peak < 128 * 2**20

@@ -3,7 +3,7 @@ import pytest
 import oracles
 from oracles import phi_recursion, s_tilde_direct
 
-from homext import gfp
+from homext import gfp, isom, restricted
 from homext.algebra import Derivation, HomLieAlgebra
 from homext.doubleext import DoubleExtensionData, double_extend, split_frame
 from homext.errors import BadLevel, NonInvertiblePi0, ZeroGamma
@@ -420,3 +420,28 @@ def test_restricted_iso_equal_pstructures_share_one_table(heis_ext, psl3_pipelin
     rep = verify_restricted_iso(L3, data["B_L"], L3b, data["B_L"], data["P_L"], P3b, gfp.eye(9))
     assert P3b._all_images is None
     assert rep.ok and rep.check("direct").passed == 3**9
+
+
+def test_restricted_iso_theorem_route_reads_the_direct_table(psl3_pipelines, monkeypatch):
+    # exhaustive: both routes read P_L's eval_p_all table and never fold; the
+    # theorem checks come out as in the sampled regime, which folds
+    data = psl3_pipelines["D3"]
+    L, B_L, P_L = data["L"], data["B_L"], data["P_L"]
+    sampled = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, gfp.eye(9), exhaustive=False)
+    calls = []
+    fold = restricted.eval_p_batch
+
+    def counted(P, xs):
+        calls.append(len(xs))
+        return fold(P, xs)
+
+    monkeypatch.setattr(restricted, "eval_p_batch", counted)
+    monkeypatch.setattr(isom, "eval_p_batch", counted, raising=False)  # in case isom imports it
+    rep = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, gfp.eye(9))
+    assert calls == []
+    assert rep.meta["regimes"] == {"direct": "exhaustive"} and rep.ok
+
+    def theorem(r):
+        return [c.to_dict() for name, c in r.checks.items() if name.startswith("thm_")]
+
+    assert theorem(rep) == theorem(sampled) != []
