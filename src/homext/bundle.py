@@ -75,20 +75,20 @@ def from_parts(
     twist: TwistData | None = None,
     extension: dict | None = None,
 ) -> AlgebraBundle:
-    """Assemble a bundle; the tensor must already be antisymmetric."""
-    entries = []
-    for i in range(A.n):
-        for j in range(i + 1, A.n):
-            if ((A.c[i, j] + A.c[j, i]) % A.p).any() or A.c[i, i].any():
-                raise ParseError("structure tensor is not alternating/antisymmetric")
-            for k in range(A.n):
-                if A.c[i, j, k]:
-                    entries.append((i, j, k, int(A.c[i, j, k])))
+    """Assemble a bundle; the tensor must already be alternating and antisymmetric."""
+    c, diag = A.c, np.arange(A.n)
+    want = (-c.transpose(1, 0, 2)) % A.p
+    want[diag, diag] = 0
+    if not np.array_equal(c, want):
+        raise ParseError("structure tensor is not alternating/antisymmetric")
+    upper = np.triu(np.ones((A.n, A.n), dtype=bool), 1)
+    i, j, k = np.nonzero((c != 0) & upper[:, :, None])  # C order: sorted by (i, j, k)
+    entries = list(zip(i.tolist(), j.tolist(), k.tolist(), c[i, j, k].tolist()))
     return AlgebraBundle(
         p=A.p,
         dim=A.n,
         basis=list(A.basis_names),
-        brackets=sorted(entries),
+        brackets=entries,
         alpha=A.alpha.copy(),
         form=None if form is None else form.gram.copy(),
         pmap=None if pmap is None else pmap.images.copy(),

@@ -119,10 +119,13 @@ def det(m, p: int) -> int:
 
 
 def kernel(m, p: int) -> list[np.ndarray]:
-    """Basis of the right null space {v : Mv = 0}, in reduced echelon form."""
+    """Basis of the right null space {v : Mv = 0}, in reduced echelon form.
+
+    All-zero rows do not change the null space, so rref never sees them.
+    """
     a = asmat(m, p)
-    rows, cols = a.shape
-    r, pivots = rref(a, p)
+    cols = a.shape[1]
+    r, pivots = rref(a[a.any(axis=1)], p)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -178,6 +181,22 @@ def all_vectors(n: int, p: int) -> np.ndarray:
     idx = np.arange(p**n, dtype=np.int64)
     pows = p ** np.arange(n, dtype=np.int64)
     return (idx[:, None] // pows[None, :]) % p
+
+
+def line_map(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lines of GF(p)^n over the all_vectors rows: (lam, rep).
+
+    Row x = lam * x_rep, where lam is the highest nonzero coordinate of x
+    and x_rep = x / lam has highest nonzero coordinate 1.  The zero row has
+    lam = 1 and is its own rep, so the rows with lam == 1 are exactly the
+    line representatives (plus zero).
+    """
+    vecs = all_vectors(n, p)
+    idx = np.arange(p**n, dtype=np.int64)
+    top = np.searchsorted(p ** np.arange(n, dtype=np.int64), idx, side="right") - 1
+    lam = np.where(idx > 0, idx // p ** np.maximum(top, 0), 1)
+    invs = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+    return lam, vec_index(vecs * invs[lam][:, None], p)
 
 
 def vec_index(x, p: int) -> np.ndarray | int:

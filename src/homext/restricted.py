@@ -155,25 +155,29 @@ def eval_p_all(P: PStructure) -> np.ndarray:
 
         table[lam*p^j + prefix] = table[prefix] + lam^p e_j^[p] + sum_i s_i(prefix, lam e_j)
 
-    (lam^p = lam in GF(p)).  That costs one compute_s row per vector, and
-    the table matches eval_p_batch bit for bit.  It is read-only.  Every
-    check in the exhaustive regime of `domain` reads it instead of
-    re-folding.
+    (lam^p = lam in GF(p)).  s_i has degree p-i in its second argument, so
+    s_i(prefix, lam e_j) = lam^(p-i) s_i(prefix, e_j): one compute_s row per
+    prefix serves every lam, weighted by lam^(p-i) mod p.  The weighted sum
+    has p-1 terms below p^2 each, under 2^48 for p <= EXHAUSTIVE_LIMIT.  The
+    table matches eval_p_batch bit for bit.  It is read-only.  Every check
+    in the exhaustive regime of `domain` reads it instead of re-folding.
     """
     if P._all_images is None:
         A = P.parent
         p, n = A.p, A.n
         vecs = gfp.all_vectors(n, p)
         table = np.zeros_like(vecs)
+        lams = np.arange(1, p, dtype=np.int64)
+        weights = np.array([[pow(int(lam), p - i, p) for i in range(1, p)] for lam in lams],
+                           dtype=np.int64)  # [lam, i] -> lam^(p-i) mod p
         for j in range(n):
             block = p**j
-            lams = np.repeat(np.arange(1, p, dtype=np.int64), block)
-            parts = np.zeros((lams.shape[0], n), dtype=np.int64)
-            parts[:, j] = lams
-            prefix = np.tile(np.arange(block), p - 1)
-            s = compute_s_batch(A, vecs[prefix], parts).sum(axis=1)
-            part_img = lams[:, None] * P.images[j][None, :]  # lam^p = lam in GF(p)
-            table[block:block * p] = (table[prefix] + part_img + s) % p
+            unit = np.broadcast_to(gfp.unit(n, j), (block, n))
+            s = compute_s_batch(A, vecs[:block], unit).transpose(1, 0, 2)  # [i, prefix, n]
+            part = (weights @ s.reshape(p - 1, -1)).reshape(p - 1, block, n)
+            part += lams[:, None, None] * P.images[j]  # lam^p = lam in GF(p)
+            part += table[None, :block]
+            table[block:block * p] = gfp.mod(part, p).reshape(-1, n)
         table.setflags(write=False)
         P._all_images = table
     return P._all_images
@@ -200,6 +204,32 @@ def domain(P: PStructure, exhaustive: bool, samples: int, rng: SplitMix64):
     if exhaustive and A.p**A.n <= EXHAUSTIVE_LIMIT:
         return gfp.all_vectors(A.n, A.p), p_map(P, True), "exhaustive"
     return rng.mat(samples, A.n, A.p), p_map(P, False), "sampled"
+
+
+def domain_defect(P: PStructure, regime: str, xs, images, defect) -> np.ndarray:
+    """defect(xs, images) on a `domain` of P, once per line when exhaustive.
+
+    defect must have degree p in x and be linear in the image, as the R1
+    and restricted-derivation defects are; then defect(lam x, lam image) =
+    lam^p defect(x, image) = lam defect(x, image).  On the exhaustive
+    domain with p > 2 it runs on the line representatives of gfp.line_map,
+    and a row x = lam*rep whose image is lam*image(rep) gets lam*defect(rep).
+    Any other row is computed directly, so the result equals
+    defect(xs, images) bit for bit whatever the images are.  The sampled
+    regime, and p = 2 with one point per line, run defect on every row.
+    """
+    p = P.parent.p
+    if regime != "exhaustive" or p == 2:
+        return defect(xs, images)
+    lam, rep = gfp.line_map(P.parent.n, p)
+    is_rep = lam == 1
+    slot = np.cumsum(is_rep) - 1  # a representative row -> its row in d
+    d = defect(xs[is_rep], images[is_rep])
+    out = gfp.mod(lam.reshape((-1,) + (1,) * (d.ndim - 1)) * d[slot[rep]], p)
+    odd = np.nonzero((images != gfp.mod(lam[:, None] * images[rep], p)).any(axis=1))[0]
+    if odd.size:
+        out[odd] = defect(xs[odd], images[odd])
+    return out
 
 
 def _tower_batch(A: HomLieAlgebra, xs) -> np.ndarray:
@@ -253,7 +283,7 @@ def verify_pstructure(
     rep.tally("r1_basis", defect.any(axis=(1, 2)), defect, 0)
 
     imgs = pmap(xs)
-    defect = r1_defect_batch(A, P, xs, imgs)
+    defect = domain_defect(P, vec_regime, xs, imgs, lambda vs, im: r1_defect_batch(A, P, vs, im))
     rep.tally("r1", defect.any(axis=(1, 2)), defect, 0, witness=rows(xs))
 
     # R2: (k x)^[p] = k^p x^[p] over every scalar k.
@@ -306,9 +336,13 @@ def is_restricted_derivation(
     suffice; sampled arbitrary vectors keep the check honest.
     """
     check_samples(samples)
-    xs, pmap, _ = domain(P, True, samples, SplitMix64(seed))
-    xs = np.concatenate([gfp.eye(A.n), xs])
-    return not restricted_defect_batch(A, P, D, xs, pmap(xs)).any()
+    xs, pmap, regime = domain(P, True, samples, SplitMix64(seed))
+    basis = gfp.eye(A.n)
+
+    def defect(vs, images):
+        return restricted_defect_batch(A, P, D, vs, images)
+
+    return not (defect(basis, pmap(basis)).any() or domain_defect(P, regime, xs, pmap(xs), defect).any())
 
 
 def check_p_property(A: HomLieAlgebra, D: Derivation, w: PPropertyWitness) -> bool:

@@ -12,7 +12,7 @@ import numpy as np
 
 from homext import gfp
 from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
-from homext.errors import BadLevel, DegreeOverflow, DimMismatch
+from homext.errors import BadLevel, DegreeOverflow, DimMismatch, ParseError
 from homext.report import Report
 from homext.restricted import PStructure, compute_eta_batch, compute_s
 
@@ -234,3 +234,20 @@ def leibniz_dense(A: HomLieAlgebra, D: Derivation) -> Report:
     t2 = np.einsum("ibk,bj->ijk", adk, D.mat) % p
     rep.tally("leibniz", ((lhs - t1 - t2) % p).any(axis=2), lhs, (t1 + t2) % p)
     return rep
+
+
+def bracket_entries_loop(A: HomLieAlgebra) -> list[tuple[int, int, int, int]]:
+    """The (i, j, k, coeff) entries with i < j of bundle.from_parts, one pair
+    at a time, raising ParseError on a tensor that is not alternating and
+    antisymmetric.  Every diagonal c[i, i] is checked."""
+    entries = []
+    for i in range(A.n):
+        if A.c[i, i].any():
+            raise ParseError("structure tensor is not alternating/antisymmetric")
+        for j in range(i + 1, A.n):
+            if ((A.c[i, j] + A.c[j, i]) % A.p).any():
+                raise ParseError("structure tensor is not alternating/antisymmetric")
+            for k in range(A.n):
+                if A.c[i, j, k]:
+                    entries.append((i, j, k, int(A.c[i, j, k])))
+    return sorted(entries)

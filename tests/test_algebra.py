@@ -408,3 +408,21 @@ def test_hom_jacobi_scales_to_dim_128():
     assert rep.ok
     assert rep.check("hom_jacobi").passed == n**3
     assert peak < 128 * 2**20
+
+
+def test_verify_hom_lie_memory_at_dim_128():
+    """Multiplicativity compares its two reduced sides and antisymmetry only
+    the pairs with a nonzero side, so no n^3 difference tensors are built:
+    the peak is about two n^3 int64 tensors (32 MB at n = 128)."""
+    n = 128
+    A = HomLieAlgebra.from_upper(2, n, {(0, 1): gfp.unit(n, 2)})
+    tracemalloc.start()
+    try:
+        rep = verify_hom_lie(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert rep.check("antisymmetry").passed == n * (n - 1) // 2
+    assert rep.check("multiplicativity").passed == n * n
+    assert peak < 48 * 2**20

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from homext import bundle, gfp
@@ -80,5 +81,46 @@ def test_from_parts_rejects_broken_tensor(heis):
     from homext.algebra import HomLieAlgebra
 
     bad = HomLieAlgebra(2, broken, A.alpha, A.basis_names)
+    with pytest.raises(ParseError):
+        bundle.from_parts(bad)
+
+
+def _fixture_algebras(request):
+    heis, psl3, sl2 = (request.getfixturevalue(f) for f in ("heis", "psl3", "sl2"))
+    out = {
+        "heis V": heis.V,
+        "heis L": request.getfixturevalue("heis_ext")[0],
+        "psl3": psl3.g,
+        "psl3_a": request.getfixturevalue("psl3_twisted")[0],
+        "sl2 V": sl2.g,
+        "sl2 L": request.getfixturevalue("sl2_ext")[0],
+    }
+    for name, pipe in request.getfixturevalue("psl3_pipelines").items():
+        out[f"psl3 {name} L"] = pipe["L"]
+    return out
+
+
+def test_from_parts_brackets_match_loop(request):
+    for name, A in _fixture_algebras(request).items():
+        assert bundle.from_parts(A).brackets == oracles.bracket_entries_loop(A), name
+
+
+@pytest.mark.parametrize("slot", ["antisymmetry", "sign", "first diagonal", "last diagonal"])
+def test_from_parts_rejects_what_the_loop_rejects(psl3, slot):
+    from homext.algebra import HomLieAlgebra
+
+    c = psl3.g.c.copy()
+    n = c.shape[0]
+    if slot == "antisymmetry":
+        c[4, 2, 0] = (c[4, 2, 0] + 1) % 3
+    elif slot == "sign":
+        c[1, 0] = c[0, 1]  # [e2, e1] = +[e1, e2]: antisymmetric only in char 2
+    elif slot == "first diagonal":
+        c[0, 0, 3] = 1
+    else:
+        c[n - 1, n - 1, 0] = 2
+    bad = HomLieAlgebra(3, c, psl3.g.alpha)
+    with pytest.raises(ParseError):
+        oracles.bracket_entries_loop(bad)
     with pytest.raises(ParseError):
         bundle.from_parts(bad)

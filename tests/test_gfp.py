@@ -61,6 +61,22 @@ def test_kernel_rank_nullity(p):
             assert not (m @ v % p).any()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_ignores_zero_rows(p):
+    rng = np.random.default_rng(41 + p)
+    for _ in range(40):
+        rows, cols = int(rng.integers(0, 6)), int(rng.integers(1, 7))
+        m = rng.integers(0, p, size=(rows, cols))
+        padded = np.zeros((rows + int(rng.integers(1, 5)), cols), dtype=np.int64)
+        at = np.sort(rng.choice(padded.shape[0], size=rows, replace=False))
+        padded[at] = m
+        want = gfp.kernel(m, p)
+        got = gfp.kernel(padded, p)
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+    for m in (np.zeros((0, 4), dtype=np.int64), np.zeros((5, 4), dtype=np.int64)):
+        assert np.array_equal(np.stack(gfp.kernel(m, p)), gfp.eye(4))
+
+
 def test_solve_identity():
     b = np.array([3, 1, 4], dtype=np.int64)
     assert np.array_equal(gfp.solve(gfp.eye(3), b, 5), b)

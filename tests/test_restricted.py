@@ -14,14 +14,17 @@ from homext.restricted import (
     compute_s,
     compute_s_batch,
     domain,
+    domain_defect,
     eval_p,
     eval_p_all,
     eval_p_batch,
     is_restricted_derivation,
+    r1_defect_batch,
     restricted_defect_batch,
     solve_p_property,
     verify_pstructure,
 )
+from homext.report import Report, rows
 from homext.rng import SplitMix64
 
 
@@ -402,3 +405,102 @@ def test_pstructure_images_cannot_be_rebound(heis):
     assert verify_pstructure(P).ok
     rep = verify_pstructure(PStructure(heis.V, other))
     assert rep.check("r1").failed == 32 and rep.check("r1").passed == 32
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (3, 2), (1, 3), (4, 3), (3, 5), (2, 7)])
+def test_line_map(n, p):
+    vecs = gfp.all_vectors(n, p)
+    lam, rep = gfp.line_map(n, p)
+    assert np.array_equal((lam[:, None] * vecs[rep]) % p, vecs)
+    top = [max((k for k in range(n) if v[k]), default=None) for v in vecs]
+    assert [int(lam[i]) for i in range(len(vecs))] == [1 if t is None else int(v[t]) for t, v in zip(top, vecs)]
+    assert all(t is None or vecs[rep[i], t] == 1 for i, t in enumerate(top))
+    assert rep[0] == 0 and np.count_nonzero(lam == 1) == (p**n - 1) // (p - 1) + 1
+    assert np.array_equal(np.nonzero(lam == 1)[0], np.nonzero(rep == np.arange(p**n))[0])
+
+
+def _corrupt(P, j, k):
+    images = P.images.copy()
+    images[j] = (images[j] + gfp.unit(P.parent.n, k)) % P.parent.p
+    return PStructure(P.parent, images)
+
+
+def _exhaustive_cases(request):
+    """Every exhaustive fixture p-structure, and corruptions of them where R1 fails."""
+    out = _fixture_pstructures(request)
+    pipes = request.getfixturevalue("psl3_pipelines")
+    out["psl3 D3 L corrupted"] = _corrupt(pipes["D3"]["P_L"], 4, 2)
+    out["sl2 L corrupted"] = _corrupt(request.getfixturevalue("sl2_ext")[2], 1, 0)
+    out["heis L corrupted"] = _corrupt(request.getfixturevalue("heis_ext")[2], 0, 1)
+    return out
+
+
+def test_line_reduced_defects_match_full_domain(request):
+    """R1 and restricted-derivation defects once per line equal the defects on
+    every vector, bit for bit, and so do R1's counts and witnesses."""
+    rng = np.random.default_rng(7)
+    for name, P in _exhaustive_cases(request).items():
+        A = P.parent
+        xs, pmap, regime = domain(P, True, 10, SplitMix64(1))
+        assert regime == "exhaustive", name
+        imgs = pmap(xs)
+        assert np.array_equal(imgs, eval_p_batch(P, xs)), name
+        lam, rep = gfp.line_map(A.n, A.p)
+        assert np.array_equal(imgs, (lam[:, None] * imgs[rep]) % A.p), name  # no fallback row
+
+        def r1(vs, im):
+            return r1_defect_batch(A, P, vs, im)
+
+        full = r1(xs, imgs)
+        assert np.array_equal(domain_defect(P, regime, xs, imgs, r1), full), name
+        want = Report().tally("r1", full.any(axis=(1, 2)), full, 0, witness=rows(xs))
+        got = verify_pstructure(P).check("r1")
+        assert (got.passed, got.failed) == (want.passed, want.failed), name
+        assert [f.witness for f in got.failures] == [f.witness for f in want.failures], name
+        assert all(np.array_equal(f.lhs, g.lhs) for f, g in zip(got.failures, want.failures)), name
+        if "corrupted" in name:
+            assert got.failed > 0, name
+
+        mats = [gfp.eye(A.n), A.ad(gfp.unit(A.n, A.n - 1)), rng.integers(0, A.p, size=(A.n, A.n))]
+        for mat in mats:
+            D = Derivation(mat, A.p)
+
+            def rd(vs, im):
+                return restricted_defect_batch(A, P, D, vs, im)
+
+            assert np.array_equal(domain_defect(P, regime, xs, imgs, rd), rd(xs, imgs)), name
+
+
+def test_line_reduced_defect_falls_back_on_inhomogeneous_images(psl3):
+    """Rows whose image is not lam * image(rep) are computed directly."""
+    P, A = psl3.P, psl3.g
+    xs = gfp.all_vectors(7, 3)
+    imgs = eval_p_all(P).copy()
+    lam, rep = gfp.line_map(7, 3)
+    x = int(np.nonzero(lam == 2)[0][100])  # a point off its representative
+    r = int(rep[x])
+    imgs[x] = (imgs[x] + gfp.unit(7, 0)) % 3
+    imgs[r] = (imgs[r] + gfp.unit(7, 5)) % 3  # r is its line's representative
+    calls = []
+
+    def r1(vs, im):
+        calls.append(len(vs))
+        return r1_defect_batch(A, P, vs, im)
+
+    full = r1_defect_batch(A, P, xs, imgs)
+    assert np.array_equal(domain_defect(P, "exhaustive", xs, imgs, r1), full)
+    assert calls == [(3**7 - 1) // 2 + 1, 1]  # the representatives, then x alone
+    assert full[x].any() and full[r].any()
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (7, 3)])
+def test_eval_p_all_matches_fold_with_deep_weights(p, n):
+    """lam^(p-i) weights with p - 1 > 2, on random non-abelian algebras with alpha != id."""
+    rng = np.random.default_rng(p)
+    for _ in range(3):
+        c = rng.integers(0, p, size=(n, n, n))
+        c = (c - c.transpose(1, 0, 2)) % p
+        alpha = rng.integers(0, p, size=(n, n))
+        assert c.any() and not np.array_equal(alpha % p, gfp.eye(n))
+        P = PStructure(HomLieAlgebra(p, c, alpha), rng.integers(0, p, size=(n, n)))
+        assert np.array_equal(eval_p_all(P), eval_p_batch(P, gfp.all_vectors(n, p)))
