@@ -195,7 +195,7 @@ def line_map(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(p**n, dtype=np.int64)
     top = np.searchsorted(p ** np.arange(n, dtype=np.int64), idx, side="right") - 1
     lam = np.where(idx > 0, idx // p ** np.maximum(top, 0), 1)
-    invs = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+    invs = np.array([0] + [inv(a, p) for a in range(1, p)], dtype=np.int64)
     return lam, vec_index(vecs * invs[lam][:, None], p)
 
 

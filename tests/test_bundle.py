@@ -105,21 +105,22 @@ def test_from_parts_brackets_match_loop(request):
         assert bundle.from_parts(A).brackets == oracles.bracket_entries_loop(A), name
 
 
-@pytest.mark.parametrize("slot", ["antisymmetry", "sign", "first diagonal", "last diagonal"])
-def test_from_parts_rejects_what_the_loop_rejects(psl3, slot):
+@pytest.mark.parametrize("fixture,slot", [
+    ("psl3", "antisymmetry"), ("psl3", "sign"), ("psl3", "diagonal"), ("heis", "diagonal"),
+])
+def test_from_parts_rejects_what_the_loop_rejects(request, fixture, slot):
     from homext.algebra import HomLieAlgebra
 
-    c = psl3.g.c.copy()
-    n = c.shape[0]
+    fx = request.getfixturevalue(fixture)
+    A = fx.g if fixture == "psl3" else fx.V
+    c = A.c.copy()
     if slot == "antisymmetry":
-        c[4, 2, 0] = (c[4, 2, 0] + 1) % 3
+        c[4, 2, 0] = (c[4, 2, 0] + 1) % A.p
     elif slot == "sign":
         c[1, 0] = c[0, 1]  # [e2, e1] = +[e1, e2]: antisymmetric only in char 2
-    elif slot == "first diagonal":
-        c[0, 0, 3] = 1
     else:
-        c[n - 1, n - 1, 0] = 2
-    bad = HomLieAlgebra(3, c, psl3.g.alpha)
+        c[-1, -1, 0] = 1  # in char 2 only the alternating check sees it
+    bad = HomLieAlgebra(A.p, c, A.alpha)
     with pytest.raises(ParseError):
         oracles.bracket_entries_loop(bad)
     with pytest.raises(ParseError):

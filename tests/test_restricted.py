@@ -303,8 +303,21 @@ def _fixture_pstructures(request):
     return out
 
 
+def _random_pstructure(p, n, seed):
+    """A non-abelian algebra with alpha != id and random images: at p > 3 the
+    table's lam^(p-i) weights take more than two exponents."""
+    rng = np.random.default_rng(seed)
+    c = rng.integers(0, p, size=(n, n, n))
+    c = (c - c.transpose(1, 0, 2)) % p
+    alpha = rng.integers(0, p, size=(n, n))
+    assert c.any() and not np.array_equal(alpha, gfp.eye(n))
+    return PStructure(HomLieAlgebra(p, c, alpha), rng.integers(0, p, size=(n, n)))
+
+
 def test_eval_p_all_prefix_table_matches_fold(request):
-    for name, P in _fixture_pstructures(request).items():
+    cases = _fixture_pstructures(request)
+    cases.update({f"random p={p} #{s}": _random_pstructure(p, 3, s) for p in (5, 7) for s in range(2)})
+    for name, P in cases.items():
         fresh = PStructure(P.parent, P.images)  # build the table, not a cached one
         want = eval_p_batch(fresh, gfp.all_vectors(fresh.parent.n, fresh.parent.p))
         assert np.array_equal(eval_p_all(fresh), want), name
@@ -491,16 +504,3 @@ def test_line_reduced_defect_falls_back_on_inhomogeneous_images(psl3):
     assert np.array_equal(domain_defect(P, "exhaustive", xs, imgs, r1), full)
     assert calls == [(3**7 - 1) // 2 + 1, 1]  # the representatives, then x alone
     assert full[x].any() and full[r].any()
-
-
-@pytest.mark.parametrize("p,n", [(5, 3), (7, 3)])
-def test_eval_p_all_matches_fold_with_deep_weights(p, n):
-    """lam^(p-i) weights with p - 1 > 2, on random non-abelian algebras with alpha != id."""
-    rng = np.random.default_rng(p)
-    for _ in range(3):
-        c = rng.integers(0, p, size=(n, n, n))
-        c = (c - c.transpose(1, 0, 2)) % p
-        alpha = rng.integers(0, p, size=(n, n))
-        assert c.any() and not np.array_equal(alpha % p, gfp.eye(n))
-        P = PStructure(HomLieAlgebra(p, c, alpha), rng.integers(0, p, size=(n, n)))
-        assert np.array_equal(eval_p_all(P), eval_p_batch(P, gfp.all_vectors(n, p)))
