@@ -103,9 +103,9 @@ class HomLieAlgebra:
         return out.reshape(shape)
 
     def ad(self, x) -> np.ndarray:
-        """Matrix of ad(x) = [x, .], acting on column vectors."""
-        x = gfp.asvec(x, self.p)
-        return np.einsum("a,abk->kb", x, self.c) % self.p
+        """Matrix of ad(x) = [x, .], acting on column vectors: ad_batch on
+        one vector, transposed."""
+        return self.ad_batch(gfp.asvec(x, self.p)[None, :])[0].T
 
     def ad_batch(self, xs) -> np.ndarray:
         """Batched adjoint maps in [batch, in, out] layout.

@@ -42,7 +42,6 @@ from .restricted import (
     PPropertyWitness,
     check_p_property,
     compute_eta_batch,
-    eval_p,
     eval_p_batch,
     fold,
     is_restricted_derivation,
@@ -279,9 +278,8 @@ def extend_pstructure(
     imgs[0, 0] = pe.xi
     imgs[0, 1:1 + n] = pe.a0
     imgs[0, n + 1] = pe.l
-    for j in range(n):
-        imgs[1 + j, 1:1 + n] = P_V.images[j]
-        imgs[1 + j, n + 1] = pe.P_basis[j]
+    imgs[1:1 + n, 1:1 + n] = P_V.images
+    imgs[1:1 + n, n + 1] = pe.P_basis
     imgs[n + 1, 1:1 + n] = pe.u0
     imgs[n + 1, n + 1] = pe.m
     return PStructure(L, imgs)
@@ -376,13 +374,18 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
     B(., e) = 1 with free variables zero (normalized to B(e*, e*) = 0
     in odd characteristic, kept as-is in characteristic 2), and V is the
     orthogonal complement of the hyperbolic plane, in echelon form.
+    (L, B_L, P_L) is rewritten in the frame (e*, V rows, e) and read back
+    with split_frame, whose checks are the ones left to fail: once e-perp
+    is an ideal closed under [p], the frame's brackets and p-images of V
+    and e cannot leave it, and only a form that is not symmetric can make
+    B(e*, V) or B(e, V) nonzero.
     """
     p, N = L.p, L.n
     n = N - 2
     e = gfp.asvec(e, p)
     if not e.any():
         raise NotCentral("e must be nonzero")
-    if not center(L).contains(e):
+    if L.bracket_batch(e, gfp.eye(N)).any():
         raise NotCentral("e is not central")
     if B_L.eval(e, e) != 0:
         raise DegenerateFrame("B(e, e) must vanish")
@@ -390,8 +393,6 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
     line = Subspace.from_vectors([e], N, p)
     if not line.contains(alpha_e):
         raise NotCentral("the twist does not preserve the chosen central line")
-    pivot = int(np.argmax(e != 0))
-    lam = int(alpha_e[pivot]) * gfp.inv(int(e[pivot]), p) % p
 
     e_perp = orth(B_L, line)
     if not is_ideal(L, e_perp):
@@ -406,7 +407,6 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
     if p > 2:
         bss = B_L.eval(e_star, e_star)
         e_star = (e_star - gfp.inv(2, p) * bss * e) % p
-    beta = B_L.eval(e_star, e_star)
 
     plane = Subspace.from_vectors([e, e_star], N, p)
     v_space = orth(B_L, plane)
@@ -414,69 +414,23 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
         raise DegenerateFrame("hyperbolic plane does not split off")
     v_rows = v_space.basis
 
-    trans = np.vstack([e_star[None, :], v_rows, e[None, :]])
-    tinv = gfp.mat_inv(trans.T, p)
+    frame = np.vstack([e_star[None, :], v_rows, e[None, :]])
+    tinv = gfp.mat_inv(frame.T, p)  # frame coordinates of w: tinv @ w
     if tinv is None:
         raise DegenerateFrame("frame vectors are not a basis")
-
-    def coords(w):
-        cc = (tinv @ gfp.asvec(w, p)) % p
-        return int(cc[0]), cc[1:1 + n].copy(), int(cc[n + 1])
-
-    a, v, b = coords(L.apply_alpha(e_star))
-    if a != lam:
-        raise FrameMismatch("twist action on e* is inconsistent with its action on e")
-    x0, lam0 = v, b
-
-    alpha_v = np.zeros((n, n), dtype=np.int64)
-    d_mat = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        a, v, b = coords(L.apply_alpha(v_rows[j]))
-        if a != 0:
-            raise FrameMismatch("twist does not preserve the complement of the plane")
-        alpha_v[:, j] = v
-        a, v, b = coords(L.bracket(e_star, v_rows[j]))
-        if a != 0 or b != 0:
-            raise FrameMismatch("[e*, V] has components outside V")
-        d_mat[:, j] = v
-
-    upper = {}
-    brackets = L.bracket_batch(v_rows[:, None, :], v_rows[None, :, :])
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, v, b = coords(brackets[i, j])
-            if a != 0:
-                raise FrameMismatch("[V, V] leaves the coisotropic flag")
-            if v.any():
-                upper[(i, j)] = v
-    names = []
-    for j in range(n):
-        row = v_rows[j]
-        if row.sum() == 1 and (row <= 1).all():
-            names.append(L.basis_names[int(np.argmax(row))])
-        else:
-            names.append(f"v{j + 1}")
-    V = HomLieAlgebra.from_upper(p, n, upper, alpha_v, names)
-    B_V = BilinearForm((v_rows @ B_L.gram @ v_rows.T) % p, p)
-
-    s_imgs = np.zeros((n, n), dtype=np.int64)
-    p_basis = gfp.zeros(n)
-    for j in range(n):
-        a, v, b = coords(eval_p(P_L, v_rows[j]))
-        if a != 0:
-            raise NotPIdeal("a p-image of V leaves the coisotropic flag")
-        s_imgs[j] = v
-        p_basis[j] = b
-    a, u0, m = coords(eval_p(P_L, e))
-    if a != 0:
-        raise NotPIdeal("the p-image of e leaves the coisotropic flag")
-    xi, a0, l = coords(eval_p(P_L, e_star))
-
-    d = DoubleExtensionData(Derivation(d_mat, p, k=1), x0, lam, lam0)
-    pe = PExtensionData(xi, a0, m, l, u0, p_basis, p)
+    c = L.bracket_batch(frame[:, None, :], frame[None, :, :]) @ tinv.T
+    alpha = tinv @ ((L.alpha @ frame.T) % p)
+    gram = frame @ ((B_L.gram @ frame.T) % p)
+    images = eval_p_batch(P_L, frame) @ tinv.T
+    names = ["e*"] + [
+        L.basis_names[int(np.argmax(r))] if r.sum() == 1 and (r <= 1).all() else f"v{j + 1}"
+        for j, r in enumerate(v_rows)
+    ] + ["e"]
+    Lf = HomLieAlgebra(p, c, alpha, names)
+    f = split_frame(Lf, BilinearForm(gram, p), PStructure(Lf, images))
     return ReduceResult(
-        V=V, B_V=B_V, d=d, P_V=PStructure(V, s_imgs), pe=pe,
-        beta=beta, e_star=e_star, v_basis=v_rows, e=e,
+        V=f.V, B_V=f.B_V, d=DoubleExtensionData(f.D, f.x0, f.lam, f.lam0), P_V=f.P_V,
+        pe=f.pe, beta=f.beta, e_star=e_star, v_basis=v_rows, e=e,
     )
 
 

@@ -364,7 +364,7 @@ def solve_p_property(A: HomLieAlgebra, D: Derivation) -> PPropertyWitness | None
     """
     p, n = A.p, A.n
     apow = A.alpha_pow(p - 1)
-    cols = np.stack([(A.ad(gfp.unit(n, j)) @ apow) % p for j in range(n)])
+    cols = (A.ad_batch(gfp.eye(n)).transpose(0, 2, 1) @ apow) % p  # ad(e_j) o alpha^{p-1}
     m = np.vstack([cols.reshape(n, n * n).T % p, D.mat])
     dp = gfp.mat_pow(D.mat, p, p)
     for xi in range(p):

@@ -4,6 +4,8 @@ PolyVec towers, the R3 coefficients and the p-map fold built on them, and
 the coefficient recursion share no code with the batched kernels they are
 compared against; s_tilde_direct deliberately runs the library's compute_s,
 eval_P_fold its compute_eta_batch, and phi_bracket_compat_loop its bracket.
+reduce_loop reads the frame off L one coordinate vector at a time, with its
+own flag checks, instead of rewriting L in the frame for split_frame.
 """
 
 from __future__ import annotations
@@ -11,10 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 from homext import gfp
-from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
-from homext.errors import BadLevel, DegreeOverflow, DimMismatch, ParseError
+from homext.algebra import BilinearForm, Derivation, HomLieAlgebra, Subspace, center, is_ideal, orth
+from homext.doubleext import DoubleExtensionData, PExtensionData, ReduceResult
+from homext.errors import (
+    BadLevel,
+    DegenerateFrame,
+    DegreeOverflow,
+    DimMismatch,
+    FrameMismatch,
+    NotCentral,
+    NotPIdeal,
+    ParseError,
+)
 from homext.report import Report
-from homext.restricted import PStructure, compute_eta_batch, compute_s
+from homext.restricted import PStructure, compute_eta_batch, compute_s, eval_p, eval_p_batch
 
 
 class PolyVec:
@@ -251,3 +263,115 @@ def bracket_entries_loop(A: HomLieAlgebra) -> list[tuple[int, int, int, int]]:
                 if A.c[i, j, k]:
                     entries.append((i, j, k, int(A.c[i, j, k])))
     return sorted(entries)
+
+
+def reduce_loop(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceResult:
+    """Recover (V, B_V, D, x0, lambda, lambda0) and the p-data from L.
+
+    e must be a nonzero isotropic central twist-eigenvector whose
+    orthogonal complement is a p-ideal.  The partner e* solves
+    B(., e) = 1 with free variables zero (normalized to B(e*, e*) = 0
+    in odd characteristic, kept as-is in characteristic 2), and V is the
+    orthogonal complement of the hyperbolic plane, in echelon form.
+    """
+    p, N = L.p, L.n
+    n = N - 2
+    e = gfp.asvec(e, p)
+    if not e.any():
+        raise NotCentral("e must be nonzero")
+    if not center(L).contains(e):
+        raise NotCentral("e is not central")
+    if B_L.eval(e, e) != 0:
+        raise DegenerateFrame("B(e, e) must vanish")
+    alpha_e = L.apply_alpha(e)
+    line = Subspace.from_vectors([e], N, p)
+    if not line.contains(alpha_e):
+        raise NotCentral("the twist does not preserve the chosen central line")
+    pivot = int(np.argmax(e != 0))
+    lam = int(alpha_e[pivot]) * gfp.inv(int(e[pivot]), p) % p
+
+    e_perp = orth(B_L, line)
+    if not is_ideal(L, e_perp):
+        raise NotPIdeal("the orthogonal complement of e is not an ideal")
+    if not e_perp.spans(eval_p_batch(P_L, e_perp.basis)):
+        raise NotPIdeal("the orthogonal complement of e is not closed under [p]")
+
+    row = (B_L.gram @ e) % p
+    e_star = gfp.solve(row[None, :], np.array([1]), p)
+    if e_star is None:
+        raise DegenerateFrame("no vector pairs with e (form degenerate)")
+    if p > 2:
+        bss = B_L.eval(e_star, e_star)
+        e_star = (e_star - gfp.inv(2, p) * bss * e) % p
+    beta = B_L.eval(e_star, e_star)
+
+    plane = Subspace.from_vectors([e, e_star], N, p)
+    v_space = orth(B_L, plane)
+    if v_space.dim != n:
+        raise DegenerateFrame("hyperbolic plane does not split off")
+    v_rows = v_space.basis
+
+    trans = np.vstack([e_star[None, :], v_rows, e[None, :]])
+    tinv = gfp.mat_inv(trans.T, p)
+    if tinv is None:
+        raise DegenerateFrame("frame vectors are not a basis")
+
+    def coords(w):
+        cc = (tinv @ gfp.asvec(w, p)) % p
+        return int(cc[0]), cc[1:1 + n].copy(), int(cc[n + 1])
+
+    a, v, b = coords(L.apply_alpha(e_star))
+    if a != lam:
+        raise FrameMismatch("twist action on e* is inconsistent with its action on e")
+    x0, lam0 = v, b
+
+    alpha_v = np.zeros((n, n), dtype=np.int64)
+    d_mat = np.zeros((n, n), dtype=np.int64)
+    for j in range(n):
+        a, v, b = coords(L.apply_alpha(v_rows[j]))
+        if a != 0:
+            raise FrameMismatch("twist does not preserve the complement of the plane")
+        alpha_v[:, j] = v
+        a, v, b = coords(L.bracket(e_star, v_rows[j]))
+        if a != 0 or b != 0:
+            raise FrameMismatch("[e*, V] has components outside V")
+        d_mat[:, j] = v
+
+    upper = {}
+    brackets = L.bracket_batch(v_rows[:, None, :], v_rows[None, :, :])
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, v, b = coords(brackets[i, j])
+            if a != 0:
+                raise FrameMismatch("[V, V] leaves the coisotropic flag")
+            if v.any():
+                upper[(i, j)] = v
+    names = []
+    for j in range(n):
+        row = v_rows[j]
+        if row.sum() == 1 and (row <= 1).all():
+            names.append(L.basis_names[int(np.argmax(row))])
+        else:
+            names.append(f"v{j + 1}")
+    V = HomLieAlgebra.from_upper(p, n, upper, alpha_v, names)
+    B_V = BilinearForm((v_rows @ B_L.gram @ v_rows.T) % p, p)
+
+    s_imgs = np.zeros((n, n), dtype=np.int64)
+    p_basis = gfp.zeros(n)
+    for j in range(n):
+        a, v, b = coords(eval_p(P_L, v_rows[j]))
+        if a != 0:
+            raise NotPIdeal("a p-image of V leaves the coisotropic flag")
+        s_imgs[j] = v
+        p_basis[j] = b
+    a, u0, m = coords(eval_p(P_L, e))
+    if a != 0:
+        raise NotPIdeal("the p-image of e leaves the coisotropic flag")
+    xi, a0, l = coords(eval_p(P_L, e_star))
+
+    d = DoubleExtensionData(Derivation(d_mat, p, k=1), x0, lam, lam0)
+    pe = PExtensionData(xi, a0, m, l, u0, p_basis, p)
+    return ReduceResult(
+        V=V, B_V=B_V, d=d, P_V=PStructure(V, s_imgs), pe=pe,
+        beta=beta, e_star=e_star, v_basis=v_rows, e=e,
+    )

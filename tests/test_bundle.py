@@ -69,6 +69,24 @@ def test_parse_rejects_malformed(heis, mutate, msg):
         bundle.parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("p,prime", [(2147483647, True), (2147483649, False)])
+def test_parse_tests_primality_up_to_the_square_root(heis, p, prime):
+    # 2^31 - 1 is prime and 2^31 + 1 = 3 * 715827883; trial division up to
+    # p itself needs minutes for the prime
+    import json
+    import time
+
+    doc = json.loads(bundle.emit(heis_bundle(heis)))
+    doc["p"] = p
+    start = time.perf_counter()
+    if prime:
+        assert bundle.parse(json.dumps(doc)).p == p
+    else:
+        with pytest.raises(ParseError, match="p must be prime"):
+            bundle.parse(json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_parse_rejects_invalid_json():
     with pytest.raises(ParseError):
         bundle.parse("{not json")

@@ -29,13 +29,21 @@ from homext.doubleext import (
     reduce,
     split_frame,
 )
-from homext.errors import DegenerateFrame, NotCentral, NotPIdeal, PreconditionFailed
+from homext.errors import (
+    DegenerateFrame,
+    FrameMismatch,
+    HomextError,
+    NotCentral,
+    NotPIdeal,
+    PreconditionFailed,
+)
 from homext.isom import verify_restricted_iso
 from homext.restricted import (
     PStructure,
     compute_eta_batch,
     compute_s_batch,
     eval_p,
+    eval_p_batch,
     is_restricted_derivation,
     verify_pstructure,
 )
@@ -356,6 +364,80 @@ def test_split_frame_matches_reduce(heis, heis_ext):
     assert np.array_equal(f.D.mat, heis.D.mat)
     assert f.lam == 1 and f.beta == 0
     assert f.pe is not None and f.pe.xi == 1
+
+
+def transported(L, B_L, P_L, pi):
+    """(L, B_L, P_L) carried across the invertible pi: brackets, twist, form
+    and p-images (as test_isom.transported_pstructure carries images)."""
+    p = L.p
+    u = gfp.mat_inv(pi, p).T  # row a is pi^-1(e_a)
+    Lt = HomLieAlgebra(p, (L.bracket_batch(u[:, None], u[None]) @ pi.T) % p, (pi @ L.alpha @ u.T) % p)
+    return Lt, BilinearForm(u @ B_L.gram @ u.T, p), PStructure(Lt, (eval_p_batch(P_L, u) @ pi.T) % p)
+
+
+def reduce_outcome(fn, L, B_L, P_L, e):
+    """Every ReduceResult field, or the exception class and message."""
+    try:
+        r = fn(L, B_L, P_L, e)
+    except HomextError as exc:
+        return type(exc), str(exc)
+    return (
+        r.V.c, r.V.alpha, r.V.basis_names, r.B_V.gram, r.d.D.mat, r.d.D.k, r.d.x0,
+        r.d.lam, r.d.lam0, r.P_V.images, r.pe.xi, r.pe.a0, r.pe.m, r.pe.l, r.pe.u0,
+        r.pe.P_basis, r.beta, r.e_star, r.v_basis, r.e,
+    )
+
+
+def test_reduce_matches_loop_oracle(heis_ext, psl3, psl3_pipelines, sl2_ext):
+    exts = {"heis": heis_ext, "sl2": sl2_ext}
+    exts.update({f"psl3-{k}": (d["L"], d["B_L"], d["P_L"]) for k, d in psl3_pipelines.items()})
+    for name in ("D2", "D3"):  # psl3_pipelines has D2, D3 over the twisted algebra only
+        ext = DoubleExtensionData(psl3.derivations[name], gfp.zeros(7), 1, 0)
+        pe = PExtensionData(psl3.table[name]["xi"], psl3.table[name]["a0"], 0, 0,
+                            gfp.zeros(7), gfp.zeros(7), 3)
+        L, B_L = double_extend(psl3.g, psl3.B, ext)
+        exts[f"psl3-untwisted-{name}"] = (L, B_L, extend_pstructure(L, psl3.g, psl3.B, psl3.P, ext, pe))
+    rng = SplitMix64(8101)
+    outcomes = set()
+    for name, (L, B_L, P_L) in exts.items():
+        p, N = L.p, L.n
+        frames = [(L, B_L, P_L)]
+        while len(frames) < 4:
+            pi = rng.mat(N, N, p)
+            if gfp.mat_inv(pi, p) is not None:
+                frames.append(transported(L, B_L, P_L, pi))
+        for Lt, Bt, Pt in frames:
+            seeds = [(k * b) % p for b in center(Lt).basis for k in range(1, p)]
+            for e in seeds + [rng.vec(N, p) for _ in range(2)]:
+                got = reduce_outcome(reduce, Lt, Bt, Pt, e)
+                want = reduce_outcome(oracles.reduce_loop, Lt, Bt, Pt, e)
+                assert len(got) == len(want), (name, e, got, want)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w), (name, e, g, w)
+                outcomes.add(got[0] if len(got) == 2 else "ok")
+    assert {"ok", NotCentral, NotPIdeal} <= outcomes
+
+
+def test_reduce_reports_twist_mismatch_with_split_frame_message(heis_ext):
+    # alpha(e*) loses its e*-part while alpha(e) = e; oracles.reduce_loop
+    # words this "twist action on e* is inconsistent with its action on e"
+    L, B_L, P_L = heis_ext
+    alpha = L.alpha.copy()
+    alpha[0, 0] = 0
+    L0 = HomLieAlgebra(L.p, L.c, alpha, L.basis_names)
+    with pytest.raises(FrameMismatch, match="^twist eigenvalues on e and e\\* disagree$"):
+        reduce(L0, B_L, PStructure(L0, P_L.images), gfp.unit(8, 7))
+
+
+def test_reduce_rejects_form_not_symmetric_on_the_frame(heis_ext):
+    # B(e*, v) != B(v, e*) = 0: the frame's form block is not orthogonal, so
+    # split_frame rejects what oracles.reduce_loop reduces anyway
+    L, B_L, P_L = heis_ext
+    gram = B_L.gram.copy()
+    gram[0, 1] = 1
+    assert oracles.reduce_loop(L, BilinearForm(gram, 2), P_L, gfp.unit(8, 7)).V.n == 6
+    with pytest.raises(FrameMismatch, match="V block is not orthogonal to the frame lines"):
+        reduce(L, BilinearForm(gram, 2), P_L, gfp.unit(8, 7))
 
 
 # ---------- extension by an algebra ----------
