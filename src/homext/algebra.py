@@ -51,6 +51,31 @@ class HomLieAlgebra:
         k, a, b = np.nonzero(mask.transpose(2, 0, 1))
         self._triples, self._starts = (a, b, self.c[a, b, k]), np.searchsorted(k, np.arange(n))
         self._ad_rows = np.nonzero(self.c.any(axis=(1, 2)))[0]  # nonzero rows of c, for ad_batch
+        self.inert = self._inert_mask(a, b, k)
+        self.inert.setflags(write=False)
+
+    def _inert_mask(self, a, b, k) -> np.ndarray:
+        """inert[j]: c is alternating and alpha^t(e_j) has no component on a
+        nonzero row of c for t = 0..p-2, so ad(alpha^t e_j) = 0.
+
+        Such an e_j is the y of no nonzero s_i(x, y) or eta_i(x, y) (README,
+        "Inert coordinates").  By Cayley-Hamilton alpha^t with t >= n is a
+        combination of lower powers, so t stops at min(p-2, n-1).  The
+        alternation test runs on the nonzero triples (a, b, k).
+        """
+        p, c = self.p, self.c
+        coef = c[a, b, k]
+        nz = coef != 0
+        if (a[nz] == b[nz]).any() or (c[b[nz], a[nz], k[nz]] != (-coef[nz]) % p).any():
+            return np.zeros(self.n, dtype=bool)
+        rows = gfp.eye(self.n)[self._ad_rows]  # the rows of alpha^t on the nonzero rows of c
+        live = ~rows.any(axis=0)
+        for _ in range(min(p - 2, self.n - 1)):
+            if not live.any():
+                break
+            rows = gfp.mod(rows @ self.alpha, p)
+            live &= ~rows.any(axis=0)
+        return live
 
     @classmethod
     def from_upper(cls, p: int, n: int, brackets: dict, alpha=None, basis_names=None):

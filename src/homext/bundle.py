@@ -10,7 +10,6 @@ emit is the identity on canonical files and emit is idempotent.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +160,8 @@ def parse(text: str) -> AlgebraBundle:
     try:
         _expect(doc.get("version") == FORMAT_VERSION, "unsupported format version")
         p = int(doc["p"])
-        _expect(p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1)), "p must be prime")
+        _expect(gfp.is_prime(p), "p must be prime")
+        _expect(p < 2**63, "p must be below 2^63")  # entries are int64
         dim = int(doc["dim"])
         _expect(dim >= 1, "dim must be positive")
         basis = list(doc["basis"])

@@ -181,7 +181,7 @@ def eval_P_batch(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe: PExtens
         cross = np.triu(m, 1)
         sq = (vs * vs) % p
         return (sq @ pe.P_basis + np.einsum("mi,ij,mj->m", vs, cross, vs)) % p
-    return fold(p, vs, pe.P_basis, lambda us, ws: compute_eta_batch(V, B_V, D, us, ws).sum(axis=1))
+    return fold(p, vs, pe.P_basis, lambda us, ws: compute_eta_batch(V, B_V, D, us, ws).sum(axis=1), V.inert)
 
 
 def check_P_conditions(

@@ -7,6 +7,8 @@ unreduced integer data.  Matrices act on column vectors.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimMismatch, ZeroInverse
@@ -39,6 +41,38 @@ def inv(a: int, p: int) -> int:
     if a == 0:
         raise ZeroInverse(f"0 has no inverse mod {p}")
     return pow(a, -1, p)
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin with the twelve prime bases up to 37.
+
+    No composite below 3.1 * 10^23 (so none below 2^64) is a strong
+    pseudoprime to all twelve, so the verdict is exact there; it costs
+    twelve modular exponentiations instead of sqrt(p) trial divisions.
+    """
+    p = int(p)
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def zeros(n: int) -> np.ndarray:
@@ -176,27 +210,42 @@ def mat_pow(m, k: int, p: int) -> np.ndarray:
     return out
 
 
+# (n, p) spaces whose all_vectors and line_map arrays stay cached.
+_DOMAIN_CACHE = 4
+
+
+@functools.lru_cache(maxsize=_DOMAIN_CACHE)
 def all_vectors(n: int, p: int) -> np.ndarray:
-    """All p**n vectors of GF(p)^n as rows; row index equals vec_index."""
+    """All p**n vectors of GF(p)^n as rows; row index equals vec_index.
+
+    Cached per (n, p) and read-only, so every exhaustive check of one
+    space shares one array.
+    """
     idx = np.arange(p**n, dtype=np.int64)
     pows = p ** np.arange(n, dtype=np.int64)
-    return (idx[:, None] // pows[None, :]) % p
+    out = (idx[:, None] // pows[None, :]) % p
+    out.setflags(write=False)
+    return out
 
 
+@functools.lru_cache(maxsize=_DOMAIN_CACHE)
 def line_map(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The lines of GF(p)^n over the all_vectors rows: (lam, rep).
 
     Row x = lam * x_rep, where lam is the highest nonzero coordinate of x
     and x_rep = x / lam has highest nonzero coordinate 1.  The zero row has
     lam = 1 and is its own rep, so the rows with lam == 1 are exactly the
-    line representatives (plus zero).
+    line representatives (plus zero).  Cached per (n, p) and read-only.
     """
     vecs = all_vectors(n, p)
     idx = np.arange(p**n, dtype=np.int64)
     top = np.searchsorted(p ** np.arange(n, dtype=np.int64), idx, side="right") - 1
     lam = np.where(idx > 0, idx // p ** np.maximum(top, 0), 1)
     invs = np.array([0] + [inv(a, p) for a in range(1, p)], dtype=np.int64)
-    return lam, vec_index(vecs * invs[lam][:, None], p)
+    rep = vec_index(vecs * invs[lam][:, None], p)
+    lam.setflags(write=False)
+    rep.setflags(write=False)
+    return lam, rep
 
 
 def vec_index(x, p: int) -> np.ndarray | int:

@@ -71,10 +71,11 @@ def _formal_tower(A: HomLieAlgebra, xs, ys, depth: int) -> np.ndarray:
     # alpha^t(x), its k-coefficient, bracket the coefficient rows in one call.
     zs = np.stack([ys, xs], axis=1)[:, :, None, :]  # [batch, 2, 1, n]
     for t in range(depth):
+        if t:
+            zs = gfp.mod(zs @ A.alpha.T, A.p)
         part = A.bracket_batch(zs, coeffs[:, None, :t + 1, :])
         coeffs[:, :t + 1, :] = part[:, 0]
         coeffs[:, 1:t + 2, :] += part[:, 1]  # below 2p; bracket_batch reduces its input
-        zs = gfp.mod(zs @ A.alpha.T, A.p)
     return gfp.mod(coeffs, A.p)
 
 
@@ -101,7 +102,7 @@ def compute_s(A: HomLieAlgebra, x, y) -> list[np.ndarray]:
     return list(compute_s_batch(A, gfp.asvec(x, A.p)[None, :], gfp.asvec(y, A.p)[None, :])[0])
 
 
-def fold(p: int, xs, images, cross) -> np.ndarray:
+def fold(p: int, xs, images, cross, inert) -> np.ndarray:
     """The ascending-index fold of a p-semilinear map f from its basis values.
 
     images[j] is f(e_j).  Each row x is written in the basis and folded in
@@ -109,7 +110,8 @@ def fold(p: int, xs, images, cross) -> np.ndarray:
     f(lam e_j) = lam^p images[j] = lam images[j].  cross(prefixes, parts)
     gets the folded prefixes and the lam e_j rows as batches; it must vanish
     when either argument is zero, so it is called only on rows where both are
-    nonzero.  Returns [batch] + images.shape[1:].
+    nonzero, and when inert[j] is true it must vanish on every lam e_j, so
+    coordinate j adds no cross term.  Returns [batch] + images.shape[1:].
     """
     xs = np.asarray(xs, dtype=np.int64) % p
     acc_vec = np.zeros_like(xs)
@@ -119,7 +121,7 @@ def fold(p: int, xs, images, cross) -> np.ndarray:
         lam = xs[:, j]
         acc = (acc + np.multiply.outer(lam, images[j])) % p  # lam^p = lam in GF(p)
         live = np.nonzero(started & (lam != 0))[0]
-        if live.size:
+        if live.size and not inert[j]:
             parts = np.zeros((live.size, xs.shape[1]), dtype=np.int64)
             parts[:, j] = lam[live]
             acc[live] = (acc[live] + cross(acc_vec[live], parts)) % p
@@ -137,7 +139,7 @@ def eval_p_batch(P: PStructure, xs) -> np.ndarray:
     order-independence is asserted by property tests, not assumed.
     """
     A = P.parent
-    return fold(A.p, xs, P.images, lambda us, vs: compute_s_batch(A, us, vs).sum(axis=1))
+    return fold(A.p, xs, P.images, lambda us, vs: compute_s_batch(A, us, vs).sum(axis=1), A.inert)
 
 
 def eval_p(P: PStructure, x) -> np.ndarray:
@@ -160,7 +162,8 @@ def eval_p_all(P: PStructure) -> np.ndarray:
     prefix serves every lam, weighted by lam^(p-i) mod p.  The weighted sum
     has p-1 terms below p^2 each, under 2^48 for p <= EXHAUSTIVE_LIMIT.  The
     table matches eval_p_batch bit for bit.  It is read-only.  Every check
-    in the exhaustive regime of `domain` reads it instead of re-folding.
+    in the exhaustive regime of `domain` reads it instead of re-folding.  An
+    inert e_j has s_i(prefix, e_j) = 0, so its block makes no compute_s call.
     """
     if P._all_images is None:
         A = P.parent
@@ -172,11 +175,11 @@ def eval_p_all(P: PStructure) -> np.ndarray:
                            dtype=np.int64)  # [lam, i] -> lam^(p-i) mod p
         for j in range(n):
             block = p**j
-            unit = np.broadcast_to(gfp.unit(n, j), (block, n))
-            s = compute_s_batch(A, vecs[:block], unit).transpose(1, 0, 2)  # [i, prefix, n]
-            part = (weights @ s.reshape(p - 1, -1)).reshape(p - 1, block, n)
-            part += lams[:, None, None] * P.images[j]  # lam^p = lam in GF(p)
-            part += table[None, :block]
+            part = lams[:, None, None] * P.images[j] + table[None, :block]  # lam^p = lam in GF(p)
+            if not A.inert[j]:
+                unit = np.broadcast_to(gfp.unit(n, j), (block, n))
+                s = compute_s_batch(A, vecs[:block], unit).transpose(1, 0, 2)  # [i, prefix, n]
+                part += (weights @ s.reshape(p - 1, -1)).reshape(p - 1, block, n)
             table[block:block * p] = gfp.mod(part, p).reshape(-1, n)
         table.setflags(write=False)
         P._all_images = table

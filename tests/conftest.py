@@ -1,7 +1,12 @@
+import random
+
+import numpy as np
 import pytest
 
 from homext import gfp
+from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
 from homext.doubleext import DoubleExtensionData, PExtensionData, double_extend, extend_pstructure
+from homext.restricted import PStructure
 from homext.twist import (
     build_heisenberg_dual,
     build_psl3,
@@ -71,3 +76,51 @@ def sl2_ext(sl2):
     L, B_L = double_extend(sl2.g, sl2.B, sl2.ext)
     P_L = extend_pstructure(L, sl2.g, sl2.B, sl2.P, sl2.ext, sl2.pext)
     return L, B_L, P_L
+
+
+def _hyperbolic_sum(V, B, P, D, k, d_block, pe_args):
+    """V + GF(p)^{2k}: an abelian block with alpha = id, zero p-map and the
+    form [[0, I], [I, 0]], derivation D + d_block, and its double extension
+    with x0 = 0, lambda = 1, lambda0 = 0 and PExtensionData(*pe_args)."""
+    p, n = V.p, V.n
+    N = n + 2 * k
+    c = np.zeros((N, N, N), dtype=np.int64)
+    c[:n, :n, :n] = V.c
+    alpha = gfp.eye(N)
+    gram, images, dm = (np.zeros((N, N), dtype=np.int64) for _ in range(3))
+    alpha[:n, :n] = V.alpha
+    gram[:n, :n] = B.gram
+    gram[n:n + k, n + k:] = gram[n + k:, n:n + k] = gfp.eye(k)
+    images[:n, :n] = P.images
+    dm[:n, :n], dm[n:, n:] = D.mat, d_block
+    W = HomLieAlgebra(p, c, alpha)
+    B_W, P_W, D_W = BilinearForm(gram, p), PStructure(W, images), Derivation(dm, p)
+    ext = DoubleExtensionData(D_W, gfp.zeros(N), 1, 0)
+    pe = PExtensionData(*pe_args, p=p)
+    L, B_L = double_extend(W, B_W, ext)
+    P_L = extend_pstructure(L, W, B_W, P_W, ext, pe)
+    return dict(V=W, B=B_W, P=P_W, D=D_W, ext=ext, pe=pe, L=L, B_L=B_L, P_L=P_L)
+
+
+@pytest.fixture(scope="session")
+def sampled_p5(sl2):
+    """The benchmark's sampled-p5 input at seed 0: sl2-gf5 + GF(5)^8 with
+    D = ad(H) + [[0, S], [0, 0]], S a seeded skew 4x4 matrix."""
+    k, p, rnd = 4, 5, random.Random(0)
+    s = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(i + 1, k):
+            s[i, j] = rnd.randrange(p)
+            s[j, i] = (-s[i, j]) % p
+    block = np.zeros((2 * k, 2 * k), dtype=np.int64)
+    block[:k, k:] = s
+    zero = gfp.zeros(3 + 2 * k)
+    return _hyperbolic_sum(sl2.g, sl2.B, sl2.P, sl2.D, k, block, (0, gfp.unit(3 + 2 * k, 1), 0, 0, zero, zero))
+
+
+@pytest.fixture(scope="session")
+def wide_char2(heis):
+    """The benchmark's wide-char2 input: heisenberg-dual + GF(2)^32 with D = fixture D + id."""
+    k, n = 16, 6 + 32
+    z = gfp.unit(n, 2)
+    return _hyperbolic_sum(heis.V, heis.B, heis.P, heis.D, k, gfp.eye(2 * k), (1, z, 0, 0, z, gfp.zeros(n)))

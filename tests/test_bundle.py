@@ -53,6 +53,7 @@ def test_psl3_bundle_roundtrip(psl3):
     [
         (lambda d: d.update(version="0"), "version"),
         (lambda d: d.update(p=4), "prime"),
+        (lambda d: d.update(p=2**64 + 13), r"below 2\^63"),  # a prime
         (lambda d: d["brackets"].append({"i": 1, "j": 0, "k": 2, "coeff": 1}), "i < j"),
         (lambda d: d["brackets"].append({"i": 0, "j": 1, "k": 2, "coeff": 5}), "coefficient"),
         (lambda d: d["brackets"].append(dict(d["brackets"][0])), "duplicate"),
@@ -69,10 +70,13 @@ def test_parse_rejects_malformed(heis, mutate, msg):
         bundle.parse(json.dumps(doc))
 
 
-@pytest.mark.parametrize("p,prime", [(2147483647, True), (2147483649, False)])
+@pytest.mark.parametrize("p,prime", [(2147483647, True), (2147483649, False), (561, False), (41041, False),
+                                     (3215031751, False), (10**16 + 61, True)])
 def test_parse_tests_primality_up_to_the_square_root(heis, p, prime):
     # 2^31 - 1 is prime and 2^31 + 1 = 3 * 715827883; trial division up to
-    # p itself needs minutes for the prime
+    # p itself needs minutes for the prime, and up to sqrt(p) about 9 s for
+    # 10^16 + 61.  561, 41041 and 3215031751 are Carmichael numbers, which
+    # pass the Fermat test to every coprime base.
     import json
     import time
 
@@ -85,6 +89,15 @@ def test_parse_tests_primality_up_to_the_square_root(heis, p, prime):
         with pytest.raises(ParseError, match="p must be prime"):
             bundle.parse(json.dumps(doc))
     assert time.perf_counter() - start < 1.0
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    import math
+
+    def trial(p):
+        return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+    assert [gfp.is_prime(p) for p in range(-2, 10**5)] == [trial(p) for p in range(-2, 10**5)]
 
 
 def test_parse_rejects_invalid_json():

@@ -121,6 +121,17 @@ def test_all_vectors_indexing_roundtrip():
     assert np.array_equal(gfp.vec_index(xs, 3), np.arange(27))
 
 
+def test_domain_arrays_are_shared_and_read_only():
+    for f in (gfp.all_vectors, gfp.line_map):
+        a, b = f(4, 3), f(4, 3)
+        assert a is b
+        for arr in (a if isinstance(a, tuple) else (a,)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert f.cache_info().maxsize <= 8
+
+
 def test_polyvec_trim_and_eval():
     pv = oracles.PolyVec([[1, 0], [0, 2], [0, 0]], 3)
     assert pv.degree == 1

@@ -2,8 +2,9 @@ import numpy as np
 import oracles
 import pytest
 
-from homext import gfp
-from homext.algebra import Derivation, HomLieAlgebra
+from homext import gfp, restricted
+from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
+from homext.doubleext import PExtensionData, eval_P_batch
 from homext.errors import OddCharRequired
 from homext.restricted import (
     PStructure,
@@ -18,6 +19,7 @@ from homext.restricted import (
     eval_p,
     eval_p_all,
     eval_p_batch,
+    fold,
     is_restricted_derivation,
     r1_defect_batch,
     restricted_defect_batch,
@@ -504,3 +506,180 @@ def test_line_reduced_defect_falls_back_on_inhomogeneous_images(psl3):
     assert np.array_equal(domain_defect(P, "exhaustive", xs, imgs, r1), full)
     assert calls == [(3**7 - 1) // 2 + 1, 1]  # the representatives, then x alone
     assert full[x].any() and full[r].any()
+
+# Inert coordinates.  e_j is inert when c is alternating and alpha^t(e_j) has
+# no component on a nonzero row of c for t = 0..p-2.  Then s_i(x, lam e_j) and
+# eta_i(x, lam e_j) vanish, so `fold` and `eval_p_all` skip them; every result
+# must equal the fold with an all-false mask bit for bit.
+
+
+def _inert_oracle(A):
+    """inert from the definition, with every alpha power up to p-2."""
+    c, p = A.c, A.p
+    alternating = not np.einsum("iik->ik", c).any() and np.array_equal(c, (-c.transpose(1, 0, 2)) % p)
+    rows = c.any(axis=(1, 2))
+    return np.array([alternating and not any(A.alpha_pow(t)[rows, j].any() for t in range(p - 1))
+                     for j in range(A.n)], dtype=bool)
+
+
+def _central_block_algebra(p, m, r, twisted, rng):
+    """Random alternating brackets among e_0..e_{m-1}, with values anywhere,
+    and r central e_m..e_{m+r-1}.  A random twist keeps a random subset of
+    the central columns inside the central block."""
+    n = m + r
+    c = np.zeros((n, n, n), dtype=np.int64)
+    c[:m, :m] = rng.integers(0, p, size=(m, m, n))
+    c = (c - c.transpose(1, 0, 2)) % p
+    alpha = gfp.eye(n)
+    if twisted:
+        alpha = rng.integers(0, p, size=(n, n))
+        alpha[:m, m:][:, rng.random(r) < 0.5] = 0
+    return HomLieAlgebra(p, c, alpha)
+
+
+def _s_cross(A):
+    return lambda us, vs: compute_s_batch(A, us, vs).sum(axis=1)
+
+
+def _eta_cross(V, B, D):
+    return lambda us, vs: compute_eta_batch(V, B, D, us, vs).sum(axis=1)
+
+
+def _no_skips(A):
+    return np.zeros(A.n, dtype=bool)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_s_and_eta_vanish_on_inert_coordinates(p):
+    rng = np.random.default_rng(p)
+    hits = live = 0
+    for twisted in (False, True):
+        for m, r in ((2, 3), (3, 3)):  # n = 5 < p - 1 at p = 7 stops the alpha powers at n - 1
+            for _ in range(4):
+                A = _central_block_algebra(p, m, r, twisted, rng)
+                assert np.array_equal(A.inert, _inert_oracle(A))
+                B = BilinearForm(rng.integers(0, p, size=(A.n, A.n)), p)
+                D = Derivation(rng.integers(0, p, size=(A.n, A.n)), p)
+                xs = rng.integers(0, p, size=(40, A.n))
+                lam = rng.integers(1, p, size=40)
+                for j in range(A.n):
+                    ys = np.multiply.outer(lam, gfp.unit(A.n, j))
+                    s = compute_s_batch(A, xs, ys)
+                    eta = compute_eta_batch(A, B, D, xs, ys) if p > 2 else np.zeros(1)
+                    if A.inert[j]:
+                        hits += 1
+                        assert not s.any() and not eta.any()
+                    else:
+                        live += bool(s.any() or eta.any())
+    assert hits > 0 and live > 0
+
+
+def test_inert_mask_matches_its_definition(request):
+    algebras = {name: P.parent for name, P in _inert_cases(request).items()}
+    for name, A in algebras.items():
+        assert np.array_equal(A.inert, _inert_oracle(A)), name
+        assert not A.inert.flags.writeable, name
+    counts = {name: int(A.inert.sum()) for name, A in algebras.items()}
+    assert counts["sampled_p5 V"] == 8 and counts["sampled_p5 L"] == 5
+    assert counts["wide_char2 V"] == 35 and counts["wide_char2 L"] == 2
+    assert counts["psl3"] == 0 and counts["psl3 D3 L"] == 1
+    assert np.nonzero(algebras["heis V"].inert)[0].tolist() == [2, 3, 4]
+
+
+def test_central_e_j_with_noncentral_twist_image_is_not_inert():
+    # [e0, e1] = e2 with e2 and e3 central; alpha(e3) = e0 + e3 is not central
+    for p in (2, 3, 5):
+        alpha = gfp.eye(4)
+        alpha[0, 3] = 1
+        A = HomLieAlgebra.from_upper(p, 4, {(0, 1): gfp.unit(4, 2)}, alpha)
+        want = [False, False, True, p == 2]  # at p = 2 only alpha^0 counts
+        assert A.inert.tolist() == want, p
+
+
+def test_non_alternating_tensor_has_no_inert_coordinate():
+    """[e0, e0] = e1: rows 1 and 2 of c are zero, but eta(e0, e2) != 0 because
+    [u, u] != 0, so skipping e2 would change P."""
+    p = 3
+    c = np.zeros((3, 3, 3), dtype=np.int64)
+    c[0, 0, 1] = 1
+    V = HomLieAlgebra(p, c, gfp.eye(3))
+    assert not V.inert.any()
+    B = BilinearForm(gfp.eye(3), p)
+    D = Derivation(np.outer(gfp.unit(3, 1), gfp.unit(3, 2)), p)  # D(e2) = e1
+    assert compute_eta_batch(V, B, D, gfp.unit(3, 0)[None], gfp.unit(3, 2)[None]).any()
+    pe = PExtensionData(0, gfp.zeros(3), 0, 0, gfp.zeros(3), [1, 2, 0], p)
+    vs = gfp.all_vectors(3, p)
+    want = fold(p, vs, pe.P_basis, _eta_cross(V, B, D), _no_skips(V))
+    assert np.array_equal(eval_P_batch(V, B, D, pe, vs), want)
+    skipped = fold(p, vs, pe.P_basis, _eta_cross(V, B, D), np.array([False, True, True]))
+    assert not np.array_equal(skipped, want)  # what a mask without the alternation test would give
+
+
+def _inert_cases(request):
+    """_exhaustive_cases plus the generated sampled-p5 and wide-char2 p-structures."""
+    out = _exhaustive_cases(request)
+    for name in ("sampled_p5", "wide_char2"):
+        gen = request.getfixturevalue(name)
+        out[f"{name} V"], out[f"{name} L"] = gen["P"], gen["P_L"]
+        out[f"{name} L corrupted"] = _corrupt(gen["P_L"], gen["L"].n - 1, 0)
+    return out
+
+
+def test_p_maps_equal_the_fold_without_skips(request):
+    rng = np.random.default_rng(9)
+    for name, P in _inert_cases(request).items():
+        A = P.parent
+        p, n = A.p, A.n
+        exhaustive = p**n <= 20000
+        xs = gfp.all_vectors(n, p) if exhaustive else rng.integers(0, p, size=(400, n))
+        want = fold(p, xs, P.images, _s_cross(A), _no_skips(A))
+        assert np.array_equal(eval_p_batch(P, xs), want), name
+        if exhaustive:
+            assert np.array_equal(eval_p_all(PStructure(A, P.images)), want), name
+
+
+def _P_cases(request):
+    sl2, pipes, gen = (request.getfixturevalue(f) for f in ("sl2", "psl3_pipelines", "sampled_p5"))
+    out = {"sl2": (sl2.g, sl2.B, sl2.D, sl2.pext), "sampled_p5": (gen["V"], gen["B"], gen["D"], gen["pe"])}
+    for name, pipe in pipes.items():
+        out[f"psl3 {name}"] = (pipe["V"], pipe["B"], pipe["D"], pipe["pe"])
+    for name, (V, B, D, pe) in list(out.items()):
+        bad = PExtensionData(pe.xi, pe.a0, pe.m, pe.l, pe.u0, gfp.unit(V.n, V.n - 1), V.p)
+        out[f"{name} corrupted"] = (V, B, D, bad)
+    return out
+
+
+def test_P_equals_the_fold_without_skips(request):
+    rng = np.random.default_rng(10)
+    for name, (V, B, D, pe) in _P_cases(request).items():
+        p, n = V.p, V.n
+        vs = gfp.all_vectors(n, p) if p**n <= 20000 else rng.integers(0, p, size=(400, n))
+        want = fold(p, vs, pe.P_basis, _eta_cross(V, B, D), _no_skips(V))
+        assert np.array_equal(eval_P_batch(V, B, D, pe, vs), want), name
+
+
+def test_folds_skip_exactly_the_inert_coordinates(heis, sampled_p5, monkeypatch):
+    """cross runs at every non-inert coordinate with live rows and at no inert
+    one; eval_p_all makes one compute_s call per non-inert block."""
+    for P in (heis.P, sampled_p5["P_L"]):
+        A = P.parent
+        seen = set()
+
+        def cross(us, vs):
+            seen.update(np.nonzero(vs.any(axis=0))[0].tolist())
+            return _s_cross(A)(us, vs)
+
+        xs = np.random.default_rng(3).integers(0, A.p, size=(200, A.n))
+        fold(A.p, xs, P.images, cross, A.inert)
+        assert seen == set(np.nonzero(~A.inert)[0].tolist()) - {0}
+
+    P = heis.P
+    blocks = []
+
+    def counted(A, xs, ys):
+        blocks.append(int(np.argmax(ys[0])))
+        return compute_s_batch(A, xs, ys)
+
+    monkeypatch.setattr(restricted, "compute_s_batch", counted)
+    eval_p_all(PStructure(P.parent, P.images))
+    assert blocks == np.nonzero(~P.parent.inert)[0].tolist()
