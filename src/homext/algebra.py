@@ -50,6 +50,16 @@ class HomLieAlgebra:
         mask[0, 0] |= ~mask.any(axis=(0, 1))
         k, a, b = np.nonzero(mask.transpose(2, 0, 1))
         self._triples, self._starts = (a, b, self.c[a, b, k]), np.searchsorted(k, np.arange(n))
+        # A k group sums up to n^2 products below p^2.  When that could pass
+        # 2^63, each group is summed in runs of at most `room` products, and
+        # the reduced run sums (each below p) are added per k afterwards.
+        ends = np.append(self._starts[1:], k.size)
+        room = (2**63 - 1) // max(1, (self.p - 1) ** 2)
+        self._runs = None
+        if (ends - self._starts).max() > room:
+            runs = [np.arange(lo, hi, room) for lo, hi in zip(self._starts, ends)]
+            self._runs = np.cumsum([0] + [r.size for r in runs[:-1]])  # first run of each k
+            self._starts = np.concatenate(runs)
         self._ad_rows = np.nonzero(self.c.any(axis=(1, 2)))[0]  # nonzero rows of c, for ad_batch
         self.inert = self._inert_mask(a, b, k)
         self.inert.setflags(write=False)
@@ -106,7 +116,8 @@ class HomLieAlgebra:
         [m, d, n]), summed over the nonzero structure constants only.
 
         c[a, b, k]*x_a is reduced mod p before it is multiplied by y_b, so a
-        k group sums at most n^2 terms below p^2.  Leading rows run in
+        k group sums at most n^2 terms below p^2, in runs that keep every
+        int64 sum below 2^63 when p is large.  Leading rows run in
         chunks of at most _CHUNK_ELEMENTS products, which bounds memory.
         """
         p = self.p
@@ -124,7 +135,10 @@ class HomLieAlgebra:
             yc = ys[lo:lo + step] if ys.shape[0] > 1 else ys
             xc = gfp.mod(np.take(gfp.mod(xc, p), a, axis=-1) * coef, p)
             prod = np.multiply(xc, np.take(gfp.mod(yc, p), b, axis=-1), order="C")
-            out[lo:lo + step] = gfp.mod(np.add.reduceat(prod, self._starts, axis=-1), p)
+            part = gfp.mod(np.add.reduceat(prod, self._starts, axis=-1), p)
+            if self._runs is not None:
+                part = gfp.mod(np.add.reduceat(part, self._runs, axis=-1), p)
+            out[lo:lo + step] = part
         return out.reshape(shape)
 
     def ad(self, x) -> np.ndarray:
@@ -161,14 +175,19 @@ class BilinearForm:
         self.gram = gfp.asmat(gram, p)
 
     def eval(self, x, y) -> int:
-        x = gfp.asvec(x, self.p)
-        y = gfp.asvec(y, self.p)
-        return int(x @ self.gram @ y % self.p)
+        """eval_batch on one pair."""
+        return int(self.eval_batch(gfp.asvec(x, self.p)[None, :], gfp.asvec(y, self.p)[None, :])[0])
 
     def eval_batch(self, xs, ys) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64) % self.p
-        ys = np.asarray(ys, dtype=np.int64) % self.p
-        return np.einsum("mi,ij,mj->m", xs, self.gram, ys) % self.p
+        """B(x, y) per row.  x @ gram is reduced before it meets y, so no sum
+        exceeds n*(p-1)^2; when that reaches 2^63 (past what bundle.parse
+        accepts) the sums run on Python integers instead of int64."""
+        p = self.p
+        exact = object if self.gram.shape[0] * (p - 1) ** 2 >= 2**63 else np.int64
+        xs = (np.asarray(xs, dtype=np.int64) % p).astype(exact)
+        ys = (np.asarray(ys, dtype=np.int64) % p).astype(exact)
+        left = (xs @ self.gram.astype(exact)) % p
+        return ((left * ys).sum(axis=-1) % p).astype(np.int64)
 
     def is_symmetric(self) -> bool:
         return np.array_equal(self.gram, self.gram.T % self.p)

@@ -22,6 +22,7 @@ from .restricted import PStructure
 from .twist import TwistData
 
 FORMAT_VERSION = "1"
+MAX_DIM = 256  # the dense structure tensor has dim^3 entries
 
 
 @dataclass
@@ -164,6 +165,9 @@ def parse(text: str) -> AlgebraBundle:
         _expect(p < 2**63, "p must be below 2^63")  # entries are int64
         dim = int(doc["dim"])
         _expect(dim >= 1, "dim must be positive")
+        _expect(dim <= MAX_DIM, f"dim must be at most {MAX_DIM}")
+        # int64 sums of dim products below p^2, as in a matrix-vector product
+        _expect(dim * (p - 1) ** 2 < 2**63, "dim * (p-1)^2 must be below 2^63")
         basis = list(doc["basis"])
         _expect(len(basis) == dim, "basis names must match dim")
         brackets = []

@@ -19,6 +19,7 @@ from . import bundle as bundle_mod
 from . import gfp
 from .algebra import d_invariant, verify_derivation, verify_hom_lie, verify_quadratic
 from .doubleext import (
+    EXTENSION_SAMPLES,
     check_extension_data,
     check_p_extension_data,
     double_extend,
@@ -188,7 +189,7 @@ def cmd_p_extend(args) -> int:
         raise ParseError("p-extend needs form and pmap")
     name, d, pe = _load_extension(b, args.derivation)
     L, B_L = double_extend(A, form, d)
-    P_L = extend_pstructure(L, A, form, P, d, pe, seed=_seed(args))
+    P_L = extend_pstructure(L, A, form, P, d, pe, samples=args.samples, seed=_seed(args))
     _write_bundle(bundle_mod.from_parts(L, B_L, P_L), args.out)
     return 0
 
@@ -281,9 +282,9 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES,
-                        help=f"sampled vectors per check, at least 1 (default {DEFAULT_SAMPLES})")
+    def add_common(sp, samples=DEFAULT_SAMPLES):
+        sp.add_argument("--samples", type=_positive_int, default=samples,
+                        help=f"sampled vectors per check, at least 1 (default {samples})")
         sp.add_argument("--seed", type=lambda s: int(s, 0), default=None)
 
     sp = sub.add_parser("fixture", help="emit a built-in example bundle")
@@ -307,7 +308,7 @@ def main(argv=None) -> int:
     sp.add_argument("file")
     sp.add_argument("--derivation")
     sp.add_argument("--out")
-    add_common(sp)
+    add_common(sp, samples=EXTENSION_SAMPLES)
     sp.set_defaults(func=cmd_p_extend)
 
     sp = sub.add_parser("reduce", help="recover the construction data from an extension")

@@ -48,6 +48,8 @@ from .restricted import (
 )
 from .rng import DEFAULT_SEED, SplitMix64, check_samples
 
+EXTENSION_SAMPLES = 100  # sampled vectors of the extension hypotheses
+
 
 @dataclass
 class DoubleExtensionData:
@@ -222,7 +224,7 @@ def check_p_extension_data(
     P_V: PStructure,
     d: DoubleExtensionData,
     pe: PExtensionData,
-    samples: int = 100,
+    samples: int = EXTENSION_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> Report:
     """Hypotheses of the p-structure extension theorem (both characteristics)."""
@@ -258,7 +260,7 @@ def extend_pstructure(
     d: DoubleExtensionData,
     pe: PExtensionData,
     check: bool = True,
-    samples: int = 100,
+    samples: int = EXTENSION_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> PStructure:
     """Extend the p-structure of V across the double extension L.

@@ -8,6 +8,7 @@ unreduced integer data.  Matrices act on column vectors.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -210,8 +211,14 @@ def mat_pow(m, k: int, p: int) -> np.ndarray:
     return out
 
 
-# (n, p) spaces whose all_vectors and line_map arrays stay cached.
+# Spaces whose all_vectors, line_map and low_weight arrays stay cached.
 _DOMAIN_CACHE = 4
+
+
+def vectors(idx, n: int, p: int) -> np.ndarray:
+    """The rows of GF(p)^n at the given vec_index values."""
+    pows = p ** np.arange(n, dtype=np.int64)
+    return (np.asarray(idx, dtype=np.int64)[:, None] // pows[None, :]) % p
 
 
 @functools.lru_cache(maxsize=_DOMAIN_CACHE)
@@ -221,9 +228,25 @@ def all_vectors(n: int, p: int) -> np.ndarray:
     Cached per (n, p) and read-only, so every exhaustive check of one
     space shares one array.
     """
-    idx = np.arange(p**n, dtype=np.int64)
+    out = vectors(np.arange(p**n, dtype=np.int64), n, p)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=_DOMAIN_CACHE)
+def low_weight(n: int, p: int, d: int) -> np.ndarray:
+    """The rows of all_vectors(n, p) with at most d nonzero coordinates, in
+    all_vectors order: sum over k <= d of C(n, k) (p-1)^k rows.
+
+    Built from the supports, without enumerating GF(p)^n.  Cached per
+    (n, p, d) and read-only.
+    """
     pows = p ** np.arange(n, dtype=np.int64)
-    out = (idx[:, None] // pows[None, :]) % p
+    idx = [np.zeros(1, dtype=np.int64)]
+    for k in range(1, min(d, n) + 1):
+        values = np.array(list(itertools.product(range(1, p), repeat=k)), dtype=np.int64)
+        idx += [values @ pows[list(support)] for support in itertools.combinations(range(n), k)]
+    out = vectors(np.sort(np.concatenate(idx)), n, p)
     out.setflags(write=False)
     return out
 

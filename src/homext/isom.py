@@ -20,7 +20,7 @@ from .algebra import BilinearForm, HomLieAlgebra, bracket_sides
 from .doubleext import ExtFrame, split_frame
 from .errors import BadLevel, DimMismatch, NonInvertiblePi0, OddCharRequired, ZeroGamma
 from .report import Report, rows
-from .restricted import PStructure, domain, p_map
+from .restricted import PStructure, domain, p_map, tally_domain
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
 
 
@@ -230,8 +230,9 @@ def verify_restricted_iso(
     """Two independent restrictedness verdicts that must agree.
 
     direct: pi(x^[p]) = pi(x)^[p] over the `domain` of P_L (every vector
-    when the space is small enough, sampled otherwise); meta["regimes"]
-    names the regime it ran.  theorem: the equation list tying both
+    when the space is small enough, decided by `tally_domain` on the points
+    of weight <= p, sampled otherwise); meta["regimes"] names the regime it
+    ran.  theorem: the equation list tying both
     p-structure extensions through (pi0, gamma, t, nu).  When the two
     p-structures are one p-map (as for an automorphism), the exhaustive
     regime builds a single eval_p_all table, and both routes read it.
@@ -246,9 +247,16 @@ def verify_restricted_iso(
     xs, pmap, regime = domain(P_L, exhaustive, samples, rng)
     t_pmap = pmap if _same_pmap(P_L, P_Lt) else p_map(P_Lt, regime == "exhaustive")
     rep = Report(p=p, dim=N, seed=seed, samples=samples, regimes={"direct": regime})
-    lhs = (pmap(xs) @ pi.T) % p
-    rhs = t_pmap((xs @ pi.T) % p)
-    direct_ok = rep.tally("direct", ((lhs - rhs) % p).any(axis=1), lhs, rhs, witness=rows(xs)).ok
+
+    def direct_sides(vs, f, g):
+        return (f(vs) @ pi.T) % p, g((vs @ pi.T) % p)
+
+    def direct_full():
+        lhs, rhs = direct_sides(xs, pmap, t_pmap)
+        rep.tally("direct", ((lhs - rhs) % p).any(axis=1), lhs, rhs, witness=rows(xs))
+
+    direct_ok = tally_domain(rep, "direct", regime, P_L, [pmap, t_pmap],
+                             lambda vs, f, g: np.subtract(*direct_sides(vs, f, g)), direct_full).ok
 
     f = split_frame(L, B_L, P_L)
     ft = split_frame(L_tilde, B_Lt, P_Lt)

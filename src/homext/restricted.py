@@ -10,6 +10,7 @@ basis order.  Everything here is exact arithmetic over GF(p).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import gfp
 from .algebra import BilinearForm, Derivation, HomLieAlgebra
 from .errors import DimMismatch, OddCharRequired
-from .report import Report, rows
+from .report import CheckResult, Report, rows
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
 
 EXHAUSTIVE_LIMIT = 65536
@@ -201,7 +202,7 @@ def domain(P: PStructure, exhaustive: bool, samples: int, rng: SplitMix64):
     vector of GF(p)^n in gfp.all_vectors order, mapped through the
     eval_p_all table, and "exhaustive".  Otherwise it is `samples` rows
     drawn from rng, folded by eval_p_batch, and "sampled"; only this regime
-    advances rng.
+    advances rng.  Checks tally over it through `tally_domain`.
     """
     A = P.parent
     if exhaustive and A.p**A.n <= EXHAUSTIVE_LIMIT:
@@ -235,6 +236,33 @@ def domain_defect(P: PStructure, regime: str, xs, images, defect) -> np.ndarray:
     return out
 
 
+def tally_domain(rep: Report, name: str, regime: str, P: PStructure, pmaps, defect, full,
+                 pairs: bool = False) -> CheckResult:
+    """Tally check `name` over the `domain` of P, deciding an exhaustive one
+    on the points of weight <= p.
+
+    defect(zs, *pmaps) is the check's defect on rows zs of GF(p)^N, with
+    N = n, or 2n when pairs is true (a pair (x, y) is the row [x, y]);
+    pmaps are batch p-maps from `p_map`.  Since they are the fold, as its
+    eval_p_all table or as eval_p_batch, the defect of every check that
+    comes here is a polynomial of degree <= p in the N coordinates, and such
+    a polynomial that vanishes on every point with at most p nonzero
+    coordinates vanishes everywhere (README, "Certified exhaustive
+    checks").  So when regime is "exhaustive" and the defect vanishes on
+    gfp.low_weight(N, p, p), the check passes on all p^N points and is
+    tallied so without evaluating them.  Otherwise full() runs the check's
+    full-domain (or sampled) route, which gives its counts, witnesses and
+    values.
+    """
+    p = P.parent.p
+    size = P.parent.n * (2 if pairs else 1)
+    if regime == "exhaustive" and not defect(gfp.low_weight(size, p, p), *pmaps).any():
+        rep.check(name).passed += p**size
+    else:
+        full()
+    return rep.check(name)
+
+
 def _tower_batch(A: HomLieAlgebra, xs) -> np.ndarray:
     """Matrices of ad(alpha^{p-1}(x)) o ... o ad(x) in [batch, in, out] layout."""
     p = A.p
@@ -266,7 +294,10 @@ def verify_pstructure(
     with all k, and R3 over all pairs when p^(2n) fits the exhaustive limit
     and over sampled seeded pairs otherwise; exhaustive=False samples all
     three.  When R1 is exhaustive, every p-image R2 and R3 need is read
-    from the eval_p_all table, which equals the eval_p_batch fold bit for bit.
+    from the eval_p_all table, which equals the eval_p_batch fold bit for bit,
+    and each exhaustive check is decided by `tally_domain` on the points of
+    weight <= p; only a failing one walks its whole domain, for its counts
+    and witnesses.
     meta["regimes"] records the regime each of R1/R2/R3 actually ran, and
     meta["mode"] is "exhaustive" only when all three were.
     """
@@ -275,6 +306,7 @@ def verify_pstructure(
     p, n = A.p, A.n
     rng = SplitMix64(seed)
     xs, pmap, vec_regime = domain(P, exhaustive, samples, rng)
+    images = functools.cache(lambda: pmap(xs))
     count = p**n
     pairs = exhaustive and count * count <= EXHAUSTIVE_LIMIT  # then the vectors are exhaustive too
     pair_regime = "exhaustive" if pairs else "sampled"
@@ -285,27 +317,43 @@ def verify_pstructure(
     defect = r1_defect_batch(A, P, gfp.eye(n), P.images)
     rep.tally("r1_basis", defect.any(axis=(1, 2)), defect, 0)
 
-    imgs = pmap(xs)
-    defect = domain_defect(P, vec_regime, xs, imgs, lambda vs, im: r1_defect_batch(A, P, vs, im))
-    rep.tally("r1", defect.any(axis=(1, 2)), defect, 0, witness=rows(xs))
+    def r1(vs, imgs):
+        return r1_defect_batch(A, P, vs, imgs)
+
+    def r1_full():
+        defect = domain_defect(P, vec_regime, xs, images(), r1)
+        rep.tally("r1", defect.any(axis=(1, 2)), defect, 0, witness=rows(xs))
+
+    tally_domain(rep, "r1", vec_regime, P, [pmap], lambda vs, f: r1(vs, f(vs)), r1_full)
 
     # R2: (k x)^[p] = k^p x^[p] over every scalar k.
     for k in range(p):
-        scaled = pmap((k * xs) % p)
-        want = (pow(k, p, p) * imgs) % p
-        rep.tally("r2", ((scaled - want) % p).any(axis=1), scaled, want,
-                  witness=lambda i: (k,) + rows(xs)(i))
+        def r2_sides(vs, f, imgs):
+            return f((k * vs) % p), (pow(k, p, p) * imgs) % p
+
+        def r2_full():
+            scaled, want = r2_sides(xs, pmap, images())
+            rep.tally("r2", ((scaled - want) % p).any(axis=1), scaled, want,
+                      witness=lambda i: (k,) + rows(xs)(i))
+
+        tally_domain(rep, "r2", vec_regime, P, [pmap],
+                     lambda vs, f: np.subtract(*r2_sides(vs, f, f(vs))), r2_full)
+
+    def r3_sides(us, vs, f):
+        sums = f((us + vs) % p)
+        return sums, (f(us) + f(vs) + compute_s_batch(A, us, vs).sum(axis=1)) % p
+
+    def r3_full(xpairs, ypairs):
+        sums, want = r3_sides(xpairs, ypairs, pmap)
+        rep.tally("r3", ((sums - want) % p).any(axis=1), sums, want, witness=rows(xpairs, ypairs))
 
     if pairs:
-        left = np.repeat(np.arange(count), count)
-        right = np.tile(np.arange(count), count)
-        xpairs, ypairs = xs[left], xs[right]
+        idx = np.arange(count)
+        tally_domain(rep, "r3", "exhaustive", P, [pmap],
+                     lambda zs, f: np.subtract(*r3_sides(zs[:, :n], zs[:, n:], f)),
+                     lambda: r3_full(xs[np.repeat(idx, count)], xs[np.tile(idx, count)]), pairs=True)
     else:
-        xpairs = rng.mat(samples, n, p)
-        ypairs = rng.mat(samples, n, p)
-    sums = pmap((xpairs + ypairs) % p)
-    want = (pmap(xpairs) + pmap(ypairs) + compute_s_batch(A, xpairs, ypairs).sum(axis=1)) % p
-    rep.tally("r3", ((sums - want) % p).any(axis=1), sums, want, witness=rows(xpairs, ypairs))
+        r3_full(rng.mat(samples, n, p), rng.mat(samples, n, p))
     return rep
 
 
@@ -333,7 +381,8 @@ def is_restricted_derivation(
     seed: int = DEFAULT_SEED,
 ) -> bool:
     """Compatibility of D with the p-structure on the basis plus the `domain`
-    of P: every vector, or seeded samples past the exhaustive limit.
+    of P: every vector (decided on those of weight <= p by `tally_domain`),
+    or seeded samples past the exhaustive limit.
 
     The defining condition is not multilinear, so the basis does not
     suffice; sampled arbitrary vectors keep the check honest.
@@ -345,7 +394,13 @@ def is_restricted_derivation(
     def defect(vs, images):
         return restricted_defect_batch(A, P, D, vs, images)
 
-    return not (defect(basis, pmap(basis)).any() or domain_defect(P, regime, xs, pmap(xs), defect).any())
+    if defect(basis, pmap(basis)).any():
+        return False
+    rep = Report()
+    return tally_domain(
+        rep, "domain", regime, P, [pmap], lambda vs, f: defect(vs, f(vs)),
+        lambda: rep.tally("domain", domain_defect(P, regime, xs, pmap(xs), defect).any(axis=1)),
+    ).ok
 
 
 def check_p_property(A: HomLieAlgebra, D: Derivation, w: PPropertyWitness) -> bool:

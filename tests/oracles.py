@@ -6,6 +6,9 @@ compared against; s_tilde_direct deliberately runs the library's compute_s,
 eval_P_fold its compute_eta_batch, and phi_bracket_compat_loop its bracket.
 reduce_loop reads the frame off L one coordinate vector at a time, with its
 own flag checks, instead of rewriting L in the frame for split_frame.
+pstructure_rows, restricted_derivation_rows and iso_direct_rows evaluate
+the exhaustive checks on every row of their domain, with p-images folded by
+eval_p_batch, no line reduction and no decision on the points of weight <= p.
 """
 
 from __future__ import annotations
@@ -25,8 +28,19 @@ from homext.errors import (
     NotPIdeal,
     ParseError,
 )
-from homext.report import Report
-from homext.restricted import PStructure, compute_eta_batch, compute_s, eval_p, eval_p_batch
+from homext.report import Report, rows
+from homext.restricted import (
+    EXHAUSTIVE_LIMIT,
+    PStructure,
+    compute_eta_batch,
+    compute_s,
+    compute_s_batch,
+    eval_p,
+    eval_p_batch,
+    r1_defect_batch,
+    restricted_defect_batch,
+)
+from homext.rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64
 
 
 class PolyVec:
@@ -375,3 +389,62 @@ def reduce_loop(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> Redu
         V=V, B_V=B_V, d=d, P_V=PStructure(V, s_imgs), pe=pe,
         beta=beta, e_star=e_star, v_basis=v_rows, e=e,
     )
+
+
+def pstructure_rows(P: PStructure, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> Report:
+    """verify_pstructure's report with R1 and R2 on every vector of GF(p)^n,
+    and R3 on every pair when p^(2n) fits EXHAUSTIVE_LIMIT (else on the same
+    seeded samples); for p^n within the limit.  Every image is read from one
+    eval_p_batch fold of all of GF(p)^n."""
+    A = P.parent
+    p, n = A.p, A.n
+    count = p**n
+    assert count <= EXHAUSTIVE_LIMIT
+    pairs = count * count <= EXHAUSTIVE_LIMIT
+    mode = "exhaustive" if pairs else "sampled"
+    rep = Report(p=p, dim=n, seed=seed, samples=samples,
+                 regimes={"r1": "exhaustive", "r2": "exhaustive", "r3": mode}, mode=mode)
+    defect = r1_defect_batch(A, P, gfp.eye(n), P.images)
+    rep.tally("r1_basis", defect.any(axis=(1, 2)), defect, 0)
+    xs = gfp.all_vectors(n, p)
+    folded = eval_p_batch(P, xs)
+
+    def image(vs):
+        return folded[gfp.vec_index(vs, p)]
+
+    defect = r1_defect_batch(A, P, xs, folded)
+    rep.tally("r1", defect.any(axis=(1, 2)), defect, 0, witness=rows(xs))
+    for k in range(p):
+        scaled = image(k * xs)
+        want = (pow(k, p, p) * folded) % p
+        rep.tally("r2", (scaled != want).any(axis=1), scaled, want, witness=lambda i: (k,) + rows(xs)(i))
+    if pairs:
+        us, vs = xs[np.repeat(np.arange(count), count)], xs[np.tile(np.arange(count), count)]
+    else:
+        rng = SplitMix64(seed)
+        us, vs = rng.mat(samples, n, p), rng.mat(samples, n, p)
+    sums = image(us + vs)
+    want = (image(us) + image(vs) + compute_s_batch(A, us, vs).sum(axis=1)) % p
+    rep.tally("r3", (sums != want).any(axis=1), sums, want, witness=rows(us, vs))
+    return rep
+
+
+def restricted_derivation_rows(A: HomLieAlgebra, P: PStructure, D: Derivation) -> bool:
+    """is_restricted_derivation on every vector of GF(p)^n (within the limit)."""
+    assert A.p**A.n <= EXHAUSTIVE_LIMIT
+    xs = gfp.all_vectors(A.n, A.p)
+    return not restricted_defect_batch(A, P, D, xs, eval_p_batch(P, xs)).any()
+
+
+def iso_direct_rows(P_L: PStructure, P_Lt: PStructure, pi) -> Report:
+    """The direct check of verify_restricted_iso, pi(x^[p]) = pi(x)^[p], on
+    every vector of GF(p)^N (within the limit)."""
+    p, N = P_L.parent.p, P_L.parent.n
+    assert p**N <= EXHAUSTIVE_LIMIT
+    pi = gfp.asmat(pi, p)
+    xs = gfp.all_vectors(N, p)
+    lhs = (eval_p_batch(P_L, xs) @ pi.T) % p
+    rhs = eval_p_batch(P_Lt, (xs @ pi.T) % p)
+    rep = Report()
+    rep.tally("direct", (lhs != rhs).any(axis=1), lhs, rhs, witness=rows(xs))
+    return rep

@@ -308,6 +308,26 @@ def test_bracket_batch_large_prime():
     assert got[0].tolist() == want
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_bracket_batch_sums_stay_inside_int64_at_the_envelope(n):
+    """The largest prime with 6 (p-1)^2 < 2^63 is accepted by bundle.parse at
+    dim 6, where a k group of up to 30 products below p^2 would pass 2^63:
+    bracket_batch sums it in runs and stays exact."""
+    p = 1239850223
+    assert gfp.is_prime(p) and 6 * (p - 1) ** 2 < 2**63
+    rng = np.random.default_rng(12)
+    c = rng.integers(0, p, (n, n, n))
+    c = (c - c.transpose(1, 0, 2)) % p
+    A = HomLieAlgebra(p, c, gfp.eye(n))
+    assert (A._runs is not None) == (n == 6)  # n(n-1) products per k; 6 fit one sum
+    xs, ys = rng.integers(0, p, (40, n)), rng.integers(0, p, (40, n))
+    xs[0], ys[0] = p - 1, p - 1
+    ys[0, 0] = 1
+    want = [[sum(int(x[a]) * int(y[b]) * int(c[a, b, k]) for a in range(n) for b in range(n)) % p
+             for k in range(n)] for x, y in zip(xs, ys)]
+    assert A.bracket_batch(xs, ys).tolist() == want
+
+
 def test_ad_batch_matches_dense_oracle(algebras):
     rng = np.random.default_rng(10)
     for name, A in algebras.items():

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import oracles
 import pytest
@@ -76,7 +79,8 @@ def test_parse_tests_primality_up_to_the_square_root(heis, p, prime):
     # 2^31 - 1 is prime and 2^31 + 1 = 3 * 715827883; trial division up to
     # p itself needs minutes for the prime, and up to sqrt(p) about 9 s for
     # 10^16 + 61.  561, 41041 and 3215031751 are Carmichael numbers, which
-    # pass the Fermat test to every coprime base.
+    # pass the Fermat test to every coprime base.  A prime passes the test and
+    # then, at dim 6, meets the int64 envelope (test_parse_int64_envelope).
     import json
     import time
 
@@ -84,7 +88,8 @@ def test_parse_tests_primality_up_to_the_square_root(heis, p, prime):
     doc["p"] = p
     start = time.perf_counter()
     if prime:
-        assert bundle.parse(json.dumps(doc)).p == p
+        with pytest.raises(ParseError, match=r"dim \* \(p-1\)\^2 must be below 2\^63"):
+            bundle.parse(json.dumps(doc))
     else:
         with pytest.raises(ParseError, match="p must be prime"):
             bundle.parse(json.dumps(doc))
@@ -156,3 +161,70 @@ def test_from_parts_rejects_what_the_loop_rejects(request, fixture, slot):
         oracles.bracket_entries_loop(bad)
     with pytest.raises(ParseError):
         bundle.from_parts(bad)
+
+
+
+def _largest_prime_below(bound):
+    p = bound - 1
+    while not gfp.is_prime(p):
+        p -= 1
+    return p
+
+
+def _envelope_edge(dim):
+    """The least q with dim * q^2 >= 2^63."""
+    return math.isqrt((2**63 - 1) // dim) + 1
+
+
+def _diagonal_doc(p, dim):
+    return {"version": "1", "p": p, "dim": dim, "basis": [f"e{i}" for i in range(dim)],
+            "brackets": [], "alpha": np.eye(dim, dtype=int).tolist()}
+
+
+@pytest.mark.parametrize("dim", [1, 6, 40, 256])
+def test_parse_int64_envelope(dim):
+    """dim * (p-1)^2 < 2^63: the largest prime inside parses, the next prime
+    up is rejected with a ParseError that names the limit."""
+    inside = _largest_prime_below(_envelope_edge(dim) + 1)
+    outside = inside + 1
+    while not gfp.is_prime(outside):
+        outside += 1
+    assert dim * (inside - 1) ** 2 < 2**63 <= dim * (outside - 1) ** 2
+    assert bundle.parse(json.dumps(_diagonal_doc(inside, dim))).p == inside
+    with pytest.raises(ParseError, match=r"dim \* \(p-1\)\^2 must be below 2\^63"):
+        bundle.parse(json.dumps(_diagonal_doc(outside, dim)))
+
+
+def test_parse_rejects_dim_above_the_cap(tmp_path, capsys):
+    from homext.cli import main
+
+    assert bundle.MAX_DIM == 256
+    assert bundle.parse(json.dumps(_diagonal_doc(2, 256))).dim == 256
+    with pytest.raises(ParseError, match="dim must be at most 256"):
+        bundle.parse(json.dumps(_diagonal_doc(2, 257)))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_diagonal_doc(2, 257)))
+    assert main(["verify", str(path)]) == 2
+    assert "dim must be at most 256" in capsys.readouterr().err
+
+
+def test_bilinear_form_sums_do_not_wrap():
+    """eval and eval_batch reduce x @ gram before it meets y, and past the
+    int64 envelope they run on Python integers.  The old x @ gram @ y gave
+    4294912627 at p = 4294967311."""
+    from homext.algebra import BilinearForm
+
+    for p, n in ((4294967311, 3), (_largest_prime_below(_envelope_edge(3) + 1), 3), (2**31 - 1, 1), (5, 4)):
+        rng = np.random.default_rng(p % 1000)
+        gram = rng.integers(0, p, size=(n, n), dtype=np.int64)
+        gram[0] = p - 1
+        xs = rng.integers(0, p, size=(20, n), dtype=np.int64)
+        ys = rng.integers(0, p, size=(20, n), dtype=np.int64)
+        xs[0] = ys[0] = p - 1
+        B = BilinearForm(gram, p)
+        want = [sum(int(x[i]) * int(gram[i, j]) * int(y[j]) for i in range(n) for j in range(n)) % p
+                for x, y in zip(xs, ys)]
+        assert B.eval_batch(xs, ys).tolist() == want, p
+        assert [B.eval(x, y) for x, y in zip(xs, ys)] == want, p
+    full = BilinearForm(np.full((3, 3), 4294967310), 4294967311)
+    assert full.eval([4294967310] * 3, [4294967310] * 3) == 4294967302

@@ -205,3 +205,27 @@ def test_samples_below_one_is_a_usage_error(tmp_path, capsys):
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert "--samples" in err and "at least 1" in err
+
+
+def test_p_extend_passes_samples_to_the_extension_checks(tmp_path, capsys, monkeypatch):
+    """p-extend --samples reaches check_p_extension_data (default 100), and
+    the written bundle does not depend on it when the checks pass."""
+    from homext import doubleext
+
+    seen = []
+    check = doubleext.check_p_extension_data
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["samples"], kwargs["seed"]))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(doubleext, "check_p_extension_data", spy)
+    v = tmp_path / "v.json"
+    run(capsys, "fixture", "sl2-gf5", "--out", str(v))
+    outs = []
+    for extra in ([], ["--samples", "7"], ["--samples", "7", "--seed", "3"]):
+        out = tmp_path / f"L{len(outs)}.json"
+        assert run(capsys, "p-extend", str(v), "--out", str(out), *extra)[0] == 0
+        outs.append(out.read_text())
+    assert seen == [(100, 0xD0B1E), (7, 0xD0B1E), (7, 3)]
+    assert outs[0] == outs[1] == outs[2]
