@@ -101,7 +101,9 @@ def check_extension_data(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtension
     rep.record("lambda_D_plus_ad_x0", not eq1.any(), (), lhs=(d.lam * dm + V.ad(x0)) % p, rhs=dm)
     # the odd-characteristic signs; -1 = 1 makes them the char-2 identities
     eq2 = (V.apply_alpha(dx0) + dx0) % p
-    eq3 = (V.alpha @ dm @ dm - dm @ dm @ V.alpha - V.ad(dx0)) % p
+    # reduce after every factor: a chain of three reduced factors wraps int64 near the p guard
+    dm2 = (dm @ dm) % p
+    eq3 = ((V.alpha @ dm2) % p - (dm2 @ V.alpha) % p - V.ad(dx0)) % p
     rep.record("alpha_D_x0", not eq2.any(), (), lhs=V.apply_alpha(dx0), rhs=dx0)
     rep.record("alpha_D_squared", not eq3.any(), (), lhs=eq3, rhs=0)
     return rep
@@ -455,7 +457,8 @@ def psi_eval(B_V: BilinearForm, x: AlgebraExtensionData, u, v) -> np.ndarray:
     p = B_V.p
     u = gfp.asvec(u, p)
     v = gfp.asvec(v, p)
-    return np.array([int(((m @ u) @ B_V.gram @ v) % p) for m in x.phi], dtype=np.int64)
+    w = (B_V.gram @ v) % p
+    return np.array([int((((m @ u) % p) @ w) % p) for m in x.phi], dtype=np.int64)
 
 
 def check_algebra_extension_data(V: HomLieAlgebra, B_V: BilinearForm, x: AlgebraExtensionData) -> Report:
@@ -473,7 +476,7 @@ def check_algebra_extension_data(V: HomLieAlgebra, B_V: BilinearForm, x: Algebra
         rhs = (V.alpha @ x.phi[b]) % p
         rep.record("rep_axiom_1", np.array_equal(lhs, rhs), (b,), lhs=lhs, rhs=rhs)
         lhs = (x.phi_of(A.alpha[:, b])) % p
-        rhs = (V.alpha @ x.phi[b] @ V.alpha) % p
+        rhs = (((V.alpha @ x.phi[b]) % p) @ V.alpha) % p
         rep.record("phi_twist_conjugation", np.array_equal(lhs, rhs), (b,), lhs=lhs, rhs=rhs)
     for b in range(A.n):
         for cdx in range(A.n):

@@ -211,7 +211,7 @@ def mat_pow(m, k: int, p: int) -> np.ndarray:
     return out
 
 
-# Spaces whose all_vectors, line_map and low_weight arrays stay cached.
+# Spaces whose all_vectors and low_weight arrays stay cached.
 _DOMAIN_CACHE = 4
 
 
@@ -249,26 +249,6 @@ def low_weight(n: int, p: int, d: int) -> np.ndarray:
     out = vectors(np.sort(np.concatenate(idx)), n, p)
     out.setflags(write=False)
     return out
-
-
-@functools.lru_cache(maxsize=_DOMAIN_CACHE)
-def line_map(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lines of GF(p)^n over the all_vectors rows: (lam, rep).
-
-    Row x = lam * x_rep, where lam is the highest nonzero coordinate of x
-    and x_rep = x / lam has highest nonzero coordinate 1.  The zero row has
-    lam = 1 and is its own rep, so the rows with lam == 1 are exactly the
-    line representatives (plus zero).  Cached per (n, p) and read-only.
-    """
-    vecs = all_vectors(n, p)
-    idx = np.arange(p**n, dtype=np.int64)
-    top = np.searchsorted(p ** np.arange(n, dtype=np.int64), idx, side="right") - 1
-    lam = np.where(idx > 0, idx // p ** np.maximum(top, 0), 1)
-    invs = np.array([0] + [inv(a, p) for a in range(1, p)], dtype=np.int64)
-    rep = vec_index(vecs * invs[lam][:, None], p)
-    lam.setflags(write=False)
-    rep.setflags(write=False)
-    return lam, rep
 
 
 def vec_index(x, p: int) -> np.ndarray | int:

@@ -251,12 +251,7 @@ def verify_restricted_iso(
     def direct_sides(vs, f, g):
         return (f(vs) @ pi.T) % p, g((vs @ pi.T) % p)
 
-    def direct_full():
-        lhs, rhs = direct_sides(xs, pmap, t_pmap)
-        rep.tally("direct", ((lhs - rhs) % p).any(axis=1), lhs, rhs, witness=rows(xs))
-
-    direct_ok = tally_domain(rep, "direct", regime, P_L, [pmap, t_pmap],
-                             lambda vs, f, g: np.subtract(*direct_sides(vs, f, g)), direct_full).ok
+    direct_ok = tally_domain(rep, "direct", regime, P_L, xs, [pmap, t_pmap], direct_sides).ok
 
     f = split_frame(L, B_L, P_L)
     ft = split_frame(L_tilde, B_Lt, P_Lt)

@@ -202,65 +202,51 @@ def domain(P: PStructure, exhaustive: bool, samples: int, rng: SplitMix64):
     vector of GF(p)^n in gfp.all_vectors order, mapped through the
     eval_p_all table, and "exhaustive".  Otherwise it is `samples` rows
     drawn from rng, folded by eval_p_batch, and "sampled"; only this regime
-    advances rng.  Checks tally over it through `tally_domain`.
+    advances rng, and the map folds the drawn rows themselves once and keeps
+    them, so every check over one domain shares that fold.  Checks tally
+    over it through `tally_domain`.
     """
     A = P.parent
     if exhaustive and A.p**A.n <= EXHAUSTIVE_LIMIT:
         return gfp.all_vectors(A.n, A.p), p_map(P, True), "exhaustive"
-    return rng.mat(samples, A.n, A.p), p_map(P, False), "sampled"
+    xs = rng.mat(samples, A.n, A.p)
+    drawn = functools.cache(lambda: eval_p_batch(P, xs))
+    return xs, lambda vs: drawn() if vs is xs else eval_p_batch(P, vs), "sampled"
 
 
-def domain_defect(P: PStructure, regime: str, xs, images, defect) -> np.ndarray:
-    """defect(xs, images) on a `domain` of P, once per line when exhaustive.
-
-    defect must have degree p in x and be linear in the image, as the R1
-    and restricted-derivation defects are; then defect(lam x, lam image) =
-    lam^p defect(x, image) = lam defect(x, image).  On the exhaustive
-    domain with p > 2 it runs on the line representatives of gfp.line_map,
-    and a row x = lam*rep whose image is lam*image(rep) gets lam*defect(rep).
-    Any other row is computed directly, so the result equals
-    defect(xs, images) bit for bit whatever the images are.  The sampled
-    regime, and p = 2 with one point per line, run defect on every row.
-    """
-    p = P.parent.p
-    if regime != "exhaustive" or p == 2:
-        return defect(xs, images)
-    lam, rep = gfp.line_map(P.parent.n, p)
-    is_rep = lam == 1
-    slot = np.cumsum(is_rep) - 1  # a representative row -> its row in d
-    d = defect(xs[is_rep], images[is_rep])
-    out = gfp.mod(lam.reshape((-1,) + (1,) * (d.ndim - 1)) * d[slot[rep]], p)
-    odd = np.nonzero((images != gfp.mod(lam[:, None] * images[rep], p)).any(axis=1))[0]
-    if odd.size:
-        out[odd] = defect(xs[odd], images[odd])
-    return out
-
-
-def tally_domain(rep: Report, name: str, regime: str, P: PStructure, pmaps, defect, full,
-                 pairs: bool = False) -> CheckResult:
+def tally_domain(rep: Report, name: str, regime: str, P: PStructure, xs, pmaps, sides,
+                 witness=rows, pairs: bool = False) -> CheckResult:
     """Tally check `name` over the `domain` of P, deciding an exhaustive one
     on the points of weight <= p.
 
-    defect(zs, *pmaps) is the check's defect on rows zs of GF(p)^N, with
-    N = n, or 2n when pairs is true (a pair (x, y) is the row [x, y]);
-    pmaps are batch p-maps from `p_map`.  Since they are the fold, as its
-    eval_p_all table or as eval_p_batch, the defect of every check that
-    comes here is a polynomial of degree <= p in the N coordinates, and such
-    a polynomial that vanishes on every point with at most p nonzero
-    coordinates vanishes everywhere (README, "Certified exhaustive
-    checks").  So when regime is "exhaustive" and the defect vanishes on
-    gfp.low_weight(N, p, p), the check passes on all p^N points and is
-    tallied so without evaluating them.  Otherwise full() runs the check's
-    full-domain (or sampled) route, which gives its counts, witnesses and
-    values.
+    sides(zs, *pmaps) gives the check's two sides on rows zs of GF(p)^N,
+    with N = n, or 2n when pairs is true (a pair (x, y) is the row [x, y]),
+    and a row fails where they differ; pmaps are batch p-maps from `domain`
+    or `p_map`.  Since they are the fold, as its eval_p_all table or as
+    eval_p_batch, the defect lhs - rhs of every check that comes here is a
+    polynomial of degree <= p in the N coordinates, and such a polynomial
+    that vanishes on every point with at most p nonzero coordinates
+    vanishes everywhere (README, "Certified exhaustive checks").  So when
+    regime is "exhaustive" and the sides agree on gfp.low_weight(N, p, p),
+    the check passes on all p^N points and is tallied so without evaluating
+    them.  Otherwise the same sides run on every row of the domain, which
+    gives the counts, witnesses and values.  xs is that domain: the vectors
+    of `domain`, whose pairs an exhaustive pair check takes x-major, or a
+    sampled pair check's [x, y] rows.  witness(x rows[, y rows]) gives the
+    witness callback of Report.tally.
     """
-    p = P.parent.p
-    size = P.parent.n * (2 if pairs else 1)
-    if regime == "exhaustive" and not defect(gfp.low_weight(size, p, p), *pmaps).any():
-        rep.check(name).passed += p**size
-    else:
-        full()
-    return rep.check(name)
+    p, n = P.parent.p, P.parent.n
+    size = n * (2 if pairs else 1)
+    if regime == "exhaustive":
+        lhs, rhs = sides(gfp.low_weight(size, p, p), *pmaps)
+        if not ((lhs - rhs) % p).any():
+            rep.check(name).passed += p**size
+            return rep.check(name)
+        if pairs:
+            xs = np.hstack([np.repeat(xs, len(xs), axis=0), np.tile(xs, (len(xs), 1))])
+    lhs, rhs = sides(xs, *pmaps)
+    failed = ((lhs - rhs) % p).reshape(len(xs), -1).any(axis=1)
+    return rep.tally(name, failed, lhs, rhs, witness=witness(*((xs[:, :n], xs[:, n:]) if pairs else (xs,))))
 
 
 def _tower_batch(A: HomLieAlgebra, xs) -> np.ndarray:
@@ -294,10 +280,10 @@ def verify_pstructure(
     with all k, and R3 over all pairs when p^(2n) fits the exhaustive limit
     and over sampled seeded pairs otherwise; exhaustive=False samples all
     three.  When R1 is exhaustive, every p-image R2 and R3 need is read
-    from the eval_p_all table, which equals the eval_p_batch fold bit for bit,
-    and each exhaustive check is decided by `tally_domain` on the points of
-    weight <= p; only a failing one walks its whole domain, for its counts
-    and witnesses.
+    from the eval_p_all table, which equals the eval_p_batch fold bit for bit.
+    Each check is one `sides` function tallied by `tally_domain`, which
+    decides an exhaustive one on the points of weight <= p; only a failing
+    one walks its whole domain, for its counts and witnesses.
     meta["regimes"] records the regime each of R1/R2/R3 actually ran, and
     meta["mode"] is "exhaustive" only when all three were.
     """
@@ -306,9 +292,7 @@ def verify_pstructure(
     p, n = A.p, A.n
     rng = SplitMix64(seed)
     xs, pmap, vec_regime = domain(P, exhaustive, samples, rng)
-    images = functools.cache(lambda: pmap(xs))
-    count = p**n
-    pairs = exhaustive and count * count <= EXHAUSTIVE_LIMIT  # then the vectors are exhaustive too
+    pairs = exhaustive and p**(2 * n) <= EXHAUSTIVE_LIMIT  # then the vectors are exhaustive too
     pair_regime = "exhaustive" if pairs else "sampled"
     rep = Report(p=p, dim=n, seed=seed, samples=samples,
                  regimes={"r1": vec_regime, "r2": vec_regime, "r3": pair_regime},
@@ -316,44 +300,20 @@ def verify_pstructure(
 
     defect = r1_defect_batch(A, P, gfp.eye(n), P.images)
     rep.tally("r1_basis", defect.any(axis=(1, 2)), defect, 0)
-
-    def r1(vs, imgs):
-        return r1_defect_batch(A, P, vs, imgs)
-
-    def r1_full():
-        defect = domain_defect(P, vec_regime, xs, images(), r1)
-        rep.tally("r1", defect.any(axis=(1, 2)), defect, 0, witness=rows(xs))
-
-    tally_domain(rep, "r1", vec_regime, P, [pmap], lambda vs, f: r1(vs, f(vs)), r1_full)
+    tally_domain(rep, "r1", vec_regime, P, xs, [pmap], lambda vs, f: (r1_defect_batch(A, P, vs, f(vs)), 0))
 
     # R2: (k x)^[p] = k^p x^[p] over every scalar k.
     for k in range(p):
-        def r2_sides(vs, f, imgs):
-            return f((k * vs) % p), (pow(k, p, p) * imgs) % p
+        tally_domain(rep, "r2", vec_regime, P, xs, [pmap],
+                     lambda vs, f: (f((k * vs) % p), (pow(k, p, p) * f(vs)) % p),
+                     witness=lambda vs: lambda i: (k,) + rows(vs)(i))
 
-        def r2_full():
-            scaled, want = r2_sides(xs, pmap, images())
-            rep.tally("r2", ((scaled - want) % p).any(axis=1), scaled, want,
-                      witness=lambda i: (k,) + rows(xs)(i))
+    def r3_sides(zs, f):
+        us, vs = zs[:, :n], zs[:, n:]
+        return f((us + vs) % p), (f(us) + f(vs) + compute_s_batch(A, us, vs).sum(axis=1)) % p
 
-        tally_domain(rep, "r2", vec_regime, P, [pmap],
-                     lambda vs, f: np.subtract(*r2_sides(vs, f, f(vs))), r2_full)
-
-    def r3_sides(us, vs, f):
-        sums = f((us + vs) % p)
-        return sums, (f(us) + f(vs) + compute_s_batch(A, us, vs).sum(axis=1)) % p
-
-    def r3_full(xpairs, ypairs):
-        sums, want = r3_sides(xpairs, ypairs, pmap)
-        rep.tally("r3", ((sums - want) % p).any(axis=1), sums, want, witness=rows(xpairs, ypairs))
-
-    if pairs:
-        idx = np.arange(count)
-        tally_domain(rep, "r3", "exhaustive", P, [pmap],
-                     lambda zs, f: np.subtract(*r3_sides(zs[:, :n], zs[:, n:], f)),
-                     lambda: r3_full(xs[np.repeat(idx, count)], xs[np.tile(idx, count)]), pairs=True)
-    else:
-        r3_full(rng.mat(samples, n, p), rng.mat(samples, n, p))
+    zs = xs if pairs else np.hstack([rng.mat(samples, n, p), rng.mat(samples, n, p)])
+    tally_domain(rep, "r3", pair_regime, P, zs, [pmap], r3_sides, pairs=True)
     return rep
 
 
@@ -382,25 +342,21 @@ def is_restricted_derivation(
 ) -> bool:
     """Compatibility of D with the p-structure on the basis plus the `domain`
     of P: every vector (decided on those of weight <= p by `tally_domain`),
-    or seeded samples past the exhaustive limit.
+    or seeded samples past the exhaustive limit, with one `sides` function
+    for both.
 
     The defining condition is not multilinear, so the basis does not
     suffice; sampled arbitrary vectors keep the check honest.
     """
     check_samples(samples)
     xs, pmap, regime = domain(P, True, samples, SplitMix64(seed))
-    basis = gfp.eye(A.n)
 
-    def defect(vs, images):
-        return restricted_defect_batch(A, P, D, vs, images)
+    def sides(vs, f):
+        return restricted_defect_batch(A, P, D, vs, f(vs)), 0
 
-    if defect(basis, pmap(basis)).any():
+    if sides(gfp.eye(A.n), pmap)[0].any():
         return False
-    rep = Report()
-    return tally_domain(
-        rep, "domain", regime, P, [pmap], lambda vs, f: defect(vs, f(vs)),
-        lambda: rep.tally("domain", domain_defect(P, regime, xs, pmap(xs), defect).any(axis=1)),
-    ).ok
+    return tally_domain(Report(), "domain", regime, P, xs, [pmap], sides).ok
 
 
 def check_p_property(A: HomLieAlgebra, D: Derivation, w: PPropertyWitness) -> bool:

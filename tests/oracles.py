@@ -448,3 +448,11 @@ def iso_direct_rows(P_L: PStructure, P_Lt: PStructure, pi) -> Report:
     rep = Report()
     rep.tally("direct", (lhs != rhs).any(axis=1), lhs, rhs, witness=rows(xs))
     return rep
+
+
+def product_exact(p: int, *factors) -> np.ndarray:
+    """The product of matrices and vectors on Python integers, reduced mod p."""
+    out = np.asarray(factors[0]).astype(object)
+    for f in factors[1:]:
+        out = out @ np.asarray(f).astype(object)
+    return np.asarray(out % p, dtype=np.int64)

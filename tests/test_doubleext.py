@@ -543,3 +543,40 @@ def test_extend_by_algebra_odd_char_signs():
     want[1:5] = (-(phi @ gfp.unit(4, 0))) % p
     assert np.array_equal(L.bracket(u1, a), want)
     assert np.array_equal(L.bracket(a, u1), (-want) % p)
+
+
+def _commuting_involution_pair(p: int, seed: int):
+    """alpha = S diag(1,1,1,-1,-1,-1) S^-1 and D = S blockdiag(M1, M2) S^-1 on
+    GF(p)^6, computed exactly, so D commutes with the involution alpha."""
+    rng = np.random.default_rng(seed)
+    S_inv = None
+    while S_inv is None:
+        S = rng.integers(0, p, size=(6, 6))
+        S_inv = gfp.mat_inv(S, p)
+    block = np.zeros((6, 6), dtype=np.int64)
+    block[:3, :3] = rng.integers(0, p, size=(3, 3))
+    block[3:, 3:] = rng.integers(0, p, size=(3, 3))
+    diag = np.diag([1, 1, 1, p - 1, p - 1, p - 1])
+    return oracles.product_exact(p, S, diag, S_inv), oracles.product_exact(p, S, block, S_inv)
+
+
+def test_chained_products_do_not_wrap_at_the_largest_p():
+    """dim * (p-1)^2 is just below 2^63 here, so a product of two reduced
+    matrices fits int64 but a chain of three does not: each check reduces
+    after every factor and agrees with Python integers."""
+    p, n = 1239850223, 6
+    alpha, dm = _commuting_involution_pair(p, 4)
+    assert n * (p - 1) ** 2 < 2**63
+    exact = (oracles.product_exact(p, alpha, dm, dm) - oracles.product_exact(p, dm, dm, alpha)) % p
+    assert not exact.any()
+    V = HomLieAlgebra(p, np.zeros((n, n, n), dtype=np.int64), alpha)
+    B = BilinearForm(gfp.eye(n), p)
+    rep = check_extension_data(V, B, DoubleExtensionData(Derivation(dm, p), gfp.zeros(n), 1, 0))
+    assert rep.check("alpha_D_squared").ok
+
+    A = HomLieAlgebra(p, np.zeros((1, 1, 1), dtype=np.int64), gfp.eye(1))
+    x = AlgebraExtensionData(A, [dm], BilinearForm(gfp.eye(1), p))
+    rep = check_algebra_extension_data(V, B, x)
+    assert rep.check("phi_twist_conjugation").ok  # alpha phi alpha = phi
+    u, v = np.random.default_rng(5).integers(0, p, size=(2, n))
+    assert psi_eval(B, x, u, v)[0] == oracles.product_exact(p, dm, u, B.gram, v)

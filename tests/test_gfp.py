@@ -122,13 +122,12 @@ def test_all_vectors_indexing_roundtrip():
 
 
 def test_domain_arrays_are_shared_and_read_only():
-    for f in (gfp.all_vectors, gfp.line_map):
-        a, b = f(4, 3), f(4, 3)
-        assert a is b
-        for arr in (a if isinstance(a, tuple) else (a,)):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1
+    for f, args in ((gfp.all_vectors, (4, 3)), (gfp.low_weight, (4, 3, 3))):
+        a = f(*args)
+        assert f(*args) is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
         assert f.cache_info().maxsize <= 8
 
 

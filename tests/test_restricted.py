@@ -2,7 +2,7 @@ import numpy as np
 import oracles
 import pytest
 
-from homext import gfp, restricted
+from homext import gfp, isom, restricted
 from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
 from homext.doubleext import PExtensionData, eval_P_batch
 from homext.errors import OddCharRequired
@@ -15,7 +15,6 @@ from homext.restricted import (
     compute_s,
     compute_s_batch,
     domain,
-    domain_defect,
     eval_p,
     eval_p_all,
     eval_p_batch,
@@ -26,6 +25,7 @@ from homext.restricted import (
     solve_p_property,
     verify_pstructure,
 )
+from homext.isom import verify_restricted_iso
 from homext.report import Report, rows
 from homext.rng import SplitMix64
 
@@ -371,6 +371,47 @@ def test_domain_regimes(heis):
     assert regime == "sampled" and np.array_equal(xs, SplitMix64(41).mat(25, n, 2))
 
 
+def test_sampled_regime_folds_its_domain_once(sl2_ext, monkeypatch):
+    """In the sampled regime every check of one call reads the images of the
+    drawn rows from one fold, and R2 folds its k*x rows once per k."""
+    L, B_L, P = sl2_ext
+    p = L.p
+    draw, fold_batch = restricted.domain, restricted.eval_p_batch
+    drawn, folded = [], []
+
+    def counted_domain(*args):
+        out = draw(*args)
+        drawn.append(out[0])
+        return out
+
+    def counted_fold(Q, xs):
+        folded.append(xs)
+        return fold_batch(Q, xs)
+
+    for module in (restricted, isom):
+        monkeypatch.setattr(module, "domain", counted_domain)
+    monkeypatch.setattr(restricted, "eval_p_batch", counted_fold)
+    monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)  # 5^5 vectors are sampled too
+    runs = {
+        "verify_pstructure": lambda: verify_pstructure(P, exhaustive=False).ok,
+        "is_restricted_derivation": lambda: is_restricted_derivation(L, P, Derivation(np.zeros((L.n, L.n)), p)),
+        "verify_restricted_iso": lambda: verify_restricted_iso(L, B_L, L, B_L, P, P, gfp.eye(L.n),
+                                                               exhaustive=False).ok,
+    }
+    for name, run in runs.items():
+        drawn.clear()
+        folded.clear()
+        assert run(), name
+        (xs,) = drawn
+        assert sum(f is xs for f in folded) == 1, name
+    drawn.clear()
+    folded.clear()
+    verify_pstructure(P, exhaustive=False)
+    (xs,) = drawn
+    for k in range(p):
+        assert sum(f is not xs and np.array_equal(f, (k * xs) % p) for f in folded) == 1, k
+
+
 def test_is_restricted_derivation_table_matches_fold(psl3, psl3_twisted):
     ga, _, pa, derivs = psl3_twisted
     inner = Derivation(psl3.g.ad(gfp.unit(7, 1)), 3)
@@ -422,18 +463,6 @@ def test_pstructure_images_cannot_be_rebound(heis):
     assert rep.check("r1").failed == 32 and rep.check("r1").passed == 32
 
 
-@pytest.mark.parametrize("n,p", [(1, 2), (3, 2), (1, 3), (4, 3), (3, 5), (2, 7)])
-def test_line_map(n, p):
-    vecs = gfp.all_vectors(n, p)
-    lam, rep = gfp.line_map(n, p)
-    assert np.array_equal((lam[:, None] * vecs[rep]) % p, vecs)
-    top = [max((k for k in range(n) if v[k]), default=None) for v in vecs]
-    assert [int(lam[i]) for i in range(len(vecs))] == [1 if t is None else int(v[t]) for t, v in zip(top, vecs)]
-    assert all(t is None or vecs[rep[i], t] == 1 for i, t in enumerate(top))
-    assert rep[0] == 0 and np.count_nonzero(lam == 1) == (p**n - 1) // (p - 1) + 1
-    assert np.array_equal(np.nonzero(lam == 1)[0], np.nonzero(rep == np.arange(p**n))[0])
-
-
 def _corrupt(P, j, k):
     images = P.images.copy()
     images[j] = (images[j] + gfp.unit(P.parent.n, k)) % P.parent.p
@@ -450,24 +479,15 @@ def _exhaustive_cases(request):
     return out
 
 
-def test_line_reduced_defects_match_full_domain(request):
-    """R1 and restricted-derivation defects once per line equal the defects on
-    every vector, bit for bit, and so do R1's counts and witnesses."""
-    rng = np.random.default_rng(7)
+def test_r1_report_matches_the_full_domain_tally(request):
+    """R1's counts and witnesses equal a tally of the defect of every vector."""
     for name, P in _exhaustive_cases(request).items():
         A = P.parent
         xs, pmap, regime = domain(P, True, 10, SplitMix64(1))
         assert regime == "exhaustive", name
         imgs = pmap(xs)
         assert np.array_equal(imgs, eval_p_batch(P, xs)), name
-        lam, rep = gfp.line_map(A.n, A.p)
-        assert np.array_equal(imgs, (lam[:, None] * imgs[rep]) % A.p), name  # no fallback row
-
-        def r1(vs, im):
-            return r1_defect_batch(A, P, vs, im)
-
-        full = r1(xs, imgs)
-        assert np.array_equal(domain_defect(P, regime, xs, imgs, r1), full), name
+        full = r1_defect_batch(A, P, xs, imgs)
         want = Report().tally("r1", full.any(axis=(1, 2)), full, 0, witness=rows(xs))
         got = verify_pstructure(P).check("r1")
         assert (got.passed, got.failed) == (want.passed, want.failed), name
@@ -476,36 +496,6 @@ def test_line_reduced_defects_match_full_domain(request):
         if "corrupted" in name:
             assert got.failed > 0, name
 
-        mats = [gfp.eye(A.n), A.ad(gfp.unit(A.n, A.n - 1)), rng.integers(0, A.p, size=(A.n, A.n))]
-        for mat in mats:
-            D = Derivation(mat, A.p)
-
-            def rd(vs, im):
-                return restricted_defect_batch(A, P, D, vs, im)
-
-            assert np.array_equal(domain_defect(P, regime, xs, imgs, rd), rd(xs, imgs)), name
-
-
-def test_line_reduced_defect_falls_back_on_inhomogeneous_images(psl3):
-    """Rows whose image is not lam * image(rep) are computed directly."""
-    P, A = psl3.P, psl3.g
-    xs = gfp.all_vectors(7, 3)
-    imgs = eval_p_all(P).copy()
-    lam, rep = gfp.line_map(7, 3)
-    x = int(np.nonzero(lam == 2)[0][100])  # a point off its representative
-    r = int(rep[x])
-    imgs[x] = (imgs[x] + gfp.unit(7, 0)) % 3
-    imgs[r] = (imgs[r] + gfp.unit(7, 5)) % 3  # r is its line's representative
-    calls = []
-
-    def r1(vs, im):
-        calls.append(len(vs))
-        return r1_defect_batch(A, P, vs, im)
-
-    full = r1_defect_batch(A, P, xs, imgs)
-    assert np.array_equal(domain_defect(P, "exhaustive", xs, imgs, r1), full)
-    assert calls == [(3**7 - 1) // 2 + 1, 1]  # the representatives, then x alone
-    assert full[x].any() and full[r].any()
 
 # Inert coordinates.  e_j is inert when c is alternating and alpha^t(e_j) has
 # no component on a nonzero row of c for t = 0..p-2.  Then s_i(x, lam e_j) and
