@@ -47,6 +47,7 @@ class HomLieAlgebra:
         # Nonzero structure constants (a, b, k) grouped by k, for bracket_batch;
         # a k without one gets the zero (0, 0, k), so no group is empty.
         mask = self.c != 0
+        self.nnz = int(mask.sum())  # nonzero structure constants
         mask[0, 0] |= ~mask.any(axis=(0, 1))
         k, a, b = np.nonzero(mask.transpose(2, 0, 1))
         self._triples, self._starts = (a, b, self.c[a, b, k]), np.searchsorted(k, np.arange(n))

@@ -185,7 +185,8 @@ def eval_P_batch(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe: PExtens
         cross = np.triu(m, 1)
         sq = (vs * vs) % p
         return (sq @ pe.P_basis + np.einsum("mi,ij,mj->m", vs, cross, vs)) % p
-    return fold(p, vs, pe.P_basis, lambda us, ws: compute_eta_batch(V, B_V, D, us, ws).sum(axis=1), V.inert)
+    return fold(p, vs, pe.P_basis, lambda us, ws: compute_eta_batch(V, B_V, D, us, ws).sum(axis=1),
+                V.inert, V.nnz)
 
 
 def check_P_conditions(
@@ -481,10 +482,8 @@ def check_algebra_extension_data(V: HomLieAlgebra, B_V: BilinearForm, x: Algebra
     for b in range(A.n):
         for cdx in range(A.n):
             lhs = (x.phi_of(A.c[b, cdx]) @ V.alpha) % p
-            rhs = (
-                x.phi_of(A.alpha[:, b]) @ x.phi[cdx]
-                + x.phi_of(A.alpha[:, cdx]) @ x.phi[b]
-            ) % p
+            rhs = ((x.phi_of(A.alpha[:, b]) @ x.phi[cdx]) % p
+                   + (x.phi_of(A.alpha[:, cdx]) @ x.phi[b]) % p) % p
             rep.record("rep_axiom_2", np.array_equal(lhs, rhs), (b, cdx), lhs=lhs, rhs=rhs)
     # bracket compatibility on V basis pairs, [b, i, j] -> vector:
     # alpha phi_b [e_i, e_j] = [phi_b alpha e_i, e_j] + [e_i, phi_b alpha e_j]

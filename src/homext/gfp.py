@@ -149,7 +149,7 @@ def det(m, p: int) -> int:
         ipiv = inv(piv, p)
         for i in range(c + 1, n):
             if a[i, c] != 0:
-                a[i] = (a[i] - a[i, c] * ipiv * a[c]) % p
+                a[i] = (a[i] - (a[i, c] * ipiv % p) * a[c]) % p
     return d
 
 
@@ -204,10 +204,14 @@ def mat_inv(m, p: int) -> np.ndarray | None:
 
 
 def mat_pow(m, k: int, p: int) -> np.ndarray:
+    """m^k mod p by repeated squaring: O(log k) products."""
     a = asmat(m, p)
     out = eye(a.shape[0])
-    for _ in range(k):
-        out = (out @ a) % p
+    while k:
+        if k & 1:
+            out = (out @ a) % p
+        a = (a @ a) % p
+        k >>= 1
     return out
 
 

@@ -22,6 +22,8 @@ from .report import CheckResult, Report, rows
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
 
 EXHAUSTIVE_LIMIT = 65536
+# Product budget of one slice of fold's cross terms: bounds its temporaries.
+_FOLD_PRODUCTS = 1 << 15
 
 
 class PStructure:
@@ -80,9 +82,12 @@ def _formal_tower(A: HomLieAlgebra, xs, ys, depth: int) -> np.ndarray:
     return gfp.mod(coeffs, A.p)
 
 
+@functools.cache
 def _inverses(p: int) -> np.ndarray:
-    """1/1, ..., 1/(p-1) in GF(p)."""
-    return np.array([gfp.inv(i, p) for i in range(1, p)], dtype=np.int64)
+    """1/1, ..., 1/(p-1) in GF(p); cached per p and read-only."""
+    out = np.array([gfp.inv(i, p) for i in range(1, p)], dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def compute_s_batch(A: HomLieAlgebra, xs, ys) -> np.ndarray:
@@ -103,31 +108,31 @@ def compute_s(A: HomLieAlgebra, x, y) -> list[np.ndarray]:
     return list(compute_s_batch(A, gfp.asvec(x, A.p)[None, :], gfp.asvec(y, A.p)[None, :])[0])
 
 
-def fold(p: int, xs, images, cross, inert) -> np.ndarray:
-    """The ascending-index fold of a p-semilinear map f from its basis values.
+def fold(p: int, xs, images, cross, inert, nnz: int = 0) -> np.ndarray:
+    """The fold of a p-semilinear map f from its basis values images[j] = f(e_j).
 
-    images[j] is f(e_j).  Each row x is written in the basis and folded in
-    ascending index order with f(a + b) = f(a) + f(b) + cross(a, b) and
-    f(lam e_j) = lam^p images[j] = lam images[j].  cross(prefixes, parts)
-    gets the folded prefixes and the lam e_j rows as batches; it must vanish
-    when either argument is zero, so it is called only on rows where both are
-    nonzero, and when inert[j] is true it must vanish on every lam e_j, so
-    coordinate j adds no cross term.  Returns [batch] + images.shape[1:].
+    The ascending-index fold with f(a + b) = f(a) + f(b) + cross(a, b) and
+    f(lam e_j) = lam^p f(e_j) = lam f(e_j) is f(x) = sum_j x_j f(e_j) +
+    sum_j cross(x_<j, x_j e_j): each cross term depends on x's own prefix
+    x_<j, not on the running sum.  So the linear part is one product, and
+    cross runs on the live pairs (row, j) only: x_j != 0, x_<j != 0 and j
+    not inert (cross must vanish on the others), in slices of _FOLD_PRODUCTS
+    products at about 2(p-1)*nnz a pair (a formal tower over nnz structure
+    constants).  Returns [batch] + images.shape[1:].
     """
     xs = np.asarray(xs, dtype=np.int64) % p
-    acc_vec = np.zeros_like(xs)
-    acc = np.zeros(xs.shape[:1] + images.shape[1:], dtype=np.int64)
-    started = np.zeros(xs.shape[0], dtype=bool)
-    for j in np.nonzero(xs.any(axis=0))[0]:
-        lam = xs[:, j]
-        acc = (acc + np.multiply.outer(lam, images[j])) % p  # lam^p = lam in GF(p)
-        live = np.nonzero(started & (lam != 0))[0]
-        if live.size and not inert[j]:
-            parts = np.zeros((live.size, xs.shape[1]), dtype=np.int64)
-            parts[:, j] = lam[live]
-            acc[live] = (acc[live] + cross(acc_vec[live], parts)) % p
-        acc_vec[:, j] = lam
-        started |= lam != 0
+    acc = gfp.mod(xs @ images, p)  # n terms below p^2, inside the dim*(p-1)^2 guard
+    nz = xs != 0
+    idx = np.arange(xs.shape[1])
+    rows, cols = np.nonzero(nz & (idx > nz.argmax(axis=1)[:, None]) & ~inert)
+    step = max(1, _FOLD_PRODUCTS // max(1, 2 * (p - 1) * nnz))
+    for lo in range(0, rows.size, step):
+        r, j = rows[lo:lo + step], cols[lo:lo + step]
+        prefixes = np.where(idx < j[:, None], xs[r], 0)
+        parts = np.zeros_like(prefixes)
+        parts[np.arange(r.size), j] = xs[r, j]
+        first = np.flatnonzero(np.diff(r, prepend=-1))  # rows come grouped: one sum per row
+        acc[r[first]] = (acc[r[first]] + np.add.reduceat(cross(prefixes, parts), first, axis=0)) % p
     return acc
 
 
@@ -140,7 +145,7 @@ def eval_p_batch(P: PStructure, xs) -> np.ndarray:
     order-independence is asserted by property tests, not assumed.
     """
     A = P.parent
-    return fold(A.p, xs, P.images, lambda us, vs: compute_s_batch(A, us, vs).sum(axis=1), A.inert)
+    return fold(A.p, xs, P.images, lambda us, vs: compute_s_batch(A, us, vs).sum(axis=1), A.inert, A.nnz)
 
 
 def eval_p(P: PStructure, x) -> np.ndarray:
@@ -362,9 +367,9 @@ def is_restricted_derivation(
 def check_p_property(A: HomLieAlgebra, D: Derivation, w: PPropertyWitness) -> bool:
     """D^p = xi*D o alpha^{p-1} + ad(a0) o alpha^{p-1} with D(a0) = 0."""
     p = A.p
-    apow = A.alpha_pow(p - 1)
+    apow = gfp.mat_pow(A.alpha, p - 1, p)
     lhs = gfp.mat_pow(D.mat, p, p)
-    rhs = (w.xi * D.mat @ apow + A.ad(w.a0) @ apow) % p
+    rhs = (((w.xi * D.mat) % p @ apow) % p + (A.ad(w.a0) @ apow) % p) % p
     return np.array_equal(lhs, rhs) and not D(w.a0).any()
 
 
@@ -377,12 +382,13 @@ def solve_p_property(A: HomLieAlgebra, D: Derivation) -> PPropertyWitness | None
     homogeneous kernel), making outputs reproducible.
     """
     p, n = A.p, A.n
-    apow = A.alpha_pow(p - 1)
+    apow = gfp.mat_pow(A.alpha, p - 1, p)
     cols = (A.ad_batch(gfp.eye(n)).transpose(0, 2, 1) @ apow) % p  # ad(e_j) o alpha^{p-1}
     m = np.vstack([cols.reshape(n, n * n).T % p, D.mat])
     dp = gfp.mat_pow(D.mat, p, p)
+    dapow = (D.mat @ apow) % p
     for xi in range(p):
-        target = (dp - xi * (D.mat @ apow)) % p
+        target = (dp - xi * dapow) % p
         rhs = np.concatenate([target.reshape(n * n), gfp.zeros(n)])
         a0 = gfp.solve(m, rhs, p)
         if a0 is None:
@@ -408,7 +414,7 @@ def compute_eta_batch(A: HomLieAlgebra, B: BilinearForm, D: Derivation, us, vs) 
     us = np.asarray(us, dtype=np.int64) % p
     vs = np.asarray(vs, dtype=np.int64) % p
     # B(D(alpha^{p-2}(w)), .) as a row vector: lam^0 part from v, lam^1 part from u
-    pair = (D.mat @ A.alpha_pow(p - 2)).T @ B.gram % p
+    pair = (((D.mat @ A.alpha_pow(p - 2)) % p).T @ B.gram) % p
     right = _formal_tower(A, us, vs, p - 2)  # [batch, p-1, n]
     q = np.einsum("mk,mdk->md", (vs @ pair) % p, right)
     q[:, 1:] += np.einsum("mk,mdk->md", (us @ pair) % p, right[:, :-1, :])

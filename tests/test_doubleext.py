@@ -580,3 +580,19 @@ def test_chained_products_do_not_wrap_at_the_largest_p():
     assert rep.check("phi_twist_conjugation").ok  # alpha phi alpha = phi
     u, v = np.random.default_rng(5).integers(0, p, size=(2, n))
     assert psi_eval(B, x, u, v)[0] == oracles.product_exact(p, dm, u, B.gram, v)
+
+
+def test_rep_axiom_2_sum_does_not_wrap_at_the_largest_p():
+    """phi = (p-1) J on an abelian V with a 1-dim abelian A: each product
+    phi phi has entries 6 (p-1)^2 < 2^63, but the sum of two does not fit.
+    rep_axiom_2 fails (its lhs is 0), and its rhs is 2 phi^2 = 12 J, as on
+    Python integers."""
+    p, n = 1239850223, 6
+    phi = np.full((n, n), p - 1, dtype=np.int64)
+    V = HomLieAlgebra(p, np.zeros((n, n, n), dtype=np.int64), gfp.eye(n))
+    A = HomLieAlgebra(p, np.zeros((1, 1, 1), dtype=np.int64), gfp.eye(1))
+    x = AlgebraExtensionData(A, [phi], BilinearForm(gfp.eye(1), p))
+    check = check_algebra_extension_data(V, BilinearForm(gfp.eye(n), p), x).check("rep_axiom_2")
+    want = (2 * oracles.product_exact(p, phi, phi)) % p
+    assert check.failed == 1 and np.array_equal(check.failures[0].rhs, want)
+    assert (want == 12).all()

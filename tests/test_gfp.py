@@ -115,6 +115,34 @@ def test_det_and_mat_inv():
     assert gfp.det(m, 5) == (1 - 4) % 5
 
 
+def _det_leibniz(m, p):
+    """The determinant by the Leibniz sum on Python integers, mod p."""
+    n, total = len(m), 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = sign
+        for i in range(n):
+            term *= int(m[i][perm[i]])
+        total += term
+    return total % p
+
+
+def test_det_and_mat_pow_do_not_wrap_at_the_largest_p():
+    """6 (p-1)^2 is just below 2^63, so an elimination step may multiply two
+    entries but not three before reducing; mat_pow squares."""
+    p = 1239850223
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        m = rng.integers(0, p, size=(6, 6))
+        assert gfp.det(m, p) == _det_leibniz(m, p)
+    m[1] = (2 * m[0]) % p
+    assert gfp.det(m, p) == 0
+    power = gfp.eye(6)
+    for k in range(10):
+        assert np.array_equal(gfp.mat_pow(m, k, p), power), k
+        power = oracles.product_exact(p, power, m)
+
+
 def test_all_vectors_indexing_roundtrip():
     xs = gfp.all_vectors(3, 3)
     assert xs.shape == (27, 3)

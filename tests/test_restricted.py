@@ -2,7 +2,7 @@ import numpy as np
 import oracles
 import pytest
 
-from homext import gfp, isom, restricted
+from homext import doubleext, gfp, isom, restricted
 from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
 from homext.doubleext import PExtensionData, eval_P_batch
 from homext.errors import OddCharRequired
@@ -673,3 +673,167 @@ def test_folds_skip_exactly_the_inert_coordinates(heis, sampled_p5, monkeypatch)
     monkeypatch.setattr(restricted, "compute_s_batch", counted)
     eval_p_all(PStructure(P.parent, P.images))
     assert blocks == np.nonzero(~P.parent.inert)[0].tolist()
+
+
+def _slice(A):
+    """Pairs per cross call of the fold on A."""
+    return max(1, restricted._FOLD_PRODUCTS // max(1, 2 * (A.p - 1) * A.nnz))
+
+
+def _live_pairs(xs, inert):
+    """The fold's live pairs (row, j), one coordinate at a time: x_j != 0,
+    some coordinate below j nonzero, and j not inert."""
+    return [(m, j) for m, x in enumerate(xs) for j in range(len(x))
+            if x[j] and x[:j].any() and not inert[j]]
+
+
+def _fold_batches(A, rng):
+    """Batches around one fold slice of A: no rows, one row, exactly one
+    slice and one slice + 1 of live pairs (one per row), rows that are zero
+    or have a single nonzero coordinate, and random rows."""
+    p, n, step = A.p, A.n, _slice(A)
+    live = [j for j in np.nonzero(~A.inert)[0] if j > 0]
+    pairs = np.zeros((step + 1, n), dtype=np.int64)
+    pairs[:, 0] = rng.integers(1, p, step + 1)
+    pairs[np.arange(step + 1), rng.choice(live, step + 1)] = rng.integers(1, p, step + 1)
+    singles = np.vstack([gfp.zeros(n), (gfp.eye(n) * rng.integers(1, p, (n, 1))) % p])
+    out = {"no rows": pairs[:0], "one row": rng.integers(0, p, (1, n)), "one slice": pairs[:step],
+           "one slice + 1": pairs, "zero and single": singles, "random": rng.integers(0, p, (30, n))}
+    assert len(_live_pairs(pairs[:step], A.inert)) == step
+    assert not _live_pairs(singles, A.inert)
+    return out
+
+
+def _random_with_inert(p, seed):
+    """A random alternating algebra on e0..e2 with e3..e5 central and alpha
+    block-diagonal except alpha(e5), which has an e0 part: e3 and e4 are
+    inert, and e5 is inert only at p = 2 (only alpha^0 counts there)."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros((6, 6, 6), dtype=np.int64)
+    c[:3, :3] = rng.integers(0, p, size=(3, 3, 6))
+    c = (c - c.transpose(1, 0, 2)) % p
+    alpha = np.zeros((6, 6), dtype=np.int64)
+    alpha[:3, :3] = rng.integers(0, p, size=(3, 3))
+    alpha[3:, 3:] = np.diag(rng.integers(1, p, 3))
+    alpha[0, 5] = 1
+    A = HomLieAlgebra(p, c, alpha)
+    assert A.inert.tolist() == [False] * 3 + [True, True, p == 2]
+    return A
+
+
+def test_eval_p_batch_equals_the_per_coordinate_oracle(sampled_p5, wide_char2):
+    """The sliced fold against the one-vector PolyVec fold, row by row."""
+    cases = {"sampled_p5 L": sampled_p5["P_L"], "wide_char2 L": wide_char2["P_L"]}
+    for p in (2, 3, 5):
+        A = _random_with_inert(p, p)
+        cases[f"random p={p}"] = PStructure(A, np.random.default_rng(p).integers(0, p, size=(6, 6)))
+    for name, P in list(cases.items()):
+        cases[f"{name} corrupted"] = _corrupt(P, P.parent.n - 1, 0)
+    rng = np.random.default_rng(12)
+    for name, P in cases.items():
+        want = {}  # the one-slice batch repeats the rows of one slice + 1
+        for batch, xs in _fold_batches(P.parent, rng).items():
+            got = eval_p_batch(P, xs)
+            assert got.shape == xs.shape, (name, batch)
+            for m, x in enumerate(xs):
+                if x.tobytes() not in want:
+                    want[x.tobytes()] = oracles.eval_p_fold(P, x)
+                assert np.array_equal(got[m], want[x.tobytes()]), (name, batch, m)
+
+
+def test_eval_P_batch_equals_the_per_coordinate_oracle(sampled_p5):
+    cases = {"sampled_p5": (sampled_p5["V"], sampled_p5["B"], sampled_p5["D"], sampled_p5["pe"])}
+    for p in (3, 5, 7):
+        V, rng = _random_with_inert(p, p), np.random.default_rng(p)
+        pe = PExtensionData(0, gfp.zeros(6), 0, 0, gfp.zeros(6), rng.integers(0, p, 6), p)
+        cases[f"random p={p}"] = (V, BilinearForm(rng.integers(0, p, (6, 6)), p), Derivation(rng.integers(0, p, (6, 6)), p), pe)
+    for name, (V, B, D, pe) in list(cases.items()):
+        bad = PExtensionData(pe.xi, pe.a0, pe.m, pe.l, pe.u0, (pe.P_basis + 1) % V.p, V.p)
+        cases[f"{name} corrupted"] = (V, B, D, bad)
+    rng = np.random.default_rng(13)
+    for name, (V, B, D, pe) in cases.items():
+        for batch, vs in _fold_batches(V, rng).items():
+            got = eval_P_batch(V, B, D, pe, vs)
+            assert got.shape == vs.shape[:1], (name, batch)
+            assert np.array_equal(got, oracles.eval_P_fold(V, B, D, pe, vs)), (name, batch)
+
+
+def test_fold_calls_cross_once_per_slice_of_live_pairs(sampled_p5, wide_char2, monkeypatch):
+    """eval_p_batch and the odd-p eval_P_batch call their kernel
+    ceil(live pairs / slice) times, on slices of at most the slice size."""
+    sizes = []
+
+    def counting(kernel):
+        def counted(*args):
+            sizes.append(len(args[-1]))
+            return kernel(*args)
+        return counted
+
+    monkeypatch.setattr(restricted, "compute_s_batch", counting(compute_s_batch))
+    monkeypatch.setattr(doubleext, "compute_eta_batch", counting(compute_eta_batch))
+    gen = sampled_p5
+    folds = {
+        "sampled_p5 L": (gen["L"], lambda xs: eval_p_batch(gen["P_L"], xs)),
+        "wide_char2 L": (wide_char2["L"], lambda xs: eval_p_batch(wide_char2["P_L"], xs)),
+        "sampled_p5 P": (gen["V"], lambda xs: eval_P_batch(gen["V"], gen["B"], gen["D"], gen["pe"], xs)),
+    }
+    rng = np.random.default_rng(14)
+    for name, (A, f) in folds.items():
+        batches = _fold_batches(A, rng)
+        batches["many"] = rng.integers(0, A.p, size=(300, A.n))
+        for batch, xs in batches.items():
+            sizes.clear()
+            f(xs)
+            live, step = len(_live_pairs(xs, A.inert)), _slice(A)
+            assert len(sizes) == -(-live // step), (name, batch)
+            assert sum(sizes) == live and all(s <= step for s in sizes), (name, batch)
+
+
+def test_inverses_are_cached_read_only():
+    for p in (2, 3, 5, 7, 101):
+        inv = restricted._inverses(p)
+        assert inv is restricted._inverses(p) and not inv.flags.writeable
+        assert inv.tolist() == [gfp.inv(i, p) for i in range(1, p)]
+
+
+def _transported(p, c, alpha, dm, S):
+    """c, alpha and D carried through x -> S x, exactly:
+    [S x, S y] = S [x, y], alpha' = S alpha S^-1, D' = S D S^-1."""
+    S_inv = gfp.mat_inv(S, p)
+    so, sio = S.astype(object), S_inv.astype(object)
+    c2 = np.einsum("ai,bj,abl,kl->ijk", sio, sio, c.astype(object), so) % p
+    return (HomLieAlgebra(p, np.asarray(c2, dtype=np.int64), oracles.product_exact(p, S, alpha, S_inv)),
+            Derivation(oracles.product_exact(p, S, dm, S_inv), p))
+
+
+def test_p_property_chains_do_not_wrap_at_the_largest_p():
+    """3 (p-1)^2 is just below 2^63 here, so a product of two reduced 3x3
+    matrices fits int64 but xi times one, or a product of three, does not.
+
+    Before transport: alpha = 1 + E01, so alpha^(p-1) = 1 - E01, D = E00 and
+    [e2, e0] = (1 - X) e0, [e2, e1] = e0.  Then D^p = X D alpha^(p-1) +
+    ad(e2) alpha^(p-1) with D(e2) = 0, and no other xi has a solution.  A
+    random change of basis makes every entry large."""
+    p, X = 1753413037, 7
+    assert 3 * (p - 1) ** 2 < 2**63 < X * (p - 1) ** 2
+    c = np.zeros((3, 3, 3), dtype=np.int64)
+    c[2, 0, 0], c[2, 1, 0] = (1 - X) % p, 1
+    c = (c - c.transpose(1, 0, 2)) % p
+    alpha, dm = gfp.eye(3), np.zeros((3, 3), dtype=np.int64)
+    alpha[0, 1], dm[0, 0] = 1, 1
+    rng = np.random.default_rng(8)
+    S = rng.integers(0, p, size=(3, 3))
+    while gfp.mat_inv(S, p) is None:
+        S = rng.integers(0, p, size=(3, 3))
+    V, D = _transported(p, c, alpha, dm, S)
+    a0 = S[:, 2]  # S e2
+    apow = gfp.mat_pow(V.alpha, p - 1, p)
+    assert np.array_equal(oracles.product_exact(p, apow, V.alpha), gfp.eye(3)) and apow.max() > 2**30
+    # the witness holds on Python integers: D^2 = D, so D^p = D
+    assert np.array_equal(oracles.product_exact(p, D.mat, D.mat), D.mat)
+    exact = (X * oracles.product_exact(p, D.mat, apow) + oracles.product_exact(p, V.ad(a0), apow)) % p
+    assert np.array_equal(exact, D.mat) and not D(a0).any()
+    assert check_p_property(V, D, PPropertyWitness(X, a0, p))
+    assert not check_p_property(V, D, PPropertyWitness(X - 1, a0, p))
+    w = solve_p_property(V, D)
+    assert w.xi == X and np.array_equal(w.a0, a0)
