@@ -126,33 +126,6 @@ def rank(m, p: int) -> int:
     return len(rref(m, p)[1])
 
 
-def det(m, p: int) -> int:
-    """Determinant mod p by fraction-free elimination."""
-    a = asmat(m, p).copy()
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise DimMismatch("determinant needs a square matrix")
-    d = 1
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if a[i, c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return 0
-        if pr != c:
-            a[[c, pr]] = a[[pr, c]]
-            d = (-d) % p
-        piv = int(a[c, c])
-        d = (d * piv) % p
-        ipiv = inv(piv, p)
-        for i in range(c + 1, n):
-            if a[i, c] != 0:
-                a[i] = (a[i] - (a[i, c] * ipiv % p) * a[c]) % p
-    return d
-
-
 def kernel(m, p: int) -> list[np.ndarray]:
     """Basis of the right null space {v : Mv = 0}, in reduced echelon form.
 

@@ -20,7 +20,7 @@ from .algebra import BilinearForm, HomLieAlgebra, bracket_sides
 from .doubleext import ExtFrame, split_frame
 from .errors import BadLevel, DimMismatch, NonInvertiblePi0, OddCharRequired, ZeroGamma
 from .report import Report, rows
-from .restricted import PStructure, domain, p_map, tally_domain
+from .restricted import PStructure, _inverses, domain, p_map, tally_domain
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
 
 
@@ -293,13 +293,7 @@ def verify_restricted_iso(
         m_rhs = (ginv**2 * (gamma * pe.m + btu0)) % p
         u0_rhs = (ginv**2 * (pi0 @ pe.u0)) % p
     else:
-        split = phi_split(ft, pi0, t, p)
-        phi_i_sum = gfp.zeros(n)
-        phi_ii_sum = 0
-        for i in range(1, p):
-            vec_i, sc_ii = split[(p, i)]
-            phi_i_sum = (phi_i_sum + gfp.inv(i, p) * vec_i) % p
-            phi_ii_sum = (phi_ii_sum + gfp.inv(i, p) * sc_ii) % p
+        phi_i_sum, phi_ii_sum = phi_sums(ft, pi0, t)
         inv2p = pow(gfp.inv(2, p), p, p)
         a0_rhs = (
             pow(gamma, p, p) * ((pi0 @ pe.a0) - ginv * pe.xi * pt)
@@ -379,6 +373,19 @@ def phi_split(frame: ExtFrame, pi0, t_pi, level: int) -> dict:
     return table
 
 
+def phi_sums(frame: ExtFrame, pi0, t_pi) -> tuple[np.ndarray, int]:
+    """sum_i (1/i) Phi(p, i) over i = 1..p-1, as (V-part, central coefficient).
+
+    Each term is reduced before the sum, which has p-1 terms below p.
+    """
+    p = frame.V.p
+    split = phi_split(frame, pi0, t_pi, p)
+    inv = _inverses(p)
+    vecs = np.stack([split[(p, i)][0] for i in range(1, p)])
+    scalars = np.array([split[(p, i)][1] for i in range(1, p)], dtype=np.int64)
+    return gfp.mod(inv[:, None] * vecs, p).sum(axis=0) % p, int(gfp.mod(inv * scalars, p).sum() % p)
+
+
 def s_tilde(
     L_tilde: HomLieAlgebra,
     B_Lt: BilinearForm,
@@ -386,15 +393,10 @@ def s_tilde(
     t_pi,
 ) -> np.ndarray:
     """Sum of the R3 coefficients at (e~*, -pi0(t_pi)), via the split recursion."""
-    p = L_tilde.p
-    if p < 3:
+    if L_tilde.p < 3:
         raise OddCharRequired("s_tilde needs p >= 3")
     frame = split_frame(L_tilde, B_Lt)
-    split = phi_split(frame, pi0, t_pi, p)
     n = frame.n
     out = gfp.zeros(n + 2)
-    for i in range(1, p):
-        vec_i, sc_ii = split[(p, i)]
-        out[1:1 + n] = (out[1:1 + n] + gfp.inv(i, p) * vec_i) % p
-        out[n + 1] = (out[n + 1] + gfp.inv(i, p) * sc_ii) % p
+    out[1:1 + n], out[n + 1] = phi_sums(frame, pi0, t_pi)
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
-from .algebra import BilinearForm, Derivation, HomLieAlgebra
+from .algebra import BilinearForm, Derivation, HomLieAlgebra, Subspace
 from .errors import DimMismatch, OddCharRequired
 from .report import CheckResult, Report, rows
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
@@ -374,31 +374,25 @@ def check_p_property(A: HomLieAlgebra, D: Derivation, w: PPropertyWitness) -> bo
 
 
 def solve_p_property(A: HomLieAlgebra, D: Derivation) -> PPropertyWitness | None:
-    """Search xi in ascending order and solve the linear system for a0.
+    """The witness with the smallest xi, found by one linear solve.
 
-    The map a0 -> matrix of ad(a0) o alpha^{p-1} is linear, so each xi
-    yields a linear system joined with D(a0) = 0; the returned a0 is the
-    echelon-minimal solution (particular solution reduced modulo the
-    homogeneous kernel), making outputs reproducible.
+    D^p = xi*D o alpha^{p-1} + ad(a0) o alpha^{p-1} with D(a0) = 0 is
+    linear in (a0, xi), so xi is one more unknown, in the last column: when
+    it is free every xi has a solution and solve sets it to 0, and when it
+    is a pivot it is unique.  a0 is reduced modulo the kernel of its own
+    columns, which makes it the echelon-minimal solution at that xi.
     """
     p, n = A.p, A.n
     apow = gfp.mat_pow(A.alpha, p - 1, p)
     cols = (A.ad_batch(gfp.eye(n)).transpose(0, 2, 1) @ apow) % p  # ad(e_j) o alpha^{p-1}
     m = np.vstack([cols.reshape(n, n * n).T % p, D.mat])
-    dp = gfp.mat_pow(D.mat, p, p)
-    dapow = (D.mat @ apow) % p
-    for xi in range(p):
-        target = (dp - xi * dapow) % p
-        rhs = np.concatenate([target.reshape(n * n), gfp.zeros(n)])
-        a0 = gfp.solve(m, rhs, p)
-        if a0 is None:
-            continue
-        for row in gfp.kernel(m, p):
-            c = int(np.argmax(row != 0))
-            if a0[c] != 0:
-                a0 = (a0 - a0[c] * row) % p
-        return PPropertyWitness(xi, a0, p)
-    return None
+    xi_col = np.concatenate([((D.mat @ apow) % p).reshape(n * n), gfp.zeros(n)])  # D o alpha^{p-1}
+    rhs = np.concatenate([gfp.mat_pow(D.mat, p, p).reshape(n * n), gfp.zeros(n)])
+    sol = gfp.solve(np.hstack([m, xi_col[:, None]]), rhs, p)
+    if sol is None:
+        return None
+    a0 = Subspace.from_vectors(gfp.kernel(m, p), n, p).reduce(sol[:n])
+    return PPropertyWitness(int(sol[n]), a0, p)
 
 
 def compute_eta_batch(A: HomLieAlgebra, B: BilinearForm, D: Derivation, us, vs) -> np.ndarray:

@@ -192,6 +192,49 @@ def test_is_ideal_trivial_and_line(heis_ext, heis):
     assert is_ideal(heis.V, center(heis.V))
 
 
+def test_nondegenerate_means_invertible_gram():
+    rng = np.random.default_rng(12)
+    seen = set()
+    for p in (2, 3, 5):
+        for n in (1, 2, 3, 4):
+            for _ in range(20):
+                m = rng.integers(0, p, size=(n, n))
+                if n > 1 and rng.random() < 0.5:
+                    m[0] = (m[1] * rng.integers(0, p)) % p  # a dependent first row
+                want = gfp.mat_inv(m, p) is not None
+                assert BilinearForm(m, p).is_nondegenerate() == want, (p, m)
+                seen.add((want, gfp.rank(m, p) == n - 1))
+    assert (False, True) in seen and (True, False) in seen  # corank one and full rank both occur
+
+
+def test_is_nondegenerate_ideal_does_not_wrap_at_the_largest_p():
+    """6 (p-1)^2 is just below 2^63, so S B S^T must be reduced after each
+    factor.  On an abelian V every subspace is an ideal; the restricted form
+    is nondegenerate exactly when it has full rank on Python integers.  Half
+    the forms kill the first vector of S, so they are degenerate on S."""
+    p, n = 1239850223, 6
+    assert n * (p - 1) ** 2 < 2**63
+    V = abelian(n, p)
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for k in (1, 2, 3, 4, 5):
+        for degenerate in (False, True):
+            vecs = rng.integers(0, p, size=(k, n))
+            m = rng.integers(0, p, size=(n, n))
+            gram = (m + m.T) % p
+            if degenerate:  # T^T gram T with T s0 = 0 for s0 = vecs[0]
+                s0 = vecs[0]
+                u = gfp.unit(n, int(np.argmax(s0 != 0))) * gfp.inv(int(s0[s0 != 0][0]), p)
+                t = (gfp.eye(n) - oracles.product_exact(p, s0[:, None], u[None, :])) % p
+                gram = oracles.product_exact(p, t.T, gram, t)
+            S = Subspace.from_vectors(list(vecs), n, p)
+            exact = gfp.rank(oracles.product_exact(p, S.basis, gram, S.basis.T), p) == S.dim
+            assert exact != degenerate, k
+            assert is_nondegenerate_ideal(V, BilinearForm(gram, p), S) == exact, (k, degenerate)
+            verdicts.append(exact)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_d_invariant_examples(heis, psl3):
     assert d_invariant(heis.B, heis.D, 2)
     assert d_invariant(heis.B, Derivation(np.zeros((6, 6), dtype=np.int64), 2), 2)

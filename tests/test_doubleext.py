@@ -596,3 +596,84 @@ def test_rep_axiom_2_sum_does_not_wrap_at_the_largest_p():
     want = (2 * oracles.product_exact(p, phi, phi)) % p
     assert check.failed == 1 and np.array_equal(check.failures[0].rhs, want)
     assert (want == 12).all()
+
+
+def test_phi_of_reduces_each_product_at_the_largest_p():
+    """Seven products (p-1)^2 pass 2^63, so phi_of reduces each before the
+    sum: phi((p-1, ..., p-1)) with every phi_b = (p-1) J is 7 J."""
+    p, m = 1239850223, 7
+    assert 6 * (p - 1) ** 2 < 2**63 < m * (p - 1) ** 2
+    A = HomLieAlgebra(p, np.zeros((m, m, m), dtype=np.int64), gfp.eye(m))
+    x = AlgebraExtensionData(A, [np.full((2, 2), p - 1)] * m, BilinearForm(gfp.eye(m), p))
+    assert (x.phi_of(np.full(m, p - 1)) == 7).all()
+    assert np.array_equal(x.phi_of(np.full((3, m), p - 1)), np.full((3, 2, 2), 7))
+
+
+def _square_zero_action(p, k, rng):
+    """N = [[X, 0], [0, -X^T]] on the hyperbolic GF(p)^2k, with X = u v^T and
+    v.u = 0: N^2 = 0, and N is skew for the hyperbolic form (also in char 2)."""
+    u, v = rng.integers(0, p, k), rng.integers(0, p, k)
+    u[-1], v[-1] = 1, (-(v[:-1] @ u[:-1])) % p  # v.u = 0
+    x = np.outer(u, v) % p
+    out = np.zeros((2 * k, 2 * k), dtype=np.int64)
+    out[:k, :k], out[k:, k:] = x, (-x.T) % p
+    return out
+
+
+def _algebra_extension_cases(p, rng):
+    """Random (V, B_V, data) with dim A = 1, 2, 3: a passing family (abelian
+    hyperbolic V, abelian A whose twist permutes its basis, phi(e_b) a
+    multiple of one square-zero skew N, constant on the twist's orbits) and
+    failing ones (random A, twist and phi on the same V and on a random V)."""
+    k = 2
+    n = 2 * k
+    gram = np.zeros((n, n), dtype=np.int64)
+    gram[:k, k:] = gram[k:, :k] = gfp.eye(k)
+    V_hyp, B_hyp = HomLieAlgebra(p, np.zeros((n, n, n), dtype=np.int64), gfp.eye(n)), BilinearForm(gram, p)
+    c = rng.integers(0, p, size=(n, n, n))
+    V_rand = HomLieAlgebra(p, (c - c.transpose(1, 0, 2)) % p, rng.integers(0, p, (n, n)))
+    B_rand = BilinearForm(rng.integers(0, p, (n, n)), p)
+    cases = []
+    for m in (1, 2, 3):
+        perm, lam = np.arange(m), rng.integers(0, p, m)
+        if m > 1:
+            perm[:2], lam[1] = [1, 0], lam[0]  # alpha swaps e0 and e1, and lam is constant on them
+        alpha = gfp.eye(m)[perm]
+        N = _square_zero_action(p, k, rng)
+        A = HomLieAlgebra(p, np.zeros((m, m, m), dtype=np.int64), alpha)
+        good = AlgebraExtensionData(A, [(int(l) * N) % p for l in lam], BilinearForm(gfp.eye(m), p))
+        cases.append(("pass", V_hyp, B_hyp, good))
+        ca = rng.integers(0, p, size=(m, m, m))
+        A_rand = HomLieAlgebra(p, (ca - ca.transpose(1, 0, 2)) % p, rng.integers(0, p, (m, m)))
+        sigma = BilinearForm(rng.integers(0, p, (m, m)), p)
+        bad = AlgebraExtensionData(A_rand, list(rng.integers(0, p, (m, n, n))), sigma)
+        cases += [("fail", V_hyp, B_hyp, bad), ("fail", V_rand, B_rand, bad),
+                  ("fail", V_hyp, B_hyp, AlgebraExtensionData(A, good.phi[:-1] + [N], sigma))]
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_algebra_extension_matches_the_per_index_loops(p):
+    """Reports, the built (L, B_L) and psi equal the per-index oracles."""
+    rng = np.random.default_rng(40 + p)
+    verdicts = []
+    for seed in range(3):
+        for want, V, B, x in _algebra_extension_cases(p, rng):
+            got = check_algebra_extension_data(V, B, x)
+            assert got.to_dict() == oracles.algebra_extension_loop(V, B, x).to_dict(), (seed, want)
+            if want == "pass":
+                assert got.ok, seed
+            verdicts.append(got.ok)
+            L, B_L = extend_by_algebra(V, B, x, check=False)
+            L_loop, B_loop = oracles.extend_by_algebra_loop(V, B, x)
+            assert np.array_equal(L.c, L_loop.c) and np.array_equal(L.alpha, L_loop.alpha), seed
+            assert np.array_equal(B_L.gram, B_loop.gram) and L.basis_names == L_loop.basis_names, seed
+            us, vs = rng.integers(0, p, (2, 8, V.n))
+            psi = psi_eval(B, x, us, vs)
+            assert psi.shape == (8, x.A.n)
+            for u, v, row in zip(us, vs, psi):
+                assert np.array_equal(psi_eval(B, x, u, v), row)
+                assert np.array_equal(row, oracles.psi_eval_loop(B, x, u, v))
+            avecs = rng.integers(0, p, (5, x.A.n))
+            assert all(np.array_equal(x.phi_of(avecs)[i], oracles.phi_of_loop(x, a)) for i, a in enumerate(avecs))
+    assert any(verdicts) and not all(verdicts)

@@ -107,12 +107,19 @@ def test_rref_deterministic_pivoting():
 
 
 def test_det_and_mat_inv():
+    """Full rank exactly when the determinant (the Leibniz sum) is nonzero."""
     m = np.array([[1, 2], [2, 1]], dtype=np.int64)
-    assert gfp.det(m, 3) == 0
+    assert _det_leibniz(m, 3) == 0 and gfp.rank(m, 3) == 1
     assert gfp.mat_inv(m, 3) is None
     inv = gfp.mat_inv(m, 5)
     assert np.array_equal((m @ inv) % 5, gfp.eye(2))
-    assert gfp.det(m, 5) == (1 - 4) % 5
+    assert _det_leibniz(m, 5) == (1 - 4) % 5 and gfp.rank(m, 5) == 2
+    rng = np.random.default_rng(2)
+    for p in (2, 3, 5):
+        for n in (1, 2, 3, 4):
+            for _ in range(20):
+                m = rng.integers(0, p, size=(n, n))
+                assert (gfp.rank(m, p) == n) == (_det_leibniz(m, p) != 0), (p, m)
 
 
 def _det_leibniz(m, p):
@@ -129,14 +136,15 @@ def _det_leibniz(m, p):
 
 def test_det_and_mat_pow_do_not_wrap_at_the_largest_p():
     """6 (p-1)^2 is just below 2^63, so an elimination step may multiply two
-    entries but not three before reducing; mat_pow squares."""
+    entries but not three before reducing; mat_pow squares.  The rank is
+    full exactly when the determinant is nonzero."""
     p = 1239850223
     rng = np.random.default_rng(3)
     for _ in range(5):
         m = rng.integers(0, p, size=(6, 6))
-        assert gfp.det(m, p) == _det_leibniz(m, p)
+        assert _det_leibniz(m, p) != 0 and gfp.rank(m, p) == 6
     m[1] = (2 * m[0]) % p
-    assert gfp.det(m, p) == 0
+    assert _det_leibniz(m, p) == 0 and gfp.rank(m, p) == 5
     power = gfp.eye(6)
     for k in range(10):
         assert np.array_equal(gfp.mat_pow(m, k, p), power), k

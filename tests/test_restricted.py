@@ -497,19 +497,17 @@ def test_r1_report_matches_the_full_domain_tally(request):
             assert got.failed > 0, name
 
 
-# Inert coordinates.  e_j is inert when c is alternating and alpha^t(e_j) has
-# no component on a nonzero row of c for t = 0..p-2.  Then s_i(x, lam e_j) and
-# eta_i(x, lam e_j) vanish, so `fold` and `eval_p_all` skip them; every result
-# must equal the fold with an all-false mask bit for bit.
+# Inert coordinates.  e_j is inert when c is alternating and row j of c is
+# zero.  Then s_i(x, lam e_j) and eta_i(x, lam e_j) vanish, whatever alpha is,
+# so `fold` and `eval_p_all` skip them; every result must equal the fold with
+# an all-false mask bit for bit.
 
 
 def _inert_oracle(A):
-    """inert from the definition, with every alpha power up to p-2."""
+    """inert from the definition: c alternating and row j of c zero."""
     c, p = A.c, A.p
     alternating = not np.einsum("iik->ik", c).any() and np.array_equal(c, (-c.transpose(1, 0, 2)) % p)
-    rows = c.any(axis=(1, 2))
-    return np.array([alternating and not any(A.alpha_pow(t)[rows, j].any() for t in range(p - 1))
-                     for j in range(A.n)], dtype=bool)
+    return np.array([alternating and not c[j].any() for j in range(A.n)], dtype=bool)
 
 
 def _central_block_algebra(p, m, r, twisted, rng):
@@ -544,7 +542,7 @@ def test_s_and_eta_vanish_on_inert_coordinates(p):
     rng = np.random.default_rng(p)
     hits = live = 0
     for twisted in (False, True):
-        for m, r in ((2, 3), (3, 3)):  # n = 5 < p - 1 at p = 7 stops the alpha powers at n - 1
+        for m, r in ((2, 3), (3, 3)):
             for _ in range(4):
                 A = _central_block_algebra(p, m, r, twisted, rng)
                 assert np.array_equal(A.inert, _inert_oracle(A))
@@ -576,14 +574,28 @@ def test_inert_mask_matches_its_definition(request):
     assert np.nonzero(algebras["heis V"].inert)[0].tolist() == [2, 3, 4]
 
 
-def test_central_e_j_with_noncentral_twist_image_is_not_inert():
-    # [e0, e1] = e2 with e2 and e3 central; alpha(e3) = e0 + e3 is not central
+def test_central_e_j_with_noncentral_twist_image_is_inert():
+    """[e0, e1] = e2 with e2 and e3 central; alpha(e3) = e0 + e3 is not
+    central, yet e3 is inert: the innermost factor of both towers at
+    y = lam e3 is k[x, x] + [y, x] = 0."""
     for p in (2, 3, 5):
         alpha = gfp.eye(4)
         alpha[0, 3] = 1
         A = HomLieAlgebra.from_upper(p, 4, {(0, 1): gfp.unit(4, 2)}, alpha)
-        want = [False, False, True, p == 2]  # at p = 2 only alpha^0 counts
-        assert A.inert.tolist() == want, p
+        assert A.inert.tolist() == [False, False, True, True], p
+        rng = np.random.default_rng(p)
+        xs = rng.integers(0, p, size=(50, 4))
+        ys = np.multiply.outer(rng.integers(1, p, size=50), gfp.unit(4, 3))
+        assert not compute_s_batch(A, xs, ys).any(), p
+        vs = gfp.all_vectors(4, p)
+        P = PStructure(A, rng.integers(0, p, size=(4, 4)))
+        assert np.array_equal(eval_p_batch(P, vs), fold(p, vs, P.images, _s_cross(A), _no_skips(A))), p
+        if p > 2:  # the eta_i and P exist in odd characteristic only
+            B, D = BilinearForm(rng.integers(0, p, (4, 4)), p), Derivation(rng.integers(0, p, (4, 4)), p)
+            assert not compute_eta_batch(A, B, D, xs, ys).any(), p
+            pe = PExtensionData(0, gfp.zeros(4), 0, 0, gfp.zeros(4), rng.integers(0, p, 4), p)
+            want = fold(p, vs, pe.P_basis, _eta_cross(A, B, D), _no_skips(A))
+            assert np.array_equal(eval_P_batch(A, B, D, pe, vs), want), p
 
 
 def test_non_alternating_tensor_has_no_inert_coordinate():
@@ -706,8 +718,8 @@ def _fold_batches(A, rng):
 
 def _random_with_inert(p, seed):
     """A random alternating algebra on e0..e2 with e3..e5 central and alpha
-    block-diagonal except alpha(e5), which has an e0 part: e3 and e4 are
-    inert, and e5 is inert only at p = 2 (only alpha^0 counts there)."""
+    block-diagonal except alpha(e5), which has an e0 part: e3, e4 and e5 are
+    inert, since inert needs only centrality."""
     rng = np.random.default_rng(seed)
     c = np.zeros((6, 6, 6), dtype=np.int64)
     c[:3, :3] = rng.integers(0, p, size=(3, 3, 6))
@@ -717,7 +729,7 @@ def _random_with_inert(p, seed):
     alpha[3:, 3:] = np.diag(rng.integers(1, p, 3))
     alpha[0, 5] = 1
     A = HomLieAlgebra(p, c, alpha)
-    assert A.inert.tolist() == [False] * 3 + [True, True, p == 2]
+    assert A.inert.tolist() == [False] * 3 + [True] * 3
     return A
 
 
@@ -837,3 +849,59 @@ def test_p_property_chains_do_not_wrap_at_the_largest_p():
     assert not check_p_property(V, D, PPropertyWitness(X - 1, a0, p))
     w = solve_p_property(V, D)
     assert w.xi == X and np.array_equal(w.a0, a0)
+
+
+def _p_property_random_cases(p, rng):
+    """Small random algebras (abelian or not, random or identity twist) with
+    random, zero, inner, scalar and strictly triangular derivations."""
+    for n in (1, 2, 3):
+        for _ in range(6):
+            c = rng.integers(0, p, size=(n, n, n)) * (rng.random() < 0.6)
+            alpha = rng.integers(0, p, (n, n)) if rng.random() < 0.5 else gfp.eye(n)
+            A = HomLieAlgebra(p, (c - c.transpose(1, 0, 2)) % p, alpha)
+            for dm in (rng.integers(0, p, (n, n)), np.zeros((n, n)), A.ad(rng.integers(0, p, n)),
+                       int(rng.integers(1, p)) * gfp.eye(n), np.triu(rng.integers(0, p, (n, n)), 1)):
+                yield A, Derivation(dm, p)
+
+
+def test_solve_p_property_matches_the_xi_loop(heis, psl3, psl3_twisted, sl2, sampled_p5, wide_char2):
+    """One joint solve gives the (xi, a0) of the ascending xi search."""
+    cases = [(heis.V, heis.D), (sl2.g, sl2.D), (sampled_p5["V"], sampled_p5["D"]),
+             (wide_char2["V"], wide_char2["D"])]
+    cases += [(psl3.g, D) for D in psl3.derivations.values()]
+    cases += [(psl3_twisted[0], D) for D in psl3_twisted[3].values()]
+    for p in (2, 3, 5):
+        cases += list(_p_property_random_cases(p, np.random.default_rng(p)))
+    for p in (2, 3, 5):  # a0 = -e0 + t(e0 - e1): the solve gives t = 0, the echelon-minimal t = 1
+        A = HomLieAlgebra.from_upper(p, 4, {(0, 2): gfp.unit(4, 3), (1, 2): gfp.unit(4, 3)})
+        D = Derivation(np.diag([0, 0, 1, 1]) + A.ad(gfp.unit(4, 0)), p)  # D^p = D - ad(e0)
+        assert solve_p_property(A, D).a0.tolist() == [0, p - 1, 0, 0]
+        cases.append((A, D))
+    kinds = {"none": 0, "xi = 0": 0, "xi > 0": 0, "a0 != 0": 0}
+    for A, D in cases:
+        got, want = solve_p_property(A, D), oracles.solve_p_property_loop(A, D)
+        if want is None:
+            assert got is None
+            kinds["none"] += 1
+            continue
+        assert (got.xi, got.a0.tolist()) == (want.xi, want.a0.tolist())
+        assert check_p_property(A, D, got)
+        kinds["xi > 0" if got.xi else "xi = 0"] += 1
+        kinds["a0 != 0"] += bool(got.a0.any())
+    assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("p", [10007, 1239850223])
+def test_solve_p_property_without_witness_makes_one_solve(p, monkeypatch):
+    """dim 1, D = [1], alpha = 0: D^p = 1 but xi D alpha^(p-1) + ad(a0) alpha^(p-1)
+    = 0, so no xi works; one solve says so instead of one per xi."""
+    solves, solve = [], gfp.solve
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(gfp, "solve", counted)
+    A = HomLieAlgebra(p, np.zeros((1, 1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64))
+    assert solve_p_property(A, Derivation([[1]], p)) is None
+    assert len(solves) == 1
