@@ -42,8 +42,6 @@ class HomLieAlgebra:
         self.alpha.setflags(write=False)
         self.n = n
         self.basis_names = list(basis_names) if basis_names else [f"e{i+1}" for i in range(n)]
-        self._alpha_pows: list[np.ndarray] = [gfp.eye(n)]
-        self._alpha_pows[0].setflags(write=False)
         # Nonzero structure constants (a, b, k) grouped by k, for bracket_batch;
         # a k without one gets the zero (0, 0, k), so no group is empty.
         mask = self.c != 0
@@ -93,12 +91,6 @@ class HomLieAlgebra:
         if alpha is None:
             alpha = gfp.eye(n)
         return cls(p, c, alpha, basis_names)
-
-    def alpha_pow(self, k: int) -> np.ndarray:
-        while len(self._alpha_pows) <= k:
-            self._alpha_pows.append((self._alpha_pows[-1] @ self.alpha) % self.p)
-            self._alpha_pows[-1].setflags(write=False)
-        return self._alpha_pows[k]
 
     def bracket(self, x, y) -> np.ndarray:
         """bracket_batch on one pair."""
@@ -152,10 +144,10 @@ class HomLieAlgebra:
         return out.reshape(xs.shape[0], self.n, self.n)
 
     def apply_alpha(self, x, k: int = 1) -> np.ndarray:
-        return (self.alpha_pow(k) @ gfp.asvec(x, self.p)) % self.p
+        return (gfp.mat_pow(self.alpha, k, self.p) @ gfp.asvec(x, self.p)) % self.p
 
     def is_involutive(self) -> bool:
-        return np.array_equal(self.alpha_pow(2), gfp.eye(self.n))
+        return np.array_equal(gfp.mat_pow(self.alpha, 2, self.p), gfp.eye(self.n))
 
 
 @dataclass
@@ -198,6 +190,8 @@ class Derivation:
     p: int = 0
 
     def __init__(self, mat, p: int, k: int = 1):
+        if int(k) < 0:
+            raise ValueError(f"derivation degree must be nonnegative, got {k}")
         self.p = int(p)
         self.mat = gfp.asmat(mat, p)
         self.k = int(k)
@@ -223,10 +217,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[1]
 
     def contains(self, v) -> bool:
         return not self.reduce(v).any()
@@ -322,7 +312,7 @@ def verify_derivation(A: HomLieAlgebra, D: Derivation) -> Report:
     rep = Report(p=p, dim=n, degree=D.k)
     comm = (D.mat @ A.alpha - A.alpha @ D.mat) % p
     rep.record("twist_commute", not comm.any(), (), lhs=(D.mat @ A.alpha) % p, rhs=(A.alpha @ D.mat) % p)
-    ak, d = A.alpha_pow(D.k).T, D.mat.T  # rows alpha^k(e_i) and D(e_i)
+    ak, d = gfp.mat_pow(A.alpha, D.k, p).T, D.mat.T  # rows alpha^k(e_i) and D(e_i)
     lhs = (A.c @ d) % p  # D([e_i, e_j])
     # [D(e_i), alpha^k(e_j)] = -[alpha^k(e_j), D(e_i)]
     t1 = (-A.bracket_batch(ak[None, :, :], d[:, None, :])) % p

@@ -197,7 +197,9 @@ def parse(text: str) -> AlgebraBundle:
             mat = np.asarray(spec["matrix"], dtype=np.int64)
             _expect(mat.shape == (dim, dim), f"derivation {name} must be dim x dim")
             _check_entries(f"derivation {name}", mat, p)
-            derivs[name] = Derivation(mat, p, int(spec.get("degree", 1)))
+            degree = int(spec.get("degree", 1))
+            _expect(degree >= 0, f"derivation {name} degree must be a nonnegative integer")
+            derivs[name] = Derivation(mat, p, degree)
         twist = doc.get("twist")
         if twist is not None:
             twist = np.asarray(twist, dtype=np.int64)

@@ -92,7 +92,7 @@ def check_extension_data(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtension
     """
     p = V.p
     rep = Report(p=p, dim=V.n)
-    rep.record("involutive_V", V.is_involutive(), (), lhs=V.alpha_pow(2), rhs="id")
+    rep.record("involutive_V", V.is_involutive(), (), lhs=gfp.mat_pow(V.alpha, 2, p), rhs="id")
     rep.merge(verify_derivation(V, d.D))
     rep.record("d_invariant", d_invariant(B_V, d.D, p), ())
     dm, x0 = d.D.mat, d.x0

@@ -13,10 +13,6 @@ class DimMismatch(HomextError):
     """Vector or matrix shapes are inconsistent."""
 
 
-class DegreeOverflow(HomextError):
-    """A polynomial-vector operation exceeded its degree cap (internal misuse)."""
-
-
 class OddCharRequired(HomextError):
     """Operation is only defined in characteristic p > 2."""
 

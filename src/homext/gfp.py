@@ -177,7 +177,9 @@ def mat_inv(m, p: int) -> np.ndarray | None:
 
 
 def mat_pow(m, k: int, p: int) -> np.ndarray:
-    """m^k mod p by repeated squaring: O(log k) products."""
+    """m^k mod p by repeated squaring: O(log k) products, for k >= 0."""
+    if k < 0:
+        raise ValueError(f"matrix power needs k >= 0, got {k}")
     a = asmat(m, p)
     out = eye(a.shape[0])
     while k:

@@ -67,7 +67,7 @@ def build_adapted_iso(
     pi[n + 1, 1:1 + n] = (f.B_V.gram @ a.t_pi) % p
     pi[n + 1, n + 1] = a.gamma
     pi[0, 0] = ginv
-    pi[1:1 + n, 0] = (-ginv * (a.pi0 @ a.t_pi)) % p  # -1 = 1 in char 2
+    pi[1:1 + n, 0] = (-ginv * ((a.pi0 @ a.t_pi) % p)) % p  # -1 = 1 in char 2
     if p == 2:
         pi[n + 1, 0] = a.nu
     else:
@@ -101,21 +101,22 @@ def check_adapted_iso_data(
         return rep
     lhs, rhs = bracket_sides(pi0, V, V)
     rep.record("pi0_bracket", not ((lhs - rhs) % p).any(), ())
-    rep.record("pi0_isometry", np.array_equal((pi0.T @ B_V.gram @ pi0) % p, B_V.gram), ())
+    # every product below is reduced before its next factor, so none wraps int64
+    rep.record("pi0_isometry", np.array_equal((((pi0.T @ B_V.gram) % p) @ pi0) % p, B_V.gram), ())
     rep.record("pi0_twist_commute", not ((pi0 @ V.alpha - V.alpha @ pi0) % p).any(), ())
-    conj = (pi0_inv @ ft.D.mat @ pi0) % p
+    conj = (((pi0_inv @ ft.D.mat) % p) @ pi0) % p
     want = (gamma * f.D.mat + V.ad(t)) % p
     rep.record("conjugated_derivation", np.array_equal(conj, want), (), lhs=conj, rhs=want)
     rep.record("lambda_match", f.lam == ft.lam, (), lhs=f.lam, rhs=ft.lam)
     # The signs are those of odd characteristic; -1 = 1 makes them the char-2 list.
     lhsv = (pi0 @ ((V.alpha @ t - f.lam * t) % p)) % p
-    rhsv = (ft.x0 - gamma * (pi0 @ f.x0)) % p
+    rhsv = (ft.x0 - gamma * ((pi0 @ f.x0) % p)) % p
     rep.record("x0_compat", np.array_equal(lhsv, rhsv), (), lhs=lhsv, rhs=rhsv)
     lam0_lhs = (B_V.eval(ft.x0, (pi0 @ t) % p) + gamma * B_V.eval(f.x0, t)) % p
     lam0_rhs = (ft.lam0 - gamma * gamma * f.lam0) % p
     rep.record("lambda0_compat", lam0_lhs == lam0_rhs, (), lhs=lam0_lhs, rhs=lam0_rhs)
-    lhsr = ((ft.x0 @ B_V.gram @ pi0) - gamma * (f.x0 @ B_V.gram)) % p
-    rhsr = (t @ B_V.gram @ ((V.alpha - f.lam * gfp.eye(f.n)) % p)) % p
+    lhsr = ((((ft.x0 @ B_V.gram) % p) @ pi0) % p - gamma * ((f.x0 @ B_V.gram) % p)) % p
+    rhsr = (((t @ B_V.gram) % p) @ ((V.alpha - f.lam * gfp.eye(f.n)) % p)) % p
     rep.record("x0_pairing", np.array_equal(lhsr, rhsr), (), lhs=lhsr, rhs=rhsr)
     if p == 2:
         beta_rhs = (B_V.eval(t, t) + gfp.inv(gamma, p) ** 2 * ft.beta) % p
@@ -137,7 +138,7 @@ def verify_adapted_iso(
     rep.record("invertible", gfp.mat_inv(pi, p) is not None, ())
     lhs, rhs = bracket_sides(pi, L, L_tilde)
     rep.tally("bracket_preserved", ((lhs - rhs) % p).any(axis=2), lhs, rhs)
-    fl = (pi.T @ B_Lt.gram @ pi) % p
+    fl = (((pi.T @ B_Lt.gram) % p) @ pi) % p  # reduced per factor: a chain of three wraps int64
     rep.tally("form_preserved", (fl - B_L.gram) % p != 0, fl, B_L.gram)
     rep.record(
         "twist_intertwined",
@@ -186,7 +187,7 @@ def extract_iso_data(
     if gamma % p:
         ginv = gfp.inv(gamma, p)
         rep.record("e_star_scale", pi[0, 0] % p == ginv, (), lhs=int(pi[0, 0]), rhs=ginv)
-        rep.record("e_star_v_part", np.array_equal(pi[1:1 + n, 0], (-ginv * (pi0 @ t)) % p), ())
+        rep.record("e_star_v_part", np.array_equal(pi[1:1 + n, 0], (-ginv * ((pi0 @ t) % p)) % p), ())
         if p != 2:
             want_nu = (-ginv * gfp.inv(2, p) * f.B_V.eval(t, t)) % p
             rep.record("e_star_e_part", nu == want_nu, (), lhs=nu, rhs=want_nu)
@@ -281,35 +282,35 @@ def verify_restricted_iso(
     btt = B_V.eval(t, t)
     bta0 = B_V.eval(t, pe.a0)
     btu0 = B_V.eval(t, pe.u0)
+    # x^p = x in GF(p), and gamma = 1/gamma = 1 and nu^2 = nu in GF(2), so no power is
+    # needed: xi~ = gamma^(p-1) xi = xi, and m~ and u0~ take one formula for every p.
+    xi_rhs = pe.xi
+    m_rhs = (ginv * ((gamma * pe.m + btu0) % p)) % p
+    u0_rhs = (ginv * ((pi0 @ pe.u0) % p)) % p
     if p == 2:
         a0_rhs = (
-            gamma**2 * ((pi0 @ pe.a0) + ginv * pe.xi * pt)
-            + gamma**2 * nu**2 * pet.u0
+            gamma * ((pi0 @ pe.a0 + ginv * pe.xi * pt) % p)
+            + nu * pet.u0
             + ft.D(pt)
             + spt_t
         ) % p
-        l_rhs = (gamma**2 * (bta0 + gamma * pe.l + nu * pe.xi) + ppt_t + nu**2 * pet.m) % p
-        xi_rhs = (gamma * pe.xi) % p
-        m_rhs = (ginv**2 * (gamma * pe.m + btu0)) % p
-        u0_rhs = (ginv**2 * (pi0 @ pe.u0)) % p
+        l_rhs = (gamma * (bta0 + gamma * pe.l + nu * pe.xi) + ppt_t + nu * pet.m) % p
     else:
         phi_i_sum, phi_ii_sum = phi_sums(ft, pi0, t)
-        inv2p = pow(gfp.inv(2, p), p, p)
+        half_btt = (gfp.inv(2, p) * btt) % p  # B(t, t)/2
+        gxi_pt = ((ginv * pe.xi) % p * pt) % p
         a0_rhs = (
-            pow(gamma, p, p) * ((pi0 @ pe.a0) - ginv * pe.xi * pt)
-            + inv2p * pow(btt, p, p) * pet.u0
+            (gamma * (((pi0 @ pe.a0) % p - gxi_pt) % p)) % p
+            + (half_btt * pet.u0) % p
             + spt_t
             - phi_i_sum
         ) % p
         l_rhs = (
-            pow(gamma, p, p) * (bta0 + gamma * pe.l - pe.xi * gfp.inv(2, p) * ginv * btt)
+            gamma * ((bta0 + gamma * pe.l - (pe.xi * ginv % p) * half_btt) % p)
             + ppt_t
-            + inv2p * pow(btt, p, p) * pet.m
+            + half_btt * pet.m
             - phi_ii_sum
         ) % p
-        xi_rhs = (pow(gamma, p - 1, p) * pe.xi) % p
-        m_rhs = (pow(ginv, p, p) * (gamma * pe.m + btu0)) % p
-        u0_rhs = (pow(ginv, p, p) * (pi0 @ pe.u0)) % p
     rep.record("thm_a0", np.array_equal(pet.a0, a0_rhs), (), lhs=pet.a0, rhs=a0_rhs)
     rep.record("thm_l", pet.l % p == l_rhs, (), lhs=pet.l, rhs=l_rhs)
     rep.record("thm_xi", pet.xi % p == xi_rhs, (), lhs=pet.xi, rhs=xi_rhs)
@@ -328,12 +329,13 @@ def verify_restricted_iso(
 
 
 def phi_split(frame: ExtFrame, pi0, t_pi, level: int) -> dict:
-    """V-part and central coefficient of each Phi entry, by recursion.
+    """V-part and central coefficient of each Phi entry, keyed (level, i).
 
-    Works in the target frame with x the dual line generator and
-    y = -pi0(t_pi) in V; entries are keyed (level, i) mapping to
-    (vector over V, scalar).  Assumes the restricted setting where the
-    twist fixes the dual line up to the stored x0 corrections.
+    Works in the target frame with x the dual line generator, y = -pi0(t_pi)
+    in V and lambda = 1, so alpha^{l-2}(x) - x is w0 = sum_{j=0}^{l-3} alpha^j(x0)
+    plus a central part.  From Phi(2, 1) = [y, x] = -D(y), level l is one batched
+    step on level l-1 padded with a zero row at both ends:
+    Phi(l, i) = [alpha^{l-2}(y), Phi(l-1, i)] + D(Phi(l-1, i-1)) + [w0, Phi(l-1, i-1)].
     """
     p = frame.V.p
     if not 3 <= level <= p:
@@ -344,32 +346,18 @@ def phi_split(frame: ExtFrame, pi0, t_pi, level: int) -> dict:
     if pi0.shape != (V.n, V.n) or t.shape[0] != V.n:
         raise DimMismatch("pi0 and t_pi must live on V")
     y = (-(pi0 @ t)) % p
-    dy = D(y)
-    phi1_i = V.bracket(V.apply_alpha(y), (-dy) % p)
-    phi1_ii = B_V.eval(D(V.apply_alpha(y)), (-dy) % p)
-    phi2_i = (-D(dy)) % p
-    table = {(3, 1): (phi1_i, phi1_ii % p), (3, 2): (phi2_i, 0)}
-    for lvl in range(4, level + 1):
-        ay = V.apply_alpha(y, lvl - 2)
-        day = D(ay)
-        w0 = gfp.zeros(V.n)
-        for j in range(1, lvl - 2):
-            w0 = (w0 + V.apply_alpha(frame.x0, j)) % p
-        dw0 = D(w0)
-        prev = table
-        cur_i = V.bracket(ay, prev[(lvl - 1, 1)][0])
-        cur_ii = B_V.eval(day, prev[(lvl - 1, 1)][0])
-        table[(lvl, 1)] = (cur_i, cur_ii)
-        for i in range(2, lvl - 1):
-            pv_i = prev[(lvl - 1, i)][0]
-            pv_im1 = prev[(lvl - 1, i - 1)][0]
-            cur_i = (V.bracket(ay, pv_i) + D(pv_im1) + V.bracket(w0, pv_im1)) % p
-            cur_ii = (B_V.eval(day, pv_i) + B_V.eval(dw0, pv_im1)) % p
-            table[(lvl, i)] = (cur_i, cur_ii)
-        pv = prev[(lvl - 1, lvl - 2)][0]
-        cur_i = (D(pv) + V.bracket(w0, pv)) % p
-        cur_ii = B_V.eval(dw0, pv)
-        table[(lvl, lvl - 1)] = (cur_i, cur_ii)
+    zero = gfp.zeros(V.n)[None, :]
+    prev = (-D(y))[None, :] % p  # Phi(2, 1)
+    ay, ax, w0 = y, frame.x0, frame.x0
+    table = {}
+    for lvl in range(3, level + 1):
+        ay = (V.alpha @ ay) % p  # alpha^{lvl-2}(y)
+        hi, lo = np.vstack([prev, zero]), np.vstack([zero, prev])  # Phi(lvl-1, i) and Phi(lvl-1, i-1)
+        prev = (V.bracket_batch(ay, hi) + (lo @ D.mat.T) % p + V.bracket_batch(w0, lo)) % p
+        scalars = (B_V.eval_batch(D(ay), hi) + B_V.eval_batch(D(w0), lo)) % p
+        table.update({(lvl, i): (prev[i - 1], int(scalars[i - 1])) for i in range(1, lvl)})
+        ax = (V.alpha @ ax) % p
+        w0 = (w0 + ax) % p  # sum_{j=0}^{lvl-2} alpha^j(x0), the next level's w0
     return table
 
 

@@ -259,8 +259,9 @@ def _tower_batch(A: HomLieAlgebra, xs) -> np.ndarray:
     p = A.p
     xs = np.asarray(xs, dtype=np.int64) % p
     out = A.ad_batch(xs)
-    for t in range(1, p):
-        out = (out @ A.ad_batch((xs @ A.alpha_pow(t).T) % p)) % p
+    for _ in range(1, p):
+        xs = (xs @ A.alpha.T) % p  # alpha^t(x) for factor t
+        out = (out @ A.ad_batch(xs)) % p
     return out
 
 
@@ -268,7 +269,7 @@ def r1_defect_batch(A: HomLieAlgebra, P: PStructure, xs, images) -> np.ndarray:
     """Per-vector R1 defect: ad(x^[p]) o alpha^{p-1} minus the ad-tower."""
     p = A.p
     tower = _tower_batch(A, xs)
-    lhs = (A.alpha_pow(p - 1).T[None, :, :] @ A.ad_batch(images)) % p
+    lhs = (gfp.mat_pow(A.alpha, p - 1, p).T[None, :, :] @ A.ad_batch(images)) % p
     return (lhs - tower) % p
 
 
@@ -333,8 +334,9 @@ def restricted_defect_batch(
     xs = np.asarray(xs, dtype=np.int64) % p
     lhs = (images @ D.mat.T) % p
     rhs = (xs @ D.mat.T) % p
-    for t in range(1, p):
-        rhs = A.bracket_batch((xs @ A.alpha_pow(t).T) % p, rhs)
+    for _ in range(1, p):
+        xs = (xs @ A.alpha.T) % p  # alpha^t(x) for factor t
+        rhs = A.bracket_batch(xs, rhs)
     return (lhs - rhs) % p
 
 
@@ -408,7 +410,7 @@ def compute_eta_batch(A: HomLieAlgebra, B: BilinearForm, D: Derivation, us, vs) 
     us = np.asarray(us, dtype=np.int64) % p
     vs = np.asarray(vs, dtype=np.int64) % p
     # B(D(alpha^{p-2}(w)), .) as a row vector: lam^0 part from v, lam^1 part from u
-    pair = (((D.mat @ A.alpha_pow(p - 2)) % p).T @ B.gram) % p
+    pair = (((D.mat @ gfp.mat_pow(A.alpha, p - 2, p)) % p).T @ B.gram) % p
     right = _formal_tower(A, us, vs, p - 2)  # [batch, p-1, n]
     q = np.einsum("mk,mdk->md", (vs @ pair) % p, right)
     q[:, 1:] += np.einsum("mk,mdk->md", (us @ pair) % p, right[:, :-1, :])

@@ -35,9 +35,9 @@ from homext.doubleext import DoubleExtensionData, PExtensionData, ReduceResult
 from homext.errors import (
     BadLevel,
     DegenerateFrame,
-    DegreeOverflow,
     DimMismatch,
     FrameMismatch,
+    HomextError,
     NotCentral,
     NotPIdeal,
     ParseError,
@@ -56,6 +56,10 @@ from homext.restricted import (
     restricted_defect_batch,
 )
 from homext.rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64
+
+
+class DegreeOverflow(HomextError):
+    """A polynomial-vector operation exceeded its degree cap (internal misuse)."""
 
 
 class PolyVec:
@@ -376,7 +380,7 @@ def leibniz_dense(A: HomLieAlgebra, D: Derivation) -> Report:
     rep = Report(p=p, dim=n, degree=D.k)
     comm = (D.mat @ A.alpha - A.alpha @ D.mat) % p
     rep.record("twist_commute", not comm.any(), (), lhs=(D.mat @ A.alpha) % p, rhs=(A.alpha @ D.mat) % p)
-    ak = A.alpha_pow(D.k)
+    ak = gfp.mat_pow(A.alpha, D.k, p)
     lhs = np.einsum("kb,ijb->ijk", D.mat, A.c) % p  # D([e_i, e_j])
     adk = np.einsum("ai,abk->ibk", ak, A.c) % p  # ad(alpha^k(e_i))
     t1 = (-np.einsum("jbk,bi->ijk", adk, D.mat)) % p

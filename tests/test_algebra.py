@@ -410,10 +410,6 @@ def test_structure_tensor_and_twist_are_read_only(psl3):
         A.c[0, 1, 0] = 1
     with pytest.raises(ValueError):
         A.alpha[0, 0] = 2
-    with pytest.raises(ValueError):
-        A.alpha_pow(2)[0, 0] = 2
-    with pytest.raises(ValueError):
-        A.alpha_pow(0)[0, 1] = 1
     assert np.array_equal(A.bracket_batch(gfp.eye(A.n)[:, None, :], gfp.eye(A.n)[None, :, :]), before)
     # the constructor copies: the caller's arrays stay writable and unlinked
     c = psl3.g.c.copy()
@@ -453,6 +449,12 @@ def test_hom_jacobi_and_leibniz_match_dense_oracles_on_fixtures(algebras, heis, 
         assert verify_hom_lie(A).to_dict() == oracles.hom_jacobi_dense(A).to_dict(), name
         for D in derivs.get(name, []) + [Derivation(rng.integers(0, A.p, (A.n, A.n)), A.p, k=2)]:
             assert verify_derivation(A, D).to_dict() == oracles.leibniz_dense(A, D).to_dict(), name
+
+
+def test_derivation_rejects_a_negative_degree():
+    assert Derivation(gfp.eye(2), 3, k=0).k == 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        Derivation(gfp.eye(2), 3, k=-1)
 
 
 def test_hom_jacobi_scales_to_dim_128():

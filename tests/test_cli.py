@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -229,3 +230,93 @@ def test_p_extend_passes_samples_to_the_extension_checks(tmp_path, capsys, monke
         outs.append(out.read_text())
     assert seen == [(100, 0xD0B1E), (7, 0xD0B1E), (7, 3)]
     assert outs[0] == outs[1] == outs[2]
+
+
+def _edited(tmp_path, capsys, fixture, name, edit):
+    """Write `fixture`, apply edit(doc) to its JSON and return the new path."""
+    path = tmp_path / f"{name}.json"
+    run(capsys, "fixture", fixture, "--out", str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_negative_derivation_degree_is_a_parse_error(tmp_path, capsys):
+    path = _edited(tmp_path, capsys, "heisenberg-dual", "neg",
+                   lambda doc: doc["derivations"]["D"].update(degree=-1))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: derivation D degree must be a nonnegative integer\n"
+
+
+def test_huge_derivation_degree_verifies_in_under_a_second(tmp_path, capsys):
+    """alpha^k comes from repeated squaring, so k = 10^9 costs 30 squarings."""
+    path = _edited(tmp_path, capsys, "heisenberg-dual", "big",
+                   lambda doc: doc["derivations"]["D"].update(degree=10**9))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0  # alpha is an involution, so alpha^(10^9) = id
+    leibniz = next(c for c in json.loads(out)["checks"] if c["name"] == "D.leibniz")
+    assert leibniz["status"] == "pass" and leibniz["passed"] == 36
+
+
+def test_rejected_extension_data_prints_the_rejecting_report(tmp_path, capsys):
+    path = _edited(tmp_path, capsys, "heisenberg-dual", "lam0",
+                   lambda doc: doc["extension"].update({"lambda": 0}))
+    code, out, err = run(capsys, "p-extend", str(path))
+    assert code == 1
+    assert err.startswith("precondition failed: double extension data rejected\n")
+    assert "[FAIL] lambda_D_plus_ad_x0" in err
+    failing = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert failing == ["lambda_D_plus_ad_x0"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["p-extend", "{psl3}", "--derivation", "DX"], "no derivation named 'DX'"),
+    (["p-extend", "{psl3}", "--derivation", "D1"], "bundle extension data is not for derivation 'D1'"),
+    (["extend", "{L}"], "bundle carries no extension data"),
+    (["reduce", "{L}", "--center-index", "9"], "center index out of range"),
+    (["isom-check", "{L}", "{L}", "--map", "{missing}"], "cannot read map file: "),
+    (["isom-check", "{noform}", "{noform}", "--map", "{id}"], "isom-check needs quadratic bundles"),
+])
+def test_usage_errors_exit_two_with_their_reason(tmp_path, capsys, argv, message):
+    paths = {"psl3": tmp_path / "psl3.json", "L": tmp_path / "L.json", "id": tmp_path / "id.json",
+             "missing": tmp_path / "missing.json"}
+    run(capsys, "fixture", "psl3", "--out", str(paths["psl3"]))
+    run(capsys, "p-extend", str(paths["psl3"]), "--out", str(paths["L"]))
+    paths["id"].write_text(json.dumps({"pi": np.eye(7, dtype=int).tolist()}))
+    paths["noform"] = _edited(tmp_path, capsys, "psl3", "noform", lambda doc: doc.update(form=None))
+    code, out, err = run(capsys, *[a.format(**{k: str(v) for k, v in paths.items()}) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_solve_p_property_without_witness_exits_one(tmp_path, capsys):
+    """D = J_2(1) + 0 on sl2-gf5: D^5 = diag(1, 1, 0) would need xi = 0 (the
+    (E, H) entry of D is 1) and then ad(a0) = diag(1, 1, 0) with D(a0) = 0."""
+    path = _edited(tmp_path, capsys, "sl2-gf5", "jordan",
+                   lambda doc: doc["derivations"]["D"].update(matrix=[[1, 1, 0], [0, 1, 0], [0, 0, 0]]))
+    code, out, err = run(capsys, "solve-p-property", str(path), "--derivation", "D")
+    assert code == 1
+    assert json.loads(out) == {"witness": None}
+    assert err == "no p-property witness\n"
+
+
+def test_twist_drops_the_extension_of_a_dropped_derivation(tmp_path, capsys):
+    path = _edited(tmp_path, capsys, "psl3", "ext-d1", lambda doc: doc["extension"].update(derivation="D1"))
+    code, out, err = run(capsys, "twist", str(path))
+    assert code == 0
+    assert err == "dropping derivation D1: does not commute with the twist\n"
+    b = bundle.parse(out)
+    assert set(b.derivations) == {"D2", "D3"} and b.extension is None
+
+
+def test_samples_that_are_not_an_integer_are_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    run(capsys, "fixture", "heisenberg-dual", "--out", str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path), "--samples", "abc"])
+    assert exc.value.code == 2
+    assert "argument --samples: invalid int value: 'abc'" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import oracles
 import pytest
 
 from homext import gfp
-from homext.errors import DegreeOverflow, ZeroInverse
+from homext.errors import ZeroInverse
 
 
 @pytest.mark.parametrize("p,a,want", [(3, 2, 2), (2, 1, 1), (5, 3, 2)])
@@ -151,6 +151,12 @@ def test_det_and_mat_pow_do_not_wrap_at_the_largest_p():
         power = oracles.product_exact(p, power, m)
 
 
+def test_mat_pow_rejects_a_negative_exponent():
+    assert np.array_equal(gfp.mat_pow([[2, 1], [0, 2]], 0, 3), gfp.eye(2))
+    with pytest.raises(ValueError, match="k >= 0"):
+        gfp.mat_pow(gfp.eye(2), -1, 3)
+
+
 def test_all_vectors_indexing_roundtrip():
     xs = gfp.all_vectors(3, 3)
     assert xs.shape == (27, 3)
@@ -193,7 +199,7 @@ def test_polyvec_apply_single_ad_operator(heis):
 def test_polyvec_apply_degree_overflow():
     one = gfp.eye(1)
     pv = oracles.PolyVec.constant([1], 3)
-    with pytest.raises(DegreeOverflow):
+    with pytest.raises(oracles.DegreeOverflow):
         oracles.polyvec_apply([(one, one)] * 4, pv, max_degree=2)
 
 

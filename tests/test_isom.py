@@ -4,8 +4,8 @@ import oracles
 from oracles import phi_recursion, s_tilde_direct
 
 from homext import gfp, isom, restricted
-from homext.algebra import Derivation, HomLieAlgebra
-from homext.doubleext import DoubleExtensionData, double_extend, split_frame
+from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
+from homext.doubleext import DoubleExtensionData, PExtensionData, double_extend, extend_pstructure, split_frame
 from homext.errors import BadLevel, NonInvertiblePi0, ZeroGamma
 from homext.isom import (
     AdaptedIso,
@@ -66,6 +66,21 @@ def psl3_instances(pipeline, count, seed):
         d2 = DoubleExtensionData(dt, gfp.zeros(7), 1, 0)
         Lt, B_Lt = double_extend(V, B, d2)
         out.append((AdaptedIso(pi0, gamma, t, 3), Lt, B_Lt))
+    return out
+
+
+def sl2_instances(sl2, count, seed):
+    """Seeded restricted-iso data at p = 5 on sl2-gf5 (alpha = id, x0 = 0):
+    pi0 = id, gamma in 1..4 and a random t, with D~ = gamma D + ad(t)."""
+    V, B, D = sl2.g, sl2.B, sl2.D
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        gamma = 1 + rng.below(4)
+        t = rng.vec(3, 5)
+        dt = Derivation((gamma * D.mat + V.ad(t)) % 5, 5)
+        Lt, B_Lt = double_extend(V, B, DoubleExtensionData(dt, gfp.zeros(3), 1, 0))
+        out.append((AdaptedIso(gfp.eye(3), gamma, t, 5), Lt, B_Lt))
     return out
 
 
@@ -263,6 +278,27 @@ def test_restricted_iso_corrupted_pstructures_both_fail(heis, heis_ext, psl3_pip
     assert corrupted >= 10
 
 
+def test_restricted_iso_p5_with_scaling_and_translation(sl2, sl2_ext):
+    """gamma != 1 and t != 0 at p = 5: the theorem route runs phi_sums up to
+    level 5.  Both verdicts pass on the transported p-structure and both fail
+    once one image (xi~, m~, u0~ or a P~ basis value) is off by one."""
+    L, B_L, P_L = sl2_ext
+    insts = sl2_instances(sl2, 8, seed=0x55)
+    assert any(iso.gamma != 1 and iso.t_pi.any() for iso, _, _ in insts)
+    for k, (iso, Lt, B_Lt) in enumerate(insts):
+        pi = build_adapted_iso(L, B_L, Lt, B_Lt, iso)
+        P_Lt = transported_pstructure(L, P_L, Lt, pi)
+        rep = verify_restricted_iso(L, B_L, Lt, B_Lt, P_L, P_Lt, pi)
+        assert rep.meta["direct_verdict"] == rep.meta["theorem_verdict"] == "pass"
+        assert rep.ok, [c.name for c in rep.failing()]
+        imgs = P_Lt.images.copy()
+        r, c = ((0, 0), (4, 4), (4, 1), (1, 4))[k % 4]
+        imgs[r, c] = (imgs[r, c] + 1) % 5
+        rep = verify_restricted_iso(L, B_L, Lt, B_Lt, P_L, PStructure(Lt, imgs), pi)
+        assert rep.meta["direct_verdict"] == rep.meta["theorem_verdict"] == "fail"
+        assert rep.check("verdicts_agree").ok
+
+
 # ---------- Phi machinery ----------
 
 
@@ -346,6 +382,59 @@ def test_phi_split_consistency_with_recursion(psl3_pipelines, sl2_ext):
             full[1:4] = vec
             full[4] = sc
             assert np.array_equal(full, tab[(lvl, i)])
+
+
+def test_phi_split_matches_recursion_at_p7_up_to_level_7():
+    """sl2 over GF(7) extended by ad(H): every entry of levels 3..7, so the
+    batched level step runs five times."""
+    p = 7
+    V = HomLieAlgebra.from_upper(p, 3, {(0, 1): [p - 2, 0, 0], (0, 2): [0, 1, 0], (1, 2): [0, 0, p - 2]})
+    B = BilinearForm(np.array([[0, 0, 1], [0, 2, 0], [1, 0, 0]]), p)
+    L, B_L = double_extend(V, B, DoubleExtensionData(Derivation(np.diag([2, 0, p - 2]), p), gfp.zeros(3), 1, 0))
+    frame = split_frame(L, B_L)
+    rng = SplitMix64(58)
+    for _ in range(10):
+        t = rng.vec(3, p)
+        y = gfp.zeros(5)
+        y[1:4] = (-t) % p
+        for level in range(3, p + 1):
+            split = phi_split(frame, gfp.eye(3), t, level)
+            tab = phi_recursion(L, gfp.unit(5, 0), y, level)
+            assert set(split) == set(tab) == {(lvl, i) for lvl in range(3, level + 1) for i in range(1, lvl)}
+            for key, (vec, sc) in split.items():
+                assert np.array_equal(np.concatenate([[0], vec, [sc]]), tab[key]), key
+    assert any(vec.any() for vec, _ in split.values())
+
+
+def test_theorem_route_counts_x0_in_every_twist_power():
+    """alpha(e*) = e* + x0 + lambda0 e, so alpha^(l-2)(e*) carries
+    x0 + alpha(x0) + ... + alpha^(l-3)(x0).  An abelian hyperbolic V = GF(7)^2
+    with alpha = -id, zero p-map and D = diag(1, -1) (D^7 = D, so xi = 1)
+    admits adapted maps with pi0 = id, gamma = 1 and any t, whose target has
+    x0~ = x0 - 2t != 0 and brackets [x0~, V] = B(D x0~, V) e != 0: phi_split
+    agrees with the recursion and s~ with compute_s, and both verdicts pass."""
+    p = 7
+    V = HomLieAlgebra(p, np.zeros((2, 2, 2), dtype=np.int64), (p - 1) * gfp.eye(2))
+    B = BilinearForm([[0, 1], [1, 0]], p)
+    D = Derivation(np.diag([1, p - 1]), p)
+    P = PStructure(V, np.zeros((2, 2), dtype=np.int64))
+    rng = SplitMix64(59)
+    for x0 in (gfp.unit(2, 0), gfp.zeros(2)):
+        d = DoubleExtensionData(D, x0, 1, 0)
+        L, B_L = double_extend(V, B, d)
+        P_L = extend_pstructure(L, V, B, P, d, PExtensionData(1, gfp.zeros(2), 0, 0, gfp.zeros(2), gfp.zeros(2), p))
+        for _ in range(4):
+            t = rng.vec(2, p)
+            x0t = (x0 - 2 * t) % p
+            Lt, B_Lt = double_extend(V, B, DoubleExtensionData(D, x0t, 1, (B.eval(x0t, t) + B.eval(x0, t)) % p))
+            y = np.concatenate([[0], (-t) % p, [0]])
+            tab = phi_recursion(Lt, gfp.unit(4, 0), y, p)
+            for key, (vec, sc) in phi_split(split_frame(Lt, B_Lt), gfp.eye(2), t, p).items():
+                assert np.array_equal(np.concatenate([[0], vec, [sc]]), tab[key]), key
+            assert np.array_equal(s_tilde(Lt, B_Lt, gfp.eye(2), t), s_tilde_direct(Lt, gfp.eye(2), t))
+            pi = build_adapted_iso(L, B_L, Lt, B_Lt, AdaptedIso(gfp.eye(2), 1, t, p))
+            rep = verify_restricted_iso(L, B_L, Lt, B_Lt, P_L, transported_pstructure(L, P_L, Lt, pi), pi)
+            assert rep.meta["direct_verdict"] == rep.meta["theorem_verdict"] == "pass", t
 
 
 def test_phi_split_closed_forms_p3(psl3_pipelines):
@@ -445,3 +534,68 @@ def test_restricted_iso_theorem_route_reads_the_direct_table(psl3_pipelines, mon
         return [c.to_dict() for name, c in r.checks.items() if name.startswith("thm_")]
 
     assert theorem(rep) == theorem(sampled) != []
+
+
+# ---------- int64 envelope ----------
+
+BIG_P = 1239850223  # 6 (p-1)^2 is just below 2^63: two reduced factors fit int64, three do not
+
+
+def _reflection(p, G, v):
+    """x -> x - 2 B(x, v)/B(v, v) v, an isometry of the form G, on Python integers."""
+    gv = oracles.product_exact(p, G, v)
+    c = 2 * gfp.inv(int(oracles.product_exact(p, v, gv)), p) % p
+    cv = np.array([c * int(x) % p for x in v], dtype=np.int64)
+    return (gfp.eye(len(v)) - oracles.product_exact(p, cv[:, None], gv[None, :])) % p
+
+
+def test_verify_adapted_iso_form_does_not_wrap_at_the_largest_p():
+    """Abelian algebras of dim 6, a dense symmetric G and an invertible S:
+    S is an isometry from S^T G S (on Python integers) to G."""
+    p, n = BIG_P, 6
+    assert n * (p - 1) ** 2 < 2**63
+    rng = np.random.default_rng(21)
+    m = rng.integers(0, p, size=(n, n))
+    G = (m + m.T) % p
+    S = rng.integers(0, p, size=(n, n))
+    A = HomLieAlgebra(p, np.zeros((n, n, n), dtype=np.int64), gfp.eye(n))
+    rep = verify_adapted_iso(A, BilinearForm(oracles.product_exact(p, S.T, G, S), p), A, BilinearForm(G, p), S)
+    assert rep.check("form_preserved").ok and rep.check("form_preserved").passed == n * n
+
+
+def test_adapted_iso_chains_do_not_wrap_at_the_largest_p():
+    """Double extensions of an abelian V of dim 4 (L of dim 6) with alpha = -id
+    by D = G^-1 K, K skew, and the target data built on Python integers: pi0
+    a product of two reflections of the dense form G, D~ = gamma pi0 D pi0^-1,
+    x0~ = gamma pi0 x0 - 2 pi0 t and lambda0~ from lambda0_compat.  Every
+    chained product of the adapted-iso checks must reduce after each factor
+    to find this adapted isomorphism."""
+    p, n = BIG_P, 4
+    rng = np.random.default_rng(22)
+    m, k = rng.integers(0, p, size=(2, n, n))
+    G, K = (m + m.T) % p, (k - k.T) % p
+    D = oracles.product_exact(p, gfp.mat_inv(G, p), K)  # G D = K is skew
+    pi0 = oracles.product_exact(p, *(_reflection(p, G, v) for v in rng.integers(0, p, size=(2, n))))
+    gamma, lam0 = int(rng.integers(2, p)), int(rng.integers(0, p))
+    x0, t = rng.integers(0, p, size=(2, n))
+    g = gamma * gfp.eye(n)
+    Dt = oracles.product_exact(p, g, pi0, D, gfp.mat_inv(pi0, p))
+    x0t = (oracles.product_exact(p, g, pi0, x0) - 2 * oracles.product_exact(p, pi0, t)) % p
+    lam0t = int(oracles.product_exact(p, x0t, G, pi0, t) + gamma * oracles.product_exact(p, x0, G, t)
+                + gamma * gamma % p * lam0) % p
+    V = HomLieAlgebra(p, np.zeros((n, n, n), dtype=np.int64), (p - 1) * gfp.eye(n))
+    B = BilinearForm(G, p)
+    L, B_L = double_extend(V, B, DoubleExtensionData(Derivation(D, p), x0, 1, lam0))
+    Lt, B_Lt = double_extend(V, B, DoubleExtensionData(Derivation(Dt, p), x0t, 1, lam0t))
+    iso = AdaptedIso(pi0, gamma, t, p)
+
+    rep = check_adapted_iso_data(L, B_L, Lt, B_Lt, iso)
+    assert rep.ok, [c.name for c in rep.failing()]
+    pi = build_adapted_iso(L, B_L, Lt, B_Lt, iso)
+    ginv = gfp.inv(gamma, p)
+    assert [int(v) for v in pi[1:1 + n, 0]] == [-ginv * int(v) % p for v in oracles.product_exact(p, pi0, t)]
+    rep = verify_adapted_iso(L, B_L, Lt, B_Lt, pi)
+    assert rep.ok, [c.name for c in rep.failing()]
+    back, rep = extract_iso_data(L, B_L, Lt, B_Lt, pi)
+    assert rep.ok, [c.name for c in rep.failing()]
+    assert np.array_equal(back.pi0, pi0) and back.gamma == gamma and np.array_equal(back.t_pi, t)
