@@ -42,24 +42,33 @@ class HomLieAlgebra:
         self.alpha.setflags(write=False)
         self.n = n
         self.basis_names = list(basis_names) if basis_names else [f"e{i+1}" for i in range(n)]
-        # Nonzero structure constants (a, b, k) grouped by k, for bracket_batch;
-        # a k without one gets the zero (0, 0, k), so no group is empty.
         mask = self.c != 0
         self.nnz = int(mask.sum())  # nonzero structure constants
-        mask[0, 0] |= ~mask.any(axis=(0, 1))
+        # ad_batch multiplies by the nonzero rows a and nonzero (b, k) columns of c only
+        self._ad_rows = np.nonzero(mask.any(axis=(1, 2)))[0]
+        flat = self.c[self._ad_rows].reshape(-1, n * n)
+        self._ad_cols = np.flatnonzero(flat.any(axis=0))
+        self._ad_mat = flat[:, self._ad_cols]
+        # Nonzero structure constants (a, b, k) grouped by k, for bracket_batch,
+        # which writes the group sums into the columns _ks of its output.  When
+        # most k have a constant, the others get a zero triple (0, 0, k), which
+        # costs less than that scatter, and _ks is every column.
+        has = mask.any(axis=(0, 1))
+        full = 2 * has.sum() >= n
+        mask[0, 0] |= full & ~has
         k, a, b = np.nonzero(mask.transpose(2, 0, 1))
-        self._triples, self._starts = (a, b, self.c[a, b, k]), np.searchsorted(k, np.arange(n))
+        self._ks = slice(None) if full else np.flatnonzero(has)
+        self._triples, self._starts = (a, b, self.c[a, b, k]), np.searchsorted(k, np.arange(n)[self._ks])
         # A k group sums up to n^2 products below p^2.  When that could pass
         # 2^63, each group is summed in runs of at most `room` products, and
         # the reduced run sums (each below p) are added per k afterwards.
         ends = np.append(self._starts[1:], k.size)
         room = (2**63 - 1) // max(1, (self.p - 1) ** 2)
         self._runs = None
-        if (ends - self._starts).max() > room:
+        if np.max(ends - self._starts, initial=0) > room:
             runs = [np.arange(lo, hi, room) for lo, hi in zip(self._starts, ends)]
             self._runs = np.cumsum([0] + [r.size for r in runs[:-1]])  # first run of each k
             self._starts = np.concatenate(runs)
-        self._ad_rows = np.nonzero(self.c.any(axis=(1, 2)))[0]  # nonzero rows of c, for ad_batch
         self.inert = self._inert_mask(a, b, k)
         self.inert.setflags(write=False)
 
@@ -112,7 +121,8 @@ class HomLieAlgebra:
         shape = np.broadcast_shapes(xs.shape, ys.shape)
         ndim = max(len(shape), 2)  # at least one leading axis to chunk over
         xs, ys = (v.reshape((1,) * (ndim - v.ndim) + v.shape) for v in (xs, ys))
-        out = np.empty((1,) * (ndim - len(shape)) + shape, dtype=np.int64)
+        alloc = np.empty if isinstance(self._ks, slice) else np.zeros  # zeros in the k without a group
+        out = alloc((1,) * (ndim - len(shape)) + shape, dtype=np.int64)
         a, b, coef = self._triples
         step = max(1, _CHUNK_ELEMENTS // max(1, out[:1].size // self.n * coef.size))
         for lo in range(0, out.shape[0], step):
@@ -123,7 +133,7 @@ class HomLieAlgebra:
             part = gfp.mod(np.add.reduceat(prod, self._starts, axis=-1), p)
             if self._runs is not None:
                 part = gfp.mod(np.add.reduceat(part, self._runs, axis=-1), p)
-            out[lo:lo + step] = part
+            out[lo:lo + step, ..., self._ks] = part
         return out.reshape(shape)
 
     def ad(self, x) -> np.ndarray:
@@ -136,11 +146,13 @@ class HomLieAlgebra:
 
         Composition of maps in this layout is plain matmul with the inner
         factor on the left, which is what the R1 matrix tower uses.  One
-        2-D matmul over the nonzero rows of c, reduced in place.
+        2-D matmul over the nonzero rows a and (b, k) columns of c, reduced
+        in place; the other columns are zero.
         """
         xs = np.asarray(xs, dtype=np.int64) % self.p
-        out = xs[:, self._ad_rows] @ self.c[self._ad_rows].reshape(-1, self.n * self.n)
-        np.remainder(out, self.p, out=out)
+        prod = xs[:, self._ad_rows] @ self._ad_mat
+        out = np.zeros((xs.shape[0], self.n * self.n), dtype=np.int64)
+        out[:, self._ad_cols] = np.remainder(prod, self.p, out=prod)
         return out.reshape(xs.shape[0], self.n, self.n)
 
     def apply_alpha(self, x, k: int = 1) -> np.ndarray:
@@ -253,15 +265,16 @@ def verify_hom_lie(A: HomLieAlgebra) -> Report:
         rep.record("antisymmetry", False, (int(i[s]), int(j[s])), lhs=c[i[s], j[s]], rhs=neg[s])
     rep.check("antisymmetry").passed += n * (n - 1) // 2 - rep.check("antisymmetry").failed
 
-    # T(i; j, k) = [alpha(e_i), [e_j, e_k]] is zero unless c[j, k] != 0, so J(i, j, k) =
-    # T(i; j, k) + T(j; k, i) + T(k; i, j) passes off the triples where (j, k), (k, i)
-    # or (i, j) is a nonzero pair: O(n^3 + n^2 P) memory for P nonzero pairs.
+    # T(i; j, k) = [alpha(e_i), [e_j, e_k]] is zero unless c[j, k] != 0, and J(i, j, k) =
+    # T(i; j, k) + T(j; k, i) + T(k; i, j) is zero off the rotations of the triples
+    # with T(i; j, k) != 0, so J is evaluated there only: O(n^3 + n^2 P) memory, P nonzero pairs.
     pairs = np.vstack([c[nz], gfp.zeros(n)])  # the nonzero [e_j, e_k], then a zero slot
     slot = np.where(nz, np.cumsum(nz).reshape(n, n) - 1, len(pairs) - 1)  # (j, k) -> its row
-    ada = A.bracket_batch(A.alpha.T[:, None, :], gfp.eye(n)[None])  # [alpha(e_i), e_b]
-    t = (pairs @ ada) % p  # T(i; j, k) at [i, slot[j, k]]
-    del ada  # n^3: free it before the multiplicativity sides
-    i, j, k = np.nonzero(nz[None, :, :] | nz.T[:, None, :] | nz[:, :, None])
+    # ad(alpha(e_i)) as [i, k, b] times the pairs: T(i; j, k) at [i, slot[j, k]]
+    t = contract(A.ad_batch(A.alpha.T).transpose(0, 2, 1), pairs.T, p).transpose(0, 2, 1)
+    hit = np.zeros((n, n, n), dtype=bool)
+    hit[:, nz] = t[:, :-1].any(axis=2)  # T(i; j, k) != 0
+    i, j, k = np.nonzero(hit | hit.transpose(1, 2, 0) | hit.transpose(2, 0, 1))  # and its rotations
     jac = (t[i, slot[j, k]] + t[k, slot[i, j]] + t[j, slot[k, i]]) % p
     hj = rep.tally("hom_jacobi", jac.any(axis=1), jac, np.broadcast_to(gfp.zeros(n), jac.shape),
                    witness=lambda s: (int(i[s]), int(j[s]), int(k[s])))
@@ -279,15 +292,25 @@ def bracket_sides(pi, A: HomLieAlgebra, A_dst: HomLieAlgebra) -> tuple[np.ndarra
     algebra and A_dst the target (the same for an endomorphism).
     """
     cols = pi.T  # row i is pi(e_i)
-    lhs = A.c @ cols
-    return np.remainder(lhs, A.p, out=lhs), A_dst.bracket_batch(cols[:, None, :], cols[None, :, :])
+    return contract(A.c, cols, A.p), A_dst.bracket_batch(cols[:, None, :], cols[None, :, :])
+
+
+def contract(c, m, p: int) -> np.ndarray:
+    """(c @ m) % p for an [n, n, n] tensor c, on its nonzero pairs (i, j)
+    only: the other rows of the result are zero and cost no product."""
+    flat = np.reshape(c, (-1, c.shape[-1]))
+    live = flat.any(axis=1)
+    out = np.zeros((flat.shape[0], m.shape[-1]), dtype=np.int64)
+    prod = flat[live] @ m
+    out[live] = np.remainder(prod, p, out=prod)
+    return out.reshape(c.shape[:-1] + m.shape[-1:])
 
 
 def invariance_sides(c, g, p: int) -> tuple[np.ndarray, np.ndarray]:
     """B([e_i, e_j], e_k) and B(e_i, [e_j, e_k]) as [i, j, k] tensors."""
-    lhs = np.einsum("ijm,mk->ijk", c, g) % p
-    rhs = np.einsum("im,jkm->ijk", g, c) % p
-    return lhs, rhs
+    n = g.shape[0]
+    both = contract(c, np.hstack([g, g.T]), p)
+    return both[..., :n], both[..., n:].transpose(2, 0, 1)
 
 
 def verify_quadratic(A: HomLieAlgebra, B: BilinearForm) -> Report:
@@ -313,10 +336,9 @@ def verify_derivation(A: HomLieAlgebra, D: Derivation) -> Report:
     comm = (D.mat @ A.alpha - A.alpha @ D.mat) % p
     rep.record("twist_commute", not comm.any(), (), lhs=(D.mat @ A.alpha) % p, rhs=(A.alpha @ D.mat) % p)
     ak, d = gfp.mat_pow(A.alpha, D.k, p).T, D.mat.T  # rows alpha^k(e_i) and D(e_i)
-    lhs = (A.c @ d) % p  # D([e_i, e_j])
-    # [D(e_i), alpha^k(e_j)] = -[alpha^k(e_j), D(e_i)]
-    t1 = (-A.bracket_batch(ak[None, :, :], d[:, None, :])) % p
+    lhs = contract(A.c, d, p)  # D([e_i, e_j])
     t2 = A.bracket_batch(ak[:, None, :], d[None, :, :])  # [alpha^k(e_i), D(e_j)]
+    t1 = (-t2.transpose(1, 0, 2)) % p  # [D(e_i), alpha^k(e_j)] = -[alpha^k(e_j), D(e_i)]
     rep.tally("leibniz", ((lhs - t1 - t2) % p).any(axis=2), lhs, (t1 + t2) % p)
     return rep
 
@@ -333,7 +355,7 @@ def center(A: HomLieAlgebra) -> Subspace:
 def centralizer_of_image(A: HomLieAlgebra, M) -> Subspace:
     """{x : [x, M e_j] = 0 for all j} for a linear map M."""
     m = gfp.asmat(M, A.p)
-    rows = np.einsum("abk,bj->jka", A.c, m).reshape(A.n * A.n, A.n) % A.p
+    rows = contract(A.c.transpose(0, 2, 1), m, A.p).transpose(2, 1, 0).reshape(A.n * A.n, A.n)
     return Subspace.from_vectors(gfp.kernel(rows, A.p), A.n, A.p)
 
 

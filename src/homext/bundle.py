@@ -145,12 +145,17 @@ def _expect(cond, msg):
         raise ParseError(msg)
 
 
-def _check_entries(name, arr, p):
-    a = np.asarray(arr)
-    _expect(
-        np.issubdtype(a.dtype, np.integer) and (a >= 0).all() and (a < p).all(),
-        f"{name} entries must be integers in [0, {p})",
-    )
+def _entries(name, value, shape, p, shape_msg=None):
+    """value as an array of `shape` whose entries are JSON integers in [0, p),
+    else ParseError; None stays None.  Without a dtype numpy reads floats and
+    strings as such, where np.int64 would truncate 1.5 and parse "3"."""
+    if value is None:
+        return None
+    a = np.asarray(value)
+    _expect(a.shape == shape, shape_msg or f"{name} must be dim x dim")
+    _expect(np.issubdtype(a.dtype, np.integer) and (a >= 0).all() and (a < p).all(),
+            f"{name} entries must be integers in [0, {p})")
+    return a
 
 
 def parse(text: str) -> AlgebraBundle:
@@ -160,11 +165,11 @@ def parse(text: str) -> AlgebraBundle:
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
         _expect(doc.get("version") == FORMAT_VERSION, "unsupported format version")
-        p = int(doc["p"])
-        _expect(gfp.is_prime(p), "p must be prime")
+        p = doc["p"]  # only JSON integers: int() would read 1.5, "3" and true as 1, 3, 1
+        _expect(type(p) is int and gfp.is_prime(p), "p must be prime")
         _expect(p < 2**63, "p must be below 2^63")  # entries are int64
-        dim = int(doc["dim"])
-        _expect(dim >= 1, "dim must be positive")
+        dim = doc["dim"]
+        _expect(type(dim) is int and dim >= 1, "dim must be positive")
         _expect(dim <= MAX_DIM, f"dim must be at most {MAX_DIM}")
         # int64 sums of dim products below p^2, as in a matrix-vector product
         _expect(dim * (p - 1) ** 2 < 2**63, "dim * (p-1)^2 must be below 2^63")
@@ -172,47 +177,33 @@ def parse(text: str) -> AlgebraBundle:
         _expect(len(basis) == dim, "basis names must match dim")
         brackets = []
         for ent in doc["brackets"]:
-            i, j, k, c = int(ent["i"]), int(ent["j"]), int(ent["k"]), int(ent["coeff"])
-            _expect(0 <= i < j < dim, f"bracket ({i},{j}) must satisfy 0 <= i < j < dim")
-            _expect(0 <= k < dim, "bracket target out of range")
-            _expect(0 < c < p, "bracket coefficient out of range")
+            i, j, k, c = ent["i"], ent["j"], ent["k"], ent["coeff"]
+            _expect(type(i) is type(j) is int and 0 <= i < j < dim,
+                    f"bracket ({i},{j}) must satisfy 0 <= i < j < dim")
+            _expect(type(k) is int and 0 <= k < dim, "bracket target out of range")
+            _expect(type(c) is int and 0 < c < p, "bracket coefficient out of range")
             brackets.append((i, j, k, c))
         _expect(len(set((i, j, k) for i, j, k, _ in brackets)) == len(brackets),
                 "duplicate bracket entry")
-        alpha = np.asarray(doc["alpha"], dtype=np.int64)
-        _expect(alpha.shape == (dim, dim), "alpha must be dim x dim")
-        _check_entries("alpha", alpha, p)
-        form = doc.get("form")
-        if form is not None:
-            form = np.asarray(form, dtype=np.int64)
-            _expect(form.shape == (dim, dim), "form must be dim x dim")
-            _check_entries("form", form, p)
-        pmap = doc.get("pmap")
-        if pmap is not None:
-            pmap = np.asarray(pmap, dtype=np.int64)
-            _expect(pmap.shape == (dim, dim), "pmap must be one image row per basis vector")
-            _check_entries("pmap", pmap, p)
+        alpha = _entries("alpha", doc["alpha"], (dim, dim), p)
+        form = _entries("form", doc.get("form"), (dim, dim), p)
+        pmap = _entries("pmap", doc.get("pmap"), (dim, dim), p, "pmap must be one image row per basis vector")
         derivs = {}
         for name, spec in doc.get("derivations", {}).items():
-            mat = np.asarray(spec["matrix"], dtype=np.int64)
-            _expect(mat.shape == (dim, dim), f"derivation {name} must be dim x dim")
-            _check_entries(f"derivation {name}", mat, p)
-            degree = int(spec.get("degree", 1))
-            _expect(degree >= 0, f"derivation {name} degree must be a nonnegative integer")
+            mat = _entries(f"derivation {name}", spec["matrix"], (dim, dim), p)
+            degree = spec.get("degree", 1)
+            _expect(type(degree) is int and degree >= 0,
+                    f"derivation {name} degree must be a nonnegative integer")
             derivs[name] = Derivation(mat, p, degree)
-        twist = doc.get("twist")
-        if twist is not None:
-            twist = np.asarray(twist, dtype=np.int64)
-            _expect(twist.shape == (dim, dim), "twist must be dim x dim")
-            _check_entries("twist", twist, p)
+        twist = _entries("twist", doc.get("twist"), (dim, dim), p)
         ext = doc.get("extension")
         if ext is not None:
             for key in ("derivation", "x0", "lambda", "lambda0", "xi", "a0", "m", "l", "u0", "P_basis"):
                 _expect(key in ext, f"extension missing field {key!r}")
             for key in ("x0", "a0", "u0", "P_basis"):
-                vec = np.asarray(ext[key], dtype=np.int64)
-                _expect(vec.shape == (dim,), f"extension {key} must have length dim")
-                _check_entries(f"extension {key}", vec, p)
+                _entries(f"extension {key}", ext[key], (dim,), p, f"extension {key} must have length dim")
+            for key in ("lambda", "lambda0", "xi", "m", "l"):
+                _expect(type(ext[key]) is int, f"extension {key} must be an integer")
             ext = {
                 "derivation": str(ext["derivation"]),
                 "x0": [int(v) for v in ext["x0"]],

@@ -46,7 +46,10 @@ def _seed(args) -> int:
         return args.seed
     env = os.environ.get("HOMEXT_SEED")
     if env:
-        return int(env, 0)
+        try:
+            return int(env, 0)
+        except ValueError:
+            raise ParseError(f"HOMEXT_SEED must be an integer, got {env!r}") from None
     return DEFAULT_SEED
 
 

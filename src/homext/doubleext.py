@@ -22,6 +22,7 @@ from .algebra import (
     Subspace,
     center,
     centralizer_of_image,
+    contract,
     d_invariant,
     invariance_sides,
     is_ideal,
@@ -423,7 +424,7 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
     tinv = gfp.mat_inv(frame.T, p)  # frame coordinates of w: tinv @ w
     if tinv is None:
         raise DegenerateFrame("frame vectors are not a basis")
-    c = L.bracket_batch(frame[:, None, :], frame[None, :, :]) @ tinv.T
+    c = contract(L.bracket_batch(frame[:, None, :], frame[None, :, :]), tinv.T, p)
     alpha = tinv @ ((L.alpha @ frame.T) % p)
     gram = frame @ ((B_L.gram @ frame.T) % p)
     images = eval_p_batch(P_L, frame) @ tinv.T
@@ -489,7 +490,8 @@ def check_algebra_extension_data(V: HomLieAlgebra, B_V: BilinearForm, x: Algebra
     rep.tally("rep_axiom_2", (lhs != rhs).any(axis=(2, 3)), lhs, rhs)
     # bracket compatibility on V basis pairs, [b, i, j] -> vector:
     # alpha phi_b [e_i, e_j] = [phi_b alpha e_i, e_j] + [e_i, phi_b alpha e_j]
-    lhs = np.einsum("bkl,ijl->bijk", ap, V.c) % p
+    lhs = contract(V.c, ap.transpose(2, 0, 1).reshape(V.n, -1), p)  # [i, j, (b, k)]
+    lhs = lhs.reshape(V.n, V.n, A.n, V.n).transpose(2, 0, 1, 3)
     cols = ((phis @ V.alpha) % p).transpose(0, 2, 1)  # [b, i] is phi_b alpha e_i
     units = gfp.eye(V.n)
     rhs = (V.bracket_batch(cols[:, :, None, :], units[None, None, :, :])

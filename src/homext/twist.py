@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gfp
-from .algebra import BilinearForm, Derivation, HomLieAlgebra, bracket_sides, verify_hom_lie, verify_quadratic
+from .algebra import (BilinearForm, Derivation, HomLieAlgebra, bracket_sides, contract, verify_hom_lie,
+                      verify_quadratic)
 from .doubleext import DoubleExtensionData, PExtensionData
 from .errors import PreconditionFailed
 from .report import Report
@@ -54,7 +55,7 @@ def twist_algebra(g: HomLieAlgebra, B: BilinearForm, t: TwistData) -> tuple[HomL
     rep = check_twist_data(g, B, t)
     if not rep.ok:
         raise PreconditionFailed("twist data rejected", rep)
-    c = np.einsum("mk,ijk->ijm", t.alpha, g.c) % p
+    c = contract(g.c, t.alpha.T, p)
     twisted = HomLieAlgebra(p, c, t.alpha, g.basis_names)
     form = BilinearForm((t.alpha.T @ B.gram) % p, p)
     out = verify_hom_lie(twisted)

@@ -9,6 +9,10 @@ keep the per-index loops of the algebra extension, and solve_p_property_loop
 the one-system-per-xi search.
 reduce_loop reads the frame off L one coordinate vector at a time, with its
 own flag checks, instead of rewriting L in the frame for split_frame.
+bracket_dense, ad_dense, hom_jacobi_dense, leibniz_dense, contract_dense,
+bracket_sides_dense, invariance_sides_dense, centralizer_dense and
+twisted_tensor_dense contract the whole dense structure tensor, where the
+kernels pay per nonzero structure constant or nonzero pair.
 pstructure_rows, restricted_derivation_rows and iso_direct_rows evaluate
 the exhaustive checks on every row of their domain, with p-images folded by
 eval_p_batch, no line reduction and no decision on the points of weight <= p.
@@ -336,6 +340,34 @@ def bracket_dense(A: HomLieAlgebra, xs, ys) -> np.ndarray:
 def ad_dense(A: HomLieAlgebra, xs) -> np.ndarray:
     """ad(x) per row in [batch, in, out] layout, by einsum."""
     return np.einsum("ma,abk->mbk", np.asarray(xs, dtype=np.int64) % A.p, A.c) % A.p
+
+
+def contract_dense(c, m, p: int) -> np.ndarray:
+    """(c @ m) % p on every pair (i, j), zero or not."""
+    return (np.asarray(c, dtype=np.int64) @ np.asarray(m, dtype=np.int64)) % p
+
+
+def bracket_sides_dense(pi, A: HomLieAlgebra, A_dst: HomLieAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """bracket_sides by einsum over the whole structure tensors."""
+    lhs = np.einsum("mk,ijk->ijm", pi, A.c) % A.p  # pi([e_i, e_j])
+    return lhs, np.einsum("ai,bj,abm->ijm", pi, pi, A_dst.c) % A.p  # [pi(e_i), pi(e_j)]
+
+
+def invariance_sides_dense(c, g, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """invariance_sides by two einsums over the whole tensor."""
+    return np.einsum("ijm,mk->ijk", c, g) % p, np.einsum("im,jkm->ijk", g, c) % p
+
+
+def centralizer_dense(A: HomLieAlgebra, M) -> Subspace:
+    """centralizer_of_image from its n^2 x n system built by one einsum."""
+    m = gfp.asmat(M, A.p)
+    rows = np.einsum("abk,bj->jka", A.c, m).reshape(A.n * A.n, A.n) % A.p
+    return Subspace.from_vectors(gfp.kernel(rows, A.p), A.n, A.p)
+
+
+def twisted_tensor_dense(c, alpha, p: int) -> np.ndarray:
+    """The structure tensor of twist_algebra, alpha([e_i, e_j]), by einsum."""
+    return np.einsum("mk,ijk->ijm", alpha, c) % p
 
 
 def is_ideal_loop(A: HomLieAlgebra, S) -> bool:

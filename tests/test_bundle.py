@@ -73,6 +73,44 @@ def test_parse_rejects_malformed(heis, mutate, msg):
         bundle.parse(json.dumps(doc))
 
 
+SCALARS = [
+    (lambda d, v: d.update(p=v), "prime"),
+    (lambda d, v: d.update(dim=v), "dim must be positive"),
+    (lambda d, v: d["brackets"][0].update(i=v), "i < j"),
+    (lambda d, v: d["brackets"][0].update(j=v), "i < j"),
+    (lambda d, v: d["brackets"][0].update(k=v), "target"),
+    (lambda d, v: d["brackets"][0].update(coeff=v), "coefficient"),
+    (lambda d, v: d["derivations"]["D"].update(degree=v), "degree must be a nonnegative integer"),
+    (lambda d, v: d["extension"].update({"lambda": v}), "extension lambda must be an integer"),
+]
+MATRICES = [
+    (lambda d, v: d["alpha"][0].__setitem__(0, v), "alpha entries"),
+    (lambda d, v: d["form"][0].__setitem__(0, v), "form entries"),
+    (lambda d, v: d["pmap"][0].__setitem__(0, v), "pmap entries"),
+    (lambda d, v: d["derivations"]["D"]["matrix"][0].__setitem__(0, v), "derivation D entries"),
+    (lambda d, v: d["extension"]["x0"].__setitem__(0, v), "extension x0 entries"),
+]
+
+
+@pytest.mark.parametrize("value", [1.5, "3", True])
+def test_parse_accepts_only_json_integers(heis, value):
+    """int() would read 1.5, "3" and true as 1, 3 and 1; parse rejects each
+    with the field's own message.  (A true among the integers of a matrix
+    row still reads as 1: numpy casts it.)"""
+    for edit, msg in SCALARS + (MATRICES if value is not True else []):
+        doc = json.loads(bundle.emit(heis_bundle(heis)))
+        edit(doc, value)
+        with pytest.raises(ParseError, match=msg):
+            bundle.parse(json.dumps(doc))
+
+
+def test_parse_rejects_a_matrix_entry_past_int64(heis):
+    doc = json.loads(bundle.emit(heis_bundle(heis)))
+    doc["alpha"][0][0] = 2**64
+    with pytest.raises(ParseError, match="alpha entries"):
+        bundle.parse(json.dumps(doc))
+
+
 @pytest.mark.parametrize("p,prime", [(2147483647, True), (2147483649, False), (561, False), (41041, False),
                                      (3215031751, False), (10**16 + 61, True)])
 def test_parse_tests_primality_up_to_the_square_root(heis, p, prime):

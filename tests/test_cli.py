@@ -189,6 +189,15 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["meta"]["seed"] == 0x123
 
 
+def test_malformed_seed_env_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "v.json"
+    run(capsys, "fixture", "heisenberg-dual", "--out", str(path))
+    monkeypatch.setenv("HOMEXT_SEED", "abc")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: HOMEXT_SEED must be an integer, got 'abc'\n"
+
+
 def test_fixture_sl2_verifies(tmp_path, capsys):
     path = tmp_path / "sl2.json"
     run(capsys, "fixture", "sl2-gf5", "--out", str(path))
@@ -243,11 +252,13 @@ def _edited(tmp_path, capsys, fixture, name, edit):
 
 
 def test_negative_derivation_degree_is_a_parse_error(tmp_path, capsys):
-    path = _edited(tmp_path, capsys, "heisenberg-dual", "neg",
-                   lambda doc: doc["derivations"]["D"].update(degree=-1))
-    code, out, err = run(capsys, "verify", str(path))
-    assert code == 2 and out == ""
-    assert err == "error: derivation D degree must be a nonnegative integer\n"
+    # a float, a string and a bool are not JSON integers, whatever int() makes of them
+    for degree in (-1, 1.5, "3", True):
+        path = _edited(tmp_path, capsys, "heisenberg-dual", "neg",
+                       lambda doc: doc["derivations"]["D"].update(degree=degree))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == "", degree
+        assert err == "error: derivation D degree must be a nonnegative integer\n", degree
 
 
 def test_huge_derivation_degree_verifies_in_under_a_second(tmp_path, capsys):
