@@ -50,15 +50,10 @@ class HomLieAlgebra:
         self._ad_cols = np.flatnonzero(flat.any(axis=0))
         self._ad_mat = flat[:, self._ad_cols]
         # Nonzero structure constants (a, b, k) grouped by k, for bracket_batch,
-        # which writes the group sums into the columns _ks of its output.  When
-        # most k have a constant, the others get a zero triple (0, 0, k), which
-        # costs less than that scatter, and _ks is every column.
-        has = mask.any(axis=(0, 1))
-        full = 2 * has.sum() >= n
-        mask[0, 0] |= full & ~has
+        # which writes the group sums into the columns _ks that have a constant.
         k, a, b = np.nonzero(mask.transpose(2, 0, 1))
-        self._ks = slice(None) if full else np.flatnonzero(has)
-        self._triples, self._starts = (a, b, self.c[a, b, k]), np.searchsorted(k, np.arange(n)[self._ks])
+        self._ks = np.flatnonzero(mask.any(axis=(0, 1)))
+        self._triples, self._starts = (a, b, self.c[a, b, k]), np.searchsorted(k, self._ks)
         # A k group sums up to n^2 products below p^2.  When that could pass
         # 2^63, each group is summed in runs of at most `room` products, and
         # the reduced run sums (each below p) are added per k afterwards.
@@ -121,8 +116,7 @@ class HomLieAlgebra:
         shape = np.broadcast_shapes(xs.shape, ys.shape)
         ndim = max(len(shape), 2)  # at least one leading axis to chunk over
         xs, ys = (v.reshape((1,) * (ndim - v.ndim) + v.shape) for v in (xs, ys))
-        alloc = np.empty if isinstance(self._ks, slice) else np.zeros  # zeros in the k without a group
-        out = alloc((1,) * (ndim - len(shape)) + shape, dtype=np.int64)
+        out = np.zeros((1,) * (ndim - len(shape)) + shape, dtype=np.int64)
         a, b, coef = self._triples
         step = max(1, _CHUNK_ELEMENTS // max(1, out[:1].size // self.n * coef.size))
         for lo in range(0, out.shape[0], step):

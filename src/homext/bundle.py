@@ -146,16 +146,17 @@ def _expect(cond, msg):
 
 
 def _entries(name, value, shape, p, shape_msg=None):
-    """value as an array of `shape` whose entries are JSON integers in [0, p),
-    else ParseError; None stays None.  Without a dtype numpy reads floats and
-    strings as such, where np.int64 would truncate 1.5 and parse "3"."""
+    """value as an int64 array of `shape` whose entries are JSON integers in
+    [0, p), else ParseError; None stays None.  The entries are read as Python
+    objects: np.int64 would truncate 1.5 and parse "3", and numpy casts a true
+    among integers to 1."""
     if value is None:
         return None
-    a = np.asarray(value)
+    a = np.asarray(value, dtype=object)
     _expect(a.shape == shape, shape_msg or f"{name} must be dim x dim")
-    _expect(np.issubdtype(a.dtype, np.integer) and (a >= 0).all() and (a < p).all(),
+    _expect(set(map(type, a.flat)) == {int} and 0 <= min(a.flat) and max(a.flat) < p,
             f"{name} entries must be integers in [0, {p})")
-    return a
+    return a.astype(np.int64)
 
 
 def parse(text: str) -> AlgebraBundle:

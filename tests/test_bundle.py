@@ -94,10 +94,10 @@ MATRICES = [
 
 @pytest.mark.parametrize("value", [1.5, "3", True])
 def test_parse_accepts_only_json_integers(heis, value):
-    """int() would read 1.5, "3" and true as 1, 3 and 1; parse rejects each
-    with the field's own message.  (A true among the integers of a matrix
-    row still reads as 1: numpy casts it.)"""
-    for edit, msg in SCALARS + (MATRICES if value is not True else []):
+    """int() would read 1.5, "3" and true as 1, 3 and 1, and numpy casts a
+    true among the integers of a matrix row to 1; parse rejects each with
+    the field's own message."""
+    for edit, msg in SCALARS + MATRICES:
         doc = json.loads(bundle.emit(heis_bundle(heis)))
         edit(doc, value)
         with pytest.raises(ParseError, match=msg):

@@ -63,11 +63,13 @@ def algebras(heis):
     return cases(heis)
 
 
-def test_cases_exercise_both_group_layouts(algebras):
-    """Mostly empty k groups are scattered, mostly full ones padded with zero triples."""
-    assert isinstance(algebras["heis+GF(2)^10 V"]._ks, np.ndarray)
-    assert isinstance(algebras["dense alternating"]._ks, slice)
+def test_cases_exercise_empty_and_full_k_groups(algebras):
+    """bracket_batch sums a group only for the k that have a constant."""
+    V = algebras["heis+GF(2)^10 V"]
+    assert 0 < V._ks.size < V.n
+    assert algebras["dense alternating"]._ks.tolist() == list(range(8))
     assert algebras["p = 65521, empty k groups"]._ks.tolist() == [1, 4]
+    assert algebras["abelian, one bracket"]._ks.tolist() == [7]
     assert algebras["abelian, one bracket"]._ad_cols.tolist() == [2 * 9 + 7, 5 * 9 + 7]  # (b, k) of both signs
     assert algebras["dense alternating"]._ad_cols.size == 8 * 8
 
