@@ -198,16 +198,17 @@ def check_P_conditions(
     samples: int = 200,
     seed: int = DEFAULT_SEED,
 ) -> Report:
-    """Sampled check of the defining equations of P for either characteristic."""
+    """Sampled check of the defining equations of P for either characteristic;
+    one eval_P_batch call folds every k*u, w and u + w, each once up to scale."""
     check_samples(samples)
     p, n = V.p, V.n
     rep = Report(p=p, dim=n, seed=seed, samples=samples)
     rng = SplitMix64(seed)
     us = rng.mat(samples, n, p)
     ws = rng.mat(samples, n, p)
-    pu = eval_P_batch(V, B_V, D, pe, us)
-    pw = eval_P_batch(V, B_V, D, pe, ws)
-    psum = eval_P_batch(V, B_V, D, pe, (us + ws) % p)
+    rows_in = np.vstack([(k * us) % p for k in range(p)] + [ws, (us + ws) % p])
+    *scaled, pw, psum = eval_P_batch(V, B_V, D, pe, rows_in).reshape(p + 2, samples)
+    pu = scaled[1]
     if p == 2:
         cross = B_V.eval_batch((us @ D.mat.T) % p, ws)
     else:
@@ -215,9 +216,8 @@ def check_P_conditions(
     want = (pu + pw + cross) % p
     rep.tally("P_additivity", (psum - want) % p != 0, psum, want, witness=rows(us, ws))
     for k in range(p):
-        scaled = eval_P_batch(V, B_V, D, pe, (k * us) % p)
         want = (pow(k, p, p) * pu) % p
-        rep.tally("P_homogeneity", (scaled - want) % p != 0, scaled, want,
+        rep.tally("P_homogeneity", (scaled[k] - want) % p != 0, scaled[k], want,
                   witness=lambda i: (k,) + rows(us)(i))
     return rep
 

@@ -24,13 +24,15 @@ from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
 EXHAUSTIVE_LIMIT = 65536
 # Product budget of one slice of fold's cross terms: bounds its temporaries.
 _FOLD_PRODUCTS = 1 << 15
+# Element budget of the folded rows one PStructure keeps (see fold).
+_FOLD_CACHE = 1 << 16
 
 
 class PStructure:
     """Basis-image table of a p-structure: images[j] = e_j^[p].
 
     parent and images are read-only properties and images is a read-only
-    array, so the cached eval_p_all table can never go stale.
+    array, so the cached eval_p_all table and folds can never go stale.
     """
 
     def __init__(self, parent: HomLieAlgebra, images):
@@ -41,6 +43,7 @@ class PStructure:
         self._parent = parent
         self._images = images
         self._all_images: np.ndarray | None = None
+        self._folds: dict[bytes, bytes] = {}
 
     @property
     def parent(self) -> HomLieAlgebra:
@@ -108,19 +111,38 @@ def compute_s(A: HomLieAlgebra, x, y) -> list[np.ndarray]:
     return list(compute_s_batch(A, gfp.asvec(x, A.p)[None, :], gfp.asvec(y, A.p)[None, :])[0])
 
 
-def fold(p: int, xs, images, cross, inert, nnz: int = 0) -> np.ndarray:
+def fold(p: int, xs, images, cross, inert, nnz: int = 0, cache: dict | None = None) -> np.ndarray:
     """The fold of a p-semilinear map f from its basis values images[j] = f(e_j).
 
     The ascending-index fold with f(a + b) = f(a) + f(b) + cross(a, b) and
     f(lam e_j) = lam^p f(e_j) = lam f(e_j) is f(x) = sum_j x_j f(e_j) +
     sum_j cross(x_<j, x_j e_j): each cross term depends on x's own prefix
-    x_<j, not on the running sum.  So the linear part is one product, and
-    cross runs on the live pairs (row, j) only: x_j != 0, x_<j != 0 and j
-    not inert (cross must vanish on the others), in slices of _FOLD_PRODUCTS
-    products at about 2(p-1)*nnz a pair (a formal tower over nnz structure
-    constants).  Returns [batch] + images.shape[1:].
+    x_<j, not on the running sum.  cross is homogeneous of degree p, so
+    f(x) = c^p f(x/c) = c f(x/c) with c the leading nonzero coordinate of x,
+    for any tensor, alpha and images.  Each distinct x/c, keyed by its bytes
+    in a dtype that holds p - 1, is folded once per call and once per
+    `cache` (key -> folded row bytes; past _FOLD_CACHE elements, rows are
+    folded but not stored).  The linear part of those rows is one product,
+    and cross runs on their live pairs (row, j) only: x_j != 0, x_<j != 0
+    and j not inert (cross must vanish on the others), in slices of
+    _FOLD_PRODUCTS products at about 2(p-1)*nnz a pair (a formal tower over
+    nnz structure constants).  Returns a new [batch] + images.shape[1:].
     """
     xs = np.asarray(xs, dtype=np.int64) % p
+    lead = xs[np.arange(len(xs)), (xs != 0).argmax(axis=1)]  # 0 on a zero row, which stays zero
+    cs, at = np.unique(lead, return_inverse=True)
+    xs = (xs * np.array([gfp.inv(c, p) if c else 0 for c in cs], dtype=np.int64)[at][:, None]) % p
+    dt, shape = np.min_scalar_type(p - 1), images.shape[1:]
+    cache = {} if cache is None else cache  # without one, rows are still folded once per call
+    keys, reps, where = np.unique(xs.astype(dt, order="C").view(f"V{dt.itemsize * xs.shape[1]}").ravel(),
+                                   return_index=True, return_inverse=True)
+    raw, w = keys.tobytes(), keys.itemsize
+    names = [raw[i:i + w] for i in range(0, len(raw), w)]
+    todo = [i for i, k in enumerate(names) if k not in cache]
+    done = [i for i, k in enumerate(names) if k in cache]
+    out = np.empty((len(keys),) + shape, dtype=np.int64)
+    out[done] = np.frombuffer(b"".join(cache[names[i]] for i in done), dtype=dt).reshape((len(done),) + shape)
+    xs = xs[reps[todo]]
     acc = gfp.mod(xs @ images, p)  # n terms below p^2, inside the dim*(p-1)^2 guard
     nz = xs != 0
     idx = np.arange(xs.shape[1])
@@ -133,7 +155,11 @@ def fold(p: int, xs, images, cross, inert, nnz: int = 0) -> np.ndarray:
         parts[np.arange(r.size), j] = xs[r, j]
         first = np.flatnonzero(np.diff(r, prepend=-1))  # rows come grouped: one sum per row
         acc[r[first]] = (acc[r[first]] + np.add.reduceat(cross(prefixes, parts), first, axis=0)) % p
-    return acc
+    out[todo] = acc
+    room = max(0, _FOLD_CACHE // images[0].size - len(cache))
+    blob, vw = acc[:room].astype(dt).tobytes(), dt.itemsize * images[0].size
+    cache.update((names[i], blob[k * vw:(k + 1) * vw]) for k, i in enumerate(todo[:room]))
+    return (lead.reshape((-1,) + (1,) * len(shape)) * out[where]) % p
 
 
 def eval_p_batch(P: PStructure, xs) -> np.ndarray:
@@ -145,7 +171,8 @@ def eval_p_batch(P: PStructure, xs) -> np.ndarray:
     order-independence is asserted by property tests, not assumed.
     """
     A = P.parent
-    return fold(A.p, xs, P.images, lambda us, vs: compute_s_batch(A, us, vs).sum(axis=1), A.inert, A.nnz)
+    return fold(A.p, xs, P.images, lambda us, vs: compute_s_batch(A, us, vs).sum(axis=1), A.inert, A.nnz,
+                P._folds)
 
 
 def eval_p(P: PStructure, x) -> np.ndarray:
@@ -207,16 +234,14 @@ def domain(P: PStructure, exhaustive: bool, samples: int, rng: SplitMix64):
     vector of GF(p)^n in gfp.all_vectors order, mapped through the
     eval_p_all table, and "exhaustive".  Otherwise it is `samples` rows
     drawn from rng, folded by eval_p_batch, and "sampled"; only this regime
-    advances rng, and the map folds the drawn rows themselves once and keeps
-    them, so every check over one domain shares that fold.  Checks tally
+    advances rng.  Either way every check over one domain shares one fold
+    of it: the table, or the rows eval_p_batch keeps on P.  Checks tally
     over it through `tally_domain`.
     """
     A = P.parent
     if exhaustive and A.p**A.n <= EXHAUSTIVE_LIMIT:
         return gfp.all_vectors(A.n, A.p), p_map(P, True), "exhaustive"
-    xs = rng.mat(samples, A.n, A.p)
-    drawn = functools.cache(lambda: eval_p_batch(P, xs))
-    return xs, lambda vs: drawn() if vs is xs else eval_p_batch(P, vs), "sampled"
+    return rng.mat(samples, A.n, A.p), p_map(P, False), "sampled"
 
 
 def tally_domain(rep: Report, name: str, regime: str, P: PStructure, xs, pmaps, sides,

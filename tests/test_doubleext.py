@@ -2,7 +2,7 @@ import numpy as np
 import oracles
 import pytest
 
-from homext import gfp
+from homext import doubleext, gfp
 from homext.algebra import (
     BilinearForm,
     Derivation,
@@ -47,6 +47,7 @@ from homext.restricted import (
     is_restricted_derivation,
     verify_pstructure,
 )
+from homext.report import Report, rows
 from homext.rng import SplitMix64
 
 
@@ -677,3 +678,49 @@ def test_algebra_extension_matches_the_per_index_loops(p):
             avecs = rng.integers(0, p, (5, x.A.n))
             assert all(np.array_equal(x.phi_of(avecs)[i], oracles.phi_of_loop(x, a)) for i, a in enumerate(avecs))
     assert any(verdicts) and not all(verdicts)
+
+
+def _P_conditions_per_call(V, B, D, pe, samples, seed):
+    """check_P_conditions with one eval_P_batch call per row set, as a
+    reference for the batched route."""
+    p, n = V.p, V.n
+    rep = Report(p=p, dim=n, seed=seed, samples=samples)
+    rng = SplitMix64(seed)
+    us, ws = rng.mat(samples, n, p), rng.mat(samples, n, p)
+    pu, pw = eval_P_batch(V, B, D, pe, us), eval_P_batch(V, B, D, pe, ws)
+    psum = eval_P_batch(V, B, D, pe, (us + ws) % p)
+    cross = B.eval_batch((us @ D.mat.T) % p, ws) if p == 2 else compute_eta_batch(V, B, D, us, ws).sum(axis=1)
+    want = (pu + pw + cross) % p
+    rep.tally("P_additivity", (psum - want) % p != 0, psum, want, witness=rows(us, ws))
+    for k in range(p):
+        scaled, want = eval_P_batch(V, B, D, pe, (k * us) % p), (k * pu) % p
+        rep.tally("P_homogeneity", (scaled - want) % p != 0, scaled, want,
+                  witness=lambda i: (k,) + rows(us)(i))
+    return rep
+
+
+def test_check_P_conditions_folds_every_row_in_one_call(heis, sl2, monkeypatch):
+    """The k*u rows, w and u + w go through one eval_P_batch call, and the
+    report equals the one-call-per-row-set reference, failures included
+    (a random B and D at p = 3 make P_additivity fail)."""
+    rng = np.random.default_rng(31)
+    c = rng.integers(0, 3, size=(4, 4, 4))
+    V = HomLieAlgebra(3, (c - c.transpose(1, 0, 2)) % 3, gfp.eye(4))
+    bad = (V, BilinearForm(rng.integers(0, 3, (4, 4)), 3), Derivation(rng.integers(0, 3, (4, 4)), 3),
+           PExtensionData(0, gfp.zeros(4), 0, 0, gfp.zeros(4), [1, 2, 0, 1], 3))
+    cases = {"heis": (heis.V, heis.B, heis.D, heis.pext), "sl2": (sl2.g, sl2.B, sl2.D, sl2.pext),
+             "random": bad}
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eval_P_batch(*args)
+
+    for name, args in cases.items():
+        calls.clear()
+        monkeypatch.setattr(doubleext, "eval_P_batch", counted)
+        got = check_P_conditions(*args, samples=40, seed=5)
+        monkeypatch.undo()
+        assert len(calls) == 1, name
+        assert got.to_dict() == _P_conditions_per_call(*args, 40, 5).to_dict(), name
+    assert not got.check("P_additivity").ok

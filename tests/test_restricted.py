@@ -372,44 +372,50 @@ def test_domain_regimes(heis):
 
 
 def test_sampled_regime_folds_its_domain_once(sl2_ext, monkeypatch):
-    """In the sampled regime every check of one call reads the images of the
-    drawn rows from one fold, and R2 folds its k*x rows once per k."""
-    L, B_L, P = sl2_ext
+    """In the sampled regime every p-map read of one call goes through
+    eval_p_batch on one PStructure, and its kernel folds each distinct
+    normalized row once: R2's k*x rows, a second read of the drawn rows and
+    the second route of an identity isomorphism add no kernel rows."""
+    L, B_L, P0 = sl2_ext
     p = L.p
-    draw, fold_batch = restricted.domain, restricted.eval_p_batch
-    drawn, folded = [], []
+    draw, real_fold = restricted.domain, restricted.fold
+    drawn, folded, kernel = [], [], []
 
     def counted_domain(*args):
         out = draw(*args)
         drawn.append(out[0])
         return out
 
-    def counted_fold(Q, xs):
-        folded.append(xs)
-        return fold_batch(Q, xs)
+    def counted_fold(p_, xs, images, cross, *rest):
+        folded.append(np.asarray(xs))
+
+        def counted(us, vs):
+            kernel.append(len(us))
+            return cross(us, vs)
+        return real_fold(p_, xs, images, counted, *rest)
 
     for module in (restricted, isom):
         monkeypatch.setattr(module, "domain", counted_domain)
-    monkeypatch.setattr(restricted, "eval_p_batch", counted_fold)
+    monkeypatch.setattr(restricted, "fold", counted_fold)
     monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)  # 5^5 vectors are sampled too
-    runs = {
-        "verify_pstructure": lambda: verify_pstructure(P, exhaustive=False).ok,
-        "is_restricted_derivation": lambda: is_restricted_derivation(L, P, Derivation(np.zeros((L.n, L.n)), p)),
-        "verify_restricted_iso": lambda: verify_restricted_iso(L, B_L, L, B_L, P, P, gfp.eye(L.n),
-                                                               exhaustive=False).ok,
+    zero = Derivation(np.zeros((L.n, L.n)), p)
+    runs = {  # name -> (run, reads of the drawn rows: R1, then R2 at k = 1 and for every k)
+        "verify_pstructure": (lambda P: verify_pstructure(P, exhaustive=False).ok, 2 + p),
+        "is_restricted_derivation": (lambda P: is_restricted_derivation(L, P, zero), 1),
+        "verify_restricted_iso": (lambda P: verify_restricted_iso(L, B_L, L, B_L, P, P, gfp.eye(L.n),
+                                                                  exhaustive=False).ok, 2),
     }
-    for name, run in runs.items():
+    for name, (run, reads) in runs.items():
         drawn.clear()
         folded.clear()
-        assert run(), name
+        kernel.clear()
+        assert run(PStructure(L, P0.images)), name
         (xs,) = drawn
-        assert sum(f is xs for f in folded) == 1, name
-    drawn.clear()
-    folded.clear()
-    verify_pstructure(P, exhaustive=False)
-    (xs,) = drawn
-    for k in range(p):
-        assert sum(f is not xs and np.array_equal(f, (k * xs) % p) for f in folded) == 1, k
+        assert sum(np.array_equal(f, xs) for f in folded) == reads, name
+        rows_in = _normalized(np.vstack(folded), p)
+        assert sum(kernel) == len(_live_pairs(rows_in, L.inert)) > 0, name
+        if name == "verify_pstructure":  # R2 reads every k*x through the same map
+            assert all(any(np.array_equal(f, (k * xs) % p) for f in folded) for k in range(p))
 
 
 def test_is_restricted_derivation_table_matches_fold(psl3, psl3_twisted):
@@ -770,9 +776,23 @@ def test_eval_P_batch_equals_the_per_coordinate_oracle(sampled_p5):
             assert np.array_equal(got, oracles.eval_P_fold(V, B, D, pe, vs)), (name, batch)
 
 
-def test_fold_calls_cross_once_per_slice_of_live_pairs(sampled_p5, wide_char2, monkeypatch):
-    """eval_p_batch and the odd-p eval_P_batch call their kernel
-    ceil(live pairs / slice) times, on slices of at most the slice size."""
+def _normalized(xs, p):
+    """The distinct rows x/c of xs, c the leading nonzero coordinate of x
+    (a zero row stays zero), sorted."""
+    out = set()
+    for x in np.asarray(xs, dtype=np.int64) % p:
+        nz = np.flatnonzero(x)
+        c = pow(int(x[nz[0]]), -1, p) if nz.size else 0
+        out.add(tuple(int(v) * c % p for v in x))
+    return np.array(sorted(out), dtype=np.int64).reshape(-1, np.asarray(xs).shape[1])
+
+
+def test_fold_kernel_sees_each_normalized_row_once_per_pstructure(sampled_p5, wide_char2, monkeypatch):
+    """eval_p_batch hands the kernel the live pairs of each distinct
+    normalized row once per PStructure, in slices of at most the slice size;
+    a repeated batch and every k*x add no kernel rows.  The odd-p
+    eval_P_batch keeps nothing between calls, so each call folds the live
+    pairs of its own distinct normalized rows."""
     sizes = []
 
     def counting(kernel):
@@ -783,22 +803,119 @@ def test_fold_calls_cross_once_per_slice_of_live_pairs(sampled_p5, wide_char2, m
 
     monkeypatch.setattr(restricted, "compute_s_batch", counting(compute_s_batch))
     monkeypatch.setattr(doubleext, "compute_eta_batch", counting(compute_eta_batch))
-    gen = sampled_p5
-    folds = {
-        "sampled_p5 L": (gen["L"], lambda xs: eval_p_batch(gen["P_L"], xs)),
-        "wide_char2 L": (wide_char2["L"], lambda xs: eval_p_batch(wide_char2["P_L"], xs)),
-        "sampled_p5 P": (gen["V"], lambda xs: eval_P_batch(gen["V"], gen["B"], gen["D"], gen["pe"], xs)),
-    }
     rng = np.random.default_rng(14)
-    for name, (A, f) in folds.items():
+    for name, gen in (("sampled_p5 L", sampled_p5), ("wide_char2 L", wide_char2)):
+        A = gen["L"]
+        p, step = A.p, _slice(A)
+        P = PStructure(A, gen["P_L"].images)  # a cold cache
+        seen = np.zeros((0, A.n), dtype=np.int64)
         batches = _fold_batches(A, rng)
-        batches["many"] = rng.integers(0, A.p, size=(300, A.n))
+        batches["many"] = rng.integers(0, p, size=(300, A.n))
         for batch, xs in batches.items():
             sizes.clear()
-            f(xs)
-            live, step = len(_live_pairs(xs, A.inert)), _slice(A)
-            assert len(sizes) == -(-live // step), (name, batch)
-            assert sum(sizes) == live and all(s <= step for s in sizes), (name, batch)
+            eval_p_batch(P, xs)
+            new = _normalized(np.vstack([seen, _normalized(xs, p)]), p)
+            live = len(_live_pairs(new, A.inert)) - len(_live_pairs(seen, A.inert))
+            seen = new
+            assert sum(sizes) == live and len(sizes) == -(-live // step), (name, batch)
+            assert all(s <= step for s in sizes), (name, batch)
+        assert live > 0, name  # the last batch still found new rows
+        sizes.clear()
+        for xs in batches.values():
+            for k in range(p):
+                eval_p_batch(P, (k * xs) % p)
+        assert not sizes, name
+    V, B, D, pe = sampled_p5["V"], sampled_p5["B"], sampled_p5["D"], sampled_p5["pe"]
+    step = _slice(V)
+    for batch, vs in _fold_batches(V, rng).items():
+        vs = np.vstack([(k * vs) % V.p for k in range(V.p)] + [vs])
+        for _ in range(2):
+            sizes.clear()
+            eval_P_batch(V, B, D, pe, vs)
+            live = len(_live_pairs(_normalized(vs, V.p), V.inert))
+            assert sum(sizes) == live and len(sizes) == -(-live // step), batch
+
+
+def _scaled_batch(p, n, rng):
+    """Zero rows, random rows, their duplicates and all p multiples of them."""
+    xs = rng.integers(0, p, size=(6, n))
+    xs[0] = 0
+    return np.vstack([xs, xs[::-1]] + [(k * xs[1:3]) % p for k in range(p)])
+
+
+def _scaled_cases(p):
+    """Random images on an algebra with inert coordinates, and on a
+    non-alternating tensor (nothing inert, [x, x] != 0)."""
+    rng = np.random.default_rng(100 + p)
+    A = _random_with_inert(p, p)
+    c = rng.integers(0, p, size=(4, 4, 4))
+    c[rng.random(c.shape) < 0.6] = 0
+    c[0, 0, 1] = 1
+    N = HomLieAlgebra(p, c, rng.integers(0, p, size=(4, 4)))
+    assert not N.inert.any()
+    cases = {"inert": A, "non-alternating": N}
+    return {name: (X, rng.integers(0, p, size=(X.n, X.n))) for name, X in cases.items()}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_eval_p_batch_on_scaled_rows_equals_the_fold_oracle(p):
+    """Zero, duplicate and scaled rows, corrupted images and a
+    non-alternating tensor; cold and warm caches in both call orders; a
+    mutated result does not change a later fold."""
+    rng = np.random.default_rng(p)
+    for name, (A, images) in _scaled_cases(p).items():
+        batches = [_scaled_batch(p, A.n, rng) for _ in range(2)]
+        want = [np.array([oracles.eval_p_fold(PStructure(A, images), x) for x in xs]) for xs in batches]
+        for order in ([0, 1], [1, 0]):
+            P = PStructure(A, images)
+            for b in order + order:  # cold, then warm
+                got = eval_p_batch(P, batches[b])
+                assert np.array_equal(got, want[b]), (name, order, b)
+                got[:] = (got + 1) % p
+        assert np.array_equal(eval_p(PStructure(A, images), batches[0][3]), want[0][3]), name
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_eval_P_batch_on_scaled_rows_equals_the_fold_oracle(p):
+    """The odd-p P on zero, duplicate and scaled rows, with random (not
+    valid) P_basis, B and D, on an inert and a non-alternating tensor."""
+    rng = np.random.default_rng(20 + p)
+    for name, (V, _) in _scaled_cases(p).items():
+        n = V.n
+        pe = PExtensionData(0, gfp.zeros(n), 0, 0, gfp.zeros(n), rng.integers(0, p, n), p)
+        B, D = BilinearForm(rng.integers(0, p, (n, n)), p), Derivation(rng.integers(0, p, (n, n)), p)
+        vs = _scaled_batch(p, n, rng)
+        assert np.array_equal(eval_P_batch(V, B, D, pe, vs), oracles.eval_P_fold(V, B, D, pe, vs)), name
+
+
+def test_fold_cache_stays_within_its_budget(sampled_p5, monkeypatch):
+    """Past the element budget rows are folded but not stored: values stay
+    exact, the cache stops growing, and stored rows are still read."""
+    P0 = sampled_p5["P_L"]
+    A = P0.parent
+    monkeypatch.setattr(restricted, "_FOLD_CACHE", 5 * A.n)
+    P = PStructure(A, P0.images)
+    xs = _normalized(np.random.default_rng(15).integers(0, A.p, size=(12, A.n)), A.p)
+    want = np.array([oracles.eval_p_fold(P, x) for x in xs])
+    for _ in range(2):
+        assert np.array_equal(eval_p_batch(P, xs), want)
+        assert len(P._folds) == 5
+    assert np.array_equal(eval_p_batch(P, (2 * xs[::-1]) % A.p), (2 * want[::-1]) % A.p)
+    assert len(P._folds) == 5
+
+
+def test_fold_keys_distinguish_rows_that_agree_mod_256():
+    """At p = 257 a coordinate can be 256, so keys need two bytes."""
+    p = 257
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 1, 1], c[1, 0, 1] = 1, p - 1  # [e0, e1] = e1
+    P = PStructure(HomLieAlgebra(p, c, gfp.eye(2)), [[3, 5], [7, 11]])
+    xs = np.array([[1, 0], [1, 256]])
+    want = np.array([oracles.eval_p_fold(P, x) for x in xs])
+    assert not np.array_equal(want[0], want[1])
+    for x, w in zip(xs, want):
+        assert np.array_equal(eval_p_batch(P, x[None]), w[None])
+    assert np.array_equal(eval_p_batch(P, xs), want) and len(P._folds) == 2
 
 
 def test_inverses_are_cached_read_only():
