@@ -64,23 +64,15 @@ class HomLieAlgebra:
             runs = [np.arange(lo, hi, room) for lo, hi in zip(self._starts, ends)]
             self._runs = np.cumsum([0] + [r.size for r in runs[:-1]])  # first run of each k
             self._starts = np.concatenate(runs)
-        self.inert = self._inert_mask(a, b, k)
+        # c is alternating (c[i, i] = 0 and c[j, i] = -c[i, j]) when every
+        # nonzero constant c[a, b, k] has a != b and c[b, a, k] = -c[a, b, k].
+        self.alternating = not ((a == b).any() or (self.c[b, a, k] != -self._triples[2] % self.p).any())
+        # inert[j]: c is alternating and row j of c is zero, so e_j is central.
+        # For y = lam e_j the innermost factor of the s- and eta-towers is
+        # k[x, x] + [y, x] = 0, so every s_i(x, y) and eta_i(x, y) is 0,
+        # whatever alpha is (README, "Inert coordinates").
+        self.inert = ~self.c.any(axis=(1, 2)) & self.alternating
         self.inert.setflags(write=False)
-
-    def _inert_mask(self, a, b, k) -> np.ndarray:
-        """inert[j]: c is alternating and row j of c is zero, so e_j is central.
-
-        For y = lam e_j the innermost factor of the s- and eta-towers is
-        k[x, x] + [y, x] = 0, so every s_i(x, y) and eta_i(x, y) is 0,
-        whatever alpha is (README, "Inert coordinates").  The alternation
-        test runs on the nonzero triples (a, b, k).
-        """
-        p, c = self.p, self.c
-        coef = c[a, b, k]
-        nz = coef != 0
-        if (a[nz] == b[nz]).any() or (c[b[nz], a[nz], k[nz]] != (-coef[nz]) % p).any():
-            return np.zeros(self.n, dtype=bool)
-        return ~c.any(axis=(1, 2))
 
     @classmethod
     def from_upper(cls, p: int, n: int, brackets: dict, alpha=None, basis_names=None):

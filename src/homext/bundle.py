@@ -77,14 +77,11 @@ def from_parts(
     extension: dict | None = None,
 ) -> AlgebraBundle:
     """Assemble a bundle; the tensor must already be alternating and antisymmetric."""
-    c, diag = A.c, np.arange(A.n)
-    want = (-c.transpose(1, 0, 2)) % A.p
-    want[diag, diag] = 0
-    if not np.array_equal(c, want):
+    if not A.alternating:
         raise ParseError("structure tensor is not alternating/antisymmetric")
     upper = np.triu(np.ones((A.n, A.n), dtype=bool), 1)
-    i, j, k = np.nonzero((c != 0) & upper[:, :, None])  # C order: sorted by (i, j, k)
-    entries = list(zip(i.tolist(), j.tolist(), k.tolist(), c[i, j, k].tolist()))
+    i, j, k = np.nonzero((A.c != 0) & upper[:, :, None])  # C order: sorted by (i, j, k)
+    entries = list(zip(i.tolist(), j.tolist(), k.tolist(), A.c[i, j, k].tolist()))
     return AlgebraBundle(
         p=A.p,
         dim=A.n,

@@ -26,6 +26,8 @@ EXHAUSTIVE_LIMIT = 65536
 _FOLD_PRODUCTS = 1 << 15
 # Element budget of the folded rows one PStructure keeps (see fold).
 _FOLD_CACHE = 1 << 16
+# Element budget of one slice of r1_defect_batch's [rows, n, n] matrices.
+_R1_ELEMENTS = 1 << 18
 
 
 class PStructure:
@@ -69,20 +71,29 @@ def _formal_tower(A: HomLieAlgebra, xs, ys, depth: int) -> np.ndarray:
 
     The result is a polynomial vector in the formal parameter k; returns
     [batch, depth+1, n] with row d its coefficient of k^d.  This is the one
-    tower behind both the s_i and the eta_i.
+    tower behind both the s_i and the eta_i.  ys is [batch, n], or one [n]
+    vector shared by the batch.  On an alternating c the innermost factor
+    gives k[x, x] + [y, x] = [y, x], so after t + 1 factors the degree is
+    at most t and the top rows, which are zero, are not bracketed (README,
+    "The formal tower").
     """
+    p, shared = A.p, ys.ndim == 1
     coeffs = np.zeros((xs.shape[0], depth + 1, A.n), dtype=np.int64)
     coeffs[:, 0, :] = xs
     # Innermost factor first.  alpha^t(y), the constant part of factor t, and
-    # alpha^t(x), its k-coefficient, bracket the coefficient rows in one call.
-    zs = np.stack([ys, xs], axis=1)[:, :, None, :]  # [batch, 2, 1, n]
+    # alpha^t(x), its k-coefficient, bracket the live rows in one call; a
+    # shared alpha^t(y) is one matrix ad(alpha^t(y)) instead.
     for t in range(depth):
         if t:
-            zs = gfp.mod(zs @ A.alpha.T, A.p)
-        part = A.bracket_batch(zs, coeffs[:, None, :t + 1, :])
-        coeffs[:, :t + 1, :] = part[:, 0]
-        coeffs[:, 1:t + 2, :] += part[:, 1]  # below 2p; bracket_batch reduces its input
-    return gfp.mod(coeffs, A.p)
+            xs, ys = gfp.mod(xs @ A.alpha.T, p), gfp.mod(ys @ A.alpha.T, p)
+        hi = t + 1 - A.alternating  # rows alpha^t(x) meets: [x, x] = 0 zeroes the top one
+        live = coeffs[:, :max(hi, 1)]  # below 2p, reduced before any product
+        zs = ([] if shared else [ys]) + ([xs] if hi else [])
+        part = A.bracket_batch(np.stack(zs, axis=1)[:, :, None, :], live[:, None]) if zs else None
+        live[:] = gfp.mod(gfp.mod(live, p) @ A.ad_batch(ys[None])[0], p) if shared else part[:, 0]
+        if hi:
+            coeffs[:, 1:hi + 1, :] += part[:, -1]
+    return gfp.mod(coeffs, p)
 
 
 @functools.cache
@@ -97,7 +108,8 @@ def compute_s_batch(A: HomLieAlgebra, xs, ys) -> np.ndarray:
     """The R3 coefficients s_1..s_{p-1} of each pair (x, y): [batch, p-1, n].
 
     s_i is 1/i times the coefficient of k^{i-1} in the formal tower
-    ad(alpha^{p-2}(kx+y)) o ... o ad(kx+y) applied to x.
+    ad(alpha^{p-2}(kx+y)) o ... o ad(kx+y) applied to x.  ys may be one
+    [n] vector, shared by every x.
     """
     p = A.p
     xs = np.asarray(xs, dtype=np.int64) % p
@@ -210,8 +222,7 @@ def eval_p_all(P: PStructure) -> np.ndarray:
             block = p**j
             part = lams[:, None, None] * P.images[j] + table[None, :block]  # lam^p = lam in GF(p)
             if not A.inert[j]:
-                unit = np.broadcast_to(gfp.unit(n, j), (block, n))
-                s = compute_s_batch(A, vecs[:block], unit).transpose(1, 0, 2)  # [i, prefix, n]
+                s = compute_s_batch(A, vecs[:block], gfp.unit(n, j)).transpose(1, 0, 2)  # [i, prefix, n]
                 part += (weights @ s.reshape(p - 1, -1)).reshape(p - 1, block, n)
             table[block:block * p] = gfp.mod(part, p).reshape(-1, n)
         table.setflags(write=False)
@@ -291,11 +302,23 @@ def _tower_batch(A: HomLieAlgebra, xs) -> np.ndarray:
 
 
 def r1_defect_batch(A: HomLieAlgebra, P: PStructure, xs, images) -> np.ndarray:
-    """Per-vector R1 defect: ad(x^[p]) o alpha^{p-1} minus the ad-tower."""
-    p = A.p
-    tower = _tower_batch(A, xs)
-    lhs = (gfp.mat_pow(A.alpha, p - 1, p).T[None, :, :] @ A.ad_batch(images)) % p
-    return (lhs - tower) % p
+    """Per-vector R1 defect: ad(x^[p]) o alpha^{p-1} minus the ad-tower.
+
+    A batch past _R1_ELEMENTS matrix entries runs in slices of at most that
+    many, which bounds the [rows, n, n] temporaries besides the result."""
+    p, xs, images = A.p, np.asarray(xs), np.asarray(images)
+    apow = gfp.mat_pow(A.alpha, p - 1, p).T
+    step = max(1, _R1_ELEMENTS // A.n**2)
+
+    def defect(cut):
+        return gfp.mod(apow @ A.ad_batch(images[cut]) - _tower_batch(A, xs[cut]), p)
+
+    if len(xs) <= step:
+        return defect(slice(None))
+    out = np.empty((len(xs), A.n, A.n), dtype=np.int64)
+    for lo in range(0, len(xs), step):
+        out[lo:lo + step] = defect(slice(lo, lo + step))
+    return out
 
 
 def verify_pstructure(
@@ -377,8 +400,8 @@ def is_restricted_derivation(
     or seeded samples past the exhaustive limit, with one `sides` function
     for both.
 
-    The defining condition is not multilinear, so the basis does not
-    suffice; sampled arbitrary vectors keep the check honest.
+    The defining condition is not multilinear, so the basis is not proven
+    to suffice; sampled arbitrary vectors keep the check honest.
     """
     check_samples(samples)
     xs, pmap, regime = domain(P, True, samples, SplitMix64(seed))
@@ -427,7 +450,8 @@ def compute_eta_batch(A: HomLieAlgebra, B: BilinearForm, D: Derivation, us, vs) 
 
     Pairs D(alpha^{p-2}(lam*u + v)) against the length-(p-2) formal tower
     of (lam*u + v) applied to u, expands in the formal parameter lam, and
-    divides the coefficient of lam^(i-1) by i.  Returns [batch, p-1].
+    divides the coefficient of lam^(i-1) by i.  Returns [batch, p-1].  vs
+    may be one [n] vector, shared by every u.
     """
     if A.p == 2:
         raise OddCharRequired("eta coefficients need p > 2")
@@ -437,7 +461,7 @@ def compute_eta_batch(A: HomLieAlgebra, B: BilinearForm, D: Derivation, us, vs) 
     # B(D(alpha^{p-2}(w)), .) as a row vector: lam^0 part from v, lam^1 part from u
     pair = (((D.mat @ gfp.mat_pow(A.alpha, p - 2, p)) % p).T @ B.gram) % p
     right = _formal_tower(A, us, vs, p - 2)  # [batch, p-1, n]
-    q = np.einsum("mk,mdk->md", (vs @ pair) % p, right)
+    q = np.einsum("mk,mdk->md", np.broadcast_to((vs @ pair) % p, us.shape), right)
     q[:, 1:] += np.einsum("mk,mdk->md", (us @ pair) % p, right[:, :-1, :])
     return (_inverses(p)[None, :] * (q % p)) % p
 

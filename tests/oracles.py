@@ -2,8 +2,10 @@
 
 PolyVec towers, the R3 coefficients and the p-map fold built on them, and
 the coefficient recursion share no code with the batched kernels they are
-compared against; s_tilde_direct deliberately runs the library's compute_s,
-eval_P_fold its compute_eta_batch, and phi_bracket_compat_loop its bracket.
+compared against; formal_tower_full is the formal tower that brackets every
+coefficient row, zero or not, in one bracket_batch call per step;
+s_tilde_direct deliberately runs the library's compute_s, eval_P_fold its
+compute_eta_batch, and phi_bracket_compat_loop its bracket.
 phi_of_loop, psi_eval_loop, algebra_extension_loop and extend_by_algebra_loop
 keep the per-index loops of the algebra extension, and solve_p_property_loop
 the one-system-per-xi search.
@@ -127,6 +129,25 @@ def compute_s_polyvec(A: HomLieAlgebra, x, y) -> list[np.ndarray]:
     ops = [(A.ad(A.apply_alpha(y, t)), A.ad(A.apply_alpha(x, t))) for t in range(p - 2, -1, -1)]
     res = polyvec_apply(ops, PolyVec.constant(x, p), max_degree=p - 1)
     return [(gfp.inv(i, p) * res.coeff(i - 1)) % p for i in range(1, p)]
+
+
+def formal_tower_full(A: HomLieAlgebra, xs, ys, depth: int) -> np.ndarray:
+    """restricted._formal_tower with no skipped row and no shared factor:
+    each step brackets alpha^t(y) and alpha^t(x) against every coefficient
+    row, p(p-1) row-brackets a pair at depth p-1.  A [n] ys is broadcast to
+    one row per x."""
+    xs = np.asarray(xs, dtype=np.int64) % A.p
+    ys = np.broadcast_to(np.asarray(ys, dtype=np.int64) % A.p, xs.shape)
+    coeffs = np.zeros((xs.shape[0], depth + 1, A.n), dtype=np.int64)
+    coeffs[:, 0, :] = xs
+    zs = np.stack([ys, xs], axis=1)[:, :, None, :]  # [batch, 2, 1, n]
+    for t in range(depth):
+        if t:
+            zs = gfp.mod(zs @ A.alpha.T, A.p)
+        part = A.bracket_batch(zs, coeffs[:, None, :t + 1, :])
+        coeffs[:, :t + 1, :] = part[:, 0]
+        coeffs[:, 1:t + 2, :] += part[:, 1]
+    return gfp.mod(coeffs, A.p)
 
 
 def eval_p_fold(P: PStructure, x) -> np.ndarray:

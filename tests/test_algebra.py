@@ -451,6 +451,27 @@ def test_hom_jacobi_and_leibniz_match_dense_oracles_on_fixtures(algebras, heis, 
             assert verify_derivation(A, D).to_dict() == oracles.leibniz_dense(A, D).to_dict(), name
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_alternating_is_the_dense_definition(p):
+    """HomLieAlgebra.alternating, from the nonzero constants only, equals
+    c[i, i] = 0 and c[j, i] = -c[i, j] on the whole tensor: antisymmetric
+    tensors with or without a diagonal entry or a sign or value slip, and
+    sparse random ones."""
+    rng = np.random.default_rng(p)
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        c = rng.integers(0, p, size=(n, n, n)) * (rng.random((n, n, n)) < 0.3)
+        c = (c - c.transpose(1, 0, 2)) % p if rng.random() < 0.7 else c
+        i, j, k = rng.integers(0, n, 3)
+        slip = rng.integers(0, 4)
+        if slip == 1:
+            c[i, i, k] = rng.integers(1, p)
+        elif slip == 2:
+            c[i, j, k] = (c[i, j, k] + rng.integers(1, p)) % p
+        want = not np.einsum("iik->ik", c).any() and np.array_equal(c, (-c.transpose(1, 0, 2)) % p)
+        assert HomLieAlgebra(p, c, gfp.eye(n)).alternating == want
+
+
 def test_derivation_rejects_a_negative_degree():
     assert Derivation(gfp.eye(2), 3, k=0).k == 0
     with pytest.raises(ValueError, match="nonnegative"):

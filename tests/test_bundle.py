@@ -195,9 +195,10 @@ def test_from_parts_rejects_what_the_loop_rejects(request, fixture, slot):
     else:
         c[-1, -1, 0] = 1  # in char 2 only the alternating check sees it
     bad = HomLieAlgebra(A.p, c, A.alpha)
+    assert A.alternating and not bad.alternating
     with pytest.raises(ParseError):
         oracles.bracket_entries_loop(bad)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^structure tensor is not alternating/antisymmetric$"):
         bundle.from_parts(bad)
 
 

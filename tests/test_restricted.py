@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -503,6 +505,43 @@ def test_r1_report_matches_the_full_domain_tally(request):
             assert got.failed > 0, name
 
 
+def test_r1_slices_keep_every_count_and_witness(request, monkeypatch):
+    """r1_defect_batch in slices of one row and of seven rows equals the
+    whole batch, and verify_pstructure's report, witnesses and values
+    included, does not change (exhaustive and sampled regimes)."""
+    cases = {name: P for name, P in _inert_cases(request).items() if "corrupted" in name}
+    assert {"psl3 corrupted", "sampled_p5 L corrupted", "wide_char2 L corrupted"} <= set(cases)
+    for name, P in cases.items():
+        A = P.parent
+        xs = np.random.default_rng(4).integers(0, A.p, size=(30, A.n))
+        imgs = eval_p_batch(P, xs)
+        whole, want = r1_defect_batch(A, P, xs, imgs), verify_pstructure(P, samples=40).to_dict()
+        assert not want["summary"]["ok"], name
+        for rows_per_slice in (1, 7):
+            with monkeypatch.context() as m:
+                m.setattr(restricted, "_R1_ELEMENTS", rows_per_slice * A.n**2)
+                assert np.array_equal(r1_defect_batch(A, P, xs, imgs), whole), (name, rows_per_slice)
+                assert verify_pstructure(P, samples=40).to_dict() == want, (name, rows_per_slice)
+
+
+def test_r1_defect_batch_memory_is_bounded_by_its_slices(wide_char2):
+    """3,000 sampled rows of the wide-char2 L (n = 40): besides the 38.4 MB
+    result, the [rows, n, n] temporaries stay within a few slices of
+    _R1_ELEMENTS entries.  The whole batch at once held four arrays of the
+    result's size."""
+    A, P = wide_char2["L"], wide_char2["P_L"]
+    xs = np.random.default_rng(5).integers(0, 2, size=(3000, A.n))
+    imgs = eval_p_batch(P, xs)
+    tracemalloc.start()
+    try:
+        out = r1_defect_batch(A, P, xs, imgs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (3000, A.n, A.n) and not out.any()
+    assert peak < out.nbytes + 6 * 8 * restricted._R1_ELEMENTS
+
+
 # Inert coordinates.  e_j is inert when c is alternating and row j of c is
 # zero.  Then s_i(x, lam e_j) and eta_i(x, lam e_j) vanish, whatever alpha is,
 # so `fold` and `eval_p_all` skip them; every result must equal the fold with
@@ -685,7 +724,7 @@ def test_folds_skip_exactly_the_inert_coordinates(heis, sampled_p5, monkeypatch)
     blocks = []
 
     def counted(A, xs, ys):
-        blocks.append(int(np.argmax(ys[0])))
+        blocks.append(int(np.argmax(np.atleast_2d(ys)[0])))  # ys is e_j, shared by the block
         return compute_s_batch(A, xs, ys)
 
     monkeypatch.setattr(restricted, "compute_s_batch", counted)
