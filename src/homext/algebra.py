@@ -33,7 +33,8 @@ class HomLieAlgebra:
 
     def __init__(self, p: int, c, alpha, basis_names=None):
         self.p = int(p)
-        self.c = np.asarray(c, dtype=np.int64) % p
+        c = np.asarray(c, dtype=np.int64)  # copied or reduced: the caller's array is never frozen below
+        self.c = c.copy() if np.min(c, initial=0) >= 0 and np.max(c, initial=0) < p else gfp.mod(c, p)
         self.alpha = gfp.asmat(alpha, p)
         n = self.c.shape[0]
         if self.c.shape != (n, n, n) or self.alpha.shape != (n, n):
@@ -42,22 +43,23 @@ class HomLieAlgebra:
         self.alpha.setflags(write=False)
         self.n = n
         self.basis_names = list(basis_names) if basis_names else [f"e{i+1}" for i in range(n)]
-        mask = self.c != 0
-        self.nnz = int(mask.sum())  # nonzero structure constants
+        # The nonzero constants c[a, b, k] off flat indices: work per constant, not per entry.
+        flat = np.flatnonzero(self.c != 0)
+        a, b, k = np.unravel_index(flat, self.c.shape)
+        self.nnz, row_nnz = flat.size, np.bincount(a, minlength=n)
         # ad_batch multiplies by the nonzero rows a and nonzero (b, k) columns of c only
-        self._ad_rows = np.nonzero(mask.any(axis=(1, 2)))[0]
-        flat = self.c[self._ad_rows].reshape(-1, n * n)
-        self._ad_cols = np.flatnonzero(flat.any(axis=0))
-        self._ad_mat = flat[:, self._ad_cols]
-        # Nonzero structure constants (a, b, k) grouped by k, for bracket_batch,
+        self._ad_rows = np.flatnonzero(row_nnz)
+        self._ad_cols = np.flatnonzero(np.bincount(flat % (n * n), minlength=n * n))
+        self._ad_mat = self.c.reshape(n, n * n)[np.ix_(self._ad_rows, self._ad_cols)]
+        # The constants grouped by k, in (a, b) order by a stable sort, for bracket_batch,
         # which writes the group sums into the columns _ks that have a constant.
-        k, a, b = np.nonzero(mask.transpose(2, 0, 1))
-        self._ks = np.flatnonzero(mask.any(axis=(0, 1)))
-        self._triples, self._starts = (a, b, self.c[a, b, k]), np.searchsorted(k, self._ks)
+        order, k_nnz = np.argsort(k, kind="stable"), np.bincount(k, minlength=n)
+        a, b, k, self._ks = a[order], b[order], k[order], np.flatnonzero(k_nnz)
+        self._triples, self._starts = (a, b, self.c.flat[flat[order]]), (np.cumsum(k_nnz) - k_nnz)[self._ks]
         # A k group sums up to n^2 products below p^2.  When that could pass
         # 2^63, each group is summed in runs of at most `room` products, and
         # the reduced run sums (each below p) are added per k afterwards.
-        ends = np.append(self._starts[1:], k.size)
+        ends = self._starts + k_nnz[self._ks]
         room = (2**63 - 1) // max(1, (self.p - 1) ** 2)
         self._runs = None
         if np.max(ends - self._starts, initial=0) > room:
@@ -71,7 +73,7 @@ class HomLieAlgebra:
         # For y = lam e_j the innermost factor of the s- and eta-towers is
         # k[x, x] + [y, x] = 0, so every s_i(x, y) and eta_i(x, y) is 0,
         # whatever alpha is (README, "Inert coordinates").
-        self.inert = ~self.c.any(axis=(1, 2)) & self.alternating
+        self.inert = (row_nnz == 0) & self.alternating
         self.inert.setflags(write=False)
 
     @classmethod
@@ -81,12 +83,9 @@ class HomLieAlgebra:
         for (i, j), v in brackets.items():
             if not 0 <= i < j < n:
                 raise DimMismatch(f"bracket index ({i},{j}) must satisfy 0 <= i < j < {n}")
-            vec = gfp.asvec(v, p)
-            c[i, j] = vec
+            c[i, j] = vec = gfp.asvec(v, p)
             c[j, i] = (-vec) % p
-        if alpha is None:
-            alpha = gfp.eye(n)
-        return cls(p, c, alpha, basis_names)
+        return cls(p, c, gfp.eye(n) if alpha is None else alpha, basis_names)
 
     def bracket(self, x, y) -> np.ndarray:
         """bracket_batch on one pair."""

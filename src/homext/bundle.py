@@ -9,6 +9,7 @@ emit is the identity on canonical files and emit is idempotent.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -39,11 +40,11 @@ class AlgebraBundle:
     extension: dict | None = None
 
     def algebra(self) -> HomLieAlgebra:
-        upper = {}
-        for i, j, k, coeff in self.brackets:
-            upper.setdefault((i, j), gfp.zeros(self.dim))
-            upper[(i, j)][k] = coeff
-        return HomLieAlgebra.from_upper(self.p, self.dim, upper, self.alpha, self.basis)
+        c = np.zeros((self.dim,) * 3, dtype=np.int64)
+        i, j, k, coeff = np.array(self.brackets, dtype=np.int64).reshape(-1, 4).T
+        _expect(((0 <= i) & (i < j) & (j < self.dim)).all(), "brackets must satisfy 0 <= i < j < dim")
+        c[i, j, k], c[j, i, k] = coeff, (-coeff) % self.p  # the upper half, and the lower one by sign
+        return HomLieAlgebra(self.p, c, self.alpha, self.basis)
 
     def bilinear_form(self) -> BilinearForm | None:
         return None if self.form is None else BilinearForm(self.form, self.p)
@@ -79,9 +80,9 @@ def from_parts(
     """Assemble a bundle; the tensor must already be alternating and antisymmetric."""
     if not A.alternating:
         raise ParseError("structure tensor is not alternating/antisymmetric")
-    upper = np.triu(np.ones((A.n, A.n), dtype=bool), 1)
-    i, j, k = np.nonzero((A.c != 0) & upper[:, :, None])  # C order: sorted by (i, j, k)
-    entries = list(zip(i.tolist(), j.tolist(), k.tolist(), A.c[i, j, k].tolist()))
+    flat = np.flatnonzero(A.c != 0)  # C order: sorted by (i, j, k)
+    i, j, k = np.unravel_index(flat, A.c.shape)
+    entries = [e for e in zip(i.tolist(), j.tolist(), k.tolist(), A.c.flat[flat].tolist()) if e[0] < e[1]]
     return AlgebraBundle(
         p=A.p,
         dim=A.n,
@@ -111,10 +112,6 @@ def extension_dict(name: str, d: DoubleExtensionData, pe: PExtensionData) -> dic
     }
 
 
-def _intmat(m) -> list[list[int]]:
-    return [[int(v) for v in row] for row in np.asarray(m)]
-
-
 def emit(b: AlgebraBundle) -> str:
     doc = {
         "version": FORMAT_VERSION,
@@ -124,17 +121,38 @@ def emit(b: AlgebraBundle) -> str:
         "brackets": [
             {"i": i, "j": j, "k": k, "coeff": c} for (i, j, k, c) in sorted(b.brackets)
         ],
-        "alpha": _intmat(b.alpha),
-        "form": None if b.form is None else _intmat(b.form),
-        "pmap": None if b.pmap is None else _intmat(b.pmap),
+        "alpha": b.alpha,
+        "form": b.form,
+        "pmap": b.pmap,
         "derivations": {
-            name: {"matrix": _intmat(d.mat), "degree": int(d.k)}
+            name: {"matrix": d.mat, "degree": int(d.k)}
             for name, d in sorted(b.derivations.items())
         },
-        "twist": None if b.twist is None else _intmat(b.twist),
+        "twist": b.twist,
         "extension": b.extension,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return dumps(doc) + "\n"
+
+
+def dumps(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, for the values bundles and
+    reports hold (str keys); numeric ndarrays are written as lists of ints.
+    With an indent, json.dumps runs its pure-Python encoder, so this writer
+    joins the strings itself (an array row is one %d format)."""
+    return _dump(value, "\n")
+
+
+def _dump(v, nl: str) -> str:
+    inner, esc = nl + "  ", json.encoder.encode_basestring_ascii
+    if isinstance(v, np.ndarray) and v.ndim == 1:
+        return (f"[{inner}" + f"%d,{inner}" * (v.size - 1) + f"%d{nl}]") % tuple(v.tolist()) if v.size else "[]"
+    if isinstance(v, dict):
+        body = ("," + inner).join(f"{esc(k)}: {_dump(x, inner)}" for k, x in v.items())
+        return "{" + inner + body + nl + "}" if body else "{}"
+    if isinstance(v, (list, tuple, np.ndarray)):
+        body = ("," + inner).join(str(x) if type(x) is int else _dump(x, inner) for x in v)
+        return "[" + inner + body + nl + "]" if body else "[]"
+    return str(v) if type(v) is int else esc(v) if isinstance(v, str) else json.dumps(v)  # None, bool, float
 
 
 def _expect(cond, msg):
@@ -145,15 +163,18 @@ def _expect(cond, msg):
 def _entries(name, value, shape, p, shape_msg=None):
     """value as an int64 array of `shape` whose entries are JSON integers in
     [0, p), else ParseError; None stays None.  The entries are read as Python
-    objects: np.int64 would truncate 1.5 and parse "3", and numpy casts a true
-    among integers to 1."""
+    objects first: np.int64 would truncate 1.5 and parse "3", and numpy casts
+    a true among integers to 1."""
     if value is None:
         return None
-    a = np.asarray(value, dtype=object)
-    _expect(a.shape == shape, shape_msg or f"{name} must be dim x dim")
-    _expect(set(map(type, a.flat)) == {int} and 0 <= min(a.flat) and max(a.flat) < p,
-            f"{name} entries must be integers in [0, {p})")
-    return a.astype(np.int64)
+    rows = value if len(shape) == 2 else [value]
+    if type(value) is list and len(value) == shape[0] and all(type(r) is list and len(r) == shape[-1] for r in rows):
+        if set(map(type, flat := list(itertools.chain.from_iterable(rows)))) == {int}:
+            _expect(0 <= min(flat) and max(flat) < p, f"{name} entries must be integers in [0, {p})")
+            return np.array(value, dtype=np.int64)
+    # Not integers of that shape: numpy's reading of the value tells which message applies.
+    _expect(np.asarray(value, dtype=object).shape == shape, shape_msg or f"{name} must be dim x dim")
+    raise ParseError(f"{name} entries must be integers in [0, {p})")
 
 
 def parse(text: str) -> AlgebraBundle:

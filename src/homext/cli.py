@@ -82,8 +82,7 @@ def _write_bundle(b, out: str | None) -> None:
 
 
 def _finish(report: Report) -> int:
-    json.dump(report.to_dict(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(bundle_mod.dumps(report.to_dict()) + "\n")
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else 1
 
@@ -345,9 +344,7 @@ def main(argv=None) -> int:
     except PreconditionFailed as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         if exc.report is not None:
-            json.dump(exc.report.to_dict(), sys.stdout, indent=2)
-            sys.stdout.write("\n")
-            print(exc.report.summary(), file=sys.stderr)
+            _finish(exc.report)
         return 1
     except HomextError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)

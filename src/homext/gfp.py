@@ -16,17 +16,17 @@ from .errors import DimMismatch, ZeroInverse
 
 
 def asvec(v, p: int) -> np.ndarray:
-    a = np.asarray(v, dtype=np.int64) % p
+    a = np.asarray(v, dtype=np.int64)
     if a.ndim != 1:
         raise DimMismatch(f"expected a vector, got shape {a.shape}")
-    return a
+    return mod(a, p)
 
 
 def asmat(m, p: int) -> np.ndarray:
-    a = np.asarray(m, dtype=np.int64) % p
+    a = np.asarray(m, dtype=np.int64)
     if a.ndim != 2:
         raise DimMismatch(f"expected a matrix, got shape {a.shape}")
-    return a
+    return mod(a, p)
 
 
 def mod(a: np.ndarray, p: int) -> np.ndarray:

@@ -142,8 +142,9 @@ def fold(p: int, xs, images, cross, inert, nnz: int = 0, cache: dict | None = No
     """
     xs = np.asarray(xs, dtype=np.int64) % p
     lead = xs[np.arange(len(xs)), (xs != 0).argmax(axis=1)]  # 0 on a zero row, which stays zero
-    cs, at = np.unique(lead, return_inverse=True)
-    xs = (xs * np.array([gfp.inv(c, p) if c else 0 for c in cs], dtype=np.int64)[at][:, None]) % p
+    if scaled := np.max(lead, initial=0) > 1:  # else every row already is x/c, as always at p = 2
+        cs, at = np.unique(lead, return_inverse=True)
+        xs = (xs * np.array([gfp.inv(c, p) if c else 0 for c in cs], dtype=np.int64)[at][:, None]) % p
     dt, shape = np.min_scalar_type(p - 1), images.shape[1:]
     cache = {} if cache is None else cache  # without one, rows are still folded once per call
     keys, reps, where = np.unique(xs.astype(dt, order="C").view(f"V{dt.itemsize * xs.shape[1]}").ravel(),
@@ -171,7 +172,7 @@ def fold(p: int, xs, images, cross, inert, nnz: int = 0, cache: dict | None = No
     room = max(0, _FOLD_CACHE // images[0].size - len(cache))
     blob, vw = acc[:room].astype(dt).tobytes(), dt.itemsize * images[0].size
     cache.update((names[i], blob[k * vw:(k + 1) * vw]) for k, i in enumerate(todo[:room]))
-    return (lead.reshape((-1,) + (1,) * len(shape)) * out[where]) % p
+    return (lead.reshape((-1,) + (1,) * len(shape)) * out[where]) % p if scaled else out[where]
 
 
 def eval_p_batch(P: PStructure, xs) -> np.ndarray:
@@ -262,9 +263,10 @@ def tally_domain(rep: Report, name: str, regime: str, P: PStructure, xs, pmaps, 
 
     sides(zs, *pmaps) gives the check's two sides on rows zs of GF(p)^N,
     with N = n, or 2n when pairs is true (a pair (x, y) is the row [x, y]),
-    and a row fails where they differ; pmaps are batch p-maps from `domain`
-    or `p_map`.  Since they are the fold, as its eval_p_all table or as
-    eval_p_batch, the defect lhs - rhs of every check that comes here is a
+    both in [0, p), and a row fails where they differ (!=, no difference
+    array); pmaps are batch p-maps from `domain` or `p_map`.  Since they
+    are the fold, as its eval_p_all table or as eval_p_batch, the defect
+    lhs - rhs of every check that comes here is a
     polynomial of degree <= p in the N coordinates, and such a polynomial
     that vanishes on every point with at most p nonzero coordinates
     vanishes everywhere (README, "Certified exhaustive checks").  So when
@@ -280,13 +282,13 @@ def tally_domain(rep: Report, name: str, regime: str, P: PStructure, xs, pmaps, 
     size = n * (2 if pairs else 1)
     if regime == "exhaustive":
         lhs, rhs = sides(gfp.low_weight(size, p, p), *pmaps)
-        if not ((lhs - rhs) % p).any():
+        if not (lhs != rhs).any():
             rep.check(name).passed += p**size
             return rep.check(name)
         if pairs:
             xs = np.hstack([np.repeat(xs, len(xs), axis=0), np.tile(xs, (len(xs), 1))])
     lhs, rhs = sides(xs, *pmaps)
-    failed = ((lhs - rhs) % p).reshape(len(xs), -1).any(axis=1)
+    failed = (lhs != rhs).reshape(len(xs), -1).any(axis=1)
     return rep.tally(name, failed, lhs, rhs, witness=witness(*((xs[:, :n], xs[:, n:]) if pairs else (xs,))))
 
 

@@ -18,13 +18,21 @@ kernels pay per nonzero structure constant or nonzero pair.
 pstructure_rows, restricted_derivation_rows and iso_direct_rows evaluate
 the exhaustive checks on every row of their domain, with p-images folded by
 eval_p_batch, no line reduction and no decision on the points of weight <= p.
+emit_stdlib writes a bundle through json.dumps(indent=2) from Python-int
+lists, where bundle.emit joins the strings itself; algebra_index_dense
+derives HomLieAlgebra's constant caches from dense masks of the n^3 tensor,
+where the constructor reads the flat indices of the nonzero constants;
+tally_domain_diff compares a check's sides through (lhs - rhs) % p arrays,
+where tally_domain compares them with !=.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from homext import gfp
+from homext import bundle, gfp
 from homext.algebra import (
     BilinearForm,
     Derivation,
@@ -636,3 +644,74 @@ def product_exact(p: int, *factors) -> np.ndarray:
     for f in factors[1:]:
         out = out @ np.asarray(f).astype(object)
     return np.asarray(out % p, dtype=np.int64)
+
+
+def _intmat(m) -> list[list[int]]:
+    return [[int(v) for v in row] for row in np.asarray(m)]
+
+
+def emit_stdlib(b: bundle.AlgebraBundle) -> str:
+    """bundle.emit through the stdlib encoder, every entry an int() first."""
+    doc = {
+        "version": bundle.FORMAT_VERSION,
+        "p": int(b.p),
+        "dim": int(b.dim),
+        "basis": list(b.basis),
+        "brackets": [
+            {"i": i, "j": j, "k": k, "coeff": c} for (i, j, k, c) in sorted(b.brackets)
+        ],
+        "alpha": _intmat(b.alpha),
+        "form": None if b.form is None else _intmat(b.form),
+        "pmap": None if b.pmap is None else _intmat(b.pmap),
+        "derivations": {
+            name: {"matrix": _intmat(d.mat), "degree": int(d.k)}
+            for name, d in sorted(b.derivations.items())
+        },
+        "twist": None if b.twist is None else _intmat(b.twist),
+        "extension": b.extension,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def algebra_index_dense(c, p: int) -> dict:
+    """HomLieAlgebra's constant caches (nnz, the ad rows, columns and matrix,
+    the triples grouped by k with their starts and runs, alternating and
+    inert) from dense boolean masks of c mod p, with 3-D np.nonzero."""
+    c = np.asarray(c, dtype=np.int64) % p
+    n = c.shape[0]
+    mask = c != 0
+    out = {"nnz": int(mask.sum()), "_ad_rows": np.nonzero(mask.any(axis=(1, 2)))[0]}
+    flat = c[out["_ad_rows"]].reshape(-1, n * n)
+    out["_ad_cols"] = np.flatnonzero(flat.any(axis=0))
+    out["_ad_mat"] = flat[:, out["_ad_cols"]]
+    k, a, b = np.nonzero(mask.transpose(2, 0, 1))
+    ks = np.flatnonzero(mask.any(axis=(0, 1)))
+    starts = np.searchsorted(k, ks)
+    ends = np.append(starts[1:], k.size)
+    room = (2**63 - 1) // max(1, (p - 1) ** 2)
+    runs = None
+    if np.max(ends - starts, initial=0) > room:
+        split = [np.arange(lo, hi, room) for lo, hi in zip(starts, ends)]
+        runs = np.cumsum([0] + [r.size for r in split[:-1]])
+        starts = np.concatenate(split)
+    out.update(_ks=ks, _triples=(a, b, c[a, b, k]), _starts=starts, _runs=runs)
+    out["alternating"] = not ((a == b).any() or (c[b, a, k] != -c[a, b, k] % p).any())
+    out["inert"] = ~c.any(axis=(1, 2)) & out["alternating"]
+    return out
+
+
+def tally_domain_diff(rep: Report, name: str, regime: str, P: PStructure, xs, pmaps, sides,
+                      witness=rows, pairs: bool = False):
+    """tally_domain with each comparison made on (lhs - rhs) % p arrays."""
+    p, n = P.parent.p, P.parent.n
+    size = n * (2 if pairs else 1)
+    if regime == "exhaustive":
+        lhs, rhs = sides(gfp.low_weight(size, p, p), *pmaps)
+        if not ((lhs - rhs) % p).any():
+            rep.check(name).passed += p**size
+            return rep.check(name)
+        if pairs:
+            xs = np.hstack([np.repeat(xs, len(xs), axis=0), np.tile(xs, (len(xs), 1))])
+    lhs, rhs = sides(xs, *pmaps)
+    failed = ((lhs - rhs) % p).reshape(len(xs), -1).any(axis=1)
+    return rep.tally(name, failed, lhs, rhs, witness=witness(*((xs[:, :n], xs[:, n:]) if pairs else (xs,))))

@@ -1061,3 +1061,86 @@ def test_solve_p_property_without_witness_makes_one_solve(p, monkeypatch):
     A = HomLieAlgebra(p, np.zeros((1, 1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64))
     assert solve_p_property(A, Derivation([[1]], p)) is None
     assert len(solves) == 1
+
+
+# tally_domain compares the two sides of a check with !=, which is the
+# test (lhs - rhs) % p != 0 only when every caller's sides lie in [0, p).
+
+
+def _tally_calls(request):
+    """name -> a call of each tally_domain caller, passing and failing, in
+    both regimes: R1, R2 and R3, the restricted-derivation condition and
+    the direct route of verify_restricted_iso."""
+    heis, sl2, pipes = (request.getfixturevalue(f) for f in ("heis", "sl2", "psl3_pipelines"))
+    L, B_L, P_L = request.getfixturevalue("heis_ext")
+    calls = {}
+    for name, P in _inert_cases(request).items():
+        calls[f"{name} exhaustive"] = lambda P=P: verify_pstructure(P, samples=40)
+        calls[f"{name} sampled"] = lambda P=P: verify_pstructure(P, exhaustive=False, samples=40, seed=3)
+    bad_D = Derivation((heis.D.mat + gfp.unit(6, 0)[:, None]) % 2, 2)
+    for name, (A, P, D) in {"heis D": (heis.V, heis.P, heis.D), "heis bad D": (heis.V, heis.P, bad_D),
+                            "sl2 D": (sl2.g, sl2.P, sl2.D),
+                            "psl3 D3": (pipes["D3"]["V"], pipes["D3"]["P"], pipes["D3"]["D"])}.items():
+        calls[name] = lambda A=A, P=P, D=D: Report(ok=is_restricted_derivation(A, P, D, samples=30, seed=5))
+    imgs = P_L.images.copy()
+    imgs[3, 7] ^= 1
+    for name, P_t in (("iso", P_L), ("iso other", PStructure(L, imgs))):
+        calls[name] = lambda P_t=P_t: verify_restricted_iso(L, B_L, L, B_L, P_L, P_t, gfp.eye(8))
+        calls[f"{name} sampled"] = lambda P_t=P_t: verify_restricted_iso(L, B_L, L, B_L, P_L, P_t, gfp.eye(8),
+                                                                        samples=30, exhaustive=False)
+    return calls
+
+
+def test_tally_domain_sides_are_reduced_for_every_caller(request, monkeypatch):
+    """Every sides function gives both sides in [0, p), and the reports equal
+    those of the (lhs - rhs) % p comparison, counts and witnesses included."""
+    seen = set()
+
+    def checked(rep, name, regime, P, xs, pmaps, sides, **kw):
+        def reduced_sides(zs, *fs):
+            lhs, rhs = sides(zs, *fs)
+            for side in (np.asarray(lhs), np.asarray(rhs)):
+                assert side.min(initial=0) >= 0 and side.max(initial=0) < P.parent.p, name
+            seen.add((name, regime))
+            return lhs, rhs
+        return real(rep, name, regime, P, xs, pmaps, reduced_sides, **kw)
+
+    real = restricted.tally_domain
+    calls = _tally_calls(request)
+    with monkeypatch.context() as m:
+        m.setattr(restricted, "tally_domain", checked)
+        m.setattr(isom, "tally_domain", checked)
+        got = {name: call().to_dict() for name, call in calls.items()}
+    assert {name for name, _ in seen} == {"r1", "r2", "r3", "domain", "direct"}
+    assert {regime for _, regime in seen} == {"exhaustive", "sampled"}
+    with monkeypatch.context() as m:
+        m.setattr(restricted, "tally_domain", oracles.tally_domain_diff)
+        m.setattr(isom, "tally_domain", oracles.tally_domain_diff)
+        want = {name: call().to_dict() for name, call in calls.items()}
+    assert got == want
+    assert sum(not r["summary"]["ok"] for r in got.values()) >= 8
+
+
+def test_sampled_r1_tally_holds_no_difference_arrays(wide_char2):
+    """The R1 tally of verify --samples 3000 on the wide-char2 L (n = 40):
+    the two [3000, n, n] int64 copies of (lhs - rhs) % p, 38.4 MB each, are
+    gone, and the counts are those of the difference route."""
+    A, P = wide_char2["L"], wide_char2["P_L"]
+    xs = SplitMix64(3).mat(3000, A.n, A.p)
+    imgs = eval_p_batch(P, xs)
+
+    def sides(vs, f):
+        return r1_defect_batch(A, P, vs, f(vs)), 0
+
+    peaks, reports = [], []
+    for tally in (restricted.tally_domain, oracles.tally_domain_diff):
+        rep = Report()
+        tracemalloc.start()
+        try:
+            tally(rep, "r1", "sampled", P, xs, [lambda vs: imgs], sides)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        reports.append(rep.to_dict())
+    assert reports[0] == reports[1] and reports[0]["checks"][0]["passed"] == 3000
+    assert peaks[1] - peaks[0] >= 60e6, peaks

@@ -180,3 +180,63 @@ def test_phi_bracket_compat_on_a_wide_sum(heis):
     got = check_algebra_extension_data(V, B, x).check("phi_bracket_compat")
     want = oracles.phi_bracket_compat_loop(V, x).check("phi_bracket_compat")
     assert got.failed > 0 and got.to_dict() == want.to_dict()
+
+
+def _index_cases(heis):
+    """(p, c) pairs for the constructor's flat-index route: negative and
+    unreduced entries, non-alternating, zero, n = 1, wide sparse, dense, and
+    the run split at p = 1239850223."""
+    rng = np.random.default_rng(1901)
+    out = {name: (A.p, A.c) for name, A in cases(heis).items()}
+    out["negative and unreduced"] = (7, rng.integers(-40, 40, (6, 6, 6)))
+    c = rng.integers(0, 5, (5, 5, 5))
+    out["non-alternating, dense"] = (5, c)
+    c = np.zeros((6, 6, 6), dtype=np.int64)
+    c[1, 1, 3], c[2, 4, 0], c[4, 2, 0] = 1, 2, 2  # [e_1, e_1] != 0 and c[4, 2] = c[2, 4]
+    out["non-alternating, sparse"] = (3, c)
+    out["zero"] = (3, np.zeros((4, 4, 4), dtype=np.int64))
+    out["n = 1, zero"] = (2, np.zeros((1, 1, 1), dtype=np.int64))
+    out["n = 1, nonzero"] = (3, np.full((1, 1, 1), 5))
+    p, n = 1239850223, 6
+    c = np.zeros((n, n, n), dtype=np.int64)
+    c[:, :, [0, 3]] = rng.integers(-p, 3 * p, (n, n, 2))
+    out["run split, unreduced"] = (p, c)
+    c = (c - c.transpose(1, 0, 2)) % p
+    out["run split, alternating"] = (p, c)
+    return out
+
+
+def test_constructor_caches_match_the_dense_index_route(heis):
+    """nnz, the ad rows, columns and matrix, the triples grouped by k with
+    their starts and runs, alternating and inert equal those that dense masks
+    of the n^3 tensor give, dtypes included."""
+    seen = set()
+    for name, (p, c) in _index_cases(heis).items():
+        n = np.shape(c)[0]
+        A = HomLieAlgebra(p, c, gfp.eye(n))
+        want = oracles.algebra_index_dense(c, p)
+        assert np.array_equal(A.c, np.asarray(c) % p), name
+        assert A.nnz == want["nnz"] and type(A.nnz) is int, name
+        for key in ("_ad_rows", "_ad_cols", "_ad_mat", "_ks", "_starts", "inert"):
+            got = getattr(A, key)
+            assert got.dtype == want[key].dtype and np.array_equal(got, want[key]), (name, key)
+        for got, ref in zip(A._triples, want["_triples"]):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        assert (A._runs is None) == (want["_runs"] is None), name
+        assert A._runs is None or np.array_equal(A._runs, want["_runs"]), name
+        assert A.alternating == want["alternating"], name
+        seen.add((A.alternating, A._runs is not None, A.nnz == 0))
+    assert seen >= {(True, False, False), (False, False, False), (True, False, True), (True, True, False),
+                    (False, True, False)}
+
+
+def test_constructor_copies_its_tensor():
+    """A reduced tensor is copied, not frozen in place; an unreduced one is reduced."""
+    c = np.zeros((3, 3, 3), dtype=np.int64)
+    c[0, 1, 2], c[1, 0, 2] = 1, 2
+    A = HomLieAlgebra(3, c, gfp.eye(3))
+    assert c.flags.writeable and not A.c.flags.writeable
+    c[0, 1, 2] = 0
+    assert A.c[0, 1, 2] == 1
+    B = HomLieAlgebra(3, c - 3, gfp.eye(3))
+    assert np.array_equal(B.c, c % 3)
