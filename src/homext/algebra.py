@@ -204,12 +204,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, n: int, p: int) -> "Subspace":
-        vecs = [gfp.asvec(v, p) for v in vectors]
-        if not vecs:
-            return cls(np.zeros((0, n), dtype=np.int64), p)
-        r, _ = gfp.rref(np.stack(vecs), p)
-        keep = [i for i in range(r.shape[0]) if r[i].any()]
-        return cls(r[keep].copy(), p)
+        r, pivots = gfp.rref(np.asarray(vectors, dtype=np.int64).reshape(-1, n), p)
+        return cls(r[:len(pivots)], p)
 
     @property
     def dim(self) -> int:
@@ -223,13 +219,12 @@ class Subspace:
         return gfp.rank(np.vstack([self.basis, vectors[vectors.any(axis=1)]]), self.p) == self.dim
 
     def reduce(self, v) -> np.ndarray:
-        """Residue of v after eliminating the subspace's pivot coordinates."""
-        v = gfp.asvec(v, self.p).copy()
-        for row in self.basis:
-            c = int(np.argmax(row != 0)) if row.any() else None
-            if c is not None and v[c] != 0:
-                v = (v - v[c] * row) % self.p
-        return v
+        """Residue of v after eliminating the subspace's pivot coordinates:
+        v - v[pivots] @ basis, exact since each row is zero at the others'
+        pivots (each product is reduced before the sum, so no sum wraps)."""
+        v = gfp.asvec(v, self.p)
+        pivots = np.argmax(self.basis != 0, axis=1)
+        return (v - ((v[pivots, None] * self.basis) % self.p).sum(axis=0)) % self.p
 
 
 def verify_hom_lie(A: HomLieAlgebra) -> Report:
@@ -341,16 +336,12 @@ def centralizer_of_image(A: HomLieAlgebra, M) -> Subspace:
     """{x : [x, M e_j] = 0 for all j} for a linear map M."""
     m = gfp.asmat(M, A.p)
     rows = contract(A.c.transpose(0, 2, 1), m, A.p).transpose(2, 1, 0).reshape(A.n * A.n, A.n)
-    return Subspace.from_vectors(gfp.kernel(rows, A.p), A.n, A.p)
+    return Subspace(gfp.null_basis(rows, A.p), A.p)
 
 
 def orth(B: BilinearForm, S: Subspace) -> Subspace:
     """Orthogonal complement {x : B(x, s) = 0 for all s in S}."""
-    n = B.gram.shape[0]
-    if S.dim == 0:
-        return Subspace(gfp.eye(n), B.p)
-    rows = (S.basis @ B.gram.T) % B.p
-    return Subspace.from_vectors(gfp.kernel(rows, B.p), n, B.p)
+    return Subspace(gfp.null_basis((S.basis @ B.gram.T) % B.p, B.p), B.p)
 
 
 def is_ideal(A: HomLieAlgebra, S: Subspace) -> bool:

@@ -183,6 +183,7 @@ def parse(text: str) -> AlgebraBundle:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
+        _expect(type(doc) is dict, "bundle must be a JSON object")
         _expect(doc.get("version") == FORMAT_VERSION, "unsupported format version")
         p = doc["p"]  # only JSON integers: int() would read 1.5, "3" and true as 1, 3, 1
         _expect(type(p) is int and gfp.is_prime(p), "p must be prime")
@@ -192,7 +193,8 @@ def parse(text: str) -> AlgebraBundle:
         _expect(dim <= MAX_DIM, f"dim must be at most {MAX_DIM}")
         # int64 sums of dim products below p^2, as in a matrix-vector product
         _expect(dim * (p - 1) ** 2 < 2**63, "dim * (p-1)^2 must be below 2^63")
-        basis = list(doc["basis"])
+        basis = doc["basis"]
+        _expect(type(basis) is list and all(type(s) is str for s in basis), "basis must be a list of strings")
         _expect(len(basis) == dim, "basis names must match dim")
         brackets = []
         for ent in doc["brackets"]:
@@ -207,8 +209,9 @@ def parse(text: str) -> AlgebraBundle:
         alpha = _entries("alpha", doc["alpha"], (dim, dim), p)
         form = _entries("form", doc.get("form"), (dim, dim), p)
         pmap = _entries("pmap", doc.get("pmap"), (dim, dim), p, "pmap must be one image row per basis vector")
-        derivs = {}
-        for name, spec in doc.get("derivations", {}).items():
+        derivs, specs = {}, doc.get("derivations", {})
+        _expect(type(specs) is dict, "derivations must be an object")
+        for name, spec in specs.items():
             mat = _entries(f"derivation {name}", spec["matrix"], (dim, dim), p)
             degree = spec.get("degree", 1)
             _expect(type(degree) is int and degree >= 0,
@@ -217,6 +220,7 @@ def parse(text: str) -> AlgebraBundle:
         twist = _entries("twist", doc.get("twist"), (dim, dim), p)
         ext = doc.get("extension")
         if ext is not None:
+            _expect(type(ext) is dict, "extension must be an object")
             for key in ("derivation", "x0", "lambda", "lambda0", "xi", "a0", "m", "l", "u0", "P_basis"):
                 _expect(key in ext, f"extension missing field {key!r}")
             for key in ("x0", "a0", "u0", "P_basis"):

@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import bundle as bundle_mod
 from . import gfp
 from .algebra import d_invariant, verify_derivation, verify_hom_lie, verify_quadratic
@@ -255,11 +253,16 @@ def cmd_solve_p_property(args) -> int:
 def cmd_isom_check(args) -> int:
     ba = _read_bundle(args.file_a)
     bb = _read_bundle(args.file_b)
+    for key in ("p", "dim"):
+        if getattr(ba, key) != getattr(bb, key):
+            raise ParseError(f"isom-check needs bundles of one {key}, got {getattr(ba, key)} and {getattr(bb, key)}")
     try:
         with open(args.map) as fh:
             doc = json.load(fh)
-        pi = np.asarray(doc["pi"], dtype=np.int64)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        if type(doc) is not dict:
+            raise ParseError("map file must hold a JSON object")
+        pi = bundle_mod._entries("pi", doc["pi"], (ba.dim, ba.dim), ba.p)
+    except (OSError, KeyError, ValueError) as exc:
         raise ParseError(f"cannot read map file: {exc}") from exc
     fa, fb = ba.bilinear_form(), bb.bilinear_form()
     if fa is None or fb is None:

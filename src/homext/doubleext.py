@@ -115,7 +115,6 @@ def double_extend(
     B_V: BilinearForm,
     d: DoubleExtensionData,
     b_star_star: int = 0,
-    check: bool = True,
 ) -> tuple[HomLieAlgebra, BilinearForm]:
     """Build (L, B_L) in the canonical frame (e*, V-basis, e).
 
@@ -123,10 +122,9 @@ def double_extend(
     the theorems leave it as data, so it is an input with default 0.
     """
     p, n = V.p, V.n
-    if check:
-        rep = check_extension_data(V, B_V, d)
-        if not rep.ok:
-            raise PreconditionFailed("double extension data rejected", rep)
+    rep = check_extension_data(V, B_V, d)
+    if not rep.ok:
+        raise PreconditionFailed("double extension data rejected", rep)
     if p > 2 and b_star_star % p != 0:
         raise PreconditionFailed("B(e*,e*) must vanish for p > 2")
     N = n + 2
@@ -263,7 +261,6 @@ def extend_pstructure(
     P_V: PStructure,
     d: DoubleExtensionData,
     pe: PExtensionData,
-    check: bool = True,
     samples: int = EXTENSION_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> PStructure:
@@ -276,10 +273,9 @@ def extend_pstructure(
     p, n = V.p, V.n
     if L.n != n + 2:
         raise FrameMismatch("L must be the double extension of V")
-    if check:
-        rep = check_p_extension_data(V, B_V, P_V, d, pe, samples=samples, seed=seed)
-        if not rep.ok:
-            raise PreconditionFailed("p-structure extension data rejected", rep)
+    rep = check_p_extension_data(V, B_V, P_V, d, pe, samples=samples, seed=seed)
+    if not rep.ok:
+        raise PreconditionFailed("p-structure extension data rejected", rep)
     imgs = np.zeros((n + 2, n + 2), dtype=np.int64)
     imgs[0, 0] = pe.xi
     imgs[0, 1:1 + n] = pe.a0

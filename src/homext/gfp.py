@@ -93,32 +93,30 @@ def unit(n: int, j: int) -> np.ndarray:
 def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns.
 
-    Rows are processed top-down and the pivot is the first nonzero entry
-    found scanning down the current column, which keeps the output
-    deterministic.
+    Columns are scanned left to right and the pivot is the first nonzero
+    entry found scanning down the current column, which keeps the output
+    deterministic.  Each pivot is one row update of the rows with a nonzero
+    entry in its column; every product is below p^2.
     """
     a = asmat(m, p).copy()
     rows, cols = a.shape
     pivots = []
-    r = 0
     for c in range(cols):
-        if r >= rows:
+        r = len(pivots)
+        if r == rows:
             break
-        pr = None
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                pr = i
-                break
-        if pr is None:
+        below = a[r:, c].nonzero()[0]
+        if not below.size:
             continue
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * inv(int(a[r, c]), p)) % p
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
+        if below[0]:
+            a[[r, r + below[0]]] = a[[r + below[0], r]]
+        if a[r, c] != 1:
+            a[r] = (a[r] * inv(int(a[r, c]), p)) % p
+        hit = a[:, c].nonzero()[0]
+        hit = hit[hit != r]
+        if hit.size:
+            a[hit] = (a[hit] - a[hit, c, None] * a[r]) % p
         pivots.append(c)
-        r += 1
     return a, pivots
 
 
@@ -126,26 +124,25 @@ def rank(m, p: int) -> int:
     return len(rref(m, p)[1])
 
 
-def kernel(m, p: int) -> list[np.ndarray]:
-    """Basis of the right null space {v : Mv = 0}, in reduced echelon form.
+def null_basis(m, p: int) -> np.ndarray:
+    """Basis of the right null space {v : Mv = 0} as the rows of one array,
+    in reduced echelon form.
 
     All-zero rows do not change the null space, so rref never sees them.
     """
     a = asmat(m, p)
     cols = a.shape[1]
     r, pivots = rref(a[a.any(axis=1)], p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = zeros(cols)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-r[i, f]) % p
-        basis.append(v)
-    if not basis:
-        return []
-    stacked, _ = rref(np.stack(basis), p)
-    return [stacked[i].copy() for i in range(stacked.shape[0]) if stacked[i].any()]
+    free = np.delete(np.arange(cols), pivots)  # np.setdiff1d's first call costs ~1 MB of RSS
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-r[:len(pivots), free].T) % p
+    return rref(basis, p)[0]
+
+
+def kernel(m, p: int) -> list[np.ndarray]:
+    """The rows of null_basis(m, p), as a list."""
+    return list(null_basis(m, p))
 
 
 def solve(m, b, p: int) -> np.ndarray | None:
@@ -159,8 +156,7 @@ def solve(m, b, p: int) -> np.ndarray | None:
     if cols in pivots:
         return None
     x = zeros(cols)
-    for i, c in enumerate(pivots):
-        x[c] = aug[i, cols]
+    x[pivots] = aug[:len(pivots), cols]
     return x
 
 

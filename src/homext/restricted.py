@@ -443,7 +443,7 @@ def solve_p_property(A: HomLieAlgebra, D: Derivation) -> PPropertyWitness | None
     sol = gfp.solve(np.hstack([m, xi_col[:, None]]), rhs, p)
     if sol is None:
         return None
-    a0 = Subspace.from_vectors(gfp.kernel(m, p), n, p).reduce(sol[:n])
+    a0 = Subspace(gfp.null_basis(m, p), p).reduce(sol[:n])
     return PPropertyWitness(int(sol[n]), a0, p)
 
 

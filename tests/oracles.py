@@ -24,6 +24,10 @@ derives HomLieAlgebra's constant caches from dense masks of the n^3 tensor,
 where the constructor reads the flat indices of the nonzero constants;
 tally_domain_diff compares a check's sides through (lhs - rhs) % p arrays,
 where tally_domain compares them with !=.
+rref_loop eliminates one row at a time where gfp.rref updates every row of
+a pivot column at once; kernel_loop, solve_loop, mat_inv_loop,
+subspace_loop and subspace_reduce_loop are the gfp and Subspace routes on
+it, with the kernel echelonized twice and a residue reduced row by row.
 """
 
 from __future__ import annotations
@@ -715,3 +719,94 @@ def tally_domain_diff(rep: Report, name: str, regime: str, P: PStructure, xs, pm
     lhs, rhs = sides(xs, *pmaps)
     failed = ((lhs - rhs) % p).reshape(len(xs), -1).any(axis=1)
     return rep.tally(name, failed, lhs, rhs, witness=witness(*((xs[:, :n], xs[:, n:]) if pairs else (xs,))))
+
+
+def rref_loop(m, p: int) -> tuple[np.ndarray, list[int]]:
+    """gfp.rref as a Python loop over rows: for each column, scan down for the
+    first nonzero entry, swap it up, scale it to 1 and clear the column one
+    row at a time."""
+    a = gfp.asmat(m, p).copy()
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pr = None
+        for i in range(r, rows):
+            if a[i, c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = (a[r] * gfp.inv(int(a[r, c]), p)) % p
+        for i in range(rows):
+            if i != r and a[i, c] != 0:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def kernel_loop(m, p: int) -> list[np.ndarray]:
+    """gfp.kernel built one free column at a time on rref_loop, its basis
+    echelonized again and the zero rows dropped."""
+    a = gfp.asmat(m, p)
+    cols = a.shape[1]
+    r, pivots = rref_loop(a[a.any(axis=1)], p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = gfp.zeros(cols)
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-r[i, f]) % p
+        basis.append(v)
+    if not basis:
+        return []
+    stacked, _ = rref_loop(np.stack(basis), p)
+    return [stacked[i].copy() for i in range(stacked.shape[0]) if stacked[i].any()]
+
+
+def solve_loop(m, b, p: int) -> np.ndarray | None:
+    """gfp.solve on rref_loop of the augmented matrix, one pivot at a time."""
+    a, rhs = gfp.asmat(m, p), gfp.asvec(b, p)
+    cols = a.shape[1]
+    aug, pivots = rref_loop(np.hstack([a, rhs[:, None]]), p)
+    if cols in pivots:
+        return None
+    x = gfp.zeros(cols)
+    for i, c in enumerate(pivots):
+        x[c] = aug[i, cols]
+    return x
+
+
+def mat_inv_loop(m, p: int) -> np.ndarray | None:
+    """gfp.mat_inv on rref_loop of [m | I]."""
+    a = gfp.asmat(m, p)
+    n = a.shape[0]
+    aug, pivots = rref_loop(np.hstack([a, gfp.eye(n)]), p)
+    return aug[:, n:].copy() if pivots == list(range(n)) else None
+
+
+def subspace_loop(vectors, n: int, p: int) -> np.ndarray:
+    """Subspace.from_vectors' basis: rref_loop of the stacked vectors, its
+    zero rows dropped one at a time."""
+    vecs = [gfp.asvec(v, p) for v in vectors]
+    if not vecs:
+        return np.zeros((0, n), dtype=np.int64)
+    r, _ = rref_loop(np.stack(vecs), p)
+    return r[[i for i in range(r.shape[0]) if r[i].any()]]
+
+
+def subspace_reduce_loop(basis, v, p: int) -> np.ndarray:
+    """Subspace.reduce one basis row at a time: clear each row's pivot
+    coordinate of v where it is nonzero."""
+    v = gfp.asvec(v, p).copy()
+    for row in basis:
+        c = int(np.argmax(row != 0)) if row.any() else None
+        if c is not None and v[c] != 0:
+            v = (v - v[c] * row) % p
+    return v

@@ -331,3 +331,74 @@ def test_samples_that_are_not_an_integer_are_a_usage_error(tmp_path, capsys):
         main(["verify", str(path), "--samples", "abc"])
     assert exc.value.code == 2
     assert "argument --samples: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def _diag_map(n, value):
+    pi = np.eye(n, dtype=int).tolist()
+    pi[0][0] = value
+    return {"pi": pi}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_diag_map(8, 1.5), "pi entries must be integers in [0, 2)"),
+    ({"pi": [[i == j for j in range(8)] for i in range(8)]}, "pi entries must be integers in [0, 2)"),
+    (_diag_map(8, 3), "pi entries must be integers in [0, 2)"),
+    (_diag_map(8, 2**64), "pi entries must be integers in [0, 2)"),
+    (_diag_map(8, -1), "pi entries must be integers in [0, 2)"),
+    ({"pi": np.eye(9, dtype=int).tolist()}, "pi must be dim x dim"),
+    ({"pi": [[1] * 8] * 7}, "pi must be dim x dim"),
+    ([1], "map file must hold a JSON object"),
+    ({"map": []}, "cannot read map file: 'pi'"),
+])
+def test_isom_check_map_is_read_as_bundle_entries(tmp_path, capsys, doc, message):
+    """pi is dim x dim with JSON integers in [0, p): a 1.5, a true or a 3 is not
+    read as 1, and a wrong shape or an entry past int64 is a parse error."""
+    v, L, mp = tmp_path / "v.json", tmp_path / "L.json", tmp_path / "map.json"
+    run(capsys, "fixture", "heisenberg-dual", "--out", str(v))
+    run(capsys, "p-extend", str(v), "--out", str(L))
+    mp.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "isom-check", str(L), str(L), "--map", str(mp))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_isom_check_refuses_bundles_of_another_p_or_dim(tmp_path, capsys):
+    v, L, s, mp = (tmp_path / f"{n}.json" for n in ("v", "L", "s", "map"))
+    run(capsys, "fixture", "heisenberg-dual", "--out", str(v))
+    run(capsys, "p-extend", str(v), "--out", str(L))
+    run(capsys, "fixture", "psl3", "--out", str(s))  # p = 3
+    mp.write_text(json.dumps({"pi": np.eye(8, dtype=int).tolist()}))
+    psl3_dim8 = _edited(tmp_path, capsys, "psl3", "psl3-8", lambda doc: doc.update(
+        dim=8, basis=doc["basis"] + ["z"], alpha=np.eye(8, dtype=int).tolist(),
+        form=None, pmap=None, derivations={}, twist=None, extension=None))
+    for a, b, message in [
+        (L, psl3_dim8, "isom-check needs bundles of one p, got 2 and 3"),
+        (L, v, "isom-check needs bundles of one dim, got 8 and 6"),
+        (v, L, "isom-check needs bundles of one dim, got 6 and 8"),
+    ]:
+        code, out, err = run(capsys, "isom-check", str(a), str(b), "--map", str(mp))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc.update(basis="".join(doc["basis"])), "basis must be a list of strings"),
+    (lambda doc: doc.update(basis=list(range(len(doc["basis"])))), "basis must be a list of strings"),
+    (lambda doc: doc.update(basis={name: 1 for name in doc["basis"]}), "basis must be a list of strings"),
+    (lambda doc: doc.update(basis=None), "basis must be a list of strings"),
+    (lambda doc: doc.update(derivations=[1]), "derivations must be an object"),
+    (lambda doc: doc.update(derivations="D"), "derivations must be an object"),
+    (lambda doc: doc.update(derivations=None), "derivations must be an object"),
+    (lambda doc: doc.update(extension=[1]), "extension must be an object"),
+    (lambda doc: doc.update(extension="D"), "extension must be an object"),
+])
+def test_bundle_schema_holes_are_parse_errors(tmp_path, capsys, edit, message):
+    path = _edited(tmp_path, capsys, "heisenberg-dual", "bad", edit)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text", ["[1]", '"bundle"', "3", "null"])
+def test_bundle_that_is_not_an_object_is_a_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "top.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (2, "", "error: bundle must be a JSON object\n")
