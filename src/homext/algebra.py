@@ -75,6 +75,7 @@ class HomLieAlgebra:
         # whatever alpha is (README, "Inert coordinates").
         self.inert = (row_nnz == 0) & self.alternating
         self.inert.setflags(write=False)
+        self._hom_lie: Report | None = None  # verify_hom_lie's report, made once
 
     @classmethod
     def from_upper(cls, p: int, n: int, brackets: dict, alpha=None, basis_names=None):
@@ -230,8 +231,12 @@ class Subspace:
 def verify_hom_lie(A: HomLieAlgebra) -> Report:
     """Check alternating, antisymmetry, Hom-Jacobi and multiplicativity.
 
-    An empty failure set means A is a multiplicative Hom-Lie algebra.
+    An empty failure set means A is a multiplicative Hom-Lie algebra.  A is
+    immutable, so the report is made once per algebra and kept on it; each
+    call returns a copy.
     """
+    if A._hom_lie is not None:
+        return Report(**A._hom_lie.meta).merge(A._hom_lie)
     p, n, c = A.p, A.n, A.c
     rep = Report(p=p, dim=n)
     for i in range(n):
@@ -262,7 +267,8 @@ def verify_hom_lie(A: HomLieAlgebra) -> Report:
 
     lhs, rhs = bracket_sides(A.alpha, A, A)
     rep.tally("multiplicativity", (lhs != rhs).any(axis=2), lhs, rhs)  # both sides reduced
-    return rep
+    A._hom_lie = rep
+    return verify_hom_lie(A)
 
 
 def bracket_sides(pi, A: HomLieAlgebra, A_dst: HomLieAlgebra) -> tuple[np.ndarray, np.ndarray]:

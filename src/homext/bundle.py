@@ -227,8 +227,9 @@ def parse(text: str) -> AlgebraBundle:
                 _entries(f"extension {key}", ext[key], (dim,), p, f"extension {key} must have length dim")
             for key in ("lambda", "lambda0", "xi", "m", "l"):
                 _expect(type(ext[key]) is int, f"extension {key} must be an integer")
+            _expect(type(ext["derivation"]) is str, "extension derivation must be a string")
             ext = {
-                "derivation": str(ext["derivation"]),
+                "derivation": ext["derivation"],
                 "x0": [int(v) for v in ext["x0"]],
                 "lambda": int(ext["lambda"]) % p,
                 "lambda0": int(ext["lambda0"]) % p,

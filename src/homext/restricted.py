@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
-from .algebra import BilinearForm, Derivation, HomLieAlgebra, Subspace
+from .algebra import BilinearForm, Derivation, HomLieAlgebra, Subspace, verify_hom_lie
 from .errors import DimMismatch, OddCharRequired
 from .report import CheckResult, Report, rows
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
@@ -332,30 +332,39 @@ def verify_pstructure(
     """Check R1/R2/R3 for the extension of the stored basis images.
 
     R1 is always checked on the basis (the unique-extension criterion).
-    Beyond that, R1 runs over the `domain` of P, R2 over the same vectors
-    with all k, and R3 over all pairs when p^(2n) fits the exhaustive limit
-    and over sampled seeded pairs otherwise; exhaustive=False samples all
+    When it passes, alpha is invertible and A passes verify_hom_lie, that
+    decides all three (README, "Basis decision for invertible alpha"): they
+    are tallied as passed over the domain sizes below, nothing is drawn or
+    folded, and meta["regimes"] is r1 "basis", r2 and r3 "implied".
+    Otherwise R1 runs over the `domain` of P, R2 over the same vectors with
+    all k, and R3 over all pairs when p^(2n) fits the exhaustive limit and
+    over sampled seeded pairs otherwise; exhaustive=False samples all
     three.  When R1 is exhaustive, every p-image R2 and R3 need is read
     from the eval_p_all table, which equals the eval_p_batch fold bit for bit.
     Each check is one `sides` function tallied by `tally_domain`, which
     decides an exhaustive one on the points of weight <= p; only a failing
     one walks its whole domain, for its counts and witnesses.
     meta["regimes"] records the regime each of R1/R2/R3 actually ran, and
-    meta["mode"] is "exhaustive" only when all three were.
+    meta["mode"] is "exhaustive" only when all three domains were.
     """
     check_samples(samples)
     A = P.parent
     p, n = A.p, A.n
-    rng = SplitMix64(seed)
-    xs, pmap, vec_regime = domain(P, exhaustive, samples, rng)
     pairs = exhaustive and p**(2 * n) <= EXHAUSTIVE_LIMIT  # then the vectors are exhaustive too
     pair_regime = "exhaustive" if pairs else "sampled"
     rep = Report(p=p, dim=n, seed=seed, samples=samples,
-                 regimes={"r1": vec_regime, "r2": vec_regime, "r3": pair_regime},
-                 mode=pair_regime)
-
+                 regimes={"r1": "basis", "r2": "implied", "r3": "implied"}, mode=pair_regime)
     defect = r1_defect_batch(A, P, gfp.eye(n), P.images)
     rep.tally("r1_basis", defect.any(axis=(1, 2)), defect, 0)
+    if not defect.any() and gfp.rank(A.alpha, p) == n and verify_hom_lie(A).ok:
+        size = p**n if exhaustive and p**n <= EXHAUSTIVE_LIMIT else samples  # the domain's
+        for name, count in (("r1", size), ("r2", p * size), ("r3", p**(2 * n) if pairs else samples)):
+            rep.check(name).passed += count
+        return rep
+
+    rng = SplitMix64(seed)
+    xs, pmap, vec_regime = domain(P, exhaustive, samples, rng)
+    rep.meta["regimes"] = {"r1": vec_regime, "r2": vec_regime, "r3": pair_regime}
     tally_domain(rep, "r1", vec_regime, P, xs, [pmap], lambda vs, f: (r1_defect_batch(A, P, vs, f(vs)), 0))
 
     # R2: (k x)^[p] = k^p x^[p] over every scalar k.

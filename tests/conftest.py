@@ -78,6 +78,38 @@ def sl2_ext(sl2):
     return L, B_L, P_L
 
 
+def null_lines(A, B, P, k):
+    """A + GF(p)^k: k central lines on which alpha is 0, with B + I as the
+    form and zero p-images there.  Every axiom still holds, and alpha is
+    singular, so verify_pstructure walks the domain of the sum."""
+    p, n = A.p, A.n
+    N = n + k
+    c = np.zeros((N, N, N), dtype=np.int64)
+    c[:n, :n, :n] = A.c
+    alpha, gram, images = np.zeros((N, N), dtype=np.int64), gfp.eye(N), np.zeros((N, N), dtype=np.int64)
+    alpha[:n, :n], gram[:n, :n], images[:n, :n] = A.alpha, B.gram, P.images
+    W = HomLieAlgebra(p, c, alpha)
+    return W, BilinearForm(gram, p), PStructure(W, images)
+
+
+@pytest.fixture(scope="session")
+def heis_null(heis):
+    """heisenberg-dual V + two null lines: dim 8 at p = 2, alpha singular."""
+    return null_lines(heis.V, heis.B, heis.P, 2)
+
+
+@pytest.fixture(scope="session")
+def psl3_null(psl3):
+    """psl(3) + two null lines: dim 9 at p = 3, alpha singular."""
+    return null_lines(psl3.g, psl3.B, psl3.P, 2)
+
+
+@pytest.fixture(scope="session")
+def sl2_null(sl2_ext):
+    """The sl2-gf5 extension + one null line: dim 6 at p = 5, alpha singular."""
+    return null_lines(*sl2_ext, 1)
+
+
 def _hyperbolic_sum(V, B, P, D, k, d_block, pe_args):
     """V + GF(p)^{2k}: an abelian block with alpha = id, zero p-map and the
     form [[0, I], [I, 0]], derivation D + d_block, and its double extension

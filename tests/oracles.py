@@ -17,7 +17,8 @@ twisted_tensor_dense contract the whole dense structure tensor, where the
 kernels pay per nonzero structure constant or nonzero pair.
 pstructure_rows, restricted_derivation_rows and iso_direct_rows evaluate
 the exhaustive checks on every row of their domain, with p-images folded by
-eval_p_batch, no line reduction and no decision on the points of weight <= p.
+eval_p_batch, no line reduction and no decision on the points of weight <= p;
+pstructure_rows runs the sampled regime too, and never decides on the basis.
 emit_stdlib writes a bundle through json.dumps(indent=2) from Python-int
 lists, where bundle.emit joins the strings itself; algebra_index_dense
 derives HomLieAlgebra's constant caches from dense masks of the n^3 tensor,
@@ -583,26 +584,29 @@ def reduce_loop(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> Redu
     )
 
 
-def pstructure_rows(P: PStructure, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> Report:
-    """verify_pstructure's report with R1 and R2 on every vector of GF(p)^n,
-    and R3 on every pair when p^(2n) fits EXHAUSTIVE_LIMIT (else on the same
-    seeded samples); for p^n within the limit.  Every image is read from one
-    eval_p_batch fold of all of GF(p)^n."""
+def pstructure_rows(P: PStructure, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
+                    exhaustive: bool = True) -> Report:
+    """verify_pstructure's report by its domain route, with every row
+    evaluated: R1 and R2 on every vector of GF(p)^n when exhaustive is true
+    and p^n fits EXHAUSTIVE_LIMIT, and R3 on every pair when p^(2n) fits
+    too; otherwise on the seeded samples, drawn in the same order (the
+    vectors, then the pairs).  Every image is read from one eval_p_batch
+    fold of the vectors."""
     A = P.parent
     p, n = A.p, A.n
     count = p**n
-    assert count <= EXHAUSTIVE_LIMIT
-    pairs = count * count <= EXHAUSTIVE_LIMIT
-    mode = "exhaustive" if pairs else "sampled"
-    rep = Report(p=p, dim=n, seed=seed, samples=samples,
-                 regimes={"r1": "exhaustive", "r2": "exhaustive", "r3": mode}, mode=mode)
+    table = exhaustive and count <= EXHAUSTIVE_LIMIT
+    pairs = table and count * count <= EXHAUSTIVE_LIMIT
+    vec, mode = ("exhaustive" if table else "sampled"), ("exhaustive" if pairs else "sampled")
+    rep = Report(p=p, dim=n, seed=seed, samples=samples, mode=mode, regimes={"r1": vec, "r2": vec, "r3": mode})
     defect = r1_defect_batch(A, P, gfp.eye(n), P.images)
     rep.tally("r1_basis", defect.any(axis=(1, 2)), defect, 0)
-    xs = gfp.all_vectors(n, p)
+    rng = SplitMix64(seed)
+    xs = gfp.all_vectors(n, p) if table else rng.mat(samples, n, p)
     folded = eval_p_batch(P, xs)
 
     def image(vs):
-        return folded[gfp.vec_index(vs, p)]
+        return folded[gfp.vec_index(vs, p)] if table else eval_p_batch(P, vs)
 
     defect = r1_defect_batch(A, P, xs, folded)
     rep.tally("r1", defect.any(axis=(1, 2)), defect, 0, witness=rows(xs))
@@ -613,7 +617,6 @@ def pstructure_rows(P: PStructure, samples: int = DEFAULT_SAMPLES, seed: int = D
     if pairs:
         us, vs = xs[np.repeat(np.arange(count), count)], xs[np.tile(np.arange(count), count)]
     else:
-        rng = SplitMix64(seed)
         us, vs = rng.mat(samples, n, p), rng.mat(samples, n, p)
     sums = image(us + vs)
     want = (image(us) + image(vs) + compute_s_batch(A, us, vs).sum(axis=1)) % p

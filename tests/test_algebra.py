@@ -24,6 +24,7 @@ from homext.algebra import (
     verify_quadratic,
 )
 from homext.errors import DimMismatch
+from homext.restricted import PStructure, verify_pstructure
 from homext.rng import SplitMix64
 
 
@@ -62,6 +63,26 @@ def test_verify_hom_lie_valid_fixtures(heis, psl3):
     assert verify_hom_lie(heis.V).ok
     assert verify_hom_lie(psl3.g).ok
     assert verify_hom_lie(abelian(4, 3)).ok
+
+
+def test_verify_hom_lie_runs_once_per_algebra(psl3, monkeypatch):
+    """The report is made once per (immutable) algebra, also when
+    verify_pstructure asks for the verdict after it; every call gets its
+    own copy, so merging into one leaves the next unchanged."""
+    calls = []
+    sides = algebra.bracket_sides
+    monkeypatch.setattr(algebra, "bracket_sides", lambda *a: calls.append(1) or sides(*a))
+    A = HomLieAlgebra(psl3.g.p, psl3.g.c, psl3.g.alpha)
+    bad = HomLieAlgebra(3, np.where(psl3.g.c == 1, 2, psl3.g.c), psl3.g.alpha)
+    for B in (A, bad):
+        first = verify_hom_lie(B)
+        want = first.to_dict()
+        first.merge(verify_quadratic(B, psl3.B))
+        first.check("hom_jacobi").failed += 1
+        assert verify_hom_lie(B).to_dict() == want
+        verify_pstructure(PStructure(B, psl3.P.images), samples=5)
+    assert len(calls) == 2 and want["summary"]["ok"] is False
+    assert verify_pstructure(PStructure(A, psl3.P.images)).meta["regimes"]["r1"] == "basis"
 
 
 def test_verify_hom_lie_2dim_passes_and_perturbed_fails():

@@ -4,7 +4,9 @@ A polynomial map of degree <= d on GF(p)^N that vanishes on every point
 with at most d nonzero coordinates vanishes everywhere.
 restricted.tally_domain relies on it with d = p.  These tests pin the
 lemma, and check that every report the helper produces equals the report
-of the full domain, on passing and on failing input.
+of the full domain, on passing and on failing input.  verify_pstructure's
+basis decision for invertible alpha is compared with the same full-domain
+reports, and in the sampled regime with the domain route at equal seed.
 """
 
 import itertools
@@ -129,12 +131,14 @@ def _abelian_pstructure(p, n, seed):
 
 @pytest.fixture(scope="module")
 def exhaustive_pstructures(request):
-    """Every fixture p-structure and extension (twisted psl3 included), the
-    R1- and R3-failing corruptions of all but the D1 and D2 extensions (the
-    D3 one stands for them), and random algebras with n <= 5."""
+    """Every fixture p-structure and extension (twisted psl3 included),
+    heisenberg-dual V + two null lines (valid, non-abelian, alpha singular),
+    the R1- and R3-failing corruptions of all but the D1 and D2 extensions
+    (the D3 one stands for them), and random algebras with n <= 5."""
     heis, psl3, sl2 = (request.getfixturevalue(f) for f in ("heis", "psl3", "sl2"))
     out = {
         "heis V": heis.P,
+        "heis V null": request.getfixturevalue("heis_null")[2],
         "heis L": request.getfixturevalue("heis_ext")[2],
         "psl3": psl3.P,
         "psl3_a": request.getfixturevalue("psl3_twisted")[2],
@@ -161,16 +165,60 @@ def _fresh(P):
     return PStructure(P.parent, P.images)
 
 
+BASIS = {"r1": "basis", "r2": "implied", "r3": "implied"}
+
+
+def _meets_hypothesis(P, rep):
+    """The basis decision's hypothesis, by the oracles: alpha invertible, A a
+    multiplicative Hom-Lie algebra, and R1 passing on the basis (rep's)."""
+    A = P.parent
+    return (oracles.mat_inv_loop(A.alpha, A.p) is not None and oracles.hom_jacobi_dense(A).ok
+            and rep.check("r1_basis").ok)
+
+
 def test_verify_pstructure_equals_the_full_domain(exhaustive_pstructures):
+    """Every count, witness and value equals the domain route on every row;
+    exactly the inputs that meet the hypothesis report the basis regimes,
+    and the others the domain route's."""
     verdicts = {"pass": 0, "r1": 0, "r3": 0}
+    routes = {"basis": 0, "domain pass": 0, "domain fail": 0}
     for name, P in exhaustive_pstructures.items():
         got = verify_pstructure(_fresh(P), samples=30, seed=11).to_dict()
-        assert got == oracles.pstructure_rows(P, samples=30, seed=11).to_dict(), name
+        want = oracles.pstructure_rows(P, samples=30, seed=11)
+        basis = _meets_hypothesis(P, want)
+        if basis:
+            want.meta["regimes"] = BASIS
+        assert got == want.to_dict(), name
         failing = {c["name"] for c in got["checks"] if c["status"] == "fail"}
         verdicts["pass"] += not failing
         verdicts["r1"] += "r1" in failing
         verdicts["r3"] += "r3" in failing
+        routes["basis" if basis else "domain fail" if failing else "domain pass"] += 1
     assert min(verdicts.values()) >= 5, verdicts  # both routes are exercised
+    assert min(routes.values()) >= 5, routes
+    assert verify_pstructure(exhaustive_pstructures["heis V null"]).meta["regimes"] == {
+        "r1": "exhaustive", "r2": "exhaustive", "r3": "exhaustive"}
+
+
+@pytest.mark.parametrize("name", ["sampled_p5", "wide_char2"])
+def test_basis_decision_equals_the_sampled_domain_route(request, name):
+    """Past the exhaustive limit: the counts of the sampled domain route at
+    equal seed and samples, on V and L and on an image corruption of each;
+    an input that fails basis R1 keeps the domain route's whole report."""
+    data = request.getfixturevalue(name)
+    routes = []
+    for P in (data["P"], data["P_L"]):
+        k = int(np.flatnonzero(P.parent.c.any(axis=(1, 2)))[0])  # e_k is not central: ad(e_k) != 0
+        for Q in (P, _corrupt_image(P, 1, k)):
+            got = verify_pstructure(_fresh(Q), samples=25, seed=7).to_dict()
+            want = oracles.pstructure_rows(Q, samples=25, seed=7)
+            assert set(want.meta["regimes"].values()) == {"sampled"}
+            basis = _meets_hypothesis(Q, want)
+            if basis:
+                want.meta["regimes"] = BASIS
+            assert got == want.to_dict()
+            routes.append(basis)
+    assert routes[::2] == [True, True] and routes[1::2] == [False, False], routes
 
 
 def _full_only(rep, name, regime, P, xs, pmaps, sides, witness=rows, pairs=False):
@@ -250,12 +298,14 @@ def test_verify_pstructure_equals_its_full_domain_route(exhaustive_pstructures, 
 # Work: the weight-<=p rows only, unless a check fails ---------------------------
 
 
-def test_passing_r3_evaluates_the_weight_two_pairs_only(heis_ext, monkeypatch):
-    """R3 on heis L is exhaustive over 2^16 pairs: a passing check runs
-    compute_s on the 137 pairs of weight <= 2 only; a failing one falls back
-    to every pair."""
-    P = _fresh(heis_ext[2])
-    bad = _corrupt_bracket(P, 0, 7, 1)
+def test_passing_r3_evaluates_the_weight_two_pairs_only(heis_ext, heis_null, monkeypatch):
+    """R3 on heisenberg-dual V + two null lines (dim 8, alpha singular) is
+    exhaustive over 2^16 pairs: a passing check runs compute_s on the 137
+    pairs of weight <= 2 only; a failing one (a bracket corruption of heis L,
+    no Hom-Lie algebra) falls back to every pair.  heis L itself is decided
+    on the basis and runs no compute_s."""
+    P = _fresh(heis_null[2])
+    bad = _corrupt_bracket(_fresh(heis_ext[2]), 0, 7, 1)
     calls = []
 
     def counted(A, xs, ys):
@@ -272,13 +322,19 @@ def test_passing_r3_evaluates_the_weight_two_pairs_only(heis_ext, monkeypatch):
     rep = verify_pstructure(bad)
     assert not rep.check("r3").ok and rep.check("r3").passed + rep.check("r3").failed == 2**16
     assert calls == [137, 2**16]
+    calls.clear()
+    rep = verify_pstructure(_fresh(heis_ext[2]))
+    assert rep.ok and rep.check("r3").passed == 2**16 and rep.meta["regimes"] == BASIS
+    assert calls == []
 
 
-def test_passing_r1_evaluates_the_weight_p_vectors_only(psl3_pipelines, monkeypatch):
-    """R1 on the dim-9 psl3 extension runs its tower on the 835 vectors of
-    weight <= 3, not on all 3^9 vectors; a failing R1 walks all of them."""
-    P = _fresh(psl3_pipelines["D3"]["P_L"])
-    bad = _corrupt_image(P, 4, 2)
+def test_passing_r1_evaluates_the_weight_p_vectors_only(psl3_pipelines, psl3_null, monkeypatch):
+    """R1 on psl(3) + two null lines (dim 9, alpha singular) runs its tower
+    on the 835 vectors of weight <= 3, not on all 3^9 vectors; a failing R1
+    (an image corruption of the dim-9 psl3 extension) walks all of them.
+    The extension itself is decided on the basis: one tower, of the basis."""
+    P = _fresh(psl3_null[2])
+    bad = _corrupt_image(_fresh(psl3_pipelines["D3"]["P_L"]), 4, 2)
     calls = []
     tower = restricted.r1_defect_batch
 
@@ -292,6 +348,10 @@ def test_passing_r1_evaluates_the_weight_p_vectors_only(psl3_pipelines, monkeypa
     calls.clear()
     assert not verify_pstructure(bad).check("r1").ok
     assert calls == [9, 835, 3**9]
+    calls.clear()
+    rep = verify_pstructure(_fresh(psl3_pipelines["D3"]["P_L"]))
+    assert rep.check("r1").passed == 3**9 and rep.meta["regimes"] == BASIS
+    assert calls == [9]
 
 
 def test_low_weight_pairs_are_pairs_of_low_weight_vectors():

@@ -114,11 +114,12 @@ def test_twisted_p_extend_verifies(tmp_path, capsys):
     assert code == 0
 
 
-def test_verify_exhaustive_reports_sampled_r3(tmp_path, capsys):
-    # 3^7 vectors fit the exhaustive limit but 3^14 pairs do not, so R3 is
+def test_verify_exhaustive_reports_sampled_r3(tmp_path, capsys, psl3_null):
+    # psl(3) + two null lines (alpha singular, so R1-R3 walk their domain):
+    # 3^9 vectors fit the exhaustive limit but 3^18 pairs do not, so R3 is
     # sampled even under --exhaustive and the report must say so
-    src = tmp_path / "psl3.json"
-    run(capsys, "fixture", "psl3", "--out", str(src))
+    src = tmp_path / "psl3null.json"
+    src.write_text(bundle.emit(bundle.from_parts(psl3_null[0], psl3_null[1], psl3_null[2])))
     code, out, _ = run(capsys, "verify", str(src), "--exhaustive", "--samples", "30")
     assert code == 0
     doc = json.loads(out)
@@ -126,6 +127,16 @@ def test_verify_exhaustive_reports_sampled_r3(tmp_path, capsys):
     assert doc["meta"]["mode"] == "sampled"
     r3 = next(c for c in doc["checks"] if c["name"] == "r3")
     assert r3["passed"] == 30
+    # psl(3) itself has alpha = id: decided on the basis, over the same sizes
+    src = tmp_path / "psl3.json"
+    run(capsys, "fixture", "psl3", "--out", str(src))
+    code, out, _ = run(capsys, "verify", str(src), "--exhaustive", "--samples", "30")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["regimes"] == {"r1": "basis", "r2": "implied", "r3": "implied"}
+    assert doc["meta"]["mode"] == "sampled"
+    counts = {c["name"]: c["passed"] for c in doc["checks"] if c["name"] in ("r1", "r2", "r3")}
+    assert counts == {"r1": 3**7, "r2": 3**8, "r3": 30}
 
 
 def test_verify_exhaustive_exits_2_past_the_limit(tmp_path, capsys):
@@ -389,11 +400,30 @@ def test_isom_check_refuses_bundles_of_another_p_or_dim(tmp_path, capsys):
     (lambda doc: doc.update(derivations=None), "derivations must be an object"),
     (lambda doc: doc.update(extension=[1]), "extension must be an object"),
     (lambda doc: doc.update(extension="D"), "extension must be an object"),
+    (lambda doc: doc["extension"].update(derivation=5), "extension derivation must be a string"),
+    (lambda doc: doc["extension"].update(derivation=["D"]), "extension derivation must be a string"),
+    (lambda doc: doc["extension"].update(derivation=None), "extension derivation must be a string"),
 ])
 def test_bundle_schema_holes_are_parse_errors(tmp_path, capsys, edit, message):
     path = _edited(tmp_path, capsys, "heisenberg-dual", "bad", edit)
     code, out, err = run(capsys, "verify", str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_number_names_no_derivation(tmp_path, capsys):
+    """A derivation named "5" is not named by the JSON number 5: only a
+    string names a derivation, so p-extend refuses the bundle."""
+    def edit(doc):
+        doc["derivations"] = {"5": doc["derivations"]["D"]}
+        doc["extension"]["derivation"] = 5
+
+    path = _edited(tmp_path, capsys, "heisenberg-dual", "num", edit)
+    code, out, err = run(capsys, "p-extend", str(path))
+    assert (code, out, err) == (2, "", "error: extension derivation must be a string\n")
+    doc = json.loads(path.read_text())
+    doc["extension"]["derivation"] = "5"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "p-extend", str(path))[0] == 0
 
 
 @pytest.mark.parametrize("text", ["[1]", '"bundle"', "3", "null"])

@@ -335,23 +335,37 @@ def test_table_regime_detects_corrupted_image(psl3):
     assert rep.check("r2").passed + rep.check("r2").failed == 3 * 3**7
 
 
-def test_verify_pstructure_reports_regimes(heis, psl3):
-    rep = verify_pstructure(heis.P)
-    assert rep.meta["regimes"] == {"r1": "exhaustive", "r2": "exhaustive", "r3": "exhaustive"}
-    assert rep.meta["mode"] == "exhaustive"
-    # psl(3): 3^7 vectors fit the exhaustive limit, 3^14 pairs do not
-    rep = verify_pstructure(psl3.P, exhaustive=True, samples=20)
-    assert rep.meta["regimes"] == {"r1": "exhaustive", "r2": "exhaustive", "r3": "sampled"}
-    assert rep.meta["mode"] == "sampled"
-    assert rep.check("r3").passed == 20
-    rep = verify_pstructure(heis.P, exhaustive=False, samples=20)
-    assert set(rep.meta["regimes"].values()) == {"sampled"} and rep.meta["mode"] == "sampled"
+BASIS = {"r1": "basis", "r2": "implied", "r3": "implied"}
+
+
+def test_verify_pstructure_reports_regimes(heis, psl3, heis_null, psl3_null):
+    """The domain route on singular alpha (the null lines), the basis
+    decision on the same algebras without them; each over the same sizes."""
+    for P, basis in ((heis_null[2], False), (heis.P, True)):
+        rep = verify_pstructure(P)
+        assert rep.meta["regimes"] == (BASIS if basis else {"r1": "exhaustive", "r2": "exhaustive", "r3": "exhaustive"})
+        assert rep.meta["mode"] == "exhaustive"
+        n = P.parent.n
+        assert rep.ok and [rep.check(c).passed for c in ("r1", "r2", "r3")] == [2**n, 2**(n + 1), 2**(2 * n)]
+    # psl(3) + two lines: 3^9 vectors fit the exhaustive limit, 3^18 pairs do not
+    for P, basis in ((psl3_null[2], False), (psl3.P, True)):
+        rep = verify_pstructure(P, exhaustive=True, samples=20)
+        assert rep.meta["regimes"] == (BASIS if basis else {"r1": "exhaustive", "r2": "exhaustive", "r3": "sampled"})
+        assert rep.meta["mode"] == "sampled"
+        assert rep.check("r3").passed == 20 and rep.check("r1").passed == 3**P.parent.n
+    for P, basis in ((heis_null[2], False), (heis.P, True)):
+        rep = verify_pstructure(P, exhaustive=False, samples=20)
+        assert (rep.meta["regimes"] == BASIS) if basis else (set(rep.meta["regimes"].values()) == {"sampled"})
+        assert rep.meta["mode"] == "sampled"
+        assert rep.ok and [rep.check(c).passed for c in ("r1", "r2", "r3")] == [20, 40, 20]
     # 2^17 vectors exceed the limit: an explicit request cannot make R1 exhaustive
     n = 17
-    abelian = HomLieAlgebra(2, np.zeros((n, n, n), dtype=np.int64), gfp.eye(n))
-    rep = verify_pstructure(PStructure(abelian, np.zeros((n, n))), exhaustive=True, samples=20)
-    assert set(rep.meta["regimes"].values()) == {"sampled"} and rep.meta["mode"] == "sampled"
-    assert rep.ok and rep.check("r1").passed == 20
+    for alpha, basis in ((np.zeros((n, n)), False), (gfp.eye(n), True)):
+        abelian = HomLieAlgebra(2, np.zeros((n, n, n), dtype=np.int64), alpha)
+        rep = verify_pstructure(PStructure(abelian, np.zeros((n, n))), exhaustive=True, samples=20)
+        assert (rep.meta["regimes"] == BASIS) if basis else (set(rep.meta["regimes"].values()) == {"sampled"})
+        assert rep.meta["mode"] == "sampled"
+        assert rep.ok and rep.check("r1").passed == 20
 
 
 def test_domain_regimes(heis):
@@ -373,11 +387,14 @@ def test_domain_regimes(heis):
     assert regime == "sampled" and np.array_equal(xs, SplitMix64(41).mat(25, n, 2))
 
 
-def test_sampled_regime_folds_its_domain_once(sl2_ext, monkeypatch):
+def test_sampled_regime_folds_its_domain_once(sl2_ext, sl2_null, monkeypatch):
     """In the sampled regime every p-map read of one call goes through
     eval_p_batch on one PStructure, and its kernel folds each distinct
     normalized row once: R2's k*x rows, a second read of the drawn rows and
-    the second route of an identity isomorphism add no kernel rows."""
+    the second route of an identity isomorphism add no kernel rows.
+    verify_pstructure walks its domain on the extension + a null line
+    (singular alpha); on the extension itself it decides on the basis and
+    draws and folds nothing."""
     L, B_L, P0 = sl2_ext
     p = L.p
     draw, real_fold = restricted.domain, restricted.fold
@@ -401,23 +418,27 @@ def test_sampled_regime_folds_its_domain_once(sl2_ext, monkeypatch):
     monkeypatch.setattr(restricted, "fold", counted_fold)
     monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)  # 5^5 vectors are sampled too
     zero = Derivation(np.zeros((L.n, L.n)), p)
-    runs = {  # name -> (run, reads of the drawn rows: R1, then R2 at k = 1 and for every k)
-        "verify_pstructure": (lambda P: verify_pstructure(P, exhaustive=False).ok, 2 + p),
-        "is_restricted_derivation": (lambda P: is_restricted_derivation(L, P, zero), 1),
+    runs = {  # name -> (run, its p-map, reads of the drawn rows: R1, then R2 at k = 1 and for every k)
+        "verify_pstructure": (lambda P: verify_pstructure(P, exhaustive=False).ok, sl2_null[2], 2 + p),
+        "is_restricted_derivation": (lambda P: is_restricted_derivation(L, P, zero), P0, 1),
         "verify_restricted_iso": (lambda P: verify_restricted_iso(L, B_L, L, B_L, P, P, gfp.eye(L.n),
-                                                                  exhaustive=False).ok, 2),
+                                                                  exhaustive=False).ok, P0, 2),
     }
-    for name, (run, reads) in runs.items():
+    for name, (run, Q, reads) in runs.items():
         drawn.clear()
         folded.clear()
         kernel.clear()
-        assert run(PStructure(L, P0.images)), name
+        assert run(PStructure(Q.parent, Q.images)), name
         (xs,) = drawn
         assert sum(np.array_equal(f, xs) for f in folded) == reads, name
         rows_in = _normalized(np.vstack(folded), p)
-        assert sum(kernel) == len(_live_pairs(rows_in, L.inert)) > 0, name
+        assert sum(kernel) == len(_live_pairs(rows_in, Q.parent.inert)) > 0, name
         if name == "verify_pstructure":  # R2 reads every k*x through the same map
             assert all(any(np.array_equal(f, (k * xs) % p) for f in folded) for k in range(p))
+    drawn.clear()
+    folded.clear()
+    rep = verify_pstructure(PStructure(L, P0.images), exhaustive=False)
+    assert rep.ok and rep.meta["regimes"] == BASIS and drawn == folded == []
 
 
 def test_is_restricted_derivation_table_matches_fold(psl3, psl3_twisted):
