@@ -162,11 +162,9 @@ def _expect(cond, msg):
 
 def _entries(name, value, shape, p, shape_msg=None):
     """value as an int64 array of `shape` whose entries are JSON integers in
-    [0, p), else ParseError; None stays None.  The entries are read as Python
+    [0, p), else ParseError (null included).  The entries are read as Python
     objects first: np.int64 would truncate 1.5 and parse "3", and numpy casts
     a true among integers to 1."""
-    if value is None:
-        return None
     rows = value if len(shape) == 2 else [value]
     if type(value) is list and len(value) == shape[0] and all(type(r) is list and len(r) == shape[-1] for r in rows):
         if set(map(type, flat := list(itertools.chain.from_iterable(rows)))) == {int}:
@@ -206,9 +204,11 @@ def parse(text: str) -> AlgebraBundle:
             brackets.append((i, j, k, c))
         _expect(len(set((i, j, k) for i, j, k, _ in brackets)) == len(brackets),
                 "duplicate bracket entry")
+        def optional(key, shape_msg=None):  # form, pmap and twist may be absent or null
+            return None if doc.get(key) is None else _entries(key, doc[key], (dim, dim), p, shape_msg)
+
         alpha = _entries("alpha", doc["alpha"], (dim, dim), p)
-        form = _entries("form", doc.get("form"), (dim, dim), p)
-        pmap = _entries("pmap", doc.get("pmap"), (dim, dim), p, "pmap must be one image row per basis vector")
+        form, pmap = optional("form"), optional("pmap", "pmap must be one image row per basis vector")
         derivs, specs = {}, doc.get("derivations", {})
         _expect(type(specs) is dict, "derivations must be an object")
         for name, spec in specs.items():
@@ -217,7 +217,7 @@ def parse(text: str) -> AlgebraBundle:
             _expect(type(degree) is int and degree >= 0,
                     f"derivation {name} degree must be a nonnegative integer")
             derivs[name] = Derivation(mat, p, degree)
-        twist = _entries("twist", doc.get("twist"), (dim, dim), p)
+        twist = optional("twist")
         ext = doc.get("extension")
         if ext is not None:
             _expect(type(ext) is dict, "extension must be an object")

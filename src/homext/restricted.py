@@ -208,8 +208,9 @@ def eval_p_all(P: PStructure) -> np.ndarray:
     prefix serves every lam, weighted by lam^(p-i) mod p.  The weighted sum
     has p-1 terms below p^2 each, under 2^48 for p <= EXHAUSTIVE_LIMIT.  The
     table matches eval_p_batch bit for bit.  It is read-only.  Every check
-    in the exhaustive regime of `domain` reads it instead of re-folding.  An
-    inert e_j has s_i(prefix, e_j) = 0, so its block makes no compute_s call.
+    in the exhaustive regime of `domain` reads it instead of re-folding; R2,
+    an identity of the fold, reads nothing.  An inert e_j has
+    s_i(prefix, e_j) = 0, so its block makes no compute_s call.
     """
     if P._all_images is None:
         A = P.parent
@@ -257,7 +258,7 @@ def domain(P: PStructure, exhaustive: bool, samples: int, rng: SplitMix64):
 
 
 def tally_domain(rep: Report, name: str, regime: str, P: PStructure, xs, pmaps, sides,
-                 witness=rows, pairs: bool = False) -> CheckResult:
+                 pairs: bool = False) -> CheckResult:
     """Tally check `name` over the `domain` of P, deciding an exhaustive one
     on the points of weight <= p.
 
@@ -273,10 +274,9 @@ def tally_domain(rep: Report, name: str, regime: str, P: PStructure, xs, pmaps, 
     regime is "exhaustive" and the sides agree on gfp.low_weight(N, p, p),
     the check passes on all p^N points and is tallied so without evaluating
     them.  Otherwise the same sides run on every row of the domain, which
-    gives the counts, witnesses and values.  xs is that domain: the vectors
-    of `domain`, whose pairs an exhaustive pair check takes x-major, or a
-    sampled pair check's [x, y] rows.  witness(x rows[, y rows]) gives the
-    witness callback of Report.tally.
+    gives the counts, witnesses (the failing rows) and values.  xs is that
+    domain: the vectors of `domain`, whose pairs an exhaustive pair check
+    takes x-major, or a sampled pair check's [x, y] rows.
     """
     p, n = P.parent.p, P.parent.n
     size = n * (2 if pairs else 1)
@@ -289,7 +289,7 @@ def tally_domain(rep: Report, name: str, regime: str, P: PStructure, xs, pmaps, 
             xs = np.hstack([np.repeat(xs, len(xs), axis=0), np.tile(xs, (len(xs), 1))])
     lhs, rhs = sides(xs, *pmaps)
     failed = (lhs != rhs).reshape(len(xs), -1).any(axis=1)
-    return rep.tally(name, failed, lhs, rhs, witness=witness(*((xs[:, :n], xs[:, n:]) if pairs else (xs,))))
+    return rep.tally(name, failed, lhs, rhs, witness=rows(*((xs[:, :n], xs[:, n:]) if pairs else (xs,))))
 
 
 def _tower_batch(A: HomLieAlgebra, xs) -> np.ndarray:
@@ -336,20 +336,22 @@ def verify_pstructure(
     decides all three (README, "Basis decision for invertible alpha"): they
     are tallied as passed over the domain sizes below, nothing is drawn or
     folded, and meta["regimes"] is r1 "basis", r2 and r3 "implied".
-    Otherwise R1 runs over the `domain` of P, R2 over the same vectors with
-    all k, and R3 over all pairs when p^(2n) fits the exhaustive limit and
-    over sampled seeded pairs otherwise; exhaustive=False samples all
-    three.  When R1 is exhaustive, every p-image R2 and R3 need is read
-    from the eval_p_all table, which equals the eval_p_batch fold bit for bit.
-    Each check is one `sides` function tallied by `tally_domain`, which
-    decides an exhaustive one on the points of weight <= p; only a failing
-    one walks its whole domain, for its counts and witnesses.
-    meta["regimes"] records the regime each of R1/R2/R3 actually ran, and
-    meta["mode"] is "exhaustive" only when all three domains were.
+    Otherwise R1 runs over the `domain` of P, and R3 over all pairs when
+    p^(2n) fits the exhaustive limit and over sampled seeded pairs
+    otherwise; exhaustive=False samples both.  When R1 is exhaustive, R3
+    reads its p-images from the eval_p_all table, which equals the
+    eval_p_batch fold bit for bit.  Each check is one `sides` function
+    tallied by `tally_domain`, which decides an exhaustive one on the points
+    of weight <= p; only a failing one walks its whole domain.  R2 is an
+    identity of the fold (README, "R2 and P_homogeneity are implied"): on
+    both routes it is tallied as passed over every k and every vector of
+    the domain, regime "implied", and never evaluated.  meta["regimes"]
+    records each check's regime, and meta["mode"] that of the pairs.
     """
     check_samples(samples)
     A = P.parent
     p, n = A.p, A.n
+    size = p**n if exhaustive and p**n <= EXHAUSTIVE_LIMIT else samples  # the vector domain's
     pairs = exhaustive and p**(2 * n) <= EXHAUSTIVE_LIMIT  # then the vectors are exhaustive too
     pair_regime = "exhaustive" if pairs else "sampled"
     rep = Report(p=p, dim=n, seed=seed, samples=samples,
@@ -357,21 +359,15 @@ def verify_pstructure(
     defect = r1_defect_batch(A, P, gfp.eye(n), P.images)
     rep.tally("r1_basis", defect.any(axis=(1, 2)), defect, 0)
     if not defect.any() and gfp.rank(A.alpha, p) == n and verify_hom_lie(A).ok:
-        size = p**n if exhaustive and p**n <= EXHAUSTIVE_LIMIT else samples  # the domain's
         for name, count in (("r1", size), ("r2", p * size), ("r3", p**(2 * n) if pairs else samples)):
             rep.check(name).passed += count
         return rep
 
     rng = SplitMix64(seed)
     xs, pmap, vec_regime = domain(P, exhaustive, samples, rng)
-    rep.meta["regimes"] = {"r1": vec_regime, "r2": vec_regime, "r3": pair_regime}
+    rep.meta["regimes"] = {"r1": vec_regime, "r2": "implied", "r3": pair_regime}
     tally_domain(rep, "r1", vec_regime, P, xs, [pmap], lambda vs, f: (r1_defect_batch(A, P, vs, f(vs)), 0))
-
-    # R2: (k x)^[p] = k^p x^[p] over every scalar k.
-    for k in range(p):
-        tally_domain(rep, "r2", vec_regime, P, xs, [pmap],
-                     lambda vs, f: (f((k * vs) % p), (pow(k, p, p) * f(vs)) % p),
-                     witness=lambda vs: lambda i: (k,) + rows(vs)(i))
+    rep.check("r2").passed += p * size
 
     def r3_sides(zs, f):
         us, vs = zs[:, :n], zs[:, n:]

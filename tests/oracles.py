@@ -708,7 +708,7 @@ def algebra_index_dense(c, p: int) -> dict:
 
 
 def tally_domain_diff(rep: Report, name: str, regime: str, P: PStructure, xs, pmaps, sides,
-                      witness=rows, pairs: bool = False):
+                      pairs: bool = False):
     """tally_domain with each comparison made on (lhs - rhs) % p arrays."""
     p, n = P.parent.p, P.parent.n
     size = n * (2 if pairs else 1)
@@ -721,7 +721,7 @@ def tally_domain_diff(rep: Report, name: str, regime: str, P: PStructure, xs, pm
             xs = np.hstack([np.repeat(xs, len(xs), axis=0), np.tile(xs, (len(xs), 1))])
     lhs, rhs = sides(xs, *pmaps)
     failed = ((lhs - rhs) % p).reshape(len(xs), -1).any(axis=1)
-    return rep.tally(name, failed, lhs, rhs, witness=witness(*((xs[:, :n], xs[:, n:]) if pairs else (xs,))))
+    return rep.tally(name, failed, lhs, rhs, witness=rows(*((xs[:, :n], xs[:, n:]) if pairs else (xs,))))
 
 
 def rref_loop(m, p: int) -> tuple[np.ndarray, list[int]]:

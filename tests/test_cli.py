@@ -115,7 +115,7 @@ def test_twisted_p_extend_verifies(tmp_path, capsys):
 
 
 def test_verify_exhaustive_reports_sampled_r3(tmp_path, capsys, psl3_null):
-    # psl(3) + two null lines (alpha singular, so R1-R3 walk their domain):
+    # psl(3) + two null lines (alpha singular, so R1 and R3 walk their domain):
     # 3^9 vectors fit the exhaustive limit but 3^18 pairs do not, so R3 is
     # sampled even under --exhaustive and the report must say so
     src = tmp_path / "psl3null.json"
@@ -123,7 +123,7 @@ def test_verify_exhaustive_reports_sampled_r3(tmp_path, capsys, psl3_null):
     code, out, _ = run(capsys, "verify", str(src), "--exhaustive", "--samples", "30")
     assert code == 0
     doc = json.loads(out)
-    assert doc["meta"]["regimes"] == {"r1": "exhaustive", "r2": "exhaustive", "r3": "sampled"}
+    assert doc["meta"]["regimes"] == {"r1": "exhaustive", "r2": "implied", "r3": "sampled"}
     assert doc["meta"]["mode"] == "sampled"
     r3 = next(c for c in doc["checks"] if c["name"] == "r3")
     assert r3["passed"] == 30
@@ -403,11 +403,17 @@ def test_isom_check_refuses_bundles_of_another_p_or_dim(tmp_path, capsys):
     (lambda doc: doc["extension"].update(derivation=5), "extension derivation must be a string"),
     (lambda doc: doc["extension"].update(derivation=["D"]), "extension derivation must be a string"),
     (lambda doc: doc["extension"].update(derivation=None), "extension derivation must be a string"),
+    # only form, pmap and twist may be null: a required matrix or vector keeps its shape message
+    (lambda doc: doc.update(alpha=None), "alpha must be dim x dim"),
+    (lambda doc: doc["derivations"]["D"].update(matrix=None), "derivation D must be dim x dim"),
+    (lambda doc: doc["extension"].update(x0=None), "extension x0 must have length dim"),
+    (lambda doc: doc["extension"].update(P_basis=None), "extension P_basis must have length dim"),
 ])
 def test_bundle_schema_holes_are_parse_errors(tmp_path, capsys, edit, message):
     path = _edited(tmp_path, capsys, "heisenberg-dual", "bad", edit)
-    code, out, err = run(capsys, "verify", str(path))
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    for command in ("verify", "p-extend"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_a_number_names_no_derivation(tmp_path, capsys):

@@ -681,10 +681,12 @@ def test_algebra_extension_matches_the_per_index_loops(p):
 
 
 def _P_conditions_per_call(V, B, D, pe, samples, seed):
-    """check_P_conditions with one eval_P_batch call per row set, as a
-    reference for the batched route."""
+    """check_P_conditions with one eval_P_batch call per row set, and
+    P_homogeneity evaluated on every k*u, as a reference for the batched
+    route (which reports it implied)."""
     p, n = V.p, V.n
-    rep = Report(p=p, dim=n, seed=seed, samples=samples)
+    rep = Report(p=p, dim=n, seed=seed, samples=samples,
+                 regimes={"P_additivity": "sampled", "P_homogeneity": "implied"})
     rng = SplitMix64(seed)
     us, ws = rng.mat(samples, n, p), rng.mat(samples, n, p)
     pu, pw = eval_P_batch(V, B, D, pe, us), eval_P_batch(V, B, D, pe, ws)
@@ -700,7 +702,7 @@ def _P_conditions_per_call(V, B, D, pe, samples, seed):
 
 
 def test_check_P_conditions_folds_every_row_in_one_call(heis, sl2, monkeypatch):
-    """The k*u rows, w and u + w go through one eval_P_batch call, and the
+    """The rows u, w and u + w go through one eval_P_batch call, and the
     report equals the one-call-per-row-set reference, failures included
     (a random B and D at p = 3 make P_additivity fail)."""
     rng = np.random.default_rng(31)

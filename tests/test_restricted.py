@@ -329,7 +329,7 @@ def test_eval_p_all_prefix_table_matches_fold(request):
 
 def test_table_regime_detects_corrupted_image(psl3):
     rep = verify_pstructure(_corrupted_psl3(psl3))
-    assert rep.meta["regimes"]["r1"] == rep.meta["regimes"]["r2"] == "exhaustive"
+    assert rep.meta["regimes"]["r1"] == "exhaustive" and rep.meta["regimes"]["r2"] == "implied"
     assert not rep.check("r1").ok or not rep.check("r2").ok
     assert rep.check("r1").passed + rep.check("r1").failed == 3**7
     assert rep.check("r2").passed + rep.check("r2").failed == 3 * 3**7
@@ -343,19 +343,19 @@ def test_verify_pstructure_reports_regimes(heis, psl3, heis_null, psl3_null):
     decision on the same algebras without them; each over the same sizes."""
     for P, basis in ((heis_null[2], False), (heis.P, True)):
         rep = verify_pstructure(P)
-        assert rep.meta["regimes"] == (BASIS if basis else {"r1": "exhaustive", "r2": "exhaustive", "r3": "exhaustive"})
+        assert rep.meta["regimes"] == (BASIS if basis else {"r1": "exhaustive", "r2": "implied", "r3": "exhaustive"})
         assert rep.meta["mode"] == "exhaustive"
         n = P.parent.n
         assert rep.ok and [rep.check(c).passed for c in ("r1", "r2", "r3")] == [2**n, 2**(n + 1), 2**(2 * n)]
     # psl(3) + two lines: 3^9 vectors fit the exhaustive limit, 3^18 pairs do not
     for P, basis in ((psl3_null[2], False), (psl3.P, True)):
         rep = verify_pstructure(P, exhaustive=True, samples=20)
-        assert rep.meta["regimes"] == (BASIS if basis else {"r1": "exhaustive", "r2": "exhaustive", "r3": "sampled"})
+        assert rep.meta["regimes"] == (BASIS if basis else {"r1": "exhaustive", "r2": "implied", "r3": "sampled"})
         assert rep.meta["mode"] == "sampled"
         assert rep.check("r3").passed == 20 and rep.check("r1").passed == 3**P.parent.n
     for P, basis in ((heis_null[2], False), (heis.P, True)):
         rep = verify_pstructure(P, exhaustive=False, samples=20)
-        assert (rep.meta["regimes"] == BASIS) if basis else (set(rep.meta["regimes"].values()) == {"sampled"})
+        assert rep.meta["regimes"] == (BASIS if basis else {"r1": "sampled", "r2": "implied", "r3": "sampled"})
         assert rep.meta["mode"] == "sampled"
         assert rep.ok and [rep.check(c).passed for c in ("r1", "r2", "r3")] == [20, 40, 20]
     # 2^17 vectors exceed the limit: an explicit request cannot make R1 exhaustive
@@ -363,7 +363,7 @@ def test_verify_pstructure_reports_regimes(heis, psl3, heis_null, psl3_null):
     for alpha, basis in ((np.zeros((n, n)), False), (gfp.eye(n), True)):
         abelian = HomLieAlgebra(2, np.zeros((n, n, n), dtype=np.int64), alpha)
         rep = verify_pstructure(PStructure(abelian, np.zeros((n, n))), exhaustive=True, samples=20)
-        assert (rep.meta["regimes"] == BASIS) if basis else (set(rep.meta["regimes"].values()) == {"sampled"})
+        assert rep.meta["regimes"] == (BASIS if basis else {"r1": "sampled", "r2": "implied", "r3": "sampled"})
         assert rep.meta["mode"] == "sampled"
         assert rep.ok and rep.check("r1").passed == 20
 
@@ -390,10 +390,10 @@ def test_domain_regimes(heis):
 def test_sampled_regime_folds_its_domain_once(sl2_ext, sl2_null, monkeypatch):
     """In the sampled regime every p-map read of one call goes through
     eval_p_batch on one PStructure, and its kernel folds each distinct
-    normalized row once: R2's k*x rows, a second read of the drawn rows and
-    the second route of an identity isomorphism add no kernel rows.
-    verify_pstructure walks its domain on the extension + a null line
-    (singular alpha); on the extension itself it decides on the basis and
+    normalized row once: a second read of the drawn rows and the second
+    route of an identity isomorphism add no kernel rows.  verify_pstructure
+    walks its domain on the extension + a null line (singular alpha), where
+    R2 reads no k*x row; on the extension itself it decides on the basis and
     draws and folds nothing."""
     L, B_L, P0 = sl2_ext
     p = L.p
@@ -418,8 +418,8 @@ def test_sampled_regime_folds_its_domain_once(sl2_ext, sl2_null, monkeypatch):
     monkeypatch.setattr(restricted, "fold", counted_fold)
     monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)  # 5^5 vectors are sampled too
     zero = Derivation(np.zeros((L.n, L.n)), p)
-    runs = {  # name -> (run, its p-map, reads of the drawn rows: R1, then R2 at k = 1 and for every k)
-        "verify_pstructure": (lambda P: verify_pstructure(P, exhaustive=False).ok, sl2_null[2], 2 + p),
+    runs = {  # name -> (run, its p-map, reads of the drawn rows)
+        "verify_pstructure": (lambda P: verify_pstructure(P, exhaustive=False).ok, sl2_null[2], 1),
         "is_restricted_derivation": (lambda P: is_restricted_derivation(L, P, zero), P0, 1),
         "verify_restricted_iso": (lambda P: verify_restricted_iso(L, B_L, L, B_L, P, P, gfp.eye(L.n),
                                                                   exhaustive=False).ok, P0, 2),
@@ -433,12 +433,53 @@ def test_sampled_regime_folds_its_domain_once(sl2_ext, sl2_null, monkeypatch):
         assert sum(np.array_equal(f, xs) for f in folded) == reads, name
         rows_in = _normalized(np.vstack(folded), p)
         assert sum(kernel) == len(_live_pairs(rows_in, Q.parent.inert)) > 0, name
-        if name == "verify_pstructure":  # R2 reads every k*x through the same map
-            assert all(any(np.array_equal(f, (k * xs) % p) for f in folded) for k in range(p))
+        if name == "verify_pstructure":  # R2 is implied: no k*x row is read
+            assert not any(np.array_equal(f, (k * xs) % p) for f in folded for k in range(p) if k != 1)
     drawn.clear()
     folded.clear()
     rep = verify_pstructure(PStructure(L, P0.images), exhaustive=False)
     assert rep.ok and rep.meta["regimes"] == BASIS and drawn == folded == []
+
+
+def test_r2_and_p_homogeneity_are_never_evaluated(heis, heis_null, monkeypatch):
+    """heisenberg-dual V + two null lines (alpha singular): the domain route
+    of verify_pstructure reads its p-map on R1's vectors of weight <= 2 and
+    on R3's three row sets of the pairs of weight <= 2, and on no k*x batch;
+    check_P_conditions folds u, w and u + w in one eval_P_batch call of
+    3*samples rows.  R2 and P_homogeneity are still tallied over every k."""
+    W, B, P = heis_null
+    p, n = W.p, W.n
+    draw, fold_P, reads, sizes = restricted.domain, doubleext.eval_P_batch, [], []
+
+    def spied_domain(*args):
+        xs, pmap, regime = draw(*args)
+
+        def spied(vs):
+            reads.append(np.array(vs))
+            return pmap(vs)
+        return xs, spied, regime
+
+    def counted(*args):
+        sizes.append(len(args[-1]))
+        return fold_P(*args)
+
+    monkeypatch.setattr(restricted, "domain", spied_domain)
+    rep = verify_pstructure(PStructure(W, P.images))
+    assert rep.ok and rep.meta["regimes"] == {"r1": "exhaustive", "r2": "implied", "r3": "exhaustive"}
+    assert rep.check("r2").passed == p * p**n
+    low = gfp.low_weight(n, p, p)
+    assert [len(vs) for vs in reads] == [len(low)] + [len(gfp.low_weight(2 * n, p, p))] * 3
+    assert np.array_equal(reads[0], low)
+    assert not any(np.array_equal(vs, (k * low) % p) for vs in reads for k in range(p) if k != 1)
+
+    monkeypatch.setattr(doubleext, "eval_P_batch", counted)
+    dm = np.zeros((n, n), dtype=np.int64)
+    dm[:6, :6] = heis.D.mat
+    pe = PExtensionData(0, gfp.zeros(n), 0, 0, gfp.zeros(n), np.r_[heis.pext.P_basis, 0, 0], p)
+    rep = doubleext.check_P_conditions(W, B, Derivation(dm, p), pe, samples=40, seed=5)
+    assert sizes == [3 * 40]
+    assert rep.meta["regimes"] == {"P_additivity": "sampled", "P_homogeneity": "implied"}
+    assert (rep.check("P_homogeneity").passed, rep.check("P_homogeneity").failed) == (p * 40, 0)
 
 
 def test_is_restricted_derivation_table_matches_fold(psl3, psl3_twisted):
@@ -948,6 +989,22 @@ def test_eval_P_batch_on_scaled_rows_equals_the_fold_oracle(p):
         assert np.array_equal(eval_P_batch(V, B, D, pe, vs), oracles.eval_P_fold(V, B, D, pe, vs)), name
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_eval_P_batch_is_p_homogeneous(p):
+    """P(k u) = k^p P(u) for every k, on the odd-p fold with random (not
+    valid) P_basis, B and D on an inert and a non-alternating tensor, and on
+    the p = 2 formula: check_P_conditions reports P_homogeneity implied."""
+    rng = np.random.default_rng(60 + p)
+    for name, (V, _) in _scaled_cases(p).items():
+        n = V.n
+        pe = PExtensionData(0, gfp.zeros(n), 0, 0, gfp.zeros(n), rng.integers(0, p, n), p)
+        B, D = BilinearForm(rng.integers(0, p, (n, n)), p), Derivation(rng.integers(0, p, (n, n)), p)
+        us = rng.integers(0, p, size=(30, n))
+        pu = eval_P_batch(V, B, D, pe, us)
+        for k in range(p):
+            assert np.array_equal(eval_P_batch(V, B, D, pe, (k * us) % p), (pow(k, p, p) * pu) % p), (name, k)
+
+
 def test_fold_cache_stays_within_its_budget(sampled_p5, monkeypatch):
     """Past the element budget rows are folded but not stored: values stay
     exact, the cache stops growing, and stored rows are still read."""
@@ -1090,8 +1147,8 @@ def test_solve_p_property_without_witness_makes_one_solve(p, monkeypatch):
 
 def _tally_calls(request):
     """name -> a call of each tally_domain caller, passing and failing, in
-    both regimes: R1, R2 and R3, the restricted-derivation condition and
-    the direct route of verify_restricted_iso."""
+    both regimes: R1 and R3, the restricted-derivation condition and the
+    direct route of verify_restricted_iso."""
     heis, sl2, pipes = (request.getfixturevalue(f) for f in ("heis", "sl2", "psl3_pipelines"))
     L, B_L, P_L = request.getfixturevalue("heis_ext")
     calls = {}
@@ -1132,7 +1189,7 @@ def test_tally_domain_sides_are_reduced_for_every_caller(request, monkeypatch):
         m.setattr(restricted, "tally_domain", checked)
         m.setattr(isom, "tally_domain", checked)
         got = {name: call().to_dict() for name, call in calls.items()}
-    assert {name for name, _ in seen} == {"r1", "r2", "r3", "domain", "direct"}
+    assert {name for name, _ in seen} == {"r1", "r3", "domain", "direct"}
     assert {regime for _, regime in seen} == {"exhaustive", "sampled"}
     with monkeypatch.context() as m:
         m.setattr(restricted, "tally_domain", oracles.tally_domain_diff)
