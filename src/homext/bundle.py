@@ -195,7 +195,10 @@ def parse(text: str) -> AlgebraBundle:
         _expect(type(basis) is list and all(type(s) is str for s in basis), "basis must be a list of strings")
         _expect(len(basis) == dim, "basis names must match dim")
         brackets = []
+        _expect(type(doc["brackets"]) is list, "brackets must be a list")
         for ent in doc["brackets"]:
+            _expect(type(ent) is dict and {"i", "j", "k", "coeff"} <= ent.keys(),
+                    "each bracket must be an object with i, j, k and coeff")
             i, j, k, c = ent["i"], ent["j"], ent["k"], ent["coeff"]
             _expect(type(i) is type(j) is int and 0 <= i < j < dim,
                     f"bracket ({i},{j}) must satisfy 0 <= i < j < dim")
@@ -212,6 +215,7 @@ def parse(text: str) -> AlgebraBundle:
         derivs, specs = {}, doc.get("derivations", {})
         _expect(type(specs) is dict, "derivations must be an object")
         for name, spec in specs.items():
+            _expect(type(spec) is dict and "matrix" in spec, f"derivation {name} must be an object with a matrix")
             mat = _entries(f"derivation {name}", spec["matrix"], (dim, dim), p)
             degree = spec.get("degree", 1)
             _expect(type(degree) is int and degree >= 0,
@@ -221,25 +225,17 @@ def parse(text: str) -> AlgebraBundle:
         ext = doc.get("extension")
         if ext is not None:
             _expect(type(ext) is dict, "extension must be an object")
-            for key in ("derivation", "x0", "lambda", "lambda0", "xi", "a0", "m", "l", "u0", "P_basis"):
+            fields = ("derivation", "x0", "lambda", "lambda0", "xi", "a0", "m", "l", "u0", "P_basis")
+            scalars = ("lambda", "lambda0", "xi", "m", "l")
+            for key in fields:
                 _expect(key in ext, f"extension missing field {key!r}")
             for key in ("x0", "a0", "u0", "P_basis"):
                 _entries(f"extension {key}", ext[key], (dim,), p, f"extension {key} must have length dim")
-            for key in ("lambda", "lambda0", "xi", "m", "l"):
+            for key in scalars:
                 _expect(type(ext[key]) is int, f"extension {key} must be an integer")
             _expect(type(ext["derivation"]) is str, "extension derivation must be a string")
-            ext = {
-                "derivation": ext["derivation"],
-                "x0": [int(v) for v in ext["x0"]],
-                "lambda": int(ext["lambda"]) % p,
-                "lambda0": int(ext["lambda0"]) % p,
-                "xi": int(ext["xi"]) % p,
-                "a0": [int(v) for v in ext["a0"]],
-                "m": int(ext["m"]) % p,
-                "l": int(ext["l"]) % p,
-                "u0": [int(v) for v in ext["u0"]],
-                "P_basis": [int(v) for v in ext["P_basis"]],
-            }
+            # the vectors are lists of ints in [0, p) already: only the scalars are reduced
+            ext = {key: ext[key] % p if key in scalars else ext[key] for key in fields}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed bundle: {exc}") from exc
     return AlgebraBundle(

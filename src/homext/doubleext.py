@@ -505,7 +505,6 @@ def extend_by_algebra(
     V: HomLieAlgebra,
     B_V: BilinearForm,
     x: AlgebraExtensionData,
-    check: bool = True,
 ) -> tuple[HomLieAlgebra, BilinearForm]:
     """Double extension of V by an involutive algebra A on A* + V + A.
 
@@ -515,10 +514,9 @@ def extend_by_algebra(
     """
     p, n = V.p, V.n
     mdim = x.A.n
-    if check:
-        rep = check_algebra_extension_data(V, B_V, x)
-        if not rep.ok:
-            raise PreconditionFailed("algebra extension data rejected", rep)
+    rep = check_algebra_extension_data(V, B_V, x)
+    if not rep.ok:
+        raise PreconditionFailed("algebra extension data rejected", rep)
     N = mdim + n + mdim
     fofs, vofs, aofs = 0, mdim, mdim + n
     sign = 1 if p == 2 else -1

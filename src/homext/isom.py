@@ -222,7 +222,6 @@ def verify_restricted_iso(
     pi,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    exhaustive: bool = True,
 ) -> Report:
     """Two independent restrictedness verdicts that must agree.
 
@@ -241,7 +240,7 @@ def verify_restricted_iso(
     n = N - 2
     pi = gfp.asmat(pi, p)
     rng = SplitMix64(seed)
-    xs, pmap, regime = domain(P_L, exhaustive, samples, rng)
+    xs, pmap, regime = domain(P_L, samples, rng)
     t_pmap = pmap if _same_pmap(P_L, P_Lt) else p_map(P_Lt, regime == "exhaustive")
     rep = Report(p=p, dim=N, seed=seed, samples=samples, regimes={"direct": regime})
 

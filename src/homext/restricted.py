@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
-from .algebra import BilinearForm, Derivation, HomLieAlgebra, Subspace, verify_hom_lie
+from .algebra import BilinearForm, Derivation, HomLieAlgebra, Subspace, verify_derivation, verify_hom_lie
 from .errors import DimMismatch, OddCharRequired
 from .report import CheckResult, Report, rows
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
@@ -240,19 +240,19 @@ def p_map(P: PStructure, table: bool):
     return lambda vs: eval_p_batch(P, vs)
 
 
-def domain(P: PStructure, exhaustive: bool, samples: int, rng: SplitMix64):
+def domain(P: PStructure, samples: int, rng: SplitMix64):
     """The vectors a check of P runs over, x -> x^[p] on batches, and the regime.
 
-    When exhaustive is true and p^n fits EXHAUSTIVE_LIMIT, that is every
-    vector of GF(p)^n in gfp.all_vectors order, mapped through the
-    eval_p_all table, and "exhaustive".  Otherwise it is `samples` rows
-    drawn from rng, folded by eval_p_batch, and "sampled"; only this regime
-    advances rng.  Either way every check over one domain shares one fold
-    of it: the table, or the rows eval_p_batch keeps on P.  Checks tally
-    over it through `tally_domain`.
+    When p^n fits EXHAUSTIVE_LIMIT, that is every vector of GF(p)^n in
+    gfp.all_vectors order, mapped through the eval_p_all table, and
+    "exhaustive".  Otherwise it is `samples` rows drawn from rng, folded by
+    eval_p_batch, and "sampled"; only this regime advances rng.  Either way
+    every check over one domain shares one fold of it: the table, or the
+    rows eval_p_batch keeps on P.  Checks tally over it through
+    `tally_domain`.
     """
     A = P.parent
-    if exhaustive and A.p**A.n <= EXHAUSTIVE_LIMIT:
+    if A.p**A.n <= EXHAUSTIVE_LIMIT:
         return gfp.all_vectors(A.n, A.p), p_map(P, True), "exhaustive"
     return rng.mat(samples, A.n, A.p), p_map(P, False), "sampled"
 
@@ -323,48 +323,52 @@ def r1_defect_batch(A: HomLieAlgebra, P: PStructure, xs, images) -> np.ndarray:
     return out
 
 
+def _yau_twist(A: HomLieAlgebra) -> bool:
+    """alpha invertible and verify_hom_lie passing: A is the Yau twist of a
+    Lie algebra (README, "Basis decision for invertible alpha")."""
+    return gfp.rank(A.alpha, A.p) == A.n and verify_hom_lie(A).ok
+
+
 def verify_pstructure(
     P: PStructure,
-    exhaustive: bool = True,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> Report:
     """Check R1/R2/R3 for the extension of the stored basis images.
 
     R1 is always checked on the basis (the unique-extension criterion).
-    When it passes, alpha is invertible and A passes verify_hom_lie, that
-    decides all three (README, "Basis decision for invertible alpha"): they
-    are tallied as passed over the domain sizes below, nothing is drawn or
-    folded, and meta["regimes"] is r1 "basis", r2 and r3 "implied".
-    Otherwise R1 runs over the `domain` of P, and R3 over all pairs when
-    p^(2n) fits the exhaustive limit and over sampled seeded pairs
-    otherwise; exhaustive=False samples both.  When R1 is exhaustive, R3
-    reads its p-images from the eval_p_all table, which equals the
-    eval_p_batch fold bit for bit.  Each check is one `sides` function
-    tallied by `tally_domain`, which decides an exhaustive one on the points
-    of weight <= p; only a failing one walks its whole domain.  R2 is an
-    identity of the fold (README, "R2 and P_homogeneity are implied"): on
-    both routes it is tallied as passed over every k and every vector of
-    the domain, regime "implied", and never evaluated.  meta["regimes"]
-    records each check's regime, and meta["mode"] that of the pairs.
+    When it passes and A is a Yau twist (`_yau_twist`), that decides all
+    three: they are tallied as passed over the domain sizes below, nothing
+    is drawn or folded, and meta["regimes"] is r1 "basis", r2 and r3
+    "implied".  Otherwise R1 runs over the `domain` of P, and R3 over all
+    pairs when p^(2n) fits the exhaustive limit and over sampled seeded
+    pairs otherwise.  When R1 is exhaustive, R3 reads its p-images from the
+    eval_p_all table, which equals the eval_p_batch fold bit for bit.  Each
+    check is one `sides` function tallied by `tally_domain`, which decides
+    an exhaustive one on the points of weight <= p; only a failing one
+    walks its whole domain.  R2 is an identity of the fold (README, "R2 and
+    P_homogeneity are implied"): on both routes it is tallied as passed
+    over every k and every vector of the domain, regime "implied", and
+    never evaluated.  meta["regimes"] records each check's regime, and
+    meta["mode"] that of the pairs.
     """
     check_samples(samples)
     A = P.parent
     p, n = A.p, A.n
-    size = p**n if exhaustive and p**n <= EXHAUSTIVE_LIMIT else samples  # the vector domain's
-    pairs = exhaustive and p**(2 * n) <= EXHAUSTIVE_LIMIT  # then the vectors are exhaustive too
+    size = p**n if p**n <= EXHAUSTIVE_LIMIT else samples  # the vector domain's
+    pairs = p**(2 * n) <= EXHAUSTIVE_LIMIT  # then the vectors are exhaustive too
     pair_regime = "exhaustive" if pairs else "sampled"
     rep = Report(p=p, dim=n, seed=seed, samples=samples,
                  regimes={"r1": "basis", "r2": "implied", "r3": "implied"}, mode=pair_regime)
     defect = r1_defect_batch(A, P, gfp.eye(n), P.images)
     rep.tally("r1_basis", defect.any(axis=(1, 2)), defect, 0)
-    if not defect.any() and gfp.rank(A.alpha, p) == n and verify_hom_lie(A).ok:
+    if not defect.any() and _yau_twist(A):
         for name, count in (("r1", size), ("r2", p * size), ("r3", p**(2 * n) if pairs else samples)):
             rep.check(name).passed += count
         return rep
 
     rng = SplitMix64(seed)
-    xs, pmap, vec_regime = domain(P, exhaustive, samples, rng)
+    xs, pmap, vec_regime = domain(P, samples, rng)
     rep.meta["regimes"] = {"r1": vec_regime, "r2": "implied", "r3": pair_regime}
     tally_domain(rep, "r1", vec_regime, P, xs, [pmap], lambda vs, f: (r1_defect_batch(A, P, vs, f(vs)), 0))
     rep.check("r2").passed += p * size
@@ -402,22 +406,23 @@ def is_restricted_derivation(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> bool:
-    """Compatibility of D with the p-structure on the basis plus the `domain`
-    of P: every vector (decided on those of weight <= p by `tally_domain`),
-    or seeded samples past the exhaustive limit, with one `sides` function
-    for both.
-
-    The defining condition is not multilinear, so the basis is not proven
-    to suffice; sampled arbitrary vectors keep the check honest.
+    """D(x^[p]) = ad(alpha^{p-1}(x)) o ... o ad(alpha(x)) (D(x)) for every x,
+    decided on the basis when D has degree 1, A is a Yau twist (`_yau_twist`)
+    and D passes verify_derivation: the defect is then GF(p)-linear in x
+    (README, "Basis decision for invertible alpha").  Otherwise a passing
+    basis is followed by the `domain` of P: every vector (decided on those
+    of weight <= p by `tally_domain`), or seeded samples past the limit.
     """
     check_samples(samples)
-    xs, pmap, regime = domain(P, True, samples, SplitMix64(seed))
+    if restricted_defect_batch(A, P, D, gfp.eye(A.n), P.images).any():
+        return False
+    if D.k == 1 and _yau_twist(A) and verify_derivation(A, D).ok:
+        return True
+    xs, pmap, regime = domain(P, samples, SplitMix64(seed))
 
     def sides(vs, f):
         return restricted_defect_batch(A, P, D, vs, f(vs)), 0
 
-    if sides(gfp.eye(A.n), pmap)[0].any():
-        return False
     return tally_domain(Report(), "domain", regime, P, xs, [pmap], sides).ok
 
 

@@ -14,7 +14,9 @@ own flag checks, instead of rewriting L in the frame for split_frame.
 bracket_dense, ad_dense, hom_jacobi_dense, leibniz_dense, contract_dense,
 bracket_sides_dense, invariance_sides_dense, centralizer_dense and
 twisted_tensor_dense contract the whole dense structure tensor, where the
-kernels pay per nonzero structure constant or nonzero pair.
+kernels pay per nonzero structure constant or nonzero pair;
+alpha_derivations solves leibniz_dense's equations for every
+alpha^k-derivation at once.
 pstructure_rows, restricted_derivation_rows and iso_direct_rows evaluate
 the exhaustive checks on every row of their domain, with p-images folded by
 eval_p_batch, no line reduction and no decision on the points of weight <= p;
@@ -629,6 +631,21 @@ def restricted_derivation_rows(A: HomLieAlgebra, P: PStructure, D: Derivation) -
     assert A.p**A.n <= EXHAUSTIVE_LIMIT
     xs = gfp.all_vectors(A.n, A.p)
     return not restricted_defect_batch(A, P, D, xs, eval_p_batch(P, xs)).any()
+
+
+def alpha_derivations(A: HomLieAlgebra, k: int = 1) -> np.ndarray:
+    """A basis of the alpha^k-derivations of A as [dim, n, n]: the null space
+    of twist-commutation plus Leibniz, the einsums of leibniz_dense applied
+    to all n^2 unit matrices at once (D = E_ab at flat index a*n + b)."""
+    p, n = A.p, A.n
+    units = np.eye(n * n, dtype=np.int64).reshape(n * n, n, n)
+    comm = (units @ A.alpha - A.alpha @ units) % p
+    adk = np.einsum("ai,abk->ibk", gfp.mat_pow(A.alpha, k, p), A.c) % p  # ad(alpha^k(e_i))
+    lhs = np.einsum("dkb,ijb->dijk", units, A.c)  # D([e_i, e_j])
+    t1 = -np.einsum("jbk,dbi->dijk", adk, units)  # [D(e_i), alpha^k(e_j)]
+    t2 = np.einsum("ibk,dbj->dijk", adk, units)  # [alpha^k(e_i), D(e_j)]
+    rows = np.hstack([comm.reshape(n * n, -1), (lhs - t1 - t2).reshape(n * n, -1)]) % p
+    return gfp.null_basis(rows.T, p).reshape(-1, n, n)
 
 
 def iso_direct_rows(P_L: PStructure, P_Lt: PStructure, pi) -> Report:

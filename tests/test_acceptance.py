@@ -10,7 +10,7 @@ import numpy as np
 import oracles
 from oracles import phi_recursion, s_tilde_direct
 
-from homext import gfp
+from homext import gfp, restricted
 from homext.algebra import d_invariant, verify_hom_lie, verify_quadratic
 from homext.doubleext import (
     double_extend,
@@ -71,7 +71,7 @@ def test_criterion_1_heisenberg_pipeline():
     c.check(fx.V.n == 6, "dimension")
     c.check(verify_hom_lie(fx.V).ok, "V hom-lie axioms")
     c.check(verify_quadratic(fx.V, fx.B).ok, "V quadratic axioms")
-    rep = verify_pstructure(fx.P, exhaustive=True)
+    rep = verify_pstructure(fx.P)
     c.check(rep.ok, "V p-structure")
     c.check(rep.check("r1").passed == 64, "R1 covers all 64 vectors")
     c.check(rep.check("r3").passed == 4096, "R3 covers all 4096 pairs")
@@ -88,7 +88,7 @@ def test_criterion_1_heisenberg_pipeline():
     c.check(verify_hom_lie(L).ok, "L hom-lie axioms")
     c.check(verify_quadratic(L, B_L).ok, "L quadratic axioms")
     P_L = extend_pstructure(L, fx.V, fx.B, fx.P, fx.ext, fx.pext)
-    rep = verify_pstructure(P_L, exhaustive=True)
+    rep = verify_pstructure(P_L)
     c.check(rep.ok, "L p-structure")
     c.check(rep.check("r1").passed == 256, "L R1 covers all 256 vectors")
     c.check(rep.check("r3").passed == 65536, "L R3 covers all 65536 pairs")
@@ -261,7 +261,7 @@ def _transport(L, P_L, Lt, pi):
     return PStructure(Lt, imgs)
 
 
-def test_criterion_6_isomorphism_suite(heis, heis_ext, psl3_pipelines):
+def test_criterion_6_isomorphism_suite(heis, heis_ext, psl3_pipelines, monkeypatch):
     c = Criterion(6, "adapted/restricted isomorphism suite")
     from test_isom import heis_instances, psl3_instances
 
@@ -308,9 +308,9 @@ def test_criterion_6_isomorphism_suite(heis, heis_ext, psl3_pipelines):
         P_Lt = _transport(L3, P3, Lt, pi)
         imgs = P_Lt.images.copy()
         imgs[1 + (k % 7), 8] = (imgs[1 + (k % 7), 8] + 1) % 3
-        rep = verify_restricted_iso(
-            L3, B3, Lt, B_Lt, P3, PStructure(Lt, imgs), pi, samples=60, exhaustive=False
-        )
+        with monkeypatch.context() as m:
+            m.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)  # the direct route samples
+            rep = verify_restricted_iso(L3, B3, Lt, B_Lt, P3, PStructure(Lt, imgs), pi, samples=60)
         both_fail = rep.meta["direct_verdict"] == "fail" and rep.meta["theorem_verdict"] == "fail"
         c.check(both_fail and rep.check("verdicts_agree").ok, f"char-3 corruption {k}")
         corrupted += 1

@@ -26,6 +26,7 @@ from homext.restricted import (
     compute_s_batch,
     eval_p_all,
     is_restricted_derivation,
+    restricted_defect_batch,
     verify_pstructure,
 )
 
@@ -252,6 +253,75 @@ def test_is_restricted_derivation_equals_the_full_domain(exhaustive_pstructures,
     verdicts = [is_restricted_derivation(A, _fresh(P), D) for A, P, D in cases]
     assert verdicts == [oracles.restricted_derivation_rows(A, P, D) for A, P, D in cases]
     assert True in verdicts and False in verdicts
+
+
+def _random_derivations(A, k, count, rng, P=None, basis=None):
+    """count random elements of the alpha^k-derivation space of A, or of the
+    span of basis; with P, of its subspace on whose basis the
+    restricted-derivation defect of P vanishes (the defect is linear in D)."""
+    basis = oracles.alpha_derivations(A, k) if basis is None else basis
+    if P is not None:
+        defects = [restricted_defect_batch(A, P, Derivation(m, A.p, k), gfp.eye(A.n), P.images).ravel()
+                   for m in basis]
+        basis = np.tensordot(gfp.null_basis(np.array(defects).T, A.p), basis, axes=1) % A.p
+    return [Derivation(np.tensordot(rng.integers(0, A.p, len(basis)), basis, axes=1), A.p, k)
+            for _ in range(count)]
+
+
+def test_restricted_derivation_basis_decision_equals_the_full_domain(request):
+    """Random degree-1 alpha-derivations of inputs with invertible alpha,
+    which the basis decides, then random alpha-derivations of the null-line
+    inputs (singular alpha) and of degrees 0 and 2, which walk the domain.
+    Each runs with the true images and with random ones, drawn from the
+    whole derivation space and from its subspace with no basis defect; linear
+    maps with no basis defect, most of them no derivations, walk the domain
+    too.  Every verdict equals the full-domain oracle."""
+    rng = np.random.default_rng(23)
+    heis, psl3, sl2 = (request.getfixturevalue(f) for f in ("heis", "psl3", "sl2"))
+    inputs = {"heis V": heis.P, "heis L": request.getfixturevalue("heis_ext")[2], "sl2 V": sl2.P,
+              "sl2 L": request.getfixturevalue("sl2_ext")[2], "psl3 V": psl3.P,
+              "psl3_a V": request.getfixturevalue("psl3_twisted")[2]}
+    runs = [(name, 1) for name in inputs]
+    inputs.update({"heis V null": request.getfixturevalue("heis_null")[2],
+                   "sl2 L null": request.getfixturevalue("sl2_null")[2]})
+    runs += [("heis V null", 1), ("sl2 L null", 1), ("psl3_a V", 0), ("psl3_a V", 2), ("heis L", 2)]
+    verdicts = {True: 0, False: 0}
+    for name, k in runs:
+        A = inputs[name].parent
+        maps = np.eye(A.n * A.n, dtype=np.int64).reshape(-1, A.n, A.n)
+        for Q in (inputs[name], PStructure(A, rng.integers(0, A.p, size=(A.n, A.n)))):
+            draws = [_random_derivations(A, k, 2, rng, *args) for args in ((), (Q,), (Q, maps))]
+            for D in sum(draws, []):
+                got = is_restricted_derivation(A, _fresh(Q), D)
+                assert got == oracles.restricted_derivation_rows(A, Q, D), (name, k)
+                verdicts[got] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_restricted_derivation_on_the_basis_draws_tables_and_folds_nothing(request, monkeypatch):
+    """An input that meets the hypothesis is decided on the basis: no domain
+    is drawn, no eval_p_all table built and no row folded, passing or
+    failing, in the exhaustive and the sampled regime.  Singular alpha (the
+    null lines) and a degree-2 derivation walk the domain."""
+    calls = []
+    for name in ("domain", "eval_p_all", "fold"):
+        real = getattr(restricted, name)
+        monkeypatch.setattr(restricted, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    heis, sl2, sampled_p5 = (request.getfixturevalue(f) for f in ("heis", "sl2", "sampled_p5"))
+    ga, _, pa, derivs = request.getfixturevalue("psl3_twisted")
+    decided = [(heis.V, heis.P, heis.D, True), (sl2.g, sl2.P, sl2.D, True),
+               (sampled_p5["V"], sampled_p5["P"], sampled_p5["D"], True),
+               (heis.V, heis.P, Derivation((heis.D.mat + gfp.eye(6)) % 2, 2), False)]
+    decided += [(ga, pa, D, True) for D in derivs.values()]
+    for A, P, D, want in decided:
+        assert is_restricted_derivation(A, _fresh(P), D, samples=40) == want
+    assert calls == []
+    W, _, P_W = request.getfixturevalue("heis_null")
+    for A, P, D in ((W, P_W, Derivation(np.pad(heis.D.mat, (0, 2)), 2)),
+                    (heis.V, heis.P, Derivation(heis.D.mat, 2, k=2))):
+        calls.clear()
+        assert is_restricted_derivation(A, _fresh(P), D)
+        assert calls[:2] == ["domain", "eval_p_all"], calls
 
 
 def _iso_cases(heis, heis_ext, psl3_pipelines):

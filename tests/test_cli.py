@@ -408,6 +408,16 @@ def test_isom_check_refuses_bundles_of_another_p_or_dim(tmp_path, capsys):
     (lambda doc: doc["derivations"]["D"].update(matrix=None), "derivation D must be dim x dim"),
     (lambda doc: doc["extension"].update(x0=None), "extension x0 must have length dim"),
     (lambda doc: doc["extension"].update(P_basis=None), "extension P_basis must have length dim"),
+    (lambda doc: doc.update(brackets=None), "brackets must be a list"),
+    (lambda doc: doc.update(brackets=5), "brackets must be a list"),
+    (lambda doc: doc["brackets"].append(None), "each bracket must be an object with i, j, k and coeff"),
+    (lambda doc: doc["brackets"].append(5), "each bracket must be an object with i, j, k and coeff"),
+    (lambda doc: doc["brackets"].append([1, 2]), "each bracket must be an object with i, j, k and coeff"),
+    (lambda doc: doc["brackets"][0].pop("coeff"), "each bracket must be an object with i, j, k and coeff"),
+    (lambda doc: doc["derivations"].update(D=None), "derivation D must be an object with a matrix"),
+    (lambda doc: doc["derivations"].update(D=5), "derivation D must be an object with a matrix"),
+    (lambda doc: doc["derivations"].update(D=[]), "derivation D must be an object with a matrix"),
+    (lambda doc: doc["derivations"]["D"].pop("matrix"), "derivation D must be an object with a matrix"),
 ])
 def test_bundle_schema_holes_are_parse_errors(tmp_path, capsys, edit, message):
     path = _edited(tmp_path, capsys, "heisenberg-dual", "bad", edit)

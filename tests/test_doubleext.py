@@ -2,7 +2,7 @@ import numpy as np
 import oracles
 import pytest
 
-from homext import doubleext, gfp
+from homext import doubleext, gfp, restricted
 from homext.algebra import (
     BilinearForm,
     Derivation,
@@ -341,16 +341,17 @@ def test_reduce_rejects_non_p_ideal():
         reduce(L, B_L, PStructure(L, imgs), gfp.unit(3, 2))
 
 
-def test_sampled_entry_points_reject_samples_below_one(heis, heis_ext, sl2):
+def test_sampled_entry_points_reject_samples_below_one(heis, heis_ext, sl2, monkeypatch):
     L, B_L, P_L = heis_ext
     calls = {
-        "verify_pstructure": lambda k: verify_pstructure(heis.P, exhaustive=False, samples=k),
+        "verify_pstructure": lambda k: verify_pstructure(heis.P, samples=k),
         "is_restricted_derivation": lambda k: is_restricted_derivation(heis.V, heis.P, heis.D, samples=k),
         "verify_restricted_iso": lambda k: verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, gfp.eye(8), samples=k),
         "check_p_extension_data": lambda k: check_p_extension_data(
             heis.V, heis.B, heis.P, heis.ext, heis.pext, samples=k),
         "check_P_conditions": lambda k: check_P_conditions(sl2.g, sl2.B, sl2.D, sl2.pext, samples=k),
     }
+    monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)  # every entry point samples
     for name, call in calls.items():
         for k in (0, -4):
             with pytest.raises(ValueError, match="samples must be at least 1"):
@@ -665,10 +666,14 @@ def test_algebra_extension_matches_the_per_index_loops(p):
             if want == "pass":
                 assert got.ok, seed
             verdicts.append(got.ok)
-            L, B_L = extend_by_algebra(V, B, x, check=False)
-            L_loop, B_loop = oracles.extend_by_algebra_loop(V, B, x)
-            assert np.array_equal(L.c, L_loop.c) and np.array_equal(L.alpha, L_loop.alpha), seed
-            assert np.array_equal(B_L.gram, B_loop.gram) and L.basis_names == L_loop.basis_names, seed
+            if got.ok:
+                L, B_L = extend_by_algebra(V, B, x)
+                L_loop, B_loop = oracles.extend_by_algebra_loop(V, B, x)
+                assert np.array_equal(L.c, L_loop.c) and np.array_equal(L.alpha, L_loop.alpha), seed
+                assert np.array_equal(B_L.gram, B_loop.gram) and L.basis_names == L_loop.basis_names, seed
+            else:
+                with pytest.raises(PreconditionFailed):
+                    extend_by_algebra(V, B, x)
             us, vs = rng.integers(0, p, (2, 8, V.n))
             psi = psi_eval(B, x, us, vs)
             assert psi.shape == (8, x.A.n)

@@ -197,28 +197,30 @@ def test_restricted_iso_transported_instances_p2(heis, heis_ext):
         assert rep.ok, [c.name for c in rep.failing()]
 
 
-def test_restricted_iso_reports_direct_regime(heis_ext):
+def test_restricted_iso_reports_direct_regime(heis_ext, monkeypatch):
     L, B_L, P_L = heis_ext
     pi = gfp.eye(L.n)
     rep = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, pi)
     assert rep.meta["regimes"] == {"direct": "exhaustive"}
     assert rep.check("direct").passed == 2**L.n and rep.ok
-    rep = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, pi, samples=30, exhaustive=False)
+    monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)
+    rep = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, pi, samples=30)
     assert rep.meta["regimes"] == {"direct": "sampled"}
     assert rep.check("direct").passed == 30 and rep.ok
 
 
-def test_restricted_iso_transported_instances_p3(psl3_pipelines):
+def test_restricted_iso_transported_instances_p3(psl3_pipelines, monkeypatch):
+    monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)
     data = psl3_pipelines["D3"]
     L, B_L, P_L = data["L"], data["B_L"], data["P_L"]
     for iso, Lt, B_Lt in psl3_instances(data, 6, seed=0xF2):
         pi = build_adapted_iso(L, B_L, Lt, B_Lt, iso)
         P_Lt = transported_pstructure(L, P_L, Lt, pi)
-        rep = verify_restricted_iso(L, B_L, Lt, B_Lt, P_L, P_Lt, pi, samples=80, exhaustive=False)
+        rep = verify_restricted_iso(L, B_L, Lt, B_Lt, P_L, P_Lt, pi, samples=80)
         assert rep.ok, [c.name for c in rep.failing()]
 
 
-def test_restricted_iso_gamma_scaling_of_xi(psl3_pipelines):
+def test_restricted_iso_gamma_scaling_of_xi(psl3_pipelines, monkeypatch):
     # xi~ = gamma^{p-1} xi: with p = 3 and gamma = 2, 4 = 1 so xi survives
     data = psl3_pipelines["D3"]
     L, B_L, P_L = data["L"], data["B_L"], data["P_L"]
@@ -229,7 +231,8 @@ def test_restricted_iso_gamma_scaling_of_xi(psl3_pipelines):
     P_Lt = transported_pstructure(L, P_L, Lt, pi)
     ft = split_frame(Lt, B_Lt, P_Lt)
     assert ft.pe.xi == pow(2, 2, 3) * 1 % 3 == 1
-    rep = verify_restricted_iso(L, B_L, Lt, B_Lt, P_L, P_Lt, pi, samples=60, exhaustive=False)
+    monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)
+    rep = verify_restricted_iso(L, B_L, Lt, B_Lt, P_L, P_Lt, pi, samples=60)
     assert rep.check("thm_xi").ok and rep.ok
 
 
@@ -248,7 +251,7 @@ def test_restricted_iso_mismatched_pstructures_agree_on_failure(heis, heis_ext):
     assert rep.check("verdicts_agree").ok
 
 
-def test_restricted_iso_corrupted_pstructures_both_fail(heis, heis_ext, psl3_pipelines):
+def test_restricted_iso_corrupted_pstructures_both_fail(heis, heis_ext, psl3_pipelines, monkeypatch):
     L, B_L, P_L = heis_ext
     corrupted = 0
     for k, (iso, Lt, B_Lt) in enumerate(heis_instances(heis, 6, seed=0xAB)):
@@ -264,13 +267,14 @@ def test_restricted_iso_corrupted_pstructures_both_fail(heis, heis_ext, psl3_pip
         corrupted += 1
     data = psl3_pipelines["D3"]
     L3, B3, P3 = data["L"], data["B_L"], data["P_L"]
+    monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)  # the psl3 instances are sampled
     for k, (iso, Lt, B_Lt) in enumerate(psl3_instances(data, 5, seed=0xAC)):
         pi = build_adapted_iso(L3, B3, Lt, B_Lt, iso)
         P_Lt = transported_pstructure(L3, P3, Lt, pi)
         imgs = P_Lt.images.copy()
         imgs[1 + (k % 7), 8] = (imgs[1 + (k % 7), 8] + 1) % 3
         bad = PStructure(Lt, imgs)
-        rep = verify_restricted_iso(L3, B3, Lt, B_Lt, P3, bad, pi, samples=80, exhaustive=False)
+        rep = verify_restricted_iso(L3, B3, Lt, B_Lt, P3, bad, pi, samples=80)
         assert rep.meta["direct_verdict"] == "fail"
         assert rep.meta["theorem_verdict"] == "fail"
         assert rep.check("verdicts_agree").ok
@@ -516,7 +520,9 @@ def test_restricted_iso_theorem_route_reads_the_direct_table(psl3_pipelines, mon
     # theorem checks come out as in the sampled regime, which folds
     data = psl3_pipelines["D3"]
     L, B_L, P_L = data["L"], data["B_L"], data["P_L"]
-    sampled = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, gfp.eye(9), exhaustive=False)
+    with monkeypatch.context() as m:
+        m.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)
+        sampled = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, gfp.eye(9))
     calls = []
     fold = restricted.eval_p_batch
 

@@ -269,12 +269,13 @@ def test_solver_witness_always_checks(psl3):
     assert found == 20
 
 
-def test_verify_pstructure_sampled_mode_deterministic(psl3_twisted):
+def test_verify_pstructure_sampled_mode_deterministic(psl3_twisted, monkeypatch):
     _, _, pa, _ = psl3_twisted
-    a = verify_pstructure(pa, exhaustive=False, samples=50, seed=7)
-    b = verify_pstructure(pa, exhaustive=False, samples=50, seed=7)
+    monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)
+    a = verify_pstructure(pa, samples=50, seed=7)
+    b = verify_pstructure(pa, samples=50, seed=7)
     assert a.to_dict() == b.to_dict()
-    c = verify_pstructure(pa, exhaustive=False, samples=50, seed=8)
+    c = verify_pstructure(pa, samples=50, seed=8)
     assert c.ok and a.ok
 
 
@@ -338,7 +339,7 @@ def test_table_regime_detects_corrupted_image(psl3):
 BASIS = {"r1": "basis", "r2": "implied", "r3": "implied"}
 
 
-def test_verify_pstructure_reports_regimes(heis, psl3, heis_null, psl3_null):
+def test_verify_pstructure_reports_regimes(heis, psl3, heis_null, psl3_null, monkeypatch):
     """The domain route on singular alpha (the null lines), the basis
     decision on the same algebras without them; each over the same sizes."""
     for P, basis in ((heis_null[2], False), (heis.P, True)):
@@ -349,41 +350,45 @@ def test_verify_pstructure_reports_regimes(heis, psl3, heis_null, psl3_null):
         assert rep.ok and [rep.check(c).passed for c in ("r1", "r2", "r3")] == [2**n, 2**(n + 1), 2**(2 * n)]
     # psl(3) + two lines: 3^9 vectors fit the exhaustive limit, 3^18 pairs do not
     for P, basis in ((psl3_null[2], False), (psl3.P, True)):
-        rep = verify_pstructure(P, exhaustive=True, samples=20)
+        rep = verify_pstructure(P, samples=20)
         assert rep.meta["regimes"] == (BASIS if basis else {"r1": "exhaustive", "r2": "implied", "r3": "sampled"})
         assert rep.meta["mode"] == "sampled"
         assert rep.check("r3").passed == 20 and rep.check("r1").passed == 3**P.parent.n
-    for P, basis in ((heis_null[2], False), (heis.P, True)):
-        rep = verify_pstructure(P, exhaustive=False, samples=20)
-        assert rep.meta["regimes"] == (BASIS if basis else {"r1": "sampled", "r2": "implied", "r3": "sampled"})
-        assert rep.meta["mode"] == "sampled"
-        assert rep.ok and [rep.check(c).passed for c in ("r1", "r2", "r3")] == [20, 40, 20]
-    # 2^17 vectors exceed the limit: an explicit request cannot make R1 exhaustive
+    with monkeypatch.context() as m:
+        m.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)
+        for P, basis in ((heis_null[2], False), (heis.P, True)):
+            rep = verify_pstructure(P, samples=20)
+            assert rep.meta["regimes"] == (BASIS if basis else {"r1": "sampled", "r2": "implied", "r3": "sampled"})
+            assert rep.meta["mode"] == "sampled"
+            assert rep.ok and [rep.check(c).passed for c in ("r1", "r2", "r3")] == [20, 40, 20]
+    # 2^17 vectors exceed the limit, so R1 is sampled
     n = 17
     for alpha, basis in ((np.zeros((n, n)), False), (gfp.eye(n), True)):
         abelian = HomLieAlgebra(2, np.zeros((n, n, n), dtype=np.int64), alpha)
-        rep = verify_pstructure(PStructure(abelian, np.zeros((n, n))), exhaustive=True, samples=20)
+        rep = verify_pstructure(PStructure(abelian, np.zeros((n, n))), samples=20)
         assert rep.meta["regimes"] == (BASIS if basis else {"r1": "sampled", "r2": "implied", "r3": "sampled"})
         assert rep.meta["mode"] == "sampled"
         assert rep.ok and rep.check("r1").passed == 20
 
 
-def test_domain_regimes(heis):
+def test_domain_regimes(heis, monkeypatch):
     P = heis.P
     rng = SplitMix64(41)
-    xs, pmap, regime = domain(P, True, 25, rng)
+    xs, pmap, regime = domain(P, 25, rng)
     assert regime == "exhaustive" and rng.state == SplitMix64(41).state
     assert np.array_equal(xs, gfp.all_vectors(6, 2))
     assert np.array_equal(pmap(xs), eval_p_batch(P, xs))
-    xs, pmap, regime = domain(P, False, 25, rng)
+    with monkeypatch.context() as m:
+        m.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)
+        xs, pmap, regime = domain(P, 25, rng)
     assert regime == "sampled"
     ref = SplitMix64(41)
     assert np.array_equal(xs, ref.mat(25, 6, 2)) and rng.state == ref.state
     assert np.array_equal(pmap(xs), eval_p_batch(P, xs))
-    # 2^17 vectors exceed the limit, so even an exhaustive request samples
+    # 2^17 vectors exceed the limit, so the domain is sampled
     n = 17
     abelian = HomLieAlgebra(2, np.zeros((n, n, n), dtype=np.int64), gfp.eye(n))
-    xs, _, regime = domain(PStructure(abelian, np.zeros((n, n))), True, 25, SplitMix64(41))
+    xs, _, regime = domain(PStructure(abelian, np.zeros((n, n))), 25, SplitMix64(41))
     assert regime == "sampled" and np.array_equal(xs, SplitMix64(41).mat(25, n, 2))
 
 
@@ -392,9 +397,9 @@ def test_sampled_regime_folds_its_domain_once(sl2_ext, sl2_null, monkeypatch):
     eval_p_batch on one PStructure, and its kernel folds each distinct
     normalized row once: a second read of the drawn rows and the second
     route of an identity isomorphism add no kernel rows.  verify_pstructure
-    walks its domain on the extension + a null line (singular alpha), where
-    R2 reads no k*x row; on the extension itself it decides on the basis and
-    draws and folds nothing."""
+    and is_restricted_derivation walk their domain on the extension + a null
+    line (singular alpha), where R2 reads no k*x row; on the extension itself
+    verify_pstructure decides on the basis and draws and folds nothing."""
     L, B_L, P0 = sl2_ext
     p = L.p
     draw, real_fold = restricted.domain, restricted.fold
@@ -417,12 +422,12 @@ def test_sampled_regime_folds_its_domain_once(sl2_ext, sl2_null, monkeypatch):
         monkeypatch.setattr(module, "domain", counted_domain)
     monkeypatch.setattr(restricted, "fold", counted_fold)
     monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)  # 5^5 vectors are sampled too
-    zero = Derivation(np.zeros((L.n, L.n)), p)
+    W = sl2_null[0]
+    zero = Derivation(np.zeros((W.n, W.n)), p)
     runs = {  # name -> (run, its p-map, reads of the drawn rows)
-        "verify_pstructure": (lambda P: verify_pstructure(P, exhaustive=False).ok, sl2_null[2], 1),
-        "is_restricted_derivation": (lambda P: is_restricted_derivation(L, P, zero), P0, 1),
-        "verify_restricted_iso": (lambda P: verify_restricted_iso(L, B_L, L, B_L, P, P, gfp.eye(L.n),
-                                                                  exhaustive=False).ok, P0, 2),
+        "verify_pstructure": (lambda P: verify_pstructure(P).ok, sl2_null[2], 1),
+        "is_restricted_derivation": (lambda P: is_restricted_derivation(W, P, zero), sl2_null[2], 1),
+        "verify_restricted_iso": (lambda P: verify_restricted_iso(L, B_L, L, B_L, P, P, gfp.eye(L.n)).ok, P0, 2),
     }
     for name, (run, Q, reads) in runs.items():
         drawn.clear()
@@ -437,7 +442,7 @@ def test_sampled_regime_folds_its_domain_once(sl2_ext, sl2_null, monkeypatch):
             assert not any(np.array_equal(f, (k * xs) % p) for f in folded for k in range(p) if k != 1)
     drawn.clear()
     folded.clear()
-    rep = verify_pstructure(PStructure(L, P0.images), exhaustive=False)
+    rep = verify_pstructure(PStructure(L, P0.images))
     assert rep.ok and rep.meta["regimes"] == BASIS and drawn == folded == []
 
 
@@ -553,7 +558,7 @@ def test_r1_report_matches_the_full_domain_tally(request):
     """R1's counts and witnesses equal a tally of the defect of every vector."""
     for name, P in _exhaustive_cases(request).items():
         A = P.parent
-        xs, pmap, regime = domain(P, True, 10, SplitMix64(1))
+        xs, pmap, regime = domain(P, 10, SplitMix64(1))
         assert regime == "exhaustive", name
         imgs = pmap(xs)
         assert np.array_equal(imgs, eval_p_batch(P, xs)), name
@@ -1145,27 +1150,43 @@ def test_solve_p_property_without_witness_makes_one_solve(p, monkeypatch):
 # test (lhs - rhs) % p != 0 only when every caller's sides lie in [0, p).
 
 
+def _sampled(call):
+    """call with EXHAUSTIVE_LIMIT 0, so every domain is sampled."""
+    def run():
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)
+            return call()
+    return run
+
+
 def _tally_calls(request):
     """name -> a call of each tally_domain caller, passing and failing, in
-    both regimes: R1 and R3, the restricted-derivation condition and the
-    direct route of verify_restricted_iso."""
-    heis, sl2, pipes = (request.getfixturevalue(f) for f in ("heis", "sl2", "psl3_pipelines"))
+    both regimes: R1 and R3, the restricted-derivation condition (on inputs
+    with singular alpha, which it decides on its domain) and the direct
+    route of verify_restricted_iso."""
+    heis, psl3 = (request.getfixturevalue(f) for f in ("heis", "psl3"))
     L, B_L, P_L = request.getfixturevalue("heis_ext")
     calls = {}
     for name, P in _inert_cases(request).items():
         calls[f"{name} exhaustive"] = lambda P=P: verify_pstructure(P, samples=40)
-        calls[f"{name} sampled"] = lambda P=P: verify_pstructure(P, exhaustive=False, samples=40, seed=3)
-    bad_D = Derivation((heis.D.mat + gfp.unit(6, 0)[:, None]) % 2, 2)
-    for name, (A, P, D) in {"heis D": (heis.V, heis.P, heis.D), "heis bad D": (heis.V, heis.P, bad_D),
-                            "sl2 D": (sl2.g, sl2.P, sl2.D),
-                            "psl3 D3": (pipes["D3"]["V"], pipes["D3"]["P"], pipes["D3"]["D"])}.items():
+        calls[f"{name} sampled"] = _sampled(lambda P=P: verify_pstructure(P, samples=40, seed=3))
+    # two null lines add two zero rows and columns to D
+    W, _, P_W = request.getfixturevalue("heis_null")
+    S, _, P_S = request.getfixturevalue("sl2_null")
+    Q, _, P_Q = request.getfixturevalue("psl3_null")
+    heis_D, bad_D, d3 = (np.pad(m, (0, 2)) for m in (heis.D.mat, (heis.D.mat + gfp.unit(6, 0)[:, None]) % 2,
+                                                     psl3.derivations["D3"].mat))
+    for name, (A, P, D) in {"heis null D": (W, P_W, Derivation(heis_D, 2)),
+                            "heis null bad D": (W, P_W, Derivation(bad_D, 2)),
+                            "sl2 L null zero": (S, P_S, Derivation(np.zeros((S.n, S.n)), S.p)),
+                            "psl3 null D3": (Q, P_Q, Derivation(d3, 3))}.items():
         calls[name] = lambda A=A, P=P, D=D: Report(ok=is_restricted_derivation(A, P, D, samples=30, seed=5))
     imgs = P_L.images.copy()
     imgs[3, 7] ^= 1
     for name, P_t in (("iso", P_L), ("iso other", PStructure(L, imgs))):
         calls[name] = lambda P_t=P_t: verify_restricted_iso(L, B_L, L, B_L, P_L, P_t, gfp.eye(8))
-        calls[f"{name} sampled"] = lambda P_t=P_t: verify_restricted_iso(L, B_L, L, B_L, P_L, P_t, gfp.eye(8),
-                                                                        samples=30, exhaustive=False)
+        calls[f"{name} sampled"] = _sampled(lambda P_t=P_t: verify_restricted_iso(L, B_L, L, B_L, P_L, P_t,
+                                                                                 gfp.eye(8), samples=30))
     return calls
 
 
