@@ -183,6 +183,8 @@ def parse(text: str) -> AlgebraBundle:
     try:
         _expect(type(doc) is dict, "bundle must be a JSON object")
         _expect(doc.get("version") == FORMAT_VERSION, "unsupported format version")
+        for key in ("p", "dim", "basis", "brackets", "alpha"):
+            _expect(key in doc, f"bundle missing field {key!r}")
         p = doc["p"]  # only JSON integers: int() would read 1.5, "3" and true as 1, 3, 1
         _expect(type(p) is int and gfp.is_prime(p), "p must be prime")
         _expect(p < 2**63, "p must be below 2^63")  # entries are int64

@@ -152,18 +152,19 @@ def double_extend(
 
 
 def is_involutive_twist(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtensionData) -> bool:
-    """Criterion for the extended twist to square to the identity."""
+    """Criterion for the extended twist to square to the identity.
+
+    alpha^2(e*) = lambda^2 e* + (lambda x0 + alpha(x0)) + (2 lambda lambda0 + B(x0, x0)) e,
+    so beside alpha^2 = id on V it asks lambda^2 = 1, alpha(x0) = -lambda x0 and
+    2 lambda lambda0 + B(x0, x0) = 0, in every characteristic.
+    """
     p = V.p
     if not V.is_involutive():
         return False
     if (d.lam * d.lam) % p != 1:
         return False
-    ax0 = V.apply_alpha(d.x0)
-    b00 = B_V.eval(d.x0, d.x0)
-    if p == 2:
-        return np.array_equal(ax0, (d.lam * d.x0) % p) and b00 == 0
-    ok_x0 = np.array_equal(ax0, (-d.lam * d.x0) % p)
-    return ok_x0 and d.lam0 == (-gfp.inv(2, p) * b00) % p
+    ok_x0 = np.array_equal(V.apply_alpha(d.x0), (-d.lam * d.x0) % p)
+    return ok_x0 and (2 * d.lam * d.lam0 + B_V.eval(d.x0, d.x0)) % p == 0
 
 
 def eval_P(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe: PExtensionData, v) -> int:
@@ -193,7 +194,7 @@ def check_P_conditions(
     B_V: BilinearForm,
     D: Derivation,
     pe: PExtensionData,
-    samples: int = 200,
+    samples: int = EXTENSION_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> Report:
     """Sampled check of the defining equations of P for either characteristic;
@@ -508,9 +509,8 @@ def extend_by_algebra(
 ) -> tuple[HomLieAlgebra, BilinearForm]:
     """Double extension of V by an involutive algebra A on A* + V + A.
 
-    The characteristic fixes the signs: in char 2 all four mixed terms
-    are positive, in odd characteristic the bracket uses
-    -f o ad(a') + f' o ad(a) and phi(a)(x') - phi(a')(x).
+    The bracket uses -f o ad(a') + f' o ad(a) and phi(a)(x') - phi(a')(x);
+    -1 = 1 makes all four mixed terms positive in characteristic 2.
     """
     p, n = V.p, V.n
     mdim = x.A.n
@@ -519,14 +519,13 @@ def extend_by_algebra(
         raise PreconditionFailed("algebra extension data rejected", rep)
     N = mdim + n + mdim
     fofs, vofs, aofs = 0, mdim, mdim + n
-    sign = 1 if p == 2 else -1
     c = np.zeros((N, N, N), dtype=np.int64)
     units = gfp.eye(n)
     c[vofs:aofs, vofs:aofs, vofs:aofs] = V.c
     c[vofs:aofs, vofs:aofs, fofs:vofs] = psi_eval(B_V, x, units[:, None, :], units[None, :, :])
-    # [f_b, a_c] = sign * f_b o ad_A(a_c); component d is c_A[c, d, b]
-    c[fofs:vofs, aofs:, fofs:vofs] = (sign * x.A.c.transpose(2, 0, 1)) % p
-    c[vofs:aofs, aofs:, vofs:aofs] = (sign * np.stack(x.phi).transpose(2, 0, 1)) % p  # phi_c(e_i)
+    # [f_b, a_c] = -f_b o ad_A(a_c); component d is c_A[c, d, b]
+    c[fofs:vofs, aofs:, fofs:vofs] = (-x.A.c.transpose(2, 0, 1)) % p
+    c[vofs:aofs, aofs:, vofs:aofs] = (-np.stack(x.phi).transpose(2, 0, 1)) % p  # -phi_c(e_i)
     c[aofs:, :aofs] = (-c[:aofs, aofs:].transpose(1, 0, 2)) % p
     c[aofs:, aofs:, aofs:] = x.A.c
     alpha = np.zeros((N, N), dtype=np.int64)

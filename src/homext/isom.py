@@ -4,9 +4,9 @@ An adapted isomorphism preserves bracket, form and twist and maps the
 coisotropic flag (central line plus V) onto its counterpart.  It is
 determined by an automorphism of V, a nonzero scaling of the central
 line and a translation vector; restrictedness of the induced map of
-p-structures is characterized by an explicit equation list whose odd-
-characteristic version needs the coefficient recursion implemented at
-the bottom of this module.
+p-structures is characterized by an explicit equation list, one for
+every characteristic, that needs the coefficient recursion implemented
+at the bottom of this module.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import gfp
 from .algebra import BilinearForm, HomLieAlgebra, bracket_sides
 from .doubleext import ExtFrame, split_frame
-from .errors import BadLevel, DimMismatch, NonInvertiblePi0, OddCharRequired, ZeroGamma
+from .errors import BadLevel, DimMismatch, NonInvertiblePi0, ZeroGamma
 from .report import Report, rows
 from .restricted import PStructure, _inverses, domain, p_map, tally_domain
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
@@ -29,7 +29,7 @@ class AdaptedIso:
     pi0: np.ndarray
     gamma: int
     t_pi: np.ndarray
-    nu: int = 0  # only meaningful in characteristic 2
+    nu: int = 0  # e-part of pi(e*); build_adapted_iso reads it in characteristic 2 only
 
     def __init__(self, pi0, gamma: int, t_pi, p: int, nu: int = 0):
         self.pi0 = gfp.asmat(pi0, p)
@@ -274,7 +274,6 @@ def verify_restricted_iso(
     pt = (pi0 @ t) % p
     spt_t, ppt_t = _p_parts(L_tilde, t_pmap, pt[None, :])
     spt_t, ppt_t = spt_t[0], int(ppt_t[0])
-    btt = B_V.eval(t, t)
     bta0 = B_V.eval(t, pe.a0)
     btu0 = B_V.eval(t, pe.u0)
     # x^p = x in GF(p), and gamma = 1/gamma = 1 and nu^2 = nu in GF(2), so no power is
@@ -282,30 +281,14 @@ def verify_restricted_iso(
     xi_rhs = pe.xi
     m_rhs = (ginv * ((gamma * pe.m + btu0) % p)) % p
     u0_rhs = (ginv * ((pi0 @ pe.u0) % p)) % p
-    if p == 2:
-        a0_rhs = (
-            gamma * ((pi0 @ pe.a0 + ginv * pe.xi * pt) % p)
-            + nu * pet.u0
-            + ft.D(pt)
-            + spt_t
-        ) % p
-        l_rhs = (gamma * (bta0 + gamma * pe.l + nu * pe.xi) + ppt_t + nu * pet.m) % p
-    else:
-        phi_i_sum, phi_ii_sum = phi_sums(ft, pi0, t)
-        half_btt = (gfp.inv(2, p) * btt) % p  # B(t, t)/2
-        gxi_pt = ((ginv * pe.xi) % p * pt) % p
-        a0_rhs = (
-            (gamma * (((pi0 @ pe.a0) % p - gxi_pt) % p)) % p
-            + (half_btt * pet.u0) % p
-            + spt_t
-            - phi_i_sum
-        ) % p
-        l_rhs = (
-            gamma * ((bta0 + gamma * pe.l - (pe.xi * ginv % p) * half_btt) % p)
-            + ppt_t
-            + half_btt * pet.m
-            - phi_ii_sum
-        ) % p
+    # a0~ and l~ too (-1 = 1, and Phi(2, 1) = D~(pi0 t) with central part 0 at p = 2): pi(e*)
+    # carries nu e~, whose p-th power is nu (m~ e~ + u0~), so u0~ and m~ enter with -gamma nu,
+    # which is B(t, t)/2 when pi preserves the form at odd p
+    phi_i_sum, phi_ii_sum = phi_sums(ft, pi0, t)
+    c = (-gamma * nu) % p
+    gxi = (ginv * pe.xi) % p
+    a0_rhs = ((gamma * (((pi0 @ pe.a0) % p - gxi * pt) % p)) % p + (c * pet.u0) % p + spt_t - phi_i_sum) % p
+    l_rhs = (gamma * ((bta0 + gamma * pe.l - gxi * c) % p) + ppt_t + c * pet.m - phi_ii_sum) % p
     rep.record("thm_a0", np.array_equal(pet.a0, a0_rhs), (), lhs=pet.a0, rhs=a0_rhs)
     rep.record("thm_l", pet.l % p == l_rhs, (), lhs=pet.l, rhs=l_rhs)
     rep.record("thm_xi", pet.xi % p == xi_rhs, (), lhs=pet.xi, rhs=xi_rhs)
@@ -324,7 +307,7 @@ def verify_restricted_iso(
 
 
 def phi_split(frame: ExtFrame, pi0, t_pi, level: int) -> dict:
-    """V-part and central coefficient of each Phi entry, keyed (level, i).
+    """V-part and central coefficient of each Phi entry, keyed (level, i), levels 2..level.
 
     Works in the target frame with x the dual line generator, y = -pi0(t_pi)
     in V and lambda = 1, so alpha^{l-2}(x) - x is w0 = sum_{j=0}^{l-3} alpha^j(x0)
@@ -333,8 +316,8 @@ def phi_split(frame: ExtFrame, pi0, t_pi, level: int) -> dict:
     Phi(l, i) = [alpha^{l-2}(y), Phi(l-1, i)] + D(Phi(l-1, i-1)) + [w0, Phi(l-1, i-1)].
     """
     p = frame.V.p
-    if not 3 <= level <= p:
-        raise BadLevel(f"level must lie in 3..{p}, got {level}")
+    if not 2 <= level <= p:
+        raise BadLevel(f"level must lie in 2..{p}, got {level}")
     V, B_V, D = frame.V, frame.B_V, frame.D
     pi0 = gfp.asmat(pi0, p)
     t = gfp.asvec(t_pi, p)
@@ -344,7 +327,7 @@ def phi_split(frame: ExtFrame, pi0, t_pi, level: int) -> dict:
     zero = gfp.zeros(V.n)[None, :]
     prev = (-D(y))[None, :] % p  # Phi(2, 1)
     ay, ax, w0 = y, frame.x0, frame.x0
-    table = {}
+    table = {(2, 1): (prev[0], 0)}  # [y, x] has no central part
     for lvl in range(3, level + 1):
         ay = (V.alpha @ ay) % p  # alpha^{lvl-2}(y)
         hi, lo = np.vstack([prev, zero]), np.vstack([zero, prev])  # Phi(lvl-1, i) and Phi(lvl-1, i-1)
@@ -376,8 +359,6 @@ def s_tilde(
     t_pi,
 ) -> np.ndarray:
     """Sum of the R3 coefficients at (e~*, -pi0(t_pi)), via the split recursion."""
-    if L_tilde.p < 3:
-        raise OddCharRequired("s_tilde needs p >= 3")
     frame = split_frame(L_tilde, B_Lt)
     n = frame.n
     out = gfp.zeros(n + 2)

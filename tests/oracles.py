@@ -333,20 +333,15 @@ def solve_p_property_loop(A: HomLieAlgebra, D: Derivation) -> PPropertyWitness |
 
 
 def phi_recursion(L_tilde: HomLieAlgebra, x, y, level: int) -> dict:
-    """Coefficients of the formal ad-tower by recursion, levels 3..level,
-    keyed (level, i) with 1 <= i <= level-1.  Level 3 is the closed pair
-    ([alpha(y),[y,x]], [alpha(x),[y,x]]); each higher level mixes the
-    previous one through ad of the alpha-powers of x and y."""
+    """Coefficients of the formal ad-tower by recursion, levels 2..level,
+    keyed (level, i) with 1 <= i <= level-1.  Level 2 is [y, x]; each higher
+    level mixes the previous one through ad of the alpha-powers of x and y."""
     p = L_tilde.p
-    if not 3 <= level <= p:
-        raise BadLevel(f"level must lie in 3..{p}, got {level}")
+    if not 2 <= level <= p:
+        raise BadLevel(f"level must lie in 2..{p}, got {level}")
     x, y = gfp.asvec(x, p), gfp.asvec(y, p)
-    base = L_tilde.bracket(y, x)
-    table = {
-        (3, 1): L_tilde.bracket(L_tilde.apply_alpha(y), base),
-        (3, 2): L_tilde.bracket(L_tilde.apply_alpha(x), base),
-    }
-    for lvl in range(4, level + 1):
+    table = {(2, 1): L_tilde.bracket(y, x)}
+    for lvl in range(3, level + 1):
         adx = L_tilde.ad(L_tilde.apply_alpha(x, lvl - 2))
         ady = L_tilde.ad(L_tilde.apply_alpha(y, lvl - 2))
         table[(lvl, 1)] = (ady @ table[(lvl - 1, 1)]) % p

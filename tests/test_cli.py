@@ -418,6 +418,11 @@ def test_isom_check_refuses_bundles_of_another_p_or_dim(tmp_path, capsys):
     (lambda doc: doc["derivations"].update(D=5), "derivation D must be an object with a matrix"),
     (lambda doc: doc["derivations"].update(D=[]), "derivation D must be an object with a matrix"),
     (lambda doc: doc["derivations"]["D"].pop("matrix"), "derivation D must be an object with a matrix"),
+    (lambda doc: doc.pop("p"), "bundle missing field 'p'"),
+    (lambda doc: doc.pop("dim"), "bundle missing field 'dim'"),
+    (lambda doc: doc.pop("basis"), "bundle missing field 'basis'"),
+    (lambda doc: doc.pop("brackets"), "bundle missing field 'brackets'"),
+    (lambda doc: doc.pop("alpha"), "bundle missing field 'alpha'"),
 ])
 def test_bundle_schema_holes_are_parse_errors(tmp_path, capsys, edit, message):
     path = _edited(tmp_path, capsys, "heisenberg-dual", "bad", edit)

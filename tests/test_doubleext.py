@@ -136,7 +136,11 @@ def test_is_involutive_twist(heis, psl3_pipelines):
     assert not np.array_equal(asq[:, 0], gfp.unit(9, 0))
 
 
-def test_is_involutive_twist_matches_alpha_square(heis):
+def test_is_involutive_twist_matches_alpha_square(heis, psl3_pipelines, sl2):
+    """The criterion equals alpha_L^2 = id on every accepted draw: random x0
+    and lambda0 at p = 2; random lambda and lambda0 at p = 3 (twisted psl3, D3)
+    and p = 5 (sl2-gf5), with x0 the solution of ad(x0) = (1 - lambda) D,
+    unique since both centers are zero."""
     rng = SplitMix64(21)
     agree = 0
     for _ in range(40):
@@ -150,6 +154,24 @@ def test_is_involutive_twist_matches_alpha_square(heis):
         assert flag == np.array_equal((L.alpha @ L.alpha) % 2, gfp.eye(8))
         agree += 1
     assert agree > 0
+    d3 = psl3_pipelines["D3"]
+    for V, B, D in ((d3["V"], d3["B"], d3["D"]), (sl2.g, sl2.B, sl2.D)):
+        p, n = V.p, V.n
+        assert center(V).dim == 0
+        ads = np.stack([V.ad(gfp.unit(n, i)).reshape(-1) for i in range(n)], axis=1)
+        flags = []
+        for _ in range(40):
+            lam, lam0 = 1 + rng.below(p - 1), rng.below(p)
+            x0 = gfp.solve(ads, ((1 - lam) * D.mat).reshape(-1) % p, p)
+            if x0 is None:
+                continue
+            d = DoubleExtensionData(D, x0, lam, lam0)
+            if not check_extension_data(V, B, d).ok:
+                continue
+            L, _ = double_extend(V, B, d)
+            flags.append(is_involutive_twist(V, B, d))
+            assert flags[-1] == np.array_equal((L.alpha @ L.alpha) % p, gfp.eye(n + 2)), (p, lam, lam0)
+        assert set(flags) == {True, False}, p
 
 
 def test_extend_pstructure_heisenberg_images(heis, heis_ext):

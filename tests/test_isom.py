@@ -303,13 +303,34 @@ def test_restricted_iso_p5_with_scaling_and_translation(sl2, sl2_ext):
         assert rep.check("verdicts_agree").ok
 
 
+def test_restricted_iso_reads_nu_off_the_map_at_odd_p(psl3_pipelines, monkeypatch):
+    """The theorem route takes the e~-part nu of pi(e*) from the map at every p:
+    u0~ and m~ enter with -gamma nu, which is B(t, t)/2 in the adapted normal
+    form.  Off that form (only pi(e*)'s e~-entry moved, so e_star_e_part fails)
+    the psl3 D3 extension (xi = 1) makes pi((e*)^[3]) and pi(e*)^[3] differ by
+    xi nu e~, and both routes must see it."""
+    monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)
+    data = psl3_pipelines["D3"]
+    L, B_L, P_L = data["L"], data["B_L"], data["P_L"]
+    for iso, Lt, B_Lt in psl3_instances(data, 4, seed=0xF4):
+        pi = build_adapted_iso(L, B_L, Lt, B_Lt, iso)
+        P_Lt = transported_pstructure(L, P_L, Lt, pi)
+        for shift in (1, 2):
+            off = pi.copy()
+            off[8, 0] = (off[8, 0] + shift) % 3
+            rep = verify_restricted_iso(L, B_L, Lt, B_Lt, P_L, P_Lt, off, samples=40)
+            assert not rep.check("e_star_e_part").ok
+            assert rep.meta["direct_verdict"] == rep.meta["theorem_verdict"] == "fail"
+            assert rep.check("verdicts_agree").ok and not rep.check("thm_l").ok
+
+
 # ---------- Phi machinery ----------
 
 
 def test_phi_recursion_level_bounds(heis_ext):
     L, _, _ = heis_ext
     with pytest.raises(BadLevel):
-        phi_recursion(L, gfp.zeros(8), gfp.zeros(8), 3)  # p = 2 has no levels
+        phi_recursion(L, gfp.zeros(8), gfp.zeros(8), 3)  # p = 2 has level 2 only
 
 
 def test_phi_recursion_equal_arguments_vanish(psl3_pipelines):
@@ -389,7 +410,7 @@ def test_phi_split_consistency_with_recursion(psl3_pipelines, sl2_ext):
 
 
 def test_phi_split_matches_recursion_at_p7_up_to_level_7():
-    """sl2 over GF(7) extended by ad(H): every entry of levels 3..7, so the
+    """sl2 over GF(7) extended by ad(H): every entry of levels 2..7, so the
     batched level step runs five times."""
     p = 7
     V = HomLieAlgebra.from_upper(p, 3, {(0, 1): [p - 2, 0, 0], (0, 2): [0, 1, 0], (1, 2): [0, 0, p - 2]})
@@ -401,10 +422,10 @@ def test_phi_split_matches_recursion_at_p7_up_to_level_7():
         t = rng.vec(3, p)
         y = gfp.zeros(5)
         y[1:4] = (-t) % p
-        for level in range(3, p + 1):
+        for level in range(2, p + 1):
             split = phi_split(frame, gfp.eye(3), t, level)
             tab = phi_recursion(L, gfp.unit(5, 0), y, level)
-            assert set(split) == set(tab) == {(lvl, i) for lvl in range(3, level + 1) for i in range(1, lvl)}
+            assert set(split) == set(tab) == {(lvl, i) for lvl in range(2, level + 1) for i in range(1, lvl)}
             for key, (vec, sc) in split.items():
                 assert np.array_equal(np.concatenate([[0], vec, [sc]]), tab[key]), key
     assert any(vec.any() for vec, _ in split.values())
@@ -455,7 +476,7 @@ def test_phi_split_closed_forms_p3(psl3_pipelines):
         assert split[(3, 2)][1] == 0
 
 
-def test_s_tilde_matches_direct(psl3_pipelines, sl2_ext):
+def test_s_tilde_matches_direct(psl3_pipelines, sl2_ext, heis_ext):
     data = psl3_pipelines["D3"]
     L, B_L = data["L"], data["B_L"]
     rng = SplitMix64(56)
@@ -467,6 +488,10 @@ def test_s_tilde_matches_direct(psl3_pipelines, sl2_ext):
     for _ in range(40):
         t = rng.vec(3, 5)
         assert np.array_equal(s_tilde(L5, B5, gfp.eye(3), t), s_tilde_direct(L5, gfp.eye(3), t))
+    L2, B2, _ = heis_ext  # p = 2: s~ is Phi(2, 1) = D~(pi0 t), with central part 0
+    for _ in range(40):
+        t = rng.vec(6, 2)
+        assert np.array_equal(s_tilde(L2, B2, gfp.eye(6), t), s_tilde_direct(L2, gfp.eye(6), t))
 
 
 def test_s_tilde_zero_derivation_lands_in_v(psl3_twisted):
