@@ -27,8 +27,6 @@ from .doubleext import (
 from .isom import (
     AdaptedIso,
     build_adapted_iso,
-    phi_split,
-    s_tilde,
     verify_adapted_iso,
     verify_restricted_iso,
 )

@@ -376,11 +376,13 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
     B(., e) = 1 with free variables zero (normalized to B(e*, e*) = 0
     in odd characteristic, kept as-is in characteristic 2), and V is the
     orthogonal complement of the hyperbolic plane, in echelon form.
-    (L, B_L, P_L) is rewritten in the frame (e*, V rows, e) and read back
-    with split_frame, whose checks are the ones left to fail: once e-perp
-    is an ideal closed under [p], the frame's brackets and p-images of V
-    and e cannot leave it, and only a form that is not symmetric can make
-    B(e*, V) or B(e, V) nonzero.
+    (L, B_L, P_L) is rewritten in the frame (e*, V rows, e), whose p-images
+    are folded once: e-perp is closed under [p] iff no image of a V row or
+    of e has an e*-coordinate.  The result is read back with split_frame,
+    whose checks are the ones left to fail: once e-perp is an ideal closed
+    under [p], the frame's brackets and p-images of V and e cannot leave
+    it, and only a form that is not symmetric can make B(e*, V) or B(e, V)
+    nonzero.
     """
     p, N = L.p, L.n
     n = N - 2
@@ -396,11 +398,8 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
     if not line.contains(alpha_e):
         raise NotCentral("the twist does not preserve the chosen central line")
 
-    e_perp = orth(B_L, line)
-    if not is_ideal(L, e_perp):
+    if not is_ideal(L, orth(B_L, line)):
         raise NotPIdeal("the orthogonal complement of e is not an ideal")
-    if not e_perp.spans(eval_p_batch(P_L, e_perp.basis)):
-        raise NotPIdeal("the orthogonal complement of e is not closed under [p]")
 
     row = (B_L.gram @ e) % p
     e_star = gfp.solve(row[None, :], np.array([1]), p)
@@ -423,7 +422,9 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
     c = contract(L.bracket_batch(frame[:, None, :], frame[None, :, :]), tinv.T, p)
     alpha = tinv @ ((L.alpha @ frame.T) % p)
     gram = frame @ ((B_L.gram @ frame.T) % p)
-    images = eval_p_batch(P_L, frame) @ tinv.T
+    images = (eval_p_batch(P_L, frame) @ tinv.T) % p
+    if images[1:, 0].any():
+        raise NotPIdeal("the orthogonal complement of e is not closed under [p]")
     names = ["e*"] + [
         L.basis_names[int(np.argmax(r))] if r.sum() == 1 and (r <= 1).all() else f"v{j + 1}"
         for j, r in enumerate(v_rows)

@@ -45,10 +45,6 @@ class ZeroGamma(HomextError):
     """The scaling factor of an adapted isomorphism must be nonzero."""
 
 
-class BadLevel(HomextError):
-    """Recursion level outside the admissible range 3..p."""
-
-
 class FrameMismatch(HomextError):
     """Data does not fit the canonical double-extension frame layout."""
 

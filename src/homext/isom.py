@@ -5,8 +5,8 @@ coisotropic flag (central line plus V) onto its counterpart.  It is
 determined by an automorphism of V, a nonzero scaling of the central
 line and a translation vector; restrictedness of the induced map of
 p-structures is characterized by an explicit equation list, one for
-every characteristic, that needs the coefficient recursion implemented
-at the bottom of this module.
+every characteristic.  Its a0~ and l~ equations read the sum of the R3
+coefficients of the target at (e~*, -pi0(t)) from restricted.compute_s_batch.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import numpy as np
 
 from . import gfp
 from .algebra import BilinearForm, HomLieAlgebra, bracket_sides
-from .doubleext import ExtFrame, split_frame
-from .errors import BadLevel, DimMismatch, NonInvertiblePi0, ZeroGamma
+from .doubleext import split_frame
+from .errors import DimMismatch, NonInvertiblePi0, ZeroGamma
 from .report import Report, rows
-from .restricted import PStructure, _inverses, domain, p_map, tally_domain
+from .restricted import PStructure, compute_s_batch, domain, p_map, tally_domain
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
 
 
@@ -281,14 +281,17 @@ def verify_restricted_iso(
     xi_rhs = pe.xi
     m_rhs = (ginv * ((gamma * pe.m + btu0) % p)) % p
     u0_rhs = (ginv * ((pi0 @ pe.u0) % p)) % p
-    # a0~ and l~ too (-1 = 1, and Phi(2, 1) = D~(pi0 t) with central part 0 at p = 2): pi(e*)
-    # carries nu e~, whose p-th power is nu (m~ e~ + u0~), so u0~ and m~ enter with -gamma nu,
-    # which is B(t, t)/2 when pi preserves the form at odd p
-    phi_i_sum, phi_ii_sum = phi_sums(ft, pi0, t)
+    # a0~ and l~ too.  They read s~ = sum_i s_i(e~*, -pi0(t)), R3 coefficients of L~ from
+    # one compute_s_batch pair: a0~ takes its V-part, l~ its e~-coefficient, and its
+    # e~*-part is zero.  pi(e*) carries nu e~, whose p-th power is nu (m~ e~ + u0~), so u0~
+    # and m~ enter with -gamma nu, which is B(t, t)/2 when pi preserves the form at odd p
+    y = gfp.zeros(N)
+    y[1:1 + n] = (-pt) % p
+    st = compute_s_batch(L_tilde, gfp.unit(N, 0)[None, :], y)[0].sum(axis=0) % p
     c = (-gamma * nu) % p
     gxi = (ginv * pe.xi) % p
-    a0_rhs = ((gamma * (((pi0 @ pe.a0) % p - gxi * pt) % p)) % p + (c * pet.u0) % p + spt_t - phi_i_sum) % p
-    l_rhs = (gamma * ((bta0 + gamma * pe.l - gxi * c) % p) + ppt_t + c * pet.m - phi_ii_sum) % p
+    a0_rhs = ((gamma * (((pi0 @ pe.a0) % p - gxi * pt) % p)) % p + (c * pet.u0) % p + spt_t - st[1:1 + n]) % p
+    l_rhs = (gamma * ((bta0 + gamma * pe.l - gxi * c) % p) + ppt_t + c * pet.m - int(st[N - 1])) % p
     rep.record("thm_a0", np.array_equal(pet.a0, a0_rhs), (), lhs=pet.a0, rhs=a0_rhs)
     rep.record("thm_l", pet.l % p == l_rhs, (), lhs=pet.l, rhs=l_rhs)
     rep.record("thm_xi", pet.xi % p == xi_rhs, (), lhs=pet.xi, rhs=xi_rhs)
@@ -304,63 +307,3 @@ def verify_restricted_iso(
     rep.record("verdicts_agree", direct_ok == theorem_ok, (),
                lhs=rep.meta["direct_verdict"], rhs=rep.meta["theorem_verdict"])
     return rep
-
-
-def phi_split(frame: ExtFrame, pi0, t_pi, level: int) -> dict:
-    """V-part and central coefficient of each Phi entry, keyed (level, i), levels 2..level.
-
-    Works in the target frame with x the dual line generator, y = -pi0(t_pi)
-    in V and lambda = 1, so alpha^{l-2}(x) - x is w0 = sum_{j=0}^{l-3} alpha^j(x0)
-    plus a central part.  From Phi(2, 1) = [y, x] = -D(y), level l is one batched
-    step on level l-1 padded with a zero row at both ends:
-    Phi(l, i) = [alpha^{l-2}(y), Phi(l-1, i)] + D(Phi(l-1, i-1)) + [w0, Phi(l-1, i-1)].
-    """
-    p = frame.V.p
-    if not 2 <= level <= p:
-        raise BadLevel(f"level must lie in 2..{p}, got {level}")
-    V, B_V, D = frame.V, frame.B_V, frame.D
-    pi0 = gfp.asmat(pi0, p)
-    t = gfp.asvec(t_pi, p)
-    if pi0.shape != (V.n, V.n) or t.shape[0] != V.n:
-        raise DimMismatch("pi0 and t_pi must live on V")
-    y = (-(pi0 @ t)) % p
-    zero = gfp.zeros(V.n)[None, :]
-    prev = (-D(y))[None, :] % p  # Phi(2, 1)
-    ay, ax, w0 = y, frame.x0, frame.x0
-    table = {(2, 1): (prev[0], 0)}  # [y, x] has no central part
-    for lvl in range(3, level + 1):
-        ay = (V.alpha @ ay) % p  # alpha^{lvl-2}(y)
-        hi, lo = np.vstack([prev, zero]), np.vstack([zero, prev])  # Phi(lvl-1, i) and Phi(lvl-1, i-1)
-        prev = (V.bracket_batch(ay, hi) + (lo @ D.mat.T) % p + V.bracket_batch(w0, lo)) % p
-        scalars = (B_V.eval_batch(D(ay), hi) + B_V.eval_batch(D(w0), lo)) % p
-        table.update({(lvl, i): (prev[i - 1], int(scalars[i - 1])) for i in range(1, lvl)})
-        ax = (V.alpha @ ax) % p
-        w0 = (w0 + ax) % p  # sum_{j=0}^{lvl-2} alpha^j(x0), the next level's w0
-    return table
-
-
-def phi_sums(frame: ExtFrame, pi0, t_pi) -> tuple[np.ndarray, int]:
-    """sum_i (1/i) Phi(p, i) over i = 1..p-1, as (V-part, central coefficient).
-
-    Each term is reduced before the sum, which has p-1 terms below p.
-    """
-    p = frame.V.p
-    split = phi_split(frame, pi0, t_pi, p)
-    inv = _inverses(p)
-    vecs = np.stack([split[(p, i)][0] for i in range(1, p)])
-    scalars = np.array([split[(p, i)][1] for i in range(1, p)], dtype=np.int64)
-    return gfp.mod(inv[:, None] * vecs, p).sum(axis=0) % p, int(gfp.mod(inv * scalars, p).sum() % p)
-
-
-def s_tilde(
-    L_tilde: HomLieAlgebra,
-    B_Lt: BilinearForm,
-    pi0,
-    t_pi,
-) -> np.ndarray:
-    """Sum of the R3 coefficients at (e~*, -pi0(t_pi)), via the split recursion."""
-    frame = split_frame(L_tilde, B_Lt)
-    n = frame.n
-    out = gfp.zeros(n + 2)
-    out[1:1 + n], out[n + 1] = phi_sums(frame, pi0, t_pi)
-    return out

@@ -6,6 +6,9 @@ compared against; formal_tower_full is the formal tower that brackets every
 coefficient row, zero or not, in one bracket_batch call per step;
 s_tilde_direct deliberately runs the library's compute_s, eval_P_fold its
 compute_eta_batch, and phi_bracket_compat_loop its bracket.
+phi_split, phi_sums and s_tilde are the split coefficient recursion on the
+target frame (lambda = 1 only), where isom.verify_restricted_iso reads s~
+from one compute_s_batch pair.
 phi_of_loop, psi_eval_loop, algebra_extension_loop and extend_by_algebra_loop
 keep the per-index loops of the algebra extension, and solve_p_property_loop
 the one-system-per-xi search.
@@ -52,9 +55,8 @@ from homext.algebra import (
     orth,
     verify_hom_lie,
 )
-from homext.doubleext import DoubleExtensionData, PExtensionData, ReduceResult
+from homext.doubleext import DoubleExtensionData, ExtFrame, PExtensionData, ReduceResult, split_frame
 from homext.errors import (
-    BadLevel,
     DegenerateFrame,
     DimMismatch,
     FrameMismatch,
@@ -68,6 +70,7 @@ from homext.restricted import (
     EXHAUSTIVE_LIMIT,
     PPropertyWitness,
     PStructure,
+    _inverses,
     compute_eta_batch,
     compute_s,
     compute_s_batch,
@@ -81,6 +84,10 @@ from homext.rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64
 
 class DegreeOverflow(HomextError):
     """A polynomial-vector operation exceeded its degree cap (internal misuse)."""
+
+
+class BadLevel(HomextError):
+    """Recursion level outside the admissible range 2..p."""
 
 
 class PolyVec:
@@ -357,6 +364,65 @@ def s_tilde_direct(L_tilde: HomLieAlgebra, pi0, t_pi) -> np.ndarray:
     y = gfp.zeros(N)
     y[1:N - 1] = (-(gfp.asmat(pi0, p) @ gfp.asvec(t_pi, p))) % p
     return sum(compute_s(L_tilde, gfp.unit(N, 0), y)) % p
+
+
+def phi_split(frame: ExtFrame, pi0, t_pi, level: int) -> dict:
+    """V-part and central coefficient of each Phi entry, keyed (level, i), levels 2..level.
+
+    Works in the target frame with x the dual line generator and y = -pi0(t_pi)
+    in V.  The recursion assumes lambda = 1, so alpha^{l-2}(x) - x is
+    w0 = sum_{j=0}^{l-3} alpha^j(x0) plus a central part; on a frame with
+    lambda != 1 its entries are not the formal-tower coefficients.  From
+    Phi(2, 1) = [y, x] = -D(y), level l is one batched step on level l-1 padded
+    with a zero row at both ends:
+    Phi(l, i) = [alpha^{l-2}(y), Phi(l-1, i)] + D(Phi(l-1, i-1)) + [w0, Phi(l-1, i-1)].
+    """
+    p = frame.V.p
+    if not 2 <= level <= p:
+        raise BadLevel(f"level must lie in 2..{p}, got {level}")
+    V, B_V, D = frame.V, frame.B_V, frame.D
+    pi0 = gfp.asmat(pi0, p)
+    t = gfp.asvec(t_pi, p)
+    if pi0.shape != (V.n, V.n) or t.shape[0] != V.n:
+        raise DimMismatch("pi0 and t_pi must live on V")
+    y = (-(pi0 @ t)) % p
+    zero = gfp.zeros(V.n)[None, :]
+    prev = (-D(y))[None, :] % p  # Phi(2, 1)
+    ay, ax, w0 = y, frame.x0, frame.x0
+    table = {(2, 1): (prev[0], 0)}  # [y, x] has no central part
+    for lvl in range(3, level + 1):
+        ay = (V.alpha @ ay) % p  # alpha^{lvl-2}(y)
+        hi, lo = np.vstack([prev, zero]), np.vstack([zero, prev])  # Phi(lvl-1, i) and Phi(lvl-1, i-1)
+        prev = (V.bracket_batch(ay, hi) + (lo @ D.mat.T) % p + V.bracket_batch(w0, lo)) % p
+        scalars = (B_V.eval_batch(D(ay), hi) + B_V.eval_batch(D(w0), lo)) % p
+        table.update({(lvl, i): (prev[i - 1], int(scalars[i - 1])) for i in range(1, lvl)})
+        ax = (V.alpha @ ax) % p
+        w0 = (w0 + ax) % p  # sum_{j=0}^{lvl-2} alpha^j(x0), the next level's w0
+    return table
+
+
+def phi_sums(frame: ExtFrame, pi0, t_pi) -> tuple[np.ndarray, int]:
+    """sum_i (1/i) Phi(p, i) over i = 1..p-1, as (V-part, central coefficient);
+    lambda = 1 only, as phi_split.
+
+    Each term is reduced before the sum, which has p-1 terms below p.
+    """
+    p = frame.V.p
+    split = phi_split(frame, pi0, t_pi, p)
+    inv = _inverses(p)
+    vecs = np.stack([split[(p, i)][0] for i in range(1, p)])
+    scalars = np.array([split[(p, i)][1] for i in range(1, p)], dtype=np.int64)
+    return gfp.mod(inv[:, None] * vecs, p).sum(axis=0) % p, int(gfp.mod(inv * scalars, p).sum() % p)
+
+
+def s_tilde(L_tilde: HomLieAlgebra, B_Lt: BilinearForm, pi0, t_pi) -> np.ndarray:
+    """Sum of the R3 coefficients at (e~*, -pi0(t_pi)), via the split recursion
+    (lambda = 1 only, as phi_split)."""
+    frame = split_frame(L_tilde, B_Lt)
+    n = frame.n
+    out = gfp.zeros(n + 2)
+    out[1:1 + n], out[n + 1] = phi_sums(frame, pi0, t_pi)
+    return out
 
 
 def bracket_dense(A: HomLieAlgebra, xs, ys) -> np.ndarray:

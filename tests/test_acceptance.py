@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import oracles
-from oracles import phi_recursion, s_tilde_direct
+from oracles import phi_recursion, phi_split, s_tilde, s_tilde_direct
 
 from homext import gfp, restricted
 from homext.algebra import d_invariant, verify_hom_lie, verify_quadratic
@@ -22,8 +22,6 @@ from homext.isom import (
     AdaptedIso,
     build_adapted_iso,
     check_adapted_iso_data,
-    phi_split,
-    s_tilde,
     verify_adapted_iso,
     verify_restricted_iso,
 )

@@ -8,6 +8,7 @@ from homext.algebra import (
     Derivation,
     HomLieAlgebra,
     center,
+    d_invariant,
     verify_hom_lie,
     verify_quadratic,
 )
@@ -47,7 +48,7 @@ from homext.restricted import (
     is_restricted_derivation,
     verify_pstructure,
 )
-from homext.report import Report, rows
+from homext.report import MAX_FAILURES_KEPT, Report, rows
 from homext.rng import SplitMix64
 
 
@@ -361,6 +362,62 @@ def test_reduce_rejects_non_p_ideal():
     imgs[1] = gfp.unit(3, 0)  # v^[2] = e*, escaping e-perp
     with pytest.raises(NotPIdeal):
         reduce(L, B_L, PStructure(L, imgs), gfp.unit(3, 2))
+
+
+def test_reduce_folds_the_frame_once(heis_ext, sl2_ext, psl3_pipelines, monkeypatch):
+    """reduce folds its N frame vectors in one eval_p_batch call, and that one
+    fold also decides whether e-perp is closed under [p]."""
+    calls = []
+
+    def counted(P, xs):
+        calls.append(len(xs))
+        return eval_p_batch(P, xs)
+
+    monkeypatch.setattr(doubleext, "eval_p_batch", counted)
+    for L, B_L, P_L in [heis_ext, sl2_ext] + [(d["L"], d["B_L"], d["P_L"]) for d in psl3_pipelines.values()]:
+        calls.clear()
+        reduce(L, B_L, P_L, gfp.unit(L.n, L.n - 1))
+        assert calls == [L.n]
+    V, B, D = tiny_abelian(2)
+    L, B_L = double_extend(V, B, DoubleExtensionData(D, gfp.zeros(1), 1, 0))
+    imgs = np.zeros((3, 3), dtype=np.int64)
+    imgs[1] = gfp.unit(3, 0)  # v^[2] = e*, escaping e-perp
+    calls.clear()
+    with pytest.raises(NotPIdeal, match="^the orthogonal complement of e is not closed under \\[p\\]$"):
+        reduce(L, B_L, PStructure(L, imgs), gfp.unit(3, 2))
+    assert calls == [3]
+
+
+def test_p2_P_additivity_is_the_alternating_form_check(heis):
+    """At p = 2, P(u + w) - P(u) - P(w) - B(Du, w) = u^T N w with m = D^T G and
+    N = triu(m, 1) + triu(m, 1)^T - m: check_P_conditions fails on exactly the
+    samples with u^T N w != 0, and passes iff d_invariant(B, D, 2).  Random D
+    on heisenberg-dual, every third one D-invariant (D^T G alternating)."""
+    V, B, pe, p, n = heis.V, heis.B, heis.pext, 2, 6
+    ginv = gfp.mat_inv(B.gram, p)
+    rng = SplitMix64(0x2D)
+    invariant = 0
+    for k in range(60):
+        if k % 3 == 0:
+            a = np.triu(rng.mat(n, n, p), 1)
+            D = Derivation(((a + a.T) @ ginv).T % p, p)
+        else:
+            D = Derivation(rng.mat(n, n, p), p)
+        P_basis = rng.vec(n, p)
+        rep = check_P_conditions(V, B, D, PExtensionData(pe.xi, pe.a0, pe.m, pe.l, pe.u0, P_basis, p),
+                                 samples=100, seed=k)
+        m = (D.mat.T @ B.gram) % p
+        N = (np.triu(m, 1) + np.triu(m, 1).T - m) % p
+        draws = SplitMix64(k)
+        us, ws = draws.mat(100, n, p), draws.mat(100, n, p)
+        bad = np.einsum("mi,ij,mj->m", us, N, ws) % p != 0
+        c = rep.check("P_additivity")
+        assert (c.passed, c.failed) == (int((~bad).sum()), int(bad.sum()))
+        want = [(tuple(int(x) for x in u), tuple(int(x) for x in w)) for u, w in zip(us[bad], ws[bad])]
+        assert [f.witness for f in c.failures] == want[:MAX_FAILURES_KEPT]
+        assert c.ok == d_invariant(B, D, p)
+        invariant += c.ok
+    assert 20 <= invariant < 60
 
 
 def test_sampled_entry_points_reject_samples_below_one(heis, heis_ext, sl2, monkeypatch):

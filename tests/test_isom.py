@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 import oracles
-from oracles import phi_recursion, s_tilde_direct
+from oracles import BadLevel, phi_recursion, phi_split, s_tilde, s_tilde_direct
 
 from homext import gfp, isom, restricted
 from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
 from homext.doubleext import DoubleExtensionData, PExtensionData, double_extend, extend_pstructure, split_frame
-from homext.errors import BadLevel, NonInvertiblePi0, ZeroGamma
+from homext.errors import NonInvertiblePi0, ZeroGamma
 from homext.isom import (
     AdaptedIso,
     build_adapted_iso,
     check_adapted_iso_data,
     extract_iso_data,
-    phi_split,
-    s_tilde,
     verify_adapted_iso,
     verify_restricted_iso,
 )
@@ -630,3 +628,39 @@ def test_adapted_iso_chains_do_not_wrap_at_the_largest_p():
     back, rep = extract_iso_data(L, B_L, Lt, B_Lt, pi)
     assert rep.ok, [c.name for c in rep.failing()]
     assert np.array_equal(back.pi0, pi0) and back.gamma == gamma and np.array_equal(back.t_pi, t)
+
+
+def lambda_frame(sl2, lam):
+    """sl2-gf5 extended with lambda = lam, x0 = (1 - lam) H and
+    lambda0 = 2 (1 - lam), and a p-map solving basis R1 whose images have
+    their e*-part cleared with the central e* - H."""
+    p, H = 5, gfp.unit(3, 1)
+    L, B_L = double_extend(sl2.g, sl2.B, DoubleExtensionData(sl2.D, (1 - lam) * H, lam, 2 * (1 - lam)))
+    N = L.n
+    apow = gfp.mat_pow(L.alpha, p - 1, p).T
+    m = ((apow @ L.ad_batch(gfp.eye(N))) % p).reshape(N, N * N).T  # column k: ad(e_k) o alpha^{p-1}
+    tower = restricted._tower_batch(L, gfp.eye(N)).reshape(N, N * N)
+    z = (gfp.unit(N, 0) - gfp.unit(N, 2)) % p  # e* - H
+    imgs = np.stack([gfp.solve(m, tower[j], p) for j in range(N)])
+    return L, B_L, PStructure(L, (imgs - imgs[:, :1] * z) % p)
+
+
+def test_restricted_iso_on_frames_with_lambda_not_one(sl2):
+    """lambda in {2, 3, 4}: automorphisms with pi0 = I, gamma in {2, 3, 4} and
+    t = (1 - gamma) H carry the p-map to one for which both verdicts pass.
+    The theorem route reads s~ from compute_s_batch; oracles.s_tilde assumes
+    lambda = 1 and is not the R3 sum on these frames."""
+    p, H = 5, gfp.unit(3, 1)
+    rng = SplitMix64(0x1A)
+    for lam in (2, 3, 4):
+        L, B_L, P_L = lambda_frame(sl2, lam)
+        assert split_frame(L, B_L, P_L).lam == lam and verify_pstructure(P_L).ok
+        for gamma in (2, 3, 4):
+            a = AdaptedIso(gfp.eye(3), gamma, (1 - gamma) * H, p)
+            assert check_adapted_iso_data(L, B_L, L, B_L, a).ok
+            pi = build_adapted_iso(L, B_L, L, B_L, a)
+            rep = verify_restricted_iso(L, B_L, L, B_L, P_L, transported_pstructure(L, P_L, L, pi), pi)
+            assert rep.meta["direct_verdict"] == rep.meta["theorem_verdict"] == "pass", (lam, gamma)
+            assert rep.ok, [c.name for c in rep.failing()]
+        ts = [rng.vec(3, p) for _ in range(20)]
+        assert any(not np.array_equal(s_tilde(L, B_L, gfp.eye(3), t), s_tilde_direct(L, gfp.eye(3), t)) for t in ts)
