@@ -75,7 +75,7 @@ class HomLieAlgebra:
         # whatever alpha is (README, "Inert coordinates").
         self.inert = (row_nnz == 0) & self.alternating
         self.inert.setflags(write=False)
-        self._hom_lie: Report | None = None  # verify_hom_lie's report, made once
+        self._reports: dict = {}  # verify_hom_lie's and verify_derivation's, see _kept
 
     @classmethod
     def from_upper(cls, p: int, n: int, brackets: dict, alpha=None, basis_names=None):
@@ -231,12 +231,22 @@ class Subspace:
 def verify_hom_lie(A: HomLieAlgebra) -> Report:
     """Check alternating, antisymmetry, Hom-Jacobi and multiplicativity.
 
-    An empty failure set means A is a multiplicative Hom-Lie algebra.  A is
-    immutable, so the report is made once per algebra and kept on it; each
-    call returns a copy.
+    An empty failure set means A is a multiplicative Hom-Lie algebra.  The
+    report is made once per algebra (`_kept`).
     """
-    if A._hom_lie is not None:
-        return Report(**A._hom_lie.meta).merge(A._hom_lie)
+    return _kept(A, "hom_lie", lambda: _hom_lie_report(A))
+
+
+def _kept(A: HomLieAlgebra, key, make) -> Report:
+    """The report make() of key, made once per algebra and kept on it, which
+    is sound because A is immutable; each call returns a copy."""
+    if key not in A._reports:
+        A._reports[key] = make()
+    rep = A._reports[key]
+    return Report(**rep.meta).merge(rep)
+
+
+def _hom_lie_report(A: HomLieAlgebra) -> Report:
     p, n, c = A.p, A.n, A.c
     rep = Report(p=p, dim=n)
     for i in range(n):
@@ -267,8 +277,7 @@ def verify_hom_lie(A: HomLieAlgebra) -> Report:
 
     lhs, rhs = bracket_sides(A.alpha, A, A)
     rep.tally("multiplicativity", (lhs != rhs).any(axis=2), lhs, rhs)  # both sides reduced
-    A._hom_lie = rep
-    return verify_hom_lie(A)
+    return rep
 
 
 def bracket_sides(pi, A: HomLieAlgebra, A_dst: HomLieAlgebra) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +325,15 @@ def verify_quadratic(A: HomLieAlgebra, B: BilinearForm) -> Report:
 
 
 def verify_derivation(A: HomLieAlgebra, D: Derivation) -> Report:
-    """alpha^k-derivation axioms: twist-commutation plus the Leibniz rule."""
+    """alpha^k-derivation axioms: twist-commutation plus the Leibniz rule.
+
+    The report is made once per algebra and derivation (`_kept`), keyed by
+    D's content, since D.mat is writable.
+    """
+    return _kept(A, (D.k, D.mat.shape, D.mat.tobytes()), lambda: _derivation_report(A, D))
+
+
+def _derivation_report(A: HomLieAlgebra, D: Derivation) -> Report:
     p, n = A.p, A.n
     rep = Report(p=p, dim=n, degree=D.k)
     comm = (D.mat @ A.alpha - A.alpha @ D.mat) % p

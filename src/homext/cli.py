@@ -146,9 +146,12 @@ def cmd_verify(args) -> int:
     ext = b.extension_data()
     if ext is not None and form is not None:
         name, d, pe = ext
-        report.merge(check_extension_data(A, form, d), prefix="extension.")
+        ext_rep = check_extension_data(A, form, d)
+        report.merge(ext_rep, prefix="extension.")
         if P is not None:
-            report.merge(check_p_extension_data(A, form, P, d, pe, seed=seed), prefix="extension.")
+            # odd p: the double extension lets check_P_conditions decide P_additivity
+            L = double_extend(A, form, d)[0] if b.p > 2 and ext_rep.ok else None
+            report.merge(check_p_extension_data(A, form, P, d, pe, seed=seed, L=L), prefix="extension.")
     return _finish(report)
 
 

@@ -46,6 +46,7 @@ from .restricted import (
     eval_p_batch,
     fold,
     is_restricted_derivation,
+    _yau_twist,
 )
 from .rng import DEFAULT_SEED, SplitMix64, check_samples
 
@@ -196,28 +197,50 @@ def check_P_conditions(
     pe: PExtensionData,
     samples: int = EXTENSION_SAMPLES,
     seed: int = DEFAULT_SEED,
+    L: HomLieAlgebra | None = None,
 ) -> Report:
-    """Sampled check of the defining equations of P for either characteristic;
-    one eval_P_batch call folds every u, w and u + w, each once up to scale.
-    P(k u) = k^p P(u) is an identity of the fold and of the p = 2 formula
-    (README, "R2 and P_homogeneity are implied"), so P_homogeneity is
-    tallied as passed for every k and u, regime "implied", never evaluated."""
+    """The defining equations of P for either characteristic.
+
+    P_additivity is decided without evaluating P when a proved hypothesis
+    holds (README, "P_additivity is implied"): at p = 2 when B_V is
+    D-invariant; at odd p when L, the double extension of V by D, is given,
+    holds V + Ke as double_extend builds it (`_frames`) and is a Yau twist
+    (`restricted._yau_twist`).  It is then tallied as `samples` passes,
+    regime "implied", and nothing is drawn or folded.  Otherwise it runs on
+    `samples` seeded pairs, regime "sampled": one eval_P_batch call folds
+    every u, w and u + w, each once up to scale.  P(k u) = k^p P(u) is an
+    identity of the fold and of the p = 2 formula (README, "R2 and
+    P_homogeneity are implied"), so P_homogeneity is tallied as passed for
+    every k and u, regime "implied", never evaluated."""
     check_samples(samples)
     p, n = V.p, V.n
+    implied = d_invariant(B_V, D, p) if p == 2 else L is not None and _frames(L, V, B_V, D) and _yau_twist(L)
     rep = Report(p=p, dim=n, seed=seed, samples=samples,
-                 regimes={"P_additivity": "sampled", "P_homogeneity": "implied"})
-    rng = SplitMix64(seed)
-    us = rng.mat(samples, n, p)
-    ws = rng.mat(samples, n, p)
-    pu, pw, psum = eval_P_batch(V, B_V, D, pe, np.vstack([us, ws, (us + ws) % p])).reshape(3, samples)
-    if p == 2:
-        cross = B_V.eval_batch((us @ D.mat.T) % p, ws)
+                 regimes={"P_additivity": "implied" if implied else "sampled", "P_homogeneity": "implied"})
+    if implied:
+        rep.check("P_additivity").passed += samples
     else:
-        cross = compute_eta_batch(V, B_V, D, us, ws).sum(axis=1) % p
-    want = (pu + pw + cross) % p
-    rep.tally("P_additivity", (psum - want) % p != 0, psum, want, witness=rows(us, ws))
+        rng = SplitMix64(seed)
+        us, ws = rng.mat(samples, n, p), rng.mat(samples, n, p)
+        pu, pw, psum = eval_P_batch(V, B_V, D, pe, np.vstack([us, ws, (us + ws) % p])).reshape(3, samples)
+        cross = B_V.eval_batch((us @ D.mat.T) % p, ws) if p == 2 else compute_eta_batch(V, B_V, D, us, ws).sum(axis=1)
+        want = (pu + pw + cross) % p
+        rep.tally("P_additivity", (psum - want) % p != 0, psum, want, witness=rows(us, ws))
     rep.check("P_homogeneity").passed += p * samples
     return rep
+
+
+def _frames(L: HomLieAlgebra, V: HomLieAlgebra, B_V: BilinearForm, D: Derivation) -> bool:
+    """L holds V + Ke as double_extend's L does, in the frame (e*, V, e): for
+    a, b in V, [a, b] = [a, b]_V + B(Da, b) e, e is central in V + Ke,
+    alpha(a) = alpha_V(a) mod e and alpha(e) lies in Ke."""
+    p, n = V.p, V.n
+    want = np.zeros((n + 1, n + 1, n + 2), dtype=np.int64)  # brackets of V + Ke, into (e*, V, e)
+    want[:n, :n, 1:n + 1] = V.c
+    want[:n, :n, n + 1] = (D.mat.T @ B_V.gram) % p
+    return (L.p == p and L.n == n + 2 and np.array_equal(L.c[1:, 1:], want)
+            and np.array_equal(L.alpha[1:n + 1, 1:n + 1], V.alpha)
+            and not L.alpha[0, 1:].any() and not L.alpha[1:n + 1, n + 1].any())
 
 
 def check_p_extension_data(
@@ -228,8 +251,12 @@ def check_p_extension_data(
     pe: PExtensionData,
     samples: int = EXTENSION_SAMPLES,
     seed: int = DEFAULT_SEED,
+    L: HomLieAlgebra | None = None,
 ) -> Report:
-    """Hypotheses of the p-structure extension theorem (both characteristics)."""
+    """Hypotheses of the p-structure extension theorem (both characteristics).
+
+    L, when given, is the double extension of V by d, which lets
+    check_P_conditions decide P_additivity at odd p."""
     check_samples(samples)
     p = V.p
     rep = Report(p=p, dim=V.n, seed=seed)
@@ -250,7 +277,7 @@ def check_p_extension_data(
         rep.record("u0_centralizes_alpha_image", zone.contains(pe.u0), (), lhs=pe.u0)
     else:
         rep.record("u0_central", center(V).contains(pe.u0), (), lhs=pe.u0)
-    rep.merge(check_P_conditions(V, B_V, d.D, pe, samples=samples, seed=seed))
+    rep.merge(check_P_conditions(V, B_V, d.D, pe, samples=samples, seed=seed, L=L))
     return rep
 
 
@@ -273,7 +300,7 @@ def extend_pstructure(
     p, n = V.p, V.n
     if L.n != n + 2:
         raise FrameMismatch("L must be the double extension of V")
-    rep = check_p_extension_data(V, B_V, P_V, d, pe, samples=samples, seed=seed)
+    rep = check_p_extension_data(V, B_V, P_V, d, pe, samples=samples, seed=seed, L=L)
     if not rep.ok:
         raise PreconditionFailed("p-structure extension data rejected", rep)
     imgs = np.zeros((n + 2, n + 2), dtype=np.int64)

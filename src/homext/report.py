@@ -107,7 +107,8 @@ class Report:
 
     def merge(self, other: "Report", prefix: str = "") -> "Report":
         """Add other's counts and failures; a prefixed merge renames its
-        checks to prefix + name and leaves this report's meta alone."""
+        checks to prefix + name and takes of other's meta only its
+        "regimes", under the same names."""
         for name, c in other.checks.items():
             mine = self.check(prefix + name)
             mine.passed += c.passed
@@ -116,6 +117,9 @@ class Report:
             mine.failures.extend(c.failures[:room])
         if not prefix:
             self.meta.update(other.meta)
+        elif "regimes" in other.meta:
+            regimes = {prefix + name: regime for name, regime in other.meta["regimes"].items()}
+            self.meta["regimes"] = {**self.meta.get("regimes", {}), **regimes}
         return self
 
     @property

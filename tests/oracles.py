@@ -6,6 +6,10 @@ compared against; formal_tower_full is the formal tower that brackets every
 coefficient row, zero or not, in one bracket_batch call per step;
 s_tilde_direct deliberately runs the library's compute_s, eval_P_fold its
 compute_eta_batch, and phi_bracket_compat_loop its bracket.
+P_conditions_sampled runs check_P_conditions' sampled route on every input,
+where check_P_conditions decides P_additivity when a proved hypothesis
+holds; double_extend_unchecked builds the extension's bracket and twist for
+any data, so that the decision meets inputs that fail its hypotheses.
 phi_split, phi_sums and s_tilde are the split coefficient recursion on the
 target frame (lambda = 1 only), where isom.verify_restricted_iso reads s~
 from one compute_s_batch pair.
@@ -55,7 +59,7 @@ from homext.algebra import (
     orth,
     verify_hom_lie,
 )
-from homext.doubleext import DoubleExtensionData, ExtFrame, PExtensionData, ReduceResult, split_frame
+from homext.doubleext import DoubleExtensionData, ExtFrame, PExtensionData, ReduceResult, eval_P_batch, split_frame
 from homext.errors import (
     DegenerateFrame,
     DimMismatch,
@@ -212,6 +216,50 @@ def eval_P_fold(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe, vs) -> n
         acc_val = (acc_val + part_val + etas) % p
         acc_vec[:, j] = lam
     return acc_val
+
+
+def P_conditions_sampled(V: HomLieAlgebra, B: BilinearForm, D: Derivation, pe, samples: int,
+                         seed: int) -> Report:
+    """check_P_conditions on the sampled route for every input: one
+    eval_P_batch call per row set, and P_homogeneity evaluated on every k*u,
+    as a reference for the batched route (which reports it implied) and for
+    the decision of P_additivity."""
+    p, n = V.p, V.n
+    rep = Report(p=p, dim=n, seed=seed, samples=samples,
+                 regimes={"P_additivity": "sampled", "P_homogeneity": "implied"})
+    rng = SplitMix64(seed)
+    us, ws = rng.mat(samples, n, p), rng.mat(samples, n, p)
+    pu, pw = eval_P_batch(V, B, D, pe, us), eval_P_batch(V, B, D, pe, ws)
+    psum = eval_P_batch(V, B, D, pe, (us + ws) % p)
+    cross = B.eval_batch((us @ D.mat.T) % p, ws) if p == 2 else compute_eta_batch(V, B, D, us, ws).sum(axis=1)
+    want = (pu + pw + cross) % p
+    rep.tally("P_additivity", (psum - want) % p != 0, psum, want, witness=rows(us, ws))
+    for k in range(p):
+        scaled, want = eval_P_batch(V, B, D, pe, (k * us) % p), (k * pu) % p
+        rep.tally("P_homogeneity", (scaled - want) % p != 0, scaled, want,
+                  witness=lambda i: (k,) + rows(us)(i))
+    return rep
+
+
+def double_extend_unchecked(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, x0, lam: int,
+                            lam0: int) -> HomLieAlgebra:
+    """double_extend's algebra in the frame (e*, V, e) for any D, x0, lambda
+    and lambda0, with no check_extension_data: the result need not be a
+    Hom-Lie algebra."""
+    p, n = V.p, V.n
+    N = n + 2
+    c = np.zeros((N, N, N), dtype=np.int64)
+    c[1:1 + n, 1:1 + n, 1:1 + n] = V.c
+    c[1:1 + n, 1:1 + n, N - 1] = (D.mat.T @ B_V.gram) % p
+    c[0, 1:1 + n, 1:1 + n] = D.mat.T
+    c[1:1 + n, 0] = (-c[0, 1:1 + n]) % p
+    alpha = np.zeros((N, N), dtype=np.int64)
+    alpha[0, 0] = alpha[N - 1, N - 1] = lam
+    alpha[1:1 + n, 0] = x0
+    alpha[N - 1, 0] = lam0
+    alpha[1:1 + n, 1:1 + n] = V.alpha
+    alpha[N - 1, 1:1 + n] = (np.asarray(x0) @ B_V.gram) % p
+    return HomLieAlgebra(p, c, alpha)
 
 
 def phi_bracket_compat_loop(V: HomLieAlgebra, x) -> Report:

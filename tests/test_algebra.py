@@ -85,6 +85,36 @@ def test_verify_hom_lie_runs_once_per_algebra(psl3, monkeypatch):
     assert verify_pstructure(PStructure(A, psl3.P.images)).meta["regimes"]["r1"] == "basis"
 
 
+def test_verify_derivation_runs_once_per_algebra_and_derivation(psl3, monkeypatch):
+    """The report is kept on the algebra under the derivation's content: a
+    repeat call, also with an equal matrix in a new Derivation, returns an
+    equal copy without recomputing it; mutating a returned report leaves
+    the kept one alone; a derivation whose matrix was changed in place, or
+    whose degree differs, gets a fresh report."""
+    made = []
+    real = algebra._derivation_report
+    monkeypatch.setattr(algebra, "_derivation_report", lambda A, D: made.append(D.k) or real(A, D))
+    A = HomLieAlgebra(psl3.g.p, psl3.g.c, psl3.g.alpha)
+    D = Derivation(psl3.derivations["D3"].mat.copy(), 3)
+    first = verify_derivation(A, D)
+    want = first.to_dict()
+    first.check("leibniz").failed += 1
+    first.record("extra", False, (0,))
+    first.meta["degree"] = 9
+    assert verify_derivation(A, D).to_dict() == want and want["summary"]["ok"]
+    assert verify_derivation(A, Derivation(D.mat, 3)).to_dict() == want
+    assert is_derivation(A, D) and made == [1]
+    D.mat[0, 0] = (D.mat[0, 0] + 1) % 3
+    bad = verify_derivation(A, D)
+    assert not bad.ok and made == [1, 1]
+    assert bad.to_dict() == verify_derivation(A, D).to_dict() and made == [1, 1]
+    D.mat[0, 0] = (D.mat[0, 0] - 1) % 3
+    assert verify_derivation(A, D).to_dict() == want and made == [1, 1]
+    assert verify_derivation(A, Derivation(D.mat, 3, k=2)).meta["degree"] == 2 and made == [1, 1, 2]
+    # another algebra with the same tensor keeps its own reports
+    assert verify_derivation(HomLieAlgebra(3, A.c, A.alpha), D).to_dict() == want and made == [1, 1, 2, 1]
+
+
 def test_verify_hom_lie_2dim_passes_and_perturbed_fails():
     A = HomLieAlgebra.from_upper(3, 2, {(0, 1): gfp.unit(2, 0)})
     assert verify_hom_lie(A).ok

@@ -133,7 +133,8 @@ def test_verify_exhaustive_reports_sampled_r3(tmp_path, capsys, psl3_null):
     code, out, _ = run(capsys, "verify", str(src), "--exhaustive", "--samples", "30")
     assert code == 0
     doc = json.loads(out)
-    assert doc["meta"]["regimes"] == {"r1": "basis", "r2": "implied", "r3": "implied"}
+    assert doc["meta"]["regimes"] == {"r1": "basis", "r2": "implied", "r3": "implied",
+                                      "extension.P_additivity": "implied", "extension.P_homogeneity": "implied"}
     assert doc["meta"]["mode"] == "sampled"
     counts = {c["name"]: c["passed"] for c in doc["checks"] if c["name"] in ("r1", "r2", "r3")}
     assert counts == {"r1": 3**7, "r2": 3**8, "r3": 30}
@@ -260,6 +261,27 @@ def _edited(tmp_path, capsys, fixture, name, edit):
     edit(doc)
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_verify_reports_how_P_additivity_was_checked(tmp_path, capsys):
+    """The verify report names the regimes of the extension checks: implied
+    on the three fixtures (p = 2 by D-invariance, p = 3 and 5 through the
+    double extension), sampled and failing once heisenberg-dual's D leaves
+    B not D-invariant."""
+    for fixture in ("heisenberg-dual", "psl3", "sl2-gf5"):
+        path = tmp_path / f"{fixture}.json"
+        run(capsys, "fixture", fixture, "--out", str(path))
+        code, out, _ = run(capsys, "verify", str(path))
+        regimes = json.loads(out)["meta"]["regimes"]
+        assert code == 0 and regimes["extension.P_additivity"] == "implied", fixture
+        assert regimes["extension.P_homogeneity"] == "implied", fixture
+    path = _edited(tmp_path, capsys, "heisenberg-dual", "skew",
+                   lambda doc: doc["derivations"]["D"]["matrix"][0].__setitem__(0, 0))
+    code, out, _ = run(capsys, "verify", str(path))
+    doc = json.loads(out)
+    checks = {c["name"]: c["status"] for c in doc["checks"]}
+    assert code == 1 and doc["meta"]["regimes"]["extension.P_additivity"] == "sampled"
+    assert checks["extension.P_additivity"] == checks["extension.d_invariant"] == "fail"
 
 
 def test_negative_derivation_degree_is_a_parse_error(tmp_path, capsys):

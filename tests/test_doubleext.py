@@ -764,37 +764,20 @@ def test_algebra_extension_matches_the_per_index_loops(p):
     assert any(verdicts) and not all(verdicts)
 
 
-def _P_conditions_per_call(V, B, D, pe, samples, seed):
-    """check_P_conditions with one eval_P_batch call per row set, and
-    P_homogeneity evaluated on every k*u, as a reference for the batched
-    route (which reports it implied)."""
-    p, n = V.p, V.n
-    rep = Report(p=p, dim=n, seed=seed, samples=samples,
-                 regimes={"P_additivity": "sampled", "P_homogeneity": "implied"})
-    rng = SplitMix64(seed)
-    us, ws = rng.mat(samples, n, p), rng.mat(samples, n, p)
-    pu, pw = eval_P_batch(V, B, D, pe, us), eval_P_batch(V, B, D, pe, ws)
-    psum = eval_P_batch(V, B, D, pe, (us + ws) % p)
-    cross = B.eval_batch((us @ D.mat.T) % p, ws) if p == 2 else compute_eta_batch(V, B, D, us, ws).sum(axis=1)
-    want = (pu + pw + cross) % p
-    rep.tally("P_additivity", (psum - want) % p != 0, psum, want, witness=rows(us, ws))
-    for k in range(p):
-        scaled, want = eval_P_batch(V, B, D, pe, (k * us) % p), (k * pu) % p
-        rep.tally("P_homogeneity", (scaled - want) % p != 0, scaled, want,
-                  witness=lambda i: (k,) + rows(us)(i))
-    return rep
-
-
 def test_check_P_conditions_folds_every_row_in_one_call(heis, sl2, monkeypatch):
     """The rows u, w and u + w go through one eval_P_batch call, and the
     report equals the one-call-per-row-set reference, failures included
-    (a random B and D at p = 3 make P_additivity fail)."""
+    (a random B and D at p = 3 make P_additivity fail).  Every case takes
+    the sampled route: heisenberg-dual's D plus one off-diagonal unit
+    leaves B not D-invariant, and no double extension is passed at odd p."""
     rng = np.random.default_rng(31)
     c = rng.integers(0, 3, size=(4, 4, 4))
     V = HomLieAlgebra(3, (c - c.transpose(1, 0, 2)) % 3, gfp.eye(4))
     bad = (V, BilinearForm(rng.integers(0, 3, (4, 4)), 3), Derivation(rng.integers(0, 3, (4, 4)), 3),
            PExtensionData(0, gfp.zeros(4), 0, 0, gfp.zeros(4), [1, 2, 0, 1], 3))
-    cases = {"heis": (heis.V, heis.B, heis.D, heis.pext), "sl2": (sl2.g, sl2.B, sl2.D, sl2.pext),
+    skew = Derivation((heis.D.mat + np.eye(6, k=1, dtype=np.int64)) % 2, 2)
+    assert not d_invariant(heis.B, skew, 2)
+    cases = {"heis": (heis.V, heis.B, skew, heis.pext), "sl2": (sl2.g, sl2.B, sl2.D, sl2.pext),
              "random": bad}
     calls = []
 
@@ -808,5 +791,181 @@ def test_check_P_conditions_folds_every_row_in_one_call(heis, sl2, monkeypatch):
         got = check_P_conditions(*args, samples=40, seed=5)
         monkeypatch.undo()
         assert len(calls) == 1, name
-        assert got.to_dict() == _P_conditions_per_call(*args, 40, 5).to_dict(), name
+        assert got.to_dict() == oracles.P_conditions_sampled(*args, 40, 5).to_dict(), name
+        assert got.meta["regimes"]["P_additivity"] == "sampled", name
     assert not got.check("P_additivity").ok
+
+
+def _sl2(p):
+    """sl(2) over GF(p): [E, H] = -2E, [E, F] = H, [H, F] = -2F, with the
+    invariant form B(E, F) = 1, B(H, H) = 2 and D = ad(H)."""
+    brackets = {(0, 1): (-2 * gfp.unit(3, 0)) % p, (0, 2): gfp.unit(3, 1), (1, 2): (-2 * gfp.unit(3, 2)) % p}
+    V = HomLieAlgebra.from_upper(p, 3, brackets)
+    return V, BilinearForm([[0, 0, 1], [0, 2, 0], [1, 0, 0]], p), Derivation(np.diag([2, 0, p - 2]), p)
+
+
+def _P_inputs(p, request, rng):
+    """(name, V, B, D, L) inputs of check_P_conditions at p.  The fixtures
+    carry their double extension; random alpha-derivations (B-skew or not),
+    B-skew non-derivations and random matrices carry double_extend's bracket
+    and twist for them, with random x0, lambda and lambda0, built without
+    check_extension_data (oracles.double_extend_unchecked).  At p = 3 the psl3 D3 extension is corrupted four ways:
+    a bracket [e*, v] (the frame still holds V + Ke, but L is no Hom-Lie
+    algebra), a bracket inside V, the e*-coordinate of alpha(v) and the
+    V-part of alpha(e) (L no longer frames V)."""
+    heis, sl2 = request.getfixturevalue("heis"), request.getfixturevalue("sl2")
+    if p == 2:
+        bases = [(heis.V, heis.B, heis.D, request.getfixturevalue("heis_ext")[0])]
+    elif p == 3:
+        bases = [(d["V"], d["B"], d["D"], d["L"]) for d in request.getfixturevalue("psl3_pipelines").values()]
+    elif p == 5:
+        sp5 = request.getfixturevalue("sampled_p5")
+        bases = [(sl2.g, sl2.B, sl2.D, request.getfixturevalue("sl2_ext")[0]),
+                 (sp5["V"], sp5["B"], sp5["D"], sp5["L"])]
+    else:
+        V, B, D = _sl2(p)
+        bases = [(V, B, D, double_extend(V, B, DoubleExtensionData(D, gfp.zeros(3), 1, 0))[0])]
+    out = [(f"fixture {i}", V, B, D, L) for i, (V, B, D, L) in enumerate(bases)]
+    spaces = {(id(V), id(B)): (V, B) for _, V, B, _, _ in out}  # psl3 and twisted psl3 at p = 3
+    for i, (V, B) in enumerate(spaces.values()):
+        n, ginv = V.n, gfp.mat_inv(B.gram, p)
+        ders = oracles.alpha_derivations(V)
+        skew = np.triu(rng.integers(0, p, (4, n, n)), 1)
+        if p == 2:
+            skew = skew + skew.transpose(0, 2, 1)  # alternating: symmetric with zero diagonal
+        else:
+            skew = skew - skew.transpose(0, 2, 1)
+        maps = {"derivation": [rng.integers(0, p, len(ders)) @ ders.reshape(len(ders), -1) for _ in range(6)],
+                "B-skew": [(ginv @ s).T for s in skew], "random": [rng.integers(0, p, (n, n)) for _ in range(3)]}
+        for kind, mats in maps.items():
+            for j, m in enumerate(mats):
+                D = Derivation(np.reshape(m, (n, n)), p)
+                lam, x0 = (1, gfp.zeros(n)) if j % 2 == 0 else (int(rng.integers(1, p)), rng.integers(0, p, n))
+                L = oracles.double_extend_unchecked(V, B, D, x0, lam, int(rng.integers(0, p)))
+                out.append((f"{i} {kind} {j}", V, B, D, L))
+    if p == 3:
+        d = request.getfixturevalue("psl3_pipelines")["D3"]
+        for name, (i, j, k) in (("corrupt e* bracket", (0, 1, 2)), ("corrupt V bracket", (1, 2, 3))):
+            c = d["L"].c.copy()
+            c[i, j, k], c[j, i, k] = (c[i, j, k] + 1) % p, (c[j, i, k] - 1) % p
+            out.append((name, d["V"], d["B"], d["D"], HomLieAlgebra(p, c, d["L"].alpha)))
+        for name, (i, j) in (("corrupt alpha into e*", (0, 1)), ("corrupt alpha of e", (1, 8))):
+            alpha = d["L"].alpha.copy()
+            alpha[i, j] = (alpha[i, j] + 1) % p
+            out.append((name, d["V"], d["B"], d["D"], HomLieAlgebra(p, d["L"].c, alpha)))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_P_additivity_decision_equals_the_sampled_route(p, request):
+    """Every input with random P_basis: an input the decision tallies
+    "implied" passes the sampled route with the same counts; every other
+    input gets the sampled route's report, counts, witnesses and values.
+    The decision fires at p = 2 exactly when B is D-invariant, and at odd p
+    exactly when L frames V and is a Yau twist."""
+    rng = np.random.default_rng(90 + p)
+    regimes = {"implied": 0, "sampled": 0}
+    failing = 0
+    for name, V, B, D, L in _P_inputs(p, request, rng):
+        n = V.n
+        pe = PExtensionData(0, gfp.zeros(n), 0, 0, gfp.zeros(n), rng.integers(0, p, n), p)
+        got = check_P_conditions(V, B, D, pe, samples=40, seed=len(name), L=L)
+        want = oracles.P_conditions_sampled(V, B, D, pe, 40, len(name))
+        regime = got.meta["regimes"]["P_additivity"]
+        hypothesis = d_invariant(B, D, p) if p == 2 else doubleext._frames(L, V, B, D) and restricted._yau_twist(L)
+        assert (regime == "implied") == hypothesis, name
+        if regime == "implied":
+            assert want.ok, name
+            want.meta["regimes"]["P_additivity"] = "implied"
+        assert got.to_dict() == want.to_dict(), name
+        if p > 2 and (" B-skew " in name or " random " in name):  # no derivations: L is no Yau twist
+            assert regime == "sampled" and not want.ok, name
+        regimes[regime] += 1
+        failing += not want.ok
+    assert min(regimes.values()) >= 2 and failing >= 2, regimes
+    if p == 3:  # the corrupted extensions are decided by neither hypothesis
+        d = request.getfixturevalue("psl3_pipelines")["D3"]
+        corrupt = dict((name, L) for name, *_, L in _P_inputs(p, request, rng) if name.startswith("corrupt"))
+        assert doubleext._frames(corrupt["corrupt e* bracket"], d["V"], d["B"], d["D"])
+        assert not verify_hom_lie(corrupt["corrupt e* bracket"]).ok
+        for name in ("corrupt V bracket", "corrupt alpha into e*", "corrupt alpha of e"):
+            assert not doubleext._frames(corrupt[name], d["V"], d["B"], d["D"]), name
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_P_is_the_e_part_of_the_extension_fold(p, request):
+    """For u, v in V, compute_s_batch(L, u, v)[i] lies in V + Ke, its V-part
+    is compute_s_batch(V, u, v)[i] and its e-coordinate is
+    compute_eta_batch(V, B, D, u, v)[i], for every i, on every input of
+    _P_inputs: the identity follows from the frame alone, whatever D, x0,
+    lambda and lambda0 are."""
+    rng = np.random.default_rng(70 + p)
+    for name, V, B, D, L in _P_inputs(p, request, rng):
+        if not doubleext._frames(L, V, B, D):
+            continue
+        n = V.n
+        us, vs = rng.integers(0, p, (60, n)), rng.integers(0, p, (60, n))
+        s = compute_s_batch(L, np.pad(us, ((0, 0), (1, 1))), np.pad(vs, ((0, 0), (1, 1))))
+        assert not s[:, :, 0].any(), name
+        assert np.array_equal(s[:, :, 1:n + 1], compute_s_batch(V, us, vs)), name
+        assert np.array_equal(s[:, :, n + 1], compute_eta_batch(V, B, D, us, vs)), name
+
+
+def test_double_extend_unchecked_is_double_extend(heis, sl2, psl3_pipelines):
+    cases = [(heis.V, heis.B, heis.ext), (sl2.g, sl2.B, sl2.ext)]
+    cases += [(d["V"], d["B"], d["ext"]) for d in psl3_pipelines.values()]
+    cases.append((heis.V, heis.B, DoubleExtensionData(heis.D, gfp.unit(6, 2), 1, 1)))
+    for V, B, d in cases:
+        L = double_extend(V, B, d)[0]
+        raw = oracles.double_extend_unchecked(V, B, d.D, d.x0, d.lam, d.lam0)
+        assert np.array_equal(raw.c, L.c) and np.array_equal(raw.alpha, L.alpha)
+        assert doubleext._frames(L, V, B, d.D)
+
+
+def test_decided_P_additivity_evaluates_no_P(request, monkeypatch):
+    """Inputs that meet the hypothesis call no eval_P_batch and no
+    compute_eta_batch, through check_P_conditions, check_p_extension_data,
+    extend_pstructure and the verify and p-extend commands; that includes sl2
+    over GF(1009), where the sampled route folds 100 rows of p - 1 = 1008
+    factors.  The same inputs without L (odd p) or with B not D-invariant
+    (p = 2) fold."""
+    from homext import cli
+
+    calls = []
+    for name in ("eval_P_batch", "compute_eta_batch"):
+        real = getattr(doubleext, name)
+        monkeypatch.setattr(doubleext, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    heis, sl2 = request.getfixturevalue("heis"), request.getfixturevalue("sl2")
+    V, B, D = _sl2(1009)
+    d1009 = DoubleExtensionData(D, gfp.zeros(3), 1, 0)
+    pe1009 = PExtensionData(0, gfp.unit(3, 1), 0, 0, gfp.zeros(3), gfp.zeros(3), 1009)
+    P1009 = PStructure(V, np.diag([0, 1, 0]))
+    cases = [(heis.V, heis.B, heis.P, heis.ext, heis.pext), (sl2.g, sl2.B, sl2.P, sl2.ext, sl2.pext),
+             (V, B, P1009, d1009, pe1009)]
+    cases += [(d["V"], d["B"], d["P"], d["ext"], d["pe"]) for d in request.getfixturevalue("psl3_pipelines").values()]
+    sp5 = request.getfixturevalue("sampled_p5")
+    cases.append((sp5["V"], sp5["B"], sp5["P"], sp5["ext"], sp5["pe"]))
+    for V_, B_, P_, d, pe in cases:
+        L = double_extend(V_, B_, d)[0]
+        rep = check_P_conditions(V_, B_, d.D, pe, samples=30, L=L)
+        assert rep.ok and rep.meta["regimes"]["P_additivity"] == "implied"
+        assert check_p_extension_data(V_, B_, P_, d, pe, L=L).ok
+        assert extend_pstructure(L, V_, B_, P_, d, pe).images.shape == (V_.n + 2, V_.n + 2)
+    assert calls == []
+    for V_, B_, P_, d, pe in cases[:2]:
+        D_ = d.D if V_.p > 2 else Derivation((d.D.mat + np.eye(6, k=1, dtype=np.int64)) % 2, 2)
+        check_P_conditions(V_, B_, D_, pe, samples=30)
+        assert calls and calls[0] == "eval_P_batch"
+        calls.clear()
+
+    built = []
+    real_extend = cli.double_extend
+    monkeypatch.setattr(cli, "double_extend", lambda *args: built.append(args[0].p) or real_extend(*args))
+    path = request.getfixturevalue("tmp_path")
+    for name in ("heisenberg-dual", "sl2-gf5", "psl3"):
+        src = path / f"{name}.json"
+        assert cli.main(["fixture", name, "--out", str(src)]) == 0
+        assert cli.main(["verify", str(src)]) == 0
+        assert cli.main(["p-extend", str(src), "--out", str(path / f"{name}-L.json")]) == 0
+    assert calls == []
+    assert built == [2, 5, 5, 3, 3]  # verify builds L at odd p only; p-extend always builds it

@@ -281,8 +281,8 @@ def test_restricted_iso_corrupted_pstructures_both_fail(heis, heis_ext, psl3_pip
 
 
 def test_restricted_iso_p5_with_scaling_and_translation(sl2, sl2_ext):
-    """gamma != 1 and t != 0 at p = 5: the theorem route runs phi_sums up to
-    level 5.  Both verdicts pass on the transported p-structure and both fail
+    """gamma != 1 and t != 0 at p = 5: the theorem route reads s~ from
+    compute_s_batch, whose formal tower has p - 1 = 4 factors.  Both verdicts pass on the transported p-structure and both fail
     once one image (xi~, m~, u0~ or a P~ basis value) is off by one."""
     L, B_L, P_L = sl2_ext
     insts = sl2_instances(sl2, 8, seed=0x55)

@@ -103,3 +103,22 @@ def test_merge_with_prefix_renames_checks_and_keeps_meta():
     assert base.meta == {"file": "a.json", "seed": 1}
     base.merge(other)  # an unprefixed merge still adopts meta
     assert base.meta["seed"] == 99 and base.meta["extra"] == "ignored"
+
+
+def test_prefixed_merge_adds_the_regimes_under_prefixed_names():
+    """A prefixed merge takes other's meta["regimes"] only, renamed like its
+    checks, beside the regimes this report already has; neither report's
+    regimes dict is changed in place."""
+    base = Report(seed=1, regimes={"r1": "basis"})
+    mine = base.meta["regimes"]
+    other = Report(seed=99, regimes={"P_additivity": "implied", "P_homogeneity": "implied"})
+    other.record("P_additivity", True)
+    base.merge(other, prefix="extension.")
+    assert base.meta == {"seed": 1, "regimes": {"r1": "basis", "extension.P_additivity": "implied",
+                                                "extension.P_homogeneity": "implied"}}
+    assert mine == {"r1": "basis"} and other.meta["regimes"] == {"P_additivity": "implied",
+                                                                 "P_homogeneity": "implied"}
+    plain = Report()
+    plain.merge(Report(), prefix="D.")
+    plain.merge(other, prefix="x.")
+    assert plain.meta == {"regimes": {"x.P_additivity": "implied", "x.P_homogeneity": "implied"}}

@@ -451,7 +451,9 @@ def test_r2_and_p_homogeneity_are_never_evaluated(heis, heis_null, monkeypatch):
     of verify_pstructure reads its p-map on R1's vectors of weight <= 2 and
     on R3's three row sets of the pairs of weight <= 2, and on no k*x batch;
     check_P_conditions folds u, w and u + w in one eval_P_batch call of
-    3*samples rows.  R2 and P_homogeneity are still tallied over every k."""
+    3*samples rows (its D sends one null line into the other, so B is not
+    D-invariant and P_additivity is sampled).  R2 and P_homogeneity are
+    still tallied over every k."""
     W, B, P = heis_null
     p, n = W.p, W.n
     draw, fold_P, reads, sizes = restricted.domain, doubleext.eval_P_batch, [], []
@@ -480,6 +482,7 @@ def test_r2_and_p_homogeneity_are_never_evaluated(heis, heis_null, monkeypatch):
     monkeypatch.setattr(doubleext, "eval_P_batch", counted)
     dm = np.zeros((n, n), dtype=np.int64)
     dm[:6, :6] = heis.D.mat
+    dm[6, 7] = 1
     pe = PExtensionData(0, gfp.zeros(n), 0, 0, gfp.zeros(n), np.r_[heis.pext.P_basis, 0, 0], p)
     rep = doubleext.check_P_conditions(W, B, Derivation(dm, p), pe, samples=40, seed=5)
     assert sizes == [3 * 40]
