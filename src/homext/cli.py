@@ -39,16 +39,18 @@ from .twist import (
 )
 
 
+def _integer(name: str, text: str, error=ParseError) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise error(f"{name} must be an integer, got {text!r}") from None
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("HOMEXT_SEED")
-    if env:
-        try:
-            return int(env, 0)
-        except ValueError:
-            raise ParseError(f"HOMEXT_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    return _integer("HOMEXT_SEED", env) if env else DEFAULT_SEED
 
 
 def _positive_int(text: str) -> int:
@@ -146,12 +148,9 @@ def cmd_verify(args) -> int:
     ext = b.extension_data()
     if ext is not None and form is not None:
         name, d, pe = ext
-        ext_rep = check_extension_data(A, form, d)
-        report.merge(ext_rep, prefix="extension.")
+        report.merge(check_extension_data(A, form, d), prefix="extension.")
         if P is not None:
-            # odd p: the double extension lets check_P_conditions decide P_additivity
-            L = double_extend(A, form, d)[0] if b.p > 2 and ext_rep.ok else None
-            report.merge(check_p_extension_data(A, form, P, d, pe, seed=seed, L=L), prefix="extension.")
+            report.merge(check_p_extension_data(A, form, P, d, pe, seed=seed), prefix="extension.")
     return _finish(report)
 
 
@@ -264,8 +263,10 @@ def cmd_isom_check(args) -> int:
             doc = json.load(fh)
         if type(doc) is not dict:
             raise ParseError("map file must hold a JSON object")
+        if "pi" not in doc:
+            raise ParseError("map file missing field 'pi'")
         pi = bundle_mod._entries("pi", doc["pi"], (ba.dim, ba.dim), ba.p)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read map file: {exc}") from exc
     fa, fb = ba.bilinear_form(), bb.bilinear_form()
     if fa is None or fb is None:
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
     def add_common(sp, samples=DEFAULT_SAMPLES):
         sp.add_argument("--samples", type=_positive_int, default=samples,
                         help=f"sampled vectors per check, at least 1 (default {samples})")
-        sp.add_argument("--seed", type=lambda s: int(s, 0), default=None)
+        sp.add_argument("--seed", type=lambda s: _integer("seed", s, argparse.ArgumentTypeError), default=None)
 
     sp = sub.add_parser("fixture", help="emit a built-in example bundle")
     sp.add_argument("name", choices=["heisenberg-dual", "psl3", "sl2-gf5"])

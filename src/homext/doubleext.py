@@ -130,11 +130,9 @@ def double_extend(
         raise PreconditionFailed("B(e*,e*) must vanish for p > 2")
     N = n + 2
     c = np.zeros((N, N, N), dtype=np.int64)
-    dm = d.D.mat
     gv = B_V.gram
-    c[1:1 + n, 1:1 + n, 1:1 + n] = V.c
-    c[1:1 + n, 1:1 + n, N - 1] = (dm.T @ gv) % p  # B(D e_i, e_j)
-    c[0, 1:1 + n, 1:1 + n] = dm.T
+    c[1:, 1:, 1:] = _central_extension(V, B_V, d.D).c
+    c[0, 1:1 + n, 1:1 + n] = d.D.mat.T
     c[1:1 + n, 0] = (-c[0, 1:1 + n]) % p
     alpha = np.zeros((N, N), dtype=np.int64)
     alpha[0, 0] = d.lam
@@ -150,6 +148,19 @@ def double_extend(
     names = ["e*"] + list(V.basis_names) + ["e"]
     L = HomLieAlgebra(p, c, alpha, names)
     return L, BilinearForm(gram, p)
+
+
+def _central_extension(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation) -> HomLieAlgebra:
+    """W = V + Ke in the frame (V, e): [a, b] = [a, b]_V + B(Da, b) e for a, b
+    in V, e central, and the twist alpha_V on V and 1 on e.  double_extend's
+    L holds W's bracket as the block after e*."""
+    p, n = V.p, V.n
+    c = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
+    c[:n, :n, :n] = V.c
+    c[:n, :n, n] = (D.mat.T @ B_V.gram) % p  # B(D e_i, e_j)
+    alpha = np.eye(n + 1, dtype=np.int64)
+    alpha[:n, :n] = V.alpha
+    return HomLieAlgebra(p, c, alpha, list(V.basis_names) + ["e"])
 
 
 def is_involutive_twist(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtensionData) -> bool:
@@ -197,24 +208,22 @@ def check_P_conditions(
     pe: PExtensionData,
     samples: int = EXTENSION_SAMPLES,
     seed: int = DEFAULT_SEED,
-    L: HomLieAlgebra | None = None,
 ) -> Report:
     """The defining equations of P for either characteristic.
 
     P_additivity is decided without evaluating P when a proved hypothesis
     holds (README, "P_additivity is implied"): at p = 2 when B_V is
-    D-invariant; at odd p when L, the double extension of V by D, is given,
-    holds V + Ke as double_extend builds it (`_frames`) and is a Yau twist
-    (`restricted._yau_twist`).  It is then tallied as `samples` passes,
-    regime "implied", and nothing is drawn or folded.  Otherwise it runs on
-    `samples` seeded pairs, regime "sampled": one eval_P_batch call folds
-    every u, w and u + w, each once up to scale.  P(k u) = k^p P(u) is an
-    identity of the fold and of the p = 2 formula (README, "R2 and
+    D-invariant; at odd p when W = V + Ke (`_central_extension`) is a Yau
+    twist (`restricted._yau_twist`).  It is then tallied as `samples`
+    passes, regime "implied", and nothing is drawn or folded.  Otherwise it
+    runs on `samples` seeded pairs, regime "sampled": one eval_P_batch call
+    folds every u, w and u + w, each once up to scale.  P(k u) = k^p P(u) is
+    an identity of the fold and of the p = 2 formula (README, "R2 and
     P_homogeneity are implied"), so P_homogeneity is tallied as passed for
     every k and u, regime "implied", never evaluated."""
     check_samples(samples)
     p, n = V.p, V.n
-    implied = d_invariant(B_V, D, p) if p == 2 else L is not None and _frames(L, V, B_V, D) and _yau_twist(L)
+    implied = d_invariant(B_V, D, p) if p == 2 else _yau_twist(_central_extension(V, B_V, D))
     rep = Report(p=p, dim=n, seed=seed, samples=samples,
                  regimes={"P_additivity": "implied" if implied else "sampled", "P_homogeneity": "implied"})
     if implied:
@@ -230,19 +239,6 @@ def check_P_conditions(
     return rep
 
 
-def _frames(L: HomLieAlgebra, V: HomLieAlgebra, B_V: BilinearForm, D: Derivation) -> bool:
-    """L holds V + Ke as double_extend's L does, in the frame (e*, V, e): for
-    a, b in V, [a, b] = [a, b]_V + B(Da, b) e, e is central in V + Ke,
-    alpha(a) = alpha_V(a) mod e and alpha(e) lies in Ke."""
-    p, n = V.p, V.n
-    want = np.zeros((n + 1, n + 1, n + 2), dtype=np.int64)  # brackets of V + Ke, into (e*, V, e)
-    want[:n, :n, 1:n + 1] = V.c
-    want[:n, :n, n + 1] = (D.mat.T @ B_V.gram) % p
-    return (L.p == p and L.n == n + 2 and np.array_equal(L.c[1:, 1:], want)
-            and np.array_equal(L.alpha[1:n + 1, 1:n + 1], V.alpha)
-            and not L.alpha[0, 1:].any() and not L.alpha[1:n + 1, n + 1].any())
-
-
 def check_p_extension_data(
     V: HomLieAlgebra,
     B_V: BilinearForm,
@@ -251,12 +247,8 @@ def check_p_extension_data(
     pe: PExtensionData,
     samples: int = EXTENSION_SAMPLES,
     seed: int = DEFAULT_SEED,
-    L: HomLieAlgebra | None = None,
 ) -> Report:
-    """Hypotheses of the p-structure extension theorem (both characteristics).
-
-    L, when given, is the double extension of V by d, which lets
-    check_P_conditions decide P_additivity at odd p."""
+    """Hypotheses of the p-structure extension theorem (both characteristics)."""
     check_samples(samples)
     p = V.p
     rep = Report(p=p, dim=V.n, seed=seed)
@@ -277,7 +269,7 @@ def check_p_extension_data(
         rep.record("u0_centralizes_alpha_image", zone.contains(pe.u0), (), lhs=pe.u0)
     else:
         rep.record("u0_central", center(V).contains(pe.u0), (), lhs=pe.u0)
-    rep.merge(check_P_conditions(V, B_V, d.D, pe, samples=samples, seed=seed, L=L))
+    rep.merge(check_P_conditions(V, B_V, d.D, pe, samples=samples, seed=seed))
     return rep
 
 
@@ -300,7 +292,7 @@ def extend_pstructure(
     p, n = V.p, V.n
     if L.n != n + 2:
         raise FrameMismatch("L must be the double extension of V")
-    rep = check_p_extension_data(V, B_V, P_V, d, pe, samples=samples, seed=seed, L=L)
+    rep = check_p_extension_data(V, B_V, P_V, d, pe, samples=samples, seed=seed)
     if not rep.ok:
         raise PreconditionFailed("p-structure extension data rejected", rep)
     imgs = np.zeros((n + 2, n + 2), dtype=np.int64)

@@ -9,7 +9,8 @@ compute_eta_batch, and phi_bracket_compat_loop its bracket.
 P_conditions_sampled runs check_P_conditions' sampled route on every input,
 where check_P_conditions decides P_additivity when a proved hypothesis
 holds; double_extend_unchecked builds the extension's bracket and twist for
-any data, so that the decision meets inputs that fail its hypotheses.
+any data, so that the decision meets inputs that fail its hypotheses, and
+frames is the former odd-p hypothesis's test that a given L holds V + Ke.
 phi_split, phi_sums and s_tilde are the split coefficient recursion on the
 target frame (lambda = 1 only), where isom.verify_restricted_iso reads s~
 from one compute_s_batch pair.
@@ -260,6 +261,22 @@ def double_extend_unchecked(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, 
     alpha[1:1 + n, 1:1 + n] = V.alpha
     alpha[N - 1, 1:1 + n] = (np.asarray(x0) @ B_V.gram) % p
     return HomLieAlgebra(p, c, alpha)
+
+
+def frames(L: HomLieAlgebra, V: HomLieAlgebra, B_V: BilinearForm, D: Derivation) -> bool:
+    """L holds V + Ke as double_extend's L does, in the frame (e*, V, e): for
+    a, b in V, [a, b] = [a, b]_V + B(Da, b) e, e is central in V + Ke,
+    alpha(a) = alpha_V(a) mod e and alpha(e) lies in Ke.  With
+    restricted._yau_twist(L), the odd-p hypothesis that decided P_additivity
+    from a given double extension L, before the decision moved onto
+    doubleext._central_extension(V, B, D)."""
+    p, n = V.p, V.n
+    want = np.zeros((n + 1, n + 1, n + 2), dtype=np.int64)  # brackets of V + Ke, into (e*, V, e)
+    want[:n, :n, 1:n + 1] = V.c
+    want[:n, :n, n + 1] = (D.mat.T @ B_V.gram) % p
+    return (L.p == p and L.n == n + 2 and np.array_equal(L.c[1:, 1:], want)
+            and np.array_equal(L.alpha[1:n + 1, 1:n + 1], V.alpha)
+            and not L.alpha[0, 1:].any() and not L.alpha[1:n + 1, n + 1].any())
 
 
 def phi_bracket_compat_loop(V: HomLieAlgebra, x) -> Report:

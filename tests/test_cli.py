@@ -210,6 +210,17 @@ def test_malformed_seed_env_is_a_parse_error(tmp_path, capsys, monkeypatch):
     assert err == "error: HOMEXT_SEED must be an integer, got 'abc'\n"
 
 
+def test_malformed_seed_option_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    run(capsys, "fixture", "heisenberg-dual", "--out", str(path))
+    for argv in (["verify", str(path)], ["p-extend", str(path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --seed: seed must be an integer, got 'abc'\n"), err
+
+
 def test_fixture_sl2_verifies(tmp_path, capsys):
     path = tmp_path / "sl2.json"
     run(capsys, "fixture", "sl2-gf5", "--out", str(path))
@@ -265,9 +276,12 @@ def _edited(tmp_path, capsys, fixture, name, edit):
 
 def test_verify_reports_how_P_additivity_was_checked(tmp_path, capsys):
     """The verify report names the regimes of the extension checks: implied
-    on the three fixtures (p = 2 by D-invariance, p = 3 and 5 through the
-    double extension), sampled and failing once heisenberg-dual's D leaves
-    B not D-invariant."""
+    on the three fixtures (p = 2 by D-invariance, p = 3 and 5 because V + Ke
+    is a Yau twist), sampled and failing once heisenberg-dual's D leaves
+    B not D-invariant.  On sl2-gf5, lambda = 2 fails the extension
+    hypotheses but leaves P_additivity implied, since V + Ke reads no
+    lambda; D = E11 makes V + Ke no Hom-Lie algebra, and P_additivity is
+    sampled and fails."""
     for fixture in ("heisenberg-dual", "psl3", "sl2-gf5"):
         path = tmp_path / f"{fixture}.json"
         run(capsys, "fixture", fixture, "--out", str(path))
@@ -282,6 +296,15 @@ def test_verify_reports_how_P_additivity_was_checked(tmp_path, capsys):
     checks = {c["name"]: c["status"] for c in doc["checks"]}
     assert code == 1 and doc["meta"]["regimes"]["extension.P_additivity"] == "sampled"
     assert checks["extension.P_additivity"] == checks["extension.d_invariant"] == "fail"
+    for name, edit, regime in (
+        ("lam2", lambda doc: doc["extension"].update({"lambda": 2}), "implied"),
+        ("e11", lambda doc: doc["derivations"]["D"].update(matrix=[[1, 0, 0], [0, 0, 0], [0, 0, 0]]), "sampled"),
+    ):
+        code, out, _ = run(capsys, "verify", str(_edited(tmp_path, capsys, "sl2-gf5", name, edit)))
+        doc = json.loads(out)
+        check = next(c for c in doc["checks"] if c["name"] == "extension.P_additivity")
+        assert code == 1 and doc["meta"]["regimes"]["extension.P_additivity"] == regime, name
+        assert ((check["passed"], check["failed"]) == (100, 0)) if regime == "implied" else check["failed"] > 0, name
 
 
 def test_negative_derivation_degree_is_a_parse_error(tmp_path, capsys):
@@ -381,7 +404,8 @@ def _diag_map(n, value):
     ({"pi": np.eye(9, dtype=int).tolist()}, "pi must be dim x dim"),
     ({"pi": [[1] * 8] * 7}, "pi must be dim x dim"),
     ([1], "map file must hold a JSON object"),
-    ({"map": []}, "cannot read map file: 'pi'"),
+    ({"map": []}, "map file missing field 'pi'"),
+    ({}, "map file missing field 'pi'"),
 ])
 def test_isom_check_map_is_read_as_bundle_entries(tmp_path, capsys, doc, message):
     """pi is dim x dim with JSON integers in [0, p): a 1.5, a true or a 3 is not

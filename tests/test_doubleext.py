@@ -769,7 +769,8 @@ def test_check_P_conditions_folds_every_row_in_one_call(heis, sl2, monkeypatch):
     report equals the one-call-per-row-set reference, failures included
     (a random B and D at p = 3 make P_additivity fail).  Every case takes
     the sampled route: heisenberg-dual's D plus one off-diagonal unit
-    leaves B not D-invariant, and no double extension is passed at odd p."""
+    leaves B not D-invariant, and sl2-gf5 with D = E11 and the random input
+    make V + Ke no Hom-Lie algebra."""
     rng = np.random.default_rng(31)
     c = rng.integers(0, 3, size=(4, 4, 4))
     V = HomLieAlgebra(3, (c - c.transpose(1, 0, 2)) % 3, gfp.eye(4))
@@ -777,7 +778,8 @@ def test_check_P_conditions_folds_every_row_in_one_call(heis, sl2, monkeypatch):
            PExtensionData(0, gfp.zeros(4), 0, 0, gfp.zeros(4), [1, 2, 0, 1], 3))
     skew = Derivation((heis.D.mat + np.eye(6, k=1, dtype=np.int64)) % 2, 2)
     assert not d_invariant(heis.B, skew, 2)
-    cases = {"heis": (heis.V, heis.B, skew, heis.pext), "sl2": (sl2.g, sl2.B, sl2.D, sl2.pext),
+    e11 = Derivation(np.diag([1, 0, 0]), 5)
+    cases = {"heis": (heis.V, heis.B, skew, heis.pext), "sl2 E11": (sl2.g, sl2.B, e11, sl2.pext),
              "random": bad}
     calls = []
 
@@ -805,14 +807,14 @@ def _sl2(p):
 
 
 def _P_inputs(p, request, rng):
-    """(name, V, B, D, L) inputs of check_P_conditions at p.  The fixtures
-    carry their double extension; random alpha-derivations (B-skew or not),
-    B-skew non-derivations and random matrices carry double_extend's bracket
-    and twist for them, with random x0, lambda and lambda0, built without
-    check_extension_data (oracles.double_extend_unchecked).  At p = 3 the psl3 D3 extension is corrupted four ways:
-    a bracket [e*, v] (the frame still holds V + Ke, but L is no Hom-Lie
-    algebra), a bracket inside V, the e*-coordinate of alpha(v) and the
-    V-part of alpha(e) (L no longer frames V)."""
+    """(name, V, B, D, L) inputs of check_P_conditions at p, with L a double
+    extension of V by D for the former hypothesis (oracles.frames).  The
+    fixtures carry their double extension; random alpha-derivations (B-skew
+    or not), B-skew non-derivations and random matrices carry double_extend's
+    bracket and twist for them, with random x0, lambda and lambda0, built
+    without check_extension_data (oracles.double_extend_unchecked).  At
+    p = 3 the V of the psl3 D3 extension is corrupted two ways, in a bracket
+    and in the twist, so that V + Ke is no Yau twist."""
     heis, sl2 = request.getfixturevalue("heis"), request.getfixturevalue("sl2")
     if p == 2:
         bases = [(heis.V, heis.B, heis.D, request.getfixturevalue("heis_ext")[0])]
@@ -845,15 +847,17 @@ def _P_inputs(p, request, rng):
                 out.append((f"{i} {kind} {j}", V, B, D, L))
     if p == 3:
         d = request.getfixturevalue("psl3_pipelines")["D3"]
-        for name, (i, j, k) in (("corrupt e* bracket", (0, 1, 2)), ("corrupt V bracket", (1, 2, 3))):
-            c = d["L"].c.copy()
-            c[i, j, k], c[j, i, k] = (c[i, j, k] + 1) % p, (c[j, i, k] - 1) % p
-            out.append((name, d["V"], d["B"], d["D"], HomLieAlgebra(p, c, d["L"].alpha)))
-        for name, (i, j) in (("corrupt alpha into e*", (0, 1)), ("corrupt alpha of e", (1, 8))):
-            alpha = d["L"].alpha.copy()
-            alpha[i, j] = (alpha[i, j] + 1) % p
-            out.append((name, d["V"], d["B"], d["D"], HomLieAlgebra(p, d["L"].c, alpha)))
+        c, alpha = d["V"].c.copy(), d["V"].alpha.copy()
+        c[0, 1, 2], c[1, 0, 2] = (c[0, 1, 2] + 1) % p, (c[1, 0, 2] - 1) % p
+        alpha[0, 1] = (alpha[0, 1] + 1) % p
+        for name, V in (("corrupt V bracket", HomLieAlgebra(p, c, d["V"].alpha)),
+                        ("corrupt V twist", HomLieAlgebra(p, d["V"].c, alpha))):
+            out.append((name, V, d["B"], d["D"], oracles.double_extend_unchecked(V, d["B"], d["D"], gfp.zeros(7), 1, 0)))
     return out
+
+
+def _former_hypothesis(L, V, B, D):
+    return oracles.frames(L, V, B, D) and restricted._yau_twist(L)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -862,56 +866,84 @@ def test_P_additivity_decision_equals_the_sampled_route(p, request):
     "implied" passes the sampled route with the same counts; every other
     input gets the sampled route's report, counts, witnesses and values.
     The decision fires at p = 2 exactly when B is D-invariant, and at odd p
-    exactly when L frames V and is a Yau twist."""
+    exactly when W = V + Ke is a Yau twist; every input the former
+    hypothesis decided, through a given double extension L, is decided."""
     rng = np.random.default_rng(90 + p)
     regimes = {"implied": 0, "sampled": 0}
-    failing = 0
+    failing = former = 0
     for name, V, B, D, L in _P_inputs(p, request, rng):
         n = V.n
         pe = PExtensionData(0, gfp.zeros(n), 0, 0, gfp.zeros(n), rng.integers(0, p, n), p)
-        got = check_P_conditions(V, B, D, pe, samples=40, seed=len(name), L=L)
+        got = check_P_conditions(V, B, D, pe, samples=40, seed=len(name))
         want = oracles.P_conditions_sampled(V, B, D, pe, 40, len(name))
         regime = got.meta["regimes"]["P_additivity"]
-        hypothesis = d_invariant(B, D, p) if p == 2 else doubleext._frames(L, V, B, D) and restricted._yau_twist(L)
+        hypothesis = d_invariant(B, D, p) if p == 2 else restricted._yau_twist(doubleext._central_extension(V, B, D))
         assert (regime == "implied") == hypothesis, name
+        if p > 2 and _former_hypothesis(L, V, B, D):
+            assert regime == "implied", name
+            former += 1
         if regime == "implied":
             assert want.ok, name
             want.meta["regimes"]["P_additivity"] = "implied"
         assert got.to_dict() == want.to_dict(), name
-        if p > 2 and (" B-skew " in name or " random " in name):  # no derivations: L is no Yau twist
+        if p > 2 and (" B-skew " in name or " random " in name):  # no derivations: W is no Yau twist
             assert regime == "sampled" and not want.ok, name
         regimes[regime] += 1
         failing += not want.ok
     assert min(regimes.values()) >= 2 and failing >= 2, regimes
-    if p == 3:  # the corrupted extensions are decided by neither hypothesis
-        d = request.getfixturevalue("psl3_pipelines")["D3"]
-        corrupt = dict((name, L) for name, *_, L in _P_inputs(p, request, rng) if name.startswith("corrupt"))
-        assert doubleext._frames(corrupt["corrupt e* bracket"], d["V"], d["B"], d["D"])
-        assert not verify_hom_lie(corrupt["corrupt e* bracket"]).ok
-        for name in ("corrupt V bracket", "corrupt alpha into e*", "corrupt alpha of e"):
-            assert not doubleext._frames(corrupt[name], d["V"], d["B"], d["D"]), name
+    assert p == 2 or regimes["implied"] > former >= 1  # W ignores x0 and lambda, which can break L
+    if p == 3:  # the corrupted V's are decided by neither hypothesis
+        for name, V, B, D, L in _P_inputs(p, request, rng):
+            if name.startswith("corrupt"):
+                assert not restricted._yau_twist(doubleext._central_extension(V, B, D)), name
+                assert oracles.frames(L, V, B, D) and not restricted._yau_twist(L), name
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_former_hypothesis_can_decide_where_W_does_not(p):
+    """The former decisions are kept when D commutes with alpha and B is
+    alpha-invariant (README, "P_additivity is implied"), not otherwise: on
+    abelian V = GF(p)^2 with alpha = diag(1, -1), B = I and D = [[0, -1],
+    [1, 0]], which anticommutes with alpha, the L with lambda = -1 is a Yau
+    twist, but W is not multiplicative, since B(D alpha a, alpha b) =
+    -B(Da, b).  P_additivity is sampled there, and passes."""
+    V = HomLieAlgebra(p, np.zeros((2, 2, 2), dtype=np.int64), np.diag([1, p - 1]))
+    B, D = BilinearForm(gfp.eye(2), p), Derivation(np.array([[0, p - 1], [1, 0]]), p)
+    L = oracles.double_extend_unchecked(V, B, D, gfp.zeros(2), p - 1, 0)
+    assert _former_hypothesis(L, V, B, D)
+    W = doubleext._central_extension(V, B, D)
+    assert [c.name for c in verify_hom_lie(W).failing()] == ["multiplicativity"]
+    rep = check_P_conditions(V, B, D, PExtensionData(0, gfp.zeros(2), 0, 0, gfp.zeros(2), [1, 2], p))
+    assert rep.ok and rep.meta["regimes"]["P_additivity"] == "sampled"
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_P_is_the_e_part_of_the_extension_fold(p, request):
-    """For u, v in V, compute_s_batch(L, u, v)[i] lies in V + Ke, its V-part
-    is compute_s_batch(V, u, v)[i] and its e-coordinate is
-    compute_eta_batch(V, B, D, u, v)[i], for every i, on every input of
-    _P_inputs: the identity follows from the frame alone, whatever D, x0,
-    lambda and lambda0 are."""
+    """For u, v in V, compute_s_batch(W, u, v)[i], W = V + Ke, has V-part
+    compute_s_batch(V, u, v)[i] and e-coordinate compute_eta_batch(V, B, D,
+    u, v)[i], for every i, on every input of _P_inputs: the identity needs
+    nothing of D.  The same holds in every double extension L that frames V
+    (oracles.frames), whatever x0, lambda and lambda0 are, with a zero
+    e*-coordinate."""
     rng = np.random.default_rng(70 + p)
     for name, V, B, D, L in _P_inputs(p, request, rng):
-        if not doubleext._frames(L, V, B, D):
-            continue
         n = V.n
         us, vs = rng.integers(0, p, (60, n)), rng.integers(0, p, (60, n))
+        eta, sv = compute_eta_batch(V, B, D, us, vs), compute_s_batch(V, us, vs)
+        s = compute_s_batch(doubleext._central_extension(V, B, D), np.pad(us, ((0, 0), (0, 1))),
+                            np.pad(vs, ((0, 0), (0, 1))))
+        assert np.array_equal(s[:, :, :n], sv) and np.array_equal(s[:, :, n], eta), name
+        if not oracles.frames(L, V, B, D):
+            continue
         s = compute_s_batch(L, np.pad(us, ((0, 0), (1, 1))), np.pad(vs, ((0, 0), (1, 1))))
         assert not s[:, :, 0].any(), name
-        assert np.array_equal(s[:, :, 1:n + 1], compute_s_batch(V, us, vs)), name
-        assert np.array_equal(s[:, :, n + 1], compute_eta_batch(V, B, D, us, vs)), name
+        assert np.array_equal(s[:, :, 1:n + 1], sv), name
+        assert np.array_equal(s[:, :, n + 1], eta), name
 
 
 def test_double_extend_unchecked_is_double_extend(heis, sl2, psl3_pipelines):
+    """The oracle's L is double_extend's, it frames V, and its block after
+    e* is _central_extension's bracket."""
     cases = [(heis.V, heis.B, heis.ext), (sl2.g, sl2.B, sl2.ext)]
     cases += [(d["V"], d["B"], d["ext"]) for d in psl3_pipelines.values()]
     cases.append((heis.V, heis.B, DoubleExtensionData(heis.D, gfp.unit(6, 2), 1, 1)))
@@ -919,7 +951,10 @@ def test_double_extend_unchecked_is_double_extend(heis, sl2, psl3_pipelines):
         L = double_extend(V, B, d)[0]
         raw = oracles.double_extend_unchecked(V, B, d.D, d.x0, d.lam, d.lam0)
         assert np.array_equal(raw.c, L.c) and np.array_equal(raw.alpha, L.alpha)
-        assert doubleext._frames(L, V, B, d.D)
+        assert oracles.frames(L, V, B, d.D)
+        W = doubleext._central_extension(V, B, d.D)
+        assert np.array_equal(L.c[1:, 1:, 1:], W.c) and W.basis_names == L.basis_names[1:]
+        assert np.array_equal(W.alpha, np.pad(V.alpha, (0, 1)) + np.diag([0] * V.n + [1]))
 
 
 def test_decided_P_additivity_evaluates_no_P(request, monkeypatch):
@@ -927,8 +962,9 @@ def test_decided_P_additivity_evaluates_no_P(request, monkeypatch):
     compute_eta_batch, through check_P_conditions, check_p_extension_data,
     extend_pstructure and the verify and p-extend commands; that includes sl2
     over GF(1009), where the sampled route folds 100 rows of p - 1 = 1008
-    factors.  The same inputs without L (odd p) or with B not D-invariant
-    (p = 2) fold."""
+    factors.  The hypothesis reads V, B and D only, so verify builds no
+    double extension.  Inputs that fail it fold: sl2-gf5 with D = E11 (V + Ke
+    is no Hom-Lie algebra) and heisenberg-dual with B not D-invariant."""
     from homext import cli
 
     calls = []
@@ -946,15 +982,16 @@ def test_decided_P_additivity_evaluates_no_P(request, monkeypatch):
     sp5 = request.getfixturevalue("sampled_p5")
     cases.append((sp5["V"], sp5["B"], sp5["P"], sp5["ext"], sp5["pe"]))
     for V_, B_, P_, d, pe in cases:
-        L = double_extend(V_, B_, d)[0]
-        rep = check_P_conditions(V_, B_, d.D, pe, samples=30, L=L)
+        rep = check_P_conditions(V_, B_, d.D, pe, samples=30)
         assert rep.ok and rep.meta["regimes"]["P_additivity"] == "implied"
-        assert check_p_extension_data(V_, B_, P_, d, pe, L=L).ok
+        assert check_p_extension_data(V_, B_, P_, d, pe).ok
+        L = double_extend(V_, B_, d)[0]
         assert extend_pstructure(L, V_, B_, P_, d, pe).images.shape == (V_.n + 2, V_.n + 2)
     assert calls == []
-    for V_, B_, P_, d, pe in cases[:2]:
-        D_ = d.D if V_.p > 2 else Derivation((d.D.mat + np.eye(6, k=1, dtype=np.int64)) % 2, 2)
-        check_P_conditions(V_, B_, D_, pe, samples=30)
+    skew = Derivation((heis.D.mat + np.eye(6, k=1, dtype=np.int64)) % 2, 2)
+    for V_, B_, D_, pe in ((heis.V, heis.B, skew, heis.pext), (sl2.g, sl2.B, Derivation(np.diag([1, 0, 0]), 5), sl2.pext)):
+        rep = check_P_conditions(V_, B_, D_, pe, samples=30)
+        assert rep.meta["regimes"]["P_additivity"] == "sampled"
         assert calls and calls[0] == "eval_P_batch"
         calls.clear()
 
@@ -968,4 +1005,4 @@ def test_decided_P_additivity_evaluates_no_P(request, monkeypatch):
         assert cli.main(["verify", str(src)]) == 0
         assert cli.main(["p-extend", str(src), "--out", str(path / f"{name}-L.json")]) == 0
     assert calls == []
-    assert built == [2, 5, 5, 3, 3]  # verify builds L at odd p only; p-extend always builds it
+    assert built == [2, 5, 3]  # p-extend builds L; verify builds none
