@@ -260,6 +260,15 @@ def _hom_lie_report(A: HomLieAlgebra) -> Report:
         rep.record("antisymmetry", False, (int(i[s]), int(j[s])), lhs=c[i[s], j[s]], rhs=neg[s])
     rep.check("antisymmetry").passed += n * (n - 1) // 2 - rep.check("antisymmetry").failed
 
+    _hom_jacobi(rep, A, nz)  # returns first, so its O(n^2 P) arrays are freed before multiplicativity's
+    lhs, rhs = bracket_sides(A.alpha, A, A)
+    rep.tally("multiplicativity", (lhs != rhs).any(axis=2), lhs, rhs)  # both sides reduced
+    return rep
+
+
+def _hom_jacobi(rep: Report, A: HomLieAlgebra, nz) -> None:
+    """Tally Hom-Jacobi into rep; nz[j, k] is whether c[j, k] != 0."""
+    p, n, c = A.p, A.n, A.c
     # T(i; j, k) = [alpha(e_i), [e_j, e_k]] is zero unless c[j, k] != 0, and J(i, j, k) =
     # T(i; j, k) + T(j; k, i) + T(k; i, j) is zero off the rotations of the triples
     # with T(i; j, k) != 0, so J is evaluated there only: O(n^3 + n^2 P) memory, P nonzero pairs.
@@ -274,10 +283,6 @@ def _hom_lie_report(A: HomLieAlgebra) -> Report:
     hj = rep.tally("hom_jacobi", jac.any(axis=1), jac, np.broadcast_to(gfp.zeros(n), jac.shape),
                    witness=lambda s: (int(i[s]), int(j[s]), int(k[s])))
     hj.passed += n**3 - len(i)
-
-    lhs, rhs = bracket_sides(A.alpha, A, A)
-    rep.tally("multiplicativity", (lhs != rhs).any(axis=2), lhs, rhs)  # both sides reduced
-    return rep
 
 
 def bracket_sides(pi, A: HomLieAlgebra, A_dst: HomLieAlgebra) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
-from .algebra import BilinearForm, Derivation, HomLieAlgebra, Subspace, verify_derivation, verify_hom_lie
+from .algebra import BilinearForm, Derivation, HomLieAlgebra, Subspace, _kept, verify_derivation, verify_hom_lie
 from .errors import DimMismatch, OddCharRequired
 from .report import CheckResult, Report, rows
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
@@ -257,6 +257,11 @@ def domain(P: PStructure, samples: int, rng: SplitMix64):
     return rng.mat(samples, A.n, A.p), p_map(P, False), "sampled"
 
 
+def domain_size(A: HomLieAlgebra, samples: int) -> int:
+    """How many vectors the `domain` of a p-map of A holds: p^n, or samples."""
+    return A.p**A.n if A.p**A.n <= EXHAUSTIVE_LIMIT else samples
+
+
 def tally_domain(rep: Report, name: str, regime: str, P: PStructure, xs, pmaps, sides,
                  pairs: bool = False) -> CheckResult:
     """Tally check `name` over the `domain` of P, deciding an exhaustive one
@@ -355,7 +360,7 @@ def verify_pstructure(
     check_samples(samples)
     A = P.parent
     p, n = A.p, A.n
-    size = p**n if p**n <= EXHAUSTIVE_LIMIT else samples  # the vector domain's
+    size = domain_size(A, samples)
     pairs = p**(2 * n) <= EXHAUSTIVE_LIMIT  # then the vectors are exhaustive too
     pair_regime = "exhaustive" if pairs else "sampled"
     rep = Report(p=p, dim=n, seed=seed, samples=samples,
@@ -412,11 +417,14 @@ def is_restricted_derivation(
     (README, "Basis decision for invertible alpha").  Otherwise a passing
     basis is followed by the `domain` of P: every vector (decided on those
     of weight <= p by `tally_domain`), or seeded samples past the limit.
+    The basis defect and decision are made once per A and content of
+    (P.images, D) (`_restricted_basis`); the domain runs on every call.
     """
     check_samples(samples)
-    if restricted_defect_batch(A, P, D, gfp.eye(A.n), P.images).any():
+    basis = _restricted_basis(A, P, D)
+    if not basis.ok:
         return False
-    if D.k == 1 and _yau_twist(A) and verify_derivation(A, D).ok:
+    if basis.meta["decided"]:
         return True
     xs, pmap, regime = domain(P, samples, SplitMix64(seed))
 
@@ -424,6 +432,22 @@ def is_restricted_derivation(
         return restricted_defect_batch(A, P, D, vs, f(vs)), 0
 
     return tally_domain(Report(), "domain", regime, P, xs, [pmap], sides).ok
+
+
+def _restricted_basis(A: HomLieAlgebra, P: PStructure, D: Derivation) -> Report:
+    """The restricted-derivation defect of D on the basis, one check per basis
+    vector, with meta["decided"] whether that decides every vector.  It reads
+    A, P.images and D only, so it is kept on A keyed by their content
+    (`_kept`), like verify_derivation's report: `homext verify` asks for it
+    for D.restricted and again in check_p_extension_data."""
+    def make():
+        defect = restricted_defect_batch(A, P, D, gfp.eye(A.n), P.images)
+        rep = Report()
+        rep.tally("basis", defect.any(axis=1))
+        rep.meta["decided"] = rep.ok and D.k == 1 and _yau_twist(A) and verify_derivation(A, D).ok
+        return rep
+
+    return _kept(A, ("restricted", P.images.tobytes(), D.k, D.mat.shape, D.mat.tobytes()), make)
 
 
 def check_p_property(A: HomLieAlgebra, D: Derivation, w: PPropertyWitness) -> bool:

@@ -28,7 +28,9 @@ alpha^k-derivation at once.
 pstructure_rows, restricted_derivation_rows and iso_direct_rows evaluate
 the exhaustive checks on every row of their domain, with p-images folded by
 eval_p_batch, no line reduction and no decision on the points of weight <= p;
-pstructure_rows runs the sampled regime too, and never decides on the basis.
+pstructure_rows runs the sampled regime too, and never decides on the basis;
+restricted_iso_rows is verify_restricted_iso's domain route in both regimes,
+every row evaluated and the direct route never decided on the basis.
 emit_stdlib writes a bundle through json.dumps(indent=2) from Python-int
 lists, where bundle.emit joins the strings itself; algebra_index_dense
 derives HomLieAlgebra's constant caches from dense masks of the n^3 tensor,
@@ -47,7 +49,7 @@ import json
 
 import numpy as np
 
-from homext import bundle, gfp
+from homext import bundle, gfp, restricted
 from homext.algebra import (
     BilinearForm,
     Derivation,
@@ -70,6 +72,7 @@ from homext.errors import (
     NotPIdeal,
     ParseError,
 )
+from homext.isom import extract_iso_data
 from homext.report import Report, rows
 from homext.restricted import (
     EXHAUSTIVE_LIMIT,
@@ -80,6 +83,7 @@ from homext.restricted import (
     compute_s,
     compute_s_batch,
     eval_p,
+    eval_p_all,
     eval_p_batch,
     r1_defect_batch,
     restricted_defect_batch,
@@ -785,6 +789,77 @@ def iso_direct_rows(P_L: PStructure, P_Lt: PStructure, pi) -> Report:
     rhs = eval_p_batch(P_Lt, (xs @ pi.T) % p)
     rep = Report()
     rep.tally("direct", (lhs != rhs).any(axis=1), lhs, rhs, witness=rows(xs))
+    return rep
+
+
+def restricted_iso_rows(L: HomLieAlgebra, B_L: BilinearForm, L_tilde: HomLieAlgebra, B_Lt: BilinearForm,
+                        P_L: PStructure, P_Lt: PStructure, pi, samples: int = DEFAULT_SAMPLES,
+                        seed: int = DEFAULT_SEED) -> Report:
+    """verify_restricted_iso's report by its domain route, with every row
+    evaluated: the direct check on every vector of GF(p)^N, p-images read
+    from eval_p_all tables, while p^N fits restricted.EXHAUSTIVE_LIMIT (read
+    at call time), otherwise on `samples` seeded rows folded by
+    eval_p_batch; then the theorem route, thm_pmap_pi0 and thm_P_pi0 on the
+    unit vectors of V and `samples` seeded ones drawn after those rows.  It
+    never decides on the basis or on the points of weight <= p, and
+    meta["regimes"] is {"direct": that regime, "theorem": "sampled"}."""
+    p, N = L.p, L.n
+    n = N - 2
+    pi = gfp.asmat(pi, p)
+    table = p**N <= restricted.EXHAUSTIVE_LIMIT
+    rng = SplitMix64(seed)
+    xs = gfp.all_vectors(N, p) if table else rng.mat(samples, N, p)
+
+    def pmap(P):
+        return (lambda vs: eval_p_all(P)[gfp.vec_index(vs, p)]) if table else (lambda vs: eval_p_batch(P, vs))
+
+    f_L, f_Lt = pmap(P_L), pmap(P_Lt)
+    rep = Report(p=p, dim=N, seed=seed, samples=samples,
+                 regimes={"direct": "exhaustive" if table else "sampled", "theorem": "sampled"})
+    lhs, rhs = (f_L(xs) @ pi.T) % p, f_Lt((xs @ pi.T) % p)
+    rep.tally("direct", (lhs != rhs).any(axis=1), lhs, rhs, witness=rows(xs))
+    f, ft = split_frame(L, B_L, P_L), split_frame(L_tilde, B_Lt, P_Lt)
+    a, shape = extract_iso_data(L, B_L, L_tilde, B_Lt, pi)
+    rep.merge(shape)
+    pe, pet, B_V = f.pe, ft.pe, f.B_V
+    pi0, gamma, t, nu = a.pi0, a.gamma, a.t_pi, a.nu
+    ginv = gfp.inv(gamma, p)
+
+    def parts(fold, vs):  # V- and e-parts of fold on the embedded rows vs of V
+        emb = np.zeros((len(vs), N), dtype=np.int64)
+        emb[:, 1:1 + n] = vs
+        imgs = fold(emb)
+        return imgs[:, 1:1 + n], imgs[:, N - 1]
+
+    us = np.vstack([gfp.eye(n), rng.mat(samples, n, p)])
+    sV, pV = parts(f_L, us)
+    sVt, pVt = parts(f_Lt, (us @ pi0.T) % p)
+    btu = B_V.eval_batch(np.broadcast_to(t, us.shape), us)
+    lhs, rhs = (sV @ pi0.T) % p, (sVt + btu[:, None] * pet.u0[None, :]) % p
+    rep.tally("thm_pmap_pi0", ((lhs - rhs) % p).any(axis=1), lhs, rhs, witness=rows(us))
+    want = (gamma * pV + B_V.eval_batch(np.broadcast_to(t, sV.shape), sV) - btu * pet.m) % p
+    rep.tally("thm_P_pi0", (pVt - want) % p != 0, pVt, want, witness=rows(us))
+    pt = (pi0 @ t) % p
+    spt, ppt = (v[0] for v in parts(f_Lt, pt[None, :]))
+    y = gfp.zeros(N)
+    y[1:1 + n] = (-pt) % p
+    st = compute_s_batch(L_tilde, gfp.unit(N, 0)[None, :], y)[0].sum(axis=0) % p
+    c = (-gamma * nu) % p
+    gxi = (ginv * pe.xi) % p
+    a0_rhs = ((gamma * (((pi0 @ pe.a0) % p - gxi * pt) % p)) % p + (c * pet.u0) % p + spt - st[1:1 + n]) % p
+    l_rhs = (gamma * ((B_V.eval(t, pe.a0) + gamma * pe.l - gxi * c) % p) + int(ppt) + c * pet.m
+             - int(st[N - 1])) % p
+    m_rhs = (ginv * ((gamma * pe.m + B_V.eval(t, pe.u0)) % p)) % p
+    u0_rhs = (ginv * ((pi0 @ pe.u0) % p)) % p
+    rep.record("thm_a0", np.array_equal(pet.a0, a0_rhs), (), lhs=pet.a0, rhs=a0_rhs)
+    rep.record("thm_l", pet.l % p == l_rhs, (), lhs=pet.l, rhs=l_rhs)
+    rep.record("thm_xi", pet.xi % p == pe.xi, (), lhs=pet.xi, rhs=pe.xi)
+    rep.record("thm_m", pet.m % p == m_rhs, (), lhs=pet.m, rhs=m_rhs)
+    rep.record("thm_u0", np.array_equal(pet.u0, u0_rhs), (), lhs=pet.u0, rhs=u0_rhs)
+    names = ("thm_pmap_pi0", "thm_P_pi0", "thm_a0", "thm_l", "thm_xi", "thm_m", "thm_u0")
+    verdicts = ["pass" if ok else "fail" for ok in (rep.check("direct").ok, all(rep.check(k).ok for k in names))]
+    rep.meta["direct_verdict"], rep.meta["theorem_verdict"] = verdicts
+    rep.record("verdicts_agree", verdicts[0] == verdicts[1], (), lhs=verdicts[0], rhs=verdicts[1])
     return rep
 
 

@@ -179,6 +179,56 @@ def test_isom_check_identity(tmp_path, capsys):
     assert doc["meta"]["theorem_verdict"] == "pass"
 
 
+def test_isom_check_checks_the_bracket_once_and_decides_on_the_basis(tmp_path, capsys, monkeypatch):
+    """verify_restricted_iso reads pi's hypotheses from the report
+    verify_adapted_iso keeps on L, so isom-check runs one bracket_sides of
+    pi; the identity of the sl2 over GF(1009) extension is decided on the
+    basis."""
+    from homext import isom
+
+    v, L, mp = tmp_path / "v.json", tmp_path / "L.json", tmp_path / "map.json"
+    run(capsys, "fixture", "sl2-gf5", "--out", str(v))
+    doc = json.loads(v.read_text())
+    p = doc["p"] = 1009
+    doc["brackets"] = [{"i": 0, "j": 1, "k": 0, "coeff": p - 2}, {"i": 0, "j": 2, "k": 1, "coeff": 1},
+                       {"i": 1, "j": 2, "k": 2, "coeff": p - 2}]
+    doc["derivations"]["D"]["matrix"] = [[2, 0, 0], [0, 0, 0], [0, 0, p - 2]]
+    v.write_text(json.dumps(doc))
+    assert run(capsys, "p-extend", str(v), "--out", str(L))[0] == 0
+    mp.write_text(json.dumps({"pi": np.eye(5, dtype=int).tolist()}))
+    calls, real = [], isom.bracket_sides
+    monkeypatch.setattr(isom, "bracket_sides", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run(capsys, "isom-check", str(L), str(L), "--map", str(mp))
+    doc = json.loads(out)
+    assert code == 0 and len(calls) == 1
+    assert doc["meta"]["direct_verdict"] == doc["meta"]["theorem_verdict"] == "pass"
+    assert doc["meta"]["regimes"] == {"direct": "basis", "theorem": "basis"}
+
+
+def test_verify_checks_each_derivation_on_the_basis_once(tmp_path, capsys, monkeypatch):
+    """homext verify asks for the restricted-derivation check of the
+    extension's derivation twice, for D.restricted and in the extension
+    hypotheses; its basis defect is computed once per derivation."""
+    from homext import restricted
+
+    calls, real = [], restricted.restricted_defect_batch
+
+    def counted(A, P, D, xs, images):
+        if np.array_equal(xs, gfp.eye(A.n)):
+            calls.append(D.mat.tobytes())
+        return real(A, P, D, xs, images)
+
+    monkeypatch.setattr(restricted, "restricted_defect_batch", counted)
+    for name, count in (("heisenberg-dual", 1), ("psl3", 3), ("sl2-gf5", 1)):
+        path = tmp_path / f"{name}.json"
+        run(capsys, "fixture", name, "--out", str(path))
+        calls.clear()
+        code, out, _ = run(capsys, "verify", str(path))
+        checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert code == 0 and checks["extension.restricted_derivation"] == "pass"
+        assert len(calls) == len(set(calls)) == count, name
+
+
 def test_isom_check_detects_flag_violation(tmp_path, capsys):
     v = tmp_path / "v.json"
     L = tmp_path / "L.json"

@@ -4,7 +4,7 @@ import oracles
 from oracles import BadLevel, phi_recursion, phi_split, s_tilde, s_tilde_direct
 
 from homext import gfp, isom, restricted
-from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
+from homext.algebra import BilinearForm, Derivation, HomLieAlgebra, verify_hom_lie
 from homext.doubleext import DoubleExtensionData, PExtensionData, double_extend, extend_pstructure, split_frame
 from homext.errors import NonInvertiblePi0, ZeroGamma
 from homext.isom import (
@@ -17,6 +17,7 @@ from homext.isom import (
 )
 from homext.restricted import PStructure, compute_s, eval_p, eval_p_batch, verify_pstructure
 from homext.rng import SplitMix64
+from test_certified import _corrupt_bracket
 
 
 def transported_pstructure(L, P_L, Lt, pi):
@@ -196,14 +197,21 @@ def test_restricted_iso_transported_instances_p2(heis, heis_ext):
 
 
 def test_restricted_iso_reports_direct_regime(heis_ext, monkeypatch):
-    L, B_L, P_L = heis_ext
+    """The domain route names its direct regime, and the theorem route
+    "sampled"; a decided input names "basis" for both, over the same counts."""
+    _, B_L, P_L = heis_ext
+    P = _corrupt_bracket(P_L, 1, 2, 1)
+    L = P.parent
     pi = gfp.eye(L.n)
-    rep = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, pi)
-    assert rep.meta["regimes"] == {"direct": "exhaustive"}
+    rep = verify_restricted_iso(L, B_L, L, B_L, P, P, pi)
+    assert rep.meta["regimes"] == {"direct": "exhaustive", "theorem": "sampled"}
     assert rep.check("direct").passed == 2**L.n and rep.ok
+    decided = verify_restricted_iso(heis_ext[0], B_L, heis_ext[0], B_L, P_L, P_L, pi)
+    assert decided.meta["regimes"] == {"direct": "basis", "theorem": "basis"}
+    assert decided.to_dict()["checks"] == rep.to_dict()["checks"]
     monkeypatch.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)
-    rep = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, pi, samples=30)
-    assert rep.meta["regimes"] == {"direct": "sampled"}
+    rep = verify_restricted_iso(L, B_L, L, B_L, P, P, pi, samples=30)
+    assert rep.meta["regimes"] == {"direct": "sampled", "theorem": "sampled"}
     assert rep.check("direct").passed == 30 and rep.ok
 
 
@@ -508,8 +516,11 @@ def test_s_tilde_zero_derivation_lands_in_v(psl3_twisted):
 
 def test_restricted_iso_equal_pstructures_share_one_table(heis_ext, psl3_pipelines):
     # L_tilde == L as separate objects (isom-check L L2): only P_L's table is
-    # built, and the direct counts equal an independent fold of both sides
-    L, B_L, P_L = heis_ext
+    # built, and the direct counts equal an independent fold of both sides.
+    # A corrupted bracket keeps these inputs on the domain route.
+    _, B_L, P_L = heis_ext
+    P_L = _corrupt_bracket(P_L, 1, 2, 1)
+    L = P_L.parent
     L2 = HomLieAlgebra(L.p, L.c.copy(), L.alpha.copy(), L.basis_names)
     xs = gfp.all_vectors(8, 2)
     for t, nu in ((gfp.zeros(6), 0), (gfp.unit(6, 2), 0), (gfp.unit(6, 2), 1)):
@@ -530,19 +541,22 @@ def test_restricted_iso_equal_pstructures_share_one_table(heis_ext, psl3_pipelin
     assert P_other._all_images is not None
     assert rep.meta["direct_verdict"] == rep.meta["theorem_verdict"] == "fail"
     data = psl3_pipelines["D3"]
-    L3 = data["L"]
+    P3 = _corrupt_bracket(data["P_L"], 1, 2, 1)
+    L3 = P3.parent
     L3b = HomLieAlgebra(3, L3.c.copy(), L3.alpha.copy())
     P3b = PStructure(L3b, data["P_L"].images)
-    rep = verify_restricted_iso(L3, data["B_L"], L3b, data["B_L"], data["P_L"], P3b, gfp.eye(9))
+    rep = verify_restricted_iso(L3, data["B_L"], L3b, data["B_L"], P3, P3b, gfp.eye(9))
     assert P3b._all_images is None
     assert rep.ok and rep.check("direct").passed == 3**9
 
 
 def test_restricted_iso_theorem_route_reads_the_direct_table(psl3_pipelines, monkeypatch):
     # exhaustive: both routes read P_L's eval_p_all table and never fold; the
-    # theorem checks come out as in the sampled regime, which folds
+    # theorem checks come out as in the sampled regime, which folds.  A
+    # corrupted bracket keeps the input on the domain route.
     data = psl3_pipelines["D3"]
-    L, B_L, P_L = data["L"], data["B_L"], data["P_L"]
+    P_L = _corrupt_bracket(data["P_L"], 1, 2, 1)
+    L, B_L = P_L.parent, data["B_L"]
     with monkeypatch.context() as m:
         m.setattr(restricted, "EXHAUSTIVE_LIMIT", 0)
         sampled = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, gfp.eye(9))
@@ -557,7 +571,7 @@ def test_restricted_iso_theorem_route_reads_the_direct_table(psl3_pipelines, mon
     monkeypatch.setattr(isom, "eval_p_batch", counted, raising=False)  # in case isom imports it
     rep = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, gfp.eye(9))
     assert calls == []
-    assert rep.meta["regimes"] == {"direct": "exhaustive"} and rep.ok
+    assert rep.meta["regimes"] == {"direct": "exhaustive", "theorem": "sampled"} and rep.ok
 
     def theorem(r):
         return [c.to_dict() for name, c in r.checks.items() if name.startswith("thm_")]
@@ -664,3 +678,154 @@ def test_restricted_iso_on_frames_with_lambda_not_one(sl2):
             assert rep.ok, [c.name for c in rep.failing()]
         ts = [rng.vec(3, p) for _ in range(20)]
         assert any(not np.array_equal(s_tilde(L, B_L, gfp.eye(3), t), s_tilde_direct(L, gfp.eye(3), t)) for t in ts)
+
+
+# ---------- basis decision ----------
+
+
+def sl2_extension(p):
+    """sl2 over GF(p) (H^[p] = H, E^[p] = F^[p] = 0) extended by D = ad(H),
+    with x0 = 0, lambda = 1, lambda0 = 0, xi = 0 and a0 = H."""
+    V = HomLieAlgebra.from_upper(p, 3, {(0, 1): (-2 * gfp.unit(3, 0)) % p, (0, 2): gfp.unit(3, 1),
+                                        (1, 2): (-2 * gfp.unit(3, 2)) % p})
+    B = BilinearForm([[0, 0, 1], [0, 2, 0], [1, 0, 0]], p)
+    P = PStructure(V, np.diag([0, 1, 0]))
+    d = DoubleExtensionData(Derivation(np.diag([2, 0, p - 2]), p), gfp.zeros(3), 1, 0)
+    L, B_L = double_extend(V, B, d)
+    zero = gfp.zeros(3)
+    return L, B_L, extend_pstructure(L, V, B, P, d, PExtensionData(0, gfp.unit(3, 1), 0, 0, zero, zero, p))
+
+
+def corrupted_image(P, r, c):
+    imgs = P.images.copy()
+    imgs[r, c] = (imgs[r, c] + 1) % P.parent.p
+    return PStructure(P.parent, imgs)
+
+
+def iso_cases(heis, heis_ext, psl3_pipelines, sl2, sl2_ext, sampled_p5):
+    """(name, kind, L, B_L, L~, B~, P_L, P~, pi) at p = 2, 3, 5 and 7.  kind is
+    "decided" for identity and transported adapted maps, lambda != 1 frames
+    and the identity of an alternating p = 2 tensor that is no Hom-Lie
+    algebra, and names what keeps the others on the domain route."""
+    cases = []
+
+    def add(name, kind, L, B_L, Lt, B_Lt, P_L, P_Lt, pi):
+        cases.append((name, kind, L, B_L, Lt, B_Lt, P_L, P_Lt, pi))
+
+    def extension(name, L, B_L, P_L, instances, ci_maps):
+        N = L.n
+        add(f"{name} identity", "decided", L, B_L, L, B_L, P_L, P_L, gfp.eye(N))
+        for k, (iso, Lt, B_Lt) in enumerate(instances):
+            pi = build_adapted_iso(L, B_L, Lt, B_Lt, iso)
+            P_Lt = transported_pstructure(L, P_L, Lt, pi)
+            add(f"{name} #{k}", "decided", L, B_L, Lt, B_Lt, P_L, P_Lt, pi)
+            bad = corrupted_image(P_Lt, 1 + k % (N - 2), N - 1)
+            add(f"{name} #{k} corrupted", "image", L, B_L, Lt, B_Lt, P_L, bad, pi)
+        add(f"{name} corrupted e", "image", L, B_L, L, B_L, P_L, corrupted_image(P_L, N - 1, N - 1), gfp.eye(N))
+        for gamma, t, nu in ci_maps:
+            pi = build_adapted_iso(L, B_L, L, B_L, AdaptedIso(gfp.eye(N - 2), gamma, t, L.p, nu))
+            add(f"{name} gamma={gamma} t={list(t)} nu={nu}", "not restricted", L, B_L, L, B_L, P_L, P_L, pi)
+        bad = _corrupt_bracket(P_L, 1, 2, 1)
+        add(f"{name} corrupted bracket", "bracket", bad.parent, B_L, bad.parent, B_L, bad, bad, gfp.eye(N))
+        ecol = gfp.eye(N)
+        ecol[1, N - 1] = 1
+        add(f"{name} e column", "shape", L, B_L, L, B_L, P_L, P_L, ecol)
+        # a form degenerate on V, and an e~-row over V outside the range of its Gram matrix
+        gram = B_L.gram.copy()
+        gram[1, 1:N - 1] = gram[1:N - 1, 1] = 0
+        B_deg = BilinearForm(gram, L.p)
+        trow = gfp.eye(N)
+        trow[N - 1, 1] = 1
+        add(f"{name} t unrecoverable", "shape", L, B_deg, L, B_deg, P_L, P_L, trow)
+
+    ci_heis = [(1, [0, 0, 1, 0, 0, 0], 0), (1, [0, 0, 1, 0, 0, 0], 1)]
+    extension("heis", *heis_ext, heis_instances(heis, 2, seed=0xE7), ci_heis)
+    # at p = 2, c[1, 2] = c[2, 1] += e1 keeps c alternating but breaks Hom-Jacobi:
+    # decided all the same, since R3 needs only an alternating c there
+    L, B_L, P_L = heis_ext
+    sym = _corrupt_bracket(_corrupt_bracket(P_L, 1, 2, 1), 2, 1, 1)
+    assert sym.parent.alternating and not verify_hom_lie(sym.parent).ok
+    add("heis alternating, no Hom-Lie", "decided", sym.parent, B_L, sym.parent, B_L, sym, sym, gfp.eye(8))
+    for gamma, t, nu in ci_heis:
+        pi = build_adapted_iso(L, B_L, L, B_L, AdaptedIso(gfp.eye(6), gamma, t, 2, nu))
+        add(f"heis alternating, no Hom-Lie, nu={nu}", "not restricted", sym.parent, B_L, sym.parent, B_L,
+            sym, sym, pi)
+    D3 = psl3_pipelines["D3"]
+    extension("psl3 D3", D3["L"], D3["B_L"], D3["P_L"], psl3_instances(D3, 2, seed=0xF2),
+              [(2, [0] * 7, 0), (2, [1, 0, 0, 1, 0, 0, 2], 0)])
+    D1 = psl3_pipelines["D1"]
+    add("psl3 D1 identity", "decided", D1["L"], D1["B_L"], D1["L"], D1["B_L"], D1["P_L"], D1["P_L"], gfp.eye(9))
+    extension("sl2-gf5", *sl2_ext, sl2_instances(sl2, 2, seed=0x55), [(2, [0, 4, 0], 0)])
+    for lam in (2, 3):
+        L, B_L, P_L = lambda_frame(sl2, lam)
+        a = AdaptedIso(gfp.eye(3), 2, (1 - 2) * gfp.unit(3, 1), 5)  # t = (1 - gamma) H
+        pi = build_adapted_iso(L, B_L, L, B_L, a)
+        add(f"sl2 lambda={lam} identity", "decided", L, B_L, L, B_L, P_L, P_L, gfp.eye(5))
+        add(f"sl2 lambda={lam} gamma=2", "decided", L, B_L, L, B_L, P_L, transported_pstructure(L, P_L, L, pi), pi)
+    L7, B7, P7 = sl2_extension(7)
+    f7, insts = split_frame(L7, B7), []
+    for gamma, t in ((3, [1, 2, 0]), (1, [0, 0, 5])):  # D~ = gamma D + ad(t), as in sl2_instances
+        dt = Derivation((gamma * f7.D.mat + f7.V.ad(t)) % 7, 7)
+        Lt, B_Lt = double_extend(f7.V, f7.B_V, DoubleExtensionData(dt, gfp.zeros(3), 1, 0))
+        insts.append((AdaptedIso(gfp.eye(3), gamma, t, 7), Lt, B_Lt))
+    extension("sl2-gf7", L7, B7, P7, insts, [(2, [0, 6, 0], 0)])
+    W = sampled_p5
+    add("sampled-p5 identity", "decided", W["L"], W["B_L"], W["L"], W["B_L"], W["P_L"], W["P_L"], gfp.eye(13))
+    add("sampled-p5 corrupted", "image", W["L"], W["B_L"], W["L"], W["B_L"], W["P_L"],
+        corrupted_image(W["P_L"], 4, 12), gfp.eye(13))
+    return cases
+
+
+def test_basis_decision_equals_the_domain_route(heis, heis_ext, psl3_pipelines, sl2, sl2_ext, sampled_p5):
+    """Every input's whole report equals oracles.restricted_iso_rows, the
+    domain route with every row evaluated, the regimes apart; exactly the
+    inputs of kind "decided" are decided, and those reports name "basis"
+    for both routes."""
+    seen = set()
+    for name, kind, L, B_L, Lt, B_Lt, P_L, P_Lt, pi in iso_cases(heis, heis_ext, psl3_pipelines, sl2, sl2_ext,
+                                                                 sampled_p5):
+        got = verify_restricted_iso(L, B_L, Lt, B_Lt, PStructure(L, P_L.images), PStructure(Lt, P_Lt.images), pi,
+                                    samples=20, seed=3).to_dict()
+        want = oracles.restricted_iso_rows(L, B_L, Lt, B_Lt, P_L, P_Lt, pi, samples=20, seed=3).to_dict()
+        if kind == "decided":
+            want["meta"]["regimes"] = {"direct": "basis", "theorem": "basis"}
+            assert want["summary"]["ok"], name
+        assert got == want, name
+        seen.add((L.p, kind, got["summary"]["ok"]))
+    assert {p for p, kind, _ in seen if kind == "decided"} == {2, 3, 5, 7}
+    assert {(kind, ok) for _, kind, ok in seen if kind != "decided"} == {
+        ("image", False), ("not restricted", False), ("bracket", True), ("shape", False)}
+
+
+def test_decided_iso_draws_and_tables_nothing(heis_ext, sl2, sl2_ext, sampled_p5, monkeypatch):
+    """A decided input calls no domain, eval_p_all or tally_domain, and folds
+    only L's unit vectors, whose fold is their image, the N rows pi(e_j) and
+    the n rows pi0(e_j) of L~, and the row pi0(t) of the theorem's a0~ and l~
+    checks: N + N + n + n + 1 rows."""
+    calls, folded = [], []
+    for module, name in ((isom, "domain"), (isom, "tally_domain"), (restricted, "eval_p_all")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+    real_fold = restricted.fold
+    monkeypatch.setattr(restricted, "fold",
+                        lambda p, xs, *rest: folded.append(np.asarray(xs)) or real_fold(p, xs, *rest))
+    L, B_L, P_L = sl2_ext
+    iso, Lt, B_Lt = sl2_instances(sl2, 4, seed=0x55)[1]
+    pi = build_adapted_iso(L, B_L, Lt, B_Lt, iso)
+    for L, B_L, Lt, B_Lt, P_L, P_Lt, pi in (
+        (*heis_ext[:2], *heis_ext[:2], heis_ext[2], heis_ext[2], gfp.eye(8)),
+        (L, B_L, Lt, B_Lt, P_L, transported_pstructure(L, P_L, Lt, pi), pi),
+        (sampled_p5["L"], sampled_p5["B_L"], sampled_p5["L"], sampled_p5["B_L"], sampled_p5["P_L"],
+         sampled_p5["P_L"], gfp.eye(13)),
+    ):
+        folded.clear()
+        N, n, p = L.n, L.n - 2, L.p
+        rep = verify_restricted_iso(L, B_L, Lt, B_Lt, PStructure(L, P_L.images), PStructure(Lt, P_Lt.images), pi)
+        assert rep.ok and rep.meta["regimes"] == {"direct": "basis", "theorem": "basis"}
+        assert calls == []
+        a, _ = extract_iso_data(L, B_L, Lt, B_Lt, pi)
+        emb = np.zeros((n + 1, N), dtype=np.int64)
+        emb[:, 1:1 + n] = np.vstack([a.pi0.T, (a.pi0 @ a.t_pi) % p])
+        allowed = {tuple(r) for r in np.vstack([gfp.eye(N), pi.T, emb])}
+        rows_in = np.vstack(folded)
+        assert len(rows_in) == 2 * N + 2 * n + 1
+        assert {tuple(r) for r in rows_in} <= allowed

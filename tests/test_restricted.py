@@ -30,6 +30,7 @@ from homext.restricted import (
 from homext.isom import verify_restricted_iso
 from homext.report import Report, rows
 from homext.rng import SplitMix64
+from test_certified import _corrupt_bracket
 
 
 def test_compute_s_char2_is_bracket(heis):
@@ -398,10 +399,13 @@ def test_sampled_regime_folds_its_domain_once(sl2_ext, sl2_null, monkeypatch):
     normalized row once: a second read of the drawn rows and the second
     route of an identity isomorphism add no kernel rows.  verify_pstructure
     and is_restricted_derivation walk their domain on the extension + a null
-    line (singular alpha), where R2 reads no k*x row; on the extension itself
-    verify_pstructure decides on the basis and draws and folds nothing."""
+    line (singular alpha), where R2 reads no k*x row, and
+    verify_restricted_iso on the extension with a corrupted bracket; on the
+    extension itself verify_pstructure decides on the basis and draws and
+    folds nothing."""
     L, B_L, P0 = sl2_ext
     p = L.p
+    bad = _corrupt_bracket(P0, 1, 2, 1)
     draw, real_fold = restricted.domain, restricted.fold
     drawn, folded, kernel = [], [], []
 
@@ -427,7 +431,8 @@ def test_sampled_regime_folds_its_domain_once(sl2_ext, sl2_null, monkeypatch):
     runs = {  # name -> (run, its p-map, reads of the drawn rows)
         "verify_pstructure": (lambda P: verify_pstructure(P).ok, sl2_null[2], 1),
         "is_restricted_derivation": (lambda P: is_restricted_derivation(W, P, zero), sl2_null[2], 1),
-        "verify_restricted_iso": (lambda P: verify_restricted_iso(L, B_L, L, B_L, P, P, gfp.eye(L.n)).ok, P0, 2),
+        "verify_restricted_iso": (lambda P: verify_restricted_iso(P.parent, B_L, P.parent, B_L, P, P,
+                                                                  gfp.eye(L.n)).ok, bad, 2),
     }
     for name, (run, Q, reads) in runs.items():
         drawn.clear()
@@ -1166,9 +1171,10 @@ def _tally_calls(request):
     """name -> a call of each tally_domain caller, passing and failing, in
     both regimes: R1 and R3, the restricted-derivation condition (on inputs
     with singular alpha, which it decides on its domain) and the direct
-    route of verify_restricted_iso."""
+    route of verify_restricted_iso (on heisenberg-dual L with a corrupted
+    bracket, which it decides on its domain)."""
     heis, psl3 = (request.getfixturevalue(f) for f in ("heis", "psl3"))
-    L, B_L, P_L = request.getfixturevalue("heis_ext")
+    _, B_L, P_L = request.getfixturevalue("heis_ext")
     calls = {}
     for name, P in _inert_cases(request).items():
         calls[f"{name} exhaustive"] = lambda P=P: verify_pstructure(P, samples=40)
@@ -1184,6 +1190,8 @@ def _tally_calls(request):
                             "sl2 L null zero": (S, P_S, Derivation(np.zeros((S.n, S.n)), S.p)),
                             "psl3 null D3": (Q, P_Q, Derivation(d3, 3))}.items():
         calls[name] = lambda A=A, P=P, D=D: Report(ok=is_restricted_derivation(A, P, D, samples=30, seed=5))
+    P_L = _corrupt_bracket(P_L, 1, 2, 1)  # antisymmetry fails, so the direct route walks its domain
+    L = P_L.parent
     imgs = P_L.images.copy()
     imgs[3, 7] ^= 1
     for name, P_t in (("iso", P_L), ("iso other", PStructure(L, imgs))):
