@@ -35,7 +35,6 @@ from .restricted import (
     PStructure,
     PPropertyWitness,
     check_p_property,
-    compute_eta,
     compute_s,
     eval_p,
     is_restricted_derivation,

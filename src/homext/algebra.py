@@ -351,10 +351,6 @@ def _derivation_report(A: HomLieAlgebra, D: Derivation) -> Report:
     return rep
 
 
-def is_derivation(A: HomLieAlgebra, D: Derivation) -> bool:
-    return verify_derivation(A, D).ok
-
-
 def center(A: HomLieAlgebra) -> Subspace:
     """{x : [x, y] = 0 for all y}: the centralizer of the identity's image."""
     return centralizer_of_image(A, gfp.eye(A.n))

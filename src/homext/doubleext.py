@@ -188,7 +188,9 @@ def eval_P_batch(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe: PExtens
 
     char 2: P(sum l_j e_j) = sum l_j^2 P_basis[j] + sum_{i<j} l_i l_j B(D e_i, e_j).
     char > 2: the ascending-index `fold` of P(u+v) = P(u) + P(v) + sum_i eta_i(u, v),
-    whose eta_i vanish when u or v is zero.
+    whose eta_i vanish when u or v is zero (`compute_eta_batch`, on W = V + Ke
+    built once per call).  V's inert mask holds for them: for a V-central e_j the
+    innermost factor of W's tower lands in Ke, which the next factor kills.
     """
     p = V.p
     vs = np.asarray(vs, dtype=np.int64) % p
@@ -197,8 +199,8 @@ def eval_P_batch(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe: PExtens
         cross = np.triu(m, 1)
         sq = (vs * vs) % p
         return (sq @ pe.P_basis + np.einsum("mi,ij,mj->m", vs, cross, vs)) % p
-    return fold(p, vs, pe.P_basis, lambda us, ws: compute_eta_batch(V, B_V, D, us, ws).sum(axis=1),
-                V.inert, V.nnz)
+    W = _central_extension(V, B_V, D)
+    return fold(p, vs, pe.P_basis, lambda us, ws: compute_eta_batch(W, us, ws).sum(axis=1), V.inert, W.nnz)
 
 
 def check_P_conditions(
@@ -214,7 +216,8 @@ def check_P_conditions(
     P_additivity is decided without evaluating P when a proved hypothesis
     holds (README, "P_additivity is implied"): at p = 2 when B_V is
     D-invariant; at odd p when W = V + Ke (`_central_extension`) is a Yau
-    twist (`restricted._yau_twist`).  It is then tallied as `samples`
+    twist (`restricted._yau_twist`; W is built once and also gives the
+    sampled cross term).  It is then tallied as `samples`
     passes, regime "implied", and nothing is drawn or folded.  Otherwise it
     runs on `samples` seeded pairs, regime "sampled": one eval_P_batch call
     folds every u, w and u + w, each once up to scale.  P(k u) = k^p P(u) is
@@ -223,7 +226,7 @@ def check_P_conditions(
     every k and u, regime "implied", never evaluated."""
     check_samples(samples)
     p, n = V.p, V.n
-    implied = d_invariant(B_V, D, p) if p == 2 else _yau_twist(_central_extension(V, B_V, D))
+    implied = d_invariant(B_V, D, p) if p == 2 else _yau_twist(W := _central_extension(V, B_V, D))
     rep = Report(p=p, dim=n, seed=seed, samples=samples,
                  regimes={"P_additivity": "implied" if implied else "sampled", "P_homogeneity": "implied"})
     if implied:
@@ -232,7 +235,7 @@ def check_P_conditions(
         rng = SplitMix64(seed)
         us, ws = rng.mat(samples, n, p), rng.mat(samples, n, p)
         pu, pw, psum = eval_P_batch(V, B_V, D, pe, np.vstack([us, ws, (us + ws) % p])).reshape(3, samples)
-        cross = B_V.eval_batch((us @ D.mat.T) % p, ws) if p == 2 else compute_eta_batch(V, B_V, D, us, ws).sum(axis=1)
+        cross = B_V.eval_batch((us @ D.mat.T) % p, ws) if p == 2 else compute_eta_batch(W, us, ws).sum(axis=1)
         want = (pu + pw + cross) % p
         rep.tally("P_additivity", (psum - want) % p != 0, psum, want, witness=rows(us, ws))
     rep.check("P_homogeneity").passed += p * samples

@@ -13,10 +13,6 @@ class DimMismatch(HomextError):
     """Vector or matrix shapes are inconsistent."""
 
 
-class OddCharRequired(HomextError):
-    """Operation is only defined in characteristic p > 2."""
-
-
 class PreconditionFailed(HomextError):
     """A theorem precondition does not hold; carries the offending report."""
 

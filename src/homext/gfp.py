@@ -140,11 +140,6 @@ def null_basis(m, p: int) -> np.ndarray:
     return rref(basis, p)[0]
 
 
-def kernel(m, p: int) -> list[np.ndarray]:
-    """The rows of null_basis(m, p), as a list."""
-    return list(null_basis(m, p))
-
-
 def solve(m, b, p: int) -> np.ndarray | None:
     """Some x with Mx = b, or None.  Free variables are set to 0."""
     a = asmat(m, p)

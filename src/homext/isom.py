@@ -342,10 +342,11 @@ def verify_restricted_iso(
     # a0~ and l~ too.  They read s~ = sum_i s_i(e~*, -pi0(t)), R3 coefficients of L~ from
     # one compute_s_batch pair: a0~ takes its V-part, l~ its e~-coefficient, and its
     # e~*-part is zero.  pi(e*) carries nu e~, whose p-th power is nu (m~ e~ + u0~), so u0~
-    # and m~ enter with -gamma nu, which is B(t, t)/2 when pi preserves the form at odd p
+    # and m~ enter with -gamma nu, which is B(t, t)/2 when pi preserves the form at odd p.
+    # At pi0(t) = 0 the pair is (e~*, 0): the tower is k^{p-1} times a vector, so every s_i is 0
     y = gfp.zeros(N)
     y[1:1 + n] = (-pt) % p
-    st = compute_s_batch(L_tilde, gfp.unit(N, 0)[None, :], y)[0].sum(axis=0) % p
+    st = compute_s_batch(L_tilde, gfp.unit(N, 0)[None, :], y)[0].sum(axis=0) % p if pt.any() else gfp.zeros(N)
     c = (-gamma * nu) % p
     gxi = (ginv * pe.xi) % p
     a0_rhs = ((gamma * (((pi0 @ pe.a0) % p - gxi * pt) % p)) % p + (c * pet.u0) % p + spt_t - st[1:1 + n]) % p

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
-from .algebra import BilinearForm, Derivation, HomLieAlgebra, Subspace, _kept, verify_derivation, verify_hom_lie
-from .errors import DimMismatch, OddCharRequired
+from .algebra import Derivation, HomLieAlgebra, Subspace, _kept, verify_derivation, verify_hom_lie
+from .errors import DimMismatch
 from .report import CheckResult, Report, rows
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix64, check_samples
 
@@ -71,7 +71,8 @@ def _formal_tower(A: HomLieAlgebra, xs, ys, depth: int) -> np.ndarray:
 
     The result is a polynomial vector in the formal parameter k; returns
     [batch, depth+1, n] with row d its coefficient of k^d.  This is the one
-    tower behind both the s_i and the eta_i.  ys is [batch, n], or one [n]
+    tower behind the s_i, and so behind the eta_i, the e-coordinates of the
+    s_i of V + Ke (doubleext).  ys is [batch, n], or one [n]
     vector shared by the batch.  On an alternating c the innermost factor
     gives k[x, x] + [y, x] = [y, x], so after t + 1 factors the degree is
     at most t and the top rows, which are zero, are not bracketed (README,
@@ -121,6 +122,15 @@ def compute_s_batch(A: HomLieAlgebra, xs, ys) -> np.ndarray:
 def compute_s(A: HomLieAlgebra, x, y) -> list[np.ndarray]:
     """compute_s_batch on one pair, as the list [s_1, ..., s_{p-1}]."""
     return list(compute_s_batch(A, gfp.asvec(x, A.p)[None, :], gfp.asvec(y, A.p)[None, :])[0])
+
+
+def compute_eta_batch(W: HomLieAlgebra, us, vs) -> np.ndarray:
+    """The eta_1..eta_{p-1} of an odd-p P map for rows u, v of V: the
+    e-coordinates of compute_s_batch on W = V + Ke (e last, as
+    doubleext._central_extension builds it) at [u | 0], [v | 0].  Returns
+    [batch, p-1]; no tower of its own (README, "P_additivity is implied")."""
+    pad = ((0, 0), (0, 1))
+    return compute_s_batch(W, np.pad(us, pad), np.pad(vs, pad))[:, :, -1]
 
 
 def fold(p: int, xs, images, cross, inert, nnz: int = 0, cache: dict | None = None) -> np.ndarray:
@@ -479,30 +489,3 @@ def solve_p_property(A: HomLieAlgebra, D: Derivation) -> PPropertyWitness | None
         return None
     a0 = Subspace(gfp.null_basis(m, p), p).reduce(sol[:n])
     return PPropertyWitness(int(sol[n]), a0, p)
-
-
-def compute_eta_batch(A: HomLieAlgebra, B: BilinearForm, D: Derivation, us, vs) -> np.ndarray:
-    """The eta_1..eta_{p-1} coefficients used by odd-characteristic P maps.
-
-    Pairs D(alpha^{p-2}(lam*u + v)) against the length-(p-2) formal tower
-    of (lam*u + v) applied to u, expands in the formal parameter lam, and
-    divides the coefficient of lam^(i-1) by i.  Returns [batch, p-1].  vs
-    may be one [n] vector, shared by every u.
-    """
-    if A.p == 2:
-        raise OddCharRequired("eta coefficients need p > 2")
-    p = A.p
-    us = np.asarray(us, dtype=np.int64) % p
-    vs = np.asarray(vs, dtype=np.int64) % p
-    # B(D(alpha^{p-2}(w)), .) as a row vector: lam^0 part from v, lam^1 part from u
-    pair = (((D.mat @ gfp.mat_pow(A.alpha, p - 2, p)) % p).T @ B.gram) % p
-    right = _formal_tower(A, us, vs, p - 2)  # [batch, p-1, n]
-    q = np.einsum("mk,mdk->md", np.broadcast_to((vs @ pair) % p, us.shape), right)
-    q[:, 1:] += np.einsum("mk,mdk->md", (us @ pair) % p, right[:, :-1, :])
-    return (_inverses(p)[None, :] * (q % p)) % p
-
-
-def compute_eta(A: HomLieAlgebra, B: BilinearForm, D: Derivation, u, v) -> list[int]:
-    """compute_eta_batch on one pair, as a list of ints."""
-    etas = compute_eta_batch(A, B, D, gfp.asvec(u, A.p)[None, :], gfp.asvec(v, A.p)[None, :])
-    return [int(x) for x in etas[0]]

@@ -4,8 +4,12 @@ PolyVec towers, the R3 coefficients and the p-map fold built on them, and
 the coefficient recursion share no code with the batched kernels they are
 compared against; formal_tower_full is the formal tower that brackets every
 coefficient row, zero or not, in one bracket_batch call per step;
-s_tilde_direct deliberately runs the library's compute_s, eval_P_fold its
-compute_eta_batch, and phi_bracket_compat_loop its bracket.
+compute_eta_batch(V, B, D, u, v) and compute_eta are the eta_i as the
+pairing of D(alpha^{p-2}(k u + v)) against the depth-(p-2) tower of V, where
+restricted.compute_eta_batch(W, u, v) reads them off compute_s_batch on
+W = V + Ke, and eval_P_fold and P_conditions_sampled fold and check P with
+that pairing; s_tilde_direct deliberately runs the
+library's compute_s, and phi_bracket_compat_loop its bracket.
 P_conditions_sampled runs check_P_conditions' sampled route on every input,
 where check_P_conditions decides P_additivity when a proved hypothesis
 holds; double_extend_unchecked builds the extension's bracket and twist for
@@ -78,8 +82,8 @@ from homext.restricted import (
     EXHAUSTIVE_LIMIT,
     PPropertyWitness,
     PStructure,
+    _formal_tower,
     _inverses,
-    compute_eta_batch,
     compute_s,
     compute_s_batch,
     eval_p,
@@ -199,6 +203,31 @@ def eval_p_fold(P: PStructure, x) -> np.ndarray:
             acc_img = (acc_img + sum(compute_s_polyvec(A, acc_vec, part))) % p
         acc_vec = (acc_vec + part) % p
     return acc_img
+
+
+def compute_eta_batch(A: HomLieAlgebra, B: BilinearForm, D: Derivation, us, vs) -> np.ndarray:
+    """The eta_1..eta_{p-1} coefficients used by odd-characteristic P maps.
+
+    Pairs D(alpha^{p-2}(lam*u + v)) against the length-(p-2) formal tower
+    of (lam*u + v) applied to u, expands in the formal parameter lam, and
+    divides the coefficient of lam^(i-1) by i.  Returns [batch, p-1].  vs
+    may be one [n] vector, shared by every u.  Odd p only.
+    """
+    p = A.p
+    us = np.asarray(us, dtype=np.int64) % p
+    vs = np.asarray(vs, dtype=np.int64) % p
+    # B(D(alpha^{p-2}(w)), .) as a row vector: lam^0 part from v, lam^1 part from u
+    pair = (((D.mat @ gfp.mat_pow(A.alpha, p - 2, p)) % p).T @ B.gram) % p
+    right = _formal_tower(A, us, vs, p - 2)  # [batch, p-1, n]
+    q = np.einsum("mk,mdk->md", np.broadcast_to((vs @ pair) % p, us.shape), right)
+    q[:, 1:] += np.einsum("mk,mdk->md", (us @ pair) % p, right[:, :-1, :])
+    return (_inverses(p)[None, :] * (q % p)) % p
+
+
+def compute_eta(A: HomLieAlgebra, B: BilinearForm, D: Derivation, u, v) -> list[int]:
+    """compute_eta_batch on one pair, as a list of ints."""
+    etas = compute_eta_batch(A, B, D, gfp.asvec(u, A.p)[None, :], gfp.asvec(v, A.p)[None, :])
+    return [int(x) for x in etas[0]]
 
 
 def eval_P_fold(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe, vs) -> np.ndarray:
@@ -400,7 +429,7 @@ def solve_p_property_loop(A: HomLieAlgebra, D: Derivation) -> PPropertyWitness |
         a0 = gfp.solve(m, np.concatenate([((dp - xi * dapow) % p).reshape(n * n), gfp.zeros(n)]), p)
         if a0 is None:
             continue
-        for row in gfp.kernel(m, p):
+        for row in gfp.null_basis(m, p):
             c = int(np.argmax(row != 0))
             if a0[c] != 0:
                 a0 = (a0 - a0[c] * row) % p
@@ -528,7 +557,7 @@ def centralizer_dense(A: HomLieAlgebra, M) -> Subspace:
     """centralizer_of_image from its n^2 x n system built by one einsum."""
     m = gfp.asmat(M, A.p)
     rows = np.einsum("abk,bj->jka", A.c, m).reshape(A.n * A.n, A.n) % A.p
-    return Subspace.from_vectors(gfp.kernel(rows, A.p), A.n, A.p)
+    return Subspace.from_vectors(list(gfp.null_basis(rows, A.p)), A.n, A.p)
 
 
 def twisted_tensor_dense(c, alpha, p: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import oracles
-from oracles import phi_recursion, phi_split, s_tilde, s_tilde_direct
+from oracles import compute_eta_batch, phi_recursion, phi_split, s_tilde, s_tilde_direct
 
 from homext import gfp, restricted
 from homext.algebra import d_invariant, verify_hom_lie, verify_quadratic
@@ -29,7 +29,6 @@ from homext.restricted import (
     PPropertyWitness,
     PStructure,
     check_p_property,
-    compute_eta_batch,
     compute_s_batch,
     eval_p,
     is_restricted_derivation,

@@ -1,6 +1,7 @@
 import numpy as np
 import oracles
 import pytest
+from oracles import compute_eta_batch
 
 from homext import doubleext, gfp, restricted
 from homext.algebra import (
@@ -41,7 +42,6 @@ from homext.errors import (
 from homext.isom import verify_restricted_iso
 from homext.restricted import (
     PStructure,
-    compute_eta_batch,
     compute_s_batch,
     eval_p,
     eval_p_batch,
@@ -921,18 +921,20 @@ def test_former_hypothesis_can_decide_where_W_does_not(p):
 def test_P_is_the_e_part_of_the_extension_fold(p, request):
     """For u, v in V, compute_s_batch(W, u, v)[i], W = V + Ke, has V-part
     compute_s_batch(V, u, v)[i] and e-coordinate compute_eta_batch(V, B, D,
-    u, v)[i], for every i, on every input of _P_inputs: the identity needs
-    nothing of D.  The same holds in every double extension L that frames V
-    (oracles.frames), whatever x0, lambda and lambda0 are, with a zero
-    e*-coordinate."""
+    u, v)[i] (the oracle pairing), for every i, on every input of _P_inputs:
+    the identity needs nothing of D.  restricted.compute_eta_batch(W, u, v),
+    which eval_P_batch folds with, reads that coordinate.  The same holds in
+    every double extension L that frames V (oracles.frames), whatever x0,
+    lambda and lambda0 are, with a zero e*-coordinate."""
     rng = np.random.default_rng(70 + p)
     for name, V, B, D, L in _P_inputs(p, request, rng):
         n = V.n
         us, vs = rng.integers(0, p, (60, n)), rng.integers(0, p, (60, n))
         eta, sv = compute_eta_batch(V, B, D, us, vs), compute_s_batch(V, us, vs)
-        s = compute_s_batch(doubleext._central_extension(V, B, D), np.pad(us, ((0, 0), (0, 1))),
-                            np.pad(vs, ((0, 0), (0, 1))))
+        W = doubleext._central_extension(V, B, D)
+        s = compute_s_batch(W, np.pad(us, ((0, 0), (0, 1))), np.pad(vs, ((0, 0), (0, 1))))
         assert np.array_equal(s[:, :, :n], sv) and np.array_equal(s[:, :, n], eta), name
+        assert np.array_equal(restricted.compute_eta_batch(W, us, vs), eta), name
         if not oracles.frames(L, V, B, D):
             continue
         s = compute_s_batch(L, np.pad(us, ((0, 0), (1, 1))), np.pad(vs, ((0, 0), (1, 1))))

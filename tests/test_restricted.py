@@ -3,17 +3,15 @@ import tracemalloc
 import numpy as np
 import oracles
 import pytest
+from oracles import compute_eta, compute_eta_batch
 
 from homext import doubleext, gfp, isom, restricted
 from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
 from homext.doubleext import PExtensionData, eval_P_batch
-from homext.errors import OddCharRequired
 from homext.restricted import (
     PStructure,
     PPropertyWitness,
     check_p_property,
-    compute_eta,
-    compute_eta_batch,
     compute_s,
     compute_s_batch,
     domain,
@@ -31,6 +29,7 @@ from homext.isom import verify_restricted_iso
 from homext.report import Report, rows
 from homext.rng import SplitMix64
 from test_certified import _corrupt_bracket
+from test_doubleext import _sl2
 
 
 def test_compute_s_char2_is_bracket(heis):
@@ -219,11 +218,6 @@ def test_compute_eta_trivial_cases(psl3_twisted):
     assert compute_eta(ga, ba, D, gfp.zeros(7), v) == [0, 0]
     zero = Derivation(np.zeros((7, 7), dtype=np.int64), 3)
     assert compute_eta(ga, ba, zero, rng.vec(7, 3), v) == [0, 0]
-
-
-def test_compute_eta_requires_odd_characteristic(heis):
-    with pytest.raises(OddCharRequired):
-        compute_eta(heis.V, heis.B, heis.D, gfp.zeros(6), gfp.zeros(6))
 
 
 def test_compute_eta_interpolation_oracle(psl3_twisted):
@@ -718,6 +712,50 @@ def test_central_e_j_with_noncentral_twist_image_is_inert():
             assert np.array_equal(eval_P_batch(A, B, D, pe, vs), want), p
 
 
+def _sl2_plus_central(p, k, alpha_block, gram_block):
+    """sl2 over GF(p) (test_doubleext._sl2) + GF(p)^k central, with the given
+    twist and form blocks on GF(p)^k."""
+    V3, B3, _ = _sl2(p)
+    n = 3 + k
+    c = np.zeros((n, n, n), dtype=np.int64)
+    c[:3, :3, :3] = V3.c
+    alpha, gram = np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+    alpha[:3, :3], alpha[3:, 3:] = V3.alpha, alpha_block
+    gram[:3, :3], gram[3:, 3:] = B3.gram, gram_block
+    return HomLieAlgebra(p, c, alpha), BilinearForm(gram, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_P_fold_keeps_the_inert_mask_when_D_moves_a_central_coordinate(p, sampled_p5):
+    """eval_P_batch folds with V.inert, its cross terms the e-coordinates of
+    the s_i of W = V + Ke.  For a V-central e_j the innermost factor of W's
+    tower at y = lam e_j is [y, x]_W = B(D y, x) e (plus k B(D x, x) e), in
+    Ke, and e is central in W, so the next factor, which exists since
+    p - 1 >= 2, kills it.  Random D that move a central coordinate, on sl2
+    over GF(p) + GF(p)^8 with the hyperbolic form (the sampled-p5 V at
+    p = 5) and on sl2 + one null line: the fold equals the all-false-mask
+    fold, by W's cross term and by the oracle pairing."""
+    k = 4
+    hyper = np.block([[np.zeros((k, k), dtype=np.int64), gfp.eye(k)], [gfp.eye(k), np.zeros((k, k), dtype=np.int64)]])
+    cases = {"sl2 + GF(p)^8": _sl2_plus_central(p, 2 * k, gfp.eye(2 * k), hyper),
+             "sl2 + null line": _sl2_plus_central(p, 1, np.zeros((1, 1), dtype=np.int64), gfp.eye(1))}
+    if p == 5:
+        assert np.array_equal(cases["sl2 + GF(p)^8"][0].c, sampled_p5["V"].c)
+        assert np.array_equal(cases["sl2 + GF(p)^8"][1].gram, sampled_p5["B"].gram)
+    rng = np.random.default_rng(40 + p)
+    for name, (V, B) in cases.items():
+        assert V.inert[3:].all() and not V.inert[:3].any(), name
+        for _ in range(3):
+            D = Derivation(rng.integers(0, p, (V.n, V.n)), p)
+            assert D.mat[:, V.inert].any(), name  # D(e_j) != 0 for some central e_j
+            pe = PExtensionData(0, gfp.zeros(V.n), 0, 0, gfp.zeros(V.n), rng.integers(0, p, V.n), p)
+            vs = np.vstack([rng.integers(0, p, (150, V.n)), gfp.eye(V.n)])
+            W = doubleext._central_extension(V, B, D)
+            got = eval_P_batch(V, B, D, pe, vs)
+            for cross in (lambda us, ws: restricted.compute_eta_batch(W, us, ws).sum(axis=1), _eta_cross(V, B, D)):
+                assert np.array_equal(got, fold(p, vs, pe.P_basis, cross, _no_skips(V))), name
+
+
 def test_non_alternating_tensor_has_no_inert_coordinate():
     """[e0, e0] = e1: rows 1 and 2 of c are zero, but eta(e0, e2) != 0 because
     [u, u] != 0, so skipping e2 would change P."""
@@ -819,11 +857,11 @@ def _live_pairs(xs, inert):
             if x[j] and x[:j].any() and not inert[j]]
 
 
-def _fold_batches(A, rng):
-    """Batches around one fold slice of A: no rows, one row, exactly one
-    slice and one slice + 1 of live pairs (one per row), rows that are zero
-    or have a single nonzero coordinate, and random rows."""
-    p, n, step = A.p, A.n, _slice(A)
+def _fold_batches(A, rng, step=None):
+    """Batches around one fold slice of A (or of `step` pairs): no rows, one
+    row, exactly one slice and one slice + 1 of live pairs (one per row),
+    rows that are zero or have a single nonzero coordinate, and random rows."""
+    p, n, step = A.p, A.n, step or _slice(A)
     live = [j for j in np.nonzero(~A.inert)[0] if j > 0]
     pairs = np.zeros((step + 1, n), dtype=np.int64)
     pairs[:, 0] = rng.integers(1, p, step + 1)
@@ -884,7 +922,7 @@ def test_eval_P_batch_equals_the_per_coordinate_oracle(sampled_p5):
         cases[f"{name} corrupted"] = (V, B, D, bad)
     rng = np.random.default_rng(13)
     for name, (V, B, D, pe) in cases.items():
-        for batch, vs in _fold_batches(V, rng).items():
+        for batch, vs in _fold_batches(V, rng, _slice(doubleext._central_extension(V, B, D))).items():
             got = eval_P_batch(V, B, D, pe, vs)
             assert got.shape == vs.shape[:1], (name, batch)
             assert np.array_equal(got, oracles.eval_P_fold(V, B, D, pe, vs)), (name, batch)
@@ -906,7 +944,9 @@ def test_fold_kernel_sees_each_normalized_row_once_per_pstructure(sampled_p5, wi
     normalized row once per PStructure, in slices of at most the slice size;
     a repeated batch and every k*x add no kernel rows.  The odd-p
     eval_P_batch keeps nothing between calls, so each call folds the live
-    pairs of its own distinct normalized rows."""
+    pairs of its own distinct normalized rows, in slices sized by the nnz of
+    W = V + Ke, whose compute_s_batch gives its cross terms
+    (restricted.compute_eta_batch)."""
     sizes = []
 
     def counting(kernel):
@@ -915,8 +955,8 @@ def test_fold_kernel_sees_each_normalized_row_once_per_pstructure(sampled_p5, wi
             return kernel(*args)
         return counted
 
+    # one spy for both folds: eval_P_batch's eta_i are compute_s_batch on W
     monkeypatch.setattr(restricted, "compute_s_batch", counting(compute_s_batch))
-    monkeypatch.setattr(doubleext, "compute_eta_batch", counting(compute_eta_batch))
     rng = np.random.default_rng(14)
     for name, gen in (("sampled_p5 L", sampled_p5), ("wide_char2 L", wide_char2)):
         A = gen["L"]
@@ -940,8 +980,8 @@ def test_fold_kernel_sees_each_normalized_row_once_per_pstructure(sampled_p5, wi
                 eval_p_batch(P, (k * xs) % p)
         assert not sizes, name
     V, B, D, pe = sampled_p5["V"], sampled_p5["B"], sampled_p5["D"], sampled_p5["pe"]
-    step = _slice(V)
-    for batch, vs in _fold_batches(V, rng).items():
+    step = _slice(doubleext._central_extension(V, B, D))
+    for batch, vs in _fold_batches(V, rng, step).items():
         vs = np.vstack([(k * vs) % V.p for k in range(V.p)] + [vs])
         for _ in range(2):
             sizes.clear()
