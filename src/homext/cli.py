@@ -3,7 +3,11 @@
 Reports go to stdout as JSON with a human summary on stderr; bundle
 outputs go to --out or stdout.  Exit codes: 0 all checks pass, 1 a
 semantic check or theorem precondition failed, 2 parse/usage errors.
-The env var HOMEXT_SEED overrides the default sampling seed.
+The input picks each check's regime (basis / implied / exhaustive /
+sampled), and the report's meta["regimes"] names it; --samples sets the
+size of the sampled regimes and the counts of the decided ones.  extend
+and p-extend build the one extension a bundle carries.  The env var
+HOMEXT_SEED overrides the default sampling seed.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .doubleext import (
 from .errors import HomextError, ParseError, PreconditionFailed
 from .isom import verify_adapted_iso, verify_restricted_iso
 from .report import Report
-from .restricted import EXHAUSTIVE_LIMIT, is_restricted_derivation, solve_p_property, verify_pstructure
+from .restricted import is_restricted_derivation, solve_p_property, verify_pstructure
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED
 from .twist import (
     build_heisenberg_dual,
@@ -119,8 +123,6 @@ def cmd_fixture(args) -> int:
 def cmd_verify(args) -> int:
     b = _read_bundle(args.file)
     seed = _seed(args)
-    if args.exhaustive and b.p**b.dim > EXHAUSTIVE_LIMIT:
-        raise ParseError(f"{b.p}^{b.dim} vectors exceed the exhaustive limit {EXHAUSTIVE_LIMIT}")
     A = b.algebra()
     report = Report(file=args.file, seed=seed, samples=args.samples)
     report.merge(verify_hom_lie(A))
@@ -154,18 +156,12 @@ def cmd_verify(args) -> int:
     return _finish(report)
 
 
-def _load_extension(b, derivation_flag):
+def _load_extension(b):
+    """The (d, pe) of the bundle's one extension."""
     ext = b.extension_data()
-    if derivation_flag:
-        if derivation_flag not in b.derivations:
-            raise ParseError(f"no derivation named {derivation_flag!r}")
-        if ext is None or ext[0] != derivation_flag:
-            raise ParseError(
-                f"bundle extension data is not for derivation {derivation_flag!r}"
-            )
     if ext is None:
         raise ParseError("bundle carries no extension data")
-    return ext
+    return ext[1:]
 
 
 def cmd_extend(args) -> int:
@@ -173,7 +169,7 @@ def cmd_extend(args) -> int:
     form = b.bilinear_form()
     if form is None:
         raise ParseError("extend needs a quadratic bundle (form missing)")
-    name, d, _ = _load_extension(b, args.derivation)
+    d, _ = _load_extension(b)
     A = b.algebra()
     L, B_L = double_extend(A, form, d)
     _write_bundle(bundle_mod.from_parts(L, B_L), args.out)
@@ -187,7 +183,7 @@ def cmd_p_extend(args) -> int:
     P = b.pstructure(A)
     if form is None or P is None:
         raise ParseError("p-extend needs form and pmap")
-    name, d, pe = _load_extension(b, args.derivation)
+    d, pe = _load_extension(b)
     L, B_L = double_extend(A, form, d)
     P_L = extend_pstructure(L, A, form, P, d, pe, samples=args.samples, seed=_seed(args))
     _write_bundle(bundle_mod.from_parts(L, B_L, P_L), args.out)
@@ -301,19 +297,16 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("verify", help="run every checker applicable to the bundle")
     sp.add_argument("file")
-    sp.add_argument("--exhaustive", action="store_true", help="exit 2 unless p^dim fits the exhaustive limit")
     add_common(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("extend", help="one-dimensional double extension")
     sp.add_argument("file")
-    sp.add_argument("--derivation")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_extend)
 
     sp = sub.add_parser("p-extend", help="double extension with extended p-structure")
     sp.add_argument("file")
-    sp.add_argument("--derivation")
     sp.add_argument("--out")
     add_common(sp, samples=EXTENSION_SAMPLES)
     sp.set_defaults(func=cmd_p_extend)

@@ -99,14 +99,14 @@ def check_extension_data(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtension
     rep.record("d_invariant", d_invariant(B_V, d.D, p), ())
     dm, x0 = d.D.mat, d.x0
     dx0 = d.D(x0)
-    eq1 = (d.lam * dm + V.ad(x0) - dm) % p
-    rep.record("lambda_D_plus_ad_x0", not eq1.any(), (), lhs=(d.lam * dm + V.ad(x0)) % p, rhs=dm)
+    lhs1 = (d.lam * dm + V.ad(x0)) % p
+    rep.record("lambda_D_plus_ad_x0", np.array_equal(lhs1, dm), (), lhs=lhs1, rhs=dm)
     # the odd-characteristic signs; -1 = 1 makes them the char-2 identities
-    eq2 = (V.apply_alpha(dx0) + dx0) % p
+    lhs2 = V.apply_alpha(dx0)
     # reduce after every factor: a chain of three reduced factors wraps int64 near the p guard
     dm2 = (dm @ dm) % p
     eq3 = ((V.alpha @ dm2) % p - (dm2 @ V.alpha) % p - V.ad(dx0)) % p
-    rep.record("alpha_D_x0", not eq2.any(), (), lhs=V.apply_alpha(dx0), rhs=dx0)
+    rep.record("alpha_D_x0", not ((lhs2 + dx0) % p).any(), (), lhs=lhs2, rhs=dx0)
     rep.record("alpha_D_squared", not eq3.any(), (), lhs=eq3, rhs=0)
     return rep
 

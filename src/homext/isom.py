@@ -163,18 +163,13 @@ def _adapted_iso_report(L: HomLieAlgebra, B_L: BilinearForm, L_tilde: HomLieAlge
     return rep
 
 
-def extract_iso_data(
-    L: HomLieAlgebra,
-    B_L: BilinearForm,
-    L_tilde: HomLieAlgebra,
-    B_Lt: BilinearForm,
-    pi,
-) -> tuple[AdaptedIso, Report]:
-    """Read (pi0, gamma, t_pi, nu) off an adapted-form matrix.
+def extract_iso_data(L: HomLieAlgebra, B_L: BilinearForm, pi) -> tuple[AdaptedIso, Report]:
+    """Read (pi0, gamma, t_pi, nu) off an adapted-form matrix pi: L -> L~.
 
-    t_pi is recovered from the e~-row over the V columns by solving
-    against the Gram matrix; the report flags any column whose shape
-    contradicts the adapted normal form instead of silently fixing it.
+    It reads pi and the form on L's V frame only, not L~.  t_pi is
+    recovered from the e~-row over the V columns by solving against the
+    Gram matrix; the report flags any column whose shape contradicts the
+    adapted normal form instead of silently fixing it.
     """
     p, N = L.p, L.n
     n = N - 2
@@ -273,7 +268,7 @@ def verify_restricted_iso(
     p, N = L.p, L.n
     n = N - 2
     pi = gfp.asmat(pi, p)
-    a, shape_rep = extract_iso_data(L, B_L, L_tilde, B_Lt, pi)
+    a, shape_rep = extract_iso_data(L, B_L, pi)
     # The hypothesis under which the direct defect is GF(p)-linear and the two
     # theorem checks are its V- and e~-parts on V (README, "Basis decision for
     # isomorphisms"), cheapest first and before the frames are built: at odd p

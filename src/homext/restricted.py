@@ -318,8 +318,9 @@ def _tower_batch(A: HomLieAlgebra, xs) -> np.ndarray:
     return out
 
 
-def r1_defect_batch(A: HomLieAlgebra, P: PStructure, xs, images) -> np.ndarray:
-    """Per-vector R1 defect: ad(x^[p]) o alpha^{p-1} minus the ad-tower.
+def r1_defect_batch(A: HomLieAlgebra, xs, images) -> np.ndarray:
+    """Per-vector R1 defect: ad(x^[p]) o alpha^{p-1} minus the ad-tower,
+    where images[m] is xs[m]^[p] under the p-map being checked.
 
     A batch past _R1_ELEMENTS matrix entries runs in slices of at most that
     many, which bounds the [rows, n, n] temporaries besides the result."""
@@ -375,7 +376,7 @@ def verify_pstructure(
     pair_regime = "exhaustive" if pairs else "sampled"
     rep = Report(p=p, dim=n, seed=seed, samples=samples,
                  regimes={"r1": "basis", "r2": "implied", "r3": "implied"}, mode=pair_regime)
-    defect = r1_defect_batch(A, P, gfp.eye(n), P.images)
+    defect = r1_defect_batch(A, gfp.eye(n), P.images)
     rep.tally("r1_basis", defect.any(axis=(1, 2)), defect, 0)
     if not defect.any() and _yau_twist(A):
         for name, count in (("r1", size), ("r2", p * size), ("r3", p**(2 * n) if pairs else samples)):
@@ -385,7 +386,7 @@ def verify_pstructure(
     rng = SplitMix64(seed)
     xs, pmap, vec_regime = domain(P, samples, rng)
     rep.meta["regimes"] = {"r1": vec_regime, "r2": "implied", "r3": pair_regime}
-    tally_domain(rep, "r1", vec_regime, P, xs, [pmap], lambda vs, f: (r1_defect_batch(A, P, vs, f(vs)), 0))
+    tally_domain(rep, "r1", vec_regime, P, xs, [pmap], lambda vs, f: (r1_defect_batch(A, vs, f(vs)), 0))
     rep.check("r2").passed += p * size
 
     def r3_sides(zs, f):
@@ -397,12 +398,10 @@ def verify_pstructure(
     return rep
 
 
-def restricted_defect_batch(
-    A: HomLieAlgebra, P: PStructure, D: Derivation, xs, images
-) -> np.ndarray:
+def restricted_defect_batch(A: HomLieAlgebra, D: Derivation, xs, images) -> np.ndarray:
     """D(x^[p]) minus ad(alpha^{p-1}(x)) o ... o ad(alpha(x)) (D(x)), batched.
 
-    images[m] is xs[m]^[p] under P, as in r1_defect_batch.
+    images[m] is xs[m]^[p], as in r1_defect_batch.
     """
     p = A.p
     xs = np.asarray(xs, dtype=np.int64) % p
@@ -439,7 +438,7 @@ def is_restricted_derivation(
     xs, pmap, regime = domain(P, samples, SplitMix64(seed))
 
     def sides(vs, f):
-        return restricted_defect_batch(A, P, D, vs, f(vs)), 0
+        return restricted_defect_batch(A, D, vs, f(vs)), 0
 
     return tally_domain(Report(), "domain", regime, P, xs, [pmap], sides).ok
 
@@ -451,7 +450,7 @@ def _restricted_basis(A: HomLieAlgebra, P: PStructure, D: Derivation) -> Report:
     (`_kept`), like verify_derivation's report: `homext verify` asks for it
     for D.restricted and again in check_p_extension_data."""
     def make():
-        defect = restricted_defect_batch(A, P, D, gfp.eye(A.n), P.images)
+        defect = restricted_defect_batch(A, D, gfp.eye(A.n), P.images)
         rep = Report()
         rep.tally("basis", defect.any(axis=1))
         rep.meta["decided"] = rep.ok and D.k == 1 and _yau_twist(A) and verify_derivation(A, D).ok

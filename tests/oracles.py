@@ -760,7 +760,7 @@ def pstructure_rows(P: PStructure, samples: int = DEFAULT_SAMPLES, seed: int = D
     pairs = table and count * count <= EXHAUSTIVE_LIMIT
     vec, mode = ("exhaustive" if table else "sampled"), ("exhaustive" if pairs else "sampled")
     rep = Report(p=p, dim=n, seed=seed, samples=samples, mode=mode, regimes={"r1": vec, "r2": vec, "r3": mode})
-    defect = r1_defect_batch(A, P, gfp.eye(n), P.images)
+    defect = r1_defect_batch(A, gfp.eye(n), P.images)
     rep.tally("r1_basis", defect.any(axis=(1, 2)), defect, 0)
     rng = SplitMix64(seed)
     xs = gfp.all_vectors(n, p) if table else rng.mat(samples, n, p)
@@ -769,7 +769,7 @@ def pstructure_rows(P: PStructure, samples: int = DEFAULT_SAMPLES, seed: int = D
     def image(vs):
         return folded[gfp.vec_index(vs, p)] if table else eval_p_batch(P, vs)
 
-    defect = r1_defect_batch(A, P, xs, folded)
+    defect = r1_defect_batch(A, xs, folded)
     rep.tally("r1", defect.any(axis=(1, 2)), defect, 0, witness=rows(xs))
     for k in range(p):
         scaled = image(k * xs)
@@ -789,7 +789,7 @@ def restricted_derivation_rows(A: HomLieAlgebra, P: PStructure, D: Derivation) -
     """is_restricted_derivation on every vector of GF(p)^n (within the limit)."""
     assert A.p**A.n <= EXHAUSTIVE_LIMIT
     xs = gfp.all_vectors(A.n, A.p)
-    return not restricted_defect_batch(A, P, D, xs, eval_p_batch(P, xs)).any()
+    return not restricted_defect_batch(A, D, xs, eval_p_batch(P, xs)).any()
 
 
 def alpha_derivations(A: HomLieAlgebra, k: int = 1) -> np.ndarray:
@@ -848,7 +848,7 @@ def restricted_iso_rows(L: HomLieAlgebra, B_L: BilinearForm, L_tilde: HomLieAlge
     lhs, rhs = (f_L(xs) @ pi.T) % p, f_Lt((xs @ pi.T) % p)
     rep.tally("direct", (lhs != rhs).any(axis=1), lhs, rhs, witness=rows(xs))
     f, ft = split_frame(L, B_L, P_L), split_frame(L_tilde, B_Lt, P_Lt)
-    a, shape = extract_iso_data(L, B_L, L_tilde, B_Lt, pi)
+    a, shape = extract_iso_data(L, B_L, pi)
     rep.merge(shape)
     pe, pet, B_V = f.pe, ft.pe, f.B_V
     pi0, gamma, t, nu = a.pi0, a.gamma, a.t_pi, a.nu

@@ -336,7 +336,7 @@ def test_criterion_7_mutation_sensitivity(heis, heis_ext):
                 if not verify_quadratic(M, B_L).check("invariance").ok:
                     continue
                 PM = PStructure(M, P_L.images)
-                defect = r1_defect_batch(M, PM, gfp.all_vectors(8, 2), eval_p_all(PM))
+                defect = r1_defect_batch(M, gfp.all_vectors(8, 2), eval_p_all(PM))
                 if defect.any():
                     continue
                 undetected.append((i, j, k))

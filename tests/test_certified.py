@@ -261,7 +261,7 @@ def _random_derivations(A, k, count, rng, P=None, basis=None):
     restricted-derivation defect of P vanishes (the defect is linear in D)."""
     basis = oracles.alpha_derivations(A, k) if basis is None else basis
     if P is not None:
-        defects = [restricted_defect_batch(A, P, Derivation(m, A.p, k), gfp.eye(A.n), P.images).ravel()
+        defects = [restricted_defect_batch(A, Derivation(m, A.p, k), gfp.eye(A.n), P.images).ravel()
                    for m in basis]
         basis = np.tensordot(gfp.null_basis(np.array(defects).T, A.p), basis, axes=1) % A.p
     return [Derivation(np.tensordot(rng.integers(0, A.p, len(basis)), basis, axes=1), A.p, k)
@@ -416,9 +416,9 @@ def test_passing_r1_evaluates_the_weight_p_vectors_only(psl3_pipelines, psl3_nul
     calls = []
     tower = restricted.r1_defect_batch
 
-    def counted(A, Q, xs, images):
+    def counted(A, xs, images):
         calls.append(len(xs))
-        return tower(A, Q, xs, images)
+        return tower(A, xs, images)
 
     monkeypatch.setattr(restricted, "r1_defect_batch", counted)
     assert verify_pstructure(P).check("r1").passed == 3**9

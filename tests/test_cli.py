@@ -107,7 +107,7 @@ def test_twisted_p_extend_verifies(tmp_path, capsys):
     L = tmp_path / "gl3a.json"
     run(capsys, "fixture", "psl3", "--out", str(src))
     run(capsys, "twist", str(src), "--out", str(tw))
-    assert run(capsys, "p-extend", str(tw), "--derivation", "D3", "--out", str(L))[0] == 0
+    assert run(capsys, "p-extend", str(tw), "--out", str(L))[0] == 0
     b = bundle.parse(L.read_text())
     assert b.dim == 9 and b.pmap is not None
     code, out, _ = run(capsys, "verify", str(L), "--samples", "120")
@@ -116,11 +116,11 @@ def test_twisted_p_extend_verifies(tmp_path, capsys):
 
 def test_verify_exhaustive_reports_sampled_r3(tmp_path, capsys, psl3_null):
     # psl(3) + two null lines (alpha singular, so R1 and R3 walk their domain):
-    # 3^9 vectors fit the exhaustive limit but 3^18 pairs do not, so R3 is
-    # sampled even under --exhaustive and the report must say so
+    # 3^9 vectors fit the exhaustive limit but 3^18 pairs do not, so R1 is
+    # exhaustive, R3 is sampled and the report must say so
     src = tmp_path / "psl3null.json"
     src.write_text(bundle.emit(bundle.from_parts(psl3_null[0], psl3_null[1], psl3_null[2])))
-    code, out, _ = run(capsys, "verify", str(src), "--exhaustive", "--samples", "30")
+    code, out, _ = run(capsys, "verify", str(src), "--samples", "30")
     assert code == 0
     doc = json.loads(out)
     assert doc["meta"]["regimes"] == {"r1": "exhaustive", "r2": "implied", "r3": "sampled"}
@@ -130,7 +130,7 @@ def test_verify_exhaustive_reports_sampled_r3(tmp_path, capsys, psl3_null):
     # psl(3) itself has alpha = id: decided on the basis, over the same sizes
     src = tmp_path / "psl3.json"
     run(capsys, "fixture", "psl3", "--out", str(src))
-    code, out, _ = run(capsys, "verify", str(src), "--exhaustive", "--samples", "30")
+    code, out, _ = run(capsys, "verify", str(src), "--samples", "30")
     assert code == 0
     doc = json.loads(out)
     assert doc["meta"]["regimes"] == {"r1": "basis", "r2": "implied", "r3": "implied",
@@ -140,19 +140,18 @@ def test_verify_exhaustive_reports_sampled_r3(tmp_path, capsys, psl3_null):
     assert counts == {"r1": 3**7, "r2": 3**8, "r3": 30}
 
 
-def test_verify_exhaustive_exits_2_past_the_limit(tmp_path, capsys):
-    # 2^17 vectors exceed the exhaustive limit: --exhaustive is refused, not
-    # silently sampled, while the default run samples and passes
+def test_verify_decides_past_the_limit_on_the_basis(tmp_path, capsys):
+    # 2^17 vectors exceed the exhaustive limit, but alpha = id makes the
+    # abelian GF(2)^17 a Yau twist: its basis decides R1, R2 and R3
     n = 17
     A = HomLieAlgebra(2, np.zeros((n, n, n), dtype=np.int64), gfp.eye(n))
     path = tmp_path / "abelian.json"
     path.write_text(bundle.emit(bundle.from_parts(A, BilinearForm(gfp.eye(n), 2), PStructure(A, np.zeros((n, n))))))
-    code, out, err = run(capsys, "verify", str(path), "--exhaustive", "--samples", "20")
-    assert code == 2 and out == ""
-    assert "2^17 vectors exceed the exhaustive limit 65536" in err
     code, out, _ = run(capsys, "verify", str(path), "--samples", "20")
     assert code == 0
-    assert json.loads(out)["meta"]["mode"] == "sampled"
+    doc = json.loads(out)
+    assert doc["meta"]["regimes"] == {"r1": "basis", "r2": "implied", "r3": "implied"}
+    assert doc["meta"]["mode"] == "sampled"
 
 
 def test_solve_p_property_cli(tmp_path, capsys):
@@ -213,10 +212,10 @@ def test_verify_checks_each_derivation_on_the_basis_once(tmp_path, capsys, monke
 
     calls, real = [], restricted.restricted_defect_batch
 
-    def counted(A, P, D, xs, images):
+    def counted(A, D, xs, images):
         if np.array_equal(xs, gfp.eye(A.n)):
             calls.append(D.mat.tobytes())
-        return real(A, P, D, xs, images)
+        return real(A, D, xs, images)
 
     monkeypatch.setattr(restricted, "restricted_defect_batch", counted)
     for name, count in (("heisenberg-dual", 1), ("psl3", 3), ("sl2-gf5", 1)):
@@ -391,8 +390,8 @@ def test_rejected_extension_data_prints_the_rejecting_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["p-extend", "{psl3}", "--derivation", "DX"], "no derivation named 'DX'"),
-    (["p-extend", "{psl3}", "--derivation", "D1"], "bundle extension data is not for derivation 'D1'"),
+    (["verify", "{psl3}", "--exhaustive"], "unrecognized arguments: --exhaustive"),
+    (["p-extend", "{psl3}", "--derivation", "D3"], "unrecognized arguments: --derivation D3"),
     (["extend", "{L}"], "bundle carries no extension data"),
     (["reduce", "{L}", "--center-index", "9"], "center index out of range"),
     (["isom-check", "{L}", "{L}", "--map", "{missing}"], "cannot read map file: "),
@@ -405,7 +404,12 @@ def test_usage_errors_exit_two_with_their_reason(tmp_path, capsys, argv, message
     run(capsys, "p-extend", str(paths["psl3"]), "--out", str(paths["L"]))
     paths["id"].write_text(json.dumps({"pi": np.eye(7, dtype=int).tolist()}))
     paths["noform"] = _edited(tmp_path, capsys, "psl3", "noform", lambda doc: doc.update(form=None))
-    code, out, err = run(capsys, *[a.format(**{k: str(v) for k, v in paths.items()}) for a in argv])
+    try:
+        code, out, err = run(capsys, *[a.format(**{k: str(v) for k, v in paths.items()}) for a in argv])
+    except SystemExit as exc:  # argparse's own usage errors: the usage line, then the error
+        code, (out, err) = exc.code, capsys.readouterr()
+        assert err.startswith("usage: homext ")
+        err = err.splitlines()[-1].removeprefix("homext: ")
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")
 

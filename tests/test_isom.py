@@ -172,7 +172,7 @@ def test_extract_iso_data_roundtrip(heis, heis_ext):
     L, B_L, _ = heis_ext
     for iso, Lt, B_Lt in heis_instances(heis, 8, seed=0xD1):
         pi = build_adapted_iso(L, B_L, Lt, B_Lt, iso)
-        got, rep = extract_iso_data(L, B_L, Lt, B_Lt, pi)
+        got, rep = extract_iso_data(L, B_L, pi)
         assert rep.ok
         assert np.array_equal(got.pi0, iso.pi0)
         assert got.gamma == iso.gamma and got.nu == iso.nu
@@ -639,7 +639,7 @@ def test_adapted_iso_chains_do_not_wrap_at_the_largest_p():
     assert [int(v) for v in pi[1:1 + n, 0]] == [-ginv * int(v) % p for v in oracles.product_exact(p, pi0, t)]
     rep = verify_adapted_iso(L, B_L, Lt, B_Lt, pi)
     assert rep.ok, [c.name for c in rep.failing()]
-    back, rep = extract_iso_data(L, B_L, Lt, B_Lt, pi)
+    back, rep = extract_iso_data(L, B_L, pi)
     assert rep.ok, [c.name for c in rep.failing()]
     assert np.array_equal(back.pi0, pi0) and back.gamma == gamma and np.array_equal(back.t_pi, t)
 
@@ -812,7 +812,7 @@ def test_s_tilde_pair_runs_only_for_nonzero_pi0_t(heis, heis_ext, psl3_pipelines
                                                               sampled_p5):
         calls.clear()
         verify_restricted_iso(L, B_L, Lt, B_Lt, P_L, P_Lt, pi, samples=20, seed=3)
-        a, _ = extract_iso_data(L, B_L, Lt, B_Lt, pi)
+        a, _ = extract_iso_data(L, B_L, pi)
         zero = not ((a.pi0 @ a.t_pi) % L.p).any()
         assert len(calls) == (0 if zero else 1), name
         seen.add(zero)
@@ -844,7 +844,7 @@ def test_decided_iso_draws_and_tables_nothing(heis_ext, sl2, sl2_ext, sampled_p5
         rep = verify_restricted_iso(L, B_L, Lt, B_Lt, PStructure(L, P_L.images), PStructure(Lt, P_Lt.images), pi)
         assert rep.ok and rep.meta["regimes"] == {"direct": "basis", "theorem": "basis"}
         assert calls == []
-        a, _ = extract_iso_data(L, B_L, Lt, B_Lt, pi)
+        a, _ = extract_iso_data(L, B_L, pi)
         emb = np.zeros((n + 1, N), dtype=np.int64)
         emb[:, 1:1 + n] = np.vstack([a.pi0.T, (a.pi0 @ a.t_pi) % p])
         allowed = {tuple(r) for r in np.vstack([gfp.eye(N), pi.T, emb])}

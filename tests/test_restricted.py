@@ -498,7 +498,7 @@ def test_is_restricted_derivation_table_matches_fold(psl3, psl3_twisted):
     cases.append((psl3.g, psl3.P, "bad", bad))
     xs = gfp.all_vectors(7, 3)
     for A, P, name, D in cases:
-        folded = not restricted_defect_batch(A, P, D, xs, eval_p_batch(P, xs)).any()
+        folded = not restricted_defect_batch(A, D, xs, eval_p_batch(P, xs)).any()
         assert is_restricted_derivation(A, P, D) == folded == (name != "bad"), name
 
 
@@ -564,7 +564,7 @@ def test_r1_report_matches_the_full_domain_tally(request):
         assert regime == "exhaustive", name
         imgs = pmap(xs)
         assert np.array_equal(imgs, eval_p_batch(P, xs)), name
-        full = r1_defect_batch(A, P, xs, imgs)
+        full = r1_defect_batch(A, xs, imgs)
         want = Report().tally("r1", full.any(axis=(1, 2)), full, 0, witness=rows(xs))
         got = verify_pstructure(P).check("r1")
         assert (got.passed, got.failed) == (want.passed, want.failed), name
@@ -584,12 +584,12 @@ def test_r1_slices_keep_every_count_and_witness(request, monkeypatch):
         A = P.parent
         xs = np.random.default_rng(4).integers(0, A.p, size=(30, A.n))
         imgs = eval_p_batch(P, xs)
-        whole, want = r1_defect_batch(A, P, xs, imgs), verify_pstructure(P, samples=40).to_dict()
+        whole, want = r1_defect_batch(A, xs, imgs), verify_pstructure(P, samples=40).to_dict()
         assert not want["summary"]["ok"], name
         for rows_per_slice in (1, 7):
             with monkeypatch.context() as m:
                 m.setattr(restricted, "_R1_ELEMENTS", rows_per_slice * A.n**2)
-                assert np.array_equal(r1_defect_batch(A, P, xs, imgs), whole), (name, rows_per_slice)
+                assert np.array_equal(r1_defect_batch(A, xs, imgs), whole), (name, rows_per_slice)
                 assert verify_pstructure(P, samples=40).to_dict() == want, (name, rows_per_slice)
 
 
@@ -603,7 +603,7 @@ def test_r1_defect_batch_memory_is_bounded_by_its_slices(wide_char2):
     imgs = eval_p_batch(P, xs)
     tracemalloc.start()
     try:
-        out = r1_defect_batch(A, P, xs, imgs)
+        out = r1_defect_batch(A, xs, imgs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1280,7 +1280,7 @@ def test_sampled_r1_tally_holds_no_difference_arrays(wide_char2):
     imgs = eval_p_batch(P, xs)
 
     def sides(vs, f):
-        return r1_defect_batch(A, P, vs, f(vs)), 0
+        return r1_defect_batch(A, vs, f(vs)), 0
 
     peaks, reports = [], []
     for tally in (restricted.tally_domain, oracles.tally_domain_diff):
