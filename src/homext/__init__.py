@@ -14,11 +14,9 @@ from .algebra import (
     verify_quadratic,
 )
 from .doubleext import (
-    AlgebraExtensionData,
     DoubleExtensionData,
     PExtensionData,
     double_extend,
-    extend_by_algebra,
     extend_pstructure,
     is_involutive_twist,
     reduce,

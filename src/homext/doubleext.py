@@ -4,8 +4,7 @@ The one-dimensional double extension enlarges a quadratic algebra V to
 L = span{e*} + V + span{e} using a derivation line and a central line,
 with the bracket twisted by the form.  In the canonical frame e* sits at
 index 0, the V basis at 1..n, and e at index n+1.  The reduction
-operation recovers all construction data from such an L, and a further
-variant extends V by a whole involutive algebra instead of a line.
+operation recovers all construction data from such an L.
 """
 
 from __future__ import annotations
@@ -24,11 +23,9 @@ from .algebra import (
     centralizer_of_image,
     contract,
     d_invariant,
-    invariance_sides,
     is_ideal,
     orth,
     verify_derivation,
-    verify_hom_lie,
 )
 from .errors import (
     DegenerateFrame,
@@ -457,112 +454,3 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
         V=f.V, B_V=f.B_V, d=DoubleExtensionData(f.D, f.x0, f.lam, f.lam0), P_V=f.P_V,
         pe=f.pe, beta=f.beta, e_star=e_star, v_basis=v_rows, e=e,
     )
-
-
-@dataclass
-class AlgebraExtensionData:
-    A: HomLieAlgebra
-    phi: list[np.ndarray]  # phi[b] acts on V
-    sigma: BilinearForm
-
-    def phi_of(self, avecs) -> np.ndarray:
-        """phi(a) = sum_b a_b phi[b] per row of avecs: [..., dim A] -> [..., n, n].
-
-        Each product a_b phi[b] is reduced before the sum over b.
-        """
-        p = self.A.p
-        avecs = np.asarray(avecs, dtype=np.int64) % p
-        return gfp.mod(avecs[..., :, None, None] * (np.stack(self.phi) % p), p).sum(axis=-3) % p
-
-
-def psi_eval(B_V: BilinearForm, x: AlgebraExtensionData, u, v) -> np.ndarray:
-    """psi(u, v) in dual coordinates, per row of u and v (which broadcast):
-    component b is B(phi(e_b) u, v).  [..., n] -> [..., dim A]."""
-    p = B_V.p
-    u, v = np.asarray(u, dtype=np.int64) % p, np.asarray(v, dtype=np.int64) % p
-    phi_u = gfp.mod(np.stack(x.phi) @ u[..., None, :, None], p)[..., 0]  # [..., b, n]
-    return B_V.eval_batch(phi_u, v[..., None, :])
-
-
-def check_algebra_extension_data(V: HomLieAlgebra, B_V: BilinearForm, x: AlgebraExtensionData) -> Report:
-    """Representation, compatibility and form hypotheses for extend_by_algebra."""
-    p = V.p
-    A = x.A
-    rep = Report(p=p, dimV=V.n, dimA=A.n)
-    rep.record("involutive_V", V.is_involutive(), ())
-    rep.record("involutive_A", A.is_involutive(), ())
-    arep = verify_hom_lie(A)
-    rep.record("A_hom_lie", arep.ok, (), lhs=len(arep.failing()))
-    phis = np.stack(x.phi) % p
-    for b in range(A.n):
-        rep.record("phi_alternating", d_invariant(B_V, Derivation(phis[b], p), p), (b,))
-    # every product is reduced before it is summed or multiplied again
-    pa = x.phi_of(A.alpha.T)  # [b] is phi(alpha(e_b))
-    ap = gfp.mod(V.alpha @ phis, p)
-    lhs = gfp.mod(pa @ V.alpha, p)
-    rep.tally("rep_axiom_1", (lhs != ap).any(axis=(1, 2)), lhs, ap)
-    rhs = gfp.mod(ap @ V.alpha, p)
-    rep.tally("phi_twist_conjugation", (pa != rhs).any(axis=(1, 2)), pa, rhs)
-    # [b, c]: phi(alpha(e_b)) phi_c + phi(alpha(e_c)) phi_b against phi([e_b, e_c]) alpha
-    lhs = gfp.mod(x.phi_of(A.c) @ V.alpha, p)
-    rhs = (gfp.mod(pa[:, None] @ phis[None, :], p) + gfp.mod(pa[None, :] @ phis[:, None], p)) % p
-    rep.tally("rep_axiom_2", (lhs != rhs).any(axis=(2, 3)), lhs, rhs)
-    # bracket compatibility on V basis pairs, [b, i, j] -> vector:
-    # alpha phi_b [e_i, e_j] = [phi_b alpha e_i, e_j] + [e_i, phi_b alpha e_j]
-    lhs = contract(V.c, ap.transpose(2, 0, 1).reshape(V.n, -1), p)  # [i, j, (b, k)]
-    lhs = lhs.reshape(V.n, V.n, A.n, V.n).transpose(2, 0, 1, 3)
-    cols = ((phis @ V.alpha) % p).transpose(0, 2, 1)  # [b, i] is phi_b alpha e_i
-    units = gfp.eye(V.n)
-    rhs = (V.bracket_batch(cols[:, :, None, :], units[None, None, :, :])
-           + V.bracket_batch(units[None, :, None, :], cols[:, None, :, :])) % p
-    rep.tally("phi_bracket_compat", ((lhs - rhs) % p).any(axis=3), lhs, rhs)
-    rep.record("sigma_symmetric", x.sigma.is_symmetric(), ())
-    rep.record("sigma_nondegenerate", x.sigma.is_nondegenerate(), ())
-    g = x.sigma.gram
-    inv_lhs, inv_rhs = invariance_sides(A.c, g, p)
-    rep.record("sigma_invariant", not ((inv_lhs - inv_rhs) % p).any(), ())
-    rep.record("sigma_twist_self_adjoint", np.array_equal((A.alpha.T @ g) % p, (g @ A.alpha) % p), ())
-    return rep
-
-
-def extend_by_algebra(
-    V: HomLieAlgebra,
-    B_V: BilinearForm,
-    x: AlgebraExtensionData,
-) -> tuple[HomLieAlgebra, BilinearForm]:
-    """Double extension of V by an involutive algebra A on A* + V + A.
-
-    The bracket uses -f o ad(a') + f' o ad(a) and phi(a)(x') - phi(a')(x);
-    -1 = 1 makes all four mixed terms positive in characteristic 2.
-    """
-    p, n = V.p, V.n
-    mdim = x.A.n
-    rep = check_algebra_extension_data(V, B_V, x)
-    if not rep.ok:
-        raise PreconditionFailed("algebra extension data rejected", rep)
-    N = mdim + n + mdim
-    fofs, vofs, aofs = 0, mdim, mdim + n
-    c = np.zeros((N, N, N), dtype=np.int64)
-    units = gfp.eye(n)
-    c[vofs:aofs, vofs:aofs, vofs:aofs] = V.c
-    c[vofs:aofs, vofs:aofs, fofs:vofs] = psi_eval(B_V, x, units[:, None, :], units[None, :, :])
-    # [f_b, a_c] = -f_b o ad_A(a_c); component d is c_A[c, d, b]
-    c[fofs:vofs, aofs:, fofs:vofs] = (-x.A.c.transpose(2, 0, 1)) % p
-    c[vofs:aofs, aofs:, vofs:aofs] = (-np.stack(x.phi).transpose(2, 0, 1)) % p  # -phi_c(e_i)
-    c[aofs:, :aofs] = (-c[:aofs, aofs:].transpose(1, 0, 2)) % p
-    c[aofs:, aofs:, aofs:] = x.A.c
-    alpha = np.zeros((N, N), dtype=np.int64)
-    alpha[fofs:vofs, fofs:vofs] = x.A.alpha.T
-    alpha[vofs:aofs, vofs:aofs] = V.alpha
-    alpha[aofs:, aofs:] = x.A.alpha
-    gram = np.zeros((N, N), dtype=np.int64)
-    gram[vofs:aofs, vofs:aofs] = B_V.gram
-    gram[fofs:vofs, aofs:] = gram[aofs:, fofs:vofs] = gfp.eye(mdim)
-    gram[aofs:, aofs:] = x.sigma.gram
-    names = (
-        [f"{nm}*" for nm in x.A.basis_names]
-        + list(V.basis_names)
-        + list(x.A.basis_names)
-    )
-    L = HomLieAlgebra(p, c, alpha, names)
-    return L, BilinearForm(gram, p)

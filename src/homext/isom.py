@@ -166,15 +166,16 @@ def _adapted_iso_report(L: HomLieAlgebra, B_L: BilinearForm, L_tilde: HomLieAlge
 def extract_iso_data(L: HomLieAlgebra, B_L: BilinearForm, pi) -> tuple[AdaptedIso, Report]:
     """Read (pi0, gamma, t_pi, nu) off an adapted-form matrix pi: L -> L~.
 
-    It reads pi and the form on L's V frame only, not L~.  t_pi is
-    recovered from the e~-row over the V columns by solving against the
-    Gram matrix; the report flags any column whose shape contradicts the
-    adapted normal form instead of silently fixing it.
+    It reads pi and the V block of B_L only, not L's bracket or L~, and
+    leaves the frame checks to split_frame.  t_pi is recovered from the
+    e~-row over the V columns by solving against the Gram matrix; the
+    report flags any column whose shape contradicts the adapted normal form
+    instead of silently fixing it.
     """
     p, N = L.p, L.n
     n = N - 2
     pi = gfp.asmat(pi, p)
-    f = split_frame(L, B_L)
+    B_V = BilinearForm(B_L.gram[1:1 + n, 1:1 + n], p)
     rep = Report(p=p, dim=N)
     rep.record("flag_row_zero", not pi[0, 1:].any(), (), lhs=pi[0, 1:])
     gamma = int(pi[N - 1, N - 1])
@@ -182,7 +183,7 @@ def extract_iso_data(L: HomLieAlgebra, B_L: BilinearForm, pi) -> tuple[AdaptedIs
     rep.record("e_column_shape", not pi[:N - 1, N - 1].any(), (), lhs=pi[:, N - 1])
     pi0 = pi[1:1 + n, 1:1 + n].copy()
     trow = pi[N - 1, 1:1 + n]
-    t = gfp.solve(f.B_V.gram.T % p, trow, p)
+    t = gfp.solve(B_V.gram.T, trow, p)
     if t is None:
         t = gfp.zeros(n)
         rep.record("t_recoverable", False, (), lhs=trow)
@@ -193,7 +194,7 @@ def extract_iso_data(L: HomLieAlgebra, B_L: BilinearForm, pi) -> tuple[AdaptedIs
         rep.record("e_star_scale", pi[0, 0] % p == ginv, (), lhs=int(pi[0, 0]), rhs=ginv)
         rep.record("e_star_v_part", np.array_equal(pi[1:1 + n, 0], (-ginv * ((pi0 @ t) % p)) % p), ())
         if p != 2:
-            want_nu = (-ginv * gfp.inv(2, p) * f.B_V.eval(t, t)) % p
+            want_nu = (-ginv * gfp.inv(2, p) * B_V.eval(t, t)) % p
             rep.record("e_star_e_part", nu == want_nu, (), lhs=nu, rhs=want_nu)
     return a, rep
 

@@ -8,8 +8,7 @@ compute_eta_batch(V, B, D, u, v) and compute_eta are the eta_i as the
 pairing of D(alpha^{p-2}(k u + v)) against the depth-(p-2) tower of V, where
 restricted.compute_eta_batch(W, u, v) reads them off compute_s_batch on
 W = V + Ke, and eval_P_fold and P_conditions_sampled fold and check P with
-that pairing; s_tilde_direct deliberately runs the
-library's compute_s, and phi_bracket_compat_loop its bracket.
+that pairing; s_tilde_direct deliberately runs the library's compute_s.
 P_conditions_sampled runs check_P_conditions' sampled route on every input,
 where check_P_conditions decides P_additivity when a proved hypothesis
 holds; double_extend_unchecked builds the extension's bracket and twist for
@@ -18,9 +17,7 @@ frames is the former odd-p hypothesis's test that a given L holds V + Ke.
 phi_split, phi_sums and s_tilde are the split coefficient recursion on the
 target frame (lambda = 1 only), where isom.verify_restricted_iso reads s~
 from one compute_s_batch pair.
-phi_of_loop, psi_eval_loop, algebra_extension_loop and extend_by_algebra_loop
-keep the per-index loops of the algebra extension, and solve_p_property_loop
-the one-system-per-xi search.
+solve_p_property_loop keeps the one-system-per-xi search.
 reduce_loop reads the frame off L one coordinate vector at a time, with its
 own flag checks, instead of rewriting L in the frame for split_frame.
 bracket_dense, ad_dense, hom_jacobi_dense, leibniz_dense, contract_dense,
@@ -60,11 +57,8 @@ from homext.algebra import (
     HomLieAlgebra,
     Subspace,
     center,
-    d_invariant,
-    invariance_sides,
     is_ideal,
     orth,
-    verify_hom_lie,
 )
 from homext.doubleext import DoubleExtensionData, ExtFrame, PExtensionData, ReduceResult, eval_P_batch, split_frame
 from homext.errors import (
@@ -310,109 +304,6 @@ def frames(L: HomLieAlgebra, V: HomLieAlgebra, B_V: BilinearForm, D: Derivation)
     return (L.p == p and L.n == n + 2 and np.array_equal(L.c[1:, 1:], want)
             and np.array_equal(L.alpha[1:n + 1, 1:n + 1], V.alpha)
             and not L.alpha[0, 1:].any() and not L.alpha[1:n + 1, n + 1].any())
-
-
-def phi_bracket_compat_loop(V: HomLieAlgebra, x) -> Report:
-    """The phi_bracket_compat check of check_algebra_extension_data, one
-    V.bracket pair at a time: alpha phi_b [e_i, e_j] against
-    [phi_b alpha e_i, e_j] + [e_i, phi_b alpha e_j], witness (b, i, j)."""
-    p = V.p
-    rep = Report()
-    for b in range(x.A.n):
-        ph = x.phi[b]
-        pha = (ph @ V.alpha) % p
-        for i in range(V.n):
-            for j in range(V.n):
-                lhs = (V.alpha @ ph @ V.c[i, j]) % p
-                rhs = (V.bracket(pha[:, i], gfp.unit(V.n, j)) + V.bracket(gfp.unit(V.n, i), pha[:, j])) % p
-                rep.record("phi_bracket_compat", np.array_equal(lhs, rhs), (b, i, j), lhs=lhs, rhs=rhs)
-    return rep
-
-
-def phi_of_loop(x, avec) -> np.ndarray:
-    """phi(a) = sum_b a_b phi[b] for one vector a, one term at a time."""
-    p = x.A.p
-    out = np.zeros_like(x.phi[0])
-    for b in range(x.A.n):
-        out = (out + int(avec[b]) * x.phi[b]) % p
-    return out
-
-
-def psi_eval_loop(B_V: BilinearForm, x, u, v) -> np.ndarray:
-    """psi(u, v) of one pair, one component B(phi(e_b) u, v) at a time."""
-    p = B_V.p
-    u, v = gfp.asvec(u, p), gfp.asvec(v, p)
-    w = (B_V.gram @ v) % p
-    return np.array([int((((m @ u) % p) @ w) % p) for m in x.phi], dtype=np.int64)
-
-
-def algebra_extension_loop(V: HomLieAlgebra, B_V: BilinearForm, x) -> Report:
-    """check_algebra_extension_data with the representation axioms recorded
-    one index b, or pair (b, c), at a time through phi_of_loop, the bracket
-    compatibility from phi_bracket_compat_loop and nondegeneracy of sigma
-    from its inverse."""
-    p, A = V.p, x.A
-    rep = Report(p=p, dimV=V.n, dimA=A.n)
-    rep.record("involutive_V", V.is_involutive(), ())
-    rep.record("involutive_A", A.is_involutive(), ())
-    arep = verify_hom_lie(A)
-    rep.record("A_hom_lie", arep.ok, (), lhs=len(arep.failing()))
-    for b in range(A.n):
-        rep.record("phi_alternating", d_invariant(B_V, Derivation(x.phi[b], p), p), (b,))
-        lhs = (phi_of_loop(x, A.alpha[:, b]) @ V.alpha) % p
-        rhs = (V.alpha @ x.phi[b]) % p
-        rep.record("rep_axiom_1", np.array_equal(lhs, rhs), (b,), lhs=lhs, rhs=rhs)
-        lhs = phi_of_loop(x, A.alpha[:, b])
-        rhs = (((V.alpha @ x.phi[b]) % p) @ V.alpha) % p
-        rep.record("phi_twist_conjugation", np.array_equal(lhs, rhs), (b,), lhs=lhs, rhs=rhs)
-    for b in range(A.n):
-        for c in range(A.n):
-            lhs = (phi_of_loop(x, A.c[b, c]) @ V.alpha) % p
-            rhs = ((phi_of_loop(x, A.alpha[:, b]) @ x.phi[c]) % p
-                   + (phi_of_loop(x, A.alpha[:, c]) @ x.phi[b]) % p) % p
-            rep.record("rep_axiom_2", np.array_equal(lhs, rhs), (b, c), lhs=lhs, rhs=rhs)
-    rep.merge(phi_bracket_compat_loop(V, x))
-    g = x.sigma.gram
-    rep.record("sigma_symmetric", np.array_equal(g, g.T % p), ())
-    rep.record("sigma_nondegenerate", gfp.mat_inv(g, p) is not None, ())
-    inv_lhs, inv_rhs = invariance_sides(A.c, g, p)
-    rep.record("sigma_invariant", not ((inv_lhs - inv_rhs) % p).any(), ())
-    rep.record("sigma_twist_self_adjoint", np.array_equal((A.alpha.T @ g) % p, (g @ A.alpha) % p), ())
-    return rep
-
-
-def extend_by_algebra_loop(V: HomLieAlgebra, B_V: BilinearForm, x) -> tuple[HomLieAlgebra, BilinearForm]:
-    """extend_by_algebra without its check, filling c, alpha and the Gram
-    matrix one index (or pair) at a time, with psi from psi_eval_loop."""
-    p, n, mdim = V.p, V.n, x.A.n
-    N = mdim + n + mdim
-    fofs, vofs, aofs = 0, mdim, mdim + n
-    sign = 1 if p == 2 else -1
-    c = np.zeros((N, N, N), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            c[vofs + i, vofs + j, vofs:vofs + n] = V.c[i, j]
-            c[vofs + i, vofs + j, fofs:fofs + mdim] = psi_eval_loop(B_V, x, gfp.unit(n, i), gfp.unit(n, j))
-    for b in range(mdim):
-        for d in range(mdim):
-            c[fofs + b, aofs + d, fofs:fofs + mdim] = (sign * x.A.c[d, :, b]) % p
-            c[aofs + d, fofs + b] = (-c[fofs + b, aofs + d]) % p
-    for i in range(n):
-        for d in range(mdim):
-            c[vofs + i, aofs + d, vofs:vofs + n] = (sign * x.phi[d][:, i]) % p
-            c[aofs + d, vofs + i] = (-c[vofs + i, aofs + d]) % p
-    c[aofs:, aofs:, aofs:] = x.A.c
-    alpha = np.zeros((N, N), dtype=np.int64)
-    alpha[fofs:fofs + mdim, fofs:fofs + mdim] = x.A.alpha.T
-    alpha[vofs:vofs + n, vofs:vofs + n] = V.alpha
-    alpha[aofs:aofs + mdim, aofs:aofs + mdim] = x.A.alpha
-    gram = np.zeros((N, N), dtype=np.int64)
-    gram[vofs:vofs + n, vofs:vofs + n] = B_V.gram
-    for b in range(mdim):
-        gram[fofs + b, aofs + b] = gram[aofs + b, fofs + b] = 1
-    gram[aofs:aofs + mdim, aofs:aofs + mdim] = x.sigma.gram
-    names = [f"{nm}*" for nm in x.A.basis_names] + list(V.basis_names) + list(x.A.basis_names)
-    return HomLieAlgebra(p, c, alpha, names), BilinearForm(gram, p)
 
 
 def solve_p_property_loop(A: HomLieAlgebra, D: Derivation) -> PPropertyWitness | None:

@@ -14,20 +14,16 @@ from homext.algebra import (
     verify_quadratic,
 )
 from homext.doubleext import (
-    AlgebraExtensionData,
     DoubleExtensionData,
     PExtensionData,
-    check_algebra_extension_data,
     check_extension_data,
     check_p_extension_data,
     check_P_conditions,
     double_extend,
-    extend_by_algebra,
     extend_pstructure,
     eval_P,
     eval_P_batch,
     is_involutive_twist,
-    psi_eval,
     reduce,
     split_frame,
 )
@@ -112,6 +108,68 @@ def test_double_extend_rejects_nonzero_beta_odd_char(psl3_pipelines):
     data = psl3_pipelines["D3"]
     with pytest.raises(PreconditionFailed):
         double_extend(data["V"], data["B"], data["ext"], b_star_star=1)
+
+
+def _extension_cases(p, request, rng):
+    """(name, V, B, data) inputs of double_extend at p: the fixtures
+    (heisenberg-dual, psl3 D1, twisted psl3 D2/D3, sl2-gf5, sl2 over GF(7))
+    and random alpha-derivations of each fixture's V from
+    oracles.alpha_derivations, with lambda = 1 and x0 = 0 or with a random
+    lambda (0 included), x0 and lambda0.  At p = 2 the derivations are the
+    B-alternating ones and x0 lies in the center of V, the only inputs that
+    d_invariant and lambda D + ad(x0) = D can accept there."""
+    if p == 2:
+        heis = request.getfixturevalue("heis")
+        cases = [("fixture", heis.V, heis.B, heis.ext)]
+    elif p == 3:
+        cases = [(f"fixture {name}", d["V"], d["B"], d["ext"])
+                 for name, d in request.getfixturevalue("psl3_pipelines").items()]
+    elif p == 5:
+        sl2 = request.getfixturevalue("sl2")
+        cases = [("fixture", sl2.g, sl2.B, sl2.ext)]
+    else:
+        V, B, D = _sl2(p)
+        cases = [("fixture", V, B, DoubleExtensionData(D, gfp.zeros(3), 1, 0))]
+    spaces = {id(V): (V, B) for _, V, B, _ in cases}  # psl3 and twisted psl3 at p = 3
+    for i, (V, B) in enumerate(spaces.values()):
+        n = V.n
+        ders = oracles.alpha_derivations(V).reshape(-1, n * n)
+        x0s = gfp.eye(n)
+        if p == 2:
+            m = (ders.reshape(-1, n, n).transpose(0, 2, 1) @ B.gram) % p  # B(D e_a, e_b) at [a, b]
+            alt = m + m.transpose(0, 2, 1)
+            alt[:, range(n), range(n)] = m[:, range(n), range(n)]  # alternating: B(Dx, x) = 0
+            upper = np.triu_indices(n)
+            ders = (gfp.null_basis(alt[:, upper[0], upper[1]].T % p, p) @ ders) % p
+            x0s = center(V).basis
+        for j in range(10):
+            D = Derivation((rng.integers(0, p, len(ders)) @ ders).reshape(n, n), p)
+            if j % 2 == 0:
+                d = DoubleExtensionData(D, gfp.zeros(n), 1, 0)
+            else:
+                x0 = rng.integers(0, p, len(x0s)) @ x0s
+                d = DoubleExtensionData(D, x0, int(rng.integers(0, p)), int(rng.integers(0, p)))
+            cases.append((f"{i} derivation {j}", V, B, d))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_every_accepted_extension_is_quadratic_hom_lie(p, request):
+    """double_extend is the package's one construction: whatever data
+    check_extension_data accepts builds an L that passes verify_hom_lie and
+    verify_quadratic (B(e*, e*) drawn at p = 2), and it refuses the rest."""
+    rng = np.random.default_rng(310 + p)
+    verdicts = []
+    for name, V, B, d in _extension_cases(p, request, rng):
+        ok = check_extension_data(V, B, d).ok
+        verdicts.append(ok)
+        if ok:
+            L, B_L = double_extend(V, B, d, int(rng.integers(0, p)) if p == 2 else 0)
+            assert verify_hom_lie(L).ok and verify_quadratic(L, B_L).ok, name
+        else:
+            with pytest.raises(PreconditionFailed):
+                double_extend(V, B, d)
+    assert any(verdicts) and not all(verdicts), verdicts
 
 
 def test_is_involutive_twist(heis, psl3_pipelines):
@@ -521,111 +579,6 @@ def test_reduce_rejects_form_not_symmetric_on_the_frame(heis_ext):
         reduce(L, BilinearForm(gram, 2), P_L, gfp.unit(8, 7))
 
 
-# ---------- extension by an algebra ----------
-
-
-def one_dim_algebra(p):
-    A = HomLieAlgebra(p, np.zeros((1, 1, 1), dtype=np.int64), gfp.eye(1), ["a"])
-    sigma = BilinearForm(gfp.eye(1), p)
-    return A, sigma
-
-
-def test_extend_by_algebra_trivial_action(heis):
-    A, sigma = one_dim_algebra(2)
-    data = AlgebraExtensionData(A, [np.zeros((6, 6), dtype=np.int64)], sigma)
-    L, B_s = extend_by_algebra(heis.V, heis.B, data)
-    assert L.n == 8
-    assert verify_hom_lie(L).ok and verify_quadratic(L, B_s).ok
-    assert L.is_involutive()
-    # new coordinates bracket to zero
-    assert not L.c[0].any() and not L.c[7].any()
-
-
-def test_extend_by_algebra_with_skew_action(heis):
-    # phi(a) = D is alternating for B (d-invariance in char 2) and satisfies
-    # the compatibility equations because alpha_V = id and D is a derivation
-    A, sigma = one_dim_algebra(2)
-    data = AlgebraExtensionData(A, [heis.D.mat.copy()], sigma)
-    rep = check_algebra_extension_data(heis.V, heis.B, data)
-    assert rep.ok
-    L, B_s = extend_by_algebra(heis.V, heis.B, data)
-    assert L.n == 8
-    assert verify_hom_lie(L).ok  # exhaustive basis-triple Hom-Jacobi
-    assert verify_quadratic(L, B_s).ok
-    assert L.is_involutive()
-
-
-def test_extend_by_algebra_rejects_nonskew(heis):
-    A, sigma = one_dim_algebra(2)
-    bad = np.diag([1, 0, 0, 0, 0, 0]).astype(np.int64)  # B(phi(x), x) != 0
-    with pytest.raises(PreconditionFailed):
-        extend_by_algebra(heis.V, heis.B, AlgebraExtensionData(A, [bad], sigma))
-
-
-def test_phi_bracket_compat_matches_oracle(heis, sl2):
-    # phi_1 fails the compatibility on some basis triples (b, i, j)
-    for V, B, phis in (
-        (heis.V, heis.B, [heis.D.mat, gfp.eye(6), np.diag([1, 0, 0, 0, 0, 1])]),
-        (sl2.g, sl2.B, [(sl2.D.mat + gfp.eye(3)) % 5, np.arange(9).reshape(3, 3) % 5]),
-    ):
-        k, p = len(phis), V.p
-        A = HomLieAlgebra(p, np.zeros((k, k, k), dtype=np.int64), gfp.eye(k))
-        data = AlgebraExtensionData(A, [np.asarray(m, dtype=np.int64) for m in phis], BilinearForm(gfp.eye(k), p))
-        got = check_algebra_extension_data(V, B, data).check("phi_bracket_compat")
-        want = oracles.phi_bracket_compat_loop(V, data).check("phi_bracket_compat")
-        assert got.failed > 0 and got.passed > 0
-        assert got.to_dict() == want.to_dict()
-
-
-def test_psi_evaluation(heis):
-    A, sigma = one_dim_algebra(2)
-    data = AlgebraExtensionData(A, [heis.D.mat.copy()], sigma)
-    rng = SplitMix64(37)
-    for _ in range(40):
-        x, y = rng.vec(6, 2), rng.vec(6, 2)
-        psi = psi_eval(heis.B, data, x, y)
-        assert psi.shape == (1,)
-        assert psi[0] == heis.B.eval(heis.D(x), y)
-
-
-def test_rep_axiom_forces_square_zero_action_odd_char(sl2):
-    # for a one-dimensional abelian A in odd characteristic the Hom
-    # representation axiom reads 2*phi(a)^2 = 0, so ad(H) is rejected
-    A = HomLieAlgebra(5, np.zeros((1, 1, 1), dtype=np.int64), gfp.eye(1), ["a"])
-    sigma = BilinearForm(gfp.eye(1), 5)
-    data = AlgebraExtensionData(A, [sl2.D.mat.copy()], sigma)
-    rep = check_algebra_extension_data(sl2.g, sl2.B, data)
-    assert not rep.check("rep_axiom_2").ok
-
-
-def test_extend_by_algebra_odd_char_signs():
-    # abelian hyperbolic V over GF(3) with a square-zero skew action
-    p = 3
-    V = HomLieAlgebra(p, np.zeros((4, 4, 4), dtype=np.int64), gfp.eye(4), ["u1", "u2", "v1", "v2"])
-    gram = np.zeros((4, 4), dtype=np.int64)
-    gram[0, 2] = gram[2, 0] = gram[1, 3] = gram[3, 1] = 1
-    B = BilinearForm(gram, p)
-    phi = np.zeros((4, 4), dtype=np.int64)
-    phi[1, 0] = 1       # u1 -> u2
-    phi[2, 3] = p - 1   # v2 -> -v1
-    A = HomLieAlgebra(p, np.zeros((1, 1, 1), dtype=np.int64), gfp.eye(1), ["a"])
-    sigma = BilinearForm(gfp.eye(1), p)
-    data = AlgebraExtensionData(A, [phi], sigma)
-    assert not ((phi @ phi) % p).any()
-    assert check_algebra_extension_data(V, B, data).ok
-    L, B_s = extend_by_algebra(V, B, data)
-    assert L.n == 6
-    assert verify_hom_lie(L).ok and verify_quadratic(L, B_s).ok
-    assert L.is_involutive()
-    # antisymmetric mixed bracket: [x, a] = -phi(a)(x), [a, x] = +phi(a)(x)
-    u1 = gfp.unit(6, 1)
-    a = gfp.unit(6, 5)
-    want = np.zeros(6, dtype=np.int64)
-    want[1:5] = (-(phi @ gfp.unit(4, 0))) % p
-    assert np.array_equal(L.bracket(u1, a), want)
-    assert np.array_equal(L.bracket(a, u1), (-want) % p)
-
-
 def _commuting_involution_pair(p: int, seed: int):
     """alpha = S diag(1,1,1,-1,-1,-1) S^-1 and D = S blockdiag(M1, M2) S^-1 on
     GF(p)^6, computed exactly, so D commutes with the involution alpha."""
@@ -643,8 +596,8 @@ def _commuting_involution_pair(p: int, seed: int):
 
 def test_chained_products_do_not_wrap_at_the_largest_p():
     """dim * (p-1)^2 is just below 2^63 here, so a product of two reduced
-    matrices fits int64 but a chain of three does not: each check reduces
-    after every factor and agrees with Python integers."""
+    matrices fits int64 but a chain of three does not: alpha_D_squared
+    reduces after every factor and agrees with Python integers."""
     p, n = 1239850223, 6
     alpha, dm = _commuting_involution_pair(p, 4)
     assert n * (p - 1) ** 2 < 2**63
@@ -654,114 +607,6 @@ def test_chained_products_do_not_wrap_at_the_largest_p():
     B = BilinearForm(gfp.eye(n), p)
     rep = check_extension_data(V, B, DoubleExtensionData(Derivation(dm, p), gfp.zeros(n), 1, 0))
     assert rep.check("alpha_D_squared").ok
-
-    A = HomLieAlgebra(p, np.zeros((1, 1, 1), dtype=np.int64), gfp.eye(1))
-    x = AlgebraExtensionData(A, [dm], BilinearForm(gfp.eye(1), p))
-    rep = check_algebra_extension_data(V, B, x)
-    assert rep.check("phi_twist_conjugation").ok  # alpha phi alpha = phi
-    u, v = np.random.default_rng(5).integers(0, p, size=(2, n))
-    assert psi_eval(B, x, u, v)[0] == oracles.product_exact(p, dm, u, B.gram, v)
-
-
-def test_rep_axiom_2_sum_does_not_wrap_at_the_largest_p():
-    """phi = (p-1) J on an abelian V with a 1-dim abelian A: each product
-    phi phi has entries 6 (p-1)^2 < 2^63, but the sum of two does not fit.
-    rep_axiom_2 fails (its lhs is 0), and its rhs is 2 phi^2 = 12 J, as on
-    Python integers."""
-    p, n = 1239850223, 6
-    phi = np.full((n, n), p - 1, dtype=np.int64)
-    V = HomLieAlgebra(p, np.zeros((n, n, n), dtype=np.int64), gfp.eye(n))
-    A = HomLieAlgebra(p, np.zeros((1, 1, 1), dtype=np.int64), gfp.eye(1))
-    x = AlgebraExtensionData(A, [phi], BilinearForm(gfp.eye(1), p))
-    check = check_algebra_extension_data(V, BilinearForm(gfp.eye(n), p), x).check("rep_axiom_2")
-    want = (2 * oracles.product_exact(p, phi, phi)) % p
-    assert check.failed == 1 and np.array_equal(check.failures[0].rhs, want)
-    assert (want == 12).all()
-
-
-def test_phi_of_reduces_each_product_at_the_largest_p():
-    """Seven products (p-1)^2 pass 2^63, so phi_of reduces each before the
-    sum: phi((p-1, ..., p-1)) with every phi_b = (p-1) J is 7 J."""
-    p, m = 1239850223, 7
-    assert 6 * (p - 1) ** 2 < 2**63 < m * (p - 1) ** 2
-    A = HomLieAlgebra(p, np.zeros((m, m, m), dtype=np.int64), gfp.eye(m))
-    x = AlgebraExtensionData(A, [np.full((2, 2), p - 1)] * m, BilinearForm(gfp.eye(m), p))
-    assert (x.phi_of(np.full(m, p - 1)) == 7).all()
-    assert np.array_equal(x.phi_of(np.full((3, m), p - 1)), np.full((3, 2, 2), 7))
-
-
-def _square_zero_action(p, k, rng):
-    """N = [[X, 0], [0, -X^T]] on the hyperbolic GF(p)^2k, with X = u v^T and
-    v.u = 0: N^2 = 0, and N is skew for the hyperbolic form (also in char 2)."""
-    u, v = rng.integers(0, p, k), rng.integers(0, p, k)
-    u[-1], v[-1] = 1, (-(v[:-1] @ u[:-1])) % p  # v.u = 0
-    x = np.outer(u, v) % p
-    out = np.zeros((2 * k, 2 * k), dtype=np.int64)
-    out[:k, :k], out[k:, k:] = x, (-x.T) % p
-    return out
-
-
-def _algebra_extension_cases(p, rng):
-    """Random (V, B_V, data) with dim A = 1, 2, 3: a passing family (abelian
-    hyperbolic V, abelian A whose twist permutes its basis, phi(e_b) a
-    multiple of one square-zero skew N, constant on the twist's orbits) and
-    failing ones (random A, twist and phi on the same V and on a random V)."""
-    k = 2
-    n = 2 * k
-    gram = np.zeros((n, n), dtype=np.int64)
-    gram[:k, k:] = gram[k:, :k] = gfp.eye(k)
-    V_hyp, B_hyp = HomLieAlgebra(p, np.zeros((n, n, n), dtype=np.int64), gfp.eye(n)), BilinearForm(gram, p)
-    c = rng.integers(0, p, size=(n, n, n))
-    V_rand = HomLieAlgebra(p, (c - c.transpose(1, 0, 2)) % p, rng.integers(0, p, (n, n)))
-    B_rand = BilinearForm(rng.integers(0, p, (n, n)), p)
-    cases = []
-    for m in (1, 2, 3):
-        perm, lam = np.arange(m), rng.integers(0, p, m)
-        if m > 1:
-            perm[:2], lam[1] = [1, 0], lam[0]  # alpha swaps e0 and e1, and lam is constant on them
-        alpha = gfp.eye(m)[perm]
-        N = _square_zero_action(p, k, rng)
-        A = HomLieAlgebra(p, np.zeros((m, m, m), dtype=np.int64), alpha)
-        good = AlgebraExtensionData(A, [(int(l) * N) % p for l in lam], BilinearForm(gfp.eye(m), p))
-        cases.append(("pass", V_hyp, B_hyp, good))
-        ca = rng.integers(0, p, size=(m, m, m))
-        A_rand = HomLieAlgebra(p, (ca - ca.transpose(1, 0, 2)) % p, rng.integers(0, p, (m, m)))
-        sigma = BilinearForm(rng.integers(0, p, (m, m)), p)
-        bad = AlgebraExtensionData(A_rand, list(rng.integers(0, p, (m, n, n))), sigma)
-        cases += [("fail", V_hyp, B_hyp, bad), ("fail", V_rand, B_rand, bad),
-                  ("fail", V_hyp, B_hyp, AlgebraExtensionData(A, good.phi[:-1] + [N], sigma))]
-    return cases
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_algebra_extension_matches_the_per_index_loops(p):
-    """Reports, the built (L, B_L) and psi equal the per-index oracles."""
-    rng = np.random.default_rng(40 + p)
-    verdicts = []
-    for seed in range(3):
-        for want, V, B, x in _algebra_extension_cases(p, rng):
-            got = check_algebra_extension_data(V, B, x)
-            assert got.to_dict() == oracles.algebra_extension_loop(V, B, x).to_dict(), (seed, want)
-            if want == "pass":
-                assert got.ok, seed
-            verdicts.append(got.ok)
-            if got.ok:
-                L, B_L = extend_by_algebra(V, B, x)
-                L_loop, B_loop = oracles.extend_by_algebra_loop(V, B, x)
-                assert np.array_equal(L.c, L_loop.c) and np.array_equal(L.alpha, L_loop.alpha), seed
-                assert np.array_equal(B_L.gram, B_loop.gram) and L.basis_names == L_loop.basis_names, seed
-            else:
-                with pytest.raises(PreconditionFailed):
-                    extend_by_algebra(V, B, x)
-            us, vs = rng.integers(0, p, (2, 8, V.n))
-            psi = psi_eval(B, x, us, vs)
-            assert psi.shape == (8, x.A.n)
-            for u, v, row in zip(us, vs, psi):
-                assert np.array_equal(psi_eval(B, x, u, v), row)
-                assert np.array_equal(row, oracles.psi_eval_loop(B, x, u, v))
-            avecs = rng.integers(0, p, (5, x.A.n))
-            assert all(np.array_equal(x.phi_of(avecs)[i], oracles.phi_of_loop(x, a)) for i, a in enumerate(avecs))
-    assert any(verdicts) and not all(verdicts)
 
 
 def test_check_P_conditions_folds_every_row_in_one_call(heis, sl2, monkeypatch):

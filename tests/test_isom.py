@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 import oracles
@@ -6,7 +9,7 @@ from oracles import BadLevel, phi_recursion, phi_split, s_tilde, s_tilde_direct
 from homext import gfp, isom, restricted
 from homext.algebra import BilinearForm, Derivation, HomLieAlgebra, verify_hom_lie
 from homext.doubleext import DoubleExtensionData, PExtensionData, double_extend, extend_pstructure, split_frame
-from homext.errors import NonInvertiblePi0, ZeroGamma
+from homext.errors import FrameMismatch, NonInvertiblePi0, ZeroGamma
 from homext.isom import (
     AdaptedIso,
     build_adapted_iso,
@@ -184,6 +187,45 @@ def test_restricted_iso_identity(heis_ext):
     rep = verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, gfp.eye(8))
     assert rep.ok
     assert rep.meta["direct_verdict"] == rep.meta["theorem_verdict"] == "pass"
+
+
+def _malformed_frames(L, B_L, P_L):
+    """One (L, B_L, P_L) per FrameMismatch message of split_frame: a dim-1
+    algebra, then L with one entry of its bracket, twist, form or p-images
+    moved by 1."""
+    p, N = L.p, L.n
+    one = HomLieAlgebra(p, np.zeros((1, 1, 1), dtype=np.int64), gfp.eye(1))
+    out = {"dimension too small for a double extension frame":
+           (one, BilinearForm(gfp.eye(1), p), PStructure(one, np.zeros((1, 1))))}
+    for msg, part, idx in (
+        ("form does not pair e* with e hyperbolically", "gram", (0, N - 1)),
+        ("V block is not orthogonal to the frame lines", "gram", (0, 1)),
+        ("e is not central", "c", (N - 1, 1, 2)),
+        ("[e*, V] does not lie in V", "c", (0, 1, 0)),
+        ("twist does not preserve the frame filtration", "alpha", (0, 1)),
+        ("twist eigenvalues on e and e* disagree", "alpha", (0, 0)),
+        ("p-images of V leave the coisotropic flag", "images", (1, 0)),
+        ("p-image of e leaves the coisotropic flag", "images", (N - 1, 0)),
+    ):
+        arrays = dict(c=L.c.copy(), alpha=L.alpha.copy(), gram=B_L.gram.copy(), images=P_L.images.copy())
+        arrays[part][idx] = (arrays[part][idx] + 1) % p
+        Lm = HomLieAlgebra(p, arrays["c"], arrays["alpha"], L.basis_names)
+        out[msg] = (Lm, BilinearForm(arrays["gram"], p), PStructure(Lm, arrays["images"]))
+    return out
+
+
+@pytest.mark.parametrize("ext", ["heis_ext", "sl2_ext"])
+def test_restricted_iso_raises_every_split_frame_message(ext, request):
+    """verify_restricted_iso of the identity on a malformed frame raises
+    split_frame's FrameMismatch, message for message."""
+    frames = _malformed_frames(*request.getfixturevalue(ext))
+    assert set(frames) == set(re.findall(r'raise FrameMismatch\("([^"]+)"\)', inspect.getsource(split_frame)))
+    for msg, (L, B_L, P_L) in frames.items():
+        with pytest.raises(FrameMismatch) as want:
+            split_frame(L, B_L, P_L)
+        with pytest.raises(FrameMismatch) as got:
+            verify_restricted_iso(L, B_L, L, B_L, P_L, P_L, gfp.eye(L.n))
+        assert str(got.value) == str(want.value) == msg
 
 
 def test_restricted_iso_transported_instances_p2(heis, heis_ext):
