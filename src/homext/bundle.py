@@ -64,7 +64,7 @@ class AlgebraBundle:
         name = ext["derivation"]
         if name not in self.derivations:
             raise ParseError(f"extension refers to unknown derivation {name!r}")
-        d = DoubleExtensionData(self.derivations[name], ext["x0"], ext["lambda"], ext["lambda0"])
+        d = DoubleExtensionData(self.derivations[name], ext["x0"], ext["lambda"], ext["lambda0"], ext.get("beta", 0))
         pe = PExtensionData(ext["xi"], ext["a0"], ext["m"], ext["l"], ext["u0"], ext["P_basis"], self.p)
         return name, d, pe
 
@@ -98,11 +98,13 @@ def from_parts(
 
 
 def extension_dict(name: str, d: DoubleExtensionData, pe: PExtensionData) -> dict:
+    """The extension object; "beta" = B(e*, e*) is written only when nonzero."""
     return {
         "derivation": name,
         "x0": [int(v) for v in d.x0],
         "lambda": int(d.lam),
         "lambda0": int(d.lam0),
+        **({"beta": int(d.beta)} if d.beta else {}),
         "xi": int(pe.xi),
         "a0": [int(v) for v in pe.a0],
         "m": int(pe.m),
@@ -227,8 +229,9 @@ def parse(text: str) -> AlgebraBundle:
         ext = doc.get("extension")
         if ext is not None:
             _expect(type(ext) is dict, "extension must be an object")
-            fields = ("derivation", "x0", "lambda", "lambda0", "xi", "a0", "m", "l", "u0", "P_basis")
-            scalars = ("lambda", "lambda0", "xi", "m", "l")
+            ext = {"beta": 0, **ext}  # B(e*, e*), optional
+            fields = ("derivation", "x0", "lambda", "lambda0", "beta", "xi", "a0", "m", "l", "u0", "P_basis")
+            scalars = ("lambda", "lambda0", "beta", "xi", "m", "l")
             for key in fields:
                 _expect(key in ext, f"extension missing field {key!r}")
             for key in ("x0", "a0", "u0", "P_basis"):
@@ -238,6 +241,9 @@ def parse(text: str) -> AlgebraBundle:
             _expect(type(ext["derivation"]) is str, "extension derivation must be a string")
             # the vectors are lists of ints in [0, p) already: only the scalars are reduced
             ext = {key: ext[key] % p if key in scalars else ext[key] for key in fields}
+            _expect(p == 2 or not ext["beta"], "extension beta = B(e*, e*) must be 0 for odd p")
+            if not ext["beta"]:
+                del ext["beta"]  # as extension_dict leaves it out
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed bundle: {exc}") from exc
     return AlgebraBundle(

@@ -52,16 +52,22 @@ EXTENSION_SAMPLES = 100  # sampled vectors of the extension hypotheses
 
 @dataclass
 class DoubleExtensionData:
+    """What double_extend builds L from: the derivation, the twist column
+    alpha(e*) = lam e* + x0 + lam0 e, and beta = B(e*, e*), which odd p forces
+    to 0 and which the theorems leave free at p = 2."""
+
     D: Derivation
     x0: np.ndarray
     lam: int
     lam0: int
+    beta: int = 0
 
-    def __init__(self, D: Derivation, x0, lam: int, lam0: int):
+    def __init__(self, D: Derivation, x0, lam: int, lam0: int, beta: int = 0):
         self.D = D
         self.x0 = gfp.asvec(x0, D.p)
         self.lam = int(lam) % D.p
         self.lam0 = int(lam0) % D.p
+        self.beta = int(beta) % D.p
 
 
 @dataclass
@@ -108,22 +114,14 @@ def check_extension_data(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtension
     return rep
 
 
-def double_extend(
-    V: HomLieAlgebra,
-    B_V: BilinearForm,
-    d: DoubleExtensionData,
-    b_star_star: int = 0,
-) -> tuple[HomLieAlgebra, BilinearForm]:
-    """Build (L, B_L) in the canonical frame (e*, V-basis, e).
-
-    B(e*, e*) is forced to 0 in odd characteristic; in characteristic 2
-    the theorems leave it as data, so it is an input with default 0.
-    """
+def double_extend(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtensionData) -> tuple[HomLieAlgebra, BilinearForm]:
+    """Build (L, B_L) in the canonical frame (e*, V-basis, e), with
+    B(e*, e*) = d.beta, which must be 0 in odd characteristic."""
     p, n = V.p, V.n
     rep = check_extension_data(V, B_V, d)
     if not rep.ok:
         raise PreconditionFailed("double extension data rejected", rep)
-    if p > 2 and b_star_star % p != 0:
+    if p > 2 and d.beta:
         raise PreconditionFailed("B(e*,e*) must vanish for p > 2")
     N = n + 2
     c = np.zeros((N, N, N), dtype=np.int64)
@@ -141,7 +139,7 @@ def double_extend(
     gram = np.zeros((N, N), dtype=np.int64)
     gram[1:1 + n, 1:1 + n] = gv
     gram[0, N - 1] = gram[N - 1, 0] = 1
-    gram[0, 0] = b_star_star % p
+    gram[0, 0] = d.beta
     names = ["e*"] + list(V.basis_names) + ["e"]
     L = HomLieAlgebra(p, c, alpha, names)
     return L, BilinearForm(gram, p)
@@ -189,6 +187,12 @@ def eval_P_batch(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe: PExtens
     built once per call).  V's inert mask holds for them: for a V-central e_j the
     innermost factor of W's tower lands in Ke, which the next factor kills.
     """
+    return _P_rows(None, V, B_V, D, pe, vs)
+
+
+def _P_rows(W: HomLieAlgebra | None, V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe: PExtensionData,
+            vs) -> np.ndarray:
+    """eval_P_batch, folding on W = _central_extension(V, B_V, D) when given."""
     p = V.p
     vs = np.asarray(vs, dtype=np.int64) % p
     if p == 2:
@@ -196,7 +200,7 @@ def eval_P_batch(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe: PExtens
         cross = np.triu(m, 1)
         sq = (vs * vs) % p
         return (sq @ pe.P_basis + np.einsum("mi,ij,mj->m", vs, cross, vs)) % p
-    W = _central_extension(V, B_V, D)
+    W = _central_extension(V, B_V, D) if W is None else W
     return fold(p, vs, pe.P_basis, lambda us, ws: compute_eta_batch(W, us, ws).sum(axis=1), V.inert, W.nnz)
 
 
@@ -214,15 +218,16 @@ def check_P_conditions(
     holds (README, "P_additivity is implied"): at p = 2 when B_V is
     D-invariant; at odd p when W = V + Ke (`_central_extension`) is a Yau
     twist (`restricted._yau_twist`; W is built once and also gives the
-    sampled cross term).  It is then tallied as `samples`
+    sampled fold and cross term).  It is then tallied as `samples`
     passes, regime "implied", and nothing is drawn or folded.  Otherwise it
-    runs on `samples` seeded pairs, regime "sampled": one eval_P_batch call
+    runs on `samples` seeded pairs, regime "sampled": one `_P_rows` call
     folds every u, w and u + w, each once up to scale.  P(k u) = k^p P(u) is
     an identity of the fold and of the p = 2 formula (README, "R2 and
     P_homogeneity are implied"), so P_homogeneity is tallied as passed for
     every k and u, regime "implied", never evaluated."""
     check_samples(samples)
     p, n = V.p, V.n
+    W = None  # V + Ke, built at odd p only
     implied = d_invariant(B_V, D, p) if p == 2 else _yau_twist(W := _central_extension(V, B_V, D))
     rep = Report(p=p, dim=n, seed=seed, samples=samples,
                  regimes={"P_additivity": "implied" if implied else "sampled", "P_homogeneity": "implied"})
@@ -231,7 +236,7 @@ def check_P_conditions(
     else:
         rng = SplitMix64(seed)
         us, ws = rng.mat(samples, n, p), rng.mat(samples, n, p)
-        pu, pw, psum = eval_P_batch(V, B_V, D, pe, np.vstack([us, ws, (us + ws) % p])).reshape(3, samples)
+        pu, pw, psum = _P_rows(W, V, B_V, D, pe, np.vstack([us, ws, (us + ws) % p])).reshape(3, samples)
         cross = B_V.eval_batch((us @ D.mat.T) % p, ws) if p == 2 else compute_eta_batch(W, us, ws).sum(axis=1)
         want = (pu + pw + cross) % p
         rep.tally("P_additivity", (psum - want) % p != 0, psum, want, witness=rows(us, ws))
@@ -308,17 +313,16 @@ def extend_pstructure(
 
 @dataclass
 class ExtFrame:
-    """Canonical-frame view of a double extension, with optional p-data."""
+    """A double extension's data: double_extend(V, B_V, d) and, with p-data,
+    extend_pstructure(L, V, B_V, P_V, d, pe) rebuild L in the frame whose
+    vectors, in L's coordinates, are the rows [e*; V rows; e]."""
 
     V: HomLieAlgebra
     B_V: BilinearForm
-    D: Derivation
-    x0: np.ndarray
-    lam: int
-    lam0: int
-    beta: int  # B(e*, e*)
-    P_V: PStructure | None = None
-    pe: PExtensionData | None = None
+    d: DoubleExtensionData
+    P_V: PStructure | None
+    pe: PExtensionData | None
+    rows: np.ndarray
 
     @property
     def n(self) -> int:
@@ -326,7 +330,8 @@ class ExtFrame:
 
 
 def split_frame(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure | None = None) -> ExtFrame:
-    """Read the construction data back off a canonically framed L."""
+    """Read the construction data back off a canonically framed L; rows is
+    the identity."""
     p = L.p
     n = L.n - 2
     if n < 0:
@@ -347,48 +352,30 @@ def split_frame(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure | None = No
     cv = L.c[1:1 + n, 1:1 + n, 1:1 + n].copy()
     V = HomLieAlgebra(p, cv, L.alpha[1:1 + n, 1:1 + n], L.basis_names[1:1 + n])
     B_V = BilinearForm(g[1:1 + n, 1:1 + n], p)
-    D = Derivation(L.c[0, 1:1 + n, 1:1 + n].T, p, k=1)
-    frame = ExtFrame(
-        V=V, B_V=B_V, D=D,
-        x0=L.alpha[1:1 + n, 0].copy(),
-        lam=int(L.alpha[0, 0]),
-        lam0=int(L.alpha[n + 1, 0]),
-        beta=int(g[0, 0]),
-    )
+    d = DoubleExtensionData(Derivation(L.c[0, 1:1 + n, 1:1 + n].T, p, k=1), L.alpha[1:1 + n, 0],
+                            L.alpha[0, 0], L.alpha[n + 1, 0], g[0, 0])
+    P_V = pe = None
     if P_L is not None:
         imgs = P_L.images
         if imgs[1:1 + n, 0].any():
             raise FrameMismatch("p-images of V leave the coisotropic flag")
         if imgs[n + 1, 0] != 0:
             raise FrameMismatch("p-image of e leaves the coisotropic flag")
-        frame.P_V = PStructure(V, imgs[1:1 + n, 1:1 + n])
-        frame.pe = PExtensionData(
-            xi=int(imgs[0, 0]),
+        P_V = PStructure(V, imgs[1:1 + n, 1:1 + n])
+        pe = PExtensionData(
+            xi=imgs[0, 0],
             a0=imgs[0, 1:1 + n],
-            m=int(imgs[n + 1, n + 1]),
-            l=int(imgs[0, n + 1]),
+            m=imgs[n + 1, n + 1],
+            l=imgs[0, n + 1],
             u0=imgs[n + 1, 1:1 + n],
             P_basis=imgs[1:1 + n, n + 1],
             p=p,
         )
-    return frame
+    return ExtFrame(V, B_V, d, P_V, pe, gfp.eye(n + 2))
 
 
-@dataclass
-class ReduceResult:
-    V: HomLieAlgebra
-    B_V: BilinearForm
-    d: DoubleExtensionData
-    P_V: PStructure
-    pe: PExtensionData
-    beta: int
-    e_star: np.ndarray
-    v_basis: np.ndarray  # rows: the chosen basis of V inside L
-    e: np.ndarray
-
-
-def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceResult:
-    """Recover (V, B_V, D, x0, lambda, lambda0) and the p-data from L.
+def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ExtFrame:
+    """Recover the construction data (V, B_V, d, P_V, pe) from L.
 
     e must be a nonzero isotropic central twist-eigenvector whose
     orthogonal complement is a p-ideal.  The partner e* solves
@@ -401,7 +388,7 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
     whose checks are the ones left to fail: once e-perp is an ideal closed
     under [p], the frame's brackets and p-images of V and e cannot leave
     it, and only a form that is not symmetric can make B(e*, V) or B(e, V)
-    nonzero.
+    nonzero.  The frame [e*; V rows; e] is the record's rows.
     """
     p, N = L.p, L.n
     n = N - 2
@@ -450,7 +437,5 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceRes
     ] + ["e"]
     Lf = HomLieAlgebra(p, c, alpha, names)
     f = split_frame(Lf, BilinearForm(gram, p), PStructure(Lf, images))
-    return ReduceResult(
-        V=f.V, B_V=f.B_V, d=DoubleExtensionData(f.D, f.x0, f.lam, f.lam0), P_V=f.P_V,
-        pe=f.pe, beta=f.beta, e_star=e_star, v_basis=v_rows, e=e,
-    )
+    f.rows = frame
+    return f

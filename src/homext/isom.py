@@ -61,18 +61,23 @@ def build_adapted_iso(
         raise ZeroGamma("gamma must be nonzero")
     if gfp.mat_inv(a.pi0, p) is None:
         raise NonInvertiblePi0("pi0 must be invertible")
-    ginv = gfp.inv(a.gamma, p)
     pi = np.zeros((n + 2, n + 2), dtype=np.int64)
     pi[1:1 + n, 1:1 + n] = a.pi0
     pi[n + 1, 1:1 + n] = (f.B_V.gram @ a.t_pi) % p
     pi[n + 1, n + 1] = a.gamma
-    pi[0, 0] = ginv
-    pi[1:1 + n, 0] = (-ginv * ((a.pi0 @ a.t_pi) % p)) % p  # -1 = 1 in char 2
-    if p == 2:
-        pi[n + 1, 0] = a.nu
-    else:
-        pi[n + 1, 0] = (-ginv * gfp.inv(2, p) * f.B_V.eval(a.t_pi, a.t_pi)) % p
+    pi[:, 0] = _e_star_column(a, f.B_V)
     return pi
+
+
+def _e_star_column(a: AdaptedIso, B_V: BilinearForm) -> np.ndarray:
+    """pi(e*) of the adapted normal form (build_adapted_iso), gamma nonzero."""
+    p, n = B_V.p, len(a.t_pi)
+    ginv = gfp.inv(a.gamma, p)
+    col = gfp.zeros(n + 2)
+    col[0] = ginv
+    col[1:1 + n] = (-ginv * ((a.pi0 @ a.t_pi) % p)) % p  # -1 = 1 in char 2
+    col[n + 1] = a.nu if p == 2 else (-ginv * gfp.inv(2, p) * B_V.eval(a.t_pi, a.t_pi)) % p
+    return col
 
 
 def check_adapted_iso_data(
@@ -104,23 +109,23 @@ def check_adapted_iso_data(
     # every product below is reduced before its next factor, so none wraps int64
     rep.record("pi0_isometry", np.array_equal((((pi0.T @ B_V.gram) % p) @ pi0) % p, B_V.gram), ())
     rep.record("pi0_twist_commute", not ((pi0 @ V.alpha - V.alpha @ pi0) % p).any(), ())
-    conj = (((pi0_inv @ ft.D.mat) % p) @ pi0) % p
-    want = (gamma * f.D.mat + V.ad(t)) % p
+    conj = (((pi0_inv @ ft.d.D.mat) % p) @ pi0) % p
+    want = (gamma * f.d.D.mat + V.ad(t)) % p
     rep.record("conjugated_derivation", np.array_equal(conj, want), (), lhs=conj, rhs=want)
-    rep.record("lambda_match", f.lam == ft.lam, (), lhs=f.lam, rhs=ft.lam)
+    rep.record("lambda_match", f.d.lam == ft.d.lam, (), lhs=f.d.lam, rhs=ft.d.lam)
     # The signs are those of odd characteristic; -1 = 1 makes them the char-2 list.
-    lhsv = (pi0 @ ((V.alpha @ t - f.lam * t) % p)) % p
-    rhsv = (ft.x0 - gamma * ((pi0 @ f.x0) % p)) % p
+    lhsv = (pi0 @ ((V.alpha @ t - f.d.lam * t) % p)) % p
+    rhsv = (ft.d.x0 - gamma * ((pi0 @ f.d.x0) % p)) % p
     rep.record("x0_compat", np.array_equal(lhsv, rhsv), (), lhs=lhsv, rhs=rhsv)
-    lam0_lhs = (B_V.eval(ft.x0, (pi0 @ t) % p) + gamma * B_V.eval(f.x0, t)) % p
-    lam0_rhs = (ft.lam0 - gamma * gamma * f.lam0) % p
+    lam0_lhs = (B_V.eval(ft.d.x0, (pi0 @ t) % p) + gamma * B_V.eval(f.d.x0, t)) % p
+    lam0_rhs = (ft.d.lam0 - gamma * gamma * f.d.lam0) % p
     rep.record("lambda0_compat", lam0_lhs == lam0_rhs, (), lhs=lam0_lhs, rhs=lam0_rhs)
-    lhsr = ((((ft.x0 @ B_V.gram) % p) @ pi0) % p - gamma * ((f.x0 @ B_V.gram) % p)) % p
-    rhsr = (((t @ B_V.gram) % p) @ ((V.alpha - f.lam * gfp.eye(f.n)) % p)) % p
+    lhsr = ((((ft.d.x0 @ B_V.gram) % p) @ pi0) % p - gamma * ((f.d.x0 @ B_V.gram) % p)) % p
+    rhsr = (((t @ B_V.gram) % p) @ ((V.alpha - f.d.lam * gfp.eye(f.n)) % p)) % p
     rep.record("x0_pairing", np.array_equal(lhsr, rhsr), (), lhs=lhsr, rhs=rhsr)
     if p == 2:
-        beta_rhs = (B_V.eval(t, t) + gfp.inv(gamma, p) ** 2 * ft.beta) % p
-        rep.record("beta_compat", f.beta % p == beta_rhs % p, (), lhs=f.beta, rhs=beta_rhs)
+        beta_rhs = (B_V.eval(t, t) + gfp.inv(gamma, p) ** 2 * ft.d.beta) % p
+        rep.record("beta_compat", f.d.beta == beta_rhs, (), lhs=f.d.beta, rhs=beta_rhs)
     return rep
 
 
@@ -190,12 +195,11 @@ def extract_iso_data(L: HomLieAlgebra, B_L: BilinearForm, pi) -> tuple[AdaptedIs
     nu = int(pi[N - 1, 0])
     a = AdaptedIso(pi0, gamma if gamma % p else 1, t, p, nu)
     if gamma % p:
-        ginv = gfp.inv(gamma, p)
-        rep.record("e_star_scale", pi[0, 0] % p == ginv, (), lhs=int(pi[0, 0]), rhs=ginv)
-        rep.record("e_star_v_part", np.array_equal(pi[1:1 + n, 0], (-ginv * ((pi0 @ t) % p)) % p), ())
-        if p != 2:
-            want_nu = (-ginv * gfp.inv(2, p) * B_V.eval(t, t)) % p
-            rep.record("e_star_e_part", nu == want_nu, (), lhs=nu, rhs=want_nu)
+        col = _e_star_column(a, B_V)
+        rep.record("e_star_scale", pi[0, 0] == col[0], (), lhs=int(pi[0, 0]), rhs=int(col[0]))
+        rep.record("e_star_v_part", np.array_equal(pi[1:1 + n, 0], col[1:1 + n]), ())
+        if p != 2:  # nu is free at p = 2, where the column copies it
+            rep.record("e_star_e_part", nu == col[n + 1], (), lhs=nu, rhs=int(col[n + 1]))
     return a, rep
 
 

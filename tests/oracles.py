@@ -60,7 +60,7 @@ from homext.algebra import (
     is_ideal,
     orth,
 )
-from homext.doubleext import DoubleExtensionData, ExtFrame, PExtensionData, ReduceResult, eval_P_batch, split_frame
+from homext.doubleext import DoubleExtensionData, ExtFrame, PExtensionData, eval_P_batch, split_frame
 from homext.errors import (
     DegenerateFrame,
     DimMismatch,
@@ -369,7 +369,7 @@ def phi_split(frame: ExtFrame, pi0, t_pi, level: int) -> dict:
     p = frame.V.p
     if not 2 <= level <= p:
         raise BadLevel(f"level must lie in 2..{p}, got {level}")
-    V, B_V, D = frame.V, frame.B_V, frame.D
+    V, B_V, D = frame.V, frame.B_V, frame.d.D
     pi0 = gfp.asmat(pi0, p)
     t = gfp.asvec(t_pi, p)
     if pi0.shape != (V.n, V.n) or t.shape[0] != V.n:
@@ -377,7 +377,7 @@ def phi_split(frame: ExtFrame, pi0, t_pi, level: int) -> dict:
     y = (-(pi0 @ t)) % p
     zero = gfp.zeros(V.n)[None, :]
     prev = (-D(y))[None, :] % p  # Phi(2, 1)
-    ay, ax, w0 = y, frame.x0, frame.x0
+    ay, ax, w0 = y, frame.d.x0, frame.d.x0
     table = {(2, 1): (prev[0], 0)}  # [y, x] has no central part
     for lvl in range(3, level + 1):
         ay = (V.alpha @ ay) % p  # alpha^{lvl-2}(y)
@@ -524,7 +524,7 @@ def bracket_entries_loop(A: HomLieAlgebra) -> list[tuple[int, int, int, int]]:
     return sorted(entries)
 
 
-def reduce_loop(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ReduceResult:
+def reduce_loop(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ExtFrame:
     """Recover (V, B_V, D, x0, lambda, lambda0) and the p-data from L.
 
     e must be a nonzero isotropic central twist-eigenvector whose
@@ -628,12 +628,9 @@ def reduce_loop(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> Redu
         raise NotPIdeal("the p-image of e leaves the coisotropic flag")
     xi, a0, l = coords(eval_p(P_L, e_star))
 
-    d = DoubleExtensionData(Derivation(d_mat, p, k=1), x0, lam, lam0)
+    d = DoubleExtensionData(Derivation(d_mat, p, k=1), x0, lam, lam0, beta)
     pe = PExtensionData(xi, a0, m, l, u0, p_basis, p)
-    return ReduceResult(
-        V=V, B_V=B_V, d=d, P_V=PStructure(V, s_imgs), pe=pe,
-        beta=beta, e_star=e_star, v_basis=v_rows, e=e,
-    )
+    return ExtFrame(V, B_V, d, PStructure(V, s_imgs), pe, trans)
 
 
 def pstructure_rows(P: PStructure, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,

@@ -82,6 +82,7 @@ SCALARS = [
     (lambda d, v: d["brackets"][0].update(coeff=v), "coefficient"),
     (lambda d, v: d["derivations"]["D"].update(degree=v), "degree must be a nonnegative integer"),
     (lambda d, v: d["extension"].update({"lambda": v}), "extension lambda must be an integer"),
+    (lambda d, v: d["extension"].update(beta=v), "extension beta must be an integer"),
 ]
 MATRICES = [
     (lambda d, v: d["alpha"][0].__setitem__(0, v), "alpha entries"),

@@ -7,6 +7,7 @@ import pytest
 from homext import bundle, gfp
 from homext.algebra import BilinearForm, HomLieAlgebra
 from homext.cli import main
+from homext.doubleext import DoubleExtensionData
 from homext.restricted import PStructure
 
 
@@ -64,17 +65,22 @@ def test_extend_then_verify(tmp_path, capsys):
     assert bundle.parse(L.read_text()).dim == 8
 
 
-def test_p_extend_reduce_roundtrip_bit_exact(tmp_path, capsys):
-    v = tmp_path / "v.json"
-    L = tmp_path / "L.json"
-    v2 = tmp_path / "v2.json"
-    L2 = tmp_path / "L2.json"
-    run(capsys, "fixture", "heisenberg-dual", "--out", str(v))
-    assert run(capsys, "p-extend", str(v), "--out", str(L))[0] == 0
-    assert run(capsys, "reduce", str(L), "--out", str(v2))[0] == 0
-    assert run(capsys, "p-extend", str(v2), "--out", str(L2))[0] == 0
-    assert L.read_text() == L2.read_text()
-    assert v.read_text() == v2.read_text()
+def test_p_extend_reduce_roundtrip_bit_exact(tmp_path, capsys, heis):
+    """heisenberg-dual, and the same with "beta": 1, which L's form carries
+    as B(e*, e*) and reduce hands back to p-extend."""
+    for beta in (0, 1):
+        v, L, v2, L2 = (tmp_path / f"{name}{beta}.json" for name in ("v", "L", "v2", "L2"))
+        run(capsys, "fixture", "heisenberg-dual", "--out", str(v))
+        if beta:
+            d = DoubleExtensionData(heis.D, heis.ext.x0, heis.ext.lam, heis.ext.lam0, beta)
+            v.write_text(bundle.emit(bundle.from_parts(heis.V, heis.B, heis.P, {"D": heis.D},
+                                                       extension=bundle.extension_dict("D", d, heis.pext))))
+        assert run(capsys, "p-extend", str(v), "--out", str(L))[0] == 0
+        assert json.loads(L.read_text())["form"][0][0] == beta
+        assert run(capsys, "reduce", str(L), "--out", str(v2))[0] == 0
+        assert run(capsys, "p-extend", str(v2), "--out", str(L2))[0] == 0
+        assert L.read_text() == L2.read_text()
+        assert v.read_text() == v2.read_text()
 
 
 def test_reduce_rejects_noncentral_index(tmp_path, capsys):
@@ -396,6 +402,7 @@ def test_rejected_extension_data_prints_the_rejecting_report(tmp_path, capsys):
     (["reduce", "{L}", "--center-index", "9"], "center index out of range"),
     (["isom-check", "{L}", "{L}", "--map", "{missing}"], "cannot read map file: "),
     (["isom-check", "{noform}", "{noform}", "--map", "{id}"], "isom-check needs quadratic bundles"),
+    (["p-extend", "{beta}"], "extension beta = B(e*, e*) must be 0 for odd p"),
 ])
 def test_usage_errors_exit_two_with_their_reason(tmp_path, capsys, argv, message):
     paths = {"psl3": tmp_path / "psl3.json", "L": tmp_path / "L.json", "id": tmp_path / "id.json",
@@ -404,6 +411,7 @@ def test_usage_errors_exit_two_with_their_reason(tmp_path, capsys, argv, message
     run(capsys, "p-extend", str(paths["psl3"]), "--out", str(paths["L"]))
     paths["id"].write_text(json.dumps({"pi": np.eye(7, dtype=int).tolist()}))
     paths["noform"] = _edited(tmp_path, capsys, "psl3", "noform", lambda doc: doc.update(form=None))
+    paths["beta"] = _edited(tmp_path, capsys, "psl3", "beta", lambda doc: doc["extension"].update(beta=1))
     try:
         code, out, err = run(capsys, *[a.format(**{k: str(v) for k, v in paths.items()}) for a in argv])
     except SystemExit as exc:  # argparse's own usage errors: the usage line, then the error
@@ -503,6 +511,7 @@ def test_isom_check_refuses_bundles_of_another_p_or_dim(tmp_path, capsys):
     (lambda doc: doc["extension"].update(derivation=5), "extension derivation must be a string"),
     (lambda doc: doc["extension"].update(derivation=["D"]), "extension derivation must be a string"),
     (lambda doc: doc["extension"].update(derivation=None), "extension derivation must be a string"),
+    (lambda doc: doc["extension"].update(beta=None), "extension beta must be an integer"),
     # only form, pmap and twist may be null: a required matrix or vector keeps its shape message
     (lambda doc: doc.update(alpha=None), "alpha must be dim x dim"),
     (lambda doc: doc["derivations"]["D"].update(matrix=None), "derivation D must be dim x dim"),

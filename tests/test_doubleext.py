@@ -105,9 +105,9 @@ def test_double_extend_rejects_bad_data(heis):
 
 
 def test_double_extend_rejects_nonzero_beta_odd_char(psl3_pipelines):
-    data = psl3_pipelines["D3"]
+    data, d = psl3_pipelines["D3"], psl3_pipelines["D3"]["ext"]
     with pytest.raises(PreconditionFailed):
-        double_extend(data["V"], data["B"], data["ext"], b_star_star=1)
+        double_extend(data["V"], data["B"], DoubleExtensionData(d.D, d.x0, d.lam, d.lam0, beta=1))
 
 
 def _extension_cases(p, request, rng):
@@ -164,12 +164,46 @@ def test_every_accepted_extension_is_quadratic_hom_lie(p, request):
         ok = check_extension_data(V, B, d).ok
         verdicts.append(ok)
         if ok:
-            L, B_L = double_extend(V, B, d, int(rng.integers(0, p)) if p == 2 else 0)
+            beta = int(rng.integers(0, p)) if p == 2 else 0
+            L, B_L = double_extend(V, B, DoubleExtensionData(d.D, d.x0, d.lam, d.lam0, beta=beta))
             assert verify_hom_lie(L).ok and verify_quadratic(L, B_L).ok, name
         else:
             with pytest.raises(PreconditionFailed):
                 double_extend(V, B, d)
     assert any(verdicts) and not all(verdicts), verdicts
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_split_frame_returns_the_record_it_was_built_from(p, request, monkeypatch):
+    """split_frame inverts double_extend and extend_pstructure: on every
+    input that test_every_accepted_extension_is_quadratic_hom_lie accepts,
+    at p = 2 with B(e*, e*) = 0 and 1, it returns the d, pe and P_V that L
+    was built from, double_extend(f.V, f.B_V, f.d) rebuilds L and B_L bit for
+    bit, and rows is the identity.  pe and P_V are drawn at random, with
+    extend_pstructure's hypothesis check stubbed: the layout of the images
+    does not depend on them."""
+    rng = np.random.default_rng(320 + p)
+    monkeypatch.setattr(doubleext, "check_p_extension_data", lambda *args, **kwargs: Report())
+    cases = [(name, V, B, DoubleExtensionData(d.D, d.x0, d.lam, d.lam0, beta))
+             for name, V, B, d in _extension_cases(p, request, np.random.default_rng(310 + p))
+             if check_extension_data(V, B, d).ok for beta in range(1 + (p == 2))]
+    assert len(cases) > 5
+    for name, V, B, d in cases:
+        n = V.n
+        L, B_L = double_extend(V, B, d)
+        P_V = PStructure(V, rng.integers(0, p, (n, n)))
+        (xi, m, l), (a0, u0, P_basis) = rng.integers(0, p, 3), rng.integers(0, p, (3, n))
+        pe = PExtensionData(xi, a0, m, l, u0, P_basis, p)
+        f = split_frame(L, B_L, extend_pstructure(L, V, B, P_V, d, pe))
+        assert np.array_equal(f.d.D.mat, d.D.mat) and f.d.D.k == d.D.k and np.array_equal(f.d.x0, d.x0), name
+        assert (f.d.lam, f.d.lam0, f.d.beta) == (d.lam, d.lam0, d.beta), name
+        for field in ("xi", "a0", "m", "l", "u0", "P_basis"):
+            assert np.array_equal(getattr(f.pe, field), getattr(pe, field)), (name, field)
+        assert np.array_equal(f.P_V.images, P_V.images) and np.array_equal(f.rows, gfp.eye(n + 2)), name
+        L2, B2 = double_extend(f.V, f.B_V, f.d)
+        assert np.array_equal(L2.c, L.c) and np.array_equal(L2.alpha, L.alpha), name
+        assert L2.basis_names == L.basis_names and np.array_equal(B2.gram, B_L.gram), name
+        assert B_L.gram[0, 0] == d.beta, name
 
 
 def test_is_involutive_twist(heis, psl3_pipelines):
@@ -500,8 +534,8 @@ def test_split_frame_matches_reduce(heis, heis_ext):
     L, B_L, P_L = heis_ext
     f = split_frame(L, B_L, P_L)
     assert np.array_equal(f.V.c, heis.V.c)
-    assert np.array_equal(f.D.mat, heis.D.mat)
-    assert f.lam == 1 and f.beta == 0
+    assert np.array_equal(f.d.D.mat, heis.D.mat)
+    assert f.d.lam == 1 and f.d.beta == 0
     assert f.pe is not None and f.pe.xi == 1
 
 
@@ -515,7 +549,8 @@ def transported(L, B_L, P_L, pi):
 
 
 def reduce_outcome(fn, L, B_L, P_L, e):
-    """Every ReduceResult field, or the exception class and message."""
+    """Every field of the reduced record (its rows as e*, the V rows and e),
+    or the exception class and message."""
     try:
         r = fn(L, B_L, P_L, e)
     except HomextError as exc:
@@ -523,7 +558,7 @@ def reduce_outcome(fn, L, B_L, P_L, e):
     return (
         r.V.c, r.V.alpha, r.V.basis_names, r.B_V.gram, r.d.D.mat, r.d.D.k, r.d.x0,
         r.d.lam, r.d.lam0, r.P_V.images, r.pe.xi, r.pe.a0, r.pe.m, r.pe.l, r.pe.u0,
-        r.pe.P_basis, r.beta, r.e_star, r.v_basis, r.e,
+        r.pe.P_basis, r.d.beta, r.rows[0], r.rows[1:-1], r.rows[-1],
     )
 
 
@@ -610,8 +645,9 @@ def test_chained_products_do_not_wrap_at_the_largest_p():
 
 
 def test_check_P_conditions_folds_every_row_in_one_call(heis, sl2, monkeypatch):
-    """The rows u, w and u + w go through one eval_P_batch call, and the
-    report equals the one-call-per-row-set reference, failures included
+    """The rows u, w and u + w go through one fold call (`_P_rows`, the
+    body of eval_P_batch), and the report equals the one-call-per-row-set
+    reference, failures included
     (a random B and D at p = 3 make P_additivity fail).  Every case takes
     the sampled route: heisenberg-dual's D plus one off-diagonal unit
     leaves B not D-invariant, and sl2-gf5 with D = E11 and the random input
@@ -626,21 +662,35 @@ def test_check_P_conditions_folds_every_row_in_one_call(heis, sl2, monkeypatch):
     e11 = Derivation(np.diag([1, 0, 0]), 5)
     cases = {"heis": (heis.V, heis.B, skew, heis.pext), "sl2 E11": (sl2.g, sl2.B, e11, sl2.pext),
              "random": bad}
-    calls = []
+    calls, fold_P = [], doubleext._P_rows
 
     def counted(*args):
         calls.append(args)
-        return eval_P_batch(*args)
+        return fold_P(*args)
 
     for name, args in cases.items():
         calls.clear()
-        monkeypatch.setattr(doubleext, "eval_P_batch", counted)
+        monkeypatch.setattr(doubleext, "_P_rows", counted)
         got = check_P_conditions(*args, samples=40, seed=5)
         monkeypatch.undo()
         assert len(calls) == 1, name
         assert got.to_dict() == oracles.P_conditions_sampled(*args, 40, 5).to_dict(), name
         assert got.meta["regimes"]["P_additivity"] == "sampled", name
     assert not got.check("P_additivity").ok
+
+
+def test_check_P_conditions_builds_V_plus_Ke_once(sl2, monkeypatch):
+    """On the sampled odd-p route the W = V + Ke that decides P_additivity
+    (sl2-gf5 with D = E11, not a Yau twist) is the one the fold and the
+    cross term use: one _central_extension build, and the report is the
+    one-call-per-row-set reference's."""
+    builds, build = [], doubleext._central_extension
+    monkeypatch.setattr(doubleext, "_central_extension", lambda *args: builds.append(args) or build(*args))
+    args = (sl2.g, sl2.B, Derivation(np.diag([1, 0, 0]), 5), sl2.pext)
+    rep = check_P_conditions(*args, samples=40, seed=5)
+    assert rep.meta["regimes"]["P_additivity"] == "sampled" and len(builds) == 1
+    monkeypatch.undo()
+    assert rep.to_dict() == oracles.P_conditions_sampled(*args, 40, 5).to_dict()
 
 
 def _sl2(p):
@@ -805,8 +855,8 @@ def test_double_extend_unchecked_is_double_extend(heis, sl2, psl3_pipelines):
 
 
 def test_decided_P_additivity_evaluates_no_P(request, monkeypatch):
-    """Inputs that meet the hypothesis call no eval_P_batch and no
-    compute_eta_batch, through check_P_conditions, check_p_extension_data,
+    """Inputs that meet the hypothesis call no P fold (`_P_rows`, which
+    eval_P_batch runs) and no compute_eta_batch, through check_P_conditions, check_p_extension_data,
     extend_pstructure and the verify and p-extend commands; that includes sl2
     over GF(1009), where the sampled route folds 100 rows of p - 1 = 1008
     factors.  The hypothesis reads V, B and D only, so verify builds no
@@ -815,7 +865,7 @@ def test_decided_P_additivity_evaluates_no_P(request, monkeypatch):
     from homext import cli
 
     calls = []
-    for name in ("eval_P_batch", "compute_eta_batch"):
+    for name in ("_P_rows", "compute_eta_batch"):
         real = getattr(doubleext, name)
         monkeypatch.setattr(doubleext, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     heis, sl2 = request.getfixturevalue("heis"), request.getfixturevalue("sl2")
@@ -839,7 +889,7 @@ def test_decided_P_additivity_evaluates_no_P(request, monkeypatch):
     for V_, B_, D_, pe in ((heis.V, heis.B, skew, heis.pext), (sl2.g, sl2.B, Derivation(np.diag([1, 0, 0]), 5), sl2.pext)):
         rep = check_P_conditions(V_, B_, D_, pe, samples=30)
         assert rep.meta["regimes"]["P_additivity"] == "sampled"
-        assert calls and calls[0] == "eval_P_batch"
+        assert calls and calls[0] == "_P_rows"
         calls.clear()
 
     built = []

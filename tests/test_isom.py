@@ -45,9 +45,9 @@ def heis_instances(heis, count, seed):
         t = rng.vec(6, 2)
         nu = rng.below(2)
         dt = Derivation((pi0 @ ((D.mat + V.ad(t)) % 2) @ gfp.mat_inv(pi0, 2)) % 2, 2)
-        d2 = DoubleExtensionData(dt, gfp.zeros(6), 1, 0)
         beta_t = B.eval(t, t)
-        Lt, B_Lt = double_extend(V, B, d2, b_star_star=beta_t)
+        d2 = DoubleExtensionData(dt, gfp.zeros(6), 1, 0, beta=beta_t)
+        Lt, B_Lt = double_extend(V, B, d2)
         out.append((AdaptedIso(pi0, 1, t, 2, nu), Lt, B_Lt))
     return out
 
@@ -160,10 +160,10 @@ def test_adapted_iso_composition(heis, heis_ext):
     f1 = split_frame(L1, B1)
     rng = SplitMix64(0xC1)
     t2 = rng.vec(6, 2)
-    d1 = f1.D
+    d1 = f1.d.D
     dt2 = Derivation((d1.mat + V.ad(t2)) % 2, 2)
-    beta2 = (f1.beta - B.eval(t2, t2)) % 2
-    L2, B2 = double_extend(V, B, DoubleExtensionData(dt2, gfp.zeros(6), 1, 0), b_star_star=beta2)
+    beta2 = (f1.d.beta - B.eval(t2, t2)) % 2
+    L2, B2 = double_extend(V, B, DoubleExtensionData(dt2, gfp.zeros(6), 1, 0, beta=beta2))
     iso2 = AdaptedIso(gfp.eye(6), 1, t2, 2, rng.below(2))
     pi2 = build_adapted_iso(L1, B1, L2, B2, iso2)
     assert verify_adapted_iso(L1, B1, L2, B2, pi2).ok
@@ -514,7 +514,7 @@ def test_phi_split_closed_forms_p3(psl3_pipelines):
     # level-3 closed forms of the central coefficients
     data = psl3_pipelines["D3"]
     frame = split_frame(data["L"], data["B_L"], data["P_L"])
-    dt, bv, av = frame.D, frame.B_V, frame.V.alpha
+    dt, bv, av = frame.d.D, frame.B_V, frame.V.alpha
     rng = SplitMix64(55)
     for _ in range(60):
         t = rng.vec(7, 3)
@@ -710,7 +710,7 @@ def test_restricted_iso_on_frames_with_lambda_not_one(sl2):
     rng = SplitMix64(0x1A)
     for lam in (2, 3, 4):
         L, B_L, P_L = lambda_frame(sl2, lam)
-        assert split_frame(L, B_L, P_L).lam == lam and verify_pstructure(P_L).ok
+        assert split_frame(L, B_L, P_L).d.lam == lam and verify_pstructure(P_L).ok
         for gamma in (2, 3, 4):
             a = AdaptedIso(gfp.eye(3), gamma, (1 - gamma) * H, p)
             assert check_adapted_iso_data(L, B_L, L, B_L, a).ok
@@ -807,7 +807,7 @@ def iso_cases(heis, heis_ext, psl3_pipelines, sl2, sl2_ext, sampled_p5):
     L7, B7, P7 = sl2_extension(7)
     f7, insts = split_frame(L7, B7), []
     for gamma, t in ((3, [1, 2, 0]), (1, [0, 0, 5])):  # D~ = gamma D + ad(t), as in sl2_instances
-        dt = Derivation((gamma * f7.D.mat + f7.V.ad(t)) % 7, 7)
+        dt = Derivation((gamma * f7.d.D.mat + f7.V.ad(t)) % 7, 7)
         Lt, B_Lt = double_extend(f7.V, f7.B_V, DoubleExtensionData(dt, gfp.zeros(3), 1, 0))
         insts.append((AdaptedIso(gfp.eye(3), gamma, t, 7), Lt, B_Lt))
     extension("sl2-gf7", L7, B7, P7, insts, [(2, [0, 6, 0], 0)])

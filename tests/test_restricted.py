@@ -449,13 +449,13 @@ def test_r2_and_p_homogeneity_are_never_evaluated(heis, heis_null, monkeypatch):
     """heisenberg-dual V + two null lines (alpha singular): the domain route
     of verify_pstructure reads its p-map on R1's vectors of weight <= 2 and
     on R3's three row sets of the pairs of weight <= 2, and on no k*x batch;
-    check_P_conditions folds u, w and u + w in one eval_P_batch call of
+    check_P_conditions folds u, w and u + w in one `_P_rows` call of
     3*samples rows (its D sends one null line into the other, so B is not
     D-invariant and P_additivity is sampled).  R2 and P_homogeneity are
     still tallied over every k."""
     W, B, P = heis_null
     p, n = W.p, W.n
-    draw, fold_P, reads, sizes = restricted.domain, doubleext.eval_P_batch, [], []
+    draw, fold_P, reads, sizes = restricted.domain, doubleext._P_rows, [], []
 
     def spied_domain(*args):
         xs, pmap, regime = draw(*args)
@@ -478,7 +478,7 @@ def test_r2_and_p_homogeneity_are_never_evaluated(heis, heis_null, monkeypatch):
     assert np.array_equal(reads[0], low)
     assert not any(np.array_equal(vs, (k * low) % p) for vs in reads for k in range(p) if k != 1)
 
-    monkeypatch.setattr(doubleext, "eval_P_batch", counted)
+    monkeypatch.setattr(doubleext, "_P_rows", counted)
     dm = np.zeros((n, n), dtype=np.int64)
     dm[:6, :6] = heis.D.mat
     dm[6, 7] = 1
