@@ -69,6 +69,9 @@ class HomLieAlgebra:
         # c is alternating (c[i, i] = 0 and c[j, i] = -c[i, j]) when every
         # nonzero constant c[a, b, k] has a != b and c[b, a, k] = -c[a, b, k].
         self.alternating = not ((a == b).any() or (self.c[b, a, k] != -self._triples[2] % self.p).any())
+        # Every [x, x] is central, so any ad(u) kills it (restricted._formal_tower):
+        # on an alternating c, and on doubleext._central_extension's V + Ke, where it lies in Ke.
+        self.central_squares = self.alternating
         # inert[j]: c is alternating and row j of c is zero, so e_j is central.
         # For y = lam e_j the innermost factor of the s- and eta-towers is
         # k[x, x] + [y, x] = 0, so every s_i(x, y) and eta_i(x, y) is 0,
@@ -132,17 +135,16 @@ class HomLieAlgebra:
 
         Composition of maps in this layout is plain matmul with the inner
         factor on the left, which is what the R1 matrix tower uses.  One
-        2-D matmul over the nonzero rows a and (b, k) columns of c, reduced
-        in place; the other columns are zero.
+        2-D gfp.matmul over the nonzero rows a and (b, k) columns of c; the
+        other columns are zero.
         """
         xs = np.asarray(xs, dtype=np.int64) % self.p
-        prod = xs[:, self._ad_rows] @ self._ad_mat
         out = np.zeros((xs.shape[0], self.n * self.n), dtype=np.int64)
-        out[:, self._ad_cols] = np.remainder(prod, self.p, out=prod)
+        out[:, self._ad_cols] = gfp.matmul(xs[:, self._ad_rows], self._ad_mat, self.p)
         return out.reshape(xs.shape[0], self.n, self.n)
 
     def apply_alpha(self, x, k: int = 1) -> np.ndarray:
-        return (gfp.mat_pow(self.alpha, k, self.p) @ gfp.asvec(x, self.p)) % self.p
+        return gfp.matmul(gfp.mat_pow(self.alpha, k, self.p), gfp.asvec(x, self.p), self.p)
 
     def is_involutive(self) -> bool:
         return np.array_equal(gfp.mat_pow(self.alpha, 2, self.p), gfp.eye(self.n))
@@ -162,15 +164,12 @@ class BilinearForm:
         return int(self.eval_batch(gfp.asvec(x, self.p)[None, :], gfp.asvec(y, self.p)[None, :])[0])
 
     def eval_batch(self, xs, ys) -> np.ndarray:
-        """B(x, y) per row.  x @ gram is reduced before it meets y, so no sum
-        exceeds n*(p-1)^2; when that reaches 2^63 (past what bundle.parse
-        accepts) the sums run on Python integers instead of int64."""
+        """B(x, y) per row: x gram, then its dot with y, each a gfp.matmul,
+        which is exact at any p."""
         p = self.p
-        exact = object if self.gram.shape[0] * (p - 1) ** 2 >= 2**63 else np.int64
-        xs = (np.asarray(xs, dtype=np.int64) % p).astype(exact)
-        ys = (np.asarray(ys, dtype=np.int64) % p).astype(exact)
-        left = (xs @ self.gram.astype(exact)) % p
-        return ((left * ys).sum(axis=-1) % p).astype(np.int64)
+        xs, ys = np.asarray(xs, dtype=np.int64) % p, np.asarray(ys, dtype=np.int64) % p
+        left = gfp.matmul(xs, self.gram, p)
+        return gfp.matmul(left[..., None, :], ys[..., :, None], p)[..., 0, 0]
 
     def is_symmetric(self) -> bool:
         return np.array_equal(self.gram, self.gram.T % self.p)
@@ -195,7 +194,7 @@ class Derivation:
         self.k = int(k)
 
     def __call__(self, x) -> np.ndarray:
-        return (self.mat @ gfp.asvec(x, self.p)) % self.p
+        return gfp.matmul(self.mat, gfp.asvec(x, self.p), self.p)
 
 
 @dataclass
@@ -301,8 +300,7 @@ def contract(c, m, p: int) -> np.ndarray:
     flat = np.reshape(c, (-1, c.shape[-1]))
     live = flat.any(axis=1)
     out = np.zeros((flat.shape[0], m.shape[-1]), dtype=np.int64)
-    prod = flat[live] @ m
-    out[live] = np.remainder(prod, p, out=prod)
+    out[live] = gfp.matmul(flat[live], m, p)
     return out.reshape(c.shape[:-1] + m.shape[-1:])
 
 
@@ -323,8 +321,8 @@ def verify_quadratic(A: HomLieAlgebra, B: BilinearForm) -> Report:
     lhs, rhs = invariance_sides(c, g, p)
     rep.tally("invariance", (lhs - rhs) % p != 0, lhs, rhs)
 
-    lhs = (A.alpha.T @ g) % p  # B(alpha(e_i), e_j)
-    rhs = (g @ A.alpha) % p  # B(e_i, alpha(e_j))
+    lhs = gfp.matmul(A.alpha.T, g, p)  # B(alpha(e_i), e_j)
+    rhs = gfp.matmul(g, A.alpha, p)  # B(e_i, alpha(e_j))
     rep.tally("twist_self_adjoint", (lhs - rhs) % p != 0, lhs, rhs)
     return rep
 
@@ -341,8 +339,8 @@ def verify_derivation(A: HomLieAlgebra, D: Derivation) -> Report:
 def _derivation_report(A: HomLieAlgebra, D: Derivation) -> Report:
     p, n = A.p, A.n
     rep = Report(p=p, dim=n, degree=D.k)
-    comm = (D.mat @ A.alpha - A.alpha @ D.mat) % p
-    rep.record("twist_commute", not comm.any(), (), lhs=(D.mat @ A.alpha) % p, rhs=(A.alpha @ D.mat) % p)
+    lhs, rhs = gfp.matmul(D.mat, A.alpha, p), gfp.matmul(A.alpha, D.mat, p)
+    rep.record("twist_commute", np.array_equal(lhs, rhs), (), lhs=lhs, rhs=rhs)
     ak, d = gfp.mat_pow(A.alpha, D.k, p).T, D.mat.T  # rows alpha^k(e_i) and D(e_i)
     lhs = contract(A.c, d, p)  # D([e_i, e_j])
     t2 = A.bracket_batch(ak[:, None, :], d[None, :, :])  # [alpha^k(e_i), D(e_j)]
@@ -365,13 +363,13 @@ def centralizer_of_image(A: HomLieAlgebra, M) -> Subspace:
 
 def orth(B: BilinearForm, S: Subspace) -> Subspace:
     """Orthogonal complement {x : B(x, s) = 0 for all s in S}."""
-    return Subspace(gfp.null_basis((S.basis @ B.gram.T) % B.p, B.p), B.p)
+    return Subspace(gfp.null_basis(gfp.matmul(S.basis, B.gram.T, B.p), B.p), B.p)
 
 
 def is_ideal(A: HomLieAlgebra, S: Subspace) -> bool:
     """alpha(S) <= S and [S, g] <= S, as one rank test."""
     images = A.bracket_batch(S.basis[:, None, :], gfp.eye(A.n)[None, :, :]).reshape(-1, A.n)
-    return S.spans(np.vstack([(S.basis @ A.alpha.T) % A.p, images]))
+    return S.spans(np.vstack([gfp.matmul(S.basis, A.alpha.T, A.p), images]))
 
 
 def is_nondegenerate_ideal(A: HomLieAlgebra, B: BilinearForm, S: Subspace) -> bool:
@@ -380,7 +378,7 @@ def is_nondegenerate_ideal(A: HomLieAlgebra, B: BilinearForm, S: Subspace) -> bo
         return False
     if S.dim == 0:
         return True
-    restricted = gfp.mod(gfp.mod(S.basis @ B.gram, A.p) @ S.basis.T, A.p)  # reduced after every factor
+    restricted = gfp.matmul(gfp.matmul(S.basis, B.gram, A.p), S.basis.T, A.p)
     return gfp.rank(restricted, A.p) == S.dim
 
 
@@ -392,7 +390,7 @@ def d_invariant(B: BilinearForm, D: Derivation, p: int) -> bool:
     is exact.
     """
     g, d = B.gram, D.mat
-    m = (d.T @ g) % p
+    m = gfp.matmul(d.T, g, p)
     if p == 2:
         return not np.diagonal(m).any() and np.array_equal(m, m.T % p)
-    return not ((m + g @ d) % p).any()
+    return not ((m + gfp.matmul(g, d, p)) % p).any()

@@ -106,9 +106,8 @@ def check_extension_data(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtension
     rep.record("lambda_D_plus_ad_x0", np.array_equal(lhs1, dm), (), lhs=lhs1, rhs=dm)
     # the odd-characteristic signs; -1 = 1 makes them the char-2 identities
     lhs2 = V.apply_alpha(dx0)
-    # reduce after every factor: a chain of three reduced factors wraps int64 near the p guard
-    dm2 = (dm @ dm) % p
-    eq3 = ((V.alpha @ dm2) % p - (dm2 @ V.alpha) % p - V.ad(dx0)) % p
+    dm2 = gfp.matmul(dm, dm, p)
+    eq3 = (gfp.matmul(V.alpha, dm2, p) - gfp.matmul(dm2, V.alpha, p) - V.ad(dx0)) % p
     rep.record("alpha_D_x0", not ((lhs2 + dx0) % p).any(), (), lhs=lhs2, rhs=dx0)
     rep.record("alpha_D_squared", not eq3.any(), (), lhs=eq3, rhs=0)
     return rep
@@ -134,7 +133,7 @@ def double_extend(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtensionData) -
     alpha[1:1 + n, 0] = d.x0
     alpha[N - 1, 0] = d.lam0
     alpha[1:1 + n, 1:1 + n] = V.alpha
-    alpha[N - 1, 1:1 + n] = (d.x0 @ gv) % p
+    alpha[N - 1, 1:1 + n] = gfp.matmul(d.x0, gv, p)
     alpha[N - 1, N - 1] = d.lam
     gram = np.zeros((N, N), dtype=np.int64)
     gram[1:1 + n, 1:1 + n] = gv
@@ -152,10 +151,12 @@ def _central_extension(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation) -> Ho
     p, n = V.p, V.n
     c = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
     c[:n, :n, :n] = V.c
-    c[:n, :n, n] = (D.mat.T @ B_V.gram) % p  # B(D e_i, e_j)
+    c[:n, :n, n] = gfp.matmul(D.mat.T, B_V.gram, p)  # B(D e_i, e_j)
     alpha = np.eye(n + 1, dtype=np.int64)
     alpha[:n, :n] = V.alpha
-    return HomLieAlgebra(p, c, alpha, list(V.basis_names) + ["e"])
+    W = HomLieAlgebra(p, c, alpha, list(V.basis_names) + ["e"])
+    W.central_squares = V.alternating  # then [x, x]_W = B(Dx, x) e, and e is central
+    return W
 
 
 def is_involutive_twist(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtensionData) -> bool:
@@ -196,10 +197,8 @@ def _P_rows(W: HomLieAlgebra | None, V: HomLieAlgebra, B_V: BilinearForm, D: Der
     p = V.p
     vs = np.asarray(vs, dtype=np.int64) % p
     if p == 2:
-        m = (D.mat.T @ B_V.gram) % p
-        cross = np.triu(m, 1)
-        sq = (vs * vs) % p
-        return (sq @ pe.P_basis + np.einsum("mi,ij,mj->m", vs, cross, vs)) % p
+        cross = np.triu(gfp.matmul(D.mat.T, B_V.gram, p), 1)
+        return (gfp.matmul(vs, pe.P_basis, p) + (gfp.matmul(vs, cross, p) * vs).sum(axis=1)) % p  # l^2 = l
     W = _central_extension(V, B_V, D) if W is None else W
     return fold(p, vs, pe.P_basis, lambda us, ws: compute_eta_batch(W, us, ws).sum(axis=1), V.inert, W.nnz)
 
@@ -237,7 +236,7 @@ def check_P_conditions(
         rng = SplitMix64(seed)
         us, ws = rng.mat(samples, n, p), rng.mat(samples, n, p)
         pu, pw, psum = _P_rows(W, V, B_V, D, pe, np.vstack([us, ws, (us + ws) % p])).reshape(3, samples)
-        cross = B_V.eval_batch((us @ D.mat.T) % p, ws) if p == 2 else compute_eta_batch(W, us, ws).sum(axis=1)
+        cross = B_V.eval_batch(gfp.matmul(us, D.mat.T, p), ws) if p == 2 else compute_eta_batch(W, us, ws).sum(axis=1)
         want = (pu + pw + cross) % p
         rep.tally("P_additivity", (psum - want) % p != 0, psum, want, witness=rows(us, ws))
     rep.check("P_homogeneity").passed += p * samples
@@ -407,7 +406,7 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ExtFrame:
     if not is_ideal(L, orth(B_L, line)):
         raise NotPIdeal("the orthogonal complement of e is not an ideal")
 
-    row = (B_L.gram @ e) % p
+    row = gfp.matmul(B_L.gram, e, p)
     e_star = gfp.solve(row[None, :], np.array([1]), p)
     if e_star is None:
         raise DegenerateFrame("no vector pairs with e (form degenerate)")
@@ -426,9 +425,9 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ExtFrame:
     if tinv is None:
         raise DegenerateFrame("frame vectors are not a basis")
     c = contract(L.bracket_batch(frame[:, None, :], frame[None, :, :]), tinv.T, p)
-    alpha = tinv @ ((L.alpha @ frame.T) % p)
-    gram = frame @ ((B_L.gram @ frame.T) % p)
-    images = (eval_p_batch(P_L, frame) @ tinv.T) % p
+    alpha = gfp.matmul(tinv, gfp.matmul(L.alpha, frame.T, p), p)
+    gram = gfp.matmul(frame, gfp.matmul(B_L.gram, frame.T, p), p)
+    images = gfp.matmul(eval_p_batch(P_L, frame), tinv.T, p)
     if images[1:, 0].any():
         raise NotPIdeal("the orthogonal complement of e is not closed under [p]")
     names = ["e*"] + [

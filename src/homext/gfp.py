@@ -167,6 +167,35 @@ def mat_inv(m, p: int) -> np.ndarray | None:
     return aug[:, n:].copy()
 
 
+# Multiply-adds below which int64 beats float64 BLAS with its operand copies
+# (README, "Exact products on float64").
+_FLOAT_MACS = 6000
+
+
+def matmul(a, b, p: int) -> np.ndarray:
+    """(a @ b) mod p of operands reduced into [0, p), as int64 in [0, p).
+
+    Every partial sum of the k products behind an entry is an integer of
+    at most k(p-1)^2.  Below 2^53 float64 holds each one exactly, so a
+    product of at least _FLOAT_MACS multiply-adds runs on float64 BLAS and
+    its summation order cannot change the result (README, "Exact products
+    on float64").  Smaller ones, and any below 2^63, which bundle.parse's
+    dim*(p-1)^2 guard ensures for k <= dim, run on int64 (numpy's integer
+    matmul has no BLAS), and past 2^63 on Python integers.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    bound = a.shape[-1] * (p - 1) ** 2
+    if bound >= 2**63:
+        return (np.matmul(a.astype(object), b.astype(object)) % p).astype(np.int64)
+    macs = max(a.size * (b.shape[-1] if b.ndim > 1 else 1), b.size * (a.shape[-2] if a.ndim > 1 else 1))
+    if macs < _FLOAT_MACS:
+        return np.matmul(a, b) % p
+    if bound >= 2**53:
+        return mod(np.matmul(a, b), p)
+    # the float product is freed before mod runs: no third array of its size
+    return mod(np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64), p)
+
+
 def mat_pow(m, k: int, p: int) -> np.ndarray:
     """m^k mod p by repeated squaring: O(log k) products, for k >= 0."""
     if k < 0:
@@ -175,9 +204,10 @@ def mat_pow(m, k: int, p: int) -> np.ndarray:
     out = eye(a.shape[0])
     while k:
         if k & 1:
-            out = (out @ a) % p
-        a = (a @ a) % p
+            out = matmul(out, a, p)
         k >>= 1
+        if k:
+            a = matmul(a, a, p)
     return out
 
 

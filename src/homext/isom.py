@@ -63,7 +63,7 @@ def build_adapted_iso(
         raise NonInvertiblePi0("pi0 must be invertible")
     pi = np.zeros((n + 2, n + 2), dtype=np.int64)
     pi[1:1 + n, 1:1 + n] = a.pi0
-    pi[n + 1, 1:1 + n] = (f.B_V.gram @ a.t_pi) % p
+    pi[n + 1, 1:1 + n] = gfp.matmul(f.B_V.gram, a.t_pi, p)
     pi[n + 1, n + 1] = a.gamma
     pi[:, 0] = _e_star_column(a, f.B_V)
     return pi
@@ -75,7 +75,7 @@ def _e_star_column(a: AdaptedIso, B_V: BilinearForm) -> np.ndarray:
     ginv = gfp.inv(a.gamma, p)
     col = gfp.zeros(n + 2)
     col[0] = ginv
-    col[1:1 + n] = (-ginv * ((a.pi0 @ a.t_pi) % p)) % p  # -1 = 1 in char 2
+    col[1:1 + n] = (-ginv * gfp.matmul(a.pi0, a.t_pi, p)) % p  # -1 = 1 in char 2
     col[n + 1] = a.nu if p == 2 else (-ginv * gfp.inv(2, p) * B_V.eval(a.t_pi, a.t_pi)) % p
     return col
 
@@ -106,22 +106,21 @@ def check_adapted_iso_data(
         return rep
     lhs, rhs = bracket_sides(pi0, V, V)
     rep.record("pi0_bracket", not ((lhs - rhs) % p).any(), ())
-    # every product below is reduced before its next factor, so none wraps int64
-    rep.record("pi0_isometry", np.array_equal((((pi0.T @ B_V.gram) % p) @ pi0) % p, B_V.gram), ())
-    rep.record("pi0_twist_commute", not ((pi0 @ V.alpha - V.alpha @ pi0) % p).any(), ())
-    conj = (((pi0_inv @ ft.d.D.mat) % p) @ pi0) % p
+    rep.record("pi0_isometry", np.array_equal(gfp.matmul(gfp.matmul(pi0.T, B_V.gram, p), pi0, p), B_V.gram), ())
+    rep.record("pi0_twist_commute", np.array_equal(gfp.matmul(pi0, V.alpha, p), gfp.matmul(V.alpha, pi0, p)), ())
+    conj = gfp.matmul(gfp.matmul(pi0_inv, ft.d.D.mat, p), pi0, p)
     want = (gamma * f.d.D.mat + V.ad(t)) % p
     rep.record("conjugated_derivation", np.array_equal(conj, want), (), lhs=conj, rhs=want)
     rep.record("lambda_match", f.d.lam == ft.d.lam, (), lhs=f.d.lam, rhs=ft.d.lam)
     # The signs are those of odd characteristic; -1 = 1 makes them the char-2 list.
-    lhsv = (pi0 @ ((V.alpha @ t - f.d.lam * t) % p)) % p
-    rhsv = (ft.d.x0 - gamma * ((pi0 @ f.d.x0) % p)) % p
+    lhsv = gfp.matmul(pi0, (gfp.matmul(V.alpha, t, p) - f.d.lam * t) % p, p)
+    rhsv = (ft.d.x0 - gamma * gfp.matmul(pi0, f.d.x0, p)) % p
     rep.record("x0_compat", np.array_equal(lhsv, rhsv), (), lhs=lhsv, rhs=rhsv)
-    lam0_lhs = (B_V.eval(ft.d.x0, (pi0 @ t) % p) + gamma * B_V.eval(f.d.x0, t)) % p
+    lam0_lhs = (B_V.eval(ft.d.x0, gfp.matmul(pi0, t, p)) + gamma * B_V.eval(f.d.x0, t)) % p
     lam0_rhs = (ft.d.lam0 - gamma * gamma * f.d.lam0) % p
     rep.record("lambda0_compat", lam0_lhs == lam0_rhs, (), lhs=lam0_lhs, rhs=lam0_rhs)
-    lhsr = ((((ft.d.x0 @ B_V.gram) % p) @ pi0) % p - gamma * ((f.d.x0 @ B_V.gram) % p)) % p
-    rhsr = (((t @ B_V.gram) % p) @ ((V.alpha - f.d.lam * gfp.eye(f.n)) % p)) % p
+    lhsr = (gfp.matmul(gfp.matmul(ft.d.x0, B_V.gram, p), pi0, p) - gamma * gfp.matmul(f.d.x0, B_V.gram, p)) % p
+    rhsr = gfp.matmul(gfp.matmul(t, B_V.gram, p), (V.alpha - f.d.lam * gfp.eye(f.n)) % p, p)
     rep.record("x0_pairing", np.array_equal(lhsr, rhsr), (), lhs=lhsr, rhs=rhsr)
     if p == 2:
         beta_rhs = (B_V.eval(t, t) + gfp.inv(gamma, p) ** 2 * ft.d.beta) % p
@@ -156,13 +155,10 @@ def _adapted_iso_report(L: HomLieAlgebra, B_L: BilinearForm, L_tilde: HomLieAlge
     rep.record("invertible", gfp.mat_inv(pi, p) is not None, ())
     lhs, rhs = bracket_sides(pi, L, L_tilde)
     rep.tally("bracket_preserved", ((lhs - rhs) % p).any(axis=2), lhs, rhs)
-    fl = (((pi.T @ B_Lt.gram) % p) @ pi) % p  # reduced per factor: a chain of three wraps int64
+    fl = gfp.matmul(gfp.matmul(pi.T, B_Lt.gram, p), pi, p)
     rep.tally("form_preserved", (fl - B_L.gram) % p != 0, fl, B_L.gram)
-    rep.record(
-        "twist_intertwined",
-        not ((pi @ L.alpha - L_tilde.alpha @ pi) % p).any(),
-        (), lhs=(pi @ L.alpha) % p, rhs=(L_tilde.alpha @ pi) % p,
-    )
+    lhs, rhs = gfp.matmul(pi, L.alpha, p), gfp.matmul(L_tilde.alpha, pi, p)
+    rep.record("twist_intertwined", np.array_equal(lhs, rhs), (), lhs=lhs, rhs=rhs)
     # pi maps span(e_1, ..., e_{N-1}) onto itself: row 0 is zero there and the block is invertible
     rep.record("flag_preserved", not pi[0, 1:].any() and gfp.rank(pi[1:, 1:], p) == N - 1, ())
     return rep
@@ -297,15 +293,15 @@ def verify_restricted_iso(
     ginv = gfp.inv(gamma, p)
 
     def direct_sides(vs, f_L, f_Lt):
-        return (f_L(vs) @ pi.T) % p, f_Lt((vs @ pi.T) % p)
+        return gfp.matmul(f_L(vs), pi.T, p), f_Lt(gfp.matmul(vs, pi.T, p))
 
     def theorem_sides(us, f_L, f_Lt):
         """thm_pmap_pi0's, then thm_P_pi0's, sides on rows us of V."""
         sV, pV = _p_parts(L, f_L, us)
-        sVt, pVt = _p_parts(L_tilde, f_Lt, (us @ pi0.T) % p)
+        sVt, pVt = _p_parts(L_tilde, f_Lt, gfp.matmul(us, pi0.T, p))
         btu = B_V.eval_batch(np.broadcast_to(t, us.shape), us)  # B(t, u)^p = B(t, u) in GF(p)
         bts = B_V.eval_batch(np.broadcast_to(t, sV.shape), sV)
-        return ((sV @ pi0.T) % p, (sVt + btu[:, None] * pet.u0[None, :]) % p,
+        return (gfp.matmul(sV, pi0.T, p), (sVt + btu[:, None] * pet.u0[None, :]) % p,
                 pVt, (gamma * pV + bts - btu * pet.m) % p)  # -1 = 1 in char 2
 
     fold_L, fold_Lt = p_map(P_L, False), p_map(P_Lt, False)
@@ -329,7 +325,7 @@ def verify_restricted_iso(
         rep.tally("thm_pmap_pi0", ((lhs - rhs) % p).any(axis=1), lhs, rhs, witness=rows(us))
         rep.tally("thm_P_pi0", (pVt - want) % p != 0, pVt, want, witness=rows(us))
 
-    pt = (pi0 @ t) % p
+    pt = gfp.matmul(pi0, t, p)
     spt_t, ppt_t = _p_parts(L_tilde, t_pmap, pt[None, :])
     spt_t, ppt_t = spt_t[0], int(ppt_t[0])
     bta0 = B_V.eval(t, pe.a0)
@@ -338,7 +334,7 @@ def verify_restricted_iso(
     # needed: xi~ = gamma^(p-1) xi = xi, and m~ and u0~ take one formula for every p.
     xi_rhs = pe.xi
     m_rhs = (ginv * ((gamma * pe.m + btu0) % p)) % p
-    u0_rhs = (ginv * ((pi0 @ pe.u0) % p)) % p
+    u0_rhs = (ginv * gfp.matmul(pi0, pe.u0, p)) % p
     # a0~ and l~ too.  They read s~ = sum_i s_i(e~*, -pi0(t)), R3 coefficients of L~ from
     # one compute_s_batch pair: a0~ takes its V-part, l~ its e~-coefficient, and its
     # e~*-part is zero.  pi(e*) carries nu e~, whose p-th power is nu (m~ e~ + u0~), so u0~
@@ -349,7 +345,7 @@ def verify_restricted_iso(
     st = compute_s_batch(L_tilde, gfp.unit(N, 0)[None, :], y)[0].sum(axis=0) % p if pt.any() else gfp.zeros(N)
     c = (-gamma * nu) % p
     gxi = (ginv * pe.xi) % p
-    a0_rhs = ((gamma * (((pi0 @ pe.a0) % p - gxi * pt) % p)) % p + (c * pet.u0) % p + spt_t - st[1:1 + n]) % p
+    a0_rhs = ((gamma * ((gfp.matmul(pi0, pe.a0, p) - gxi * pt) % p)) % p + (c * pet.u0) % p + spt_t - st[1:1 + n]) % p
     l_rhs = (gamma * ((bta0 + gamma * pe.l - gxi * c) % p) + ppt_t + c * pet.m - int(st[N - 1])) % p
     rep.record("thm_a0", np.array_equal(pet.a0, a0_rhs), (), lhs=pet.a0, rhs=a0_rhs)
     rep.record("thm_l", pet.l % p == l_rhs, (), lhs=pet.l, rhs=l_rhs)

@@ -76,9 +76,12 @@ def _formal_tower(A: HomLieAlgebra, xs, ys, depth: int) -> np.ndarray:
     vector shared by the batch.  On an alternating c the innermost factor
     gives k[x, x] + [y, x] = [y, x], so after t + 1 factors the degree is
     at most t and the top rows, which are zero, are not bracketed (README,
-    "The formal tower").
+    "The formal tower").  When every [x, x] is central (A.central_squares),
+    the second factor kills the k-row [x, x], so past depth 1 it is never
+    made and the tower runs as on an alternating c.
     """
     p, shared = A.p, ys.ndim == 1
+    skip = A.alternating or (A.central_squares and depth > 1)
     coeffs = np.zeros((xs.shape[0], depth + 1, A.n), dtype=np.int64)
     coeffs[:, 0, :] = xs
     # Innermost factor first.  alpha^t(y), the constant part of factor t, and
@@ -86,12 +89,12 @@ def _formal_tower(A: HomLieAlgebra, xs, ys, depth: int) -> np.ndarray:
     # shared alpha^t(y) is one matrix ad(alpha^t(y)) instead.
     for t in range(depth):
         if t:
-            xs, ys = gfp.mod(xs @ A.alpha.T, p), gfp.mod(ys @ A.alpha.T, p)
-        hi = t + 1 - A.alternating  # rows alpha^t(x) meets: [x, x] = 0 zeroes the top one
+            xs, ys = gfp.matmul(xs, A.alpha.T, p), gfp.matmul(ys, A.alpha.T, p)
+        hi = t + 1 - skip  # rows alpha^t(x) meets: the top one is [x, x], zero or killed
         live = coeffs[:, :max(hi, 1)]  # below 2p, reduced before any product
         zs = ([] if shared else [ys]) + ([xs] if hi else [])
         part = A.bracket_batch(np.stack(zs, axis=1)[:, :, None, :], live[:, None]) if zs else None
-        live[:] = gfp.mod(gfp.mod(live, p) @ A.ad_batch(ys[None])[0], p) if shared else part[:, 0]
+        live[:] = gfp.matmul(gfp.mod(live, p), A.ad_batch(ys[None])[0], p) if shared else part[:, 0]
         if hi:
             coeffs[:, 1:hi + 1, :] += part[:, -1]
     return gfp.mod(coeffs, p)
@@ -166,7 +169,7 @@ def fold(p: int, xs, images, cross, inert, nnz: int = 0, cache: dict | None = No
     out = np.empty((len(keys),) + shape, dtype=np.int64)
     out[done] = np.frombuffer(b"".join(cache[names[i]] for i in done), dtype=dt).reshape((len(done),) + shape)
     xs = xs[reps[todo]]
-    acc = gfp.mod(xs @ images, p)  # n terms below p^2, inside the dim*(p-1)^2 guard
+    acc = gfp.matmul(xs, images, p)
     nz = xs != 0
     idx = np.arange(xs.shape[1])
     rows, cols = np.nonzero(nz & (idx > nz.argmax(axis=1)[:, None]) & ~inert)
@@ -235,7 +238,7 @@ def eval_p_all(P: PStructure) -> np.ndarray:
             part = lams[:, None, None] * P.images[j] + table[None, :block]  # lam^p = lam in GF(p)
             if not A.inert[j]:
                 s = compute_s_batch(A, vecs[:block], gfp.unit(n, j)).transpose(1, 0, 2)  # [i, prefix, n]
-                part += (weights @ s.reshape(p - 1, -1)).reshape(p - 1, block, n)
+                part += gfp.matmul(weights, s.reshape(p - 1, -1), p).reshape(p - 1, block, n)
             table[block:block * p] = gfp.mod(part, p).reshape(-1, n)
         table.setflags(write=False)
         P._all_images = table
@@ -313,8 +316,8 @@ def _tower_batch(A: HomLieAlgebra, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64) % p
     out = A.ad_batch(xs)
     for _ in range(1, p):
-        xs = (xs @ A.alpha.T) % p  # alpha^t(x) for factor t
-        out = (out @ A.ad_batch(xs)) % p
+        xs = gfp.matmul(xs, A.alpha.T, p)  # alpha^t(x) for factor t
+        out = gfp.matmul(out, A.ad_batch(xs), p)
     return out
 
 
@@ -328,8 +331,9 @@ def r1_defect_batch(A: HomLieAlgebra, xs, images) -> np.ndarray:
     apow = gfp.mat_pow(A.alpha, p - 1, p).T
     step = max(1, _R1_ELEMENTS // A.n**2)
 
-    def defect(cut):
-        return gfp.mod(apow @ A.ad_batch(images[cut]) - _tower_batch(A, xs[cut]), p)
+    def defect(cut):  # the tower first, so its temporaries never meet ad(x^[p])'s
+        tower = _tower_batch(A, xs[cut])
+        return gfp.mod(gfp.matmul(apow, A.ad_batch(images[cut]), p) - tower, p)
 
     if len(xs) <= step:
         return defect(slice(None))
@@ -405,10 +409,10 @@ def restricted_defect_batch(A: HomLieAlgebra, D: Derivation, xs, images) -> np.n
     """
     p = A.p
     xs = np.asarray(xs, dtype=np.int64) % p
-    lhs = (images @ D.mat.T) % p
-    rhs = (xs @ D.mat.T) % p
+    lhs = gfp.matmul(images, D.mat.T, p)
+    rhs = gfp.matmul(xs, D.mat.T, p)
     for _ in range(1, p):
-        xs = (xs @ A.alpha.T) % p  # alpha^t(x) for factor t
+        xs = gfp.matmul(xs, A.alpha.T, p)  # alpha^t(x) for factor t
         rhs = A.bracket_batch(xs, rhs)
     return (lhs - rhs) % p
 
@@ -464,7 +468,7 @@ def check_p_property(A: HomLieAlgebra, D: Derivation, w: PPropertyWitness) -> bo
     p = A.p
     apow = gfp.mat_pow(A.alpha, p - 1, p)
     lhs = gfp.mat_pow(D.mat, p, p)
-    rhs = (((w.xi * D.mat) % p @ apow) % p + (A.ad(w.a0) @ apow) % p) % p
+    rhs = gfp.matmul((w.xi * D.mat + A.ad(w.a0)) % p, apow, p)
     return np.array_equal(lhs, rhs) and not D(w.a0).any()
 
 
@@ -479,9 +483,9 @@ def solve_p_property(A: HomLieAlgebra, D: Derivation) -> PPropertyWitness | None
     """
     p, n = A.p, A.n
     apow = gfp.mat_pow(A.alpha, p - 1, p)
-    cols = (A.ad_batch(gfp.eye(n)).transpose(0, 2, 1) @ apow) % p  # ad(e_j) o alpha^{p-1}
-    m = np.vstack([cols.reshape(n, n * n).T % p, D.mat])
-    xi_col = np.concatenate([((D.mat @ apow) % p).reshape(n * n), gfp.zeros(n)])  # D o alpha^{p-1}
+    cols = gfp.matmul(A.ad_batch(gfp.eye(n)).transpose(0, 2, 1), apow, p)  # ad(e_j) o alpha^{p-1}
+    m = np.vstack([cols.reshape(n, n * n).T, D.mat])
+    xi_col = np.concatenate([gfp.matmul(D.mat, apow, p).reshape(n * n), gfp.zeros(n)])  # D o alpha^{p-1}
     rhs = np.concatenate([gfp.mat_pow(D.mat, p, p).reshape(n * n), gfp.zeros(n)])
     sol = gfp.solve(np.hstack([m, xi_col[:, None]]), rhs, p)
     if sol is None:

@@ -41,8 +41,9 @@ def check_twist_data(g: HomLieAlgebra, B: BilinearForm, t: TwistData) -> Report:
     """
     p = g.p
     rep = Report(p=p, dim=g.n)
-    rep.record("alpha_self_adjoint", np.array_equal((t.alpha.T @ B.gram) % p, (B.gram @ t.alpha) % p), ())
-    rep.record("alpha_involutive", np.array_equal((t.alpha @ t.alpha) % p, gfp.eye(g.n)), ())
+    adjoint = np.array_equal(gfp.matmul(t.alpha.T, B.gram, p), gfp.matmul(B.gram, t.alpha, p))
+    rep.record("alpha_self_adjoint", adjoint, ())
+    rep.record("alpha_involutive", np.array_equal(gfp.mat_pow(t.alpha, 2, p), gfp.eye(g.n)), ())
     lhs, rhs = bracket_sides(t.alpha, g, g)
     rep.record("alpha_bracket_endomorphism", not ((lhs - rhs) % p).any(), ())
     rep.record("trivial_twist_input", np.array_equal(g.alpha, gfp.eye(g.n)), ())
@@ -57,7 +58,7 @@ def twist_algebra(g: HomLieAlgebra, B: BilinearForm, t: TwistData) -> tuple[HomL
         raise PreconditionFailed("twist data rejected", rep)
     c = contract(g.c, t.alpha.T, p)
     twisted = HomLieAlgebra(p, c, t.alpha, g.basis_names)
-    form = BilinearForm((t.alpha.T @ B.gram) % p, p)
+    form = BilinearForm(gfp.matmul(t.alpha.T, B.gram, p), p)
     out = verify_hom_lie(twisted)
     out.merge(verify_quadratic(twisted, form))
     if not out.ok:
@@ -69,17 +70,18 @@ def twist_pmap(P: PStructure, twisted: HomLieAlgebra, t: TwistData) -> PStructur
     """x^[p] composed with alpha^{p-1}, reattached to the twisted algebra."""
     p = twisted.p
     apow = gfp.mat_pow(t.alpha, p - 1, p)
-    return PStructure(twisted, (P.images @ apow.T) % p)
+    return PStructure(twisted, gfp.matmul(P.images, apow.T, p))
 
 
 def twist_derivation(g: HomLieAlgebra, D: Derivation, t: TwistData) -> Derivation:
     """alpha o D, the derivation matching the twisted bracket and p-map."""
     p = g.p
-    if ((D.mat @ t.alpha - t.alpha @ D.mat) % p).any():
+    lhs, rhs = gfp.matmul(t.alpha, D.mat, p), gfp.matmul(D.mat, t.alpha, p)
+    if not np.array_equal(lhs, rhs):
         rep = Report()
-        rep.record("alpha_D_commute", False, (), lhs=(t.alpha @ D.mat) % p, rhs=(D.mat @ t.alpha) % p)
+        rep.record("alpha_D_commute", False, (), lhs=lhs, rhs=rhs)
         raise PreconditionFailed("derivation does not commute with the twist", rep)
-    return Derivation((t.alpha @ D.mat) % p, p, k=1)
+    return Derivation(lhs, p, k=1)
 
 
 @dataclass
@@ -180,9 +182,9 @@ def build_psl3() -> Psl3Fixture:
     """
     p = 3
     x1, x2 = _e(0, 1), _e(1, 2)
-    x3 = (x1 @ x2 - x2 @ x1) % p
+    x3 = (gfp.matmul(x1, x2, p) - gfp.matmul(x2, x1, p)) % p
     y1, y2 = _e(1, 0), _e(2, 1)
-    y3 = (y1 @ y2 - y2 @ y1) % p
+    y3 = (gfp.matmul(y1, y2, p) - gfp.matmul(y2, y1, p)) % p
     h1 = (_e(0, 0) - _e(1, 1)) % p
     reps = [h1, x1, x2, x3, y1, y2, y3]
     names = ["h1", "x1", "x2", "x3", "y1", "y2", "y3"]
@@ -198,7 +200,7 @@ def build_psl3() -> Psl3Fixture:
     brackets = {}
     for i in range(7):
         for j in range(i + 1, 7):
-            comm = (reps[i] @ reps[j] - reps[j] @ reps[i]) % p
+            comm = (gfp.matmul(reps[i], reps[j], p) - gfp.matmul(reps[j], reps[i], p)) % p
             vec = project(comm)
             if vec.any():
                 brackets[(i, j)] = vec
@@ -207,7 +209,7 @@ def build_psl3() -> Psl3Fixture:
     gram = np.zeros((7, 7), dtype=np.int64)
     for i in range(7):
         for j in range(7):
-            gram[i, j] = int(np.trace(reps[i] @ reps[j]) % p)
+            gram[i, j] = int(np.trace(gfp.matmul(reps[i], reps[j], p)) % p)
     expected = np.zeros((7, 7), dtype=np.int64)
     expected[0, 0] = 2  # -1
     pair = (1, 1, 2)  # I_{2,1} on the antidiagonal blocks
@@ -218,7 +220,7 @@ def build_psl3() -> Psl3Fixture:
 
     images = np.zeros((7, 7), dtype=np.int64)
     for j in range(7):
-        cube = (reps[j] @ reps[j] @ reps[j]) % p
+        cube = gfp.mat_pow(reps[j], 3, p)
         images[j] = project(cube)
     table_images = np.zeros((7, 7), dtype=np.int64)
     table_images[0, 0] = 1

@@ -12,7 +12,8 @@ import pytest
 from oracles import compute_eta_batch
 
 from homext import gfp, restricted
-from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
+from homext.algebra import BilinearForm, Derivation, HomLieAlgebra, d_invariant
+from homext.doubleext import _central_extension
 from homext.restricted import _formal_tower, compute_s_batch
 
 N = 5
@@ -122,6 +123,34 @@ def test_row_brackets_per_pair(p):
         compute_s_batch(A, xs, ys[0])
         k_parts = (p - 1) * (p - 2) // 2 if A.alternating else p * (p - 1) // 2
         assert counts == {"rows": m * k_parts, "ad": p - 1}, name
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_central_extension_tower_skips_its_central_square(p):
+    """W = V + Ke for an alternating V and a D that is not B-skew: [x, x]_W =
+    B(Dx, x) e is not zero, so W is not alternating, but e is central and
+    the second factor kills it.  Past depth 1 the tower brackets the
+    alternating count, 1 + (p-1)(p-2) rows a pair (13 at p = 5, not 20),
+    and every coefficient equals the full tower's, under an invertible and
+    a singular alpha and for per-row and shared y."""
+    rng = np.random.default_rng(300 + p)
+    m = N - 1
+    c = rng.integers(0, p, size=(m, m, m))
+    B = BilinearForm(rng.integers(0, p, size=(m, m)), p)
+    D = Derivation(rng.integers(0, p, size=(m, m)), p)
+    assert not d_invariant(B, D, p)
+    for kind, alpha in _alphas(p, rng).items():
+        W = _central_extension(HomLieAlgebra(p, (c - c.transpose(1, 0, 2)) % p, alpha[:m, :m]), B, D)
+        assert W.central_squares and not W.alternating, kind
+        xs, ys_cases = _pairs(p, rng)
+        assert oracles.formal_tower_full(W, xs, xs, 1)[:, 1].any(), kind  # the [x, x] row depth 1 keeps
+        for case, ys in ys_cases.items():
+            for depth in {p - 1, p - 2}:
+                want = oracles.formal_tower_full(W, xs, ys, depth)
+                assert np.array_equal(_formal_tower(W, xs, ys, depth), want), (kind, case, depth)
+        counts = _counted(W)
+        compute_s_batch(W, xs, ys_cases["per-row"])
+        assert counts == {"rows": len(xs) * (1 + (p - 1) * (p - 2)), "ad": 0}, kind
 
 
 def _ad_exact(c, vs, p):

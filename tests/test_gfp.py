@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import oracles
@@ -235,3 +237,76 @@ def test_polyvec_eval_matches_numeric_composition(psl3_twisted):
             for m0, m1 in reversed(ops):
                 numeric = ((m0 + k * m1) @ numeric) % 3
             assert np.array_equal(pv.eval_at(k), numeric)
+
+
+def _operands(rng, p, shapes, top=False):
+    """Reduced operands of the given shapes; top draws from the top 1/32
+    of [0, p), so every sum of k products is above 0.9 k (p-1)^2."""
+    return [rng.integers(p - p // 32 if top else 0, p, size=s) for s in shapes]
+
+
+# Each shape small (int64 route) and at least gfp._FLOAT_MACS multiply-adds (float64 route).
+_SHAPES = {"2-D": ([(4, 7), (7, 5)], [(40, 30), (30, 20)]), "batched": ([(3, 4, 7), (3, 7, 5)], [(6, 20, 20)] * 2),
+           "broadcast": ([(6, 6), (4, 6, 6)], [(20, 20), (8, 20, 20)]),
+           "matrix-vector": ([(4, 7), (7,)], [(300, 30), (30,)])}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+@pytest.mark.parametrize("size", [0, 1], ids=["int64", "float64"])
+@pytest.mark.parametrize("kind", list(_SHAPES))
+def test_matmul_is_the_exact_product(p, size, kind):
+    shapes = _SHAPES[kind][size]
+    macs = np.matmul(*(np.zeros(s) for s in shapes)).size * shapes[0][-1]
+    assert (macs >= gfp._FLOAT_MACS) == bool(size)
+    rng = np.random.default_rng(p)
+    a, b = _operands(rng, p, shapes, top=p > 5)
+    out = gfp.matmul(a, b, p)
+    assert out.dtype == np.int64 and out.min() >= 0 and out.max() < p
+    assert np.array_equal(out, oracles.product_exact(p, a, b))
+
+
+def test_matmul_takes_int64_where_float64_stops_being_exact():
+    """Exact at k (p-1)^2 just below 2^53, the float64 route, and just
+    above, where a float64 product rounds, so int64 must take over."""
+    p = 33554393  # the largest prime below 2^25
+    k = (2**53 - 1) // (p - 1) ** 2
+    assert k * (p - 1) ** 2 < 2**53 <= (k + 1) * (p - 1) ** 2
+    rng = np.random.default_rng(7)
+    assert 40 * k * 40 >= gfp._FLOAT_MACS
+    for inner in (k, k + 1):
+        a, b = _operands(rng, p, [(40, inner), (inner, 40)], top=True)
+        assert np.array_equal(gfp.matmul(a, b, p), oracles.product_exact(p, a, b)), inner
+    rounded = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    assert not np.array_equal(rounded, oracles.product_exact(p, a, b))
+
+
+def test_matmul_at_the_largest_prime_of_the_parse_guard():
+    """bundle.parse accepts dim (p-1)^2 < 2^63: the largest such prime at
+    dim 6 is exact at k = 6, on int64, and at k = 7, where int64 sums
+    can wrap, on Python integers."""
+    p, q = 1239850223, 1239850223 + 1
+    while not gfp.is_prime(q):
+        q += 1
+    assert gfp.is_prime(p) and 6 * (p - 1) ** 2 < 2**63 <= 6 * (q - 1) ** 2
+    rng = np.random.default_rng(8)
+    for inner in (6, 7):
+        for shapes in ([(4, inner), (inner, 3)], [(2, 4, inner), (inner, 3)], [(4, inner), (inner,)]):
+            a, b = _operands(rng, p, shapes, top=True)
+            out = gfp.matmul(a, b, p)
+            assert out.dtype == np.int64 and out.min() >= 0 and out.max() < p
+            assert np.array_equal(out, oracles.product_exact(p, a, b)), (inner, shapes)
+
+
+def test_every_matrix_product_goes_through_gfp_matmul():
+    """One product kernel: `@` and np.matmul occur in src/homext only in gfp.py."""
+    src = pathlib.Path(gfp.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "gfp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult) or (
+                    isinstance(node, ast.Attribute) and node.attr == "matmul"
+                    and isinstance(node.value, ast.Name) and node.value.id == "np"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
