@@ -215,8 +215,9 @@ class Subspace:
         return not self.reduce(v).any()
 
     def spans(self, vectors) -> bool:
-        """Every row of vectors lies in the subspace: one rank test."""
-        return gfp.rank(np.vstack([self.basis, vectors[vectors.any(axis=1)]]), self.p) == self.dim
+        """Every row of vectors (reduced) lies in the subspace: x is in it
+        iff x is orthogonal to its annihilator, so one product decides."""
+        return not gfp.matmul(vectors, gfp.null_basis(self.basis, self.p).T, self.p).any()
 
     def reduce(self, v) -> np.ndarray:
         """Residue of v after eliminating the subspace's pivot coordinates:
@@ -319,11 +320,11 @@ def verify_quadratic(A: HomLieAlgebra, B: BilinearForm) -> Report:
     rep.record("nondegenerate", B.is_nondegenerate(), (), lhs=0, rhs="nonzero")  # a degenerate form has det 0
 
     lhs, rhs = invariance_sides(c, g, p)
-    rep.tally("invariance", (lhs - rhs) % p != 0, lhs, rhs)
+    rep.tally("invariance", lhs != rhs, lhs, rhs)  # both sides reduced
 
     lhs = gfp.matmul(A.alpha.T, g, p)  # B(alpha(e_i), e_j)
     rhs = gfp.matmul(g, A.alpha, p)  # B(e_i, alpha(e_j))
-    rep.tally("twist_self_adjoint", (lhs - rhs) % p != 0, lhs, rhs)
+    rep.tally("twist_self_adjoint", lhs != rhs, lhs, rhs)
     return rep
 
 
@@ -344,8 +345,11 @@ def _derivation_report(A: HomLieAlgebra, D: Derivation) -> Report:
     ak, d = gfp.mat_pow(A.alpha, D.k, p).T, D.mat.T  # rows alpha^k(e_i) and D(e_i)
     lhs = contract(A.c, d, p)  # D([e_i, e_j])
     t2 = A.bracket_batch(ak[:, None, :], d[None, :, :])  # [alpha^k(e_i), D(e_j)]
-    t1 = (-t2.transpose(1, 0, 2)) % p  # [D(e_i), alpha^k(e_j)] = -[alpha^k(e_j), D(e_i)]
-    rep.tally("leibniz", ((lhs - t1 - t2) % p).any(axis=2), lhs, (t1 + t2) % p)
+    # t2 + [D(e_i), alpha^k(e_j)], the second term being -[alpha^k(e_j), D(e_i)]
+    rhs = t2 - t2.transpose(1, 0, 2)
+    del t2  # freed before mod's quotient array is made
+    rhs = gfp.mod(rhs, p)
+    rep.tally("leibniz", (lhs != rhs).any(axis=2), lhs, rhs)  # both sides reduced
     return rep
 
 
@@ -367,8 +371,9 @@ def orth(B: BilinearForm, S: Subspace) -> Subspace:
 
 
 def is_ideal(A: HomLieAlgebra, S: Subspace) -> bool:
-    """alpha(S) <= S and [S, g] <= S, as one rank test."""
-    images = A.bracket_batch(S.basis[:, None, :], gfp.eye(A.n)[None, :, :]).reshape(-1, A.n)
+    """alpha(S) <= S and [S, g] <= S, as one product with S's annihilator;
+    [s, e_j] is row j of ad_batch's map of s."""
+    images = A.ad_batch(S.basis).reshape(-1, A.n)
     return S.spans(np.vstack([gfp.matmul(S.basis, A.alpha.T, A.p), images]))
 
 

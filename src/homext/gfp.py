@@ -167,9 +167,11 @@ def mat_inv(m, p: int) -> np.ndarray | None:
     return aug[:, n:].copy()
 
 
-# Multiply-adds below which int64 beats float64 BLAS with its operand copies
-# (README, "Exact products on float64").
+# Multiply-adds below which int64 beats float64 BLAS with its operand copies,
+# and the largest result matrices of a stack that stay on int64 past that,
+# where numpy calls BLAS once per matrix (README, "Exact products on float64").
 _FLOAT_MACS = 6000
+_STACK_TINY = 3
 
 
 def matmul(a, b, p: int) -> np.ndarray:
@@ -179,7 +181,8 @@ def matmul(a, b, p: int) -> np.ndarray:
     at most k(p-1)^2.  Below 2^53 float64 holds each one exactly, so a
     product of at least _FLOAT_MACS multiply-adds runs on float64 BLAS and
     its summation order cannot change the result (README, "Exact products
-    on float64").  Smaller ones, and any below 2^63, which bundle.parse's
+    on float64").  Smaller ones, stacks of result matrices of at most
+    _STACK_TINY rows and columns, and any below 2^63, which bundle.parse's
     dim*(p-1)^2 guard ensures for k <= dim, run on int64 (numpy's integer
     matmul has no BLAS), and past 2^63 on Python integers.
     """
@@ -187,8 +190,9 @@ def matmul(a, b, p: int) -> np.ndarray:
     bound = a.shape[-1] * (p - 1) ** 2
     if bound >= 2**63:
         return (np.matmul(a.astype(object), b.astype(object)) % p).astype(np.int64)
-    macs = max(a.size * (b.shape[-1] if b.ndim > 1 else 1), b.size * (a.shape[-2] if a.ndim > 1 else 1))
-    if macs < _FLOAT_MACS:
+    rows, cols = a.shape[-2] if a.ndim > 1 else 1, b.shape[-1] if b.ndim > 1 else 1
+    tiny = max(a.ndim, b.ndim) > 2 and max(rows, cols) <= _STACK_TINY
+    if tiny or max(a.size * cols, b.size * rows) < _FLOAT_MACS:
         return np.matmul(a, b) % p
     if bound >= 2**53:
         return mod(np.matmul(a, b), p)

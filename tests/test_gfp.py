@@ -265,6 +265,27 @@ def test_matmul_is_the_exact_product(p, size, kind):
     assert np.array_equal(out, oracles.product_exact(p, a, b))
 
 
+def test_matmul_keeps_stacks_of_tiny_matrices_on_int64(monkeypatch):
+    """numpy calls BLAS once per matrix of a stack, which loses to int64 when
+    the result matrices have at most gfp._STACK_TINY rows and columns: those
+    stacks stay on int64 past _FLOAT_MACS, 4 x 4 ones and 2-D products do
+    not.  The float64 route is the one that reduces through gfp.mod."""
+    assert gfp._STACK_TINY == 3
+    mod, routes = gfp.mod, []
+    monkeypatch.setattr(gfp, "mod", lambda a, p: routes.append(a.shape) or mod(a, p))
+    rng = np.random.default_rng(9)
+    cases = [([(300, 3, 3), (300, 3, 3)], False), ([(2, 2), (3000, 2, 2)], False),
+             ([(200, 1, 40), (200, 40, 1)], False), ([(300, 3, 40), (40,)], False),
+             ([(300, 2, 7), (7, 3)], False), ([(300, 4, 4), (300, 4, 4)], True), ([(3, 4000), (4000, 3)], True)]
+    for shapes, on_float in cases:
+        assert np.matmul(*(np.zeros(s) for s in shapes)).size * shapes[0][-1] >= gfp._FLOAT_MACS, shapes
+        for p in (3, 5):
+            routes.clear()
+            a, b = _operands(rng, p, shapes)
+            assert np.array_equal(gfp.matmul(a, b, p), oracles.product_exact(p, a, b)), shapes
+            assert bool(routes) == on_float, shapes
+
+
 def test_matmul_takes_int64_where_float64_stops_being_exact():
     """Exact at k (p-1)^2 just below 2^53, the float64 route, and just
     above, where a float64 product rounds, so int64 must take over."""
