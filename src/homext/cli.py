@@ -13,6 +13,7 @@ HOMEXT_SEED overrides the default sampling seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -199,7 +200,7 @@ def cmd_reduce(args) -> int:
         raise ParseError("reduce needs form and pmap")
     idx = args.center_index if args.center_index is not None else A.n - 1
     if not 0 <= idx < A.n:
-        raise ParseError("center index out of range")
+        raise ParseError(f"center index out of range: must be in [0, {A.n})")
     rr = reduce_ext(A, form, P, gfp.unit(A.n, idx))
     out = bundle_mod.from_parts(
         rr.V, rr.B_V, rr.P_V, {"D": rr.d.D},
@@ -278,7 +279,8 @@ def cmd_isom_check(args) -> int:
     return _finish(report)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homext",
         description="Construct and verify restricted Hom-Lie algebra double extensions over GF(p).",
@@ -335,7 +337,15 @@ def main(argv=None) -> int:
     add_common(sp)
     sp.set_defaults(func=cmd_isom_check)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command; repeated calls in one process give the console script's outputs.
+
+    The parser is built on the first call and holds only constants.  argparse usage
+    errors and --help raise SystemExit (codes 2 and 0); homext's own parse errors return 2."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

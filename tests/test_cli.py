@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -7,8 +10,9 @@ import pytest
 from homext import bundle, gfp
 from homext.algebra import BilinearForm, HomLieAlgebra
 from homext.cli import main
-from homext.doubleext import DoubleExtensionData
+from homext.doubleext import EXTENSION_SAMPLES, DoubleExtensionData
 from homext.restricted import PStructure
+from homext.rng import DEFAULT_SEED
 
 
 def run(capsys, *argv):
@@ -562,3 +566,112 @@ def test_bundle_that_is_not_an_object_is_a_parse_error(tmp_path, capsys, text):
     path.write_text(text)
     code, out, err = run(capsys, "verify", str(path))
     assert (code, out, err) == (2, "", "error: bundle must be a JSON object\n")
+
+
+@pytest.mark.parametrize("index", ["-1", "8"])
+def test_center_index_out_of_range_names_the_range(tmp_path, capsys, index):
+    v, L = tmp_path / "v.json", tmp_path / "L.json"
+    run(capsys, "fixture", "heisenberg-dual", "--out", str(v))
+    run(capsys, "p-extend", str(v), "--out", str(L))
+    code, out, err = run(capsys, "reduce", str(L), "--center-index", index)
+    assert (code, out, err) == (2, "", "error: center index out of range: must be in [0, 8)\n")
+
+
+# main(argv) is called many times in one process (tests, perfbench); the
+# parser it builds on the first call must carry nothing from one call to the next.
+def _python(*args):
+    """`python *args` in a fresh interpreter that imports this homext: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfp.__file__)))
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_import_builds_no_parser_and_calls_share_one(tmp_path):
+    script = """
+import argparse, sys
+
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(k.get("prog")) or init(self, *a, **k)
+import homext.cli
+counts = [len(built)]
+for argv in (["fixture", "sl2-gf5", "--out", sys.argv[1]], ["verify", sys.argv[1]], ["fixture", "psl3"]):
+    homext.cli.main(argv)
+    counts.append(len(built))
+print(counts, built.count("homext"), file=sys.stderr)
+"""
+    code, _, err = _python("-c", script, str(tmp_path / "v.json"))
+    assert code == 0, err
+    counts, top = err.splitlines()[-1].rsplit(" ", 1)
+    counts = json.loads(counts)
+    assert counts[0] == 0 and counts[1] > 0 and counts[1:] == [counts[1]] * 3, counts
+    assert top == "1"
+
+
+def test_sampling_flags_do_not_reach_the_next_call(tmp_path, capsys):
+    path = tmp_path / "sl2.json"
+    run(capsys, "fixture", "sl2-gf5", "--out", str(path))
+    flagged = run(capsys, "verify", str(path), "--samples", "7", "--seed", "3")
+    plain = run(capsys, "verify", str(path))
+    assert flagged[1] != plain[1]
+    assert json.loads(flagged[1])["meta"]["seed"] == 3
+    assert plain == _python("-m", "homext.cli", "verify", str(path))
+
+
+def test_center_index_does_not_reach_the_next_call(tmp_path, capsys):
+    v, L, v2 = tmp_path / "v.json", tmp_path / "L.json", tmp_path / "v2.json"
+    run(capsys, "fixture", "heisenberg-dual", "--out", str(v))
+    run(capsys, "p-extend", str(v), "--out", str(L))
+    code, _, err = run(capsys, "reduce", str(L), "--center-index", "1")
+    assert code == 1 and "NotCentral" in err
+    assert run(capsys, "reduce", str(L), "--out", str(v2))[0] == 0
+    assert v2.read_text() == v.read_text()
+
+
+def test_p_extend_samples_do_not_reach_the_next_call(tmp_path, capsys, monkeypatch):
+    from homext import doubleext
+
+    seen = []
+    check = doubleext.check_p_extension_data
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["samples"])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(doubleext, "check_p_extension_data", spy)
+    v = tmp_path / "v.json"
+    run(capsys, "fixture", "sl2-gf5", "--out", str(v))
+    assert run(capsys, "p-extend", str(v), "--samples", "5")[0] == 0
+    assert run(capsys, "p-extend", str(v))[0] == 0
+    assert seen == [5, EXTENSION_SAMPLES]
+
+
+def test_seed_env_is_read_on_every_call(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "v.json"
+    run(capsys, "fixture", "heisenberg-dual", "--out", str(path))
+
+    def seed():
+        return json.loads(run(capsys, "verify", str(path))[1])["meta"]["seed"]
+
+    monkeypatch.setenv("HOMEXT_SEED", "5")
+    first = seed()
+    monkeypatch.setenv("HOMEXT_SEED", "6")
+    second = seed()
+    monkeypatch.delenv("HOMEXT_SEED")
+    assert (first, second, seed()) == (5, 6, DEFAULT_SEED)
+
+
+def test_usage_errors_and_help_leave_the_next_call_intact(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    run(capsys, "fixture", "heisenberg-dual", "--out", str(path))
+    expected = run(capsys, "verify", str(path))
+    helps = []
+    for argv in (["verify", str(path), "--samples", "0"], ["--help"], ["frobnicate"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == (0 if argv == ["--help"] else 2)
+        captured = capsys.readouterr()
+        if argv == ["--help"]:
+            helps.append(captured.out)
+        assert run(capsys, "verify", str(path)) == expected
+    assert helps[0] == helps[1] and helps[0].startswith("usage: homext ")
