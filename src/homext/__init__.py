@@ -18,7 +18,6 @@ from .doubleext import (
     PExtensionData,
     double_extend,
     extend_pstructure,
-    is_involutive_twist,
     reduce,
     split_frame,
 )

@@ -62,8 +62,6 @@ class AlgebraBundle:
             return None
         ext = self.extension
         name = ext["derivation"]
-        if name not in self.derivations:
-            raise ParseError(f"extension refers to unknown derivation {name!r}")
         d = DoubleExtensionData(self.derivations[name], ext["x0"], ext["lambda"], ext["lambda0"], ext.get("beta", 0))
         pe = PExtensionData(ext["xi"], ext["a0"], ext["m"], ext["l"], ext["u0"], ext["P_basis"], self.p)
         return name, d, pe
@@ -239,6 +237,7 @@ def parse(text: str) -> AlgebraBundle:
             for key in scalars:
                 _expect(type(ext[key]) is int, f"extension {key} must be an integer")
             _expect(type(ext["derivation"]) is str, "extension derivation must be a string")
+            _expect(ext["derivation"] in derivs, f"extension refers to unknown derivation {ext['derivation']!r}")
             # the vectors are lists of ints in [0, p) already: only the scalars are reduced
             ext = {key: ext[key] % p if key in scalars else ext[key] for key in fields}
             _expect(p == 2 or not ext["beta"], "extension beta = B(e*, e*) must be 0 for odd p")

@@ -38,6 +38,7 @@ from .twist import (
     build_heisenberg_dual,
     build_psl3,
     build_sl2_gf5,
+    check_twist_data,
     twist_algebra,
     twist_derivation,
     twist_pmap,
@@ -101,13 +102,9 @@ def _fixture_bundle(name: str) -> bundle_mod.AlgebraBundle:
         )
     if name == "psl3":
         fx = build_psl3()
-        from .doubleext import DoubleExtensionData, PExtensionData
-
-        ext = DoubleExtensionData(fx.derivations["D3"], gfp.zeros(7), 1, 0)
-        pe = PExtensionData(1, gfp.zeros(7), 0, 0, gfp.zeros(7), gfp.zeros(7), 3)
         return bundle_mod.from_parts(
             fx.g, fx.B, fx.P, fx.derivations, twist=fx.twist,
-            extension=bundle_mod.extension_dict("D3", ext, pe),
+            extension=bundle_mod.extension_dict("D3", fx.ext, fx.pext),
         )
     fx = build_sl2_gf5()  # argparse's choices admit no other name
     return bundle_mod.from_parts(
@@ -135,8 +132,6 @@ def cmd_verify(args) -> int:
         report.merge(verify_pstructure(P, samples=args.samples, seed=seed))
     t = b.twist_data()
     if t is not None and form is not None:
-        from .twist import check_twist_data
-
         report.merge(check_twist_data(A, form, t), prefix="twist.")
     for name, D in b.derivations.items():
         report.merge(verify_derivation(A, D), prefix=f"{name}.")

@@ -157,22 +157,6 @@ def _central_extension(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation) -> Ho
     return W
 
 
-def is_involutive_twist(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtensionData) -> bool:
-    """Criterion for the extended twist to square to the identity.
-
-    alpha^2(e*) = lambda^2 e* + (lambda x0 + alpha(x0)) + (2 lambda lambda0 + B(x0, x0)) e,
-    so beside alpha^2 = id on V it asks lambda^2 = 1, alpha(x0) = -lambda x0 and
-    2 lambda lambda0 + B(x0, x0) = 0, in every characteristic.
-    """
-    p = V.p
-    if not V.is_involutive():
-        return False
-    if (d.lam * d.lam) % p != 1:
-        return False
-    ok_x0 = np.array_equal(V.apply_alpha(d.x0), (-d.lam * d.x0) % p)
-    return ok_x0 and (2 * d.lam * d.lam0 + B_V.eval(d.x0, d.x0)) % p == 0
-
-
 def eval_P(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, pe: PExtensionData, v) -> int:
     return int(eval_P_batch(V, B_V, D, pe, gfp.asvec(v, V.p)[None, :])[0])
 

@@ -4,14 +4,14 @@ A self-adjoint involution alpha turns a quadratic Lie algebra into a
 Hom-Lie algebra by composing bracket, form and p-mapping with alpha.
 The builders construct the two standing fixtures of the test corpus: a
 6-dimensional Heisenberg-with-dual algebra over GF(2) and the projective
-special linear algebra psl(3) over GF(3) derived from its matrix model,
-together with its derivation table and twist.  A small sl(2) fixture
+special linear algebra psl(3) over GF(3), together with its derivation
+table and twist, both as literal tables.  A small sl(2) fixture
 over GF(5) exercises the higher coefficient recursions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,18 +95,6 @@ class HeisenbergDualFixture:
     ext: DoubleExtensionData
     pext: PExtensionData
 
-    def table_P(self, v) -> int:
-        v = gfp.asvec(v, 2)
-        return int((v[0] * v[3] + v[1] * v[4]) % 2)
-
-    def table_p2(self, v) -> np.ndarray:
-        v = gfp.asvec(v, 2)
-        out = gfp.zeros(6)
-        out[2] = (v[2] * v[2] + v[0] * v[1]) % 2
-        out[4] = (v[0] * v[5]) % 2
-        out[3] = (v[1] * v[5]) % 2
-        return out
-
 
 def build_heisenberg_dual() -> HeisenbergDualFixture:
     p = 2
@@ -131,100 +119,46 @@ def build_heisenberg_dual() -> HeisenbergDualFixture:
     return HeisenbergDualFixture(V=V, B=B, P=P, D=D, ext=ext, pext=pext)
 
 
-def _e(i: int, j: int) -> np.ndarray:
-    m = np.zeros((3, 3), dtype=np.int64)
-    m[i, j] = 1
-    return m
-
-
 @dataclass
 class Psl3Fixture:
-    """psl(3) over GF(3) from the matrix model, with derivations and twist."""
+    """psl(3) over GF(3) with its derivations, twist and the D3 extension."""
 
     g: HomLieAlgebra
     B: BilinearForm
     P: PStructure
     derivations: dict[str, Derivation]
     twist: TwistData
-    table: dict[str, dict] = field(default_factory=dict)
-    reps: list[np.ndarray] = field(default_factory=list)
-
-    def table_P(self, name: str, v) -> int:
-        # Each cubic is pinned to its derivation by the P additivity law;
-        # tests/test_twist.py shows that swapping the first two breaks it.
-        lam = gfp.asvec(v, 3)
-        if name == "D1":
-            val = lam[3] ** 2 * lam[5] + 2 * lam[0] * lam[1] * lam[3] + 2 * lam[1] ** 2 * lam[2]
-        elif name == "D2":
-            val = lam[2] ** 2 * lam[6] + 2 * lam[0] * lam[4] * lam[2] + lam[3] * lam[4] ** 2
-        elif name == "D3":
-            val = (
-                lam[0] * lam[1] * lam[4]
-                + lam[3] * lam[5] * lam[4]
-                + 2 * lam[1] * lam[2] * lam[6]
-                + lam[0] * lam[3] * lam[6]
-            )
-        else:
-            raise KeyError(name)
-        return int(val % 3)
+    table: dict[str, dict]
+    ext: DoubleExtensionData
+    pext: PExtensionData
 
 
 def build_psl3() -> Psl3Fixture:
-    """Derive psl(3) = sl(3)/scalars over GF(3) from 3x3 matrices.
+    """psl(3) = sl(3)/scalars over GF(3) as literal tables.
 
     Basis order: [x1,y1], x1, x2, x3, y1, y2, y3 with x3 = [x1,x2] and
-    y3 = [y1,y2]; the scalar line is eliminated by solving against the
-    8-matrix spanning set (7 representatives plus the identity), using
-    h2 = 2(I - h1), i.e. h2 = h1 in the quotient.  The trace form
-    descends to the quotient and must reproduce the block Gram matrix
-    diag(-1) + antidiagonal I_{2,1} pairing; that equality is asserted
-    as the golden check on the whole construction.
+    y3 = [y1,y2]; h2 = h1 in the quotient.  The brackets are the projected
+    commutators of 3x3 matrices, the Gram matrix the trace form
+    diag(-1) + antidiagonal I_{2,1} pairing and the 3-map the matrix cubes
+    (tests/oracles.py derives all three from the matrix model).
     """
     p = 3
-    x1, x2 = _e(0, 1), _e(1, 2)
-    x3 = (gfp.matmul(x1, x2, p) - gfp.matmul(x2, x1, p)) % p
-    y1, y2 = _e(1, 0), _e(2, 1)
-    y3 = (gfp.matmul(y1, y2, p) - gfp.matmul(y2, y1, p)) % p
-    h1 = (_e(0, 0) - _e(1, 1)) % p
-    reps = [h1, x1, x2, x3, y1, y2, y3]
     names = ["h1", "x1", "x2", "x3", "y1", "y2", "y3"]
-    ident = np.eye(3, dtype=np.int64)
-    span = np.stack([m.reshape(9) for m in reps + [ident]], axis=1) % p
-
-    def project(m) -> np.ndarray:
-        coords = gfp.solve(span, (m % p).reshape(9), p)
-        if coords is None:
-            raise AssertionError("matrix outside the psl(3) model span")
-        return coords[:7]
-
-    brackets = {}
-    for i in range(7):
-        for j in range(i + 1, 7):
-            comm = (gfp.matmul(reps[i], reps[j], p) - gfp.matmul(reps[j], reps[i], p)) % p
-            vec = project(comm)
-            if vec.any():
-                brackets[(i, j)] = vec
+    consts = {  # (i, j): (k, c) for [e_i, e_j] = c e_k
+        (0, 1): (1, 2), (0, 2): (2, 2), (0, 3): (3, 1), (0, 4): (4, 1), (0, 5): (5, 1), (0, 6): (6, 2),
+        (1, 2): (3, 1), (1, 4): (0, 1), (1, 6): (5, 1), (2, 5): (0, 1), (2, 6): (4, 2),
+        (3, 4): (2, 2), (3, 5): (1, 1), (3, 6): (0, 1), (4, 5): (6, 1),
+    }
+    brackets = {ij: c * gfp.unit(7, k) for ij, (k, c) in consts.items()}
     g = HomLieAlgebra.from_upper(p, 7, brackets, basis_names=names)
 
     gram = np.zeros((7, 7), dtype=np.int64)
-    for i in range(7):
-        for j in range(7):
-            gram[i, j] = int(np.trace(gfp.matmul(reps[i], reps[j], p)) % p)
-    expected = np.zeros((7, 7), dtype=np.int64)
-    expected[0, 0] = 2  # -1
-    pair = (1, 1, 2)  # I_{2,1} on the antidiagonal blocks
-    for k in range(3):
-        expected[1 + k, 4 + k] = expected[4 + k, 1 + k] = pair[k]
-    assert np.array_equal(gram, expected), "trace form disagrees with the block Gram matrix"
+    gram[0, 0] = 2  # -1
+    for k, v in enumerate((1, 1, 2)):  # I_{2,1} on the antidiagonal blocks
+        gram[1 + k, 4 + k] = gram[4 + k, 1 + k] = v
     B = BilinearForm(gram, p)
-
     images = np.zeros((7, 7), dtype=np.int64)
-    for j in range(7):
-        cube = gfp.mat_pow(reps[j], 3, p)
-        images[j] = project(cube)
-    table_images = np.zeros((7, 7), dtype=np.int64)
-    table_images[0, 0] = 1
-    assert np.array_equal(images, table_images), "matrix cubes disagree with the stated 3-mapping"
+    images[0, 0] = 1  # h1^[3] = h1, the other basis cubes vanish
     P = PStructure(g, images)
 
     def dmat(cols: dict[int, np.ndarray]) -> np.ndarray:
@@ -248,7 +182,10 @@ def build_psl3() -> Psl3Fixture:
         "D2": {"xi": 0, "a0": gfp.zeros(7), "label": "gl3-hat"},
         "D3": {"xi": 1, "a0": gfp.zeros(7), "label": "gl3"},
     }
-    return Psl3Fixture(g=g, B=B, P=P, derivations=derivs, twist=twist, table=table, reps=reps)
+    ext = DoubleExtensionData(derivs["D3"], x0=gfp.zeros(7), lam=1, lam0=0)
+    pext = PExtensionData(xi=table["D3"]["xi"], a0=table["D3"]["a0"], m=0, l=0, u0=gfp.zeros(7),
+                          P_basis=gfp.zeros(7), p=p)
+    return Psl3Fixture(g=g, B=B, P=P, derivations=derivs, twist=twist, table=table, ext=ext, pext=pext)
 
 
 @dataclass

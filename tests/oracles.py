@@ -18,6 +18,11 @@ phi_split, phi_sums and s_tilde are the split coefficient recursion on the
 target frame (lambda = 1 only), where isom.verify_restricted_iso reads s~
 from one compute_s_batch pair.
 solve_p_property_loop keeps the one-system-per-xi search.
+is_involutive_twist is the criterion for the extended twist to square to
+the identity.  heis_table_p2, heis_table_P and psl3_table_P are the
+fixtures' p-map and P in closed form; psl3_matrix_model derives psl(3)'s
+brackets, trace form and cubes from 3x3 matrices, where twist.build_psl3
+states them as literal tables.
 reduce_loop reads the frame off L one coordinate vector at a time, with its
 own flag checks, instead of rewriting L in the frame for split_frame.
 bracket_dense, ad_dense, hom_jacobi_dense, leibniz_dense, contract_dense,
@@ -47,6 +52,7 @@ it, with the kernel echelonized twice and a residue reduced row by row.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -304,6 +310,22 @@ def frames(L: HomLieAlgebra, V: HomLieAlgebra, B_V: BilinearForm, D: Derivation)
     return (L.p == p and L.n == n + 2 and np.array_equal(L.c[1:, 1:], want)
             and np.array_equal(L.alpha[1:n + 1, 1:n + 1], V.alpha)
             and not L.alpha[0, 1:].any() and not L.alpha[1:n + 1, n + 1].any())
+
+
+def is_involutive_twist(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtensionData) -> bool:
+    """Criterion for the extended twist to square to the identity.
+
+    alpha^2(e*) = lambda^2 e* + (lambda x0 + alpha(x0)) + (2 lambda lambda0 + B(x0, x0)) e,
+    so beside alpha^2 = id on V it asks lambda^2 = 1, alpha(x0) = -lambda x0 and
+    2 lambda lambda0 + B(x0, x0) = 0, in every characteristic.
+    """
+    p = V.p
+    if not V.is_involutive():
+        return False
+    if (d.lam * d.lam) % p != 1:
+        return False
+    ok_x0 = np.array_equal(V.apply_alpha(d.x0), (-d.lam * d.x0) % p)
+    return ok_x0 and (2 * d.lam * d.lam0 + B_V.eval(d.x0, d.x0)) % p == 0
 
 
 def solve_p_property_loop(A: HomLieAlgebra, D: Derivation) -> PPropertyWitness | None:
@@ -948,3 +970,78 @@ def subspace_reduce_loop(basis, v, p: int) -> np.ndarray:
         if c is not None and v[c] != 0:
             v = (v - v[c] * row) % p
     return v
+
+
+def heis_table_p2(v) -> np.ndarray:
+    """x^[2] of the heisenberg-dual fixture in closed form."""
+    v = gfp.asvec(v, 2)
+    out = gfp.zeros(6)
+    out[2] = (v[2] * v[2] + v[0] * v[1]) % 2
+    out[4] = (v[0] * v[5]) % 2
+    out[3] = (v[1] * v[5]) % 2
+    return out
+
+
+def heis_table_P(v) -> int:
+    """P of the heisenberg-dual fixture's extension in closed form."""
+    v = gfp.asvec(v, 2)
+    return int((v[0] * v[3] + v[1] * v[4]) % 2)
+
+
+def psl3_table_P(name: str, v) -> int:
+    """P of the psl3 extension by D1, D2 or D3 in closed form (the cubics).
+
+    Each cubic is pinned to its derivation by the P additivity law;
+    tests/test_twist.py shows that swapping the first two breaks it."""
+    lam = gfp.asvec(v, 3)
+    if name == "D1":
+        val = lam[3] ** 2 * lam[5] + 2 * lam[0] * lam[1] * lam[3] + 2 * lam[1] ** 2 * lam[2]
+    elif name == "D2":
+        val = lam[2] ** 2 * lam[6] + 2 * lam[0] * lam[4] * lam[2] + lam[3] * lam[4] ** 2
+    elif name == "D3":
+        val = (
+            lam[0] * lam[1] * lam[4]
+            + lam[3] * lam[5] * lam[4]
+            + 2 * lam[1] * lam[2] * lam[6]
+            + lam[0] * lam[3] * lam[6]
+        )
+    else:
+        raise KeyError(name)
+    return int(val % 3)
+
+
+def _e(i: int, j: int) -> np.ndarray:
+    m = np.zeros((3, 3), dtype=np.int64)
+    m[i, j] = 1
+    return m
+
+
+def psl3_matrix_model() -> SimpleNamespace:
+    """psl(3) = sl(3)/scalars over GF(3) derived from 3x3 matrices.
+
+    Basis order: [x1,y1], x1, x2, x3, y1, y2, y3 with x3 = [x1,x2] and
+    y3 = [y1,y2]; the scalar line is eliminated by solving against the
+    8-matrix spanning set (7 representatives plus the identity), using
+    h2 = 2(I - h1), i.e. h2 = h1 in the quotient.  Returns the
+    representatives (reps), the structure tensor of their projected
+    commutators (c), the trace form (gram), which descends to the quotient,
+    and the projected matrix cubes (images).
+    """
+    p = 3
+    x1, x2 = _e(0, 1), _e(1, 2)
+    x3 = (x1 @ x2 - x2 @ x1) % p
+    y1, y2 = _e(1, 0), _e(2, 1)
+    y3 = (y1 @ y2 - y2 @ y1) % p
+    h1 = (_e(0, 0) - _e(1, 1)) % p
+    reps = [h1, x1, x2, x3, y1, y2, y3]
+    span = np.stack([m.reshape(9) for m in reps + [np.eye(3, dtype=np.int64)]], axis=1) % p
+
+    def project(m) -> np.ndarray:
+        coords = gfp.solve(span, (m % p).reshape(9), p)
+        assert coords is not None, "matrix outside the psl(3) model span"
+        return coords[:7]
+
+    c = np.array([[project(a @ b - b @ a) for b in reps] for a in reps])
+    gram = np.array([[np.trace(a @ b) % p for b in reps] for a in reps])
+    images = np.array([project(np.linalg.matrix_power(a, 3)) for a in reps])
+    return SimpleNamespace(reps=reps, c=c, gram=gram, images=images)

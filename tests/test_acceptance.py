@@ -119,8 +119,8 @@ def test_criterion_2_psl3_pipeline(psl3, psl3_twisted, psl3_pipelines):
         ws = np.stack([rng.vec(7, 3) for _ in range(1000)])
         etas = compute_eta_batch(V, B, D, us, ws).sum(axis=1) % 3
         exact = all(
-            psl3.table_P(name, (us[m] + ws[m]) % 3)
-            == (psl3.table_P(name, us[m]) + psl3.table_P(name, ws[m]) + etas[m]) % 3
+            oracles.psl3_table_P(name, (us[m] + ws[m]) % 3)
+            == (oracles.psl3_table_P(name, us[m]) + oracles.psl3_table_P(name, ws[m]) + etas[m]) % 3
             for m in range(1000)
         )
         c.check(exact, f"{name} table P additivity on 1000 pairs")

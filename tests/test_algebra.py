@@ -53,9 +53,9 @@ def test_bracket_dim_mismatch(heis):
 def test_psl3_bracket_against_matrix_model(psl3):
     # e2 = x1 and e5 = y1 as traceless matrices; their commutator is h1 = e1
     assert np.array_equal(psl3.g.bracket(gfp.unit(7, 1), gfp.unit(7, 4)), gfp.unit(7, 0))
-    x1, y1 = psl3.reps[1], psl3.reps[4]
+    x1, y1 = oracles.psl3_matrix_model().reps[1], oracles.psl3_matrix_model().reps[4]
     comm = (x1 @ y1 - y1 @ x1) % 3
-    assert np.array_equal(comm, psl3.reps[0])
+    assert np.array_equal(comm, oracles.psl3_matrix_model().reps[0])
 
 
 def test_verify_hom_lie_valid_fixtures(heis, psl3):

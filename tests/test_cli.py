@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from homext import bundle, gfp
+from homext import bundle, cli, gfp
 from homext.algebra import BilinearForm, HomLieAlgebra
 from homext.cli import main
 from homext.doubleext import EXTENSION_SAMPLES, DoubleExtensionData
@@ -109,6 +110,43 @@ def test_twist_pipeline_psl3(tmp_path, capsys):
     assert b.extension is not None and b.extension["derivation"] == "D3"
     code, out, err = run(capsys, "verify", str(tw), "--samples", "150")
     assert code == 0
+
+
+FIXTURE_SHA256 = {
+    "heisenberg-dual": "92c612b7be47ad99f039f5da29090ec40c92a336c3359e638a4b54dc543007ef",
+    "psl3": "d401648eed698e076b8678cf6462d4331df472e150bd7139fc26edfd1e008c41",
+    "sl2-gf5": "6f49724bdbb7788848fcf03ca2635b56fb7dee857bebe94076f52f986c79b8bc",
+}
+PSL3_TWIST_SHA256 = "0b393bc9cf0bf11e628d9ce0e4601b7f461994cee15b9daac52555fdb8206861"
+
+
+def test_fixture_and_twist_bytes_are_pinned(tmp_path, capsys):
+    """The fixture bundles are literal tables: their bytes, and those of the
+    twisted psl3 bundle, are pinned by sha256 (as CI pins the console script's)."""
+    for name, digest in FIXTURE_SHA256.items():
+        code, out, _ = run(capsys, "fixture", name)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, name
+    src = tmp_path / "psl3.json"
+    run(capsys, "fixture", "psl3", "--out", str(src))
+    code, out, _ = run(capsys, "twist", str(src))
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == PSL3_TWIST_SHA256
+
+
+def test_extension_with_unknown_derivation_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    """bundle.parse rejects an extension that names no derivation of the
+    bundle, so each command that reads it exits 2 before any check runs."""
+    path = tmp_path / "psl3.json"
+    run(capsys, "fixture", "psl3", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["extension"]["derivation"] = "X"
+    path.write_text(json.dumps(doc))
+    calls, real = [], cli.verify_hom_lie
+    monkeypatch.setattr(cli, "verify_hom_lie", lambda *args: calls.append(args) or real(*args))
+    for command in ("verify", "extend", "p-extend", "twist"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert "error: extension refers to unknown derivation 'X'" in err, command
+    assert calls == []
 
 
 def test_twisted_p_extend_verifies(tmp_path, capsys):

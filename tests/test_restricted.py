@@ -77,7 +77,7 @@ def test_compute_s_batch_matches_scalar(heis, psl3_twisted, sl2):
 def test_eval_p_heisenberg_closed_formula(heis):
     # all 64 vectors against the stated closed formula
     for v in gfp.all_vectors(6, 2):
-        assert np.array_equal(eval_p(heis.P, v), heis.table_p2(v))
+        assert np.array_equal(eval_p(heis.P, v), oracles.heis_table_p2(v))
 
 
 def test_eval_p_examples(heis, psl3):

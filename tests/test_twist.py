@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import compute_eta_batch
+from oracles import compute_eta_batch, psl3_matrix_model, psl3_table_P
 
 from homext import gfp
 from homext.algebra import (
@@ -20,7 +20,7 @@ from homext.restricted import (
     verify_pstructure,
 )
 from homext.rng import SplitMix64
-from homext.twist import TwistData, build_psl3, twist_algebra, twist_derivation, twist_pmap
+from homext.twist import TwistData, twist_algebra, twist_derivation, twist_pmap
 
 
 def test_twist_identity_is_noop(psl3):
@@ -111,7 +111,7 @@ def test_heisenberg_fixture_shape(heis):
 
 def test_psl3_quotient_identification():
     # h2 = E22 - E33 equals h1 modulo scalars in characteristic 3
-    fx = build_psl3()
+    fx = psl3_matrix_model()
     h1 = fx.reps[0]
     h2 = np.zeros((3, 3), dtype=np.int64)
     h2[1, 1], h2[2, 2] = 1, -1 % 3
@@ -120,6 +120,15 @@ def test_psl3_quotient_identification():
     span = np.stack([m.reshape(9) for m in fx.reps + [ident]], axis=1) % 3
     coords = gfp.solve(span, h2.reshape(9) % 3, 3)
     assert np.array_equal(coords[:7], gfp.unit(8, 0)[:7])  # h2 projects to e1
+
+
+def test_psl3_tables_match_the_matrix_model(psl3):
+    """build_psl3's literal tables are the matrix model's projected
+    commutators, trace form and projected cubes."""
+    model = psl3_matrix_model()
+    assert np.array_equal(psl3.g.c, model.c)
+    assert np.array_equal(psl3.B.gram, model.gram)
+    assert np.array_equal(psl3.P.images, model.images)
 
 
 def test_psl3_fixture_table(psl3):
@@ -138,7 +147,7 @@ def test_table_P_attribution_is_pinned_by_additivity(psl3):
 
     def printed_swap(name, v):
         other = {"D1": "D2", "D2": "D1"}[name]
-        return psl3.table_P(other, v)
+        return psl3_table_P(other, v)
 
     for name in ("D1", "D2"):
         D = psl3.derivations[name]
@@ -147,7 +156,7 @@ def test_table_P_attribution_is_pinned_by_additivity(psl3):
             x, y = rng.vec(7, 3), rng.vec(7, 3)
             cross = int(compute_eta_batch(psl3.g, psl3.B, D, x[None, :], y[None, :]).sum() % 3)
             s = (x + y) % 3
-            if psl3.table_P(name, s) == (psl3.table_P(name, x) + psl3.table_P(name, y) + cross) % 3:
+            if psl3_table_P(name, s) == (psl3_table_P(name, x) + psl3_table_P(name, y) + cross) % 3:
                 good += 1
             if printed_swap(name, s) == (printed_swap(name, x) + printed_swap(name, y) + cross) % 3:
                 bad += 1
