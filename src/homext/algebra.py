@@ -15,10 +15,12 @@ import numpy as np
 
 from . import gfp
 from .errors import DimMismatch
-from .report import Report
+from .report import MAX_FAILURES_KEPT, Report
 
 # Element budget of one bracket_batch chunk: bounds its temporaries.
 _CHUNK_ELEMENTS = 1 << 18
+# Element budget of one Hom-Jacobi slice: its T entries and its triple mask.
+_HJ_ELEMENTS = 1 << 22
 
 
 class HomLieAlgebra:
@@ -51,6 +53,10 @@ class HomLieAlgebra:
         self._ad_rows = np.flatnonzero(row_nnz)
         self._ad_cols = np.flatnonzero(np.bincount(flat % (n * n), minlength=n * n))
         self._ad_mat = self.c.reshape(n, n * n)[np.ix_(self._ad_rows, self._ad_cols)]
+        # ad_batch's right operand, converted once where every product with it (at least one row
+        # times it) takes gfp.matmul's float64 route: exact, and at least _FLOAT_MACS multiply-adds
+        exact, large = n * (self.p - 1) ** 2 < 2**53, self._ad_mat.size >= gfp._FLOAT_MACS
+        self._ad_right = self._ad_mat.astype(np.float64) if exact and large else self._ad_mat
         # The constants grouped by k, in (a, b) order by a stable sort, for bracket_batch,
         # which writes the group sums into the columns _ks that have a constant.
         order, k_nnz = np.argsort(k, kind="stable"), np.bincount(k, minlength=n)
@@ -125,6 +131,47 @@ class HomLieAlgebra:
             out[lo:lo + step, ..., self._ks] = part
         return out.reshape(shape)
 
+    def bracket_pairs(self, xs, ys) -> np.ndarray:
+        """[x_i, y_j] for every row x_i of xs and y_j of ys, as an
+        [len(xs), len(ys), n] table.
+
+        xs runs in slices of at most _CHUNK_ELEMENTS // (n * max(|ks|,
+        len(ys))) rows: the slice's ad maps as their nonzero rows (i, out)
+        (_live_ads), times ys^T into the entries [i, :, out].  Both products
+        are gfp.matmul, exact at every p.
+        """
+        n = self.n
+        xs, ys = gfp.asmat(xs, self.p), gfp.asmat(ys, self.p)
+        if xs.shape[1] != n or ys.shape[1] != n:
+            raise DimMismatch("bracket arguments must have the algebra dimension")
+        out = np.zeros((len(xs), len(ys), n), dtype=np.int64)
+        step = max(1, _CHUNK_ELEMENTS // (n * max(1, len(self._ks), len(ys))))
+        for lo in range(0, len(xs), step):
+            ids, rows = self._live_ads(xs[lo:lo + step])
+            out[lo + ids // n, :, ids % n] = gfp.matmul(rows, ys.T, self.p)
+        return out
+
+    def _live_ads(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """ad(x) of every row x of xs, as (ids, rows): the nonzero
+        rows (x, out) -> [x, e_b]_out over b of the [len(xs) * n, n] stack,
+        and their flat indices x * n + out.  Only an out = k with a constant
+        can be nonzero, so a slice of at most _CHUNK_ELEMENTS // (n |ks|)
+        rows writes the nonzero (b, k) entries into those rows only, and only
+        the kept rows outlive it."""
+        n, ks = self.n, self._ks
+        b, at = self._ad_cols // n, np.searchsorted(ks, self._ad_cols % n)
+        ids, rows = [np.zeros(0, dtype=np.int64)], [np.zeros((0, n), dtype=np.int64)]
+        step = max(1, _CHUNK_ELEMENTS // max(1, n * len(ks)))
+        for lo in range(0, len(xs), step):
+            part = self._ad_entries(xs[lo:lo + step])
+            block = np.zeros((len(part), len(ks), n), dtype=np.int64)
+            block[:, at, b] = part
+            flat = block.reshape(-1, n)
+            live = np.flatnonzero(flat.any(axis=1))
+            ids.append((live // len(ks) + lo) * n + ks[live % len(ks)])
+            rows.append(flat[live])
+        return np.concatenate(ids), np.concatenate(rows)
+
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x) = [x, .], acting on column vectors: ad_batch on
         one vector, transposed."""
@@ -134,14 +181,19 @@ class HomLieAlgebra:
         """Batched adjoint maps in [batch, in, out] layout.
 
         Composition of maps in this layout is plain matmul with the inner
-        factor on the left, which is what the R1 matrix tower uses.  One
-        2-D gfp.matmul over the nonzero rows a and (b, k) columns of c; the
-        other columns are zero.
+        factor on the left, which is what the R1 matrix tower uses.  The
+        nonzero (b, k) columns come from _ad_entries; the others are zero.
         """
+        part = self._ad_entries(xs)
+        out = np.zeros((len(part), self.n * self.n), dtype=np.int64)
+        out[:, self._ad_cols] = part
+        return out.reshape(len(part), self.n, self.n)
+
+    def _ad_entries(self, xs) -> np.ndarray:
+        """ad(x)[b, k] at the nonzero (b, k) columns of c, per row x of xs:
+        one 2-D gfp.matmul over the nonzero rows a of c."""
         xs = np.asarray(xs, dtype=np.int64) % self.p
-        out = np.zeros((xs.shape[0], self.n * self.n), dtype=np.int64)
-        out[:, self._ad_cols] = gfp.matmul(xs[:, self._ad_rows], self._ad_mat, self.p)
-        return out.reshape(xs.shape[0], self.n, self.n)
+        return gfp.matmul(xs[:, self._ad_rows], self._ad_right, self.p)
 
     def apply_alpha(self, x, k: int = 1) -> np.ndarray:
         return gfp.matmul(gfp.mat_pow(self.alpha, k, self.p), gfp.asvec(x, self.p), self.p)
@@ -260,29 +312,114 @@ def _hom_lie_report(A: HomLieAlgebra) -> Report:
         rep.record("antisymmetry", False, (int(i[s]), int(j[s])), lhs=c[i[s], j[s]], rhs=neg[s])
     rep.check("antisymmetry").passed += n * (n - 1) // 2 - rep.check("antisymmetry").failed
 
-    _hom_jacobi(rep, A, nz)  # returns first, so its O(n^2 P) arrays are freed before multiplicativity's
+    _hom_jacobi(rep, A, nz)  # returns first, so its slices are freed before multiplicativity's tensors
     lhs, rhs = bracket_sides(A.alpha, A, A)
     rep.tally("multiplicativity", (lhs != rhs).any(axis=2), lhs, rhs)  # both sides reduced
     return rep
 
 
 def _hom_jacobi(rep: Report, A: HomLieAlgebra, nz) -> None:
-    """Tally Hom-Jacobi into rep; nz[j, k] is whether c[j, k] != 0."""
+    """Tally Hom-Jacobi into rep; nz[j, k] is whether c[j, k] != 0.
+
+    J(i, j, k) = T(i; j, k) + T(j; k, i) + T(k; i, j), with T(i; j, k) = [alpha(e_i), [e_j, e_k]],
+    is one sum for the three rotations of (i, j, k).  So J is evaluated once per class of
+    rotations, at its least rotation in C order, whose first index i is its least index,
+    and only where one of the three T is nonzero (each needs a nonzero pair c[j, k]).
+    Slices I of i run in order.  A slice makes the T its classes read, T(I; pairs >= min I)
+    and T(j >= min I; the pairs with an index in I and both >= min I), as the nonzero rows
+    (i, out) of ad(alpha(e_i)) times the pairs: at most _HJ_ELEMENTS entries, unless one i
+    needs more.  A failing class fails its distinct rotations, and the first failures in
+    C order are kept across slices.
+    """
     p, n, c = A.p, A.n, A.c
-    # T(i; j, k) = [alpha(e_i), [e_j, e_k]] is zero unless c[j, k] != 0, and J(i, j, k) =
-    # T(i; j, k) + T(j; k, i) + T(k; i, j) is zero off the rotations of the triples
-    # with T(i; j, k) != 0, so J is evaluated there only: O(n^3 + n^2 P) memory, P nonzero pairs.
-    pairs = np.vstack([c[nz], gfp.zeros(n)])  # the nonzero [e_j, e_k], then a zero slot
-    slot = np.where(nz, np.cumsum(nz).reshape(n, n) - 1, len(pairs) - 1)  # (j, k) -> its row
-    # ad(alpha(e_i)) as [i, k, b] times the pairs: T(i; j, k) at [i, slot[j, k]]
-    t = contract(A.ad_batch(A.alpha.T).transpose(0, 2, 1), pairs.T, p).transpose(0, 2, 1)
-    hit = np.zeros((n, n, n), dtype=bool)
-    hit[:, nz] = t[:, :-1].any(axis=2)  # T(i; j, k) != 0
-    i, j, k = np.nonzero(hit | hit.transpose(1, 2, 0) | hit.transpose(2, 0, 1))  # and its rotations
-    jac = (t[i, slot[j, k]] + t[k, slot[i, j]] + t[j, slot[k, i]]) % p
-    hj = rep.tally("hom_jacobi", jac.any(axis=1), jac, np.broadcast_to(gfp.zeros(n), jac.shape),
-                   witness=lambda s: (int(i[s]), int(j[s]), int(k[s])))
-    hj.passed += n**3 - len(i)
+    pj, pk = np.nonzero(nz)  # the P nonzero pairs (j, k)
+    pairs, low = np.vstack([c[pj, pk], gfp.zeros(n)]), np.minimum(pj, pk)  # their brackets, then a zero slot
+    ids, rows = A._live_ads(A.alpha.T)  # T(i; j, k)[out] = rows[(i, out)] . [e_j, e_k]
+    row_of = np.full(n * n, len(ids))  # (i, out) -> its row, or len(ids) where T is zero
+    row_of[ids] = np.arange(len(ids))
+    row_of, starts = row_of.reshape(n, n), np.searchsorted(ids, np.arange(n + 1) * n)  # rows of i: starts[i:i + 2]
+    # per i, at most: T(i; all pairs), T(all; the 2n - 1 pairs with index i), its slice of the class mask
+    rows_per_slice = max(1, _HJ_ELEMENTS // (n * len(pairs) + 2 * n * len(ids) + n * n))
+    r, step = np.arange(n), max(1, _CHUNK_ELEMENTS // n)
+    failed, keys, vals = 0, np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64)
+    for lo in range(0, n, rows_per_slice):
+        hi = min(n, lo + rows_per_slice)
+        m, a, b = hi - lo, starts[lo], starts[hi]
+        own = np.flatnonzero(low >= lo)
+        slot_own = np.full((n, n), len(own))
+        slot_own[pj[own], pk[own]] = np.arange(len(own))
+        t_own = _live_product(rows[a:b], pairs[np.append(own, len(pj))], p)  # T(i; j, k) at [i's row - a, slot_own]
+        hit = _any_per_head(t_own, starts[lo:hi + 1] - a)[:, :-1]  # [i - lo, slot_own[j, k]]: T(i; j, k) != 0
+        ev = np.zeros((m, n, n), dtype=bool)
+        ev[:, pj[own], pk[own]] = hit
+        q, slot_q, t_q = own, slot_own, t_own  # a slice of every i reads only its own T
+        if m < n:  # T(j >= lo; the pairs q) at [j's row - a, slot_q]
+            q = np.flatnonzero((low >= lo) & (low < hi))
+            slot_q = np.full((n, n), len(q))
+            slot_q[pj[q], pk[q]] = np.arange(len(q))
+            t_q = _live_product(rows[a:], pairs[np.append(q, len(pj))], p)
+            hit = _any_per_head(t_q, starts[lo:] - a)[:, :-1]  # [j - lo, slot_q[.]]: T(j; the pair) != 0
+        qj, qk = pj[q], pk[q]
+        sel = qk < hi
+        ev[qk[sel] - lo, lo:, qj[sel]] |= hit[:, sel].T  # T(j; k, i) != 0
+        sel = qj < hi
+        ev[qj[sel] - lo, qk[sel], lo:] |= hit[:, sel].T  # T(k; i, j) != 0
+        i = r[lo:hi, None, None]
+        ev &= (r[:, None] >= i) & (r >= i) & ((r != i) | (r[:, None] <= i))  # (i, j, k) is its class's least rotation
+        # flat offsets of the rows (i, out) in t_own and (j, out) in t_q, zero rows where T is
+        own_at = np.minimum(row_of[lo:hi] - a, b - a) * t_own.shape[1]
+        q_at = (row_of - a) * t_q.shape[1]
+        i, j, k = np.nonzero(ev)
+        i += lo
+        for s in range(0, len(i), step):
+            ic, jc, kc = i[s:s + step], j[s:s + step], k[s:s + step]
+            jac = gfp.mod(np.take(t_own, own_at[ic - lo] + slot_own[jc, kc][:, None])
+                          + np.take(t_q, q_at[kc] + slot_q[ic, jc][:, None])
+                          + np.take(t_q, q_at[jc] + slot_q[kc, ic][:, None]), p)
+            bad = np.flatnonzero(jac.any(axis=1))
+            if bad.size:  # each rotation of a failing class, and its J
+                ic, jc, kc, three = ic[bad], jc[bad], kc[bad], (ic[bad] != jc[bad]) | (jc[bad] != kc[bad])
+                failed += bad.size + 2 * int(three.sum())
+                keys = np.concatenate([keys, (ic * n + jc) * n + kc, ((jc * n + kc) * n + ic)[three],
+                                       ((kc * n + ic) * n + jc)[three]])
+                vals = np.concatenate([vals, jac[bad], jac[bad][three], jac[bad][three]])
+                kept = np.argsort(keys, kind="stable")[:MAX_FAILURES_KEPT]
+                keys, vals = keys[kept], vals[kept]
+    hj = rep.check("hom_jacobi")
+    if failed:
+        rep.tally("hom_jacobi", np.ones(len(keys), dtype=bool), vals, np.broadcast_to(gfp.zeros(n), vals.shape),
+                  witness=lambda s: tuple(int(v) for v in np.unravel_index(keys[s], (n, n, n))))
+    hj.failed += failed - len(keys)
+    hj.passed += n**3 - failed
+
+
+def _live_product(rows, ys, p: int) -> np.ndarray:
+    """rows @ ys^T mod p over the columns where the shorter of the two has a
+    nonzero, then a zero row: each row's image of every ys row, and a slot
+    for the rows that are zero.  The product runs in blocks of at most
+    _CHUNK_ELEMENTS entries along its longer side, so its temporaries stay
+    small."""
+    cols = np.flatnonzero((ys if len(rows) >= len(ys) else rows).any(axis=0))
+    out = np.zeros((len(rows) + 1, len(ys)), dtype=np.int64)
+    body, step = out[:-1], max(1, _CHUNK_ELEMENTS // max(1, min(len(rows), len(ys))))
+    if len(rows) >= len(ys):
+        right = ys[:, cols].T
+        for lo in range(0, len(rows), step):
+            body[lo:lo + step] = gfp.matmul(rows[lo:lo + step, cols], right, p)
+    else:
+        left = rows[:, cols]
+        for lo in range(0, len(ys), step):
+            body[:, lo:lo + step] = gfp.matmul(left, ys[lo:lo + step, cols].T, p)
+    return out
+
+
+def _any_per_head(t, starts) -> np.ndarray:
+    """[h, col]: whether rows starts[h]:starts[h + 1] of t have a nonzero in col."""
+    has = np.flatnonzero(starts[1:] > starts[:-1])
+    out = np.zeros((len(starts) - 1, t.shape[1]), dtype=bool)
+    if has.size:
+        out[has] = np.logical_or.reduceat(t[:starts[-1]] != 0, starts[has], axis=0)
+    return out
 
 
 def bracket_sides(pi, A: HomLieAlgebra, A_dst: HomLieAlgebra) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +429,7 @@ def bracket_sides(pi, A: HomLieAlgebra, A_dst: HomLieAlgebra) -> tuple[np.ndarra
     algebra and A_dst the target (the same for an endomorphism).
     """
     cols = pi.T  # row i is pi(e_i)
-    return contract(A.c, cols, A.p), A_dst.bracket_batch(cols[:, None, :], cols[None, :, :])
+    return contract(A.c, cols, A.p), A_dst.bracket_pairs(cols, cols)
 
 
 def contract(c, m, p: int) -> np.ndarray:
@@ -344,7 +481,7 @@ def _derivation_report(A: HomLieAlgebra, D: Derivation) -> Report:
     rep.record("twist_commute", np.array_equal(lhs, rhs), (), lhs=lhs, rhs=rhs)
     ak, d = gfp.mat_pow(A.alpha, D.k, p).T, D.mat.T  # rows alpha^k(e_i) and D(e_i)
     lhs = contract(A.c, d, p)  # D([e_i, e_j])
-    t2 = A.bracket_batch(ak[:, None, :], d[None, :, :])  # [alpha^k(e_i), D(e_j)]
+    t2 = A.bracket_pairs(ak, d)  # [alpha^k(e_i), D(e_j)]
     # t2 + [D(e_i), alpha^k(e_j)], the second term being -[alpha^k(e_j), D(e_i)]
     rhs = t2 - t2.transpose(1, 0, 2)
     del t2  # freed before mod's quotient array is made

@@ -24,6 +24,18 @@ from .twist import TwistData
 
 FORMAT_VERSION = "1"
 MAX_DIM = 256  # the dense structure tensor has dim^3 entries
+PEAK_LIMIT = 2**30  # bytes: the largest verify_peak a bundle may have
+
+
+def verify_peak(n: int, pairs: int, entries: int) -> int:
+    """An upper bound, in bytes, on the peak RSS of `verify` of a bundle of dim
+    n with `pairs` nonzero bracket pairs (j, k) and `entries` bracket entries
+    (README, "Memory"): the interpreter, four [n, n, n] int64 tables (the
+    structure tensor, Leibniz's three), the product temporaries of a table
+    made from its nonzero pairs, the ad_batch operand (one row per basis
+    vector, one column per nonzero (b, k), in int64 and float64) and the
+    per-entry arrays."""
+    return 128 * 2**20 + 32 * n**3 + 96 * n * pairs + 16 * n * min(n * n, 2 * entries) + 250 * entries
 
 
 @dataclass
@@ -209,6 +221,10 @@ def parse(text: str) -> AlgebraBundle:
             brackets.append((i, j, k, c))
         _expect(len(set((i, j, k) for i, j, k, _ in brackets)) == len(brackets),
                 "duplicate bracket entry")
+        pairs = 2 * len(set((i, j) for i, j, _, _ in brackets))
+        need = verify_peak(dim, pairs, len(brackets))
+        _expect(need <= PEAK_LIMIT, f"dim {dim} with {pairs} nonzero bracket pairs and {len(brackets)} entries needs "
+                f"{need >> 20} MB by verify's memory model, over the {PEAK_LIMIT >> 20} MB limit")
         def optional(key, shape_msg=None):  # form, pmap and twist may be absent or null
             return None if doc.get(key) is None else _entries(key, doc[key], (dim, dim), p, shape_msg)
 

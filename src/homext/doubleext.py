@@ -406,16 +406,15 @@ def reduce(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure, e) -> ExtFrame:
     tinv = gfp.mat_inv(frame.T, p)  # frame coordinates of w: tinv @ w
     if tinv is None:
         raise DegenerateFrame("frame vectors are not a basis")
-    c = contract(L.bracket_batch(frame[:, None, :], frame[None, :, :]), tinv.T, p)
+    c = contract(L.bracket_pairs(frame, frame), tinv.T, p)
     alpha = gfp.matmul(tinv, gfp.matmul(L.alpha, frame.T, p), p)
     gram = gfp.matmul(frame, gfp.matmul(B_L.gram, frame.T, p), p)
     images = gfp.matmul(eval_p_batch(P_L, frame), tinv.T, p)
     if images[1:, 0].any():
         raise NotPIdeal("the orthogonal complement of e is not closed under [p]")
-    names = ["e*"] + [
-        L.basis_names[int(np.argmax(r))] if r.sum() == 1 and (r <= 1).all() else f"v{j + 1}"
-        for j, r in enumerate(v_rows)
-    ] + ["e"]
+    unit = (np.count_nonzero(v_rows, axis=1) == 1) & (v_rows.max(axis=1, initial=0) == 1)  # rows that are some e_k
+    names = ["e*"] + [L.basis_names[k] if u else f"v{j + 1}"
+                      for j, (u, k) in enumerate(zip(unit.tolist(), v_rows.argmax(axis=1).tolist()))] + ["e"]
     Lf = HomLieAlgebra(p, c, alpha, names)
     f = split_frame(Lf, BilinearForm(gram, p), PStructure(Lf, images))
     f.rows = frame

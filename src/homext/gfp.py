@@ -184,7 +184,9 @@ def matmul(a, b, p: int) -> np.ndarray:
     on float64").  Smaller ones, stacks of result matrices of at most
     _STACK_TINY rows and columns, and any below 2^63, which bundle.parse's
     dim*(p-1)^2 guard ensures for k <= dim, run on int64 (numpy's integer
-    matmul has no BLAS), and past 2^63 on Python integers.
+    matmul has no BLAS), and past 2^63 on Python integers.  An operand may
+    also be float64, a constant matrix converted once, where every product
+    it meets takes the float64 route, which then reads it without a copy.
     """
     a, b = np.asarray(a), np.asarray(b)
     bound = a.shape[-1] * (p - 1) ** 2
@@ -197,7 +199,7 @@ def matmul(a, b, p: int) -> np.ndarray:
     if bound >= 2**53:
         return mod(np.matmul(a, b), p)
     # the float product is freed before mod runs: no third array of its size
-    return mod(np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64), p)
+    return mod(np.matmul(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)).astype(np.int64), p)
 
 
 def mat_pow(m, k: int, p: int) -> np.ndarray:

@@ -89,7 +89,9 @@ class Report:
 
         Each failing index (a tuple of ints, in C order) is recorded with
         witness(index); an ndarray lhs/rhs is indexed there, anything else
-        is kept as given.  Pass np.broadcast_to for a constant array value.
+        is kept as given, an indexed value as a copy, so that a kept failure
+        does not hold the whole table alive.  Pass np.broadcast_to for a
+        constant array value.
         """
         failed = np.asarray(failed, dtype=bool)
         bad = np.argwhere(failed)
@@ -100,8 +102,8 @@ class Report:
             idx = tuple(int(i) for i in row)
             c.failures.append(Failure(
                 tuple(witness(idx)),
-                lhs[idx] if isinstance(lhs, np.ndarray) else lhs,
-                rhs[idx] if isinstance(rhs, np.ndarray) else rhs,
+                lhs[idx].copy() if isinstance(lhs, np.ndarray) else lhs,
+                rhs[idx].copy() if isinstance(rhs, np.ndarray) else rhs,
             ))
         return c
 

@@ -3,11 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from homext import gfp
+from homext import bundle, gfp
 from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
 from homext.doubleext import DoubleExtensionData, PExtensionData, double_extend, extend_pstructure
 from homext.restricted import PStructure
 from homext.twist import (
+    TwistData,
     build_heisenberg_dual,
     build_psl3,
     build_sl2_gf5,
@@ -156,3 +157,42 @@ def wide_char2(heis):
     k, n = 16, 6 + 32
     z = gfp.unit(n, 2)
     return _hyperbolic_sum(heis.V, heis.B, heis.P, heis.D, k, gfp.eye(2 * k), (1, z, 0, 0, z, gfp.zeros(n)))
+
+
+def sl_n(n, p, g=None):
+    """sl_n over GF(p), p not dividing n, as (A, B, P, D): the basis E_ij
+    (i != j, row-major) then H_i = E_ii - E_{i+1,i+1}, the trace form,
+    E^[p] = 0 and H^[p] = H, and D = ad(H_0).  With g, a list of n entries
+    +-1, it is the Yau twist by alpha = Ad(diag(g)), an involutive
+    automorphism that is self-adjoint for the trace form."""
+    N = n * n - 1
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    mats = np.zeros((N, n, n), dtype=np.int64)
+    for b, (i, j) in enumerate(off):
+        mats[b, i, j] = 1
+    for t in range(n - 1):
+        mats[len(off) + t, t, t], mats[len(off) + t, t + 1, t + 1] = 1, -1
+
+    def coords(x):  # [..., n, n] trace-zero matrices -> [..., N]; h_t is the partial sum of the diagonal
+        i, j = np.array(off).T
+        return np.concatenate([x[..., i, j], np.cumsum(np.diagonal(x, axis1=-2, axis2=-1), axis=-1)[..., :-1]],
+                              axis=-1) % p
+
+    prod = np.einsum("aij,bjk->abik", mats, mats)
+    A = HomLieAlgebra(p, coords(prod - prod.transpose(1, 0, 2, 3)), gfp.eye(N),
+                      [f"E{i}_{j}" for i, j in off] + [f"H{t}" for t in range(n - 1)])
+    B = BilinearForm(np.einsum("aij,bji->ab", mats, mats), p)
+    images = np.zeros((N, N), dtype=np.int64)
+    images[len(off):, len(off):] = gfp.eye(n - 1)
+    P, D = PStructure(A, images), Derivation(A.ad(gfp.unit(N, len(off))), p)
+    if g is None:
+        return A, B, P, D
+    t = TwistData(coords(np.einsum("i,aij,j->aij", g, mats, g)).T, p)  # column b is g E_b g
+    At, Bt = twist_algebra(A, B, t)
+    return At, Bt, twist_pmap(P, At, t), twist_derivation(A, D, t)
+
+
+def sl_n_bundle(n, p, g=None) -> str:
+    """sl_n(n, p, g) as a bundle file's text, its derivation named "D"."""
+    A, B, P, D = sl_n(n, p, g)
+    return bundle.emit(bundle.from_parts(A, B, P, {"D": D}))

@@ -248,6 +248,35 @@ def test_parse_rejects_dim_above_the_cap(tmp_path, capsys):
     assert "dim must be at most 256" in capsys.readouterr().err
 
 
+def test_parse_rejects_a_bundle_over_the_memory_limit(tmp_path, capsys):
+    """verify_peak bounds verify's peak RSS from dim, the nonzero bracket
+    pairs and the entries (README, "Memory").  sl16 over GF(5) and the 85
+    block copies of sl2-gf5 (dim 255) are inside the limit; dim 256 with
+    10,000 pairs (i, j), one entry each, is refused with exit 2, and the
+    message names the limit."""
+    from homext.cli import main
+
+    assert bundle.PEAK_LIMIT == 2**30
+    assert bundle.verify_peak(255, 8700, 4910) < bundle.PEAK_LIMIT  # sl16
+    assert bundle.verify_peak(255, 510, 255) < bundle.PEAK_LIMIT  # 85 copies of sl2-gf5
+    doc = _diagonal_doc(5, 256)
+    iu, ju = np.triu_indices(256, 1)
+    doc["brackets"] = [{"i": int(i), "j": int(j), "k": 0, "coeff": 1} for i, j in zip(iu[:10000], ju[:10000])]
+    need = bundle.verify_peak(256, 20000, 10000)
+    assert need > bundle.PEAK_LIMIT
+    msg = (f"dim 256 with 20000 nonzero bracket pairs and 10000 entries needs {need >> 20} MB by verify's "
+           f"memory model, over the 1024 MB limit")
+    with pytest.raises(ParseError, match=msg):
+        bundle.parse(json.dumps(doc))
+    doc["brackets"] = doc["brackets"][:1000]  # 2,000 pairs: inside
+    assert bundle.parse(json.dumps(doc)).dim == 256
+    path = tmp_path / "dense.json"
+    doc["brackets"] = [{"i": int(i), "j": int(j), "k": 0, "coeff": 1} for i, j in zip(iu[:10000], ju[:10000])]
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {msg}"
+
+
 def test_bilinear_form_sums_do_not_wrap():
     """eval and eval_batch reduce x @ gram before it meets y, and past the
     int64 envelope they run on Python integers.  The old x @ gram @ y gave

@@ -265,6 +265,34 @@ def test_matmul_is_the_exact_product(p, size, kind):
     assert np.array_equal(out, oracles.product_exact(p, a, b))
 
 
+@pytest.mark.parametrize("p", [2, 5, 65521])
+@pytest.mark.parametrize("kind", list(_SHAPES))
+def test_matmul_reads_a_float64_operand_as_its_integers(p, kind):
+    """An operand held as float64 integers in [0, p), as HomLieAlgebra keeps
+    ad_batch's, gives the int64 operand's product on the float64 route."""
+    a, b = _operands(np.random.default_rng(p), p, _SHAPES[kind][1], top=p > 5)
+    want = gfp.matmul(a, b, p)
+    for got in (gfp.matmul(a.astype(np.float64), b, p), gfp.matmul(a, b.astype(np.float64), p)):
+        assert got.dtype == np.int64 and np.array_equal(got, want), kind
+
+
+def test_ad_batch_keeps_a_float64_operand_only_for_the_float64_route():
+    """HomLieAlgebra converts ad_batch's operand once where a product of one
+    row with it has _FLOAT_MACS multiply-adds and k (p-1)^2 < 2^53: never
+    for the fixtures' tiny tensors, nor at the largest prime of the guard."""
+    from homext.algebra import HomLieAlgebra
+    from homext.twist import build_psl3
+
+    assert build_psl3().g._ad_right.dtype == np.int64
+    n, rng = 30, np.random.default_rng(31)
+    for p, dtype in ((5, np.float64), (1239850223, np.int64)):
+        c = rng.integers(0, p, (n, n, n))
+        A = HomLieAlgebra(p, (c - c.transpose(1, 0, 2)) % p, gfp.eye(n))
+        assert A._ad_right.dtype == dtype and A._ad_mat.size >= gfp._FLOAT_MACS
+        xs = rng.integers(0, p, (3, n))
+        assert np.array_equal(A.ad_batch(xs), oracles.product_exact(p, xs, A.c.reshape(n, n * n)).reshape(3, n, n))
+
+
 def test_matmul_keeps_stacks_of_tiny_matrices_on_int64(monkeypatch):
     """numpy calls BLAS once per matrix of a stack, which loses to int64 when
     the result matrices have at most gfp._STACK_TINY rows and columns: those

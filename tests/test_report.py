@@ -122,3 +122,18 @@ def test_prefixed_merge_adds_the_regimes_under_prefixed_names():
     plain.merge(Report(), prefix="D.")
     plain.merge(other, prefix="x.")
     assert plain.meta == {"regimes": {"x.P_additivity": "implied", "x.P_homogeneity": "implied"}}
+
+
+def test_tally_keeps_copies_of_failing_rows():
+    """A kept failure holds its own row, not a view of the whole table, so
+    a failing check does not keep its n^3 sides alive."""
+    lhs, rhs = np.arange(24).reshape(2, 3, 4), np.zeros((2, 3, 4), dtype=np.int64)
+    r = Report()
+    r.tally("t", (lhs != rhs).any(axis=2), lhs, rhs)
+    r.tally("s", lhs != rhs, lhs, rhs)
+    rows = r.check("t").failures
+    assert len(rows) == 6 and all(f.lhs.base is None and f.rhs.base is None for f in rows)
+    assert [f.lhs.tolist() for f in rows] == lhs.reshape(6, 4).tolist()
+    scalars = r.check("s").failures
+    assert all(isinstance(f.lhs, np.integer) for f in scalars)  # entries stay scalars
+    assert r.to_dict()["checks"][1]["failures"][0] == {"witness": [0, 0, 1], "lhs": 1, "rhs": 0}
