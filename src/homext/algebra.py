@@ -17,7 +17,7 @@ from . import gfp
 from .errors import DimMismatch
 from .report import MAX_FAILURES_KEPT, Report
 
-# Element budget of one bracket_batch chunk: bounds its temporaries.
+# Element budget of one chunk of bracket_batch, bracket_pairs, _live_ads and Hom-Jacobi's J: bounds temporaries.
 _CHUNK_ELEMENTS = 1 << 18
 # Element budget of one Hom-Jacobi slice: its T entries and its triple mask.
 _HJ_ELEMENTS = 1 << 22
@@ -35,8 +35,9 @@ class HomLieAlgebra:
 
     def __init__(self, p: int, c, alpha, basis_names=None):
         self.p = int(p)
-        c = np.asarray(c, dtype=np.int64)  # copied or reduced: the caller's array is never frozen below
-        self.c = c.copy() if np.min(c, initial=0) >= 0 and np.max(c, initial=0) < p else gfp.mod(c, p)
+        c = np.asarray(c, dtype=np.int64)  # adopted if reduced, read-only and owning its data, else copied or reduced
+        adopt = c.base is None and not c.flags.writeable  # so an array the caller may write is never frozen below
+        self.c = (c if adopt else c.copy()) if np.min(c, initial=0) >= 0 and np.max(c, initial=0) < p else gfp.mod(c, p)
         self.alpha = gfp.asmat(alpha, p)
         n = self.c.shape[0]
         if self.c.shape != (n, n, n) or self.alpha.shape != (n, n):
@@ -50,13 +51,13 @@ class HomLieAlgebra:
         a, b, k = np.unravel_index(flat, self.c.shape)
         self.nnz, row_nnz = flat.size, np.bincount(a, minlength=n)
         # ad_batch multiplies by the nonzero rows a and nonzero (b, k) columns of c only
-        self._ad_rows = np.flatnonzero(row_nnz)
-        self._ad_cols = np.flatnonzero(np.bincount(flat % (n * n), minlength=n * n))
-        self._ad_mat = self.c.reshape(n, n * n)[np.ix_(self._ad_rows, self._ad_cols)]
-        # ad_batch's right operand, converted once where every product with it (at least one row
-        # times it) takes gfp.matmul's float64 route: exact, and at least _FLOAT_MACS multiply-adds
-        exact, large = n * (self.p - 1) ** 2 < 2**53, self._ad_mat.size >= gfp._FLOAT_MACS
-        self._ad_right = self._ad_mat.astype(np.float64) if exact and large else self._ad_mat
+        self._ad_rows = rows = np.flatnonzero(row_nnz)
+        self._ad_cols = cols = np.flatnonzero(np.bincount(flat % (n * n), minlength=n * n))
+        # ad_batch's right operand, written from the constants: float64 where every product with it (at
+        # least one row times it) takes gfp.matmul's float64 route, exact and of _FLOAT_MACS multiply-adds
+        exact, large = n * (self.p - 1) ** 2 < 2**53, rows.size * cols.size >= gfp._FLOAT_MACS
+        self._ad_mat = np.zeros((rows.size, cols.size), np.float64 if exact and large else np.int64)
+        self._ad_mat[np.searchsorted(rows, a), np.searchsorted(cols, flat % (n * n))] = self.c.flat[flat]
         # The constants grouped by k, in (a, b) order by a stable sort, for bracket_batch,
         # which writes the group sums into the columns _ks that have a constant.
         order, k_nnz = np.argsort(k, kind="stable"), np.bincount(k, minlength=n)
@@ -193,7 +194,7 @@ class HomLieAlgebra:
         """ad(x)[b, k] at the nonzero (b, k) columns of c, per row x of xs:
         one 2-D gfp.matmul over the nonzero rows a of c."""
         xs = np.asarray(xs, dtype=np.int64) % self.p
-        return gfp.matmul(xs[:, self._ad_rows], self._ad_right, self.p)
+        return gfp.matmul(xs[:, self._ad_rows], self._ad_mat, self.p)
 
     def apply_alpha(self, x, k: int = 1) -> np.ndarray:
         return gfp.matmul(gfp.mat_pow(self.alpha, k, self.p), gfp.asvec(x, self.p), self.p)
@@ -328,98 +329,71 @@ def _hom_jacobi(rep: Report, A: HomLieAlgebra, nz) -> None:
     Slices I of i run in order.  A slice makes the T its classes read, T(I; pairs >= min I)
     and T(j >= min I; the pairs with an index in I and both >= min I), as the nonzero rows
     (i, out) of ad(alpha(e_i)) times the pairs: at most _HJ_ELEMENTS entries, unless one i
-    needs more.  A failing class fails its distinct rotations, and the first failures in
-    C order are kept across slices.
+    needs more.  A failing class fails its distinct rotations; the first failures in C order
+    are kept across slices, and their J is summed from its definition at the end.
     """
     p, n, c = A.p, A.n, A.c
     pj, pk = np.nonzero(nz)  # the P nonzero pairs (j, k)
-    pairs, low = np.vstack([c[pj, pk], gfp.zeros(n)]), np.minimum(pj, pk)  # their brackets, then a zero slot
-    ids, rows = A._live_ads(A.alpha.T)  # T(i; j, k)[out] = rows[(i, out)] . [e_j, e_k]
-    row_of = np.full(n * n, len(ids))  # (i, out) -> its row, or len(ids) where T is zero
-    row_of[ids] = np.arange(len(ids))
-    row_of, starts = row_of.reshape(n, n), np.searchsorted(ids, np.arange(n + 1) * n)  # rows of i: starts[i:i + 2]
+    pairs, low = np.concatenate([c[pj, pk], gfp.zeros(n)[None]]), np.minimum(pj, pk)  # their brackets, a zero slot
+    ids, live = A._live_ads(A.alpha.T)  # T(i; j, k)[out] = live[(i, out)] . [e_j, e_k]
+    starts = np.searchsorted(ids, np.arange(n + 1) * n) + np.arange(n + 1)  # rows of i: starts[i]:starts[i + 1]
+    at = np.arange(len(ids)) + ids // n  # rows: each i's live rows, then a zero row for the (i, out) where T is zero
+    rows, row_of = np.zeros((len(ids) + n, n), dtype=np.int64), np.repeat(starts[1:, None] - 1, n, axis=1)
+    rows[at], row_of.flat[ids] = live, at  # row_of[i, out]: its row
+    del live  # rows holds them: one copy, not two
+
+    def tables(lo, hi, q):
+        """T(i in [lo, hi); the pairs q, then the zero slot) flat, by one product over the columns where the
+        shorter operand has a nonzero; the offsets of its rows (i, out); the slots [j, k] -> the column of
+        the pair; and hits[i - lo, s], whether T(i; pair q[s]) != 0, per i's rows with their zero row."""
+        a, b, sel = starts[lo], starts[hi], np.append(q, len(pj))
+        slot = np.full((n, n), len(q))
+        slot[pj[q], pk[q]] = np.arange(len(q))
+        cols = np.flatnonzero((pairs[sel] if b - a >= len(sel) else rows[a:b]).any(axis=0))
+        t = gfp.matmul(rows[a:b, cols], pairs[np.ix_(sel, cols)].T, p)
+        hits = np.logical_or.reduceat(t != 0, starts[lo:hi] - a)[:, :-1]
+        return t.ravel(), (row_of[lo:hi] - a) * len(sel), slot, hits
+
     # per i, at most: T(i; all pairs), T(all; the 2n - 1 pairs with index i), its slice of the class mask
     rows_per_slice = max(1, _HJ_ELEMENTS // (n * len(pairs) + 2 * n * len(ids) + n * n))
-    r, step = np.arange(n), max(1, _CHUNK_ELEMENTS // n)
-    failed, keys, vals = 0, np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64)
+    r, chunk = np.arange(n), max(1, _CHUNK_ELEMENTS // n)
+    failed, keys = 0, np.zeros(0, dtype=np.int64)
     for lo in range(0, n, rows_per_slice):
         hi = min(n, lo + rows_per_slice)
-        m, a, b = hi - lo, starts[lo], starts[hi]
         own = np.flatnonzero(low >= lo)
-        slot_own = np.full((n, n), len(own))
-        slot_own[pj[own], pk[own]] = np.arange(len(own))
-        t_own = _live_product(rows[a:b], pairs[np.append(own, len(pj))], p)  # T(i; j, k) at [i's row - a, slot_own]
-        hit = _any_per_head(t_own, starts[lo:hi + 1] - a)[:, :-1]  # [i - lo, slot_own[j, k]]: T(i; j, k) != 0
-        ev = np.zeros((m, n, n), dtype=bool)
+        t_own, own_at, slot_own, hit = tables(lo, hi, own)  # T(i; j, k) at own_at[i - lo] + slot_own[j, k]
+        ev = np.zeros((hi - lo, n, n), dtype=bool)
         ev[:, pj[own], pk[own]] = hit
-        q, slot_q, t_q = own, slot_own, t_own  # a slice of every i reads only its own T
-        if m < n:  # T(j >= lo; the pairs q) at [j's row - a, slot_q]
+        q, t_q, q_at, slot_q = own, t_own, own_at, slot_own  # a slice of every i reads only its own T
+        if hi - lo < n:  # T(j >= lo; the pairs q) at q_at[j - lo] + slot_q[.]
             q = np.flatnonzero((low >= lo) & (low < hi))
-            slot_q = np.full((n, n), len(q))
-            slot_q[pj[q], pk[q]] = np.arange(len(q))
-            t_q = _live_product(rows[a:], pairs[np.append(q, len(pj))], p)
-            hit = _any_per_head(t_q, starts[lo:] - a)[:, :-1]  # [j - lo, slot_q[.]]: T(j; the pair) != 0
-        qj, qk = pj[q], pk[q]
+            t_q, q_at, slot_q, hit = tables(lo, n, q)
+        qj, qk = pj[q], pk[q]  # hit[j - lo, s]: T(j; pair q[s]) != 0
         sel = qk < hi
         ev[qk[sel] - lo, lo:, qj[sel]] |= hit[:, sel].T  # T(j; k, i) != 0
         sel = qj < hi
         ev[qj[sel] - lo, qk[sel], lo:] |= hit[:, sel].T  # T(k; i, j) != 0
         i = r[lo:hi, None, None]
         ev &= (r[:, None] >= i) & (r >= i) & ((r != i) | (r[:, None] <= i))  # (i, j, k) is its class's least rotation
-        # flat offsets of the rows (i, out) in t_own and (j, out) in t_q, zero rows where T is
-        own_at = np.minimum(row_of[lo:hi] - a, b - a) * t_own.shape[1]
-        q_at = (row_of - a) * t_q.shape[1]
         i, j, k = np.nonzero(ev)
         i += lo
-        for s in range(0, len(i), step):
-            ic, jc, kc = i[s:s + step], j[s:s + step], k[s:s + step]
+        for s in range(0, len(i), chunk):
+            ic, jc, kc = i[s:s + chunk], j[s:s + chunk], k[s:s + chunk]
             jac = gfp.mod(np.take(t_own, own_at[ic - lo] + slot_own[jc, kc][:, None])
-                          + np.take(t_q, q_at[kc] + slot_q[ic, jc][:, None])
-                          + np.take(t_q, q_at[jc] + slot_q[kc, ic][:, None]), p)
-            bad = np.flatnonzero(jac.any(axis=1))
-            if bad.size:  # each rotation of a failing class, and its J
-                ic, jc, kc, three = ic[bad], jc[bad], kc[bad], (ic[bad] != jc[bad]) | (jc[bad] != kc[bad])
-                failed += bad.size + 2 * int(three.sum())
-                keys = np.concatenate([keys, (ic * n + jc) * n + kc, ((jc * n + kc) * n + ic)[three],
-                                       ((kc * n + ic) * n + jc)[three]])
-                vals = np.concatenate([vals, jac[bad], jac[bad][three], jac[bad][three]])
-                kept = np.argsort(keys, kind="stable")[:MAX_FAILURES_KEPT]
-                keys, vals = keys[kept], vals[kept]
+                          + np.take(t_q, q_at[kc - lo] + slot_q[ic, jc][:, None])
+                          + np.take(t_q, q_at[jc - lo] + slot_q[kc, ic][:, None]), p)
+            bad = jac.any(axis=1)
+            if bad.any():  # the distinct rotations of each failing class
+                ic, jc, kc = ic[bad], jc[bad], kc[bad]
+                rot = np.unique([(ic * n + jc) * n + kc, (jc * n + kc) * n + ic, (kc * n + ic) * n + jc])
+                failed, keys = failed + rot.size, np.union1d(keys, rot)[:MAX_FAILURES_KEPT]
     hj = rep.check("hom_jacobi")
-    if failed:
-        rep.tally("hom_jacobi", np.ones(len(keys), dtype=bool), vals, np.broadcast_to(gfp.zeros(n), vals.shape),
-                  witness=lambda s: tuple(int(v) for v in np.unravel_index(keys[s], (n, n, n))))
-    hj.failed += failed - len(keys)
-    hj.passed += n**3 - failed
-
-
-def _live_product(rows, ys, p: int) -> np.ndarray:
-    """rows @ ys^T mod p over the columns where the shorter of the two has a
-    nonzero, then a zero row: each row's image of every ys row, and a slot
-    for the rows that are zero.  The product runs in blocks of at most
-    _CHUNK_ELEMENTS entries along its longer side, so its temporaries stay
-    small."""
-    cols = np.flatnonzero((ys if len(rows) >= len(ys) else rows).any(axis=0))
-    out = np.zeros((len(rows) + 1, len(ys)), dtype=np.int64)
-    body, step = out[:-1], max(1, _CHUNK_ELEMENTS // max(1, min(len(rows), len(ys))))
-    if len(rows) >= len(ys):
-        right = ys[:, cols].T
-        for lo in range(0, len(rows), step):
-            body[lo:lo + step] = gfp.matmul(rows[lo:lo + step, cols], right, p)
-    else:
-        left = rows[:, cols]
-        for lo in range(0, len(ys), step):
-            body[:, lo:lo + step] = gfp.matmul(left, ys[lo:lo + step, cols].T, p)
-    return out
-
-
-def _any_per_head(t, starts) -> np.ndarray:
-    """[h, col]: whether rows starts[h]:starts[h + 1] of t have a nonzero in col."""
-    has = np.flatnonzero(starts[1:] > starts[:-1])
-    out = np.zeros((len(starts) - 1, t.shape[1]), dtype=bool)
-    if has.size:
-        out[has] = np.logical_or.reduceat(t[:starts[-1]] != 0, starts[has], axis=0)
-    return out
+    if failed:  # J from its definition, ax[i] = alpha(e_i)
+        (i, j, k), ax = np.unravel_index(keys, (n, n, n)), A.alpha.T
+        jac = (A.bracket_batch(ax[i], c[j, k]) + A.bracket_batch(ax[j], c[k, i]) + A.bracket_batch(ax[k], c[i, j])) % p
+        rep.tally("hom_jacobi", np.ones(len(keys), dtype=bool), jac, np.broadcast_to(gfp.zeros(n), jac.shape),
+                  witness=lambda s: (int(i[s]), int(j[s]), int(k[s])))
+    hj.failed, hj.passed = hj.failed + failed - len(keys), hj.passed + n**3 - failed
 
 
 def bracket_sides(pi, A: HomLieAlgebra, A_dst: HomLieAlgebra) -> tuple[np.ndarray, np.ndarray]:

@@ -56,6 +56,7 @@ class AlgebraBundle:
         i, j, k, coeff = np.array(self.brackets, dtype=np.int64).reshape(-1, 4).T
         _expect(((0 <= i) & (i < j) & (j < self.dim)).all(), "brackets must satisfy 0 <= i < j < dim")
         c[i, j, k], c[j, i, k] = coeff, (-coeff) % self.p  # the upper half, and the lower one by sign
+        c.setflags(write=False)  # so the algebra adopts c instead of copying it
         return HomLieAlgebra(self.p, c, self.alpha, self.basis)
 
     def bilinear_form(self) -> BilinearForm | None:

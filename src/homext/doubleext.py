@@ -123,7 +123,7 @@ def double_extend(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtensionData) -
     N = n + 2
     c = np.zeros((N, N, N), dtype=np.int64)
     gv = B_V.gram
-    c[1:, 1:, 1:] = _central_extension(V, B_V, d.D).c
+    _central_tensor(V, B_V, d.D, c[1:, 1:, 1:])
     c[0, 1:1 + n, 1:1 + n] = d.D.mat.T
     c[1:1 + n, 0] = (-c[0, 1:1 + n]) % p
     alpha = np.zeros((N, N), dtype=np.int64)
@@ -142,14 +142,19 @@ def double_extend(V: HomLieAlgebra, B_V: BilinearForm, d: DoubleExtensionData) -
     return L, BilinearForm(gram, p)
 
 
+def _central_tensor(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation, c: np.ndarray) -> np.ndarray:
+    """Write the bracket of W = V + Ke in the frame (V, e) into the zero [n + 1]^3 array c and
+    return it: [a, b] = [a, b]_V + B(Da, b) e for a, b in V, and e central.  double_extend
+    writes it into L's block after e*, _central_extension into W's tensor."""
+    c[:-1, :-1, :-1] = V.c
+    c[:-1, :-1, -1] = gfp.matmul(D.mat.T, B_V.gram, V.p)  # B(D e_i, e_j)
+    return c
+
+
 def _central_extension(V: HomLieAlgebra, B_V: BilinearForm, D: Derivation) -> HomLieAlgebra:
-    """W = V + Ke in the frame (V, e): [a, b] = [a, b]_V + B(Da, b) e for a, b
-    in V, e central, and the twist alpha_V on V and 1 on e.  double_extend's
-    L holds W's bracket as the block after e*."""
+    """W = V + Ke (`_central_tensor`), with the twist alpha_V on V and 1 on e."""
     p, n = V.p, V.n
-    c = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
-    c[:n, :n, :n] = V.c
-    c[:n, :n, n] = gfp.matmul(D.mat.T, B_V.gram, p)  # B(D e_i, e_j)
+    c = _central_tensor(V, B_V, D, np.zeros((n + 1,) * 3, dtype=np.int64))
     alpha = np.eye(n + 1, dtype=np.int64)
     alpha[:n, :n] = V.alpha
     W = HomLieAlgebra(p, c, alpha, list(V.basis_names) + ["e"])

@@ -9,7 +9,9 @@ the fixtures and their transports by random isomorphisms, with slice budgets
 small enough that every slice and chunk boundary is crossed.
 """
 
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import oracles
@@ -139,6 +141,40 @@ def test_hom_jacobi_and_leibniz_in_slices_match_the_dense_oracles(wide_cases, bu
         for D in derivs + [Derivation(rng.integers(0, A.p, (A.n, A.n)), A.p, k=2)]:
             assert algebra._derivation_report(A, D).to_dict() == oracles.leibniz_dense(A, D).to_dict(), name
     assert failed >= 5  # the perturbed copies fail more classes than a report keeps
+
+
+@pytest.mark.parametrize("p", [P_GUARD, P_PAST])
+def test_hom_jacobi_and_leibniz_match_object_oracles_at_the_guard_primes(p, monkeypatch):
+    """At dim 3 the dense oracles sum Python integers (object-dtype tensors),
+    while Hom-Jacobi's T product runs on int64 at P_GUARD and on Python
+    integers at P_PAST, where it multiplies over all 3 columns.  Reports
+    agree on sl2 and its Yau twist with D = ad(H), which pass, and on
+    perturbed copies, random alternating tensors with random alpha and random
+    degree-2 maps, which fail."""
+    seen = set()
+    real = gfp.matmul
+
+    def spy(a, b, q):
+        seen.add((sys._getframe(1).f_code.co_name, np.asarray(a).shape[-1] * (q - 1) ** 2 >= 2**63))
+        return real(a, b, q)
+
+    monkeypatch.setattr(gfp, "matmul", spy)
+    rng = np.random.default_rng(39)
+    cases = [(A, D) for A, _, _, D in (sl_n(2, p), sl_n(2, p, [1, -1]))]
+    for A, D in list(cases):
+        c = A.c.copy()
+        c[0, 1] = (c[0, 1] + rng.integers(1, p, 3)) % p
+        cases += [(HomLieAlgebra(p, c, A.alpha), D), (random_algebra(p, 3, rng, alternating=True), D)]
+    verdicts = []
+    for A, D in cases + [(A, Derivation(rng.integers(0, p, (3, 3)), p, k=2)) for A, _ in cases]:
+        dense = SimpleNamespace(p=p, n=3, c=A.c.astype(object), alpha=A.alpha.astype(object))
+        got = algebra._hom_lie_report(A)
+        assert got.to_dict() == oracles.hom_jacobi_dense(dense).to_dict()
+        d_dense = SimpleNamespace(mat=D.mat.astype(object), k=D.k)
+        assert algebra._derivation_report(A, D).to_dict() == oracles.leibniz_dense(dense, d_dense).to_dict()
+        verdicts.append(got.check("hom_jacobi").ok)
+    assert any(verdicts) and not all(verdicts)
+    assert {big for name, big in seen if name == "tables"} == {p == P_PAST}  # the T product's route
 
 
 @pytest.mark.parametrize("n, p, g", [(3, 2, None), (5, 2, None), (4, 3, None), (5, 3, [1, 1, -1, 1, 1]),

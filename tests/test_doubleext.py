@@ -172,6 +172,27 @@ def test_every_accepted_extension_is_quadratic_hom_lie(p, request):
     assert any(verdicts) and not all(verdicts), verdicts
 
 
+def test_double_extend_builds_only_L(heis, psl3_pipelines, sl2, monkeypatch):
+    """double_extend writes V + Ke's bracket (doubleext._central_tensor) into
+    L's tensor: the one HomLieAlgebra it constructs is L, whose block after e*
+    is _central_extension's W, as it was when L copied a built W."""
+    cases = [(heis.V, heis.B, heis.ext), (sl2.g, sl2.B, sl2.ext)]
+    cases += [(x["V"], x["B"], x["ext"]) for x in psl3_pipelines.values()]
+    for V, B, d in cases:
+        built, init = [], HomLieAlgebra.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(HomLieAlgebra, "__init__", spy)
+        L, _ = double_extend(V, B, d)
+        monkeypatch.undo()
+        assert built == [L]
+        W = doubleext._central_extension(V, B, d.D)
+        assert np.array_equal(L.c[1:, 1:, 1:], W.c) and L.c.dtype == np.int64
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_split_frame_returns_the_record_it_was_built_from(p, request, monkeypatch):
     """split_frame inverts double_extend and extend_pstructure: on every

@@ -283,12 +283,12 @@ def test_ad_batch_keeps_a_float64_operand_only_for_the_float64_route():
     from homext.algebra import HomLieAlgebra
     from homext.twist import build_psl3
 
-    assert build_psl3().g._ad_right.dtype == np.int64
+    assert build_psl3().g._ad_mat.dtype == np.int64
     n, rng = 30, np.random.default_rng(31)
     for p, dtype in ((5, np.float64), (1239850223, np.int64)):
         c = rng.integers(0, p, (n, n, n))
         A = HomLieAlgebra(p, (c - c.transpose(1, 0, 2)) % p, gfp.eye(n))
-        assert A._ad_right.dtype == dtype and A._ad_mat.size >= gfp._FLOAT_MACS
+        assert A._ad_mat.dtype == dtype and A._ad_mat.size >= gfp._FLOAT_MACS
         xs = rng.integers(0, p, (3, n))
         assert np.array_equal(A.ad_batch(xs), oracles.product_exact(p, xs, A.c.reshape(n, n * n)).reshape(3, n, n))
 

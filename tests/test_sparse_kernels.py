@@ -229,3 +229,25 @@ def test_constructor_copies_its_tensor():
     assert A.c[0, 1, 2] == 1
     B = HomLieAlgebra(3, c - 3, gfp.eye(3))
     assert np.array_equal(B.c, c % 3)
+
+
+def test_constructor_adopts_a_frozen_tensor_that_owns_its_data():
+    """A reduced read-only array with no base is kept as it is; a read-only
+    view of a writable array is copied, and an unreduced read-only array
+    reduced into a new one."""
+    c = np.zeros((3, 3, 3), dtype=np.int64)
+    c[0, 1, 2], c[1, 0, 2] = 1, 2
+    c.setflags(write=False)
+    assert HomLieAlgebra(3, c, gfp.eye(3)).c is c
+    w = np.zeros((2, 3, 3, 3), dtype=np.int64)
+    w[0] = c
+    view = w[0]
+    view.setflags(write=False)
+    A = HomLieAlgebra(3, view, gfp.eye(3))
+    assert A.c is not view and A.c.base is None and np.array_equal(A.c, c)
+    w[0, 0, 1, 2] = 0
+    assert A.c[0, 1, 2] == 1
+    u = c + 3
+    u.setflags(write=False)
+    B = HomLieAlgebra(3, u, gfp.eye(3))
+    assert B.c is not u and np.array_equal(B.c, c)
