@@ -17,7 +17,8 @@ from . import gfp
 from .errors import DimMismatch
 from .report import MAX_FAILURES_KEPT, Report
 
-# Element budget of one chunk of bracket_batch, bracket_pairs, _live_ads and Hom-Jacobi's J: bounds temporaries.
+# Element budget of one chunk of bracket_batch, bracket_pairs, _live_ads and Hom-Jacobi's T product blocks
+# and J: bounds temporaries.
 _CHUNK_ELEMENTS = 1 << 18
 # Element budget of one Hom-Jacobi slice: its T entries and its triple mask.
 _HJ_ELEMENTS = 1 << 22
@@ -35,9 +36,12 @@ class HomLieAlgebra:
 
     def __init__(self, p: int, c, alpha, basis_names=None):
         self.p = int(p)
-        c = np.asarray(c, dtype=np.int64)  # adopted if reduced, read-only and owning its data, else copied or reduced
-        adopt = c.base is None and not c.flags.writeable  # so an array the caller may write is never frozen below
-        self.c = (c if adopt else c.copy()) if np.min(c, initial=0) >= 0 and np.max(c, initial=0) < p else gfp.mod(c, p)
+        c = np.asarray(c, dtype=np.int64)  # adopted if reduced, read-only and owning its data
+        if np.min(c, initial=0) < 0 or np.max(c, initial=0) >= p:
+            c = gfp.mod(c, p)
+        elif c.base is not None or c.flags.writeable:  # copied, so an array the caller may write is never frozen below
+            c = c.copy()
+        self.c = c
         self.alpha = gfp.asmat(alpha, p)
         n = self.c.shape[0]
         if self.c.shape != (n, n, n) or self.alpha.shape != (n, n):
@@ -343,14 +347,19 @@ def _hom_jacobi(rep: Report, A: HomLieAlgebra, nz) -> None:
     del live  # rows holds them: one copy, not two
 
     def tables(lo, hi, q):
-        """T(i in [lo, hi); the pairs q, then the zero slot) flat, by one product over the columns where the
-        shorter operand has a nonzero; the offsets of its rows (i, out); the slots [j, k] -> the column of
-        the pair; and hits[i - lo, s], whether T(i; pair q[s]) != 0, per i's rows with their zero row."""
+        """T(i in [lo, hi); the pairs q, then the zero slot) flat, as products over the columns where the
+        shorter operand y has a nonzero, in blocks of the longer x of at most _CHUNK_ELEMENTS entries in
+        and out; the offsets of its rows (i, out); the slots [j, k] -> the column of the pair; and
+        hits[i - lo, s], whether T(i; pair q[s]) != 0, per i's rows with their zero row."""
         a, b, sel = starts[lo], starts[hi], np.append(q, len(pj))
         slot = np.full((n, n), len(q))
         slot[pj[q], pk[q]] = np.arange(len(q))
-        cols = np.flatnonzero((pairs[sel] if b - a >= len(sel) else rows[a:b]).any(axis=0))
-        t = gfp.matmul(rows[a:b, cols], pairs[np.ix_(sel, cols)].T, p)
+        t = np.empty((b - a, len(sel)), dtype=np.int64)
+        x, y, out = (rows[a:b], pairs[sel], t) if b - a >= len(sel) else (pairs[sel], rows[a:b], t.T)
+        cols = np.flatnonzero(y.any(axis=0))
+        right, step = y[:, cols].T, max(1, _CHUNK_ELEMENTS // max(len(y), len(cols)))
+        for s in range(0, len(x), step):
+            out[s:s + step] = gfp.matmul(x[s:s + step, cols], right, p)
         hits = np.logical_or.reduceat(t != 0, starts[lo:hi] - a)[:, :-1]
         return t.ravel(), (row_of[lo:hi] - a) * len(sel), slot, hits
 

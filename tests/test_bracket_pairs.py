@@ -21,6 +21,7 @@ from conftest import sl_n, sl_n_bundle
 from homext import algebra, gfp
 from homext.algebra import Derivation, HomLieAlgebra, verify_hom_lie
 from homext.cli import main
+from homext.report import Report
 
 # The largest prime with 3 (p-1)^2 < 2^63, which bundle.parse accepts at dim 3,
 # and the least prime past it, which the library still takes.
@@ -201,3 +202,28 @@ def test_verify_hom_lie_memory_on_sl12():
         tracemalloc.stop()
     assert rep.ok and rep.check("hom_jacobi").passed == A.n**3
     assert peak < 96 * 2**20
+
+
+def test_hom_jacobi_memory_on_a_dense_star():
+    """[e_0, e_j] has every e_k and alpha is dense, at dim 128 over GF(5): each
+    i has n live ad rows, so a slice holds one i, and the first one's
+    T(all j; the pairs of 0) has (n^2 + n) rows of all P + 1 slots (32 MB).
+    Its product runs in blocks, so the peak is that table, the held ad rows
+    (n^2 rows of n) and the block and J-chunk temporaries; an unblocked
+    product adds float64 and int64 copies of both (about 94 MB)."""
+    n, p, rng = 128, 5, np.random.default_rng(128)
+    c = np.zeros((n, n, n), dtype=np.int64)
+    c[0, 1:] = rng.integers(1, p, (n - 1, n))
+    c[1:, 0] = -c[0, 1:] % p
+    A = HomLieAlgebra(p, c, rng.integers(0, p, (n, n)))
+    nz = A.c.any(axis=2)
+    table, held = 8 * (n * n + n) * (int(nz.sum()) + 1), 8 * n**3
+    rep = Report(p=p, dim=n)
+    tracemalloc.start()
+    try:
+        algebra._hom_jacobi(rep, A, nz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.check("hom_jacobi").failed > 0
+    assert peak < table + held + 16 * 2**20
