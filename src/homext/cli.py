@@ -34,15 +34,7 @@ from .isom import verify_adapted_iso, verify_restricted_iso
 from .report import Report
 from .restricted import is_restricted_derivation, solve_p_property, verify_pstructure
 from .rng import DEFAULT_SAMPLES, DEFAULT_SEED
-from .twist import (
-    build_heisenberg_dual,
-    build_psl3,
-    build_sl2_gf5,
-    check_twist_data,
-    twist_algebra,
-    twist_derivation,
-    twist_pmap,
-)
+from .twist import FIXTURES, check_twist_data, twist_algebra, twist_derivation, twist_pmap
 
 
 def _integer(name: str, text: str, error=ParseError) -> int:
@@ -93,28 +85,10 @@ def _finish(report: Report) -> int:
     return 0 if report.ok else 1
 
 
-def _fixture_bundle(name: str) -> bundle_mod.AlgebraBundle:
-    if name == "heisenberg-dual":
-        fx = build_heisenberg_dual()
-        return bundle_mod.from_parts(
-            fx.V, fx.B, fx.P, {"D": fx.D},
-            extension=bundle_mod.extension_dict("D", fx.ext, fx.pext),
-        )
-    if name == "psl3":
-        fx = build_psl3()
-        return bundle_mod.from_parts(
-            fx.g, fx.B, fx.P, fx.derivations, twist=fx.twist,
-            extension=bundle_mod.extension_dict("D3", fx.ext, fx.pext),
-        )
-    fx = build_sl2_gf5()  # argparse's choices admit no other name
-    return bundle_mod.from_parts(
-        fx.g, fx.B, fx.P, {"D": fx.D},
-        extension=bundle_mod.extension_dict("D", fx.ext, fx.pext),
-    )
-
-
 def cmd_fixture(args) -> int:
-    _write_bundle(_fixture_bundle(args.name), args.out)
+    fx = FIXTURES[args.name]()
+    ext = bundle_mod.extension_dict(fx.extension, fx.ext, fx.pext)
+    _write_bundle(bundle_mod.from_parts(fx.g, fx.B, fx.P, fx.derivations, fx.twist, ext), args.out)
     return 0
 
 
@@ -288,7 +262,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=lambda s: _integer("seed", s, argparse.ArgumentTypeError), default=None)
 
     sp = sub.add_parser("fixture", help="emit a built-in example bundle")
-    sp.add_argument("name", choices=["heisenberg-dual", "psl3", "sl2-gf5"])
+    sp.add_argument("name", choices=list(FIXTURES))
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_fixture)
 

@@ -335,8 +335,7 @@ def split_frame(L: HomLieAlgebra, B_L: BilinearForm, P_L: PStructure | None = No
         raise FrameMismatch("twist does not preserve the frame filtration")
     if L.alpha[n + 1, n + 1] != L.alpha[0, 0]:
         raise FrameMismatch("twist eigenvalues on e and e* disagree")
-    cv = L.c[1:1 + n, 1:1 + n, 1:1 + n].copy()
-    V = HomLieAlgebra(p, cv, L.alpha[1:1 + n, 1:1 + n], L.basis_names[1:1 + n])
+    V = HomLieAlgebra(p, L.c[1:1 + n, 1:1 + n, 1:1 + n], L.alpha[1:1 + n, 1:1 + n], L.basis_names[1:1 + n])
     B_V = BilinearForm(g[1:1 + n, 1:1 + n], p)
     d = DoubleExtensionData(Derivation(L.c[0, 1:1 + n, 1:1 + n].T, p, k=1), L.alpha[1:1 + n, 0],
                             L.alpha[0, 0], L.alpha[n + 1, 0], g[0, 0])

@@ -2,11 +2,11 @@
 
 A self-adjoint involution alpha turns a quadratic Lie algebra into a
 Hom-Lie algebra by composing bracket, form and p-mapping with alpha.
-The builders construct the two standing fixtures of the test corpus: a
-6-dimensional Heisenberg-with-dual algebra over GF(2) and the projective
-special linear algebra psl(3) over GF(3), together with its derivation
-table and twist, both as literal tables.  A small sl(2) fixture
-over GF(5) exercises the higher coefficient recursions.
+The builders return the built-in `Fixture`s as literal tables: a
+6-dimensional Heisenberg-with-dual algebra over GF(2), the projective
+special linear algebra psl(3) over GF(3) with its derivation table and
+twist, and sl(2) over GF(5) for the higher coefficient recursions.
+`FIXTURES` keys them by the names `homext fixture` takes.
 """
 
 from __future__ import annotations
@@ -84,19 +84,25 @@ def twist_derivation(g: HomLieAlgebra, D: Derivation, t: TwistData) -> Derivatio
     return Derivation(lhs, p, k=1)
 
 
-@dataclass
-class HeisenbergDualFixture:
-    """dim-6 quadratic Lie algebra over GF(2) with its 2-structure and data."""
+@dataclass(frozen=True)
+class Fixture:
+    """A built-in restricted quadratic Hom-Lie algebra and its double extension by `extension`."""
 
-    V: HomLieAlgebra
+    g: HomLieAlgebra
     B: BilinearForm
     P: PStructure
-    D: Derivation
+    derivations: dict[str, Derivation]
+    extension: str
     ext: DoubleExtensionData
     pext: PExtensionData
+    twist: TwistData | None = None
+    table: dict[str, dict] | None = None
+
+    V = property(lambda self: self.g)  # the heisenberg-dual callers' name for g
+    D = property(lambda self: self.derivations[self.extension])
 
 
-def build_heisenberg_dual() -> HeisenbergDualFixture:
+def build_heisenberg_dual() -> Fixture:
     p = 2
     names = ["x", "y", "z", "x*", "y*", "z*"]
     brackets = {
@@ -116,24 +122,10 @@ def build_heisenberg_dual() -> HeisenbergDualFixture:
     z = gfp.unit(6, 2)
     ext = DoubleExtensionData(D, x0=gfp.zeros(6), lam=1, lam0=0)
     pext = PExtensionData(xi=1, a0=z, m=0, l=0, u0=z, P_basis=gfp.zeros(6), p=p)
-    return HeisenbergDualFixture(V=V, B=B, P=P, D=D, ext=ext, pext=pext)
+    return Fixture(V, B, P, {"D": D}, "D", ext, pext)
 
 
-@dataclass
-class Psl3Fixture:
-    """psl(3) over GF(3) with its derivations, twist and the D3 extension."""
-
-    g: HomLieAlgebra
-    B: BilinearForm
-    P: PStructure
-    derivations: dict[str, Derivation]
-    twist: TwistData
-    table: dict[str, dict]
-    ext: DoubleExtensionData
-    pext: PExtensionData
-
-
-def build_psl3() -> Psl3Fixture:
+def build_psl3() -> Fixture:
     """psl(3) = sl(3)/scalars over GF(3) as literal tables.
 
     Basis order: [x1,y1], x1, x2, x3, y1, y2, y3 with x3 = [x1,x2] and
@@ -185,22 +177,11 @@ def build_psl3() -> Psl3Fixture:
     ext = DoubleExtensionData(derivs["D3"], x0=gfp.zeros(7), lam=1, lam0=0)
     pext = PExtensionData(xi=table["D3"]["xi"], a0=table["D3"]["a0"], m=0, l=0, u0=gfp.zeros(7),
                           P_basis=gfp.zeros(7), p=p)
-    return Psl3Fixture(g=g, B=B, P=P, derivations=derivs, twist=twist, table=table, ext=ext, pext=pext)
+    return Fixture(g, B, P, derivs, "D3", ext, pext, twist, table)
 
 
-@dataclass
-class Sl2Fixture:
+def build_sl2_gf5() -> Fixture:
     """sl(2) over GF(5): small odd-characteristic fixture for level > 3 recursions."""
-
-    g: HomLieAlgebra
-    B: BilinearForm
-    P: PStructure
-    D: Derivation
-    ext: DoubleExtensionData
-    pext: PExtensionData
-
-
-def build_sl2_gf5() -> Sl2Fixture:
     p = 5
     names = ["E", "H", "F"]
     brackets = {
@@ -217,4 +198,7 @@ def build_sl2_gf5() -> Sl2Fixture:
     D = Derivation(np.diag([2, 0, 3]).astype(np.int64), p)  # ad(H)
     ext = DoubleExtensionData(D, x0=gfp.zeros(3), lam=1, lam0=0)
     pext = PExtensionData(xi=0, a0=gfp.unit(3, 1), m=0, l=0, u0=gfp.zeros(3), P_basis=gfp.zeros(3), p=p)
-    return Sl2Fixture(g=g, B=B, P=P, D=D, ext=ext, pext=pext)
+    return Fixture(g, B, P, {"D": D}, "D", ext, pext)
+
+
+FIXTURES = {"heisenberg-dual": build_heisenberg_dual, "psl3": build_psl3, "sl2-gf5": build_sl2_gf5}

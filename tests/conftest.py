@@ -6,8 +6,9 @@ import pytest
 from homext import bundle, gfp
 from homext.algebra import BilinearForm, Derivation, HomLieAlgebra
 from homext.doubleext import DoubleExtensionData, PExtensionData, double_extend, extend_pstructure
-from homext.restricted import PStructure
+from homext.restricted import PStructure, solve_p_property
 from homext.twist import (
+    Fixture,
     TwistData,
     build_heisenberg_dual,
     build_psl3,
@@ -196,3 +197,33 @@ def sl_n_bundle(n, p, g=None) -> str:
     """sl_n(n, p, g) as a bundle file's text, its derivation named "D"."""
     A, B, P, D = sl_n(n, p, g)
     return bundle.emit(bundle.from_parts(A, B, P, {"D": D}))
+
+
+def t_star_h3(p) -> Fixture:
+    """Bordemann's T*-extension of the Heisenberg algebra h3 = <x0, x1, x2 |
+    [x0, x1] = x2> over GF(p): h3 + h3* with [a, f] = -f o ad(a) and
+    [f, g] = 0, the pairing form f(b) + g(a), alpha = id and zero p-images of
+    the basis (at odd p the zero map, as this algebra is 2-step nilpotent),
+    with the outer derivation D = diag(1, 0, 1) + (-D^T) and its double
+    extension: x0 = 0, lambda = 1, lambda0 = 0, (xi, a0) from
+    solve_p_property, m = l = 0 and u0 = P_basis = 0."""
+    h = np.zeros((3, 3, 3), dtype=np.int64)
+    h[0, 1, 2], h[1, 0, 2] = 1, -1
+    c = np.zeros((6, 6, 6), dtype=np.int64)
+    c[:3, :3, :3] = h
+    c[:3, 3:, 3:] = -h.transpose(0, 2, 1)  # [x_i, f_j] = -f_j o ad(x_i) = -sum_k h[i, k, j] f_k
+    c[3:, :3, 3:] = h.transpose(2, 0, 1)  # [f_j, x_i] = -[x_i, f_j]
+    g = HomLieAlgebra(p, c, gfp.eye(6), ["x0", "x1", "x2", "x0*", "x1*", "x2*"])
+    gram = np.zeros((6, 6), dtype=np.int64)
+    gram[:3, 3:] = gram[3:, :3] = gfp.eye(3)
+    D = Derivation(np.diag([1, 0, 1, -1, 0, -1]), p)
+    w, zero = solve_p_property(g, D), gfp.zeros(6)
+    ext = DoubleExtensionData(D, zero, 1, 0)
+    pext = PExtensionData(w.xi, w.a0, 0, 0, zero, zero, p)
+    return Fixture(g, BilinearForm(gram, p), PStructure(g, np.zeros((6, 6), dtype=np.int64)), {"D": D}, "D", ext, pext)
+
+
+def fixture_bundle(fx: Fixture) -> str:
+    """A Fixture as a bundle file's text, as `homext fixture` writes it."""
+    ext = bundle.extension_dict(fx.extension, fx.ext, fx.pext)
+    return bundle.emit(bundle.from_parts(fx.g, fx.B, fx.P, fx.derivations, fx.twist, ext))

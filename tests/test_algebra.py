@@ -601,3 +601,24 @@ def test_verify_quadratic_memory_at_dim_128():
     assert [f.witness for f in inv.failures] == [(0, 1, 2), (1, 0, 2), (2, 0, 1), (2, 1, 0)]
     assert rep.check("twist_self_adjoint").ok
     assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: HomLieAlgebra(3, np.zeros((2, 2, 2)), gfp.eye(3)), "structure tensor and twist shapes disagree"),
+    (lambda: HomLieAlgebra.from_upper(3, 3, {(1, 0): gfp.unit(3, 2)}), "bracket index (1,0) must satisfy 0 <= i < j < 3"),
+    (lambda: HomLieAlgebra.from_upper(3, 3, {}).bracket_pairs(gfp.eye(2), gfp.eye(3)),
+     "bracket arguments must have the algebra dimension"),
+    (lambda: PStructure(HomLieAlgebra.from_upper(3, 3, {}), np.zeros((2, 2))),
+     "p-structure needs one image per basis vector"),
+])
+def test_shape_guards_raise_dim_mismatch(call, message):
+    with pytest.raises(DimMismatch) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_a_non_ideal_is_not_a_nondegenerate_ideal(heis):
+    """<x> is not an ideal of heisenberg-dual, as [x, y] = z."""
+    S = Subspace.from_vectors([gfp.unit(6, 0)], 6, 2)
+    assert not is_ideal(heis.V, S)
+    assert not is_nondegenerate_ideal(heis.V, heis.B, S)

@@ -132,6 +132,15 @@ def test_fixture_and_twist_bytes_are_pinned(tmp_path, capsys):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == PSL3_TWIST_SHA256
 
 
+def test_unknown_fixture_is_refused_with_the_names_in_order(capsys):
+    """`homext fixture` offers twist.FIXTURES' names, in their order."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fixture", "nope"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "homext fixture: error: argument name: invalid choice: 'nope' (choose from 'heisenberg-dual', 'psl3', 'sl2-gf5')")
+
+
 def test_extension_with_unknown_derivation_is_a_parse_error(tmp_path, capsys, monkeypatch):
     """bundle.parse rejects an extension that names no derivation of the
     bundle, so each command that reads it exits 2 before any check runs."""
@@ -445,6 +454,12 @@ def test_rejected_extension_data_prints_the_rejecting_report(tmp_path, capsys):
     (["isom-check", "{L}", "{L}", "--map", "{missing}"], "cannot read map file: "),
     (["isom-check", "{noform}", "{noform}", "--map", "{id}"], "isom-check needs quadratic bundles"),
     (["p-extend", "{beta}"], "extension beta = B(e*, e*) must be 0 for odd p"),
+    (["verify", "{missing}"], "cannot read /"),
+    (["extend", "{noform}"], "extend needs a quadratic bundle (form missing)"),
+    (["p-extend", "{noform}"], "p-extend needs form and pmap"),
+    (["reduce", "{noform}"], "reduce needs form and pmap"),
+    (["twist", "{L}"], "twist needs form and a twist matrix"),
+    (["solve-p-property", "{psl3}", "--derivation", "D9"], "no derivation named 'D9'"),
 ])
 def test_usage_errors_exit_two_with_their_reason(tmp_path, capsys, argv, message):
     paths = {"psl3": tmp_path / "psl3.json", "L": tmp_path / "L.json", "id": tmp_path / "id.json",

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
+from conftest import sl_n
 from oracles import compute_eta_batch, is_involutive_twist
 
 from homext import doubleext, gfp, restricted
@@ -923,3 +926,47 @@ def test_decided_P_additivity_evaluates_no_P(request, monkeypatch):
         assert cli.main(["p-extend", str(src), "--out", str(path / f"{name}-L.json")]) == 0
     assert calls == []
     assert built == [2, 5, 3]  # p-extend builds L; verify builds none
+
+
+@pytest.mark.parametrize("n,brackets,alpha,gram,e,error,message", [
+    # alpha swaps e0 and e1, so alpha(e0) leaves the line of e0
+    (2, {}, [[0, 1], [1, 0]], [[0, 1], [1, 0]], 0, NotCentral, "the twist does not preserve the chosen central line"),
+    # the form is not invariant: e3 is central but e3-perp = <e0, e1, e3> misses [e0, e1] = e2
+    (4, {(0, 1): gfp.unit(4, 2)}, None, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 3,
+     NotPIdeal, "the orthogonal complement of e is not an ideal"),
+    (2, {}, None, [[1, 0], [0, 0]], 1, DegenerateFrame, "no vector pairs with e (form degenerate)"),
+    # B(e*, e) = 1 but B(e*, .) = 0 = B(e, e*): the plane's two conditions are one
+    (2, {}, None, [[0, 1], [0, 0]], 1, DegenerateFrame, "hyperbolic plane does not split off"),
+    # B(e, .) = 0, so e lies in the complement <e> of the plane <e*, e> = <e0, e2>
+    (3, {}, None, [[0, 0, 1], [1, 0, 0], [0, 0, 0]], 2, DegenerateFrame, "frame vectors are not a basis"),
+])
+def test_reduce_refusals_name_their_reason(n, brackets, alpha, gram, e, error, message):
+    """The refusals of reduce that no extension built by double_extend meets:
+    a twist that moves e, and forms that are not invariant or not symmetric."""
+    L = HomLieAlgebra.from_upper(3, n, brackets, alpha)
+    P = PStructure(L, np.zeros((n, n), dtype=np.int64))
+    with pytest.raises(error) as exc:
+        reduce(L, BilinearForm(gram, 3), P, gfp.unit(n, e))
+    assert str(exc.value) == message
+
+
+def test_extend_pstructure_refuses_an_L_of_the_wrong_dimension(heis):
+    with pytest.raises(FrameMismatch, match="^L must be the double extension of V$"):
+        extend_pstructure(heis.V, heis.V, heis.B, heis.P, heis.ext, heis.pext)
+
+
+def test_split_frame_copies_the_V_tensor_once():
+    """split_frame hands HomLieAlgebra a view of L's V block, which the
+    constructor copies: the peak is one V tensor plus the constant caches
+    (1.36 V tensors measured on sl8 over GF(5); a copy taken before the
+    constructor made it 2.36)."""
+    A, B, _, D = sl_n(8, 5)
+    L, B_L = double_extend(A, B, DoubleExtensionData(D, gfp.zeros(A.n), 1, 0))
+    tracemalloc.start()
+    try:
+        f = split_frame(L, B_L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(f.V.c, A.c)
+    assert peak < 1.6 * A.c.nbytes

@@ -7,7 +7,7 @@ import oracles
 import pytest
 
 from homext import gfp
-from homext.errors import ZeroInverse
+from homext.errors import DimMismatch, ZeroInverse
 
 
 @pytest.mark.parametrize("p,a,want", [(3, 2, 2), (2, 1, 1), (5, 3, 2)])
@@ -359,3 +359,15 @@ def test_every_matrix_product_goes_through_gfp_matmul():
                     and isinstance(node.value, ast.Name) and node.value.id == "np"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: gfp.asvec(np.zeros((2, 2)), 3), "expected a vector, got shape (2, 2)"),
+    (lambda: gfp.asmat(np.zeros(3), 3), "expected a matrix, got shape (3,)"),
+    (lambda: gfp.solve(gfp.eye(2), gfp.zeros(3), 3), "solve: shape mismatch"),
+    (lambda: gfp.mat_inv(np.zeros((2, 3)), 3), "inverse needs a square matrix"),
+])
+def test_shape_guards_raise_dim_mismatch(call, message):
+    with pytest.raises(DimMismatch) as exc:
+        call()
+    assert str(exc.value) == message

@@ -9,7 +9,7 @@ from oracles import BadLevel, phi_recursion, phi_split, s_tilde, s_tilde_direct
 from homext import gfp, isom, restricted
 from homext.algebra import BilinearForm, Derivation, HomLieAlgebra, verify_hom_lie
 from homext.doubleext import DoubleExtensionData, PExtensionData, double_extend, extend_pstructure, split_frame
-from homext.errors import FrameMismatch, NonInvertiblePi0, ZeroGamma
+from homext.errors import DimMismatch, FrameMismatch, NonInvertiblePi0, ZeroGamma
 from homext.isom import (
     AdaptedIso,
     build_adapted_iso,
@@ -893,3 +893,10 @@ def test_decided_iso_draws_and_tables_nothing(heis_ext, sl2, sl2_ext, sampled_p5
         rows_in = np.vstack(folded)
         assert len(rows_in) == 2 * N + 2 * n + 1
         assert {tuple(r) for r in rows_in} <= allowed
+
+
+def test_build_adapted_iso_refuses_cores_of_different_dimension(heis_ext, sl2_ext):
+    L, B_L, _ = heis_ext
+    Lt, B_Lt, _ = sl2_ext
+    with pytest.raises(DimMismatch, match="^double extensions have different core dimensions$"):
+        build_adapted_iso(L, B_L, Lt, B_Lt, AdaptedIso(gfp.eye(6), 1, gfp.zeros(6), 2))

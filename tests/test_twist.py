@@ -20,7 +20,7 @@ from homext.restricted import (
     verify_pstructure,
 )
 from homext.rng import SplitMix64
-from homext.twist import TwistData, twist_algebra, twist_derivation, twist_pmap
+from homext.twist import TwistData, check_twist_data, twist_algebra, twist_derivation, twist_pmap
 
 
 def test_twist_identity_is_noop(psl3):
@@ -162,3 +162,15 @@ def test_table_P_attribution_is_pinned_by_additivity(psl3):
                 bad += 1
         assert good == 300
         assert bad < 300
+
+
+def test_twist_of_a_tensor_that_is_not_lie_fails_verification():
+    """alpha = id is valid twist data on any algebra with alpha = id, but
+    [e0, e1] = e0 and [e0, e2] = e1 break Jacobi: J(e0, e1, e2) = -e1."""
+    g = HomLieAlgebra.from_upper(3, 3, {(0, 1): gfp.unit(3, 0), (0, 2): gfp.unit(3, 1)})
+    B = BilinearForm(gfp.eye(3), 3)
+    t = TwistData(gfp.eye(3), 3)
+    assert check_twist_data(g, B, t).ok
+    with pytest.raises(PreconditionFailed, match="^twisted algebra failed verification$") as exc:
+        twist_algebra(g, B, t)
+    assert exc.value.report.check("hom_jacobi").failed > 0
